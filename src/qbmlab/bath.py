@@ -12,24 +12,42 @@ function splits into even and odd parts,
     D_re(tau) =  hbar * int_0^inf J(w) coth(hbar w / 2 kB T) cos(w tau) dw
     D_im(tau) = -hbar * int_0^inf J(w) sin(w tau) dw
 
-which this module evaluates by adaptive quadrature with oscillatory
-weight functions.  Closed forms (odd part for every cutoff, even part at
-high temperature) are provided separately so quadrature and algebra can
-be checked against each other.
+`eval_correlation` evaluates both at one tau by adaptive quadrature with
+oscillatory weight functions (QUADPACK).  Tabulated kernels take every
+tau at once instead: D_im from its closed form, and D_re from a
+composite Gauss-Legendre rule checked against the same rule with twice
+the panels.  For the exponential and Drude cutoffs the rule covers only
+the thermal part, J(w) 2w / (e^{2aw} - 1) with a = hbar / 2 kB T, since
+the zero-temperature part has a closed form.  Nodes the rule cannot
+certify to `quad_tol` go through the adaptive quadrature, which stays
+the oracle.  The high-temperature closed form of the sharp even part is
+provided for cross-checks.
 
 Conventions: tau may be any real number; D_re is even and D_im is odd in
 tau, and tabulated kernels store tau >= 0 only.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 _DRUDE_TRUNCATION = 1e6  # upper limit, in units of Omega, for the divergent case
 _EXP_TAIL = 60.0  # e^-60 ~ 1e-26, negligible relative to any epsabs we use
+
+# Tabulation rule (CorrelationKernel.from_bath).  32-point Gauss-Legendre
+# integrates cos over a panel spanning 60 rad of phase to ~1e-14; panels
+# no wider than pi/a stay a factor 2 from the poles of w coth(aw) at
+# i pi k / a (and of the Drude profile at i Omega).
+_GL_POINTS = 32
+_PANEL_PHASE = 60.0
+_THERMAL_REACH = 40.0  # 2w / (e^{2aw} - 1) < 80 e^-80 / a beyond w = 40 / a
+_NODE_BUDGET = 100_000  # coarse plus fine nodes; beyond, QUADPACK is cheaper
+_TAU_BLOCK = 8  # tau values per cosine-sum block
+_DRUDE_SERIES_FROM = 100.0  # Omega tau beyond which an asymptotic series is used
 
 
 class ValidityWarning(UserWarning):
@@ -297,10 +315,117 @@ def high_temperature_closed_form(bath, tau):
     return float(out) if out.ndim == 0 else out
 
 
+def _re_zero_temperature(kind, x):
+    """T = 0 even part over pref * Omega^2 at x = Omega * tau.
+
+    Exponential: (1 - x^2) / (1 + x^2)^2.  Drude (G&R 3.723.5, x > 0):
+    -[e^-x Ei(x) - e^x E1(x)] / 2; beyond _DRUDE_SERIES_FROM its
+    asymptotic series -sum_{k odd} k! / x^(k+1) is exact to rounding
+    and keeps e^x from overflowing (past x ~ 709).
+    """
+    if kind is CutoffKind.EXPONENTIAL:
+        r = 1.0 / (1.0 + x * x)
+        return r * (2.0 * r - 1.0)
+    out = np.empty_like(x)
+    near = x <= _DRUDE_SERIES_FROM
+    xn = x[near]
+    out[near] = -0.5 * (np.exp(-xn) * special.expi(xn)
+                        - np.exp(xn) * special.exp1(xn))
+    y = 1.0 / x[~near] ** 2
+    odd_factorials = [math.factorial(2 * j + 1) for j in range(10)]
+    out[~near] = -y * np.polynomial.polynomial.polyval(y, odd_factorials)
+    return out
+
+
+def _panel_rule(upper, panels):
+    """Nodes and weights of the composite Gauss-Legendre rule on [0, upper]."""
+    x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
+    half = 0.5 * upper / panels
+    mid = half * (2.0 * np.arange(panels) + 1.0)
+    return (mid[:, None] + half * x).ravel(), np.tile(half * w, panels)
+
+
+def _re_table(bath, tau, quad_tol):
+    """Even part on tau >= 0 from closed forms plus a panel rule.
+
+    Returns (value, error estimate, target) per node.  The estimate is
+    the change from the rule with half the panels; the target is
+    QUADPACK's, max(quad_tol * scale, quad_tol * |value|).  Nodes the
+    rule does not cover (Drude tau = 0, or every node when the rule
+    would exceed _NODE_BUDGET) carry NaN.
+    """
+    sd = bath.spectral
+    a = bath.thermal_time
+    pref = 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi
+    kind = sd.cutoff_kind
+    W = sd.Omega
+    scale = pref * W * _omega_coth(W, a)
+
+    width = np.pi / a
+    if kind is CutoffKind.SHARP:
+        upper = W
+        zero_temp = 0.0
+
+        def integrand(w):
+            return pref * _omega_coth(w, a)
+    else:
+        upper = _THERMAL_REACH / a
+        if kind is CutoffKind.EXPONENTIAL:
+            upper = min(upper, _EXP_TAIL * W)
+        else:
+            width = min(width, W)
+        # the Drude D_re(0) diverges; its NaN sends it to the fallback
+        covered = (tau > 0.0) | (kind is CutoffKind.EXPONENTIAL)
+        zero_temp = np.full(tau.shape, np.nan)
+        zero_temp[covered] = pref * W * W \
+            * _re_zero_temperature(kind, W * tau[covered])
+
+        def integrand(w):
+            return pref * _cutoff_factor(kind, w / W) * 2.0 * w \
+                / np.expm1(2.0 * a * w)
+
+    tau_max = float(np.max(tau))
+    if tau_max > 0.0:
+        width = min(width, _PANEL_PHASE / tau_max)
+    panels = math.ceil(upper / width)
+    if 3 * _GL_POINTS * panels > _NODE_BUDGET:
+        uncovered = np.full(tau.shape, np.nan)
+        return uncovered, uncovered, uncovered
+
+    coarse, w_coarse = _panel_rule(upper, panels)
+    fine, w_fine = _panel_rule(upper, 2 * panels)
+    omega = np.concatenate([coarse, fine])
+    weights = np.zeros((omega.size, 2))
+    weights[:coarse.size, 0] = w_coarse
+    weights[coarse.size:, 1] = w_fine
+    weights *= integrand(omega)[:, None]
+    sums = np.empty((tau.size, 2))
+    for start in range(0, tau.size, _TAU_BLOCK):
+        block = tau[start:start + _TAU_BLOCK]
+        sums[start:start + block.size] = np.cos(np.outer(block, omega)) \
+            @ weights
+    value = zero_temp + sums[:, 1]
+    err = np.abs(sums[:, 1] - sums[:, 0])
+    return value, err, quad_tol * np.maximum(scale, np.abs(value))
+
+
 def delta_limit_strength(bath):
     """Weight 4 m gamma kB T of the delta-function kernel limit."""
     sd = bath.spectral
     return 4.0 * sd.m * sd.gamma * bath.constants.k_B * bath.T
+
+
+def _checked_grid(grid):
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("kernel grid must be 1-D with at least two nodes")
+    if grid[0] != 0.0:
+        raise ValueError("kernel grid must start at tau = 0")
+    steps = np.diff(grid)
+    if np.any(steps <= 0.0) or not np.allclose(steps, steps[0],
+                                               rtol=1e-9, atol=0.0):
+        raise ValueError("kernel grid must be uniform and increasing")
+    return grid
 
 
 @dataclass
@@ -317,19 +442,12 @@ class CorrelationKernel:
     im_values: np.ndarray
     bath: ThermalBathSpec | None = None
     quad_tol: float = 1e-8
+    health: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+        self.grid = _checked_grid(self.grid)
         self.re_values = np.asarray(self.re_values, dtype=float)
         self.im_values = np.asarray(self.im_values, dtype=float)
-        if self.grid.ndim != 1 or self.grid.size < 2:
-            raise ValueError("kernel grid must be 1-D with at least two nodes")
-        if self.grid[0] != 0.0:
-            raise ValueError("kernel grid must start at tau = 0")
-        steps = np.diff(self.grid)
-        if np.any(steps <= 0.0) or not np.allclose(steps, steps[0],
-                                                   rtol=1e-9, atol=0.0):
-            raise ValueError("kernel grid must be uniform and increasing")
         if self.re_values.shape != self.grid.shape \
                 or self.im_values.shape != self.grid.shape:
             raise ValueError("kernel value arrays must match the grid shape")
@@ -346,15 +464,30 @@ class CorrelationKernel:
 
     @classmethod
     def from_bath(cls, bath, grid, quad_tol=1e-8):
-        """Tabulate D on `grid` (uniform, starting at 0) by quadrature."""
-        grid = np.asarray(grid, dtype=float)
-        re = np.empty_like(grid)
-        im = np.empty_like(grid)
-        for i, tau in enumerate(grid):
-            re[i] = _correlation_re(bath, float(tau), quad_tol)
-            im[i] = _correlation_im(bath, float(tau), quad_tol)
+        """Tabulate D on `grid` (uniform, starting at 0).
+
+        D_im is `im_closed_form`; D_re comes from `_re_table`, and every
+        node the rule leaves uncertified goes through the adaptive
+        quadrature of `eval_correlation`.  `health` records the node
+        count, the number of such fallbacks and the worst error
+        estimate over its target among the nodes the rule kept.
+        """
+        grid = _checked_grid(grid)
+        re, err, target = _re_table(bath, grid, quad_tol)
+        fallback = ~(err <= target) | ~np.isfinite(re)
+        for i in np.flatnonzero(fallback):
+            re[i] = _correlation_re(bath, float(grid[i]), quad_tol)
+        im = im_closed_form(bath, grid)
+        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+            raise QuadratureError("kernel table has non-finite values")
+        kept = ~fallback
+        health = {"nodes": int(grid.size),
+                  "quad_fallbacks": int(np.count_nonzero(fallback)),
+                  "worst_err_over_target": float(
+                      np.max(err[kept] / target[kept])) if kept.any()
+                  else None}
         return cls(grid=grid, re_values=re, im_values=im, bath=bath,
-                   quad_tol=quad_tol)
+                   quad_tol=quad_tol, health=health)
 
     @classmethod
     def from_samples(cls, grid, re_values, im_values, bath=None):

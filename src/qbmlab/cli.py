@@ -227,6 +227,8 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
         outputs=list(written),
         warnings=[str(w.message) for w in records],
         ensemble_seed=ensemble_seed)
+    if kernel is not None:
+        manifest.extra["kernel_health"] = kernel.health
     manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
     io.write_json(manifest_path, manifest.to_json_dict())
     manifest.extra["manifest_path"] = manifest_path
@@ -315,8 +317,8 @@ def main(argv=None):
         for message in exc.messages:
             print(f"  - {message}", file=sys.stderr)
         return 2
-    except (NumericalFailure, QuadratureError, NoiseFactorizationError) \
-            as exc:
+    except (NumericalFailure, QuadratureError, NoiseFactorizationError,
+            OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

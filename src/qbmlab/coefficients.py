@@ -37,7 +37,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .bath import CorrelationKernel
 
-_MAX_CHEAP_ORDER = 3  # each extra order costs another O(N^3) sweep
+MAX_CHEAP_ORDER = 3  # each extra order costs another O(N^3) sweep
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,9 @@ def dressed_kernel(base, kernels, order, grid=None, *, m=1.0, hbar=1.0,
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError("order must be a positive integer")
-    if order > _MAX_CHEAP_ORDER and not allow_high_order:
+    if order > MAX_CHEAP_ORDER and not allow_high_order:
         raise ValueError(
-            f"order {order} exceeds {_MAX_CHEAP_ORDER}; "
+            f"order {order} exceeds {MAX_CHEAP_ORDER}; "
             "pass allow_high_order=True to force")
     if grid is None:
         grid = base.grid

@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 
 from .bath import CutoffKind, PhysicalConstants
+from .coefficients import MAX_CHEAP_ORDER
 from .dynamics import Variant
 
 _VALID_OUTPUTS = ("kernel", "coefficients", "audit", "moments", "ensemble")
@@ -302,8 +303,9 @@ def scenario_from_dict(raw, strict=True, default_name="scenario"):
             valid = ", ".join(v.value for v in Variant)
             errors.append(f"equation.variant: unknown variant '{variant}' "
                           f"(valid: {valid})")
-    if order is not None and order < 1:
-        errors.append(f"equation.order: must be >= 1, got {order}")
+    if order is not None and not 1 <= order <= MAX_CHEAP_ORDER:
+        errors.append(f"equation.order: must be between 1 and "
+                      f"{MAX_CHEAP_ORDER}, got {order}")
     if variant == "qp" and mu is None:
         errors.append("equation: variant 'qp' requires 'mu'")
 

@@ -16,6 +16,7 @@ from qbmlab.bath import (
     CorrelationKernel,
     CutoffKind,
     PhysicalConstants,
+    QuadratureError,
     QuadratureWarning,
     SpectralDensity,
     ThermalBathSpec,
@@ -25,9 +26,11 @@ from qbmlab.bath import (
     eval_spectral_density,
     high_temperature_closed_form,
     im_closed_form,
+    _DRUDE_SERIES_FROM,
     _correlation_im,
     _correlation_re,
     _omega_coth,
+    _re_zero_temperature,
 )
 
 
@@ -288,3 +291,107 @@ def test_zero_coupling_kernel_is_allowed():
     grid = np.linspace(0.0, 1.0, 5)
     k = CorrelationKernel.from_samples(grid, np.zeros(5), np.zeros(5))
     assert k.at(0.5) == 0.0
+
+
+# ------------------------------------------ vectorized kernel tabulation
+
+def _quadpack_re(bath, grid, quad_tol):
+    """Today's per-node adaptive quadrature, the oracle of the table."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureWarning)
+        warnings.simplefilter("ignore", ValidityWarning)
+        return np.array([_correlation_re(bath, float(t), quad_tol)
+                         for t in grid])
+
+
+def _tabulate(bath, grid, quad_tol=1e-8):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureWarning)
+        warnings.simplefilter("ignore", ValidityWarning)
+        return CorrelationKernel.from_bath(bath, grid, quad_tol=quad_tol)
+
+
+_TABLE_CASES = [(kind, T, Omega) for kind in CutoffKind
+                for T, Omega in ((0.5, 10.0), (10.0, 50.0))] \
+    + [(CutoffKind.SHARP, 250.0, 50.0)]
+
+
+@pytest.mark.parametrize("kind,T,Omega", _TABLE_CASES)
+def test_table_matches_quadpack_per_node(kind, T, Omega):
+    quad_tol = 1e-12
+    bath = make_bath(m=1.0, gamma=0.1, Omega=Omega, T=T, kind=kind)
+    grid = np.linspace(0.0, 500.0 / Omega, 41)
+    k = _tabulate(bath, grid, quad_tol)
+    pref = 2.0 * 0.1 / np.pi
+    scale = pref * Omega * _omega_coth(Omega, bath.thermal_time)
+    dev = np.max(np.abs(k.re_values - _quadpack_re(bath, grid, quad_tol)))
+    assert dev <= quad_tol * scale
+    assert k.health["nodes"] == grid.size
+    # only the divergent Drude D_re(0) leaves the rule
+    assert k.health["quad_fallbacks"] == (kind is CutoffKind.DRUDE)
+    assert k.health["worst_err_over_target"] <= 1.0
+
+
+@pytest.mark.parametrize("kind", list(CutoffKind))
+def test_table_im_is_the_closed_form(kind):
+    bath = make_bath(m=1.3, gamma=0.7, Omega=3.0, T=2.0, kind=kind)
+    grid = np.linspace(0.0, 20.0, 101)
+    k = _tabulate(bath, grid)
+    assert np.array_equal(k.im_values, im_closed_form(bath, grid))
+
+
+def test_table_over_node_budget_is_todays_quadrature():
+    # at T = 1e4 the thermal part reaches w = 8e5: per-node QUADPACK
+    bath = make_bath(Omega=10.0, T=1e4, kind=CutoffKind.DRUDE)
+    grid = np.linspace(0.0, 1.0, 6)
+    k = _tabulate(bath, grid)
+    assert np.array_equal(k.re_values, _quadpack_re(bath, grid, 1e-8))
+    assert k.health["quad_fallbacks"] == grid.size
+    assert k.health["worst_err_over_target"] is None
+
+
+def test_drude_table_finite_beyond_exp_overflow():
+    bath = make_bath(Omega=10.0, T=0.5, kind=CutoffKind.DRUDE)
+    grid = np.linspace(0.0, 100.0, 201)  # Omega tau up to 1000
+    k = _tabulate(bath, grid)
+    assert np.all(np.isfinite(k.re_values))
+    # zero-temperature and thermal parts cancel out there; the sum agrees
+    # with QUADPACK within QUADPACK's own absolute target
+    scale = (2.0 / np.pi) * 10.0 * _omega_coth(10.0, bath.thermal_time)
+    far = grid[-3:]
+    assert np.max(np.abs(k.re_values[-3:] - _quadpack_re(bath, far, 1e-8))) \
+        <= 1e-8 * scale
+
+
+def test_drude_zero_temperature_series_joins_direct_form():
+    x = np.array([_DRUDE_SERIES_FROM * (1.0 - 1e-12),
+                  _DRUDE_SERIES_FROM * (1.0 + 1e-12)])
+    direct, series = _re_zero_temperature(CutoffKind.DRUDE, x)
+    assert series == pytest.approx(direct, rel=1e-12)
+
+
+def test_table_keeps_drude_divergence_warning():
+    bath = make_bath(Omega=4.0, kind=CutoffKind.DRUDE)
+    with pytest.warns(ValidityWarning, match="diverges"):
+        CorrelationKernel.from_bath(bath, np.linspace(0.0, 2.0, 11))
+
+
+@pytest.mark.parametrize("kind", list(CutoffKind))
+@pytest.mark.parametrize("T", [0.01, 10.0, 1e4])
+def test_table_leaks_no_runtime_warning(kind, T):
+    bath = make_bath(Omega=10.0, T=T, kind=kind)
+    grid = np.linspace(0.0, 100.0, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", ValidityWarning)
+        warnings.simplefilter("ignore", QuadratureWarning)
+        k = CorrelationKernel.from_bath(bath, grid)
+    assert np.all(np.isfinite(k.re_values))
+
+
+def test_non_finite_table_is_a_quadrature_error(monkeypatch):
+    import qbmlab.bath as bath_module
+    monkeypatch.setattr(bath_module, "im_closed_form",
+                        lambda bath, tau: np.full(np.shape(tau), np.nan))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        CorrelationKernel.from_bath(make_bath(), np.linspace(0.0, 1.0, 5))

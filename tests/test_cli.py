@@ -224,6 +224,9 @@ def test_cli_hpz_pipeline_and_audit(tmp_path):
     manifest = json.loads((tmp_path / "mini_hpz_manifest.json").read_text())
     assert any("NotCP" in w for w in manifest["warnings"])
     assert len(manifest["outputs"]) == 5
+    health = manifest["kernel_health"]
+    assert health["nodes"] == 81 and health["quad_fallbacks"] == 0
+    assert 0.0 <= health["worst_err_over_target"] <= 1.0
 
     # the exported coefficient table feeds the auditor again
     table = io.read_csv(tmp_path / "mini_hpz_coefficients.csv")
@@ -234,6 +237,44 @@ def test_cli_hpz_pipeline_and_audit(tmp_path):
     csv_audit = io.read_csv(tmp_path / "mini_hpz_audit.csv")
     assert csv_audit.columns == io.AUDIT_COLUMNS
     assert np.allclose(csv_audit["lambda_min"], audit["lambda_min"])
+
+
+def test_dressing_order_above_three_rejected_up_front(tmp_path):
+    payload = {
+        "system": {"m": 1.0, "omega_S": 1.0},
+        "bath": {"gamma": 0.1, "T": 10.0, "Omega": 20.0},
+        "equation": {"variant": "hpz", "order": 4,
+                     "coefficient_grid": {"t_max": 1.0, "n": 11}},
+        "run": {"t_span": [0.0, 1.0], "dt": 0.01},
+    }
+    with pytest.raises(ScenarioError, match="equation.order"):
+        scenario_from_dict(payload)
+    path = _write(tmp_path, payload, "order4.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_non_finite_kernel_exits_as_numerical_failure(tmp_path,
+                                                      monkeypatch):
+    from qbmlab import bath
+
+    payload = {
+        "system": {"m": 1.0, "omega_S": 1.0},
+        "bath": {"gamma": 0.1, "T": 10.0, "cutoff": "exponential",
+                 "Omega": 1e110},
+        "equation": {"variant": "hpz",
+                     "coefficient_grid": {"t_max": 1.0, "n": 11}},
+        "run": {"t_span": [0.0, 1.0], "dt": 0.01},
+    }
+    # Omega^3 overflows a float in the closed-form odd part
+    path = _write(tmp_path, payload, "overflow.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 3
+
+    monkeypatch.setattr(bath, "im_closed_form",
+                        lambda spec, tau: np.full(np.shape(tau), np.inf))
+    payload["bath"]["Omega"] = 20.0
+    path = _write(tmp_path, payload, "inf.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 3
 
 
 def test_cli_ensemble_pipeline(tmp_path):
