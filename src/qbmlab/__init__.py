@@ -37,6 +37,7 @@ from .dynamics import (
     GaussianMomentState,
     MasterEquationSpec,
     MomentTrajectory,
+    QuadraticGenerator,
     SystemSpec,
     Variant,
     ground_state_moments,
@@ -83,6 +84,7 @@ __all__ = [
     "GaussianMomentState",
     "MasterEquationSpec",
     "MomentTrajectory",
+    "QuadraticGenerator",
     "SystemSpec",
     "Variant",
     "ground_state_moments",

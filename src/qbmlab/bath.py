@@ -274,7 +274,7 @@ def im_closed_form(bath, tau):
     scalar = tau.ndim == 0
     tau = np.atleast_1d(tau)
     pref = 2.0 * sd.m * sd.gamma * hbar / np.pi
-    W = sd.Omega
+    W = np.float64(sd.Omega)  # overflows to inf, not OverflowError
     x = W * tau
 
     if sd.cutoff_kind is CutoffKind.SHARP:

@@ -107,15 +107,13 @@ def _initial_fock_state(scenario, dim):
     return coherent_state(dim, alpha)
 
 
-def _equation_spec(scenario, coefficients=None):
+def _equation_spec(scenario, coefficients):
     system = SystemSpec(m=scenario.system.m, omega_S=scenario.system.omega_S)
-    variant = scenario.equation.variant
-    if variant == "hpz":
-        return MasterEquationSpec("hpz", system, constants=scenario.units,
-                                  coefficients=coefficients)
-    return MasterEquationSpec(variant, system, constants=scenario.units,
+    return MasterEquationSpec(scenario.equation.variant, system,
+                              constants=scenario.units,
                               gamma=scenario.bath.gamma, T=scenario.bath.T,
-                              mu=scenario.equation.mu)
+                              mu=scenario.equation.mu,
+                              coefficients=coefficients)
 
 
 def _coefficient_pipeline(scenario):
@@ -167,8 +165,8 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
         if "coefficients" in outputs:
             emit_csv("coefficients", io.coefficient_table(coefficients, meta))
 
+        spec = _equation_spec(scenario, coefficients)
         if "moments" in outputs:
-            spec = _equation_spec(scenario, coefficients)
             trajectory = integrate_moments(spec, _initial_moments(scenario),
                                            scenario.run.t_span,
                                            scenario.run.dt,
@@ -177,13 +175,12 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
 
         if "audit" in outputs:
             if scenario.equation.variant == "hpz":
-                report = audit_cp(coefficients, constants=scenario.units)
+                report = audit_cp(spec.generator)
             else:
-                matrix = assemble_constant_matrix(
+                report = audit_cp(assemble_constant_matrix(
                     scenario.equation.variant, m=scenario.system.m,
                     gamma=scenario.bath.gamma, T=scenario.bath.T,
-                    constants=scenario.units)
-                report = audit_cp(matrix)
+                    mu=scenario.equation.mu, constants=scenario.units))
             if report.verdict == "NotCP":
                 at = report.first_violation_time
                 warnings.warn("CP audit verdict: NotCP (first violation at "
@@ -197,10 +194,8 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
             sto = scenario.stochastic
             ensemble_seed = int(seed_override) if seed_override is not None \
                 else sto.seed
-            system = SystemSpec(m=scenario.system.m,
-                                omega_S=scenario.system.omega_S)
             config = ccl_sse_config(
-                system, scenario.bath.gamma, scenario.bath.T, dim=sto.dim,
+                spec.system, scenario.bath.gamma, scenario.bath.T, dim=sto.dim,
                 dt=scenario.run.dt, n_traj=sto.n_traj, seed=ensemble_seed,
                 t_span=scenario.run.t_span, S_scalar=sto.S_scalar,
                 store_every=scenario.run.store_every,
@@ -209,8 +204,7 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
             result = ensemble_run(config, psi0, threads=threads)
             emit_csv("ensemble", io.ensemble_table(result, meta))
 
-            ode = integrate_moments(_equation_spec(scenario),
-                                    _initial_moments(scenario),
+            ode = integrate_moments(spec, _initial_moments(scenario),
                                     scenario.run.t_span, scenario.run.dt,
                                     scenario.run.store_every)
             emit_csv("ensemble_vs_ode",

@@ -158,9 +158,8 @@ def dressed_kernel(base, kernels, order, grid=None, *, m=1.0, hbar=1.0,
     d_signed = base.re_at(diff) + 1j * base.im_at(diff)   # D(t - s)
     d_even = base.re_at(diff) + 1j * base.im_at(np.abs(diff))  # D(|t - s|)
     # response matrix c(t_j, s_l); strictly lower triangular
-    contraction = np.where(diff > 0.0,
-                           (1j * hbar / m) * kernels.c_tilde(-diff),
-                           0.0 + 0.0j)
+    contraction = commutator_contraction(kernels, m, grid[:, None],
+                                         grid[None, :], hbar)
 
     total = d_signed.copy()
     prev = d_signed
@@ -181,6 +180,15 @@ def dressed_kernel(base, kernels, order, grid=None, *, m=1.0, hbar=1.0,
         prev = cur
         sign = -sign
     return DressedKernel(base=base, order=int(order), grid=grid, table=total)
+
+
+def interp_table(grid, t, columns):
+    """Columns sampled on `grid`, linearly interpolated at times t."""
+    t = np.asarray(t, dtype=float)
+    span = float(grid[-1])
+    if np.any(t < -1e-15) or np.any(t > span * (1.0 + 1e-12) + 1e-15):
+        raise ValueError(f"t outside tabulated range [0, {span:g}]")
+    return [np.interp(t, grid, col) for col in columns]
 
 
 @dataclass
@@ -209,14 +217,11 @@ class HPZCoefficients:
 
     def at(self, t):
         """(Gamma, Theta, Xi, Upsilon) at time t by linear interpolation."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-15) or np.any(t > self.span * (1.0 + 1e-12) + 1e-15):
-            raise ValueError(f"t outside tabulated range [0, {self.span:g}]")
-        out = tuple(np.interp(t, self.grid, arr)
-                    for arr in (self.Gamma, self.Theta, self.Xi, self.Upsilon))
-        if t.ndim == 0:
+        out = interp_table(self.grid, t, (self.Gamma, self.Theta, self.Xi,
+                                          self.Upsilon))
+        if np.ndim(t) == 0:
             return tuple(float(v) for v in out)
-        return out
+        return tuple(out)
 
 
 def compute_coefficients(dressed, kernels, t_grid=None, *,

@@ -1,29 +1,25 @@
 """Gaussian moment dynamics for the quantum Brownian motion variants.
 
-All equation variants considered here are quadratic in (q, p), so
-Gaussian states stay Gaussian and the state reduces to five numbers:
-two means and three second central moments.  The right-hand sides below
-were obtained by tracing the corresponding operator master equations
-against q, p, q^2, p^2, {q,p}/2; the brute-force Fock propagator in
-:mod:`qbmlab.fock` locks every term by regression.
+Every variant is one quadratic generator in canonical form
 
-Variant map (on top of the closed-system flow):
+    drho/dt = -(i/hbar)[H, rho]
+              + sum_jk a_jk (F_j rho F_k - (1/2){F_k F_j, rho})
 
-    JZ   : position-coupled pure decoherence,
-           d sigma_pp += 4 m gamma kB T
-    CL   : JZ plus friction,
-           d<p> += -2 gamma <p>,  d sigma_pp += -4 gamma sigma_pp,
-           d sigma_qp += -2 gamma sigma_qp
-    CCL  : CL plus the minimal position-diffusion correction,
-           d sigma_qq += gamma hbar^2 / (4 m kB T)
-    QP   : decoherence in the rotated coordinate A = q - mu p; means are
-           untouched, all three covariances pick up constant diffusion
-    HPZ  : time-dependent coefficients (Gamma, Theta, Xi, Upsilon):
-           d<p>        += (2 Xi / hbar) <q> + (2 Upsilon / (m hbar)) <p>
-           d sigma_pp  += -2 Gamma + (4 Xi / hbar) sigma_qp
-                          + (4 Upsilon / (m hbar)) sigma_pp
-           d sigma_qp  += Theta / m + (2 Xi / hbar) sigma_qq
-                          + (2 Upsilon / (m hbar)) sigma_qp
+with F = x = (q, p), H = x^T G x / 2 (q p symmetrized), G real symmetric
+and the Kossakowski matrix a Hermitian.  `MasterEquationSpec` builds
+(G, a) once; the moments here, the Fock oracle, the CP audit and the
+unraveling all derive from it.  With D = 4 m gamma kB T, w = omega_S:
+
+    JZ   G = [[m w^2, 0], [0, 1/m]]    a = [[D, 0], [0, 0]] / hbar^2
+    CL   G = JZ, G_qp = gamma          a = JZ, a_qp = -i gamma / hbar
+    CCL  G = CL                        a = CL, a_pp = gamma / (4 m kB T)
+    QP   G = JZ                        a = (D / hbar^2) v v^T, v = (1, -mu)
+    HPZ  G = [[m w^2 - 2 Xi / hbar, -Upsilon / (m hbar)], [G_qp, 1/m]]
+         a = [[-2 Gamma, (-Theta + i Upsilon) / m], [a_qp^*, 0]] / hbar^2
+
+HPZ tabulates (G, a) on its coefficient grid.  With J = [[0, 1], [-1, 0]],
+d<x>/dt = A <x> and d sigma/dt = A sigma + sigma A^T + B, with friction
+A = J (G - hbar Im a) and diffusion B = hbar^2 J Re(a) J^T.
 """
 
 import math
@@ -34,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .bath import PhysicalConstants
-from .coefficients import HPZCoefficients
+from .coefficients import HPZCoefficients, interp_table
 
 
 class NumericalFailure(RuntimeError):
@@ -131,13 +127,83 @@ def squeezed_state_moments(system, r, constants=PhysicalConstants(),
                                sigma_qp=0.0)
 
 
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_MAP_BLOCK = 512  # RK4 maps built at once; bounds the memory of long runs
+
+
+@dataclass(frozen=True)
+class QuadraticGenerator:
+    """G and a of a generator: (2, 2), or (n, 2, 2) on an n-node `grid`."""
+
+    G: np.ndarray
+    a: np.ndarray
+    hbar: float
+    grid: np.ndarray | None = None
+
+    def at(self, t):
+        """(G, a) at times t by linear interpolation, shape t.shape + (2, 2)."""
+        shape = np.shape(t) + (2, 2)
+        if self.grid is None:
+            return (np.broadcast_to(self.G, shape),
+                    np.broadcast_to(self.a, shape))
+        cols = interp_table(self.grid, t, [*self.G.reshape(-1, 4).T,
+                                           *self.a.reshape(-1, 4).T])
+        return (np.stack(cols[:4], axis=-1).reshape(shape),
+                np.stack(cols[4:], axis=-1).reshape(shape))
+
+    def moment_matrix(self, t):
+        """[[M, c], [0, 0]] at times t: (y, 1) -> (M y + c, 0) on the
+        moments y = (<q>, <p>, s_qq, s_pp, s_qp).
+        """
+        G, a = self.at(t)
+        A = _J @ (G - self.hbar * a.imag)
+        B = self.hbar ** 2 * (_J @ a.real @ _J.T)
+        a00, a01, a10, a11 = (A[..., i, j] for i in (0, 1) for j in (0, 1))
+        out = np.zeros(A.shape[:-2] + (6, 6))
+        out[..., :2, :2] = A
+        out[..., 2, 2], out[..., 2, 4] = 2.0 * a00, 2.0 * a01
+        out[..., 3, 3], out[..., 3, 4] = 2.0 * a11, 2.0 * a10
+        out[..., 4, 2], out[..., 4, 3], out[..., 4, 4] = a10, a01, a00 + a11
+        out[..., 2:5, 5] = B[..., (0, 1, 0), (0, 1, 1)]  # qq, pp, qp
+        return out
+
+
+def _hermitian(xx, xy, yy):
+    """[[xx, xy], [xy^*, yy]], broadcast to shape (..., 2, 2)."""
+    xx, xy, yy = np.broadcast_arrays(xx, xy, yy)
+    return np.stack([np.stack([xx, xy], axis=-1),
+                     np.stack([np.conj(xy), yy], axis=-1)], axis=-2)
+
+
+def _generator(spec):
+    """(G, a) of the spec: the one place that turns a variant into physics."""
+    m, hbar, v = spec.system.m, spec.constants.hbar, spec.variant
+    mw2 = m * spec.system.omega_S ** 2
+    if v is Variant.HPZ:
+        c = spec.coefficients
+        G = _hermitian(mw2 - 2.0 * c.Xi / hbar, -c.Upsilon / (m * hbar),
+                       1.0 / m)
+        a = _hermitian(-2.0 * c.Gamma + 0j, (-c.Theta + 1j * c.Upsilon) / m,
+                       0j)
+        return QuadraticGenerator(G, a / hbar ** 2, hbar, c.grid)
+    d = spec.diffusion_strength / hbar ** 2
+    mu = spec.mu if v is Variant.QP_COUPLED else 0.0
+    friction = spec.gamma if v in (Variant.CL, Variant.CCL) else 0.0
+    a_pp = spec.gamma / (4.0 * m * spec.constants.k_B * spec.T) \
+        if v is Variant.CCL else 0.0
+    G = _hermitian(mw2, friction, 1.0 / m)
+    a = _hermitian(d + 0j, -d * mu - 1j * friction / hbar, d * mu * mu + a_pp)
+    return QuadraticGenerator(G, a, hbar)
+
+
 @dataclass
 class MasterEquationSpec:
     """Which equation to propagate, with its parameters.
 
     gamma and T are required by every variant except HPZ (which takes
     everything from its coefficient table); mu is the rotation parameter
-    of the QP-coupled variant; there are no silent defaults.
+    of the QP-coupled variant; there are no silent defaults.  The
+    generator (G, a) is built on construction.
     """
 
     variant: Variant
@@ -147,22 +213,24 @@ class MasterEquationSpec:
     T: float | None = None
     mu: float | None = None
     coefficients: HPZCoefficients | None = None
+    generator: QuadraticGenerator = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
         if self.variant is Variant.HPZ:
             if self.coefficients is None:
                 raise ValueError("HPZ variant requires a coefficient table")
-            return
-        if self.gamma is None or self.T is None:
+        elif self.gamma is None or self.T is None:
             raise ValueError(
                 f"variant {self.variant.value} requires gamma and T")
-        if self.gamma < 0.0:
+        elif self.gamma < 0.0:
             raise ValueError("gamma must be non-negative")
-        if self.T <= 0.0:
+        elif self.T <= 0.0:
             raise ValueError("temperature T must be strictly positive")
-        if self.variant is Variant.QP_COUPLED and self.mu is None:
+        elif self.variant is Variant.QP_COUPLED and self.mu is None:
             raise ValueError("QP-coupled variant requires mu")
+        self.generator = _generator(self)
 
     @property
     def diffusion_strength(self):
@@ -170,50 +238,27 @@ class MasterEquationSpec:
         return 4.0 * self.system.m * self.gamma * self.constants.k_B * self.T
 
 
-def _rhs_array(spec, y, coeffs):
-    """Moment derivatives; `coeffs` is (Gamma, Theta, Xi, Upsilon) for HPZ."""
-    m = spec.system.m
-    mw2 = m * spec.system.omega_S ** 2
-    hbar = spec.constants.hbar
-    q, p, sqq, spp, sqp = y
-
-    dq = p / m
-    dp = -mw2 * q
-    dsqq = 2.0 * sqp / m
-    dspp = -2.0 * mw2 * sqp
-    dsqp = spp / m - mw2 * sqq
-
-    v = spec.variant
-    if v is Variant.HPZ:
-        gamma_t, theta_t, xi_t, upsilon_t = coeffs
-        dp += (2.0 * xi_t / hbar) * q + (2.0 * upsilon_t / (m * hbar)) * p
-        dspp += -2.0 * gamma_t + (4.0 * xi_t / hbar) * sqp \
-            + (4.0 * upsilon_t / (m * hbar)) * spp
-        dsqp += theta_t / m + (2.0 * xi_t / hbar) * sqq \
-            + (2.0 * upsilon_t / (m * hbar)) * sqp
-    else:
-        diff = spec.diffusion_strength
-        dspp += diff
-        if v is Variant.QP_COUPLED:
-            dsqq += spec.mu ** 2 * diff
-            dsqp += spec.mu * diff
-        if v in (Variant.CL, Variant.CCL):
-            dp += -2.0 * spec.gamma * p
-            dspp += -4.0 * spec.gamma * spp
-            dsqp += -2.0 * spec.gamma * sqp
-        if v is Variant.CCL:
-            dsqq += spec.gamma * hbar ** 2 \
-                / (4.0 * m * spec.constants.k_B * spec.T)
-
-    return np.array([dq, dp, dsqq, dspp, dsqp])
-
-
 def moment_rhs(spec, state, t=0.0):
-    """Time derivative of the five moments, as a GaussianMomentState."""
-    coeffs = spec.coefficients.at(float(t)) \
-        if spec.variant is Variant.HPZ else None
+    """Time derivative M y + c of the five moments, as a GaussianMomentState."""
+    w = spec.generator.moment_matrix(float(t))
     return GaussianMomentState.from_array(
-        _rhs_array(spec, state.as_array(), coeffs))
+        w[:5] @ np.append(state.as_array(), 1.0))
+
+
+def rk4_stage_times(t0, h, lo, hi):
+    """Stage times (t, t + h/2, t + h) of RK4 steps lo..hi-1, t = t0 + i h."""
+    t = t0 + np.arange(lo, hi) * h
+    return np.stack([t, t + 0.5 * h, t + h], axis=1)
+
+
+def _rk4_maps(w, h):
+    """RK4 steps of z' = W(t) z as matrices; w holds W at each stage time."""
+    eye = np.eye(6)
+    k1 = w[:, 0]
+    k2 = w[:, 1] @ (eye + 0.5 * h * k1)
+    k3 = w[:, 1] @ (eye + 0.5 * h * k2)
+    k4 = w[:, 2] @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass
@@ -257,7 +302,7 @@ class MomentTrajectory:
 
 
 def integrate_moments(spec, state0, t_span, dt, store_every=1):
-    """Propagate moments with fixed-step RK4.
+    """Propagate moments with fixed-step RK4, one affine map per step.
 
     dt is adjusted (at most fractionally) so an integer number of steps
     lands exactly on t_span[1]; outputs are every `store_every` steps
@@ -281,32 +326,25 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
     n_steps = max(1, int(round(span / dt)))
     h = span / n_steps
 
-    # HPZ coefficients at the three stage times of every step, looked up
-    # in one pass; the times are formed exactly as a scalar loop would.
-    stage_coeffs = None
-    if spec.variant is Variant.HPZ:
-        t = t0 + np.arange(n_steps) * h
-        stage_coeffs = np.stack(spec.coefficients.at(
-            np.stack([t, t + 0.5 * h, t + h], axis=1)), axis=-1)
-
-    y = state0.as_array()
+    gen = spec.generator
+    z = np.append(state0.as_array(), 1.0)
     times = [t0]
-    rows = [y.copy()]
-    c_start = c_mid = c_end = None
-    for i in range(n_steps):
-        if stage_coeffs is not None:
-            c_start, c_mid, c_end = stage_coeffs[i].tolist()
-        k1 = _rhs_array(spec, y, c_start)
-        k2 = _rhs_array(spec, y + 0.5 * h * k1, c_mid)
-        k3 = _rhs_array(spec, y + 0.5 * h * k2, c_mid)
-        k4 = _rhs_array(spec, y + h * k3, c_end)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (i % 64 == 63 or i == n_steps - 1) and not np.all(np.isfinite(y)):
-            raise NumericalFailure(
-                f"non-finite moments at t = {t0 + (i + 1) * h:.6g}")
-        if (i + 1) % store_every == 0 or i == n_steps - 1:
-            times.append(t0 + (i + 1) * h)
-            rows.append(y.copy())
+    rows = [z[:5]]
+    i = 0
+    for lo in range(0, n_steps, _MAP_BLOCK):
+        hi = min(lo + _MAP_BLOCK, n_steps)
+        if lo == 0 or gen.grid is not None:  # constant maps are all alike
+            maps = _rk4_maps(
+                gen.moment_matrix(rk4_stage_times(t0, h, lo, hi)), h)
+        for step in maps[:hi - lo]:
+            z = step @ z
+            i += 1
+            if (i % 64 == 0 or i == n_steps) and not np.all(np.isfinite(z)):
+                raise NumericalFailure(
+                    f"non-finite moments at t = {t0 + i * h:.6g}")
+            if i % store_every == 0 or i == n_steps:
+                times.append(t0 + i * h)
+                rows.append(z[:5])
 
     return MomentTrajectory(times=np.array(times), data=np.array(rows),
                             system=spec.system, constants=spec.constants)

@@ -2,10 +2,11 @@
 
 This module exists to cross-check the Gaussian moment maps in
 :mod:`qbmlab.dynamics` against direct density-matrix integration in a
-truncated number basis.  It is deliberately simple: dense matrices,
-fixed-step RK4, explicit monitors for trace drift and truncation
-leakage.  Matrix elements use the oscillator length of the system
-frequency as the basis scale.
+truncated number basis.  Both derive from the spec's generator (G, a),
+here in the Lindblad form K rho + rho K^dag + sum_jk a_jk F_j rho F_k.
+It is deliberately simple: dense matrices, fixed-step RK4, explicit
+monitors for trace drift and truncation leakage.  Matrix elements use
+the oscillator length of the system frequency as the basis scale.
 """
 
 import warnings
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .bath import PhysicalConstants
-from .dynamics import GaussianMomentState, Variant
+from .dynamics import GaussianMomentState, rk4_stage_times
 
 _LEAK_THRESHOLD = 1e-6  # combined population of the top two levels
 _TRACE_RATE = 1e-8  # allowed trace drift per unit time
@@ -108,79 +109,38 @@ def moments_from_density(rho, q, p):
         sigma_qp=ev(qp_sym) - mq * mp)
 
 
-def make_generator(spec, dim):
-    """Right-hand side rho -> drho/dt for the chosen variant.
-
-    The returned closure captures all operator products; only the HPZ
-    variant re-reads its coefficient table at each call.
+def _lindblad_operators(spec, dim):
+    """q, p and the map (G, a) -> (K, K^dag, pairs (F_j, sum_k a_jk F_k))
+    with K = -(i/hbar) H - (1/2) sum_jk a_jk F_k F_j.
     """
-    sys_ = spec.system
-    c = spec.constants
-    hbar = c.hbar
-    m = sys_.m
-    q, p = position_momentum(dim, sys_, c)
-    h_sys = p @ p / (2.0 * m) + 0.5 * m * sys_.omega_S ** 2 * (q @ q)
-    q2 = q @ q
+    hbar = spec.constants.hbar
+    F = position_momentum(dim, spec.system, spec.constants)
+    FF = [[x @ y for y in F] for x in F]
+    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    def commutator(a, b):
-        return a @ b - b @ a
+    def operators(G, a):
+        K = sum((-0.5j / hbar) * G[j, k] * FF[j][k] - 0.5 * a[j, k] * FF[k][j]
+                for j, k in pairs)
+        jumps = [(F[j], a[j, 0] * F[0] + a[j, 1] * F[1]) for j in (0, 1)]
+        return K, K.conj().T, jumps
 
-    def double_q(rho):  # [q, [q, rho]]
-        return q2 @ rho - 2.0 * (q @ rho @ q) + rho @ q2
+    return F, operators
 
-    def friction(rho):  # [q, {p, rho}]
-        anti = p @ rho + rho @ p
-        return q @ anti - anti @ q
 
-    def cross(rho):  # [q, [p, rho]]
-        inner = p @ rho - rho @ p
-        return q @ inner - inner @ q
+def _lindblad_rhs(rho, ops):
+    """K rho + rho K^dag + sum_jk a_jk F_j rho F_k."""
+    K, K_dag, jumps = ops
+    out = K @ rho + rho @ K_dag
+    for f, L in jumps:
+        out += (f @ rho) @ L
+    return out
 
-    v = spec.variant
-    if v is Variant.HPZ:
-        coeffs = spec.coefficients
 
-        def rhs(rho, t):
-            gamma_t, theta_t, xi_t, upsilon_t = coeffs.at(t)
-            out = (-1j / hbar) * commutator(h_sys, rho)
-            out += (1j * xi_t / hbar ** 2) * commutator(q2, rho)
-            out += (gamma_t / hbar ** 2) * double_q(rho)
-            out += (theta_t / (m * hbar ** 2)) * cross(rho)
-            out += (1j * upsilon_t / (m * hbar ** 2)) * friction(rho)
-            return out
-
-        return rhs
-
-    diff = spec.diffusion_strength
-    dq_coef = -diff / (2.0 * hbar ** 2)  # times [q,[q,rho]]
-    if v is Variant.QP_COUPLED:
-        a_op = q - spec.mu * p
-        a2 = a_op @ a_op
-
-        def rhs(rho, t):
-            out = (-1j / hbar) * commutator(h_sys, rho)
-            out += dq_coef * (a2 @ rho - 2.0 * (a_op @ rho @ a_op) + rho @ a2)
-            return out
-
-        return rhs
-
-    fr_coef = -1j * spec.gamma / hbar if v in (Variant.CL, Variant.CCL) \
-        else 0.0
-    pp_coef = 0.0
-    if v is Variant.CCL:
-        pp_coef = -spec.gamma / (8.0 * m * c.k_B * spec.T)
-    p2 = p @ p
-
-    def rhs(rho, t):
-        out = (-1j / hbar) * commutator(h_sys, rho)
-        out += dq_coef * double_q(rho)
-        if fr_coef != 0.0:
-            out += fr_coef * friction(rho)
-        if pp_coef != 0.0:
-            out += pp_coef * (p2 @ rho - 2.0 * (p @ rho @ p) + rho @ p2)
-        return out
-
-    return rhs
+def make_generator(spec, dim):
+    """Right-hand side rho, t -> drho/dt of the spec's generator (G, a)."""
+    _, operators = _lindblad_operators(spec, dim)
+    return lambda rho, t: _lindblad_rhs(
+        rho, operators(*spec.generator.at(t)))
 
 
 @dataclass
@@ -206,8 +166,10 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     n_steps = max(1, int(round(span / dt)))
     h = span / n_steps
 
-    rhs = make_generator(spec, dim)
-    q, p = position_momentum(dim, spec.system, spec.constants)
+    (q, p), operators = _lindblad_operators(spec, dim)
+    # the table is looked up at every stage time in one pass
+    G, a = spec.generator.at(rk4_stage_times(t0, h, 0, n_steps))
+    tabulated = spec.generator.grid is not None
 
     def observe(rho_now, t_now, first_leak):
         st = moments_from_density(rho_now, q, p)
@@ -224,11 +186,12 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     row, tr, top, first_leak = observe(rho, t0, first_leak)
     times, rows, traces, tops = [t0], [row], [tr], [top]
     for i in range(n_steps):
-        t = t0 + i * h
-        k1 = rhs(rho, t)
-        k2 = rhs(rho + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(rho + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(rho + h * k3, t + h)
+        if i == 0 or tabulated:  # constant operators are built once
+            o1, o2, o4 = (operators(G[i, s], a[i, s]) for s in range(3))
+        k1 = _lindblad_rhs(rho, o1)
+        k2 = _lindblad_rhs(rho + 0.5 * h * k1, o2)
+        k3 = _lindblad_rhs(rho + 0.5 * h * k2, o2)
+        k4 = _lindblad_rhs(rho + h * k3, o4)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (i + 1) % store_every == 0 or i == n_steps - 1:
             row, tr, top, first_leak = observe(rho, t0 + (i + 1) * h,

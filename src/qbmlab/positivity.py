@@ -1,27 +1,27 @@
-"""Kossakowski matrices and complete-positivity audits.
+"""Complete-positivity audits of the generators' Kossakowski matrices.
 
-Writing any of the master-equation generators in the canonical form
+Every master-equation variant is a quadratic generator (G, a) built by
+:mod:`qbmlab.dynamics`, whose docstring tabulates them, in the form
 
-    drho/dt = -(i/hbar)[H', rho]
+    drho/dt = -(i/hbar)[H, rho]
               + sum_jk a_jk (F_j rho F_k - (1/2){F_k F_j, rho})
 
-with F_1 = q, F_2 = p fixes a 2x2 Hermitian coefficient matrix `a` (the
-Kossakowski matrix) up to Hamiltonian reshuffling.  The generator is of
-completely positive (Lindblad) type exactly when a >= 0.  For the
-time-dependent coefficient set the matrix is
+with F_1 = q, F_2 = p.  Such a generator is completely positive
+(Lindblad type) exactly when the 2x2 Hermitian Kossakowski matrix a is
+positive semidefinite (Lindblad, Rep. Math. Phys. 10, 393 (1976);
+Sandulescu and Scutaru, Ann. Phys. 173, 277 (1987)).  For the
+time-dependent coefficients and mass m,
 
-    a(t) = [[ -2 Gamma,        -Theta + i Upsilon ],
-            [ -Theta - i Upsilon,            0    ]] / hbar^2
+    a(t) = [[ -2 Gamma,               (-Theta + i Upsilon) / m ],
+            [ (-Theta - i Upsilon) / m,                      0 ]] / hbar^2
 
-whose determinant -(Theta^2 + Upsilon^2)/hbar^4 can never be positive:
-the exact generator is never of CP-semigroup form unless Theta and
-Upsilon both vanish.
-
-Constant-coefficient variants:
-
-    JZ  : diag(4 m gamma kB T / hbar^2, 0)             (CP)
-    CL  : adds  a_12 = -i gamma / hbar                 (det < 0, never CP)
-    CCL : adds  a_22 = gamma / (4 m kB T)              (det = 0, rank 1, CP)
+whose determinant -(Theta^2 + Upsilon^2) / (m hbar^2)^2 is never
+positive: the exact generator is never of CP-semigroup form unless
+Theta and Upsilon both vanish.  CL has det a = -gamma^2 / hbar^2 < 0;
+JZ, CCL and QP have rank-1 matrices (CP).  A bare coefficient table
+carries no mass, so `audit_cp` and `assemble_hpz_matrix` take m = 1 for
+it; audit `MasterEquationSpec(...).generator` for any other mass, as the
+CLI does.
 """
 
 import json
@@ -30,10 +30,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import PhysicalConstants
-from .dynamics import Variant
+from .coefficients import HPZCoefficients
+from .dynamics import MasterEquationSpec, SystemSpec
 
 _HERMITICITY_TOL = 1e-12
 _DEFAULT_CP_TOL = 1e-12  # relative to the spectral norm
+
+
+def _closed_form(a):
+    """lambda_min, det and spectral norm of Hermitian (..., 2, 2) matrices."""
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
+    skew = np.max(np.abs(a - np.swapaxes(a, -2, -1).conj()), axis=(-2, -1))
+    if np.any(skew > _HERMITICITY_TOL * scale):
+        raise ValueError("matrix is not Hermitian to 1e-12")
+    tr = a[..., 0, 0].real + a[..., 1, 1].real
+    det = (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]).real
+    root = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    return 0.5 * (tr - root), det, 0.5 * (np.abs(tr) + root)
 
 
 @dataclass(frozen=True)
@@ -52,66 +65,51 @@ class KossakowskiMatrix:
     @property
     def norm(self):
         """Spectral norm (largest singular value)."""
-        return float(np.linalg.norm(self.a, 2))
+        return float(_closed_form(self.a)[2])
 
     def det(self):
-        return float(np.linalg.det(self.a).real)
+        return float(_closed_form(self.a)[1])
 
 
 def min_eigenvalue(matrix):
-    """Smaller eigenvalue of a 2x2 Hermitian matrix, in closed form.
-
-    Checks Hermiticity to a relative 1e-12 first; the closed form
-    (tr - sqrt(tr^2 - 4 det)) / 2 avoids any iterative solver.
-    """
+    """Smaller eigenvalue of a 2x2 Hermitian matrix, in closed form."""
     a = matrix.a if isinstance(matrix, KossakowskiMatrix) else \
         np.asarray(matrix, dtype=complex)
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    if np.max(np.abs(a - a.conj().T)) > _HERMITICITY_TOL * scale:
-        raise ValueError("matrix is not Hermitian to 1e-12")
-    tr = a[0, 0].real + a[1, 1].real
-    det = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    return 0.5 * (tr - np.sqrt(disc))
+    return float(_closed_form(a)[0])
+
+
+def _table_generator(coefficients, constants):
+    """Generator of a bare coefficient table, which carries no mass: m = 1."""
+    return MasterEquationSpec("hpz", SystemSpec(m=1.0, omega_S=0.0),
+                              constants=constants,
+                              coefficients=coefficients).generator
+
+
+def _node_indices(grid, times):
+    """Indices of `times` in a uniform grid; every time must be a node."""
+    h = grid[1] - grid[0]
+    idx = np.clip(np.rint((times - grid[0]) / h).astype(int), 0,
+                  grid.size - 1)
+    bad = np.abs(grid[idx] - times) > 1e-9 * max(h, 1.0)
+    if np.any(bad):
+        t = float(times[np.argmax(bad)])
+        raise ValueError(f"t = {t:g} is not a node of the coefficient grid")
+    return idx
 
 
 def assemble_hpz_matrix(coefficients, t, constants=PhysicalConstants()):
-    """Kossakowski matrix of the time-dependent generator at grid time t."""
-    grid = coefficients.grid
-    h = grid[1] - grid[0]
-    idx = int(round((t - grid[0]) / h))
-    if idx < 0 or idx >= grid.size or abs(grid[idx] - t) > 1e-9 * max(h, 1.0):
-        raise ValueError(f"t = {t:g} is not a node of the coefficient grid")
-    hb2 = constants.hbar ** 2
-    gamma_t = coefficients.Gamma[idx]
-    theta_t = coefficients.Theta[idx]
-    upsilon_t = coefficients.Upsilon[idx]
-    a = np.array([[-2.0 * gamma_t, -theta_t + 1j * upsilon_t],
-                  [-theta_t - 1j * upsilon_t, 0.0]], dtype=complex) / hb2
-    return KossakowskiMatrix(a=a, t=float(t))
+    """Kossakowski matrix of the table's unit-mass generator at grid time t."""
+    gen = _table_generator(coefficients, constants)
+    idx = _node_indices(gen.grid, np.array([float(t)]))[0]
+    return KossakowskiMatrix(a=gen.a[idx], t=float(t))
 
 
-def assemble_constant_matrix(variant, *, m, gamma, T,
+def assemble_constant_matrix(variant, *, m, gamma, T, mu=None,
                              constants=PhysicalConstants()):
-    """Kossakowski matrix of a constant-coefficient variant."""
-    variant = Variant(variant)
-    if m <= 0.0 or gamma < 0.0 or T <= 0.0:
-        raise ValueError("require m > 0, gamma >= 0, T > 0")
-    hbar, kb = constants.hbar, constants.k_B
-    a11 = 4.0 * m * gamma * kb * T / hbar ** 2
-    if variant is Variant.JZ:
-        a = np.diag([a11, 0.0]).astype(complex)
-    elif variant is Variant.CL:
-        a = np.array([[a11, -1j * gamma / hbar],
-                      [1j * gamma / hbar, 0.0]], dtype=complex)
-    elif variant is Variant.CCL:
-        a = np.array([[a11, -1j * gamma / hbar],
-                      [1j * gamma / hbar, gamma / (4.0 * m * kb * T)]],
-                     dtype=complex)
-    else:
-        raise ValueError(
-            f"no constant Kossakowski matrix for variant {variant.value}")
-    return KossakowskiMatrix(a=a)
+    """Kossakowski matrix of a constant-coefficient variant (mu: QP only)."""
+    spec = MasterEquationSpec(variant, SystemSpec(m=m, omega_S=0.0),
+                              constants=constants, gamma=gamma, T=T, mu=mu)
+    return KossakowskiMatrix(a=spec.generator.a)
 
 
 @dataclass
@@ -150,26 +148,25 @@ def audit_cp(source, t_grid=None, tol=_DEFAULT_CP_TOL,
              constants=PhysicalConstants()):
     """Scan min eigenvalues and classify the generator.
 
-    `source` is either an HPZCoefficients table (t_grid defaults to its
-    grid, and must be a subset of grid nodes) or a single constant
-    KossakowskiMatrix (t_grid then only labels the report).  The verdict
-    is "NotCP" as soon as one sampled eigenvalue dips below
+    `source` is a constant KossakowskiMatrix (t_grid then only labels
+    the report), a `QuadraticGenerator`, or an HPZCoefficients table,
+    audited as the generator of a unit mass.  For a tabulated source
+    t_grid defaults to its grid and must be a subset of grid nodes.  The
+    verdict is "NotCP" as soon as one sampled eigenvalue dips below
     -tol * spectral norm at that time.
     """
-    matrices = []
-    if isinstance(source, KossakowskiMatrix):
+    if isinstance(source, HPZCoefficients):
+        source = _table_generator(source, constants)
+    if getattr(source, "grid", None) is None:
         times = np.atleast_1d(np.asarray(
             t_grid if t_grid is not None else [0.0], dtype=float))
-        matrices = [source] * times.size
+        a = np.broadcast_to(source.a, times.shape + (2, 2))
     else:
         times = np.asarray(t_grid if t_grid is not None else source.grid,
                            dtype=float)
-        matrices = [assemble_hpz_matrix(source, float(t), constants)
-                    for t in times]
+        a = source.a[_node_indices(source.grid, times)]
 
-    lam = np.array([min_eigenvalue(m) for m in matrices])
-    det = np.array([m.det() for m in matrices])
-    norm = np.array([m.norm for m in matrices])
+    lam, det, norm = _closed_form(a)
     floor = -tol * np.maximum(norm, 1e-300)
     bad = lam < floor
     first = float(times[np.argmax(bad)]) if np.any(bad) else None

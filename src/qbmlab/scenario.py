@@ -366,9 +366,6 @@ def scenario_from_dict(raw, strict=True, default_name="scenario"):
         errors.append("equation.coefficient_grid.t_max: must cover "
                       f"run.t_span (need >= {t_span[1]:g}, got "
                       f"{grid_t_max:g})")
-    if "audit" in outputs and variant == "qp":
-        errors.append("run.outputs: no Kossakowski form is defined for the "
-                      "'qp' variant; drop the audit output")
     if "ensemble" in outputs:
         if variant != "ccl":
             errors.append("run.outputs: the ensemble pipeline unravels the "

@@ -18,7 +18,8 @@ estimators below are plain averages of unnormalized quadratic forms.
 The corrected-CL master equation has one extra wrinkle: its friction is
 asymmetric (only p is damped) while the pure Lindblad part damps q and p
 symmetrically.  The difference is the Hamiltonian shear g {q,p}/2 with
-g = D alpha beta hbar; `ccl_sse_config` fills that in.
+g = D alpha beta hbar; `ccl_sse_config` reads D, beta and g off the
+corrected-CL generator of :mod:`qbmlab.dynamics`.
 
 Colored noise: `sample_colored_noise` draws stationary complex Gaussian
 paths with prescribed correlation E[z_i conj(z_j)] = D_ij and pseudo
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import PhysicalConstants
-from .dynamics import NumericalFailure, SystemSpec
+from .dynamics import MasterEquationSpec, NumericalFailure, SystemSpec
 from .fock import position_momentum
 
 _CHUNK = 512  # trajectories per batch; fixed so results never depend on threading
@@ -217,17 +218,17 @@ def ccl_sse_config(system, gamma, T, *, dim, dt, n_traj, seed,
                    constants=PhysicalConstants()):
     """SSE configuration whose ensemble mean obeys the corrected-CL equation.
 
-    Uses A = q + i mu p with mu = hbar / (4 m kB T), rate
-    D = 4 m gamma kB T / hbar^2 and the shear g = D mu hbar = gamma.
+    Reads the corrected-CL generator (G, a): its rank-1 Kossakowski
+    matrix a = D v v^dag with v = (1, i beta) gives the rate D and
+    A = q + i beta p, and the shear is g = G_qp.
     """
-    if gamma < 0.0 or T <= 0.0:
-        raise ValueError("require gamma >= 0 and T > 0")
-    hbar, kb = constants.hbar, constants.k_B
-    mu = hbar / (4.0 * system.m * kb * T)
-    d_scalar = 4.0 * system.m * gamma * kb * T / hbar ** 2
-    return SSEConfig(system=system, alpha=1.0, beta=mu, D_scalar=d_scalar,
+    gen = MasterEquationSpec("ccl", system, constants=constants,
+                             gamma=gamma, T=T).generator
+    d_scalar = float(gen.a[0, 0].real)
+    beta = float(gen.a[1, 0].imag) / d_scalar if d_scalar > 0.0 else 0.0
+    return SSEConfig(system=system, alpha=1.0, beta=beta, D_scalar=d_scalar,
                      dim=dim, dt=dt, n_traj=n_traj, seed=seed, t_span=t_span,
-                     S_scalar=S_scalar, qp_hamiltonian=gamma,
+                     S_scalar=S_scalar, qp_hamiltonian=float(gen.G[0, 1]),
                      store_every=store_every, constants=constants)
 
 

@@ -395,3 +395,14 @@ def test_non_finite_table_is_a_quadrature_error(monkeypatch):
                         lambda bath, tau: np.full(np.shape(tau), np.nan))
     with pytest.raises(QuadratureError, match="non-finite"):
         CorrelationKernel.from_bath(make_bath(), np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_cutoff_is_a_quadrature_error():
+    # Omega^3 overflows a float: the closed-form odd part becomes
+    # non-finite instead of raising OverflowError
+    bath = ThermalBathSpec(
+        SpectralDensity(1.0, 0.1, 1e110, cutoff_kind="exponential"), T=10.0)
+    assert not np.all(np.isfinite(im_closed_form(bath, [0.0, 0.5])))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        CorrelationKernel.from_bath(bath, np.linspace(0.0, 1.0, 11))

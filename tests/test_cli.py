@@ -205,6 +205,19 @@ def test_cli_strict_flag(tmp_path):
                  "--no-strict"]) == 0
 
 
+def test_cli_qp_audit_is_rank_one(tmp_path):
+    payload = json.loads(json.dumps(MINIMAL_JZ))
+    payload["name"] = "mini_qp"
+    payload["equation"] = {"variant": "qp", "mu": 0.3}
+    payload["run"]["outputs"] = ["moments", "audit"]
+    path = _write(tmp_path, payload)
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    audit = json.loads((tmp_path / "mini_qp_audit.json").read_text())
+    assert audit["verdict"] == "CP-semigroup-form"
+    assert "rank-1" in audit["flags"]
+    assert audit["first_violation_time"] is None
+
+
 def test_cli_hpz_pipeline_and_audit(tmp_path):
     payload = {
         "name": "mini_hpz",

@@ -11,10 +11,17 @@ from qbmlab.bath import (
     ThermalBathSpec,
 )
 from qbmlab.coefficients import (
+    HPZCoefficients,
     OscillatorKernels,
     compute_coefficients,
     delta_limit_coefficients,
     dressed_kernel,
+)
+from qbmlab.dynamics import (
+    GaussianMomentState,
+    MasterEquationSpec,
+    SystemSpec,
+    moment_rhs,
 )
 from qbmlab.positivity import (
     KossakowskiMatrix,
@@ -158,3 +165,60 @@ def test_delta_limit_table_audits_as_cp():
 def test_kossakowski_validation():
     with pytest.raises(ValueError, match="2x2"):
         KossakowskiMatrix(a=np.eye(3))
+
+
+@pytest.mark.parametrize("variant,kw", [
+    ("jz", dict(gamma=0.1, T=2.0)),
+    ("cl", dict(gamma=0.15, T=2.0)),
+    ("ccl", dict(gamma=0.15, T=2.0)),
+    ("qp", dict(gamma=0.1, T=2.0, mu=0.3)),
+    ("hpz", {}),
+])
+def test_audited_matrix_gives_the_moment_diffusion(variant, kw):
+    # B = hbar^2 J Re(a) J^T, with the audit's a and the mass of the
+    # moment equations (m != 1 pins every 1/m placement)
+    m, c = 1.7, PhysicalConstants(hbar=0.8)
+    system = SystemSpec(m=m, omega_S=0.9)
+    if variant == "hpz":
+        grid = np.linspace(0.0, 1.0, 11)
+        table = HPZCoefficients(grid=grid, Gamma=-1.3 + 0.1 * grid,
+                                Theta=0.7 - 0.2 * grid, Xi=np.full(11, 0.4),
+                                Upsilon=-0.2 + 0.3 * grid)
+        spec = MasterEquationSpec("hpz", system, constants=c,
+                                  coefficients=table)
+        a = spec.generator.a[4]  # what the CLI audits
+    else:
+        spec = MasterEquationSpec(variant, system, constants=c, **kw)
+        a = assemble_constant_matrix(variant, m=m, constants=c, **kw).a
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    b = c.hbar ** 2 * (j @ a.real @ j.T)
+    zero = GaussianMomentState(0.0, 0.0, 0.0, 0.0, 0.0)
+    d = moment_rhs(spec, zero, 0.4).as_array()
+    assert d[:2] == pytest.approx([0.0, 0.0], abs=1e-15)
+    assert d[2:] == pytest.approx([b[0, 0], b[1, 1], b[0, 1]], rel=1e-12,
+                                  abs=1e-15)
+
+
+def test_audit_of_a_generator_uses_its_mass(hpz_table):
+    spec = MasterEquationSpec("hpz", SystemSpec(m=1.7, omega_S=1.0),
+                              coefficients=hpz_table)
+    heavy = audit_cp(spec.generator)
+    unit = audit_cp(hpz_table)
+    assert heavy.verdict == unit.verdict == "NotCP"
+    # the mass scales only the off-diagonal: det(a) = -|a_12|^2
+    assert heavy.det[1:] == pytest.approx(unit.det[1:] / 1.7 ** 2, rel=1e-12)
+    a = spec.generator.a[40]
+    assert a[0, 1] == pytest.approx(
+        (-hpz_table.Theta[40] + 1j * hpz_table.Upsilon[40]) / 1.7, rel=1e-12)
+    assert np.array_equal(
+        a[0, 0], assemble_hpz_matrix(hpz_table, hpz_table.grid[40]).a[0, 0])
+
+
+def test_qp_matrix_is_rank_one():
+    k = assemble_constant_matrix("qp", m=1.3, gamma=0.21, T=7.0, mu=0.4)
+    d = 4.0 * 1.3 * 0.21 * 7.0
+    assert np.allclose(k.a, d * np.array([[1.0, -0.4], [-0.4, 0.16]]),
+                       rtol=1e-12, atol=0.0)
+    report = audit_cp(k)
+    assert report.verdict == "CP-semigroup-form"
+    assert "rank-1" in report.flags
