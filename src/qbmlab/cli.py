@@ -42,7 +42,12 @@ from .dynamics import (
 )
 from .fock import alpha_from_moments, coherent_state, squeezed_state
 from .positivity import assemble_constant_matrix, audit_cp
-from .scenario import ScenarioError, parse_scenario, scenario_hash
+from .scenario import (
+    ScenarioError,
+    needs_kernel,
+    parse_scenario,
+    scenario_hash,
+)
 from .stochastic import NoiseFactorizationError, ccl_sse_config, ensemble_run
 
 
@@ -116,6 +121,12 @@ def _equation_spec(scenario, coefficients):
                               coefficients=coefficients)
 
 
+def _moment_trajectory(scenario, spec):
+    return integrate_moments(spec, _initial_moments(scenario),
+                             scenario.run.t_span, scenario.run.dt,
+                             scenario.run.store_every)
+
+
 def _coefficient_pipeline(scenario):
     """Tabulated kernel plus master-equation coefficients on its grid."""
     spectral = SpectralDensity(m=scenario.system.m,
@@ -156,8 +167,7 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
         warnings.simplefilter("always")
 
         kernel = coefficients = None
-        if (scenario.equation.variant == "hpz" or "kernel" in outputs
-                or "coefficients" in outputs):
+        if needs_kernel(scenario.equation.variant, outputs):
             kernel, coefficients = _coefficient_pipeline(scenario)
 
         if "kernel" in outputs:
@@ -166,11 +176,9 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
             emit_csv("coefficients", io.coefficient_table(coefficients, meta))
 
         spec = _equation_spec(scenario, coefficients)
+        trajectory = None  # integrated once, for moments and the ensemble
         if "moments" in outputs:
-            trajectory = integrate_moments(spec, _initial_moments(scenario),
-                                           scenario.run.t_span,
-                                           scenario.run.dt,
-                                           scenario.run.store_every)
+            trajectory = _moment_trajectory(scenario, spec)
             emit_csv("moments", io.moment_table(trajectory, meta))
 
         if "audit" in outputs:
@@ -203,12 +211,10 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
             psi0 = _initial_fock_state(scenario, sto.dim)
             result = ensemble_run(config, psi0, threads=threads)
             emit_csv("ensemble", io.ensemble_table(result, meta))
-
-            ode = integrate_moments(spec, _initial_moments(scenario),
-                                    scenario.run.t_span, scenario.run.dt,
-                                    scenario.run.store_every)
+            if trajectory is None:
+                trajectory = _moment_trajectory(scenario, spec)
             emit_csv("ensemble_vs_ode",
-                     _comparison_table(result, ode, meta))
+                     _comparison_table(result, trajectory, meta))
         elif seed_override is not None:
             warnings.warn("--seed given but the scenario runs no ensemble",
                           stacklevel=2)

@@ -40,7 +40,6 @@ from .fock import position_momentum
 _CHUNK = 512  # trajectories per batch; fixed so results never depend on threading
 _STEP_BLOCK = 512  # time steps per noise-draw block
 _NORM_LIMIT = 1e12  # squared-norm runaway threshold per trajectory
-_MAX_DUMPED = 100  # hard cap on stored per-trajectory histories
 
 _OBS_NAMES = ("norm2", "q", "p", "qq", "pp", "qp")
 
@@ -286,7 +285,7 @@ def _measure(obs_mats, psi):
 
 
 def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
-               n_steps, nodes, dump_upto):
+               n_steps, nodes):
     """Propagate one batch of trajectories; return accumulators."""
     k = indices.size
     psi = np.tile(psi0[:, None], (1, k)).astype(complex)
@@ -299,9 +298,6 @@ def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
     alive_counts = np.zeros(n_nodes, dtype=np.int64)
     alive = np.ones(k, dtype=bool)
     failed = []
-    dump_mask = indices < dump_upto
-    dumped = np.zeros((int(dump_mask.sum()), n_nodes, len(_OBS_NAMES))) \
-        if dump_upto else None
 
     node_pos = 0
 
@@ -317,8 +313,6 @@ def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
         sums[node_idx] += vals[:, alive].sum(axis=1)
         sumsqs[node_idx] += (vals[:, alive] ** 2).sum(axis=1)
         alive_counts[node_idx] += int(alive.sum())
-        if dumped is not None and dumped.size:
-            dumped[:, node_idx, :] = vals[:, dump_mask].T
 
     record(node_pos)
     node_pos += 1
@@ -334,7 +328,7 @@ def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
             if node_pos < nodes.size and step_done == nodes[node_pos]:
                 record(node_pos)
                 node_pos += 1
-    return sums, sumsqs, alive_counts, failed, dumped
+    return sums, sumsqs, alive_counts, failed
 
 
 @dataclass
@@ -353,7 +347,6 @@ class EnsembleResult:
     n_traj: int
     seed: int
     failed_trajectories: list
-    dumped: np.ndarray | None  # (k, n_nodes, 6) for the first trajectories
 
     def moment_table(self):
         m, se = self.means, self.stderr
@@ -376,7 +369,7 @@ class EnsembleResult:
         }
 
 
-def ensemble_run(config, psi0, threads=1, keep_trajectories=0):
+def ensemble_run(config, psi0, threads=1):
     """Monte-Carlo average of the linear unraveling.
 
     Deterministic for a fixed config: trajectories own counter-based
@@ -393,8 +386,6 @@ def ensemble_run(config, psi0, threads=1, keep_trajectories=0):
         warnings.warn(
             f"only {config.n_traj} trajectories; error bars are unreliable",
             EnsembleHealthWarning, stacklevel=2)
-    keep_trajectories = min(int(keep_trajectories), _MAX_DUMPED,
-                            config.n_traj)
 
     step, a_op, obs_mats = _build_operators(config)
     root = _noise_root(config)
@@ -407,7 +398,7 @@ def ensemble_run(config, psi0, threads=1, keep_trajectories=0):
 
     def work(idx_chunk):
         return _run_chunk(config, psi0, idx_chunk, step, a_op, obs_mats,
-                          root, n_steps, nodes, keep_trajectories)
+                          root, n_steps, nodes)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -420,14 +411,11 @@ def ensemble_run(config, psi0, threads=1, keep_trajectories=0):
     sumsqs = np.zeros_like(sums)
     alive = np.zeros(n_nodes, dtype=np.int64)
     failed = []
-    dump_parts = []
-    for s_, sq_, al_, fl_, dp_ in results:
+    for s_, sq_, al_, fl_ in results:
         sums += s_
         sumsqs += sq_
         alive += al_
         failed.extend(fl_)
-        if dp_ is not None and dp_.size:
-            dump_parts.append(dp_)
 
     if len(failed) > 0.01 * config.n_traj:
         raise NumericalFailure(
@@ -447,11 +435,9 @@ def ensemble_run(config, psi0, threads=1, keep_trajectories=0):
         means[name] = mean
         stderr[name] = np.sqrt(var / counts)
 
-    dumped = np.concatenate(dump_parts, axis=0) if dump_parts else None
     return EnsembleResult(times=times, means=means, stderr=stderr,
                           alive=alive, n_traj=config.n_traj,
-                          seed=config.seed, failed_trajectories=sorted(failed),
-                          dumped=dumped)
+                          seed=config.seed, failed_trajectories=sorted(failed))
 
 
 @dataclass
@@ -467,9 +453,9 @@ def sse_trajectory(config, psi0, traj_index=0):
     step, a_op, obs_mats = _build_operators(config)
     root = _noise_root(config)
     n_steps, h, nodes = _store_nodes(config)
-    sums, _, alive_counts, failed, _ = _run_chunk(
+    sums, _, alive_counts, failed = _run_chunk(
         config, psi0, np.array([traj_index]), step, a_op, obs_mats, root,
-        n_steps, nodes, 0)
+        n_steps, nodes)
     # with a single trajectory the sums are the raw observables
     obs = sums
     obs[alive_counts == 0] = np.nan

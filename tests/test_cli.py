@@ -290,6 +290,65 @@ def test_non_finite_kernel_exits_as_numerical_failure(tmp_path,
     assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 3
 
 
+def test_non_finite_numbers_fail_validation(tmp_path, capsys):
+    # json.load accepts NaN and Infinity; neither may reach the numerics
+    for block, key, value in (("bath", "T", float("nan")),
+                              ("run", "dt", float("inf"))):
+        payload = json.loads(json.dumps(MINIMAL_JZ))
+        payload[block][key] = value
+        path = _write(tmp_path, payload, f"{key}.json")
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{block}.{key}: expected a number" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_hpz_run_starting_before_zero_fails_validation(tmp_path):
+    payload = {
+        "system": {"m": 1.0, "omega_S": 1.0},
+        "bath": {"gamma": 0.1, "T": 10.0, "Omega": 20.0},
+        "equation": {"variant": "hpz",
+                     "coefficient_grid": {"t_max": 1.0, "n": 11}},
+        "run": {"t_span": [-0.5, 1.0], "dt": 0.01,
+                "outputs": ["kernel", "coefficients", "moments"]},
+    }
+    with pytest.raises(ScenarioError, match="run.t_span"):
+        scenario_from_dict(payload)
+    path = _write(tmp_path, payload, "early.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_moments_and_ensemble_integrate_the_ode_once(tmp_path, monkeypatch):
+    from qbmlab import cli
+
+    integrate = cli.integrate_moments
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_moments", counted)
+    payload = {
+        "name": "once",
+        "system": {"m": 1.0, "omega_S": 1.0},
+        "bath": {"gamma": 0.05, "T": 2.0},
+        "state": {"kind": "coherent", "mean_q": 0.3},
+        "equation": {"variant": "ccl"},
+        "run": {"t_span": [0.0, 0.2], "dt": 0.01, "store_every": 5,
+                "outputs": ["moments", "ensemble"]},
+        "stochastic": {"dim": 6, "n_traj": 20, "seed": 3},
+    }
+    path = _write(tmp_path, payload, "once.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    moments = io.read_csv(tmp_path / "once_moments.csv")
+    vs = io.read_csv(tmp_path / "once_ensemble_vs_ode.csv")
+    for name in ("mean_q", "mean_p", "s_qq", "s_pp", "s_qp"):
+        assert np.array_equal(vs[f"{name}_ode"], moments[name])
+
+
 def test_cli_ensemble_pipeline(tmp_path):
     payload = {
         "name": "mini_sse",
