@@ -415,16 +415,16 @@ def delta_limit_strength(bath):
     return 4.0 * sd.m * sd.gamma * bath.constants.k_B * bath.T
 
 
-def _checked_grid(grid):
+def _checked_grid(grid, noun="kernel grid", var="tau"):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("kernel grid must be 1-D with at least two nodes")
+        raise ValueError(f"{noun} must be 1-D with at least two nodes")
     if grid[0] != 0.0:
-        raise ValueError("kernel grid must start at tau = 0")
+        raise ValueError(f"{noun} must start at {var} = 0")
     steps = np.diff(grid)
     if np.any(steps <= 0.0) or not np.allclose(steps, steps[0],
                                                rtol=1e-9, atol=0.0):
-        raise ValueError("kernel grid must be uniform and increasing")
+        raise ValueError(f"{noun} must be uniform and increasing")
     return grid
 
 

@@ -15,8 +15,14 @@ Volterra-type recursion
                   [ Dbar(t', s) D^(n-1)(t, s') + D(t', s) conj(D^(n-1)(t, s')) ]
 
 with c(t, s) = (i hbar / m) C~(s - t) for t > s (zero otherwise) and
-Dbar(t, s) = D(|t - s|).  The recursion is evaluated row by row on a
-uniform grid with trapezoid weights, at O(N^3) per order.
+Dbar(t, s) = D(|t - s|).  On a uniform grid each integral over
+[0, t_i] is row i of one trapezoid-weight matrix W, so with X = W o
+D^(n-1) (o: entrywise) an order is four matrix products,
+
+    D^(n) = (W o (X c^T)) Dbar + (W o (conj(X) c^T)) D,
+
+at O(N^3) per order, and the windowing below is a row sum against W.
+Both run over blocks of table rows.
 
 Coefficient sign conventions (fixed here once and used consistently by
 the dynamics and positivity modules):
@@ -26,8 +32,7 @@ the dynamics and positivity modules):
     Xi(t)      = - int_0^t ds  DD_im(t, s) C(t - s)
     Upsilon(t) = + int_0^t ds  DD_im(t, s) C~(t - s)
 
-The sign of Upsilon is the one convention in the literature that varies;
-`upsilon_sign_flip` flips it for side-by-side comparisons.
+The sign of Upsilon is the one convention in the literature that varies.
 """
 
 from dataclasses import dataclass
@@ -35,9 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .bath import CorrelationKernel
+from .bath import CorrelationKernel, _checked_grid
 
 MAX_CHEAP_ORDER = 3  # each extra order costs another O(N^3) sweep
+_ROW_BLOCK = 128  # table rows per block of weighted products
+
+
+class NumericalFailure(RuntimeError):
+    """A table or a propagation came out non-finite."""
 
 
 @dataclass(frozen=True)
@@ -78,8 +88,8 @@ class DressedKernel:
     """Back-action-corrected kernel DD(t, s) on a uniform grid.
 
     At order 1 the kernel is stationary (a function of t - s only) and no
-    two-time table is stored; `row` and `values` synthesize entries from
-    the base kernel on demand.
+    two-time table is stored; `values` synthesizes it from the base
+    kernel on demand.
     """
 
     base: CorrelationKernel
@@ -91,94 +101,62 @@ class DressedKernel:
     def stationary(self):
         return self.table is None
 
-    def row(self, i):
-        """DD(t_i, s) for all grid values of s."""
-        if self.table is not None:
-            return self.table[i]
-        return self.base.at(self.grid[i] - self.grid)
-
     @property
     def values(self):
         """Full (N, N) table, synthesized for the stationary case."""
         if self.table is not None:
             return self.table
-        diff = self.grid[:, None] - self.grid[None, :]
-        return self.base.re_at(diff) + 1j * self.base.im_at(diff)
+        return self.base.at(self.grid[:, None] - self.grid[None, :])
 
 
-def _validate_uniform_grid(grid, what):
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError(f"{what} must be 1-D with at least two nodes")
-    if grid[0] != 0.0:
-        raise ValueError(f"{what} must start at t = 0")
-    steps = np.diff(grid)
-    if np.any(steps <= 0.0) or not np.allclose(steps, steps[0],
-                                               rtol=1e-9, atol=0.0):
-        raise ValueError(f"{what} must be uniform and increasing")
-    return grid
+def _trapezoid_weights(start, stop, h):
+    """Trapezoid weights of int_0^{t_i} on nodes 0..stop-1, i in [start, stop).
+
+    Row i holds h/2 at nodes 0 and i, h in between and zeros after node
+    i; row 0 is all zeros, since the integral over [0, 0] is empty.
+    """
+    i = np.arange(start, stop)[:, None]
+    nodes = np.arange(stop)
+    return h * ((nodes <= i) - 0.5 * (nodes == 0) - 0.5 * (nodes == i))
 
 
-def dressed_kernel(base, kernels, order, grid=None, *, m=1.0, hbar=1.0,
-                   allow_high_order=False):
-    """Resum the kernel to the given order on a uniform grid.
+def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
+    """Resum the kernel to the given order on the base kernel's grid.
 
-    Parameters
-    ----------
-    base : CorrelationKernel
-        Bare kernel; must cover [0, grid[-1]].
-    kernels : OscillatorKernels
-    order : int
-        Number of terms kept in the alternating series.  Orders above
-        3 are rejected unless `allow_high_order` is set, since each one
-        costs a full O(N^3) sweep and the series is asymptotic.
-    grid : array, optional
-        Defaults to the base kernel grid.
-    m, hbar : float
-        Enter through the response kernel.
+    `order` is the number of terms kept in the alternating series.
+    Orders above MAX_CHEAP_ORDER are rejected, since each one costs a
+    full O(N^3) sweep and the series is asymptotic.  m and hbar enter
+    through the response kernel.  Raises NumericalFailure if the table
+    is not finite.
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError("order must be a positive integer")
-    if order > MAX_CHEAP_ORDER and not allow_high_order:
-        raise ValueError(
-            f"order {order} exceeds {MAX_CHEAP_ORDER}; "
-            "pass allow_high_order=True to force")
-    if grid is None:
-        grid = base.grid
-    grid = _validate_uniform_grid(grid, "dressed kernel grid")
-    if grid[-1] > base.span * (1.0 + 1e-12):
-        raise ValueError("grid extends beyond the tabulated base kernel")
-
+    if order > MAX_CHEAP_ORDER:
+        raise ValueError(f"order {order} exceeds {MAX_CHEAP_ORDER}")
+    grid = base.grid
     if order == 1:
         return DressedKernel(base=base, order=1, grid=grid, table=None)
 
-    n_t = grid.size
-    h = float(grid[1] - grid[0])
     diff = grid[:, None] - grid[None, :]
-    d_signed = base.re_at(diff) + 1j * base.im_at(diff)   # D(t - s)
-    d_even = base.re_at(diff) + 1j * base.im_at(np.abs(diff))  # D(|t - s|)
-    # response matrix c(t_j, s_l); strictly lower triangular
-    contraction = commutator_contraction(kernels, m, grid[:, None],
-                                         grid[None, :], hbar)
-
-    total = d_signed.copy()
-    prev = d_signed
-    sign = -1.0
-    for _ in range(2, order + 1):
-        cur = np.zeros_like(d_signed)
-        for it in range(1, n_t):
-            k = it + 1
-            w = np.full(k, h)
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            pr = prev[it, :k]
-            inner = contraction[:k, :k] @ (w * pr)
-            inner_c = contraction[:k, :k] @ (w * np.conj(pr))
-            cur[it] = (w * inner) @ d_even[:k, :] \
-                + (w * inner_c) @ d_signed[:k, :]
-        total = total + sign * cur
+    d = base.at(diff)                    # D(t - s)
+    d_bar = base.at(np.abs(diff))        # D(|t - s|)
+    c_t = commutator_contraction(kernels, m, grid[:, None], grid[None, :],
+                                 hbar).T
+    h = base.spacing
+    total, prev = d.copy(), d
+    for n in range(2, order + 1):
+        cur = np.empty_like(d)
+        for start in range(0, grid.size, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, grid.size)
+            w = _trapezoid_weights(start, stop, h)
+            x = w * prev[start:stop, :stop]
+            c_blk = c_t[:stop, :stop]
+            cur[start:stop] = (w * (x @ c_blk)) @ d_bar[:stop] \
+                + (w * (np.conj(x) @ c_blk)) @ d[:stop]
+        total += (-1) ** (n - 1) * cur
         prev = cur
-        sign = -sign
+    if not np.all(np.isfinite(total)):
+        raise NumericalFailure(f"order-{order} dressed kernel is not finite")
     return DressedKernel(base=base, order=int(order), grid=grid, table=total)
 
 
@@ -202,7 +180,7 @@ class HPZCoefficients:
     Upsilon: np.ndarray
 
     def __post_init__(self):
-        self.grid = _validate_uniform_grid(self.grid, "coefficient grid")
+        self.grid = _checked_grid(self.grid, "coefficient grid", "t")
         for name in ("Gamma", "Theta", "Xi", "Upsilon"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.grid.shape:
@@ -224,26 +202,15 @@ class HPZCoefficients:
         return tuple(out)
 
 
-def compute_coefficients(dressed, kernels, t_grid=None, *,
-                         upsilon_sign_flip=False):
+def compute_coefficients(dressed, kernels):
     """Window the (dressed) kernel into the four generator coefficients.
 
-    `t_grid` defaults to the dressed-kernel grid and must otherwise be a
-    prefix of it (same spacing, same origin).  The stationary order-1
-    case reduces to cumulative trapezoid sums over tau = t - s; the
-    general case integrates each table row.
+    The stationary order-1 case reduces to cumulative trapezoid sums over
+    tau = t - s; the general case sums each table row against W.
     """
-    if t_grid is None:
-        t_grid = dressed.grid
-    t_grid = np.asarray(t_grid, dtype=float)
-    n = t_grid.size
-    if n > dressed.grid.size or not np.allclose(
-            dressed.grid[:n], t_grid, rtol=0.0,
-            atol=1e-12 * max(1.0, abs(float(dressed.grid[-1])))):
-        raise ValueError("t_grid must be a prefix of the dressed kernel grid")
-
+    grid = dressed.grid
     if dressed.stationary:
-        tau = t_grid
+        tau = grid
         re = dressed.base.re_at(tau)
         im = dressed.base.im_at(tau)
         cos_w = kernels.c(tau)
@@ -253,23 +220,20 @@ def compute_coefficients(dressed, kernels, t_grid=None, *,
         xi_t = -cumulative_trapezoid(im * cos_w, tau, initial=0.0)
         upsilon_t = cumulative_trapezoid(im * sin_w, tau, initial=0.0)
     else:
-        gamma_t = np.zeros(n)
-        theta_t = np.zeros(n)
-        xi_t = np.zeros(n)
-        upsilon_t = np.zeros(n)
-        for it in range(1, n):
-            s = dressed.grid[:it + 1]
-            row = dressed.row(it)[:it + 1]
-            cos_w = kernels.c(t_grid[it] - s)
-            sin_w = kernels.c_tilde(t_grid[it] - s)
-            gamma_t[it] = -np.trapezoid(row.real * cos_w, s)
-            theta_t[it] = np.trapezoid(row.real * sin_w, s)
-            xi_t[it] = -np.trapezoid(row.imag * cos_w, s)
-            upsilon_t[it] = np.trapezoid(row.imag * sin_w, s)
-
-    if upsilon_sign_flip:
-        upsilon_t = -upsilon_t
-    return HPZCoefficients(grid=t_grid.copy(), Gamma=gamma_t, Theta=theta_t,
+        h = float(grid[1] - grid[0])
+        cols = np.empty((4, grid.size))
+        for start in range(0, grid.size, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, grid.size)
+            w = _trapezoid_weights(start, stop, h)
+            tau = grid[start:stop, None] - grid[None, :stop]
+            w_cos, w_sin = w * kernels.c(tau), w * kernels.c_tilde(tau)
+            dd = dressed.table[start:stop, :stop]
+            cols[:, start:stop] = [-(w_cos * dd.real).sum(1),
+                                   (w_sin * dd.real).sum(1),
+                                   -(w_cos * dd.imag).sum(1),
+                                   (w_sin * dd.imag).sum(1)]
+        gamma_t, theta_t, xi_t, upsilon_t = cols
+    return HPZCoefficients(grid=grid.copy(), Gamma=gamma_t, Theta=theta_t,
                            Xi=xi_t, Upsilon=upsilon_t)
 
 
@@ -282,8 +246,7 @@ def delta_limit_coefficients(strength, t_grid):
     """
     if strength < 0.0:
         raise ValueError("delta strength must be non-negative")
-    t_grid = _validate_uniform_grid(t_grid, "coefficient grid")
-    const = np.full(t_grid.shape, -0.5 * strength)
+    const = np.full(np.shape(t_grid), -0.5 * strength)
     zero = np.zeros_like(const)
     return HPZCoefficients(grid=t_grid, Gamma=const, Theta=zero.copy(),
                            Xi=zero.copy(), Upsilon=zero.copy())

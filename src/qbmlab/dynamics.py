@@ -30,11 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .bath import PhysicalConstants
-from .coefficients import HPZCoefficients, interp_table
-
-
-class NumericalFailure(RuntimeError):
-    """Propagation produced non-finite values."""
+from .coefficients import HPZCoefficients, NumericalFailure, interp_table
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ def key(kind, default=MISSING, **rules):
     `kind` is a `_KINDS` name or a block dataclass.  Rules: `gt`/`ge`
     (lower bound), `choices` (allowed strings; an unknown one is named
     `noun`, default the key), and for blocks `make` (the class built
-    from the block's fields) and `null_absent` (JSON null = absent).
+    from the block's fields).
     """
     return field(default=default, metadata={"kind": kind, **rules})
 
@@ -78,9 +78,9 @@ class StateBlock:
     mean_q: float = key("number", 0.0)
     mean_p: float = key("number", 0.0)
     r: float | None = key("number", None)
-    nbar: float | None = key("number", None)
-    sigma_qq: float | None = key("number", None)
-    sigma_pp: float | None = key("number", None)
+    nbar: float | None = key("number", None, ge=0.0)
+    sigma_qq: float | None = key("number", None, gt=0.0)
+    sigma_pp: float | None = key("number", None, gt=0.0)
     sigma_qp: float | None = key("number", None)
 
 
@@ -95,8 +95,7 @@ class EquationBlock:
     variant: str = key("string", choices=tuple(v.value for v in Variant))
     order: int = key("int", 1)
     mu: float | None = key("number", None)
-    coefficient_grid: GridBlock | None = key(GridBlock, None,
-                                             null_absent=True)
+    coefficient_grid: GridBlock | None = key(GridBlock, None)
 
     @property
     def grid_t_max(self):
@@ -180,9 +179,9 @@ _KINDS = {
 
 def _bound(errors, where, value, gt=None, ge=None):
     """Report a `value` that is not > gt, or not >= ge."""
-    if value is not None and gt is not None and not value > gt:
+    if gt is not None and not value > gt:
         op, low = ">", gt
-    elif value is not None and ge is not None and not value >= ge:
+    elif ge is not None and not value >= ge:
         op, low = ">=", ge
     else:
         return
@@ -208,7 +207,7 @@ def _read(cls, raw, where, errors, strict):
         is_block = isinstance(kind, type)
         path = name if is_block and where == "scenario" else f"{where}.{name}"
         value = raw.pop(name, MISSING)
-        if value is MISSING or (value is None and meta.get("null_absent")):
+        if value is MISSING:
             if f.default is MISSING:
                 noun = "block" if is_block else "key"
                 errors.append(f"{where}: missing required {noun} '{name}'")
@@ -262,16 +261,12 @@ def _cross_rules(sc, errors):
     for needs, name in (("squeezed", "r"), ("thermal", "nbar")):
         if kind == needs and state[name] is None:
             errors.append(f"state: {needs} state requires '{name}'")
-    if kind == "thermal":
-        _bound(errors, "state.nbar", state["nbar"], ge=0.0)
     if kind == "gaussian":
         missing = [k for k in ("sigma_qq", "sigma_pp", "sigma_qp")
                    if state[k] is None]
         if missing:
             errors.append("state: gaussian state requires "
                           + ", ".join(missing))
-        _bound(errors, "state.sigma_qq", state["sigma_qq"], gt=0.0)
-        _bound(errors, "state.sigma_pp", state["sigma_pp"], gt=0.0)
     omega_S = sc["system"]["omega_S"]
     if kind in ("coherent", "squeezed", "thermal") and omega_S is not None \
             and omega_S <= 0.0:

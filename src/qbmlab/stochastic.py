@@ -85,9 +85,8 @@ class NoiseSpec:
     def from_kernel(cls, kernel, grid, S=None):
         """Stationary target D_ij = D_kernel(t_i - t_j) from a tabulated kernel."""
         grid = np.asarray(grid, dtype=float)
-        diff = grid[:, None] - grid[None, :]
-        d_mat = kernel.re_at(diff) + 1j * kernel.im_at(diff)
-        return cls(grid=grid, D=d_mat, S=S)
+        return cls(grid=grid, D=kernel.at(grid[:, None] - grid[None, :]),
+                   S=S)
 
 
 def _real_covariance(spec):

@@ -290,6 +290,23 @@ def test_non_finite_kernel_exits_as_numerical_failure(tmp_path,
     assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 3
 
 
+def test_overflowing_dressing_exits_as_numerical_failure(tmp_path, capsys):
+    payload = {
+        "name": "huge_coupling",
+        "system": {"m": 1.0, "omega_S": 1.0},
+        "bath": {"gamma": 1e120, "T": 10.0, "Omega": 20.0},
+        "equation": {"variant": "hpz", "order": 3,
+                     "coefficient_grid": {"t_max": 1.0, "n": 51}},
+        "run": {"t_span": [0.0, 1.0], "dt": 0.01,
+                "outputs": ["coefficients", "moments"]},
+    }
+    # valid input: the order-3 table (~ gamma^3) overflows a float
+    path = _write(tmp_path, payload, "huge.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 3
+    assert "order-3" in capsys.readouterr().err
+    assert not (tmp_path / "huge_coupling_coefficients.csv").exists()
+
+
 def test_non_finite_numbers_fail_validation(tmp_path, capsys):
     # json.load accepts NaN and Infinity; neither may reach the numerics
     for block, key, value in (("bath", "T", float("nan")),

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbmlab import coefficients
 from qbmlab.bath import CorrelationKernel, SpectralDensity, ThermalBathSpec
 from qbmlab.coefficients import (
     DressedKernel,
@@ -71,7 +72,6 @@ def test_order_one_is_the_bare_kernel():
     assert d.stationary
     assert np.allclose(d.values, base.re_at(grid[:, None] - grid[None, :])
                        + 1j * base.im_at(grid[:, None] - grid[None, :]))
-    assert np.allclose(d.row(7), base.at(grid[7] - grid))
 
 
 def test_zero_kernel_stays_zero_at_any_order():
@@ -87,18 +87,8 @@ def test_order_validation():
     k = OscillatorKernels(1.0)
     with pytest.raises(ValueError):
         dressed_kernel(base, k, 0)
-    with pytest.raises(ValueError, match="allow_high_order"):
+    with pytest.raises(ValueError, match="exceeds 3"):
         dressed_kernel(base, k, 4)
-    d = dressed_kernel(base, k, 4, allow_high_order=True)
-    assert d.order == 4
-
-
-def test_grid_beyond_base_kernel_rejected():
-    grid = np.linspace(0.0, 1.0, 11)
-    base = synthetic_kernel(grid)
-    with pytest.raises(ValueError, match="beyond"):
-        dressed_kernel(base, OscillatorKernels(1.0), 2,
-                       grid=np.linspace(0.0, 2.0, 21))
 
 
 def test_second_order_correction_scales_quadratically():
@@ -137,6 +127,66 @@ def test_second_order_grid_refinement_is_second_order():
     e_coarse = np.max(np.abs(rows[31] - rows[121]))
     e_fine = np.max(np.abs(rows[61] - rows[121]))
     assert 3.5 < e_coarse / e_fine < 6.5
+
+
+def reference_dressing(base, omega_S, order, m):
+    """The recursion of the `coefficients` docstring, one row at a time.
+
+    D^(n)(t, s) = int_0^t dt' int_0^t ds' c(t', s')
+                  [Dbar(t', s) D^(n-1)(t, s') + D(t', s) conj(D^(n-1)(t, s'))]
+    with every integral an explicit np.trapezoid over the nodes in [0, t].
+    """
+    grid = base.grid
+    lag = grid[:, None] - grid[None, :]
+    d = base.re_at(lag) + 1j * base.im_at(lag)             # D(t' - s)
+    d_bar = base.re_at(lag) + 1j * base.im_at(np.abs(lag))  # D(|t' - s|)
+    # c(t', s') = (i / m) sin(omega_S (s' - t')) / omega_S for t' > s'
+    c = np.where(lag > 0.0, 1j / m * np.sin(-omega_S * lag) / omega_S, 0.0)
+    total, prev = d.copy(), d
+    for n in range(2, order + 1):
+        cur = np.zeros_like(d)
+        for i in range(1, grid.size):
+            t = grid[:i + 1]
+            inner = np.trapezoid(c[:i + 1, :i + 1] * prev[i, :i + 1], t,
+                                 axis=1)
+            inner_c = np.trapezoid(c[:i + 1, :i + 1]
+                                   * np.conj(prev[i, :i + 1]), t, axis=1)
+            cur[i] = np.trapezoid(inner[:, None] * d_bar[:i + 1]
+                                  + inner_c[:, None] * d[:i + 1], t, axis=0)
+        total = total + (-1) ** (n - 1) * cur
+        prev = cur
+    return total
+
+
+@pytest.mark.parametrize("n", [21, 41])
+@pytest.mark.parametrize("order", [2, 3])
+def test_dressing_matches_row_by_row_reference(n, order):
+    grid = np.linspace(0.0, 3.0, n)
+    base = synthetic_kernel(grid)
+    table = dressed_kernel(base, OscillatorKernels(1.3), order, m=0.9).table
+    ref = reference_dressing(base, 1.3, order, 0.9)
+    bare = base.at(grid[:, None] - grid[None, :])
+    # the correction alone, so the bare kernel cannot hide an error
+    assert np.max(np.abs(table - ref)) \
+        <= 1e-13 * np.max(np.abs(ref - bare))
+
+
+def test_row_blocks_join_seamlessly(monkeypatch):
+    # blocks of 8 rows split the 41-node grid unevenly
+    grid = np.linspace(0.0, 3.0, 41)
+    base = synthetic_kernel(grid)
+    k = OscillatorKernels(1.3)
+    whole = dressed_kernel(base, k, 3, m=0.9)
+    whole_co = compute_coefficients(whole, k)
+    monkeypatch.setattr(coefficients, "_ROW_BLOCK", 8)
+    blocked = dressed_kernel(base, k, 3, m=0.9)
+    blocked_co = compute_coefficients(blocked, k)
+    scale = np.max(np.abs(whole.table))
+    assert np.max(np.abs(blocked.table - whole.table)) <= 1e-14 * scale
+    for name in ("Gamma", "Theta", "Xi", "Upsilon"):
+        col = getattr(whole_co, name)
+        assert np.max(np.abs(getattr(blocked_co, name) - col)) \
+            <= 1e-14 * np.max(np.abs(col))
 
 
 def test_first_row_of_higher_order_table_vanishes():
@@ -202,29 +252,6 @@ def test_stationary_and_general_paths_agree():
     for name in ("Gamma", "Theta", "Xi", "Upsilon"):
         assert np.allclose(getattr(fast, name), getattr(slow, name),
                            rtol=0.0, atol=1e-13)
-
-
-def test_upsilon_sign_flip():
-    grid = np.linspace(0.0, 3.0, 61)
-    base = synthetic_kernel(grid)
-    k = OscillatorKernels(1.3)
-    d1 = dressed_kernel(base, k, 1)
-    a = compute_coefficients(d1, k)
-    b = compute_coefficients(d1, k, upsilon_sign_flip=True)
-    assert np.allclose(a.Upsilon, -b.Upsilon)
-    assert np.allclose(a.Gamma, b.Gamma)
-
-
-def test_prefix_grid_and_mismatch():
-    grid = np.linspace(0.0, 3.0, 61)
-    base = synthetic_kernel(grid)
-    k = OscillatorKernels(1.0)
-    d1 = dressed_kernel(base, k, 1)
-    short = compute_coefficients(d1, k, t_grid=grid[:31])
-    full = compute_coefficients(d1, k)
-    assert np.allclose(short.Gamma, full.Gamma[:31])
-    with pytest.raises(ValueError, match="prefix"):
-        compute_coefficients(d1, k, t_grid=grid[:31] + 0.01)
 
 
 @given(lam=st.floats(0.1, 3.0))

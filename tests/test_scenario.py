@@ -76,6 +76,15 @@ CASES = [
     ("state.mean_p", [0.0], ["state.mean_p: expected a number"]),
     ("state.r", "wide", ["state.r: expected a number"]),
     ("state.nbar", "few", ["state.nbar: expected a number"]),
+    ("state.nbar", -1, ["state.nbar: must be >= 0, got -1"]),
+    ("state", {"kind": "coherent", "nbar": -1},
+     ["state.nbar: must be >= 0, got -1"]),
+    ("state", {"kind": "thermal", "nbar": -0.5},
+     ["state.nbar: must be >= 0, got -0.5"]),
+    ("state.sigma_qq", -1, ["state.sigma_qq: must be > 0, got -1"]),
+    ("state.sigma_pp", 0.0, ["state.sigma_pp: must be > 0, got 0"]),
+    ("state", {"kind": "squeezed", "r": 0.2, "sigma_pp": -2.5},
+     ["state.sigma_pp: must be > 0, got -2.5"]),
     ("state.sigma_qq", "x", ["state.sigma_qq: expected a number",
                              "state: gaussian state requires sigma_qq"]),
     ("state.sigma_pp", "x", ["state.sigma_pp: expected a number",
@@ -92,6 +101,7 @@ CASES = [
                            "got 0"]),
     ("equation.mu", "0.3", ["equation.mu: expected a number"]),
     (GRID, 5, [f"{GRID}: expected an object"]),
+    (GRID, None, [f"{GRID}: expected an object"]),
     (f"{GRID}.t_max", DELETE, [f"{GRID}: missing required key 't_max'"]),
     (f"{GRID}.t_max", "1", [f"{GRID}.t_max: expected a number"]),
     (f"{GRID}.t_max", 0, [f"{GRID}.t_max: must be > 0, got 0",
