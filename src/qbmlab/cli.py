@@ -48,7 +48,7 @@ from .scenario import (
     parse_scenario,
     scenario_hash,
 )
-from .stochastic import NoiseFactorizationError, ccl_sse_config, ensemble_run
+from .stochastic import NoiseFactorizationError, SSEConfig, ensemble_run
 
 
 @dataclass
@@ -202,12 +202,10 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
             sto = scenario.stochastic
             ensemble_seed = int(seed_override) if seed_override is not None \
                 else sto.seed
-            config = ccl_sse_config(
-                spec.system, scenario.bath.gamma, scenario.bath.T, dim=sto.dim,
-                dt=scenario.run.dt, n_traj=sto.n_traj, seed=ensemble_seed,
-                t_span=scenario.run.t_span, S_scalar=sto.S_scalar,
-                store_every=scenario.run.store_every,
-                constants=scenario.units)
+            config = SSEConfig(
+                spec, dim=sto.dim, dt=scenario.run.dt, n_traj=sto.n_traj,
+                seed=ensemble_seed, t_span=scenario.run.t_span,
+                S_scalar=sto.S_scalar, store_every=scenario.run.store_every)
             psi0 = _initial_fock_state(scenario, sto.dim)
             result = ensemble_run(config, psi0, threads=threads)
             emit_csv("ensemble", io.ensemble_table(result, meta))

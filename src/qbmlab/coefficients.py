@@ -233,6 +233,10 @@ def compute_coefficients(dressed, kernels):
                                    -(w_cos * dd.imag).sum(1),
                                    (w_sin * dd.imag).sum(1)]
         gamma_t, theta_t, xi_t, upsilon_t = cols
+    for name, col in zip(("Gamma", "Theta", "Xi", "Upsilon"),
+                         (gamma_t, theta_t, xi_t, upsilon_t)):
+        if not np.all(np.isfinite(col)):
+            raise NumericalFailure(f"windowed {name} is not finite")
     return HPZCoefficients(grid=grid.copy(), Gamma=gamma_t, Theta=theta_t,
                            Xi=xi_t, Upsilon=upsilon_t)
 

@@ -109,7 +109,7 @@ def moments_from_density(rho, q, p):
         sigma_qp=ev(qp_sym) - mq * mp)
 
 
-def _lindblad_operators(spec, dim):
+def lindblad_operators(spec, dim):
     """q, p and the map (G, a) -> (K, K^dag, pairs (F_j, sum_k a_jk F_k))
     with K = -(i/hbar) H - (1/2) sum_jk a_jk F_k F_j.
     """
@@ -138,7 +138,7 @@ def _lindblad_rhs(rho, ops):
 
 def make_generator(spec, dim):
     """Right-hand side rho, t -> drho/dt of the spec's generator (G, a)."""
-    _, operators = _lindblad_operators(spec, dim)
+    _, operators = lindblad_operators(spec, dim)
     return lambda rho, t: _lindblad_rhs(
         rho, operators(*spec.generator.at(t)))
 
@@ -166,7 +166,7 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     n_steps = max(1, int(round(span / dt)))
     h = span / n_steps
 
-    (q, p), operators = _lindblad_operators(spec, dim)
+    (q, p), operators = lindblad_operators(spec, dim)
     # the table is looked up at every stage time in one pass
     G, a = spec.generator.at(rk4_stage_times(t0, h, 0, n_steps))
     tabulated = spec.generator.grid is not None

@@ -49,6 +49,33 @@ def _closed_form(a):
     return 0.5 * (tr - root), det, 0.5 * (np.abs(tr) + root)
 
 
+def _rank_at_most_one(lam, det, norm, tol):
+    """PSD with det = 0 (to tol): one Lindblad operator is the dissipator."""
+    scale = np.maximum(norm, 1e-300)
+    return (lam >= -tol * scale) & (np.abs(det) <= tol * scale ** 2)
+
+
+def rank_one_factor(a, tol=_DEFAULT_CP_TOL):
+    """(D, v) with a = D v v^dag, v normalized on a's larger diagonal entry.
+
+    Raises ValueError unless the Hermitian 2x2 matrix a is positive
+    semidefinite with rank <= 1 (the audit's rank-1 criterion); a = 0
+    has rank 0 and gives D = 0.
+    """
+    a = np.asarray(a, dtype=complex)
+    lam, det, norm = _closed_form(a)
+    if not _rank_at_most_one(lam, det, norm, tol):
+        raise ValueError("Kossakowski matrix is not positive semidefinite "
+                         f"of rank <= 1 (lambda_min = {lam:.6e}, "
+                         f"det = {det:.6e})")
+    k = int(a[1, 1].real > a[0, 0].real)
+    d = max(float(a[k, k].real), 0.0)
+    if d == 0.0:
+        return 0.0, np.eye(2, dtype=complex)[k]
+    # divide the parts apart: complex division can round v_k off 1
+    return d, a[:, k].real / d + 1j * (a[:, k].imag / d)
+
+
 @dataclass(frozen=True)
 class KossakowskiMatrix:
     """2x2 Hermitian coefficient matrix in the (q, p) operator basis."""
@@ -173,11 +200,7 @@ def audit_cp(source, t_grid=None, tol=_DEFAULT_CP_TOL,
     verdict = "NotCP" if np.any(bad) else "CP-semigroup-form"
 
     flags = []
-    # rank-1 flag: positive semidefinite with a vanishing determinant,
-    # i.e. a single Lindblad operator reproduces the dissipator
-    if verdict == "CP-semigroup-form" and np.all(
-            np.abs(det) <= tol * np.maximum(norm, 1e-300) ** 2) \
-            and np.all(norm > 0.0):
+    if np.all(_rank_at_most_one(lam, det, norm, tol) & (norm > 0.0)):
         flags.append("rank-1")
 
     return CPAuditReport(times=times, lambda_min=lam, det=det, norm=norm,

@@ -25,7 +25,8 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .bath import CutoffKind, PhysicalConstants
 from .coefficients import MAX_CHEAP_ORDER
-from .dynamics import Variant
+from .dynamics import MasterEquationSpec, SystemSpec, Variant
+from .positivity import rank_one_factor
 
 _VALID_OUTPUTS = ("kernel", "coefficients", "audit", "moments", "ensemble")
 _STATE_KINDS = ("coherent", "squeezed", "thermal", "gaussian")
@@ -309,15 +310,39 @@ def _cross_rules(sc, errors):
         errors.append("run.t_span: the hpz coefficient grid starts at "
                       f"t = 0, so t0 must be >= 0, got {t_span[0]:g}")
     if "ensemble" in outputs:
-        if variant != "ccl":
-            errors.append("run.outputs: the ensemble pipeline unravels the "
-                          "'ccl' variant only")
+        if variant == "hpz":
+            errors.append("run.outputs: the ensemble pipeline needs a "
+                          "constant generator; 'hpz' is tabulated")
+        else:
+            _unraveling_rules(sc, errors)
         if not sto:
             errors.append("scenario: ensemble output requires a "
                           "'stochastic' block")
         if kind not in ("coherent", "squeezed"):
             errors.append("state.kind: ensemble runs need a pure coherent "
                           "or squeezed initial state")
+
+
+def _unraveling_rules(sc, errors):
+    """An ensemble needs a = D v v^dag (rank <= 1) and |S_scalar| <= D."""
+    eq, bath, sto = sc["equation"], sc["bath"], sc["stochastic"]
+    try:
+        a = MasterEquationSpec(
+            eq["variant"], SystemSpec(**sc["system"]),
+            constants=PhysicalConstants(**sc["units"]), gamma=bath["gamma"],
+            T=bath["T"], mu=eq["mu"]).generator.a
+    except (TypeError, ValueError):
+        return  # a key the generator needs is reported already
+    try:
+        d, _ = rank_one_factor(a)
+    except ValueError as exc:
+        errors.append(f"run.outputs: the '{eq['variant']}' generator has no "
+                      f"linear unraveling: {exc}")
+        return
+    s = (sto or {}).get("S_scalar")
+    if s is not None and abs(s) > d * (1.0 + 1e-12):
+        errors.append(f"stochastic.S_scalar: |S_scalar| = {abs(s):g} must be "
+                      f"<= the noise rate D = {d:g}")
 
 
 def parse_scenario(path, strict=True):

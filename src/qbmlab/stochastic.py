@@ -2,24 +2,21 @@
 
 Unraveling: the linear Ito scheme
 
-    d psi = [ -(i/hbar) H_det - (D/2) A^dag A ] psi dt  - i A psi dW
+    d psi = [ -(i/hbar) H - (D/2) A^dag A ] psi dt  - i A psi dW
 
 with a single complex Wiener increment obeying
 
-    E[dW conj(dW)] = D dt,      E[dW dW] = S dt,      |S| <= D,
+    E[dW conj(dW)] = D dt,      E[dW dW] = S dt,      |S| <= D.
 
-and A = alpha q + i beta p.  The ensemble average E[psi psi^dag]
-reproduces the Lindblad dissipator D (A rho A^dag - {A^dag A, rho}/2)
-regardless of S: the pseudo-correlation only redistributes noise between
-the two quadratures of dW (`S = D` makes dW real).  Individual
-trajectories do not preserve norm, only the ensemble mean does, so all
-estimators below are plain averages of unnormalized quadratic forms.
-
-The corrected-CL master equation has one extra wrinkle: its friction is
-asymmetric (only p is damped) while the pure Lindblad part damps q and p
-symmetrically.  The difference is the Hamiltonian shear g {q,p}/2 with
-g = D alpha beta hbar; `ccl_sse_config` reads D, beta and g off the
-corrected-CL generator of :mod:`qbmlab.dynamics`.
+H = x^T G x / 2 and A = v . (q, p) come from the spec's constant
+generator (G, a), whose Kossakowski matrix must factor as a = D v v^dag
+(rank <= 1: JZ, CCL, QP; `positivity.rank_one_factor`).  The ensemble
+average E[psi psi^dag] reproduces the Lindblad dissipator
+D (A rho A^dag - {A^dag A, rho}/2) regardless of S: the pseudo-correlation
+only redistributes noise between the two quadratures of dW (`S = D`
+makes dW real).  Individual trajectories do not preserve norm, only the
+ensemble mean does, so all estimators below are plain averages of
+unnormalized quadratic forms.
 
 Colored noise: `sample_colored_noise` draws stationary complex Gaussian
 paths with prescribed correlation E[z_i conj(z_j)] = D_ij and pseudo
@@ -34,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import PhysicalConstants
-from .dynamics import MasterEquationSpec, NumericalFailure, SystemSpec
-from .fock import position_momentum
+from .dynamics import MasterEquationSpec, NumericalFailure
+from .fock import lindblad_operators
+from .positivity import rank_one_factor
 
 _CHUNK = 512  # trajectories per batch; fixed so results never depend on threading
 _STEP_BLOCK = 512  # time steps per noise-draw block
@@ -113,7 +111,8 @@ def sample_colored_noise(spec, n_samples, rng):
         raise NoiseFactorizationError(
             f"covariance not PSD: most negative eigenvalue {evals[0]:.6e} "
             f"(largest {evals[-1]:.6e})")
-    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    # symmetric root V sqrt(L) V^T: unlike V sqrt(L), continuous in cov
+    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
     n = spec.grid.size
     z = rng.standard_normal((n_samples, 2 * n)) @ root.T
     return z[:, :n] + 1j * z[:, n:]
@@ -169,31 +168,28 @@ def empirical_noise_moments(samples):
 
 @dataclass
 class SSEConfig:
-    """Parameters of a linear-unraveling run.
+    """Parameters of a linear-unraveling run of the spec's generator.
 
-    alpha/beta define A = alpha q + i beta p; D_scalar and S_scalar are
-    the white-noise moments; qp_hamiltonian is the coefficient g of the
-    shear term g {q,p}/2 added to the system Hamiltonian (needed to
-    unravel generators whose friction is not quadrature-symmetric).
+    D_scalar and v, the rank-1 factor a = D v v^dag of the Kossakowski
+    matrix, are derived on construction; S_scalar is the white-noise
+    pseudo-correlation.
     """
 
-    system: SystemSpec
-    alpha: float
-    beta: float
-    D_scalar: float
+    spec: MasterEquationSpec
     dim: int
     dt: float
     n_traj: int
     seed: int
     t_span: tuple[float, float] = (0.0, 10.0)
     S_scalar: complex = 0.0
-    qp_hamiltonian: float = 0.0
     store_every: int = 100
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
+    D_scalar: float = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.D_scalar < 0.0:
-            raise ValueError("D_scalar must be non-negative")
+        if self.spec.generator.grid is not None:
+            raise ValueError("cannot unravel a tabulated generator")
+        self.D_scalar, self.v = rank_one_factor(self.spec.generator.a)
         if abs(self.S_scalar) > self.D_scalar * (1.0 + 1e-12):
             raise ValueError("need |S_scalar| <= D_scalar for realizable noise")
         if self.dim < 2:
@@ -211,38 +207,21 @@ class SSEConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def ccl_sse_config(system, gamma, T, *, dim, dt, n_traj, seed,
-                   t_span=(0.0, 10.0), S_scalar=0.0, store_every=100,
-                   constants=PhysicalConstants()):
-    """SSE configuration whose ensemble mean obeys the corrected-CL equation.
+def ccl_sse_config(system, gamma, T, *, constants=PhysicalConstants(),
+                   **run):
+    """SSEConfig of the corrected-CL generator; `run` holds its other fields."""
+    return SSEConfig(MasterEquationSpec("ccl", system, constants=constants,
+                                        gamma=gamma, T=T), **run)
 
-    Reads the corrected-CL generator (G, a): its rank-1 Kossakowski
-    matrix a = D v v^dag with v = (1, i beta) gives the rate D and
-    A = q + i beta p, and the shear is g = G_qp.
+
+def _build_operators(config, h):
+    """Step matrix I + h K, noise operator A, observable matrices and the
+    2x2 root mapping unit normals to (Re dW, Im dW) per step of size h.
     """
-    gen = MasterEquationSpec("ccl", system, constants=constants,
-                             gamma=gamma, T=T).generator
-    d_scalar = float(gen.a[0, 0].real)
-    beta = float(gen.a[1, 0].imag) / d_scalar if d_scalar > 0.0 else 0.0
-    return SSEConfig(system=system, alpha=1.0, beta=beta, D_scalar=d_scalar,
-                     dim=dim, dt=dt, n_traj=n_traj, seed=seed, t_span=t_span,
-                     S_scalar=S_scalar, qp_hamiltonian=float(gen.G[0, 1]),
-                     store_every=store_every, constants=constants)
-
-
-def _build_operators(config):
-    """Step matrix, noise operator and observable matrices."""
-    c = config.constants
-    q, p = position_momentum(config.dim, config.system, c)
-    m = config.system.m
-    h_det = p @ p / (2.0 * m) \
-        + 0.5 * m * config.system.omega_S ** 2 * (q @ q)
-    if config.qp_hamiltonian != 0.0:
-        h_det = h_det + 0.5 * config.qp_hamiltonian * (q @ p + p @ q)
-    a_op = config.alpha * q + 1j * config.beta * p
-    ada = a_op.conj().T @ a_op
-    drift = -1j * h_det / c.hbar - 0.5 * config.D_scalar * ada
-    step = np.eye(config.dim, dtype=complex) + config.dt * drift
+    gen = config.spec.generator
+    (q, p), operators = lindblad_operators(config.spec, config.dim)
+    step = np.eye(config.dim, dtype=complex) + h * operators(gen.G, gen.a)[0]
+    a_op = config.v[0] * q + config.v[1] * p
     obs = {
         "norm2": np.eye(config.dim, dtype=complex),
         "q": q.astype(complex),
@@ -251,16 +230,10 @@ def _build_operators(config):
         "pp": p @ p,
         "qp": 0.5 * (q @ p + p @ q),
     }
-    return step, a_op, obs
-
-
-def _noise_root(config):
-    """2x2 root mapping unit normals to (Re dW, Im dW) per step."""
     d, s = config.D_scalar, complex(config.S_scalar)
-    cov = 0.5 * config.dt * np.array([[d + s.real, s.imag],
-                                      [s.imag, d - s.real]])
-    evals, evecs = np.linalg.eigh(cov)
-    return evecs * np.sqrt(np.clip(evals, 0.0, None))
+    evals, evecs = np.linalg.eigh(0.5 * h * np.array(
+        [[d + s.real, s.imag], [s.imag, d - s.real]]))
+    return step, a_op, obs, evecs * np.sqrt(np.clip(evals, 0.0, None))
 
 
 def _store_nodes(config):
@@ -283,9 +256,9 @@ def _measure(obs_mats, psi):
     return out
 
 
-def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
-               n_steps, nodes):
+def _run_chunk(config, psi0, indices, ops, n_steps, nodes):
     """Propagate one batch of trajectories; return accumulators."""
+    step, a_op, obs_mats, root = ops
     k = indices.size
     psi = np.tile(psi0[:, None], (1, k)).astype(complex)
     gens = [np.random.default_rng([int(config.seed), int(i)])
@@ -386,18 +359,15 @@ def ensemble_run(config, psi0, threads=1):
             f"only {config.n_traj} trajectories; error bars are unreliable",
             EnsembleHealthWarning, stacklevel=2)
 
-    step, a_op, obs_mats = _build_operators(config)
-    root = _noise_root(config)
     n_steps, h, nodes = _store_nodes(config)
-    t0 = config.t_span[0]
-    times = t0 + h * nodes
+    ops = _build_operators(config, h)
+    times = config.t_span[0] + h * nodes
 
     chunks = [np.arange(lo, min(lo + _CHUNK, config.n_traj))
               for lo in range(0, config.n_traj, _CHUNK)]
 
     def work(idx_chunk):
-        return _run_chunk(config, psi0, idx_chunk, step, a_op, obs_mats,
-                          root, n_steps, nodes)
+        return _run_chunk(config, psi0, idx_chunk, ops, n_steps, nodes)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -405,16 +375,8 @@ def ensemble_run(config, psi0, threads=1):
     else:
         results = [work(ch) for ch in chunks]
 
-    n_nodes = nodes.size
-    sums = np.zeros((n_nodes, len(_OBS_NAMES)))
-    sumsqs = np.zeros_like(sums)
-    alive = np.zeros(n_nodes, dtype=np.int64)
-    failed = []
-    for s_, sq_, al_, fl_ in results:
-        sums += s_
-        sumsqs += sq_
-        alive += al_
-        failed.extend(fl_)
+    sums, sumsqs, alive = (sum(r[i] for r in results) for i in range(3))
+    failed = [j for r in results for j in r[3]]
 
     if len(failed) > 0.01 * config.n_traj:
         raise NumericalFailure(
@@ -449,14 +411,11 @@ class TrajectoryPath:
 def sse_trajectory(config, psi0, traj_index=0):
     """Observable history of a single trajectory (by its ensemble index)."""
     psi0 = np.asarray(psi0, dtype=complex)
-    step, a_op, obs_mats = _build_operators(config)
-    root = _noise_root(config)
     n_steps, h, nodes = _store_nodes(config)
     sums, _, alive_counts, failed = _run_chunk(
-        config, psi0, np.array([traj_index]), step, a_op, obs_mats, root,
+        config, psi0, np.array([traj_index]), _build_operators(config, h),
         n_steps, nodes)
     # with a single trajectory the sums are the raw observables
-    obs = sums
-    obs[alive_counts == 0] = np.nan
+    sums[alive_counts == 0] = np.nan
     return TrajectoryPath(times=config.t_span[0] + h * nodes,
-                          observables=obs, aborted=bool(failed))
+                          observables=sums, aborted=bool(failed))

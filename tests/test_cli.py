@@ -120,8 +120,58 @@ def test_ensemble_requirements():
     bad["run"]["outputs"] = ["ensemble"]
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(bad)
-    assert "'ccl' variant only" in str(exc.value)
-    assert "requires a 'stochastic' block" in str(exc.value)
+    assert exc.value.messages == [
+        "scenario: ensemble output requires a 'stochastic' block"]
+
+    # CL has no Lindblad form: its Kossakowski matrix is not PSD
+    bad["equation"]["variant"] = "cl"
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(bad)
+    assert "'cl' generator has no linear unraveling" in str(exc.value)
+    assert "lambda_min = -" in str(exc.value)
+
+    bad["equation"] = {"variant": "hpz",
+                       "coefficient_grid": {"t_max": 1.0, "n": 11}}
+    bad["bath"]["Omega"] = 10.0
+    with pytest.raises(ScenarioError, match="'hpz' is tabulated"):
+        scenario_from_dict(bad)
+
+
+ENSEMBLE = {
+    "system": {"m": 1.0, "omega_S": 1.0},
+    "bath": {"gamma": 0.05, "T": 2.0},
+    "state": {"kind": "coherent", "mean_q": 0.3},
+    "run": {"t_span": [0.0, 0.2], "dt": 0.01, "store_every": 5,
+            "outputs": ["ensemble"]},
+    "stochastic": {"dim": 8, "n_traj": 100, "seed": 3},
+}
+
+
+@pytest.mark.parametrize("equation", [{"variant": "jz"},
+                                      {"variant": "qp", "mu": 0.3}],
+                         ids=["jz", "qp"])
+def test_rank_one_variants_run_ensembles(tmp_path, equation):
+    path = _write(tmp_path, {**ENSEMBLE, "name": "rank1",
+                             "equation": equation})
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    vs = io.read_csv(tmp_path / "rank1_ensemble_vs_ode.csv")
+    for name in ("mean_q", "mean_p", "s_qq", "s_pp", "s_qp"):
+        assert np.all(vs[f"{name}_abs_dev"]
+                      <= 5.0 * vs[f"{name}_se"] + 1e-12), name
+
+
+def test_unrealizable_noise_fails_validation(tmp_path):
+    # D = 4 m gamma kB T / hbar^2 = 0.4 for the ccl generator
+    payload = {**ENSEMBLE, "equation": {"variant": "ccl"},
+               "stochastic": {**ENSEMBLE["stochastic"], "S_scalar": 0.5}}
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(payload)
+    assert exc.value.messages == [
+        "stochastic.S_scalar: |S_scalar| = 0.5 must be <= the noise rate "
+        "D = 0.4"]
+    path = _write(tmp_path, payload, "noisy.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_shipped_scenarios_parse_and_round_trip():

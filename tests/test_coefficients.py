@@ -306,3 +306,16 @@ def test_coefficient_table_validation_and_interp():
     with pytest.raises(ValueError, match="finite"):
         HPZCoefficients(grid=t, Gamma=t * np.nan, Theta=0 * t, Xi=0 * t,
                         Upsilon=0 * t)
+
+
+def test_windowing_overflow_is_a_numerical_failure():
+    # a finite kernel whose trapezoid sums overflow to inf
+    grid = np.linspace(0.0, 1.0, 11)
+    huge = CorrelationKernel.from_samples(grid, np.full(11, 1.5e308),
+                                          np.zeros(11))
+    k = OscillatorKernels(1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(coefficients.NumericalFailure,
+                           match="windowed Gamma is not finite"):
+            compute_coefficients(dressed_kernel(huge, k, 1), k)
+

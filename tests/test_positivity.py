@@ -29,6 +29,7 @@ from qbmlab.positivity import (
     assemble_hpz_matrix,
     audit_cp,
     min_eigenvalue,
+    rank_one_factor,
 )
 
 
@@ -222,3 +223,29 @@ def test_qp_matrix_is_rank_one():
     report = audit_cp(k)
     assert report.verdict == "CP-semigroup-form"
     assert "rank-1" in report.flags
+
+
+@pytest.mark.parametrize("variant, mu", [("jz", None), ("ccl", None),
+                                         ("qp", 0.4), ("qp", 2.0)])
+def test_rank_one_factor_reproduces_the_matrix(variant, mu):
+    a = assemble_constant_matrix(variant, m=1.3, gamma=0.21, T=7.0, mu=mu).a
+    d, v = rank_one_factor(a)
+    assert np.allclose(d * np.outer(v, v.conj()), a, rtol=0.0,
+                       atol=1e-12 * d)
+    # normalized on the larger diagonal entry, whose component is 1
+    k = int(a[1, 1].real > a[0, 0].real)
+    assert v[k] == 1.0 and d == a[k, k].real
+    assert "rank-1" in audit_cp(KossakowskiMatrix(a)).flags
+
+
+def test_rank_one_factor_rejects_what_the_audit_does_not_flag():
+    cl = assemble_constant_matrix("cl", m=1.3, gamma=0.21, T=7.0)
+    with pytest.raises(ValueError, match="lambda_min = -"):
+        rank_one_factor(cl.a)
+    with pytest.raises(ValueError, match="rank <= 1"):
+        rank_one_factor(np.eye(2))  # positive definite, rank 2
+    for a in (cl.a, np.eye(2)):
+        assert "rank-1" not in audit_cp(KossakowskiMatrix(a)).flags
+    # gamma = 0 gives a = 0: rank 0, no noise
+    d, v = rank_one_factor(np.zeros((2, 2)))
+    assert d == 0.0 and np.array_equal(v, [1.0, 0.0])

@@ -1,9 +1,12 @@
 """Colored-noise sampling and the linear stochastic unraveling engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qbmlab.bath import CorrelationKernel, SpectralDensity, ThermalBathSpec
+from qbmlab.coefficients import delta_limit_coefficients
 from qbmlab.dynamics import (
     GaussianMomentState,
     MasterEquationSpec,
@@ -90,27 +93,35 @@ def test_empirical_moments_need_two_samples():
 
 # --------------------------------------------------------- configuration
 
+def _spec(variant, gamma, T, mu=None):
+    return MasterEquationSpec(variant, SYS, gamma=gamma, T=T, mu=mu)
+
+
 def test_config_validation():
-    kw = dict(system=SYS, alpha=1.0, beta=0.1, dim=8, dt=1e-2,
-              n_traj=10, seed=1)
+    kw = dict(spec=_spec("ccl", 0.25, 1.0), dim=8, dt=1e-2, n_traj=10,
+              seed=1)  # D = 4 m gamma kB T / hbar^2 = 1
     with pytest.raises(ValueError, match="S_scalar"):
-        SSEConfig(D_scalar=1.0, S_scalar=1.5, **kw)
-    with pytest.raises(ValueError, match="non-negative"):
-        SSEConfig(D_scalar=-1.0, **kw)
+        SSEConfig(S_scalar=1.5, **kw)
+    # CL has no Lindblad form, HPZ no constant generator
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        SSEConfig(**{**kw, "spec": _spec("cl", 0.25, 1.0)})
+    hpz = MasterEquationSpec("hpz", SYS, coefficients=delta_limit_coefficients(
+        0.4, np.linspace(0.0, 1.0, 11)))
+    with pytest.raises(ValueError, match="tabulated"):
+        SSEConfig(**{**kw, "spec": hpz})
     with pytest.raises(ValueError, match="seed"):
-        SSEConfig(D_scalar=1.0, seed=2 ** 64,
-                  **{k: v for k, v in kw.items() if k != "seed"})
+        SSEConfig(**{**kw, "seed": 2 ** 64})
     with pytest.raises(ValueError, match="dim"):
-        SSEConfig(D_scalar=1.0, **{**kw, "dim": 1})
+        SSEConfig(**{**kw, "dim": 1})
 
 
 def test_ccl_config_prefactors():
     cfg = ccl_sse_config(SYS, gamma=0.05, T=2.0, dim=10, dt=1e-2,
                          n_traj=100, seed=5)
-    assert cfg.alpha == 1.0
-    assert cfg.beta == pytest.approx(1.0 / 8.0, rel=1e-12)
     assert cfg.D_scalar == pytest.approx(0.4, rel=1e-12)
-    assert cfg.qp_hamiltonian == pytest.approx(0.05, rel=1e-12)
+    assert cfg.v[0] == 1.0
+    assert cfg.v[1] == pytest.approx(1j / 8.0, rel=1e-12)
+    assert cfg.spec.generator.G[0, 1] == pytest.approx(0.05, rel=1e-12)
     with pytest.raises(ValueError, match="gamma"):
         ccl_sse_config(SYS, gamma=-0.1, T=2.0, dim=10, dt=1e-2,
                        n_traj=100, seed=5)
@@ -119,31 +130,34 @@ def test_ccl_config_prefactors():
 # ------------------------------------------------------------- the engine
 
 def _one_step_expectation(config, psi0):
-    """Exact ensemble expectation of every observable after one step."""
-    c = config.constants
-    q, p = position_momentum(config.dim, config.system, c)
-    m = config.system.m
-    h_det = p @ p / (2.0 * m) \
-        + 0.5 * m * config.system.omega_S ** 2 * (q @ q) \
-        + 0.5 * config.qp_hamiltonian * (q @ p + p @ q)
-    a_op = config.alpha * q + 1j * config.beta * p
-    drift = -1j * h_det / c.hbar \
-        - 0.5 * config.D_scalar * (a_op.conj().T @ a_op)
+    """Exact ensemble expectation of every observable after one step.
+
+    Written from (G, a) alone, without the rank-1 factor: the step
+    psi -> M psi - i dW A psi averages to rho -> M rho M^dag
+    + dt sum_jk a_jk F_j rho F_k, with M = I + dt K.
+    """
+    spec = config.spec
+    G, a = spec.generator.G, spec.generator.a
+    F = position_momentum(config.dim, spec.system, spec.constants)
+    pairs = [(j, k) for j in (0, 1) for k in (0, 1)]
+    h_det = 0.5 * sum(G[j, k] * (F[j] @ F[k]) for j, k in pairs)
+    drift = -1j * h_det / spec.constants.hbar \
+        - 0.5 * sum(a[j, k] * (F[k] @ F[j]) for j, k in pairs)
     m_step = np.eye(config.dim) + config.dt * drift
     rho0 = np.outer(psi0, psi0.conj())
-    rho1 = m_step @ rho0 @ m_step.conj().T \
-        + config.dt * config.D_scalar * (a_op @ rho0 @ a_op.conj().T)
+    rho1 = m_step @ rho0 @ m_step.conj().T + config.dt * sum(
+        a[j, k] * (F[j] @ rho0 @ F[k]) for j, k in pairs)
+    q, p = F
     obs = {"norm2": np.eye(config.dim), "q": q, "p": p, "qq": q @ q,
            "pp": p @ p, "qp": 0.5 * (q @ p + p @ q)}
     return {k: float(np.trace(o @ rho1).real) for k, o in obs.items()}, \
         {k: float(np.trace(o @ rho0).real) for k, o in obs.items()}
 
 
-def test_one_step_mean_matches_exact_expectation():
-    config = SSEConfig(system=SYS, alpha=1.0, beta=0.3, D_scalar=0.8,
-                       S_scalar=0.8 * (0.3 + 0.4j), qp_hamiltonian=0.1,
-                       dim=14, dt=0.05, t_span=(0.0, 0.05), store_every=1,
-                       n_traj=20_000, seed=11)
+def _check_one_step(spec, s_frac):
+    config = SSEConfig(spec, dim=14, dt=0.05, t_span=(0.0, 0.05),
+                       store_every=1, n_traj=20_000, seed=11)
+    config = replace(config, S_scalar=s_frac * config.D_scalar)
     psi0 = coherent_state(14, 0.6 + 0.2j)
     result = ensemble_run(config, psi0)
     exact1, exact0 = _one_step_expectation(config, psi0)
@@ -152,12 +166,25 @@ def test_one_step_mean_matches_exact_expectation():
         z = abs(result.means[name][1] - exact1[name]) \
             / max(result.stderr[name][1], 1e-15)
         assert z < 4.0, f"{name}: z = {z:.2f}"
+    return config
+
+
+def test_one_step_mean_matches_exact_expectation():
+    # CCL with D = 0.8 and A = q + 0.3i p
+    config = _check_one_step(_spec("ccl", 0.24, 5.0 / 6.0), 0.3 + 0.4j)
+    assert config.v[1] == pytest.approx(0.3j, rel=1e-12)
+
+
+def test_qp_one_step_mean_matches_exact_expectation():
+    # a = D0 (1, -mu)(1, -mu)^T is larger on p: A = -q / mu + p, D = D0 mu^2
+    config = _check_one_step(_spec("qp", 0.1, 1.0, mu=2.0), -0.5)
+    assert np.array_equal(config.v, [-0.5, 1.0])
+    assert config.D_scalar == pytest.approx(1.6, rel=1e-12)
 
 
 def test_ensemble_is_bit_deterministic():
-    config = SSEConfig(system=SYS, alpha=1.0, beta=0.2, D_scalar=0.5,
-                       dim=8, dt=1e-2, t_span=(0.0, 0.5), store_every=10,
-                       n_traj=600, seed=42)
+    config = SSEConfig(_spec("ccl", 0.0625, 2.0), dim=8, dt=1e-2,
+                       t_span=(0.0, 0.5), store_every=10, n_traj=600, seed=42)
     psi0 = coherent_state(8, 0.4)
     runs = [ensemble_run(config, psi0, threads=th) for th in (1, 4, 1)]
     for other in runs[1:]:
@@ -167,28 +194,37 @@ def test_ensemble_is_bit_deterministic():
         assert np.array_equal(runs[0].alive, other.alive)
 
 
+def test_steps_and_times_use_the_adjusted_step():
+    # dt = 0.03 and dt = 1/33 both take 33 steps of h = 1/33 over (0, 1)
+    runs = [ensemble_run(ccl_sse_config(
+        SYS, 0.05, 2.0, dim=8, dt=dt, t_span=(0.0, 1.0), store_every=11,
+        n_traj=200, seed=4), coherent_state(8, 0.3)) for dt in (0.03, 1 / 33)]
+    assert np.array_equal(runs[0].times, runs[1].times)
+    for name in runs[0].means:
+        assert np.array_equal(runs[0].means[name], runs[1].means[name])
+
+
 def test_means_do_not_depend_on_relation_scalar():
-    common = dict(system=SYS, alpha=1.0, beta=0.125, D_scalar=0.4,
-                  qp_hamiltonian=0.05, dim=12, dt=5e-3, t_span=(0.0, 0.5),
-                  store_every=20, n_traj=2000, seed=13)
+    common = dict(dim=12, dt=5e-3, t_span=(0.0, 0.5), store_every=20,
+                  n_traj=2000, seed=13)
     psi0 = coherent_state(12, 0.3)
-    res0 = ensemble_run(SSEConfig(S_scalar=0.0, **common), psi0)
-    res1 = ensemble_run(SSEConfig(S_scalar=0.4, **common), psi0)
+    res0 = ensemble_run(ccl_sse_config(SYS, 0.05, 2.0, S_scalar=0.0,
+                                       **common), psi0)
+    res1 = ensemble_run(ccl_sse_config(SYS, 0.05, 2.0, S_scalar=0.4,
+                                       **common), psi0)
     for name in ("q", "p", "qq", "pp", "qp", "norm2"):
         gap = np.abs(res0.means[name] - res1.means[name])
         band = 5.0 * (res0.stderr[name] + res1.stderr[name]) + 1e-12
         assert np.all(gap <= band), name
 
 
-def test_ccl_ensemble_tracks_moment_equations():
-    config = ccl_sse_config(SYS, gamma=0.05, T=2.0, dim=25, dt=2e-3,
-                            n_traj=2000, seed=99, t_span=(0.0, 2.0),
-                            store_every=250)
+def _check_tracks_moment_equations(spec):
+    config = SSEConfig(spec, dim=25, dt=2e-3, n_traj=2000, seed=99,
+                       t_span=(0.0, 2.0), store_every=250)
     psi0 = coherent_state(25, alpha_from_moments(SYS, 0.4, 0.0))
     result = ensemble_run(config, psi0, threads=2)
     assert not result.failed_trajectories
 
-    spec = MasterEquationSpec("ccl", SYS, gamma=0.05, T=2.0)
     state0 = GaussianMomentState(0.4, 0.0, 0.5, 0.5, 0.0)
     ode = integrate_moments(spec, state0, (0.0, 2.0), dt=1e-4,
                             store_every=5000)
@@ -205,10 +241,18 @@ def test_ccl_ensemble_tracks_moment_equations():
                   <= 6.0 * table["se_norm2"] + 1e-9)
 
 
+def test_ccl_ensemble_tracks_moment_equations():
+    _check_tracks_moment_equations(_spec("ccl", 0.05, 2.0))
+
+
+@pytest.mark.parametrize("variant, mu", [("jz", None), ("qp", 0.3)])
+def test_rank_one_ensembles_track_moment_equations(variant, mu):
+    _check_tracks_moment_equations(_spec(variant, 0.05, 2.0, mu=mu))
+
+
 def test_tiny_ensemble_matches_average_of_single_trajectories():
-    config = SSEConfig(system=SYS, alpha=1.0, beta=0.1, D_scalar=0.3,
-                       dim=8, dt=1e-2, t_span=(0.0, 0.3), store_every=10,
-                       n_traj=3, seed=21)
+    config = SSEConfig(_spec("jz", 0.0375, 2.0), dim=8, dt=1e-2,
+                       t_span=(0.0, 0.3), store_every=10, n_traj=3, seed=21)
     psi0 = coherent_state(8, 0.2)
     with pytest.warns(EnsembleHealthWarning, match="error bars"):
         result = ensemble_run(config, psi0)
@@ -223,9 +267,9 @@ def test_tiny_ensemble_matches_average_of_single_trajectories():
 
 
 def test_diverging_trajectories_raise_numerical_failure():
-    config = SSEConfig(system=SYS, alpha=1.0, beta=0.0, D_scalar=50.0,
-                       dim=10, dt=0.5, t_span=(0.0, 50.0), store_every=100,
-                       n_traj=1, seed=2)
+    # JZ with D = 4 m gamma kB T = 50: A = q
+    config = SSEConfig(_spec("jz", 12.5, 1.0), dim=10, dt=0.5,
+                       t_span=(0.0, 50.0), store_every=100, n_traj=1, seed=2)
     psi0 = coherent_state(10, 1.0)
     with pytest.warns(EnsembleHealthWarning):
         with pytest.raises(NumericalFailure, match="diverged"):
@@ -236,16 +280,15 @@ def test_diverging_trajectories_raise_numerical_failure():
 
 
 def test_small_ensembles_warn():
-    config = SSEConfig(system=SYS, alpha=1.0, beta=0.1, D_scalar=0.1,
-                       dim=6, dt=1e-2, t_span=(0.0, 0.1), store_every=10,
-                       n_traj=5, seed=3)
+    config = SSEConfig(_spec("ccl", 0.0125, 2.0), dim=6, dt=1e-2,
+                       t_span=(0.0, 0.1), store_every=10, n_traj=5, seed=3)
     with pytest.warns(EnsembleHealthWarning, match="trajectories"):
         ensemble_run(config, coherent_state(6, 0.1))
 
 
 def test_psi0_validation():
-    config = SSEConfig(system=SYS, alpha=1.0, beta=0.1, D_scalar=0.1,
-                       dim=6, dt=1e-2, t_span=(0.0, 0.1), n_traj=200, seed=3)
+    config = SSEConfig(_spec("ccl", 0.0125, 2.0), dim=6, dt=1e-2,
+                       t_span=(0.0, 0.1), n_traj=200, seed=3)
     with pytest.raises(ValueError, match="length dim"):
         ensemble_run(config, np.ones(5, dtype=complex))
     with pytest.raises(ValueError, match="normalized"):
@@ -253,9 +296,8 @@ def test_psi0_validation():
 
 
 def test_moment_table_layout_and_trajectory_dump():
-    config = SSEConfig(system=SYS, alpha=1.0, beta=0.1, D_scalar=0.2,
-                       dim=8, dt=1e-2, t_span=(0.0, 0.25), store_every=5,
-                       n_traj=120, seed=8)
+    config = SSEConfig(_spec("ccl", 0.025, 2.0), dim=8, dt=1e-2,
+                       t_span=(0.0, 0.25), store_every=5, n_traj=120, seed=8)
     result = ensemble_run(config, coherent_state(8, 0.3))
     table = result.moment_table()
     assert set(table) == {
