@@ -55,7 +55,7 @@ def _rank_at_most_one(lam, det, norm, tol):
     return (lam >= -tol * scale) & (np.abs(det) <= tol * scale ** 2)
 
 
-def rank_one_factor(a, tol=_DEFAULT_CP_TOL):
+def rank_one_factor(a):
     """(D, v) with a = D v v^dag, v normalized on a's larger diagonal entry.
 
     Raises ValueError unless the Hermitian 2x2 matrix a is positive
@@ -64,7 +64,7 @@ def rank_one_factor(a, tol=_DEFAULT_CP_TOL):
     """
     a = np.asarray(a, dtype=complex)
     lam, det, norm = _closed_form(a)
-    if not _rank_at_most_one(lam, det, norm, tol):
+    if not _rank_at_most_one(lam, det, norm, _DEFAULT_CP_TOL):
         raise ValueError("Kossakowski matrix is not positive semidefinite "
                          f"of rank <= 1 (lambda_min = {lam:.6e}, "
                          f"det = {det:.6e})")
@@ -74,6 +74,13 @@ def rank_one_factor(a, tol=_DEFAULT_CP_TOL):
         return 0.0, np.eye(2, dtype=complex)[k]
     # divide the parts apart: complex division can round v_k off 1
     return d, a[:, k].real / d + 1j * (a[:, k].imag / d)
+
+
+def check_noise_realizable(d, s):
+    """Raise ValueError unless E[dW conj(dW)] = d dt, E[dW dW] = s dt exist."""
+    if abs(s) > d * (1.0 + _DEFAULT_CP_TOL):
+        raise ValueError(f"|S_scalar| = {abs(s):g} must be <= the noise "
+                         f"rate D = {d:g}")
 
 
 @dataclass(frozen=True)

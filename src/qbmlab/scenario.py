@@ -26,7 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .bath import CutoffKind, PhysicalConstants
 from .coefficients import MAX_CHEAP_ORDER
 from .dynamics import MasterEquationSpec, SystemSpec, Variant
-from .positivity import rank_one_factor
+from .positivity import check_noise_realizable, rank_one_factor
 
 _VALID_OUTPUTS = ("kernel", "coefficients", "audit", "moments", "ensemble")
 _STATE_KINDS = ("coherent", "squeezed", "thermal", "gaussian")
@@ -340,9 +340,11 @@ def _unraveling_rules(sc, errors):
                       f"linear unraveling: {exc}")
         return
     s = (sto or {}).get("S_scalar")
-    if s is not None and abs(s) > d * (1.0 + 1e-12):
-        errors.append(f"stochastic.S_scalar: |S_scalar| = {abs(s):g} must be "
-                      f"<= the noise rate D = {d:g}")
+    if s is not None:
+        try:
+            check_noise_realizable(d, s)
+        except ValueError as exc:
+            errors.append(f"stochastic.S_scalar: {exc}")
 
 
 def parse_scenario(path, strict=True):

@@ -33,7 +33,7 @@ import numpy as np
 from .bath import PhysicalConstants
 from .dynamics import MasterEquationSpec, NumericalFailure
 from .fock import lindblad_operators
-from .positivity import rank_one_factor
+from .positivity import check_noise_realizable, rank_one_factor
 
 _CHUNK = 512  # trajectories per batch; fixed so results never depend on threading
 _STEP_BLOCK = 512  # time steps per noise-draw block
@@ -183,15 +183,14 @@ class SSEConfig:
     t_span: tuple[float, float] = (0.0, 10.0)
     S_scalar: complex = 0.0
     store_every: int = 100
-    D_scalar: float = field(init=False, repr=False)
-    v: np.ndarray = field(init=False, repr=False)
+    D_scalar: float = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.spec.generator.grid is not None:
             raise ValueError("cannot unravel a tabulated generator")
         self.D_scalar, self.v = rank_one_factor(self.spec.generator.a)
-        if abs(self.S_scalar) > self.D_scalar * (1.0 + 1e-12):
-            raise ValueError("need |S_scalar| <= D_scalar for realizable noise")
+        check_noise_realizable(self.D_scalar, self.S_scalar)
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         if self.dt <= 0.0:
@@ -209,7 +208,7 @@ class SSEConfig:
 
 def ccl_sse_config(system, gamma, T, *, constants=PhysicalConstants(),
                    **run):
-    """SSEConfig of the corrected-CL generator; `run` holds its other fields."""
+    """SSEConfig of the corrected-CL generator; `run` sets its other fields."""
     return SSEConfig(MasterEquationSpec("ccl", system, constants=constants,
                                         gamma=gamma, T=T), **run)
 
@@ -256,9 +255,9 @@ def _measure(obs_mats, psi):
     return out
 
 
-def _run_chunk(config, psi0, indices, ops, n_steps, nodes):
+def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
+               n_steps, nodes):
     """Propagate one batch of trajectories; return accumulators."""
-    step, a_op, obs_mats, root = ops
     k = indices.size
     psi = np.tile(psi0[:, None], (1, k)).astype(complex)
     gens = [np.random.default_rng([int(config.seed), int(i)])
@@ -360,14 +359,16 @@ def ensemble_run(config, psi0, threads=1):
             EnsembleHealthWarning, stacklevel=2)
 
     n_steps, h, nodes = _store_nodes(config)
-    ops = _build_operators(config, h)
-    times = config.t_span[0] + h * nodes
+    step, a_op, obs_mats, root = _build_operators(config, h)
+    t0 = config.t_span[0]
+    times = t0 + h * nodes
 
     chunks = [np.arange(lo, min(lo + _CHUNK, config.n_traj))
               for lo in range(0, config.n_traj, _CHUNK)]
 
     def work(idx_chunk):
-        return _run_chunk(config, psi0, idx_chunk, ops, n_steps, nodes)
+        return _run_chunk(config, psi0, idx_chunk, step, a_op, obs_mats,
+                          root, n_steps, nodes)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -375,8 +376,16 @@ def ensemble_run(config, psi0, threads=1):
     else:
         results = [work(ch) for ch in chunks]
 
-    sums, sumsqs, alive = (sum(r[i] for r in results) for i in range(3))
-    failed = [j for r in results for j in r[3]]
+    n_nodes = nodes.size
+    sums = np.zeros((n_nodes, len(_OBS_NAMES)))
+    sumsqs = np.zeros_like(sums)
+    alive = np.zeros(n_nodes, dtype=np.int64)
+    failed = []
+    for s_, sq_, al_, fl_ in results:
+        sums += s_
+        sumsqs += sq_
+        alive += al_
+        failed.extend(fl_)
 
     if len(failed) > 0.01 * config.n_traj:
         raise NumericalFailure(
@@ -412,10 +421,12 @@ def sse_trajectory(config, psi0, traj_index=0):
     """Observable history of a single trajectory (by its ensemble index)."""
     psi0 = np.asarray(psi0, dtype=complex)
     n_steps, h, nodes = _store_nodes(config)
+    step, a_op, obs_mats, root = _build_operators(config, h)
     sums, _, alive_counts, failed = _run_chunk(
-        config, psi0, np.array([traj_index]), _build_operators(config, h),
+        config, psi0, np.array([traj_index]), step, a_op, obs_mats, root,
         n_steps, nodes)
     # with a single trajectory the sums are the raw observables
-    sums[alive_counts == 0] = np.nan
+    obs = sums
+    obs[alive_counts == 0] = np.nan
     return TrajectoryPath(times=config.t_span[0] + h * nodes,
-                          observables=sums, aborted=bool(failed))
+                          observables=obs, aborted=bool(failed))

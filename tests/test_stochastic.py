@@ -127,6 +127,14 @@ def test_ccl_config_prefactors():
                        n_traj=100, seed=5)
 
 
+def test_configs_compare_by_their_settable_fields():
+    # D_scalar and v derive from spec, so == must not compare the array v
+    cfg = ccl_sse_config(SYS, gamma=0.05, T=2.0, dim=10, dt=1e-2,
+                         n_traj=100, seed=5)
+    assert cfg == replace(cfg)
+    assert cfg != replace(cfg, seed=6)
+
+
 # ------------------------------------------------------------- the engine
 
 def _one_step_expectation(config, psi0):
