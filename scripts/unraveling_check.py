@@ -11,6 +11,7 @@ Usage: python3 scripts/unraveling_check.py [--n-traj N] [--dim D]
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,18 +48,13 @@ def main():
             ("s_qq", ode.sigma_qq), ("s_pp", ode.sigma_pp),
             ("s_qp", ode.sigma_qp))
 
+    base = ccl_sse_config(
+        system, GAMMA, T_BATH, dim=args.dim, dt=args.dt, n_traj=args.n_traj,
+        seed=args.seed, t_span=(0.0, args.t_max),
+        store_every=args.store_every)
     worst_overall = 0.0
     for label, s_frac in (("S = 0", 0.0), ("S = D/2", 0.5)):
-        config = ccl_sse_config(
-            system, GAMMA, T_BATH, dim=args.dim, dt=args.dt,
-            n_traj=args.n_traj, seed=args.seed,
-            t_span=(0.0, args.t_max), store_every=args.store_every)
-        if s_frac:
-            config = ccl_sse_config(
-                system, GAMMA, T_BATH, dim=args.dim, dt=args.dt,
-                n_traj=args.n_traj, seed=args.seed,
-                t_span=(0.0, args.t_max), S_scalar=s_frac * config.D_scalar,
-                store_every=args.store_every)
+        config = replace(base, S_scalar=s_frac * base.D_scalar)
         t0 = time.perf_counter()
         result = ensemble_run(config, psi0, threads=args.threads)
         walltime = time.perf_counter() - t0

@@ -428,6 +428,15 @@ def _checked_grid(grid, noun="kernel grid", var="tau"):
     return grid
 
 
+def interp_table(grid, t, columns):
+    """Columns sampled on `grid`, linearly interpolated at times t."""
+    t = np.asarray(t, dtype=float)
+    span = float(grid[-1])
+    if np.any(t < -1e-15) or np.any(t > span * (1.0 + 1e-12) + 1e-15):
+        raise ValueError(f"t outside tabulated range [0, {span:g}]")
+    return [np.interp(t, grid, col) for col in columns]
+
+
 @dataclass
 class CorrelationKernel:
     """Correlation function tabulated on a uniform grid of tau >= 0.
@@ -509,21 +518,13 @@ class CorrelationKernel:
         """Complex samples on the stored grid."""
         return self.re_values + 1j * self.im_values
 
-    def _check_range(self, abs_tau):
-        if np.any(abs_tau > self.span * (1.0 + 1e-12) + 1e-15):
-            raise ValueError(
-                f"tau beyond tabulated range [0, {self.span:g}]")
-
     def re_at(self, tau):
-        tau = np.abs(np.asarray(tau, dtype=float))
-        self._check_range(tau)
-        out = np.interp(tau, self.grid, self.re_values)
+        (out,) = interp_table(self.grid, np.abs(tau), [self.re_values])
         return float(out) if out.ndim == 0 else out
 
     def im_at(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        self._check_range(np.abs(tau))
-        out = np.sign(tau) * np.interp(np.abs(tau), self.grid, self.im_values)
+        (out,) = interp_table(self.grid, np.abs(tau), [self.im_values])
+        out = np.sign(tau) * out
         return float(out) if out.ndim == 0 else out
 
     def at(self, tau):

@@ -35,7 +35,6 @@ from .dynamics import (
     GaussianMomentState,
     MasterEquationSpec,
     NumericalFailure,
-    SystemSpec,
     ground_state_moments,
     integrate_moments,
     squeezed_state_moments,
@@ -84,9 +83,7 @@ def _safe_stem(name):
 
 
 def _initial_moments(scenario):
-    state = scenario.state
-    system = SystemSpec(m=scenario.system.m, omega_S=scenario.system.omega_S)
-    c = scenario.units
+    state, system, c = scenario.state, scenario.system, scenario.units
     if state.kind == "coherent":
         return ground_state_moments(system, c, state.mean_q, state.mean_p)
     if state.kind == "squeezed":
@@ -104,8 +101,7 @@ def _initial_moments(scenario):
 
 def _initial_fock_state(scenario, dim):
     state = scenario.state
-    system = SystemSpec(m=scenario.system.m, omega_S=scenario.system.omega_S)
-    alpha = alpha_from_moments(system, state.mean_q, state.mean_p,
+    alpha = alpha_from_moments(scenario.system, state.mean_q, state.mean_p,
                                scenario.units)
     if state.kind == "squeezed":
         return squeezed_state(dim, state.r, alpha)
@@ -113,8 +109,7 @@ def _initial_fock_state(scenario, dim):
 
 
 def _equation_spec(scenario, coefficients):
-    system = SystemSpec(m=scenario.system.m, omega_S=scenario.system.omega_S)
-    return MasterEquationSpec(scenario.equation.variant, system,
+    return MasterEquationSpec(scenario.equation.variant, scenario.system,
                               constants=scenario.units,
                               gamma=scenario.bath.gamma, T=scenario.bath.T,
                               mu=scenario.equation.mu,
@@ -149,6 +144,8 @@ def _coefficient_pipeline(scenario):
 
 def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
     """Execute every requested pipeline; return the manifest."""
+    if seed_override is not None and not 0 <= seed_override < 2 ** 64:
+        raise ValueError("--seed: must fit in an unsigned 64-bit integer")
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     stem = _safe_stem(scenario.name)

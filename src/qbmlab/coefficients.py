@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .bath import CorrelationKernel, _checked_grid
+from .bath import CorrelationKernel, _checked_grid, interp_table
 
 MAX_CHEAP_ORDER = 3  # each extra order costs another O(N^3) sweep
 _ROW_BLOCK = 128  # table rows per block of weighted products
@@ -158,15 +158,6 @@ def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
     if not np.all(np.isfinite(total)):
         raise NumericalFailure(f"order-{order} dressed kernel is not finite")
     return DressedKernel(base=base, order=int(order), grid=grid, table=total)
-
-
-def interp_table(grid, t, columns):
-    """Columns sampled on `grid`, linearly interpolated at times t."""
-    t = np.asarray(t, dtype=float)
-    span = float(grid[-1])
-    if np.any(t < -1e-15) or np.any(t > span * (1.0 + 1e-12) + 1e-15):
-        raise ValueError(f"t outside tabulated range [0, {span:g}]")
-    return [np.interp(t, grid, col) for col in columns]
 
 
 @dataclass

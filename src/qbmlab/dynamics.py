@@ -29,8 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bath import PhysicalConstants
-from .coefficients import HPZCoefficients, NumericalFailure, interp_table
+from .bath import PhysicalConstants, interp_table
+from .coefficients import HPZCoefficients, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -241,6 +241,26 @@ def moment_rhs(spec, state, t=0.0):
         w[:5] @ np.append(state.as_array(), 1.0))
 
 
+def step_plan(t_span, dt, store_every):
+    """How every propagator cuts `t_span` into steps.
+
+    Returns (t0, h, n_steps, stored): n_steps, the integer nearest to
+    span / dt but at least 1, steps of h = span / n_steps, which land
+    exactly on t1, and the indices i of the states kept, every
+    `store_every`-th plus the last, at times t0 + h * stored.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError("t_span must satisfy t1 > t0")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if store_every < 1:
+        raise ValueError("store_every must be >= 1")
+    n_steps = max(1, int(round((t1 - t0) / dt)))
+    stored = np.append(np.arange(0, n_steps, store_every), n_steps)
+    return t0, (t1 - t0) / n_steps, n_steps, stored
+
+
 def rk4_stage_times(t0, h, lo, hi):
     """Stage times (t, t + h/2, t + h) of RK4 steps lo..hi-1, t = t0 + i h."""
     t = t0 + np.arange(lo, hi) * h
@@ -300,31 +320,21 @@ class MomentTrajectory:
 def integrate_moments(spec, state0, t_span, dt, store_every=1):
     """Propagate moments with fixed-step RK4, one affine map per step.
 
-    dt is adjusted (at most fractionally) so an integer number of steps
-    lands exactly on t_span[1]; outputs are every `store_every` steps
-    plus the final point.  Non-finite values abort with
-    NumericalFailure.
+    The steps and the stored states follow `step_plan`: dt is adjusted
+    (at most fractionally) so an integer number of steps lands exactly
+    on t_span[1], and outputs are every `store_every` steps plus the
+    final point.  Non-finite values abort with NumericalFailure.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("t_span must satisfy t1 > t0")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if store_every < 1:
-        raise ValueError("store_every must be >= 1")
+    t0, h, n_steps, stored = step_plan(t_span, dt, store_every)
     if state0.sigma_qq <= 0.0 or state0.sigma_pp <= 0.0:
         raise ValueError("initial variances must be positive")
     if rs_uncertainty(state0, spec.constants) < -1e-12 * spec.constants.hbar ** 2:
         warnings.warn("initial state violates the uncertainty relation",
                       UserWarning, stacklevel=2)
 
-    span = t1 - t0
-    n_steps = max(1, int(round(span / dt)))
-    h = span / n_steps
-
     gen = spec.generator
     z = np.append(state0.as_array(), 1.0)
-    times = [t0]
+    keep = set(stored.tolist())
     rows = [z[:5]]
     i = 0
     for lo in range(0, n_steps, _MAP_BLOCK):
@@ -338,9 +348,8 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
             if (i % 64 == 0 or i == n_steps) and not np.all(np.isfinite(z)):
                 raise NumericalFailure(
                     f"non-finite moments at t = {t0 + i * h:.6g}")
-            if i % store_every == 0 or i == n_steps:
-                times.append(t0 + i * h)
+            if i in keep:
                 rows.append(z[:5])
 
-    return MomentTrajectory(times=np.array(times), data=np.array(rows),
+    return MomentTrajectory(times=t0 + h * stored, data=np.array(rows),
                             system=spec.system, constants=spec.constants)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .bath import PhysicalConstants
-from .dynamics import GaussianMomentState, rk4_stage_times
+from .dynamics import GaussianMomentState, rk4_stage_times, step_plan
 
 _LEAK_THRESHOLD = 1e-6  # combined population of the top two levels
 _TRACE_RATE = 1e-8  # allowed trace drift per unit time
@@ -154,37 +154,41 @@ class FockTrajectory:
 
 
 def fock_propagate(spec, rho0, t_span, dt, store_every=1):
-    """RK4 integration of the density matrix; monitors trace and leakage."""
+    """RK4 integration of the density matrix; monitors trace and leakage.
+
+    The steps and the stored states follow `dynamics.step_plan`, as for
+    the moment ODE, so both histories share their time nodes.
+    """
     rho = np.array(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("rho0 must be a square matrix")
     dim = rho.shape[0]
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("t_span must satisfy t1 > t0")
-    span = t1 - t0
-    n_steps = max(1, int(round(span / dt)))
-    h = span / n_steps
+    t0, h, n_steps, stored = step_plan(t_span, dt, store_every)
+    times = t0 + h * stored
 
     (q, p), operators = lindblad_operators(spec, dim)
     # the table is looked up at every stage time in one pass
     G, a = spec.generator.at(rk4_stage_times(t0, h, 0, n_steps))
     tabulated = spec.generator.grid is not None
 
-    def observe(rho_now, t_now, first_leak):
-        st = moments_from_density(rho_now, q, p)
-        tr = float(np.trace(rho_now).real)
+    rows, traces, tops = [], [], []
+    first_leak = None
+
+    def observe(rho_now):
+        nonlocal first_leak
+        t_now = float(times[len(rows)])
+        rows.append(moments_from_density(rho_now, q, p).as_array())
+        traces.append(float(np.trace(rho_now).real))
         top = float(rho_now[-1, -1].real + rho_now[-2, -2].real)
+        tops.append(top)
         if top > _LEAK_THRESHOLD and first_leak is None:
             warnings.warn(
                 f"truncation leakage {top:.3e} at t = {t_now:.6g} "
                 f"(dim = {dim})", TruncationWarning, stacklevel=3)
             first_leak = t_now
-        return st.as_array(), tr, top, first_leak
 
-    first_leak = None
-    row, tr, top, first_leak = observe(rho, t0, first_leak)
-    times, rows, traces, tops = [t0], [row], [tr], [top]
+    observe(rho)
+    keep = set(stored.tolist())
     for i in range(n_steps):
         if i == 0 or tabulated:  # constant operators are built once
             o1, o2, o4 = (operators(G[i, s], a[i, s]) for s in range(3))
@@ -193,21 +197,17 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
         k3 = _lindblad_rhs(rho + 0.5 * h * k2, o2)
         k4 = _lindblad_rhs(rho + h * k3, o4)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (i + 1) % store_every == 0 or i == n_steps - 1:
-            row, tr, top, first_leak = observe(rho, t0 + (i + 1) * h,
-                                               first_leak)
-            times.append(t0 + (i + 1) * h)
-            rows.append(row)
-            traces.append(tr)
-            tops.append(top)
+        if i + 1 in keep:
+            observe(rho)
 
     traces = np.array(traces)
     drift = np.max(np.abs(traces - traces[0]))
+    span = n_steps * h
     if drift > _TRACE_RATE * max(1.0, span):
         warnings.warn(
             f"trace drifted by {drift:.3e} over span {span:g}",
             TraceDriftWarning, stacklevel=2)
 
-    return FockTrajectory(times=np.array(times), data=np.array(rows),
+    return FockTrajectory(times=times, data=np.array(rows),
                           trace=traces, top_population=np.array(tops),
                           rho_final=rho, first_leak_time=first_leak)

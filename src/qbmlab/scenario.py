@@ -128,7 +128,7 @@ class Scenario:
     name: str = key("string", None)  # None: the file stem
     units: PhysicalConstants = key(_Units, PhysicalConstants(),
                                    make=PhysicalConstants)
-    system: SystemBlock = key(SystemBlock)
+    system: SystemSpec = key(SystemBlock, make=SystemSpec)
     bath: BathBlock = key(BathBlock)
     state: StateBlock = key(StateBlock, StateBlock())
     equation: EquationBlock = key(EquationBlock)

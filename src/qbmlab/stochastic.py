@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import PhysicalConstants
-from .dynamics import MasterEquationSpec, NumericalFailure
+from .dynamics import MasterEquationSpec, NumericalFailure, step_plan
 from .fock import lindblad_operators
 from .positivity import check_noise_realizable, rank_one_factor
 
@@ -193,15 +193,9 @@ class SSEConfig:
         check_noise_realizable(self.D_scalar, self.S_scalar)
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        step_plan(self.t_span, self.dt, self.store_every)
         if self.n_traj < 1:
             raise ValueError("n_traj must be at least 1")
-        if self.store_every < 1:
-            raise ValueError("store_every must be >= 1")
-        t0, t1 = self.t_span
-        if not t1 > t0:
-            raise ValueError("t_span must satisfy t1 > t0")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -235,16 +229,6 @@ def _build_operators(config, h):
     return step, a_op, obs, evecs * np.sqrt(np.clip(evals, 0.0, None))
 
 
-def _store_nodes(config):
-    t0, t1 = config.t_span
-    n_steps = max(1, int(round((t1 - t0) / config.dt)))
-    h = (t1 - t0) / n_steps
-    nodes = list(range(0, n_steps + 1, config.store_every))
-    if nodes[-1] != n_steps:
-        nodes.append(n_steps)
-    return n_steps, h, np.array(nodes)
-
-
 def _measure(obs_mats, psi):
     """Quadratic forms psi^dag O psi for every observable, per column."""
     out = np.empty((len(_OBS_NAMES), psi.shape[1]))
@@ -256,21 +240,18 @@ def _measure(obs_mats, psi):
 
 
 def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
-               n_steps, nodes):
+               n_steps, stored):
     """Propagate one batch of trajectories; return accumulators."""
     k = indices.size
     psi = np.tile(psi0[:, None], (1, k)).astype(complex)
     gens = [np.random.default_rng([int(config.seed), int(i)])
             for i in indices]
 
-    n_nodes = nodes.size
-    sums = np.zeros((n_nodes, len(_OBS_NAMES)))
+    sums = np.zeros((stored.size, len(_OBS_NAMES)))
     sumsqs = np.zeros_like(sums)
-    alive_counts = np.zeros(n_nodes, dtype=np.int64)
+    alive_counts = np.zeros(stored.size, dtype=np.int64)
     alive = np.ones(k, dtype=bool)
     failed = []
-
-    node_pos = 0
 
     def record(node_idx):
         vals = _measure(obs_mats, psi)
@@ -285,8 +266,9 @@ def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
         sumsqs[node_idx] += (vals[:, alive] ** 2).sum(axis=1)
         alive_counts[node_idx] += int(alive.sum())
 
-    record(node_pos)
-    node_pos += 1
+    keep = stored.tolist()  # plain ints: cheap to compare every step
+    record(0)
+    node_pos = 1
     step_done = 0
     while step_done < n_steps:
         blk = min(_STEP_BLOCK, n_steps - step_done)
@@ -296,7 +278,7 @@ def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
         for b in range(blk):
             psi = step @ psi + (a_op @ psi) * (-1j * dw[:, b])[None, :]
             step_done += 1
-            if node_pos < nodes.size and step_done == nodes[node_pos]:
+            if step_done == keep[node_pos]:
                 record(node_pos)
                 node_pos += 1
     return sums, sumsqs, alive_counts, failed
@@ -358,17 +340,16 @@ def ensemble_run(config, psi0, threads=1):
             f"only {config.n_traj} trajectories; error bars are unreliable",
             EnsembleHealthWarning, stacklevel=2)
 
-    n_steps, h, nodes = _store_nodes(config)
+    t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
+                                       config.store_every)
     step, a_op, obs_mats, root = _build_operators(config, h)
-    t0 = config.t_span[0]
-    times = t0 + h * nodes
 
     chunks = [np.arange(lo, min(lo + _CHUNK, config.n_traj))
               for lo in range(0, config.n_traj, _CHUNK)]
 
     def work(idx_chunk):
         return _run_chunk(config, psi0, idx_chunk, step, a_op, obs_mats,
-                          root, n_steps, nodes)
+                          root, n_steps, stored)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -376,10 +357,9 @@ def ensemble_run(config, psi0, threads=1):
     else:
         results = [work(ch) for ch in chunks]
 
-    n_nodes = nodes.size
-    sums = np.zeros((n_nodes, len(_OBS_NAMES)))
+    sums = np.zeros((stored.size, len(_OBS_NAMES)))
     sumsqs = np.zeros_like(sums)
-    alive = np.zeros(n_nodes, dtype=np.int64)
+    alive = np.zeros(stored.size, dtype=np.int64)
     failed = []
     for s_, sq_, al_, fl_ in results:
         sums += s_
@@ -405,7 +385,7 @@ def ensemble_run(config, psi0, threads=1):
         means[name] = mean
         stderr[name] = np.sqrt(var / counts)
 
-    return EnsembleResult(times=times, means=means, stderr=stderr,
+    return EnsembleResult(times=t0 + h * stored, means=means, stderr=stderr,
                           alive=alive, n_traj=config.n_traj,
                           seed=config.seed, failed_trajectories=sorted(failed))
 
@@ -420,13 +400,14 @@ class TrajectoryPath:
 def sse_trajectory(config, psi0, traj_index=0):
     """Observable history of a single trajectory (by its ensemble index)."""
     psi0 = np.asarray(psi0, dtype=complex)
-    n_steps, h, nodes = _store_nodes(config)
+    t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
+                                       config.store_every)
     step, a_op, obs_mats, root = _build_operators(config, h)
     sums, _, alive_counts, failed = _run_chunk(
         config, psi0, np.array([traj_index]), step, a_op, obs_mats, root,
-        n_steps, nodes)
+        n_steps, stored)
     # with a single trajectory the sums are the raw observables
     obs = sums
     obs[alive_counts == 0] = np.nan
-    return TrajectoryPath(times=config.t_span[0] + h * nodes,
+    return TrajectoryPath(times=t0 + h * stored,
                           observables=obs, aborted=bool(failed))

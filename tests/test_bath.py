@@ -275,7 +275,7 @@ def test_kernel_grid_validation():
     with pytest.raises(ValueError, match="shape"):
         CorrelationKernel.from_samples(good, np.ones(10), np.zeros(11))
     k = CorrelationKernel.from_samples(good, vals, np.zeros(11))
-    with pytest.raises(ValueError, match="beyond tabulated range"):
+    with pytest.raises(ValueError, match="outside tabulated range"):
         k.at(1.5)
 
 

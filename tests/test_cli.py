@@ -449,6 +449,20 @@ def test_cli_ensemble_pipeline(tmp_path):
     assert not np.array_equal(ens2["s_pp"], ens["s_pp"])
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_out_of_range_seed_fails_before_any_work(tmp_path, capsys, seed):
+    payload = {**ENSEMBLE, "equation": {"variant": "ccl"},
+               "run": {**ENSEMBLE["run"], "outputs": ["moments", "ensemble"]}}
+    path = _write(tmp_path, payload, "seeded.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--scenario", str(path), "--out", str(out),
+                 "--seed", str(seed)]) == 2
+    assert not list(out.iterdir())
+    assert "--seed: must fit in an unsigned 64-bit integer" \
+        in capsys.readouterr().err
+
+
 def test_cli_runs_are_byte_deterministic(tmp_path):
     payload = {**MINIMAL_JZ, "name": "det",
                "run": {"t_span": [0.0, 0.5], "dt": 0.01, "store_every": 5,

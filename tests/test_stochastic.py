@@ -14,7 +14,12 @@ from qbmlab.dynamics import (
     SystemSpec,
     integrate_moments,
 )
-from qbmlab.fock import alpha_from_moments, coherent_state, position_momentum
+from qbmlab.fock import (
+    alpha_from_moments,
+    coherent_state,
+    fock_propagate,
+    position_momentum,
+)
 from qbmlab.stochastic import (
     EnsembleHealthWarning,
     NoiseFactorizationError,
@@ -210,6 +215,53 @@ def test_steps_and_times_use_the_adjusted_step():
     assert np.array_equal(runs[0].times, runs[1].times)
     for name in runs[0].means:
         assert np.array_equal(runs[0].means[name], runs[1].means[name])
+
+
+def _step_plan_runs():
+    """Stored times of the moment ODE, the Fock oracle and the unraveling
+    of one CCL generator, as functions of (t_span, dt, store_every)."""
+    spec = _spec("ccl", 0.05, 2.0)
+    psi0 = coherent_state(12, 0.3)
+    state0 = GaussianMomentState(0.0, 0.0, 0.5, 0.5, 0.0)  # ground state
+
+    def sse(t_span, dt, store_every):
+        config = SSEConfig(spec, dim=12, dt=dt, n_traj=1, seed=1,
+                           t_span=t_span, store_every=store_every)
+        with pytest.warns(EnsembleHealthWarning):
+            return ensemble_run(config, psi0).times
+
+    return [lambda *plan: integrate_moments(spec, state0, *plan).times,
+            lambda *plan: fock_propagate(
+                spec, np.outer(psi0, psi0.conj()), *plan).times,
+            sse]
+
+
+@pytest.mark.parametrize("t_span, dt, store_every, message", [
+    ((1.0, 1.0), 1e-3, 1, "t_span must satisfy t1 > t0"),
+    ((1.0, 0.5), 1e-3, 1, "t_span must satisfy t1 > t0"),
+    ((0.0, 1.0), 0.0, 1, "dt must be positive"),
+    ((0.0, 1.0), -0.1, 1, "dt must be positive"),
+    ((0.0, 1.0), float("nan"), 1, "dt must be positive"),
+    ((0.0, 1.0), 1e-3, 0, "store_every must be >= 1"),
+])
+def test_propagators_reject_the_same_step_plans(t_span, dt, store_every,
+                                                message):
+    for run in _step_plan_runs():
+        with pytest.raises(ValueError) as exc:
+            run(t_span, dt, store_every)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("t_span, dt, store_every, expected", [
+    ((0.0, 0.9), 1e-3, 400, [0.0, 0.4, 0.8, 0.9]),  # dt does not divide
+    ((0.0, 0.05), 0.2, 1, [0.0, 0.05]),  # dt larger than the span
+    ((0.5, 1.5), 0.1, 50, [0.5, 1.5]),  # store_every > n_steps
+])
+def test_propagators_store_the_same_times(t_span, dt, store_every, expected):
+    times = [run(t_span, dt, store_every) for run in _step_plan_runs()]
+    assert np.allclose(times[0], expected, rtol=0.0, atol=1e-12)
+    for other in times[1:]:
+        assert np.array_equal(other, times[0])
 
 
 def test_means_do_not_depend_on_relation_scalar():
