@@ -510,10 +510,6 @@ class CorrelationKernel:
         return float(self.grid[1] - self.grid[0])
 
     @property
-    def span(self):
-        return float(self.grid[-1])
-
-    @property
     def values(self):
         """Complex samples on the stored grid."""
         return self.re_values + 1j * self.im_values
@@ -531,8 +527,6 @@ class CorrelationKernel:
         tau = np.asarray(tau, dtype=float)
         out = self.re_at(tau) + 1j * self.im_at(tau)
         return complex(out) if np.ndim(out) == 0 else out
-
-    __call__ = at
 
     def scaled(self, factor):
         """Kernel with all values multiplied by `factor`.

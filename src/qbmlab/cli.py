@@ -40,7 +40,9 @@ from .dynamics import (
     squeezed_state_moments,
 )
 from .fock import alpha_from_moments, coherent_state, squeezed_state
-from .positivity import assemble_constant_matrix, audit_cp
+# assemble_constant_matrix is not called here; it stays importable
+# because bench/spans.py wraps cli.assemble_constant_matrix by name
+from .positivity import assemble_constant_matrix, audit_cp  # noqa: F401
 from .scenario import (
     ScenarioError,
     needs_kernel,
@@ -179,13 +181,7 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
             emit_csv("moments", io.moment_table(trajectory, meta))
 
         if "audit" in outputs:
-            if scenario.equation.variant == "hpz":
-                report = audit_cp(spec.generator)
-            else:
-                report = audit_cp(assemble_constant_matrix(
-                    scenario.equation.variant, m=scenario.system.m,
-                    gamma=scenario.bath.gamma, T=scenario.bath.T,
-                    mu=scenario.equation.mu, constants=scenario.units))
+            report = audit_cp(spec.generator)
             if report.verdict == "NotCP":
                 at = report.first_violation_time
                 warnings.warn("CP audit verdict: NotCP (first violation at "

@@ -180,10 +180,6 @@ class HPZCoefficients:
                 raise ValueError(f"{name} must be finite")
             setattr(self, name, arr)
 
-    @property
-    def span(self):
-        return float(self.grid[-1])
-
     def at(self, t):
         """(Gamma, Theta, Xi, Upsilon) at time t by linear interpolation."""
         out = interp_table(self.grid, t, (self.Gamma, self.Theta, self.Xi,

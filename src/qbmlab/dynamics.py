@@ -267,14 +267,15 @@ def rk4_stage_times(t0, h, lo, hi):
     return np.stack([t, t + 0.5 * h, t + h], axis=1)
 
 
-def _rk4_maps(w, h):
-    """RK4 steps of z' = W(t) z as matrices; w holds W at each stage time."""
-    eye = np.eye(6)
-    k1 = w[:, 0]
-    k2 = w[:, 1] @ (eye + 0.5 * h * k1)
-    k3 = w[:, 1] @ (eye + 0.5 * h * k2)
-    k4 = w[:, 2] @ (eye + h * k3)
-    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(f, y, h):
+    """One classical RK4 step of y' = f(s, y), where f evaluates the
+    derivative at stage s = 0, 1, 2 of `rk4_stage_times`.
+    """
+    k1 = f(0, y)
+    k2 = f(1, y + 0.5 * h * k1)
+    k3 = f(1, y + 0.5 * h * k2)
+    k4 = f(2, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass
@@ -307,8 +308,7 @@ class MomentTrajectory:
         return self.data[:, 4]
 
     def rs_witness(self):
-        return (self.sigma_qq * self.sigma_pp - self.sigma_qp ** 2
-                - 0.25 * self.constants.hbar ** 2)
+        return rs_uncertainty(self, self.constants)
 
     def state_at(self, i):
         return GaussianMomentState.from_array(self.data[i])
@@ -340,8 +340,8 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
     for lo in range(0, n_steps, _MAP_BLOCK):
         hi = min(lo + _MAP_BLOCK, n_steps)
         if lo == 0 or gen.grid is not None:  # constant maps are all alike
-            maps = _rk4_maps(
-                gen.moment_matrix(rk4_stage_times(t0, h, lo, hi)), h)
+            w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi))
+            maps = rk4_step(lambda s, y: w[:, s] @ y, np.eye(6), h)
         for step in maps[:hi - lo]:
             z = step @ z
             i += 1

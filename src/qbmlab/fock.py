@@ -4,9 +4,11 @@ This module exists to cross-check the Gaussian moment maps in
 :mod:`qbmlab.dynamics` against direct density-matrix integration in a
 truncated number basis.  Both derive from the spec's generator (G, a),
 here in the Lindblad form K rho + rho K^dag + sum_jk a_jk F_j rho F_k.
-It is deliberately simple: dense matrices, fixed-step RK4, explicit
-monitors for trace drift and truncation leakage.  Matrix elements use
-the oscillator length of the system frequency as the basis scale.
+It is deliberately simple: dense matrices, the RK4 step of the moment
+ODE, explicit monitors for trace drift and truncation leakage.  Matrix
+elements use the oscillator length of the system frequency as the basis
+scale.  `observables` and `central_moments` are the read-out that the
+unraveling shares.
 """
 
 import warnings
@@ -16,7 +18,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .bath import PhysicalConstants
-from .dynamics import GaussianMomentState, rk4_stage_times, step_plan
+from .dynamics import (GaussianMomentState, rk4_stage_times, rk4_step,
+                       step_plan)
 
 _LEAK_THRESHOLD = 1e-6  # combined population of the top two levels
 _TRACE_RATE = 1e-8  # allowed trace drift per unit time
@@ -94,19 +97,43 @@ def alpha_from_moments(system, mean_q, mean_p, constants=PhysicalConstants()):
     return (mean_q / ell + 1j * mean_p * ell / constants.hbar) / np.sqrt(2.0)
 
 
+OBSERVABLES = ("norm2", "q", "p", "qq", "pp", "qp")
+
+
+def observables(q, p):
+    """Operators 1, q, p, q^2, p^2, {q, p}/2 of the raw moments, stacked
+    in the order of `OBSERVABLES`.
+    """
+    return np.stack([np.eye(q.shape[0]), q, p, q @ q, p @ p,
+                     0.5 * (q @ p + p @ q)])
+
+
+def central_moments(raw):
+    """(<q>, <p>, s_qq, s_pp, s_qp) from raw moments ordered as `OBSERVABLES`."""
+    _, q, p, qq, pp, qp = raw
+    return np.array([q, p, qq - q * q, pp - p * p, qp - q * p])
+
+
+def _read(rho, obs):
+    """Five central moments of rho from the stacked observables."""
+    return central_moments(np.einsum('kij,ji->k', obs, rho).real)
+
+
 def moments_from_density(rho, q, p):
     """First and symmetrized second central moments of rho."""
-    def ev(op):
-        return float(np.einsum('ij,ji->', op, rho).real)
+    return GaussianMomentState.from_array(_read(rho, observables(q, p)))
 
-    mq = ev(q)
-    mp = ev(p)
-    qp_sym = 0.5 * (q @ p + p @ q)
-    return GaussianMomentState(
-        mean_q=mq, mean_p=mp,
-        sigma_qq=ev(q @ q) - mq * mq,
-        sigma_pp=ev(p @ p) - mp * mp,
-        sigma_qp=ev(qp_sym) - mq * mp)
+
+def check_truncation(top, t, dim, stacklevel):
+    """Warn TruncationWarning, and return True, when `top`, the population
+    of the two highest levels, exceeds the leakage threshold.
+    """
+    if top <= _LEAK_THRESHOLD:
+        return False
+    warnings.warn(f"truncation leakage {top:.3e} at t = {t:.6g} "
+                  f"(dim = {dim})", TruncationWarning,
+                  stacklevel=stacklevel + 1)
+    return True
 
 
 def lindblad_operators(spec, dim):
@@ -136,13 +163,6 @@ def _lindblad_rhs(rho, ops):
     return out
 
 
-def make_generator(spec, dim):
-    """Right-hand side rho, t -> drho/dt of the spec's generator (G, a)."""
-    _, operators = lindblad_operators(spec, dim)
-    return lambda rho, t: _lindblad_rhs(
-        rho, operators(*spec.generator.at(t)))
-
-
 @dataclass
 class FockTrajectory:
     times: np.ndarray
@@ -167,6 +187,7 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     times = t0 + h * stored
 
     (q, p), operators = lindblad_operators(spec, dim)
+    obs = observables(q, p)
     # the table is looked up at every stage time in one pass
     G, a = spec.generator.at(rk4_stage_times(t0, h, 0, n_steps))
     tabulated = spec.generator.grid is not None
@@ -177,26 +198,19 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     def observe(rho_now):
         nonlocal first_leak
         t_now = float(times[len(rows)])
-        rows.append(moments_from_density(rho_now, q, p).as_array())
+        rows.append(_read(rho_now, obs))
         traces.append(float(np.trace(rho_now).real))
         top = float(rho_now[-1, -1].real + rho_now[-2, -2].real)
         tops.append(top)
-        if top > _LEAK_THRESHOLD and first_leak is None:
-            warnings.warn(
-                f"truncation leakage {top:.3e} at t = {t_now:.6g} "
-                f"(dim = {dim})", TruncationWarning, stacklevel=3)
+        if first_leak is None and check_truncation(top, t_now, dim, 3):
             first_leak = t_now
 
     observe(rho)
     keep = set(stored.tolist())
     for i in range(n_steps):
         if i == 0 or tabulated:  # constant operators are built once
-            o1, o2, o4 = (operators(G[i, s], a[i, s]) for s in range(3))
-        k1 = _lindblad_rhs(rho, o1)
-        k2 = _lindblad_rhs(rho + 0.5 * h * k1, o2)
-        k3 = _lindblad_rhs(rho + 0.5 * h * k2, o2)
-        k4 = _lindblad_rhs(rho + h * k3, o4)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ops = [operators(G[i, s], a[i, s]) for s in range(3)]
+        rho = rk4_step(lambda s, r: _lindblad_rhs(r, ops[s]), rho, h)
         if i + 1 in keep:
             observe(rho)
 

@@ -24,7 +24,6 @@ it; audit `MasterEquationSpec(...).generator` for any other mass, as the
 CLI does.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .coefficients import HPZCoefficients
 from .dynamics import MasterEquationSpec, SystemSpec
 
 _HERMITICITY_TOL = 1e-12
-_DEFAULT_CP_TOL = 1e-12  # relative to the spectral norm
+_CP_TOL = 1e-12  # relative to the spectral norm
 
 
 def _closed_form(a):
@@ -64,7 +63,7 @@ def rank_one_factor(a):
     """
     a = np.asarray(a, dtype=complex)
     lam, det, norm = _closed_form(a)
-    if not _rank_at_most_one(lam, det, norm, _DEFAULT_CP_TOL):
+    if not _rank_at_most_one(lam, det, norm, _CP_TOL):
         raise ValueError("Kossakowski matrix is not positive semidefinite "
                          f"of rank <= 1 (lambda_min = {lam:.6e}, "
                          f"det = {det:.6e})")
@@ -78,7 +77,7 @@ def rank_one_factor(a):
 
 def check_noise_realizable(d, s):
     """Raise ValueError unless E[dW conj(dW)] = d dt, E[dW dW] = s dt exist."""
-    if abs(s) > d * (1.0 + _DEFAULT_CP_TOL):
+    if abs(s) > d * (1.0 + _CP_TOL):
         raise ValueError(f"|S_scalar| = {abs(s):g} must be <= the noise "
                          f"rate D = {d:g}")
 
@@ -174,12 +173,8 @@ class CPAuditReport:
             "norm": [float(v) for v in self.norm],
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
-
-def audit_cp(source, t_grid=None, tol=_DEFAULT_CP_TOL,
-             constants=PhysicalConstants()):
+def audit_cp(source, t_grid=None, constants=PhysicalConstants()):
     """Scan min eigenvalues and classify the generator.
 
     `source` is a constant KossakowskiMatrix (t_grid then only labels
@@ -187,7 +182,7 @@ def audit_cp(source, t_grid=None, tol=_DEFAULT_CP_TOL,
     audited as the generator of a unit mass.  For a tabulated source
     t_grid defaults to its grid and must be a subset of grid nodes.  The
     verdict is "NotCP" as soon as one sampled eigenvalue dips below
-    -tol * spectral norm at that time.
+    -1e-12 * spectral norm at that time.
     """
     if isinstance(source, HPZCoefficients):
         source = _table_generator(source, constants)
@@ -201,15 +196,15 @@ def audit_cp(source, t_grid=None, tol=_DEFAULT_CP_TOL,
         a = source.a[_node_indices(source.grid, times)]
 
     lam, det, norm = _closed_form(a)
-    floor = -tol * np.maximum(norm, 1e-300)
+    floor = -_CP_TOL * np.maximum(norm, 1e-300)
     bad = lam < floor
     first = float(times[np.argmax(bad)]) if np.any(bad) else None
     verdict = "NotCP" if np.any(bad) else "CP-semigroup-form"
 
     flags = []
-    if np.all(_rank_at_most_one(lam, det, norm, tol) & (norm > 0.0)):
+    if np.all(_rank_at_most_one(lam, det, norm, _CP_TOL) & (norm > 0.0)):
         flags.append("rank-1")
 
     return CPAuditReport(times=times, lambda_min=lam, det=det, norm=norm,
-                         verdict=verdict, tol=tol,
+                         verdict=verdict, tol=_CP_TOL,
                          first_violation_time=first, flags=flags)

@@ -16,7 +16,10 @@ D (A rho A^dag - {A^dag A, rho}/2) regardless of S: the pseudo-correlation
 only redistributes noise between the two quadratures of dW (`S = D`
 makes dW real).  Individual trajectories do not preserve norm, only the
 ensemble mean does, so all estimators below are plain averages of
-unnormalized quadratic forms.
+unnormalized quadratic forms: the six raw moments of `fock.observables`,
+converted by `fock.central_moments`.  An initial state that already
+fills the top of the truncated basis warns `fock.TruncationWarning`, as
+in the Fock oracle.
 
 Colored noise: `sample_colored_noise` draws stationary complex Gaussian
 paths with prescribed correlation E[z_i conj(z_j)] = D_ij and pseudo
@@ -32,14 +35,19 @@ import numpy as np
 
 from .bath import PhysicalConstants
 from .dynamics import MasterEquationSpec, NumericalFailure, step_plan
-from .fock import lindblad_operators
+from .fock import (
+    OBSERVABLES,
+    central_moments,
+    check_truncation,
+    lindblad_operators,
+    observables,
+)
 from .positivity import check_noise_realizable, rank_one_factor
 
 _CHUNK = 512  # trajectories per batch; fixed so results never depend on threading
 _STEP_BLOCK = 512  # time steps per noise-draw block
 _NORM_LIMIT = 1e12  # squared-norm runaway threshold per trajectory
-
-_OBS_NAMES = ("norm2", "q", "p", "qq", "pp", "qp")
+_RIDGE = 1e-12  # negative covariance eigenvalues tolerated, relative
 
 
 class NoiseFactorizationError(RuntimeError):
@@ -59,7 +67,6 @@ class NoiseSpec:
     grid: np.ndarray
     D: np.ndarray
     S: np.ndarray | None = None
-    ridge: float = 1e-12
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -107,7 +114,7 @@ def sample_colored_noise(spec, n_samples, rng):
     cov = _real_covariance(spec)
     evals, evecs = np.linalg.eigh(cov)
     scale = max(float(evals[-1]), 1e-300)
-    if evals[0] < -spec.ridge * scale:
+    if evals[0] < -_RIDGE * scale:
         raise NoiseFactorizationError(
             f"covariance not PSD: most negative eigenvalue {evals[0]:.6e} "
             f"(largest {evals[-1]:.6e})")
@@ -215,46 +222,36 @@ def _build_operators(config, h):
     (q, p), operators = lindblad_operators(config.spec, config.dim)
     step = np.eye(config.dim, dtype=complex) + h * operators(gen.G, gen.a)[0]
     a_op = config.v[0] * q + config.v[1] * p
-    obs = {
-        "norm2": np.eye(config.dim, dtype=complex),
-        "q": q.astype(complex),
-        "p": p,
-        "qq": (q @ q).astype(complex),
-        "pp": p @ p,
-        "qp": 0.5 * (q @ p + p @ q),
-    }
     d, s = config.D_scalar, complex(config.S_scalar)
     evals, evecs = np.linalg.eigh(0.5 * h * np.array(
         [[d + s.real, s.imag], [s.imag, d - s.real]]))
-    return step, a_op, obs, evecs * np.sqrt(np.clip(evals, 0.0, None))
+    return (step, a_op, observables(q, p),
+            evecs * np.sqrt(np.clip(evals, 0.0, None)))
 
 
-def _measure(obs_mats, psi):
-    """Quadratic forms psi^dag O psi for every observable, per column."""
-    out = np.empty((len(_OBS_NAMES), psi.shape[1]))
-    pc = psi.conj()
-    for k, name in enumerate(_OBS_NAMES):
-        out[k] = np.einsum("ij,jk,ik->k", obs_mats[name], psi, pc,
-                           optimize=True).real
-    return out
-
-
-def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
-               n_steps, stored):
-    """Propagate one batch of trajectories; return accumulators."""
+def _run_chunk(config, psi0, indices):
+    """Propagate one batch of trajectories; return the stored times and
+    the accumulators.
+    """
+    t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
+                                       config.store_every)
+    step, a_op, obs_mats, root = _build_operators(config, h)
     k = indices.size
     psi = np.tile(psi0[:, None], (1, k)).astype(complex)
     gens = [np.random.default_rng([int(config.seed), int(i)])
             for i in indices]
 
-    sums = np.zeros((stored.size, len(_OBS_NAMES)))
+    sums = np.zeros((stored.size, len(OBSERVABLES)))
     sumsqs = np.zeros_like(sums)
     alive_counts = np.zeros(stored.size, dtype=np.int64)
     alive = np.ones(k, dtype=bool)
     failed = []
 
     def record(node_idx):
-        vals = _measure(obs_mats, psi)
+        # quadratic forms psi^dag O psi of every observable, per column
+        pc = psi.conj()
+        vals = np.array([np.einsum("ij,jk,ik->k", o, psi, pc,
+                                   optimize=True).real for o in obs_mats])
         bad = ~np.isfinite(vals).all(axis=0) | (vals[0] > _NORM_LIMIT)
         newly_dead = bad & alive
         if np.any(newly_dead):
@@ -281,7 +278,7 @@ def _run_chunk(config, psi0, indices, step, a_op, obs_mats, root,
             if step_done == keep[node_pos]:
                 record(node_pos)
                 node_pos += 1
-    return sums, sumsqs, alive_counts, failed
+    return t0 + h * stored, sums, sumsqs, alive_counts, failed
 
 
 @dataclass
@@ -303,9 +300,8 @@ class EnsembleResult:
 
     def moment_table(self):
         m, se = self.means, self.stderr
-        sigma_qq = m["qq"] - m["q"] ** 2
-        sigma_pp = m["pp"] - m["p"] ** 2
-        sigma_qp = m["qp"] - m["q"] * m["p"]
+        _, _, sigma_qq, sigma_pp, sigma_qp = central_moments(
+            [m[name] for name in OBSERVABLES])
         return {
             "t": self.times,
             "mean_q": m["q"], "se_mean_q": se["q"],
@@ -339,17 +335,14 @@ def ensemble_run(config, psi0, threads=1):
         warnings.warn(
             f"only {config.n_traj} trajectories; error bars are unreliable",
             EnsembleHealthWarning, stacklevel=2)
-
-    t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
-                                       config.store_every)
-    step, a_op, obs_mats, root = _build_operators(config, h)
+    check_truncation(float(np.sum(np.abs(psi0[-2:]) ** 2)),
+                     float(config.t_span[0]), config.dim, 2)
 
     chunks = [np.arange(lo, min(lo + _CHUNK, config.n_traj))
               for lo in range(0, config.n_traj, _CHUNK)]
 
     def work(idx_chunk):
-        return _run_chunk(config, psi0, idx_chunk, step, a_op, obs_mats,
-                          root, n_steps, stored)
+        return _run_chunk(config, psi0, idx_chunk)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -357,15 +350,9 @@ def ensemble_run(config, psi0, threads=1):
     else:
         results = [work(ch) for ch in chunks]
 
-    sums = np.zeros((stored.size, len(_OBS_NAMES)))
-    sumsqs = np.zeros_like(sums)
-    alive = np.zeros(stored.size, dtype=np.int64)
-    failed = []
-    for s_, sq_, al_, fl_ in results:
-        sums += s_
-        sumsqs += sq_
-        alive += al_
-        failed.extend(fl_)
+    times = results[0][0]
+    sums, sumsqs, alive = (sum(r[k] for r in results) for k in (1, 2, 3))
+    failed = sorted(i for r in results for i in r[4])
 
     if len(failed) > 0.01 * config.n_traj:
         raise NumericalFailure(
@@ -375,19 +362,15 @@ def ensemble_run(config, psi0, threads=1):
             f"{len(failed)} trajectories diverged and were dropped from "
             "the averages", EnsembleHealthWarning, stacklevel=2)
 
-    counts = np.maximum(alive, 1)
-    means = {}
-    stderr = {}
-    for k, name in enumerate(_OBS_NAMES):
-        mean = sums[:, k] / counts
-        var = np.clip(sumsqs[:, k] - counts * mean ** 2, 0.0, None) \
-            / np.maximum(counts - 1, 1)
-        means[name] = mean
-        stderr[name] = np.sqrt(var / counts)
-
-    return EnsembleResult(times=t0 + h * stored, means=means, stderr=stderr,
+    counts = np.maximum(alive, 1)[:, None]
+    mean = sums / counts
+    var = np.clip(sumsqs - counts * mean ** 2, 0.0, None) \
+        / np.maximum(counts - 1, 1)
+    return EnsembleResult(times=times, means=dict(zip(OBSERVABLES, mean.T)),
+                          stderr=dict(zip(OBSERVABLES,
+                                          np.sqrt(var / counts).T)),
                           alive=alive, n_traj=config.n_traj,
-                          seed=config.seed, failed_trajectories=sorted(failed))
+                          seed=config.seed, failed_trajectories=failed)
 
 
 @dataclass
@@ -400,14 +383,8 @@ class TrajectoryPath:
 def sse_trajectory(config, psi0, traj_index=0):
     """Observable history of a single trajectory (by its ensemble index)."""
     psi0 = np.asarray(psi0, dtype=complex)
-    t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
-                                       config.store_every)
-    step, a_op, obs_mats, root = _build_operators(config, h)
-    sums, _, alive_counts, failed = _run_chunk(
-        config, psi0, np.array([traj_index]), step, a_op, obs_mats, root,
-        n_steps, stored)
+    times, obs, _, alive_counts, failed = _run_chunk(
+        config, psi0, np.array([traj_index]))
     # with a single trajectory the sums are the raw observables
-    obs = sums
     obs[alive_counts == 0] = np.nan
-    return TrajectoryPath(times=t0 + h * stored,
-                          observables=obs, aborted=bool(failed))
+    return TrajectoryPath(times=times, observables=obs, aborted=bool(failed))

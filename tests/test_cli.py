@@ -449,6 +449,17 @@ def test_cli_ensemble_pipeline(tmp_path):
     assert not np.array_equal(ens2["s_pp"], ens["s_pp"])
 
 
+def test_truncated_ensemble_state_is_a_manifest_warning(tmp_path):
+    payload = {**ENSEMBLE, "name": "far", "equation": {"variant": "ccl"},
+               "state": {"kind": "coherent", "mean_q": 8.0},
+               "stochastic": {"dim": 30, "n_traj": 100, "seed": 3}}
+    path = _write(tmp_path, payload, "far.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "far_manifest.json").read_text())
+    assert any(w.startswith("truncation leakage") and "(dim = 30)" in w
+               for w in manifest["warnings"])
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_out_of_range_seed_fails_before_any_work(tmp_path, capsys, seed):
     payload = {**ENSEMBLE, "equation": {"variant": "ccl"},

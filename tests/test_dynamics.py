@@ -21,6 +21,7 @@ from qbmlab.dynamics import (
     ground_state_moments,
     integrate_moments,
     moment_rhs,
+    rk4_step,
     rs_uncertainty,
     squeezed_state_moments,
     thermal_state_moments,
@@ -283,3 +284,18 @@ def test_rs_witness_tracks_purity_loss():
     w = tr.rs_witness()
     assert abs(w[0]) < 1e-12
     assert np.all(np.diff(w) > -1e-12)  # decoherence only adds noise
+
+
+@pytest.mark.parametrize("lam", [-1.3, 0.7 + 2.1j])
+def test_rk4_step_is_the_degree_four_taylor_polynomial(lam):
+    h, y0 = 0.1, np.array([1.0, -0.4 + 0.2j])
+    stages = []
+
+    def f(s, y):
+        stages.append(s)
+        return lam * y
+
+    z = lam * h
+    expected = y0 * (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)
+    assert np.allclose(rk4_step(f, y0, h), expected, rtol=1e-15, atol=0.0)
+    assert stages == [0, 1, 1, 2]

@@ -1,5 +1,6 @@
 """Colored-noise sampling and the linear stochastic unraveling engine."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from qbmlab.dynamics import (
     integrate_moments,
 )
 from qbmlab.fock import (
+    TruncationWarning,
     alpha_from_moments,
     coherent_state,
     fock_propagate,
@@ -369,3 +371,17 @@ def test_moment_table_layout_and_trajectory_dump():
     # uneven span: final node is kept even off the store stride
     assert result.times[-1] == pytest.approx(0.25)
     assert np.all(table["alive"] == 120)
+
+
+def test_truncated_initial_state_warns():
+    # a coherent state at <q> = 8 puts 0.27 of its weight in levels 28, 29
+    config = ccl_sse_config(SYS, 0.05, 2.0, dim=30, dt=0.01,
+                            t_span=(0.0, 0.1), store_every=5, n_traj=100,
+                            seed=1)
+    far = coherent_state(30, alpha_from_moments(SYS, 8.0, 0.0))
+    with pytest.warns(TruncationWarning, match=r"at t = 0 \(dim = 30\)"):
+        ensemble_run(config, far)
+    near = coherent_state(30, alpha_from_moments(SYS, 0.5, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        ensemble_run(config, near)
