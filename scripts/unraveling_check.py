@@ -4,8 +4,8 @@ Runs the corrected-CL unraveling at the requested size, integrates the
 matching moment equations, and prints the worst z-score per moment, for
 both S = 0 and S = D/2 noise relations.
 
-Usage: python3 scripts/unraveling_check.py [--n-traj N] [--dim D]
-           [--dt DT] [--t-max T] [--seed S] [--threads N]
+Usage: python3 scripts/unraveling_check.py [--n-traj N] [--dt DT]
+           [--t-max T] [--seed S] [--threads N]
 """
 
 import argparse
@@ -21,7 +21,6 @@ from qbmlab.dynamics import (
     ground_state_moments,
     integrate_moments,
 )
-from qbmlab.fock import alpha_from_moments, coherent_state
 from qbmlab.stochastic import ccl_sse_config, ensemble_run
 
 GAMMA, T_BATH, MEAN_Q = 0.02, 2.0, 0.5
@@ -30,7 +29,6 @@ GAMMA, T_BATH, MEAN_Q = 0.02, 2.0, 0.5
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-traj", type=int, default=10_000)
-    parser.add_argument("--dim", type=int, default=40)
     parser.add_argument("--dt", type=float, default=1e-3)
     parser.add_argument("--t-max", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=20260814)
@@ -39,24 +37,23 @@ def main():
     args = parser.parse_args()
 
     system = SystemSpec(m=1.0, omega_S=1.0)
-    psi0 = coherent_state(args.dim, alpha_from_moments(system, MEAN_Q, 0.0))
+    state0 = ground_state_moments(system, mean_q=MEAN_Q)
     ode = integrate_moments(
-        MasterEquationSpec("ccl", system, gamma=GAMMA, T=T_BATH),
-        ground_state_moments(system, mean_q=MEAN_Q),
+        MasterEquationSpec("ccl", system, gamma=GAMMA, T=T_BATH), state0,
         (0.0, args.t_max), args.dt, store_every=args.store_every)
     refs = (("mean_q", ode.mean_q), ("mean_p", ode.mean_p),
             ("s_qq", ode.sigma_qq), ("s_pp", ode.sigma_pp),
             ("s_qp", ode.sigma_qp))
 
     base = ccl_sse_config(
-        system, GAMMA, T_BATH, dim=args.dim, dt=args.dt, n_traj=args.n_traj,
+        system, GAMMA, T_BATH, dt=args.dt, n_traj=args.n_traj,
         seed=args.seed, t_span=(0.0, args.t_max),
         store_every=args.store_every)
     worst_overall = 0.0
     for label, s_frac in (("S = 0", 0.0), ("S = D/2", 0.5)):
         config = replace(base, S_scalar=s_frac * base.D_scalar)
         t0 = time.perf_counter()
-        result = ensemble_run(config, psi0, threads=args.threads)
+        result = ensemble_run(config, state0, threads=args.threads)
         walltime = time.perf_counter() - t0
         table = result.moment_table()
         print(f"--- {label}: {args.n_traj} trajectories in {walltime:.1f} s,"

@@ -39,7 +39,6 @@ from .dynamics import (
     integrate_moments,
     squeezed_state_moments,
 )
-from .fock import alpha_from_moments, coherent_state, squeezed_state
 # assemble_constant_matrix is not called here; it stays importable
 # because bench/spans.py wraps cli.assemble_constant_matrix by name
 from .positivity import assemble_constant_matrix, audit_cp  # noqa: F401
@@ -101,15 +100,6 @@ def _initial_moments(scenario):
                                state.sigma_pp, state.sigma_qp)
 
 
-def _initial_fock_state(scenario, dim):
-    state = scenario.state
-    alpha = alpha_from_moments(scenario.system, state.mean_q, state.mean_p,
-                               scenario.units)
-    if state.kind == "squeezed":
-        return squeezed_state(dim, state.r, alpha)
-    return coherent_state(dim, alpha)
-
-
 def _equation_spec(scenario, coefficients):
     return MasterEquationSpec(scenario.equation.variant, scenario.system,
                               constants=scenario.units,
@@ -148,6 +138,8 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
     """Execute every requested pipeline; return the manifest."""
     if seed_override is not None and not 0 <= seed_override < 2 ** 64:
         raise ValueError("--seed: must fit in an unsigned 64-bit integer")
+    if threads < 1:
+        raise ValueError("--threads: must be >= 1")
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     stem = _safe_stem(scenario.name)
@@ -196,11 +188,11 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
             ensemble_seed = int(seed_override) if seed_override is not None \
                 else sto.seed
             config = SSEConfig(
-                spec, dim=sto.dim, dt=scenario.run.dt, n_traj=sto.n_traj,
+                spec, dt=scenario.run.dt, n_traj=sto.n_traj,
                 seed=ensemble_seed, t_span=scenario.run.t_span,
                 S_scalar=sto.S_scalar, store_every=scenario.run.store_every)
-            psi0 = _initial_fock_state(scenario, sto.dim)
-            result = ensemble_run(config, psi0, threads=threads)
+            result = ensemble_run(config, _initial_moments(scenario),
+                                  threads=threads)
             emit_csv("ensemble", io.ensemble_table(result, meta))
             if trajectory is None:
                 trajectory = _moment_trajectory(scenario, spec)

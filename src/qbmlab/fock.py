@@ -7,8 +7,8 @@ here in the Lindblad form K rho + rho K^dag + sum_jk a_jk F_j rho F_k.
 It is deliberately simple: dense matrices, the RK4 step of the moment
 ODE, explicit monitors for trace drift and truncation leakage.  Matrix
 elements use the oscillator length of the system frequency as the basis
-scale.  `observables` and `central_moments` are the read-out that the
-unraveling shares.
+scale.  `central_moments` and the order of `OBSERVABLES` are the read-out
+that the unraveling shares.
 """
 
 import warnings
@@ -124,18 +124,6 @@ def moments_from_density(rho, q, p):
     return GaussianMomentState.from_array(_read(rho, observables(q, p)))
 
 
-def check_truncation(top, t, dim, stacklevel):
-    """Warn TruncationWarning, and return True, when `top`, the population
-    of the two highest levels, exceeds the leakage threshold.
-    """
-    if top <= _LEAK_THRESHOLD:
-        return False
-    warnings.warn(f"truncation leakage {top:.3e} at t = {t:.6g} "
-                  f"(dim = {dim})", TruncationWarning,
-                  stacklevel=stacklevel + 1)
-    return True
-
-
 def lindblad_operators(spec, dim):
     """q, p and the map (G, a) -> (K, K^dag, pairs (F_j, sum_k a_jk F_k))
     with K = -(i/hbar) H - (1/2) sum_jk a_jk F_k F_j.
@@ -202,8 +190,10 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
         traces.append(float(np.trace(rho_now).real))
         top = float(rho_now[-1, -1].real + rho_now[-2, -2].real)
         tops.append(top)
-        if first_leak is None and check_truncation(top, t_now, dim, 3):
+        if first_leak is None and top > _LEAK_THRESHOLD:
             first_leak = t_now
+            warnings.warn(f"truncation leakage {top:.3e} at t = {t_now:.6g} "
+                          f"(dim = {dim})", TruncationWarning, stacklevel=3)
 
     observe(rho)
     keep = set(stored.tolist())

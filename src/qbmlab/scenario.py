@@ -117,7 +117,6 @@ class RunBlock:
 
 @dataclass(frozen=True)
 class StochasticBlock:
-    dim: int = key("int", ge=2)
     n_traj: int = key("int", ge=1)
     seed: int = key("int")
     S_scalar: complex = key("complex", 0j)

@@ -14,12 +14,16 @@ generator (G, a), whose Kossakowski matrix must factor as a = D v v^dag
 average E[psi psi^dag] reproduces the Lindblad dissipator
 D (A rho A^dag - {A^dag A, rho}/2) regardless of S: the pseudo-correlation
 only redistributes noise between the two quadratures of dW (`S = D`
-makes dW real).  Individual trajectories do not preserve norm, only the
-ensemble mean does, so all estimators below are plain averages of
-unnormalized quadratic forms: the six raw moments of `fock.observables`,
-converted by `fock.central_moments`.  An initial state that already
-fills the top of the truncated basis warns `fock.TruncationWarning`, as
-in the Fock oracle.
+makes dW real).
+
+H is quadratic and A linear, so a Gaussian psi stays Gaussian: each
+trajectory is psi(x) = exp(-s x^2 + b x + c), with the width s
+deterministic and shared by all trajectories and (b, c) per trajectory
+(`_packet_sde`).  s is stepped exactly, (b, c) by Euler-Maruyama.
+Individual trajectories do not preserve norm, only the ensemble mean
+does, so all estimators below are plain averages of unnormalized
+quadratic forms: the six raw moments in the order of
+`fock.OBSERVABLES`, converted by `fock.central_moments`.
 
 Colored noise: `sample_colored_noise` draws stationary complex Gaussian
 paths with prescribed correlation E[z_i conj(z_j)] = D_ij and pseudo
@@ -27,26 +31,28 @@ correlation E[z_i z_j] = S_ij by factoring the equivalent real 2N x 2N
 covariance with a symmetric eigenvalue decomposition.
 """
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 
 from .bath import PhysicalConstants
-from .dynamics import MasterEquationSpec, NumericalFailure, step_plan
-from .fock import (
-    OBSERVABLES,
-    central_moments,
-    check_truncation,
-    lindblad_operators,
-    observables,
+from .dynamics import (
+    MasterEquationSpec,
+    NumericalFailure,
+    rs_uncertainty,
+    step_plan,
 )
+from .fock import OBSERVABLES, central_moments
 from .positivity import check_noise_realizable, rank_one_factor
 
 _CHUNK = 512  # trajectories per batch; fixed so results never depend on threading
 _STEP_BLOCK = 512  # time steps per noise-draw block
-_NORM_LIMIT = 1e12  # squared-norm runaway threshold per trajectory
+_LOG_NORM_LIMIT = math.log(1e12)  # squared-norm runaway limit per trajectory
+_PURE_TOL = 1e-10  # |rs_uncertainty| of a pure state, relative to s_qq s_pp
 _RIDGE = 1e-12  # negative covariance eigenvalues tolerated, relative
 
 
@@ -183,7 +189,6 @@ class SSEConfig:
     """
 
     spec: MasterEquationSpec
-    dim: int
     dt: float
     n_traj: int
     seed: int
@@ -198,8 +203,6 @@ class SSEConfig:
             raise ValueError("cannot unravel a tabulated generator")
         self.D_scalar, self.v = rank_one_factor(self.spec.generator.a)
         check_noise_realizable(self.D_scalar, self.S_scalar)
-        if self.dim < 2:
-            raise ValueError("dim must be at least 2")
         step_plan(self.t_span, self.dt, self.store_every)
         if self.n_traj < 1:
             raise ValueError("n_traj must be at least 1")
@@ -214,68 +217,153 @@ def ccl_sse_config(system, gamma, T, *, constants=PhysicalConstants(),
                                         gamma=gamma, T=T), **run)
 
 
-def _build_operators(config, h):
-    """Step matrix I + h K, noise operator A, observable matrices and the
-    2x2 root mapping unit normals to (Re dW, Im dW) per step of size h.
+def _packet_sde(config):
+    """Ito SDE of the packet psi(x) = exp(phi), phi = -s x^2 + b x + c.
+
+    q -> x and p -> -i hbar (d/dx + phi') act on exp(phi), so
+    F_j F_k psi / psi is
+
+        q q = x^2                  q p = 2i hbar s x^2 - i hbar b x
+        p q = q p - i hbar         p p = 2 hbar^2 s - hbar^2 (2 s x - b)^2
+
+    K = sum_jk W_jk F_j F_k with W = -(i / 2 hbar) G - a^T / 2 is the
+    sum of `fock.lindblad_operators`, and A psi / psi = l x + k b with
+    l = v0 + 2i hbar v1 s, k = -i hbar v1.  The powers of x in
+
+        d phi = [K psi/psi + (S/2) (A psi/psi)^2] dt - i (A psi/psi) dW
+
+    give ds = (r0 + r1 s + r2 s^2) dt, a deterministic Riccati equation,
+    db = (r1/2 + r2 s) b dt - i l dW and dc = (nu0 + nu1 s + rho b^2) dt
+    - i k b dW.  Returns (r0, r1, r2), (l0, l1), k, (nu0, nu1), rho.
     """
-    gen = config.spec.generator
-    (q, p), operators = lindblad_operators(config.spec, config.dim)
-    step = np.eye(config.dim, dtype=complex) + h * operators(gen.G, gen.a)[0]
-    a_op = config.v[0] * q + config.v[1] * p
+    hbar, S = config.spec.constants.hbar, complex(config.S_scalar)
+    w = (-0.5j / hbar) * config.spec.generator.G \
+        - 0.5 * config.spec.generator.a.T
+    v0, v1 = (complex(x) for x in config.v)
+    k = -1j * hbar * v1
+    r = (-w[0, 0] - 0.5 * S * v0 ** 2,
+         -2j * hbar * (w[0, 1] + w[1, 0] + S * v0 * v1),
+         4.0 * hbar ** 2 * w[1, 1] + 2.0 * S * (hbar * v1) ** 2)
+    nu = (-1j * hbar * w[1, 0], 2.0 * hbar ** 2 * w[1, 1])
+    return r, (v0, 2j * hbar * v1), k, nu, \
+        -hbar ** 2 * w[1, 1] + 0.5 * S * k ** 2
+
+
+def _width_path(r, s0, h, n_steps):
+    """s at every step of h, exactly: s = y / x with (x, y)' =
+    [[0, -r2], [r0, r1]] (x, y), so each step is one Moebius map.
+    """
+    e00, e01, e10, e11 = (complex(x) for x in expm(
+        h * np.array([[0.0, -r[2]], [r[0], r[1]]])).ravel())
+    path = [complex(s0)]
+    for _ in range(n_steps):
+        path.append((e10 + e11 * path[-1]) / (e00 + e01 * path[-1]))
+    return np.array(path)
+
+
+def _initial_packet(state, constants):
+    """(s, b, c) of the pure Gaussian `state`, normalized."""
+    if not (state.sigma_qq > 0.0 and abs(rs_uncertainty(state, constants))
+            <= _PURE_TOL * state.sigma_qq * state.sigma_pp):
+        raise ValueError("state0 must be a pure Gaussian state "
+                         "(sigma_qq sigma_pp - sigma_qp^2 = hbar^2 / 4)")
+    hbar, mean_q = constants.hbar, state.mean_q
+    s = (1.0 - 2j * state.sigma_qp / hbar) / (4.0 * state.sigma_qq)
+    b = 2.0 * s.real * mean_q + 1j * (state.mean_p / hbar
+                                      + 2.0 * s.imag * mean_q)
+    return s, b, -0.5 * (b.real * mean_q
+                         + 0.5 * math.log(math.pi / (2.0 * s.real)))
+
+
+def _read_packets(s, b, c, hbar):
+    """Raw observables (rows in `OBSERVABLES` order) of the packets
+    exp(-s x^2 + b x + c), and their log norm2; needs Re s > 0.
+    """
+    rs = s.real
+    mean_q = b.real / (2.0 * rs)
+    mean_p = hbar * (b.imag - 2.0 * s.imag * mean_q)
+    log_norm2 = 2.0 * c.real + b.real * mean_q \
+        + 0.5 * np.log(np.pi / (2.0 * rs))
+    # capped only where the caller drops the trajectory as diverged
+    norm2 = np.exp(np.minimum(log_norm2, _LOG_NORM_LIMIT))
+    raw = norm2 * np.array([np.ones_like(mean_q), mean_q, mean_p,
+                            mean_q * mean_q + 0.25 / rs,
+                            mean_p * mean_p + hbar ** 2 * abs(s) ** 2 / rs,
+                            mean_q * mean_p - 0.5 * hbar * s.imag / rs])
+    return raw, log_norm2
+
+
+def _noise_blocks(config, indices, h, n_steps):
+    """dW of the trajectories `indices`, in (steps, trajectories) blocks
+    of at most _STEP_BLOCK steps.
+
+    Trajectory i draws unit normal pairs n from the stream seeded
+    (seed, i); dW = (1, i) . root n has E[dW conj(dW)] = D h and
+    E[dW dW] = S h.
+    """
     d, s = config.D_scalar, complex(config.S_scalar)
     evals, evecs = np.linalg.eigh(0.5 * h * np.array(
         [[d + s.real, s.imag], [s.imag, d - s.real]]))
-    return (step, a_op, observables(q, p),
-            evecs * np.sqrt(np.clip(evals, 0.0, None)))
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    gens = [np.random.default_rng([int(config.seed), int(i)])
+            for i in indices]
+    buf = np.empty((len(gens), _STEP_BLOCK, 2))
+    for lo in range(0, n_steps, _STEP_BLOCK):
+        rows = buf[:, :min(_STEP_BLOCK, n_steps - lo)]
+        for g, row in zip(gens, rows):
+            g.standard_normal(out=row)
+        # (Re dW, Im dW) = root n, adjacent in memory: a complex view
+        yield (rows @ root.T).view(complex)[..., 0].T
 
 
-def _run_chunk(config, psi0, indices):
+def _run_chunk(config, packet0, indices):
     """Propagate one batch of trajectories; return the stored times and
     the accumulators.
     """
     t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
                                        config.store_every)
-    step, a_op, obs_mats, root = _build_operators(config, h)
-    k = indices.size
-    psi = np.tile(psi0[:, None], (1, k)).astype(complex)
-    gens = [np.random.default_rng([int(config.seed), int(i)])
-            for i in indices]
+    hbar = config.spec.constants.hbar
+    r, (l0, l1), k, (nu0, nu1), rho = _packet_sde(config)
+    s = _width_path(r, packet0[0], h, n_steps)
+    # Euler-Maruyama factors of step n, taken at the left-point s_n
+    growth = (1.0 + h * (0.5 * r[1] + r[2] * s)).tolist()
+    kick = (-1j * (l0 + l1 * s)).tolist()
+    drift = (h * (nu0 + nu1 * s)).tolist()
+    h_rho, c_kick = h * rho, -1j * k
 
+    n_traj = indices.size
+    b = np.full(n_traj, packet0[1])
+    c = np.full(n_traj, complex(packet0[2]))
     sums = np.zeros((stored.size, len(OBSERVABLES)))
     sumsqs = np.zeros_like(sums)
     alive_counts = np.zeros(stored.size, dtype=np.int64)
-    alive = np.ones(k, dtype=bool)
+    alive = np.ones(n_traj, dtype=bool)
     failed = []
 
+    keep = stored.tolist()  # plain ints: cheap to compare every step
+
     def record(node_idx):
-        # quadratic forms psi^dag O psi of every observable, per column
-        pc = psi.conj()
-        vals = np.array([np.einsum("ij,jk,ik->k", o, psi, pc,
-                                   optimize=True).real for o in obs_mats])
-        bad = ~np.isfinite(vals).all(axis=0) | (vals[0] > _NORM_LIMIT)
+        vals, log_norm2 = _read_packets(s[keep[node_idx]], b, c, hbar)
+        bad = ~(log_norm2 <= _LOG_NORM_LIMIT) | ~np.isfinite(vals).all(axis=0)
         newly_dead = bad & alive
         if np.any(newly_dead):
-            for j in np.where(newly_dead)[0]:
-                failed.append(int(indices[j]))
-            psi[:, newly_dead] = 0.0
+            failed.extend(int(i) for i in indices[newly_dead])
+            b[newly_dead] = c[newly_dead] = 0.0
             alive[newly_dead] = False
         sums[node_idx] += vals[:, alive].sum(axis=1)
         sumsqs[node_idx] += (vals[:, alive] ** 2).sum(axis=1)
         alive_counts[node_idx] += int(alive.sum())
 
-    keep = stored.tolist()  # plain ints: cheap to compare every step
     record(0)
     node_pos = 1
-    step_done = 0
-    while step_done < n_steps:
-        blk = min(_STEP_BLOCK, n_steps - step_done)
-        normals = np.stack([g.standard_normal((blk, 2)) for g in gens])
-        dw = normals @ root.T
-        dw = dw[..., 0] + 1j * dw[..., 1]  # (k, blk)
-        for b in range(blk):
-            psi = step @ psi + (a_op @ psi) * (-1j * dw[:, b])[None, :]
-            step_done += 1
-            if step_done == keep[node_pos]:
+    n = 0
+    for dw in _noise_blocks(config, indices, h, n_steps):
+        for dw_n in dw:
+            c += (h_rho * b + c_kick * dw_n) * b + drift[n]
+            b *= growth[n]
+            b += kick[n] * dw_n
+            n += 1
+            if n == keep[node_pos]:
                 record(node_pos)
                 node_pos += 1
     return t0 + h * stored, sums, sumsqs, alive_counts, failed
@@ -318,31 +406,26 @@ class EnsembleResult:
         }
 
 
-def ensemble_run(config, psi0, threads=1):
-    """Monte-Carlo average of the linear unraveling.
+def ensemble_run(config, state0, threads=1):
+    """Monte-Carlo average of the linear unraveling from the pure
+    Gaussian state `state0` (a `GaussianMomentState`).
 
     Deterministic for a fixed config: trajectories own counter-based
     generator streams seeded by (seed, index), the chunk size is a
     module constant, and chunk results are merged in index order, so
     neither `threads` nor scheduling can change any output bit.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (config.dim,):
-        raise ValueError("psi0 must be a vector of length dim")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
-        raise ValueError("psi0 must be normalized")
+    packet0 = _initial_packet(state0, config.spec.constants)
     if config.n_traj < 100:
         warnings.warn(
             f"only {config.n_traj} trajectories; error bars are unreliable",
             EnsembleHealthWarning, stacklevel=2)
-    check_truncation(float(np.sum(np.abs(psi0[-2:]) ** 2)),
-                     float(config.t_span[0]), config.dim, 2)
 
     chunks = [np.arange(lo, min(lo + _CHUNK, config.n_traj))
               for lo in range(0, config.n_traj, _CHUNK)]
 
     def work(idx_chunk):
-        return _run_chunk(config, psi0, idx_chunk)
+        return _run_chunk(config, packet0, idx_chunk)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -380,11 +463,11 @@ class TrajectoryPath:
     aborted: bool
 
 
-def sse_trajectory(config, psi0, traj_index=0):
+def sse_trajectory(config, state0, traj_index=0):
     """Observable history of a single trajectory (by its ensemble index)."""
-    psi0 = np.asarray(psi0, dtype=complex)
     times, obs, _, alive_counts, failed = _run_chunk(
-        config, psi0, np.array([traj_index]))
+        config, _initial_packet(state0, config.spec.constants),
+        np.array([traj_index]))
     # with a single trajectory the sums are the raw observables
     obs[alive_counts == 0] = np.nan
     return TrajectoryPath(times=times, observables=obs, aborted=bool(failed))

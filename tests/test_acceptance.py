@@ -31,7 +31,7 @@ from qbmlab.dynamics import (
     integrate_moments,
     squeezed_state_moments,
 )
-from qbmlab.fock import alpha_from_moments, coherent_state, fock_propagate
+from qbmlab.fock import fock_propagate
 from qbmlab.positivity import (
     assemble_constant_matrix,
     audit_cp,
@@ -215,19 +215,18 @@ def test_acceptance_07_sse_unraveling(acceptance_report):
     t_start = time.perf_counter()
     gamma, T = 0.02, 2.0
     d_scalar = 4.0 * gamma * T
-    psi0 = coherent_state(40, alpha_from_moments(SYS, 0.5, 0.0))
+    state0 = ground_state_moments(SYS, mean_q=0.5)
     ode = integrate_moments(MasterEquationSpec("ccl", SYS, gamma=gamma, T=T),
-                            ground_state_moments(SYS, mean_q=0.5),
-                            (0.0, 10.0), 1e-3, store_every=1000)
+                            state0, (0.0, 10.0), 1e-3, store_every=1000)
 
     worst = {}
     clean = True
     for label, s_scalar in (("S=0", 0.0), ("S=D/2", 0.5 * d_scalar)):
-        config = ccl_sse_config(SYS, gamma, T, dim=40, dt=1e-3,
+        config = ccl_sse_config(SYS, gamma, T, dt=1e-3,
                                 n_traj=10_000, seed=SEED,
                                 t_span=(0.0, 10.0), S_scalar=s_scalar,
                                 store_every=1000)
-        result = ensemble_run(config, psi0, threads=2)
+        result = ensemble_run(config, state0, threads=2)
         clean = clean and not result.failed_trajectories
         table = result.moment_table()
         z_max = 0.0

@@ -143,7 +143,7 @@ ENSEMBLE = {
     "state": {"kind": "coherent", "mean_q": 0.3},
     "run": {"t_span": [0.0, 0.2], "dt": 0.01, "store_every": 5,
             "outputs": ["ensemble"]},
-    "stochastic": {"dim": 8, "n_traj": 100, "seed": 3},
+    "stochastic": {"n_traj": 100, "seed": 3},
 }
 
 
@@ -405,7 +405,7 @@ def test_moments_and_ensemble_integrate_the_ode_once(tmp_path, monkeypatch):
         "equation": {"variant": "ccl"},
         "run": {"t_span": [0.0, 0.2], "dt": 0.01, "store_every": 5,
                 "outputs": ["moments", "ensemble"]},
-        "stochastic": {"dim": 6, "n_traj": 20, "seed": 3},
+        "stochastic": {"n_traj": 20, "seed": 3},
     }
     path = _write(tmp_path, payload, "once.json")
     assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
@@ -425,7 +425,7 @@ def test_cli_ensemble_pipeline(tmp_path):
         "equation": {"variant": "ccl"},
         "run": {"t_span": [0.0, 0.5], "dt": 0.01, "store_every": 10,
                 "outputs": ["ensemble"]},
-        "stochastic": {"dim": 8, "n_traj": 50, "seed": 7},
+        "stochastic": {"n_traj": 50, "seed": 7},
     }
     path = _write(tmp_path, payload, "sse.json")
     assert main(["--scenario", str(path), "--out", str(tmp_path),
@@ -449,17 +449,6 @@ def test_cli_ensemble_pipeline(tmp_path):
     assert not np.array_equal(ens2["s_pp"], ens["s_pp"])
 
 
-def test_truncated_ensemble_state_is_a_manifest_warning(tmp_path):
-    payload = {**ENSEMBLE, "name": "far", "equation": {"variant": "ccl"},
-               "state": {"kind": "coherent", "mean_q": 8.0},
-               "stochastic": {"dim": 30, "n_traj": 100, "seed": 3}}
-    path = _write(tmp_path, payload, "far.json")
-    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
-    manifest = json.loads((tmp_path / "far_manifest.json").read_text())
-    assert any(w.startswith("truncation leakage") and "(dim = 30)" in w
-               for w in manifest["warnings"])
-
-
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_out_of_range_seed_fails_before_any_work(tmp_path, capsys, seed):
     payload = {**ENSEMBLE, "equation": {"variant": "ccl"},
@@ -472,6 +461,19 @@ def test_out_of_range_seed_fails_before_any_work(tmp_path, capsys, seed):
     assert not list(out.iterdir())
     assert "--seed: must fit in an unsigned 64-bit integer" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [0, -5])
+def test_threads_below_one_fail_before_any_work(tmp_path, capsys, threads):
+    payload = {**ENSEMBLE, "equation": {"variant": "ccl"},
+               "run": {**ENSEMBLE["run"], "outputs": ["moments", "ensemble"]}}
+    path = _write(tmp_path, payload, "threaded.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--scenario", str(path), "--out", str(out),
+                 "--threads", str(threads)]) == 2
+    assert not list(out.iterdir())
+    assert "--threads: must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_runs_are_byte_deterministic(tmp_path):

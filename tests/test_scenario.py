@@ -27,7 +27,7 @@ BASE = {
                  "coefficient_grid": {"t_max": 1.0, "n": 11}},
     "run": {"t_span": [0.0, 1.0], "dt": 0.01, "store_every": 1,
             "outputs": ["moments"]},
-    "stochastic": {"dim": 8, "n_traj": 10, "seed": 1, "S_scalar": 0.0},
+    "stochastic": {"n_traj": 10, "seed": 1, "S_scalar": 0.0},
 }
 
 DELETE = object()
@@ -125,9 +125,6 @@ CASES = [
                                 "(valid: kernel, coefficients, audit, "
                                 "moments, ensemble)"]),
     ("stochastic", [], ["scenario.stochastic: expected an object"]),
-    ("stochastic.dim", DELETE, ["stochastic: missing required key 'dim'"]),
-    ("stochastic.dim", "8", ["stochastic.dim: expected an integer"]),
-    ("stochastic.dim", 1, ["stochastic.dim: must be >= 2, got 1"]),
     ("stochastic.n_traj", DELETE, ["stochastic: missing required key "
                                    "'n_traj'"]),
     ("stochastic.n_traj", 1e3, ["stochastic.n_traj: expected an integer"]),
@@ -185,7 +182,7 @@ def test_unknown_keys_are_named_per_block(block):
 # canonical serialization would silently re-hash every artifact
 SHIPPED_HASHES = {
     "ccl_unraveling":
-        "724624f20092a922c57d9f3bb12e63b81ba3784792a137cdcb259cfc479caeb9",
+        "c591373ba00520a2221b055ca80e3b676058a34d2d86ee05615925b295a9fa7b",
     "cl_regime":
         "bd24612e12feeafb7daa851f793232c3fe9918592588f791886000e0696c9824",
     "cl_vs_ccl":

@@ -1,6 +1,5 @@
 """Colored-noise sampling and the linear stochastic unraveling engine."""
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +12,18 @@ from qbmlab.dynamics import (
     MasterEquationSpec,
     NumericalFailure,
     SystemSpec,
+    ground_state_moments,
     integrate_moments,
+    rk4_step,
+    step_plan,
 )
 from qbmlab.fock import (
-    TruncationWarning,
+    OBSERVABLES,
     alpha_from_moments,
     coherent_state,
     fock_propagate,
+    lindblad_operators,
+    observables,
     position_momentum,
 )
 from qbmlab.stochastic import (
@@ -27,6 +31,9 @@ from qbmlab.stochastic import (
     NoiseFactorizationError,
     NoiseSpec,
     SSEConfig,
+    _noise_blocks,
+    _packet_sde,
+    _width_path,
     ccl_sse_config,
     empirical_noise_moments,
     ensemble_run,
@@ -105,8 +112,8 @@ def _spec(variant, gamma, T, mu=None):
 
 
 def test_config_validation():
-    kw = dict(spec=_spec("ccl", 0.25, 1.0), dim=8, dt=1e-2, n_traj=10,
-              seed=1)  # D = 4 m gamma kB T / hbar^2 = 1
+    # D = 4 m gamma kB T / hbar^2 = 1
+    kw = dict(spec=_spec("ccl", 0.25, 1.0), dt=1e-2, n_traj=10, seed=1)
     with pytest.raises(ValueError, match="S_scalar"):
         SSEConfig(S_scalar=1.5, **kw)
     # CL has no Lindblad form, HPZ no constant generator
@@ -118,31 +125,55 @@ def test_config_validation():
         SSEConfig(**{**kw, "spec": hpz})
     with pytest.raises(ValueError, match="seed"):
         SSEConfig(**{**kw, "seed": 2 ** 64})
-    with pytest.raises(ValueError, match="dim"):
-        SSEConfig(**{**kw, "dim": 1})
 
 
 def test_ccl_config_prefactors():
-    cfg = ccl_sse_config(SYS, gamma=0.05, T=2.0, dim=10, dt=1e-2,
+    cfg = ccl_sse_config(SYS, gamma=0.05, T=2.0, dt=1e-2,
                          n_traj=100, seed=5)
     assert cfg.D_scalar == pytest.approx(0.4, rel=1e-12)
     assert cfg.v[0] == 1.0
     assert cfg.v[1] == pytest.approx(1j / 8.0, rel=1e-12)
     assert cfg.spec.generator.G[0, 1] == pytest.approx(0.05, rel=1e-12)
     with pytest.raises(ValueError, match="gamma"):
-        ccl_sse_config(SYS, gamma=-0.1, T=2.0, dim=10, dt=1e-2,
+        ccl_sse_config(SYS, gamma=-0.1, T=2.0, dt=1e-2,
                        n_traj=100, seed=5)
 
 
 def test_configs_compare_by_their_settable_fields():
     # D_scalar and v derive from spec, so == must not compare the array v
-    cfg = ccl_sse_config(SYS, gamma=0.05, T=2.0, dim=10, dt=1e-2,
+    cfg = ccl_sse_config(SYS, gamma=0.05, T=2.0, dt=1e-2,
                          n_traj=100, seed=5)
     assert cfg == replace(cfg)
     assert cfg != replace(cfg, seed=6)
 
 
-# ------------------------------------------------------------- the engine
+# ------------------------------------------------------- the Fock reference
+
+def _fock_euler(config, psi0, n_traj):
+    """Dense Fock-Euler reference of the unraveling: per step,
+    psi <- (I + h K) psi - i dW A psi on the engine's own dW.
+
+    Returns the six raw observables, (n_nodes, 6, n_traj).
+    """
+    _, h, n_steps, stored = step_plan(config.t_span, config.dt,
+                                      config.store_every)
+    gen = config.spec.generator
+    (q, p), operators = lindblad_operators(config.spec, psi0.size)
+    step = np.eye(psi0.size) + h * operators(gen.G, gen.a)[0]
+    a_op = config.v[0] * q + config.v[1] * p
+    obs = observables(q, p)
+    psi = np.tile(psi0[:, None], (1, n_traj)).astype(complex)
+    nodes = [np.einsum("oij,jk,ik->ok", obs, psi, psi.conj()).real]
+    n = 0
+    for dw in _noise_blocks(config, np.arange(n_traj), h, n_steps):
+        for dw_n in dw:
+            psi = step @ psi - 1j * (a_op @ psi) * dw_n
+            n += 1
+            if n in stored:
+                nodes.append(np.einsum("oij,jk,ik->ok", obs, psi,
+                                       psi.conj()).real)
+    return np.array(nodes)
+
 
 def _one_step_expectation(config, psi0):
     """Exact ensemble expectation of every observable after one step.
@@ -151,35 +182,36 @@ def _one_step_expectation(config, psi0):
     psi -> M psi - i dW A psi averages to rho -> M rho M^dag
     + dt sum_jk a_jk F_j rho F_k, with M = I + dt K.
     """
-    spec = config.spec
+    spec, dim = config.spec, psi0.size
     G, a = spec.generator.G, spec.generator.a
-    F = position_momentum(config.dim, spec.system, spec.constants)
+    F = position_momentum(dim, spec.system, spec.constants)
     pairs = [(j, k) for j in (0, 1) for k in (0, 1)]
     h_det = 0.5 * sum(G[j, k] * (F[j] @ F[k]) for j, k in pairs)
     drift = -1j * h_det / spec.constants.hbar \
         - 0.5 * sum(a[j, k] * (F[k] @ F[j]) for j, k in pairs)
-    m_step = np.eye(config.dim) + config.dt * drift
+    m_step = np.eye(dim) + config.dt * drift
     rho0 = np.outer(psi0, psi0.conj())
     rho1 = m_step @ rho0 @ m_step.conj().T + config.dt * sum(
         a[j, k] * (F[j] @ rho0 @ F[k]) for j, k in pairs)
     q, p = F
-    obs = {"norm2": np.eye(config.dim), "q": q, "p": p, "qq": q @ q,
+    obs = {"norm2": np.eye(dim), "q": q, "p": p, "qq": q @ q,
            "pp": p @ p, "qp": 0.5 * (q @ p + p @ q)}
     return {k: float(np.trace(o @ rho1).real) for k, o in obs.items()}, \
         {k: float(np.trace(o @ rho0).real) for k, o in obs.items()}
 
 
 def _check_one_step(spec, s_frac):
-    config = SSEConfig(spec, dim=14, dt=0.05, t_span=(0.0, 0.05),
-                       store_every=1, n_traj=20_000, seed=11)
+    config = SSEConfig(spec, dt=0.05, t_span=(0.0, 0.05), store_every=1,
+                       n_traj=20_000, seed=11)
     config = replace(config, S_scalar=s_frac * config.D_scalar)
     psi0 = coherent_state(14, 0.6 + 0.2j)
-    result = ensemble_run(config, psi0)
+    raw = _fock_euler(config, psi0, config.n_traj)
+    mean = raw.mean(axis=2)
+    se = raw.std(axis=2, ddof=1) / np.sqrt(config.n_traj)
     exact1, exact0 = _one_step_expectation(config, psi0)
-    for name in ("norm2", "q", "p", "qq", "pp", "qp"):
-        assert result.means[name][0] == pytest.approx(exact0[name], rel=1e-10)
-        z = abs(result.means[name][1] - exact1[name]) \
-            / max(result.stderr[name][1], 1e-15)
+    for k, name in enumerate(OBSERVABLES):
+        assert mean[0, k] == pytest.approx(exact0[name], rel=1e-10)
+        z = abs(mean[1, k] - exact1[name]) / max(se[1, k], 1e-15)
         assert z < 4.0, f"{name}: z = {z:.2f}"
     return config
 
@@ -197,11 +229,53 @@ def test_qp_one_step_mean_matches_exact_expectation():
     assert config.D_scalar == pytest.approx(1.6, rel=1e-12)
 
 
+# ------------------------------------------------------------- the engine
+
+@pytest.mark.parametrize("variant, mu, s_frac", [
+    ("ccl", None, 0.0), ("ccl", None, 0.3 + 0.4j), ("jz", None, 0.0),
+    ("qp", 0.3, 0.0)], ids=["ccl", "ccl-complex-S", "jz", "qp"])
+def test_wavepackets_match_the_fock_reference_on_the_same_noise(
+        variant, mu, s_frac):
+    # Both schemes converge to one solution per noise path, so their
+    # ensemble means differ by far less than the Monte-Carlo error.
+    config = SSEConfig(_spec(variant, 0.05, 2.0, mu=mu), dt=2e-3,
+                       t_span=(0.0, 2.0), store_every=125, n_traj=512,
+                       seed=17)
+    config = replace(config, S_scalar=s_frac * config.D_scalar)
+    state0 = ground_state_moments(SYS, mean_q=0.4, mean_p=0.1)
+    psi0 = coherent_state(30, alpha_from_moments(SYS, 0.4, 0.1))
+    result = ensemble_run(config, state0)
+    fock = _fock_euler(config, psi0, config.n_traj).mean(axis=2)
+    for k, name in enumerate(OBSERVABLES):
+        assert np.allclose(result.means[name][0], fock[0, k], rtol=0.0,
+                           atol=1e-12), name
+        z = np.abs(result.means[name][1:] - fock[1:, k]) \
+            / result.stderr[name][1:]
+        assert np.max(z) < 0.5, f"{name}: max z = {np.max(z):.3f}"
+
+
+@pytest.mark.parametrize("variant, mu, s_frac", [
+    ("ccl", None, 0.0), ("ccl", None, 0.3 + 0.4j), ("qp", 2.0, -0.5)])
+def test_width_step_is_exact(variant, mu, s_frac):
+    # the Moebius steps of the width against RK4 at a 20x finer step
+    config = SSEConfig(_spec(variant, 0.24, 5.0 / 6.0, mu=mu), dt=0.05,
+                       n_traj=1, seed=1)
+    config = replace(config, S_scalar=s_frac * config.D_scalar)
+    r = _packet_sde(config)[0]
+    s0 = 0.3 - 0.2j
+    exact = _width_path(r, s0, 0.05, 40)
+    s = s0
+    for _ in range(800):
+        s = rk4_step(lambda _, y: r[0] + r[1] * y + r[2] * y * y, s, 0.0025)
+    assert abs(exact[-1] - s) <= 1e-10 * abs(s)
+    assert np.all(exact.real > 0.0)
+
+
 def test_ensemble_is_bit_deterministic():
-    config = SSEConfig(_spec("ccl", 0.0625, 2.0), dim=8, dt=1e-2,
+    config = SSEConfig(_spec("ccl", 0.0625, 2.0), dt=1e-2,
                        t_span=(0.0, 0.5), store_every=10, n_traj=600, seed=42)
-    psi0 = coherent_state(8, 0.4)
-    runs = [ensemble_run(config, psi0, threads=th) for th in (1, 4, 1)]
+    state0 = ground_state_moments(SYS, mean_q=0.4 * np.sqrt(2.0))
+    runs = [ensemble_run(config, state0, threads=th) for th in (1, 4, 1)]
     for other in runs[1:]:
         for name in runs[0].means:
             assert np.array_equal(runs[0].means[name], other.means[name])
@@ -211,9 +285,10 @@ def test_ensemble_is_bit_deterministic():
 
 def test_steps_and_times_use_the_adjusted_step():
     # dt = 0.03 and dt = 1/33 both take 33 steps of h = 1/33 over (0, 1)
+    state0 = ground_state_moments(SYS, mean_q=0.3 * np.sqrt(2.0))
     runs = [ensemble_run(ccl_sse_config(
-        SYS, 0.05, 2.0, dim=8, dt=dt, t_span=(0.0, 1.0), store_every=11,
-        n_traj=200, seed=4), coherent_state(8, 0.3)) for dt in (0.03, 1 / 33)]
+        SYS, 0.05, 2.0, dt=dt, t_span=(0.0, 1.0), store_every=11,
+        n_traj=200, seed=4), state0) for dt in (0.03, 1 / 33)]
     assert np.array_equal(runs[0].times, runs[1].times)
     for name in runs[0].means:
         assert np.array_equal(runs[0].means[name], runs[1].means[name])
@@ -227,10 +302,10 @@ def _step_plan_runs():
     state0 = GaussianMomentState(0.0, 0.0, 0.5, 0.5, 0.0)  # ground state
 
     def sse(t_span, dt, store_every):
-        config = SSEConfig(spec, dim=12, dt=dt, n_traj=1, seed=1,
-                           t_span=t_span, store_every=store_every)
+        config = SSEConfig(spec, dt=dt, n_traj=1, seed=1, t_span=t_span,
+                           store_every=store_every)
         with pytest.warns(EnsembleHealthWarning):
-            return ensemble_run(config, psi0).times
+            return ensemble_run(config, state0).times
 
     return [lambda *plan: integrate_moments(spec, state0, *plan).times,
             lambda *plan: fock_propagate(
@@ -267,13 +342,13 @@ def test_propagators_store_the_same_times(t_span, dt, store_every, expected):
 
 
 def test_means_do_not_depend_on_relation_scalar():
-    common = dict(dim=12, dt=5e-3, t_span=(0.0, 0.5), store_every=20,
-                  n_traj=2000, seed=13)
-    psi0 = coherent_state(12, 0.3)
+    common = dict(dt=5e-3, t_span=(0.0, 0.5), store_every=20, n_traj=2000,
+                  seed=13)
+    state0 = ground_state_moments(SYS, mean_q=0.3 * np.sqrt(2.0))
     res0 = ensemble_run(ccl_sse_config(SYS, 0.05, 2.0, S_scalar=0.0,
-                                       **common), psi0)
+                                       **common), state0)
     res1 = ensemble_run(ccl_sse_config(SYS, 0.05, 2.0, S_scalar=0.4,
-                                       **common), psi0)
+                                       **common), state0)
     for name in ("q", "p", "qq", "pp", "qp", "norm2"):
         gap = np.abs(res0.means[name] - res1.means[name])
         band = 5.0 * (res0.stderr[name] + res1.stderr[name]) + 1e-12
@@ -281,13 +356,12 @@ def test_means_do_not_depend_on_relation_scalar():
 
 
 def _check_tracks_moment_equations(spec):
-    config = SSEConfig(spec, dim=25, dt=2e-3, n_traj=2000, seed=99,
+    config = SSEConfig(spec, dt=2e-3, n_traj=2000, seed=99,
                        t_span=(0.0, 2.0), store_every=250)
-    psi0 = coherent_state(25, alpha_from_moments(SYS, 0.4, 0.0))
-    result = ensemble_run(config, psi0, threads=2)
+    state0 = GaussianMomentState(0.4, 0.0, 0.5, 0.5, 0.0)
+    result = ensemble_run(config, state0, threads=2)
     assert not result.failed_trajectories
 
-    state0 = GaussianMomentState(0.4, 0.0, 0.5, 0.5, 0.0)
     ode = integrate_moments(spec, state0, (0.0, 2.0), dt=1e-4,
                             store_every=5000)
     table = result.moment_table()
@@ -313,16 +387,15 @@ def test_rank_one_ensembles_track_moment_equations(variant, mu):
 
 
 def test_tiny_ensemble_matches_average_of_single_trajectories():
-    config = SSEConfig(_spec("jz", 0.0375, 2.0), dim=8, dt=1e-2,
+    config = SSEConfig(_spec("jz", 0.0375, 2.0), dt=1e-2,
                        t_span=(0.0, 0.3), store_every=10, n_traj=3, seed=21)
-    psi0 = coherent_state(8, 0.2)
+    state0 = ground_state_moments(SYS, mean_q=0.2 * np.sqrt(2.0))
     with pytest.warns(EnsembleHealthWarning, match="error bars"):
-        result = ensemble_run(config, psi0)
-    paths = [sse_trajectory(config, psi0, traj_index=i) for i in range(3)]
+        result = ensemble_run(config, state0)
+    paths = [sse_trajectory(config, state0, traj_index=i) for i in range(3)]
     stacked = np.stack([p.observables for p in paths])
     avg = stacked.mean(axis=0)
-    names = ("norm2", "q", "p", "qq", "pp", "qp")
-    for k, name in enumerate(names):
+    for k, name in enumerate(OBSERVABLES):
         assert np.allclose(result.means[name], avg[:, k], rtol=1e-10,
                            atol=1e-13)
     assert np.array_equal(paths[0].times, result.times)
@@ -330,37 +403,49 @@ def test_tiny_ensemble_matches_average_of_single_trajectories():
 
 def test_diverging_trajectories_raise_numerical_failure():
     # JZ with D = 4 m gamma kB T = 50: A = q
-    config = SSEConfig(_spec("jz", 12.5, 1.0), dim=10, dt=0.5,
+    config = SSEConfig(_spec("jz", 12.5, 1.0), dt=0.5,
                        t_span=(0.0, 50.0), store_every=100, n_traj=1, seed=2)
-    psi0 = coherent_state(10, 1.0)
+    state0 = ground_state_moments(SYS, mean_q=np.sqrt(2.0))
     with pytest.warns(EnsembleHealthWarning):
         with pytest.raises(NumericalFailure, match="diverged"):
-            ensemble_run(config, psi0)
-    path = sse_trajectory(config, psi0)
+            ensemble_run(config, state0)
+    path = sse_trajectory(config, state0)
     assert path.aborted
     assert np.all(np.isnan(path.observables[-1]))
 
 
 def test_small_ensembles_warn():
-    config = SSEConfig(_spec("ccl", 0.0125, 2.0), dim=6, dt=1e-2,
+    config = SSEConfig(_spec("ccl", 0.0125, 2.0), dt=1e-2,
                        t_span=(0.0, 0.1), store_every=10, n_traj=5, seed=3)
     with pytest.warns(EnsembleHealthWarning, match="trajectories"):
-        ensemble_run(config, coherent_state(6, 0.1))
+        ensemble_run(config,
+                     ground_state_moments(SYS, mean_q=0.1 * np.sqrt(2.0)))
 
 
 def test_psi0_validation():
-    config = SSEConfig(_spec("ccl", 0.0125, 2.0), dim=6, dt=1e-2,
+    # psi0 is given by its moments; only a pure Gaussian state has a packet
+    config = SSEConfig(_spec("ccl", 0.0125, 2.0), dt=1e-2,
                        t_span=(0.0, 0.1), n_traj=200, seed=3)
-    with pytest.raises(ValueError, match="length dim"):
-        ensemble_run(config, np.ones(5, dtype=complex))
-    with pytest.raises(ValueError, match="normalized"):
-        ensemble_run(config, np.full(6, 0.9, dtype=complex))
+    for impure in (GaussianMomentState(0.0, 0.0, 1.0, 1.0, 0.0),
+                   GaussianMomentState(0.0, 0.0, 0.5, 0.5, 1e-4),
+                   GaussianMomentState(0.0, 0.0, -0.5, -0.5, 0.0)):
+        for run in (ensemble_run, sse_trajectory):
+            with pytest.raises(ValueError, match="pure Gaussian state"):
+                run(config, impure)
+    # a correlated pure state reads back exactly at t = 0
+    state0 = GaussianMomentState(0.3, -0.2, 0.5, 1.0, 0.5)
+    table = ensemble_run(config, state0).moment_table()
+    read = [table[name][0] for name in ("mean_q", "mean_p", "s_qq", "s_pp",
+                                        "s_qp", "norm2")]
+    assert np.allclose(read, [*state0.as_array(), 1.0], rtol=0.0,
+                       atol=1e-14)
 
 
 def test_moment_table_layout_and_trajectory_dump():
-    config = SSEConfig(_spec("ccl", 0.025, 2.0), dim=8, dt=1e-2,
+    config = SSEConfig(_spec("ccl", 0.025, 2.0), dt=1e-2,
                        t_span=(0.0, 0.25), store_every=5, n_traj=120, seed=8)
-    result = ensemble_run(config, coherent_state(8, 0.3))
+    result = ensemble_run(
+        config, ground_state_moments(SYS, mean_q=0.3 * np.sqrt(2.0)))
     table = result.moment_table()
     assert set(table) == {
         "t", "mean_q", "se_mean_q", "mean_p", "se_mean_p",
@@ -371,17 +456,3 @@ def test_moment_table_layout_and_trajectory_dump():
     # uneven span: final node is kept even off the store stride
     assert result.times[-1] == pytest.approx(0.25)
     assert np.all(table["alive"] == 120)
-
-
-def test_truncated_initial_state_warns():
-    # a coherent state at <q> = 8 puts 0.27 of its weight in levels 28, 29
-    config = ccl_sse_config(SYS, 0.05, 2.0, dim=30, dt=0.01,
-                            t_span=(0.0, 0.1), store_every=5, n_traj=100,
-                            seed=1)
-    far = coherent_state(30, alpha_from_moments(SYS, 8.0, 0.0))
-    with pytest.warns(TruncationWarning, match=r"at t = 0 \(dim = 30\)"):
-        ensemble_run(config, far)
-    near = coherent_state(30, alpha_from_moments(SYS, 0.5, 0.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", TruncationWarning)
-        ensemble_run(config, near)
