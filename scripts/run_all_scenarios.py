@@ -1,6 +1,6 @@
 """Run every shipped scenario and summarize the manifests.
 
-Usage: python3 scripts/run_all_scenarios.py [--out DIR] [--threads N]
+Usage: python3 scripts/run_all_scenarios.py [--out DIR]
 """
 
 import argparse
@@ -17,7 +17,6 @@ SCENARIOS = ("jz_decoherence", "cl_regime", "cl_vs_ccl", "ccl_unraveling",
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="artifacts")
-    parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args()
 
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -25,8 +24,7 @@ def main():
     for name in SCENARIOS:
         scenario = root / "scenarios" / f"{name}.json"
         print(f"=== {name}")
-        code = qbmlab_main(["--scenario", str(scenario), "--out", args.out,
-                            "--threads", str(args.threads)])
+        code = qbmlab_main(["--scenario", str(scenario), "--out", args.out])
         if code != 0:
             print(f"{name}: exit code {code}", file=sys.stderr)
             failures += 1

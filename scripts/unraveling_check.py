@@ -5,7 +5,7 @@ matching moment equations, and prints the worst z-score per moment, for
 both S = 0 and S = D/2 noise relations.
 
 Usage: python3 scripts/unraveling_check.py [--n-traj N] [--dt DT]
-           [--t-max T] [--seed S] [--threads N]
+           [--t-max T] [--seed S] [--store-every K]
 """
 
 import argparse
@@ -32,7 +32,6 @@ def main():
     parser.add_argument("--dt", type=float, default=1e-3)
     parser.add_argument("--t-max", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=20260814)
-    parser.add_argument("--threads", type=int, default=2)
     parser.add_argument("--store-every", type=int, default=1000)
     args = parser.parse_args()
 
@@ -53,7 +52,7 @@ def main():
     for label, s_frac in (("S = 0", 0.0), ("S = D/2", 0.5)):
         config = replace(base, S_scalar=s_frac * base.D_scalar)
         t0 = time.perf_counter()
-        result = ensemble_run(config, state0, threads=args.threads)
+        result = ensemble_run(config, state0)
         walltime = time.perf_counter() - t0
         table = result.moment_table()
         print(f"--- {label}: {args.n_traj} trajectories in {walltime:.1f} s,"

@@ -450,7 +450,6 @@ class CorrelationKernel:
     re_values: np.ndarray
     im_values: np.ndarray
     bath: ThermalBathSpec | None = None
-    quad_tol: float = 1e-8
     health: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -496,7 +495,7 @@ class CorrelationKernel:
                       np.max(err[kept] / target[kept])) if kept.any()
                   else None}
         return cls(grid=grid, re_values=re, im_values=im, bath=bath,
-                   quad_tol=quad_tol, health=health)
+                   health=health)
 
     @classmethod
     def from_samples(cls, grid, re_values, im_values, bath=None):
@@ -538,4 +537,4 @@ class CorrelationKernel:
         return CorrelationKernel(grid=self.grid.copy(),
                                  re_values=factor * self.re_values,
                                  im_values=factor * self.im_values,
-                                 bath=None, quad_tol=self.quad_tol)
+                                 bath=None)

@@ -134,12 +134,10 @@ def _coefficient_pipeline(scenario):
     return kernel, coefficients
 
 
-def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
+def run_scenario(scenario, out_dir=".", seed_override=None):
     """Execute every requested pipeline; return the manifest."""
     if seed_override is not None and not 0 <= seed_override < 2 ** 64:
         raise ValueError("--seed: must fit in an unsigned 64-bit integer")
-    if threads < 1:
-        raise ValueError("--threads: must be >= 1")
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     stem = _safe_stem(scenario.name)
@@ -191,8 +189,7 @@ def run_scenario(scenario, out_dir=".", seed_override=None, threads=1):
                 spec, dt=scenario.run.dt, n_traj=sto.n_traj,
                 seed=ensemble_seed, t_span=scenario.run.t_span,
                 S_scalar=sto.S_scalar, store_every=scenario.run.store_every)
-            result = ensemble_run(config, _initial_moments(scenario),
-                                  threads=threads)
+            result = ensemble_run(config, _initial_moments(scenario))
             emit_csv("ensemble", io.ensemble_table(result, meta))
             if trajectory is None:
                 trajectory = _moment_trajectory(scenario, spec)
@@ -247,9 +244,9 @@ def _build_parser():
                         help="output directory (default: current)")
     parser.add_argument("--seed", type=int, metavar="U64",
                         help="override the stochastic seed")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for the ensemble (default 1; "
-                             "results are identical for any value)")
+    # --threads does nothing; it still parses as an int because
+    # bench/workloads.py passes --threads 2
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--strict", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="reject unknown scenario keys (default on)")
@@ -286,8 +283,7 @@ def main(argv=None):
 
         scenario = parse_scenario(args.scenario, strict=args.strict)
         manifest = run_scenario(scenario, out_dir=args.out,
-                                seed_override=args.seed,
-                                threads=args.threads)
+                                seed_override=args.seed)
         for path in manifest.outputs:
             print(f"wrote {path}")
         print(f"manifest: {manifest.extra['manifest_path']}")

@@ -42,9 +42,11 @@ def _closed_form(a):
     skew = np.max(np.abs(a - np.swapaxes(a, -2, -1).conj()), axis=(-2, -1))
     if np.any(skew > _HERMITICITY_TOL * scale):
         raise ValueError("matrix is not Hermitian to 1e-12")
-    tr = a[..., 0, 0].real + a[..., 1, 1].real
+    a00, a11 = a[..., 0, 0].real, a[..., 1, 1].real
+    tr = a00 + a11
     det = (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]).real
-    root = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    # sqrt(tr^2 - 4 det), without its cancellation when a00 ~ a11
+    root = np.hypot(a00 - a11, 2.0 * np.abs(a[..., 0, 1]))
     return 0.5 * (tr - root), det, 0.5 * (np.abs(tr) + root)
 
 

@@ -33,7 +33,6 @@ covariance with a symmetric eigenvalue decomposition.
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +48,7 @@ from .dynamics import (
 from .fock import OBSERVABLES, central_moments
 from .positivity import check_noise_realizable, rank_one_factor
 
-_CHUNK = 512  # trajectories per batch; fixed so results never depend on threading
+_CHUNK = 512  # trajectories per batch; fixed: it sets the summation order
 _STEP_BLOCK = 512  # time steps per noise-draw block
 _LOG_NORM_LIMIT = math.log(1e12)  # squared-norm runaway limit per trajectory
 _PURE_TOL = 1e-10  # |rs_uncertainty| of a pure state, relative to s_qq s_pp
@@ -316,9 +315,10 @@ def _noise_blocks(config, indices, h, n_steps):
         yield (rows @ root.T).view(complex)[..., 0].T
 
 
-def _run_chunk(config, packet0, indices):
-    """Propagate one batch of trajectories; return the stored times and
-    the accumulators.
+def _propagate(config, packet0, indices):
+    """Step the trajectories `indices` from one setup, in chunks of
+    _CHUNK added into the sums in index order; return the stored times
+    and the accumulators.
     """
     t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
                                        config.store_every)
@@ -331,42 +331,43 @@ def _run_chunk(config, packet0, indices):
     drift = (h * (nu0 + nu1 * s)).tolist()
     h_rho, c_kick = h * rho, -1j * k
 
-    n_traj = indices.size
-    b = np.full(n_traj, packet0[1])
-    c = np.full(n_traj, complex(packet0[2]))
     sums = np.zeros((stored.size, len(OBSERVABLES)))
     sumsqs = np.zeros_like(sums)
     alive_counts = np.zeros(stored.size, dtype=np.int64)
-    alive = np.ones(n_traj, dtype=bool)
     failed = []
-
     keep = stored.tolist()  # plain ints: cheap to compare every step
 
-    def record(node_idx):
-        vals, log_norm2 = _read_packets(s[keep[node_idx]], b, c, hbar)
-        bad = ~(log_norm2 <= _LOG_NORM_LIMIT) | ~np.isfinite(vals).all(axis=0)
-        newly_dead = bad & alive
-        if np.any(newly_dead):
-            failed.extend(int(i) for i in indices[newly_dead])
-            b[newly_dead] = c[newly_dead] = 0.0
-            alive[newly_dead] = False
-        sums[node_idx] += vals[:, alive].sum(axis=1)
-        sumsqs[node_idx] += (vals[:, alive] ** 2).sum(axis=1)
-        alive_counts[node_idx] += int(alive.sum())
+    for lo in range(0, indices.size, _CHUNK):
+        chunk = indices[lo:lo + _CHUNK]
+        b = np.full(chunk.size, packet0[1])
+        c = np.full(chunk.size, complex(packet0[2]))
+        alive = np.ones(chunk.size, dtype=bool)
 
-    record(0)
-    node_pos = 1
-    n = 0
-    for dw in _noise_blocks(config, indices, h, n_steps):
-        for dw_n in dw:
-            c += (h_rho * b + c_kick * dw_n) * b + drift[n]
-            b *= growth[n]
-            b += kick[n] * dw_n
-            n += 1
-            if n == keep[node_pos]:
-                record(node_pos)
-                node_pos += 1
-    return t0 + h * stored, sums, sumsqs, alive_counts, failed
+        def record(node_idx):  # of the current chunk
+            vals, log_norm2 = _read_packets(s[keep[node_idx]], b, c, hbar)
+            ok = (log_norm2 <= _LOG_NORM_LIMIT) & np.isfinite(vals).all(axis=0)
+            newly_dead = alive & ~ok
+            if np.any(newly_dead):
+                failed.extend(int(i) for i in chunk[newly_dead])
+                b[newly_dead] = c[newly_dead] = 0.0
+                alive[newly_dead] = False
+            sums[node_idx] += vals[:, alive].sum(axis=1)
+            sumsqs[node_idx] += (vals[:, alive] ** 2).sum(axis=1)
+            alive_counts[node_idx] += int(alive.sum())
+
+        record(0)
+        node_pos = 1
+        n = 0
+        for dw in _noise_blocks(config, chunk, h, n_steps):
+            for dw_n in dw:
+                c += (h_rho * b + c_kick * dw_n) * b + drift[n]
+                b *= growth[n]
+                b += kick[n] * dw_n
+                n += 1
+                if n == keep[node_pos]:
+                    record(node_pos)
+                    node_pos += 1
+    return t0 + h * stored, sums, sumsqs, alive_counts, sorted(failed)
 
 
 @dataclass
@@ -382,8 +383,6 @@ class EnsembleResult:
     means: dict
     stderr: dict
     alive: np.ndarray
-    n_traj: int
-    seed: int
     failed_trajectories: list
 
     def moment_table(self):
@@ -406,14 +405,13 @@ class EnsembleResult:
         }
 
 
-def ensemble_run(config, state0, threads=1):
+def ensemble_run(config, state0):
     """Monte-Carlo average of the linear unraveling from the pure
     Gaussian state `state0` (a `GaussianMomentState`).
 
     Deterministic for a fixed config: trajectories own counter-based
     generator streams seeded by (seed, index), the chunk size is a
-    module constant, and chunk results are merged in index order, so
-    neither `threads` nor scheduling can change any output bit.
+    module constant, and the chunks are summed in index order.
     """
     packet0 = _initial_packet(state0, config.spec.constants)
     if config.n_traj < 100:
@@ -421,21 +419,8 @@ def ensemble_run(config, state0, threads=1):
             f"only {config.n_traj} trajectories; error bars are unreliable",
             EnsembleHealthWarning, stacklevel=2)
 
-    chunks = [np.arange(lo, min(lo + _CHUNK, config.n_traj))
-              for lo in range(0, config.n_traj, _CHUNK)]
-
-    def work(idx_chunk):
-        return _run_chunk(config, packet0, idx_chunk)
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(ch) for ch in chunks]
-
-    times = results[0][0]
-    sums, sumsqs, alive = (sum(r[k] for r in results) for k in (1, 2, 3))
-    failed = sorted(i for r in results for i in r[4])
+    times, sums, sumsqs, alive, failed = _propagate(
+        config, packet0, np.arange(config.n_traj))
 
     if len(failed) > 0.01 * config.n_traj:
         raise NumericalFailure(
@@ -452,8 +437,7 @@ def ensemble_run(config, state0, threads=1):
     return EnsembleResult(times=times, means=dict(zip(OBSERVABLES, mean.T)),
                           stderr=dict(zip(OBSERVABLES,
                                           np.sqrt(var / counts).T)),
-                          alive=alive, n_traj=config.n_traj,
-                          seed=config.seed, failed_trajectories=failed)
+                          alive=alive, failed_trajectories=failed)
 
 
 @dataclass
@@ -465,7 +449,7 @@ class TrajectoryPath:
 
 def sse_trajectory(config, state0, traj_index=0):
     """Observable history of a single trajectory (by its ensemble index)."""
-    times, obs, _, alive_counts, failed = _run_chunk(
+    times, obs, _, alive_counts, failed = _propagate(
         config, _initial_packet(state0, config.spec.constants),
         np.array([traj_index]))
     # with a single trajectory the sums are the raw observables

@@ -226,7 +226,7 @@ def test_acceptance_07_sse_unraveling(acceptance_report):
                                 n_traj=10_000, seed=SEED,
                                 t_span=(0.0, 10.0), S_scalar=s_scalar,
                                 store_every=1000)
-        result = ensemble_run(config, state0, threads=2)
+        result = ensemble_run(config, state0)
         clean = clean and not result.failed_trajectories
         table = result.moment_table()
         z_max = 0.0

@@ -430,6 +430,10 @@ def test_cli_ensemble_pipeline(tmp_path):
     path = _write(tmp_path, payload, "sse.json")
     assert main(["--scenario", str(path), "--out", str(tmp_path),
                  "--threads", "2"]) == 0
+    # --threads still parses and changes nothing
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "o1")]) == 0
+    assert (tmp_path / "mini_sse_ensemble.csv").read_bytes() \
+        == (tmp_path / "o1" / "mini_sse_ensemble.csv").read_bytes()
     ens = io.read_csv(tmp_path / "mini_sse_ensemble.csv")
     assert ens.columns == io.ENSEMBLE_COLUMNS
     assert np.all(ens["alive"] == 50)
@@ -461,19 +465,6 @@ def test_out_of_range_seed_fails_before_any_work(tmp_path, capsys, seed):
     assert not list(out.iterdir())
     assert "--seed: must fit in an unsigned 64-bit integer" \
         in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("threads", [0, -5])
-def test_threads_below_one_fail_before_any_work(tmp_path, capsys, threads):
-    payload = {**ENSEMBLE, "equation": {"variant": "ccl"},
-               "run": {**ENSEMBLE["run"], "outputs": ["moments", "ensemble"]}}
-    path = _write(tmp_path, payload, "threaded.json")
-    out = tmp_path / "out"
-    out.mkdir()
-    assert main(["--scenario", str(path), "--out", str(out),
-                 "--threads", str(threads)]) == 2
-    assert not list(out.iterdir())
-    assert "--threads: must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_runs_are_byte_deterministic(tmp_path):

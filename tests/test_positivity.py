@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qbmlab.bath import (
     CorrelationKernel,
@@ -46,6 +46,7 @@ def test_min_eigenvalue_rejects_non_hermitian():
 
 @given(a11=st.floats(-3, 3), a22=st.floats(-3, 3),
        re=st.floats(-3, 3), im=st.floats(-3, 3))
+@example(a11=1.0, a22=1.0, re=1e-9, im=0.0)
 def test_min_eigenvalue_matches_lapack(a11, a22, re, im):
     a = np.array([[a11, re + 1j * im], [re - 1j * im, a22]])
     assert min_eigenvalue(a) == pytest.approx(

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qbmlab import stochastic
 from qbmlab.bath import CorrelationKernel, SpectralDensity, ThermalBathSpec
 from qbmlab.coefficients import delta_limit_coefficients
 from qbmlab.dynamics import (
@@ -275,12 +276,24 @@ def test_ensemble_is_bit_deterministic():
     config = SSEConfig(_spec("ccl", 0.0625, 2.0), dt=1e-2,
                        t_span=(0.0, 0.5), store_every=10, n_traj=600, seed=42)
     state0 = ground_state_moments(SYS, mean_q=0.4 * np.sqrt(2.0))
-    runs = [ensemble_run(config, state0, threads=th) for th in (1, 4, 1)]
-    for other in runs[1:]:
-        for name in runs[0].means:
-            assert np.array_equal(runs[0].means[name], other.means[name])
-            assert np.array_equal(runs[0].stderr[name], other.stderr[name])
-        assert np.array_equal(runs[0].alive, other.alive)
+    # 600 trajectories: a full chunk of 512 and a partial one
+    first, again = (ensemble_run(config, state0) for _ in range(2))
+    for name in first.means:
+        assert np.array_equal(first.means[name], again.means[name])
+        assert np.array_equal(first.stderr[name], again.stderr[name])
+    assert np.array_equal(first.alive, again.alive)
+
+
+def test_a_run_is_set_up_once(monkeypatch):
+    calls = []
+    for name in ("_packet_sde", "_width_path"):
+        monkeypatch.setattr(stochastic, name, lambda *a, f=getattr(
+            stochastic, name), n=name: calls.append(n) or f(*a))
+    # 1,100 trajectories are three chunks
+    config = SSEConfig(_spec("ccl", 0.0625, 2.0), dt=0.1,
+                       t_span=(0.0, 0.5), store_every=1, n_traj=1100, seed=3)
+    ensemble_run(config, ground_state_moments(SYS))
+    assert sorted(calls) == ["_packet_sde", "_width_path"]
 
 
 def test_steps_and_times_use_the_adjusted_step():
@@ -359,7 +372,7 @@ def _check_tracks_moment_equations(spec):
     config = SSEConfig(spec, dt=2e-3, n_traj=2000, seed=99,
                        t_span=(0.0, 2.0), store_every=250)
     state0 = GaussianMomentState(0.4, 0.0, 0.5, 0.5, 0.0)
-    result = ensemble_run(config, state0, threads=2)
+    result = ensemble_run(config, state0)
     assert not result.failed_trajectories
 
     ode = integrate_moments(spec, state0, (0.0, 2.0), dt=1e-4,
