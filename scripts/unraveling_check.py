@@ -21,7 +21,7 @@ from qbmlab.dynamics import (
     ground_state_moments,
     integrate_moments,
 )
-from qbmlab.stochastic import ccl_sse_config, ensemble_run
+from qbmlab.stochastic import SSEConfig, ensemble_run
 
 GAMMA, T_BATH, MEAN_Q = 0.02, 2.0, 0.5
 
@@ -37,17 +37,15 @@ def main():
 
     system = SystemSpec(m=1.0, omega_S=1.0)
     state0 = ground_state_moments(system, mean_q=MEAN_Q)
-    ode = integrate_moments(
-        MasterEquationSpec("ccl", system, gamma=GAMMA, T=T_BATH), state0,
-        (0.0, args.t_max), args.dt, store_every=args.store_every)
+    spec = MasterEquationSpec("ccl", system, gamma=GAMMA, T=T_BATH)
+    ode = integrate_moments(spec, state0, (0.0, args.t_max), args.dt,
+                            store_every=args.store_every)
     refs = (("mean_q", ode.mean_q), ("mean_p", ode.mean_p),
             ("s_qq", ode.sigma_qq), ("s_pp", ode.sigma_pp),
             ("s_qp", ode.sigma_qp))
 
-    base = ccl_sse_config(
-        system, GAMMA, T_BATH, dt=args.dt, n_traj=args.n_traj,
-        seed=args.seed, t_span=(0.0, args.t_max),
-        store_every=args.store_every)
+    base = SSEConfig(spec, dt=args.dt, n_traj=args.n_traj, seed=args.seed,
+                     t_span=(0.0, args.t_max), store_every=args.store_every)
     worst_overall = 0.0
     for label, s_frac in (("S = 0", 0.0), ("S = D/2", 0.5)):
         config = replace(base, S_scalar=s_frac * base.D_scalar)

@@ -7,7 +7,7 @@ Subpackages by topic:
 - :mod:`qbmlab.coefficients` -- time-dependent master-equation coefficients
 - :mod:`qbmlab.dynamics` -- Gaussian moment propagation for all equation variants
 - :mod:`qbmlab.fock` -- brute-force density-matrix propagation (cross-check oracle)
-- :mod:`qbmlab.positivity` -- Kossakowski matrices and complete-positivity audits
+- :mod:`qbmlab.positivity` -- complete-positivity audits of the generators
 - :mod:`qbmlab.stochastic` -- stochastic Schroedinger unravelings, colored noise
 - :mod:`qbmlab.scenario` / :mod:`qbmlab.cli` -- JSON scenario runner
 """
@@ -47,18 +47,10 @@ from .dynamics import (
     squeezed_state_moments,
     thermal_state_moments,
 )
-from .positivity import (
-    CPAuditReport,
-    KossakowskiMatrix,
-    assemble_constant_matrix,
-    assemble_hpz_matrix,
-    audit_cp,
-    min_eigenvalue,
-)
+from .positivity import CPAuditReport, audit_cp
 from .stochastic import (
     NoiseSpec,
     SSEConfig,
-    ccl_sse_config,
     ensemble_run,
     sample_colored_noise,
     sse_trajectory,
@@ -94,14 +86,9 @@ __all__ = [
     "squeezed_state_moments",
     "thermal_state_moments",
     "CPAuditReport",
-    "KossakowskiMatrix",
-    "assemble_constant_matrix",
-    "assemble_hpz_matrix",
     "audit_cp",
-    "min_eigenvalue",
     "NoiseSpec",
     "SSEConfig",
-    "ccl_sse_config",
     "ensemble_run",
     "sample_colored_noise",
     "sse_trajectory",

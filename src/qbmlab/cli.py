@@ -39,8 +39,7 @@ from .dynamics import (
     integrate_moments,
     squeezed_state_moments,
 )
-# assemble_constant_matrix is not called here; it stays importable
-# because bench/spans.py wraps cli.assemble_constant_matrix by name
+# unused here: bench/spans.py wraps cli.assemble_constant_matrix by name
 from .positivity import assemble_constant_matrix, audit_cp  # noqa: F401
 from .scenario import (
     ScenarioError,

@@ -136,6 +136,10 @@ class QuadraticGenerator:
     hbar: float
     grid: np.ndarray | None = None
 
+    def __post_init__(self):
+        if np.shape(self.G)[-2:] != (2, 2) or np.shape(self.a)[-2:] != (2, 2):
+            raise ValueError("G and a must be 2x2 matrices")
+
     def at(self, t):
         """(G, a) at times t by linear interpolation, shape t.shape + (2, 2)."""
         shape = np.shape(t) + (2, 2)
@@ -261,6 +265,30 @@ def step_plan(t_span, dt, store_every):
     return t0, (t1 - t0) / n_steps, n_steps, stored
 
 
+class UnstableGeneratorWarning(UserWarning):
+    """The friction matrix has an eigenvalue with positive real part."""
+
+
+def _warn_if_unstable(gen, t0, t1):
+    """Warn if A = J (G - hbar Im a) has an eigenvalue with real part
+    above 1e-12 max|A|: at the table nodes in [t0, t1], or once for a
+    constant generator.  The means then grow as exp(rate t).
+    """
+    times = np.array([t0]) if gen.grid is None \
+        else gen.grid[(gen.grid >= t0) & (gen.grid <= t1)]
+    A = gen.moment_matrix(times)[:, :2, :2]
+    # the larger real part of the eigenvalues tr/2 +- sqrt(tr^2/4 - det)
+    half_tr = 0.5 * (A[:, 0, 0] + A[:, 1, 1])
+    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+    rate = half_tr + np.sqrt(np.maximum(half_tr ** 2 - det, 0.0))
+    bad = rate > 1e-12 * np.abs(A).max(axis=(-2, -1))
+    if np.any(bad):
+        warnings.warn(f"unstable generator: from t = {times[np.argmax(bad)]:g}"
+                      " the friction matrix has an eigenvalue with real part"
+                      f" up to {rate[bad].max():.3g}, so the moments grow "
+                      "exponentially", UnstableGeneratorWarning, stacklevel=3)
+
+
 def rk4_stage_times(t0, h, lo, hi):
     """Stage times (t, t + h/2, t + h) of RK4 steps lo..hi-1, t = t0 + i h."""
     t = t0 + np.arange(lo, hi) * h
@@ -323,7 +351,8 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
     The steps and the stored states follow `step_plan`: dt is adjusted
     (at most fractionally) so an integer number of steps lands exactly
     on t_span[1], and outputs are every `store_every` steps plus the
-    final point.  Non-finite values abort with NumericalFailure.
+    final point.  Non-finite values abort with NumericalFailure; a
+    friction matrix with a growing mode warns (UnstableGeneratorWarning).
     """
     t0, h, n_steps, stored = step_plan(t_span, dt, store_every)
     if state0.sigma_qq <= 0.0 or state0.sigma_pp <= 0.0:
@@ -333,6 +362,7 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
                       UserWarning, stacklevel=2)
 
     gen = spec.generator
+    _warn_if_unstable(gen, t0, float(t_span[1]))
     z = np.append(state0.as_array(), 1.0)
     keep = set(stored.tolist())
     rows = [z[:5]]

@@ -9,19 +9,14 @@ Every master-equation variant is a quadratic generator (G, a) built by
 with F_1 = q, F_2 = p.  Such a generator is completely positive
 (Lindblad type) exactly when the 2x2 Hermitian Kossakowski matrix a is
 positive semidefinite (Lindblad, Rep. Math. Phys. 10, 393 (1976);
-Sandulescu and Scutaru, Ann. Phys. 173, 277 (1987)).  For the
-time-dependent coefficients and mass m,
+Sandulescu and Scutaru, Ann. Phys. 173, 277 (1987)).  The exact
+generator has a_pp = 0, so det a = -|a_qp|^2 and it is never of
+CP-semigroup form unless Theta and Upsilon both vanish; CL has
+det a = -gamma^2 / hbar^2 < 0; JZ, CCL and QP have rank-1 matrices (CP).
 
-    a(t) = [[ -2 Gamma,               (-Theta + i Upsilon) / m ],
-            [ (-Theta - i Upsilon) / m,                      0 ]] / hbar^2
-
-whose determinant -(Theta^2 + Upsilon^2) / (m hbar^2)^2 is never
-positive: the exact generator is never of CP-semigroup form unless
-Theta and Upsilon both vanish.  CL has det a = -gamma^2 / hbar^2 < 0;
-JZ, CCL and QP have rank-1 matrices (CP).  A bare coefficient table
-carries no mass, so `audit_cp` and `assemble_hpz_matrix` take m = 1 for
-it; audit `MasterEquationSpec(...).generator` for any other mass, as the
-CLI does.
+`audit_cp` reads a `QuadraticGenerator`.  A bare coefficient table
+carries no mass, so it is audited as the generator of m = 1; audit
+`MasterEquationSpec(...).generator` for any other mass, as the CLI does.
 """
 
 from dataclasses import dataclass, field
@@ -84,35 +79,6 @@ def check_noise_realizable(d, s):
                          f"rate D = {d:g}")
 
 
-@dataclass(frozen=True)
-class KossakowskiMatrix:
-    """2x2 Hermitian coefficient matrix in the (q, p) operator basis."""
-
-    a: np.ndarray
-    t: float | None = None
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        if a.shape != (2, 2):
-            raise ValueError("Kossakowski matrix must be 2x2")
-        object.__setattr__(self, "a", a)
-
-    @property
-    def norm(self):
-        """Spectral norm (largest singular value)."""
-        return float(_closed_form(self.a)[2])
-
-    def det(self):
-        return float(_closed_form(self.a)[1])
-
-
-def min_eigenvalue(matrix):
-    """Smaller eigenvalue of a 2x2 Hermitian matrix, in closed form."""
-    a = matrix.a if isinstance(matrix, KossakowskiMatrix) else \
-        np.asarray(matrix, dtype=complex)
-    return float(_closed_form(a)[0])
-
-
 def _table_generator(coefficients, constants):
     """Generator of a bare coefficient table, which carries no mass: m = 1."""
     return MasterEquationSpec("hpz", SystemSpec(m=1.0, omega_S=0.0),
@@ -132,19 +98,16 @@ def _node_indices(grid, times):
     return idx
 
 
-def assemble_hpz_matrix(coefficients, t, constants=PhysicalConstants()):
-    """Kossakowski matrix of the table's unit-mass generator at grid time t."""
-    gen = _table_generator(coefficients, constants)
-    idx = _node_indices(gen.grid, np.array([float(t)]))[0]
-    return KossakowskiMatrix(a=gen.a[idx], t=float(t))
-
-
 def assemble_constant_matrix(variant, *, m, gamma, T, mu=None,
                              constants=PhysicalConstants()):
-    """Kossakowski matrix of a constant-coefficient variant (mu: QP only)."""
-    spec = MasterEquationSpec(variant, SystemSpec(m=m, omega_S=0.0),
-                              constants=constants, gamma=gamma, T=T, mu=mu)
-    return KossakowskiMatrix(a=spec.generator.a)
+    """Generator of a constant-coefficient variant at omega_S = 0.
+
+    mu is read by QP only; the generator's `a` is the variant's
+    Kossakowski matrix.
+    """
+    return MasterEquationSpec(variant, SystemSpec(m=m, omega_S=0.0),
+                              constants=constants, gamma=gamma, T=T,
+                              mu=mu).generator
 
 
 @dataclass
@@ -179,16 +142,18 @@ class CPAuditReport:
 def audit_cp(source, t_grid=None, constants=PhysicalConstants()):
     """Scan min eigenvalues and classify the generator.
 
-    `source` is a constant KossakowskiMatrix (t_grid then only labels
-    the report), a `QuadraticGenerator`, or an HPZCoefficients table,
-    audited as the generator of a unit mass.  For a tabulated source
-    t_grid defaults to its grid and must be a subset of grid nodes.  The
-    verdict is "NotCP" as soon as one sampled eigenvalue dips below
-    -1e-12 * spectral norm at that time.
+    `source` is a `QuadraticGenerator`, or an HPZCoefficients table,
+    audited as the generator of a unit mass.  A constant generator is
+    audited at t_grid (default [0.0]), which only labels the report;
+    for a tabulated one t_grid defaults to its grid and must be a
+    subset of grid nodes.  An empty t_grid is rejected.  The verdict is "NotCP" as soon as one
+    sampled eigenvalue dips below -1e-12 * spectral norm at that time.
     """
     if isinstance(source, HPZCoefficients):
         source = _table_generator(source, constants)
-    if getattr(source, "grid", None) is None:
+    if t_grid is not None and np.size(t_grid) == 0:
+        raise ValueError("t_grid must hold at least one time")
+    if source.grid is None:
         times = np.atleast_1d(np.asarray(
             t_grid if t_grid is not None else [0.0], dtype=float))
         a = np.broadcast_to(source.a, times.shape + (2, 2))

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .bath import PhysicalConstants
 from .dynamics import (
     MasterEquationSpec,
     NumericalFailure,
@@ -207,13 +206,6 @@ class SSEConfig:
             raise ValueError("n_traj must be at least 1")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-def ccl_sse_config(system, gamma, T, *, constants=PhysicalConstants(),
-                   **run):
-    """SSEConfig of the corrected-CL generator; `run` sets its other fields."""
-    return SSEConfig(MasterEquationSpec("ccl", system, constants=constants,
-                                        gamma=gamma, T=T), **run)
 
 
 def _packet_sde(config):

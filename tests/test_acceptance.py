@@ -32,14 +32,10 @@ from qbmlab.dynamics import (
     squeezed_state_moments,
 )
 from qbmlab.fock import fock_propagate
-from qbmlab.positivity import (
-    assemble_constant_matrix,
-    audit_cp,
-    min_eigenvalue,
-)
+from qbmlab.positivity import audit_cp
 from qbmlab.stochastic import (
     NoiseSpec,
-    ccl_sse_config,
+    SSEConfig,
     empirical_noise_moments,
     ensemble_run,
     sample_colored_noise,
@@ -113,13 +109,12 @@ def test_acceptance_03_kossakowski_determinants(acceptance_report):
         T = rng.uniform(0.1, 50.0)
         hbar = rng.choice([0.5, 1.0, 2.0])
         constants = PhysicalConstants(hbar=float(hbar))
-        cl = assemble_constant_matrix("cl", m=m, gamma=gamma, T=T,
-                                      constants=constants)
-        ccl = assemble_constant_matrix("ccl", m=m, gamma=gamma, T=T,
-                                       constants=constants)
+        cl, ccl = (audit_cp(MasterEquationSpec(
+            v, SystemSpec(m=m, omega_S=1.0), constants=constants,
+            gamma=gamma, T=T).generator) for v in ("cl", "ccl"))
         target = -(gamma / hbar) ** 2
-        worst_cl = max(worst_cl, abs(cl.det() / target - 1.0))
-        worst_ccl = max(worst_ccl, abs(ccl.det()) / ccl.norm ** 2)
+        worst_cl = max(worst_cl, abs(cl.det[0] / target - 1.0))
+        worst_ccl = max(worst_ccl, abs(ccl.det[0]) / ccl.norm[0] ** 2)
     ok = worst_cl < 1e-12 and worst_ccl < 1e-12
     assert acceptance_report(
         3, ok, f"CL det rel dev {worst_cl:.1e}, "
@@ -222,10 +217,10 @@ def test_acceptance_07_sse_unraveling(acceptance_report):
     worst = {}
     clean = True
     for label, s_scalar in (("S=0", 0.0), ("S=D/2", 0.5 * d_scalar)):
-        config = ccl_sse_config(SYS, gamma, T, dt=1e-3,
-                                n_traj=10_000, seed=SEED,
-                                t_span=(0.0, 10.0), S_scalar=s_scalar,
-                                store_every=1000)
+        config = SSEConfig(MasterEquationSpec("ccl", SYS, gamma=gamma, T=T),
+                           dt=1e-3, n_traj=10_000, seed=SEED,
+                           t_span=(0.0, 10.0), S_scalar=s_scalar,
+                           store_every=1000)
         result = ensemble_run(config, state0)
         clean = clean and not result.failed_trajectories
         table = result.moment_table()
@@ -319,5 +314,5 @@ def test_acceptance_10_exact_reduction_via_csv(acceptance_report, tmp_path):
 
 def test_constant_kossakowski_signs():
     """Sanity companion to criterion 3: the CL matrix is indefinite."""
-    cl = assemble_constant_matrix("cl", m=1.0, gamma=0.1, T=2.0)
-    assert min_eigenvalue(cl) < 0.0
+    cl = MasterEquationSpec("cl", SYS, gamma=0.1, T=2.0).generator
+    assert audit_cp(cl).lambda_min[0] < 0.0

@@ -6,17 +6,31 @@ position decoherence, and steady states obtained by zeroing the linear
 right-hand side.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbmlab.coefficients import HPZCoefficients, delta_limit_coefficients
-from qbmlab.bath import PhysicalConstants
+from qbmlab.coefficients import (
+    HPZCoefficients,
+    OscillatorKernels,
+    compute_coefficients,
+    delta_limit_coefficients,
+    dressed_kernel,
+)
+from qbmlab.bath import (
+    CorrelationKernel,
+    PhysicalConstants,
+    SpectralDensity,
+    ThermalBathSpec,
+)
 from qbmlab.dynamics import (
     GaussianMomentState,
     MasterEquationSpec,
     NumericalFailure,
     SystemSpec,
+    UnstableGeneratorWarning,
     Variant,
     ground_state_moments,
     integrate_moments,
@@ -243,8 +257,54 @@ def test_runaway_coefficients_raise_numerical_failure():
     table = HPZCoefficients(grid=grid, Gamma=np.zeros(6), Theta=np.zeros(6),
                             Xi=np.zeros(6), Upsilon=np.full(6, 1e3))
     spec = spec_for("hpz", coefficients=table)
-    with pytest.raises(NumericalFailure, match="non-finite"):
+    with pytest.warns(UnstableGeneratorWarning, match="from t = 0 "), \
+            pytest.raises(NumericalFailure, match="non-finite"):
         integrate_moments(spec, STATE, (0.0, 5.0), 1e-3)
+
+
+# ------------------------------------------------------------- stability
+
+@pytest.fixture(scope="module")
+def hpz_audit_spec():
+    """The generator of scenarios/hpz_audit.json, which has no counterterm."""
+    bath = ThermalBathSpec(SpectralDensity(1.0, 0.1, 50.0), T=10.0)
+    kernel = CorrelationKernel.from_bath(bath, np.linspace(0.0, 10.0, 1001))
+    k = OscillatorKernels(1.0)
+    table = compute_coefficients(dressed_kernel(kernel, k, 1), k)
+    return spec_for("hpz", coefficients=table)
+
+
+def test_growing_generator_warns_with_time_and_rate(hpz_audit_spec):
+    state0 = ground_state_moments(SYS, mean_q=1.0)
+    with pytest.warns(UnstableGeneratorWarning,
+                      match=r"from t = 0\.03 .* up to 2\.42"):
+        tr = integrate_moments(hpz_audit_spec, state0, (0.0, 10.0), 1e-3,
+                               store_every=100)
+    assert tr.sigma_qq[-1] > 1e18  # what the warning is about
+
+
+@pytest.mark.parametrize("variant, kw", [
+    ("jz", dict(gamma=0.1, T=2.0)),
+    ("cl", dict(gamma=0.1, T=2.0)),
+    ("ccl", dict(gamma=0.1, T=2.0)),
+    ("qp", dict(gamma=0.1, T=2.0, mu=0.3)),
+    ("hpz", dict(coefficients=delta_limit_coefficients(
+        0.8, np.linspace(0.0, 1.0, 11)))),
+])
+@pytest.mark.parametrize("omega_S", [0.0, 1.0])
+def test_stable_generators_do_not_warn(variant, kw, omega_S):
+    spec = MasterEquationSpec(variant, SystemSpec(m=1.0, omega_S=omega_S),
+                              **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UnstableGeneratorWarning)
+        integrate_moments(spec, STATE, (0.0, 1.0), 1e-2)
+
+
+def test_stability_is_checked_at_the_nodes_inside_t_span(hpz_audit_spec):
+    # the first growing node is t = 0.03
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UnstableGeneratorWarning)
+        integrate_moments(hpz_audit_spec, STATE, (0.0, 0.02), 1e-3)
 
 
 # ---------------------------------------------------------- integrator api

@@ -1,5 +1,7 @@
 """Kossakowski matrices, eigenvalue closed form, and CP audits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -20,28 +22,35 @@ from qbmlab.coefficients import (
 from qbmlab.dynamics import (
     GaussianMomentState,
     MasterEquationSpec,
+    QuadraticGenerator,
     SystemSpec,
     moment_rhs,
 )
-from qbmlab.positivity import (
-    KossakowskiMatrix,
-    assemble_constant_matrix,
-    assemble_hpz_matrix,
-    audit_cp,
-    min_eigenvalue,
-    rank_one_factor,
-)
+from qbmlab.positivity import audit_cp, rank_one_factor
+
+
+def _generator(variant, m=1.3, gamma=0.21, T=7.0, mu=None,
+               constants=PhysicalConstants()):
+    return MasterEquationSpec(variant, SystemSpec(m=m, omega_S=0.0),
+                              constants=constants, gamma=gamma, T=T,
+                              mu=mu).generator
+
+
+def _audit_matrix(a):
+    """Audit of a constant generator with Kossakowski matrix a."""
+    return audit_cp(QuadraticGenerator(np.zeros((2, 2)), a, 1.0))
 
 
 def test_min_eigenvalue_frozen_example():
     a = np.array([[2.0, -0.5 + 0.2j], [-0.5 - 0.2j, 0.0]])
     # closed form: 1 - sqrt(1 + 0.29)
-    assert min_eigenvalue(a) == pytest.approx(1.0 - np.sqrt(1.29), rel=1e-12)
+    assert _audit_matrix(a).lambda_min[0] == pytest.approx(
+        1.0 - np.sqrt(1.29), rel=1e-12)
 
 
 def test_min_eigenvalue_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        min_eigenvalue(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        _audit_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 @given(a11=st.floats(-3, 3), a22=st.floats(-3, 3),
@@ -49,53 +58,53 @@ def test_min_eigenvalue_rejects_non_hermitian():
 @example(a11=1.0, a22=1.0, re=1e-9, im=0.0)
 def test_min_eigenvalue_matches_lapack(a11, a22, re, im):
     a = np.array([[a11, re + 1j * im], [re - 1j * im, a22]])
-    assert min_eigenvalue(a) == pytest.approx(
+    assert _audit_matrix(a).lambda_min[0] == pytest.approx(
         float(np.linalg.eigvalsh(a)[0]), rel=1e-10, abs=1e-12)
 
 
 # ------------------------------------------------- constant-variant matrices
 
 def test_cl_matrix_determinant_identity():
-    k = assemble_constant_matrix("cl", m=1.3, gamma=0.21, T=7.0)
-    assert k.det() == pytest.approx(-0.21 ** 2, rel=1e-12)
-    assert min_eigenvalue(k) < 0.0
+    report = audit_cp(_generator("cl"))
+    assert report.det[0] == pytest.approx(-0.21 ** 2, rel=1e-12)
+    assert report.lambda_min[0] < 0.0
 
 
 def test_ccl_matrix_is_rank_one():
-    k = assemble_constant_matrix("ccl", m=1.3, gamma=0.21, T=7.0)
-    assert k.det() == pytest.approx(0.0, abs=1e-14 * k.norm ** 2)
-    assert min_eigenvalue(k) >= -1e-14 * k.norm
+    report = audit_cp(_generator("ccl"))
+    norm = report.norm[0]
+    assert report.det[0] == pytest.approx(0.0, abs=1e-14 * norm ** 2)
+    assert report.lambda_min[0] >= -1e-14 * norm
 
 
 def test_jz_matrix_is_positive_diagonal():
-    k = assemble_constant_matrix("jz", m=1.0, gamma=0.1, T=2.0)
-    assert k.a[0, 0].real == pytest.approx(0.8, rel=1e-12)
-    assert k.a[1, 1] == 0.0 and k.a[0, 1] == 0.0
-    assert abs(min_eigenvalue(k)) <= 1e-15 * k.norm
+    gen = _generator("jz", m=1.0, gamma=0.1, T=2.0)
+    assert gen.a[0, 0].real == pytest.approx(0.8, rel=1e-12)
+    assert gen.a[1, 1] == 0.0 and gen.a[0, 1] == 0.0
+    report = audit_cp(gen)
+    assert abs(report.lambda_min[0]) <= 1e-15 * report.norm[0]
 
 
 @given(m=st.floats(0.1, 5.0), gamma=st.floats(1e-3, 2.0),
        T=st.floats(0.1, 50.0))
 def test_constant_matrix_determinants_property(m, gamma, T):
-    det_cl = assemble_constant_matrix("cl", m=m, gamma=gamma, T=T).det()
-    det_ccl = assemble_constant_matrix("ccl", m=m, gamma=gamma, T=T).det()
-    assert det_cl == pytest.approx(-gamma ** 2, rel=1e-9)
-    assert abs(det_ccl) <= 1e-12 * gamma ** 2 \
-        + 1e-12 * assemble_constant_matrix(
-            "ccl", m=m, gamma=gamma, T=T).norm ** 2
+    cl = audit_cp(_generator("cl", m=m, gamma=gamma, T=T))
+    ccl = audit_cp(_generator("ccl", m=m, gamma=gamma, T=T))
+    assert cl.det[0] == pytest.approx(-gamma ** 2, rel=1e-9)
+    assert abs(ccl.det[0]) <= 1e-12 * gamma ** 2 + 1e-12 * ccl.norm[0] ** 2
 
 
 def test_constant_matrix_units_enter_through_hbar():
     c = PhysicalConstants(hbar=2.0)
-    k = assemble_constant_matrix("cl", m=1.0, gamma=0.3, T=1.0, constants=c)
-    assert k.det() == pytest.approx(-(0.3 / 2.0) ** 2, rel=1e-12)
+    report = audit_cp(_generator("cl", m=1.0, gamma=0.3, T=1.0, constants=c))
+    assert report.det[0] == pytest.approx(-(0.3 / 2.0) ** 2, rel=1e-12)
 
 
 def test_constant_matrix_validation():
     with pytest.raises(ValueError):
-        assemble_constant_matrix("hpz", m=1.0, gamma=0.1, T=1.0)
+        _generator("hpz", m=1.0, gamma=0.1, T=1.0)
     with pytest.raises(ValueError):
-        assemble_constant_matrix("cl", m=-1.0, gamma=0.1, T=1.0)
+        _generator("cl", m=-1.0, gamma=0.1, T=1.0)
 
 
 # ------------------------------------------------------------- HPZ matrices
@@ -109,20 +118,36 @@ def hpz_table():
     return compute_coefficients(dressed_kernel(kernel, k, 1), k)
 
 
-def test_assemble_hpz_matrix_structure(hpz_table):
-    k = assemble_hpz_matrix(hpz_table, float(hpz_table.grid[40]))
+def _unit_mass_generator(table):
+    """What `audit_cp` audits for a bare table."""
+    return MasterEquationSpec("hpz", SystemSpec(m=1.0, omega_S=0.0),
+                              coefficients=table).generator
+
+
+def test_hpz_generator_matrix_structure(hpz_table):
     i = 40
-    assert k.a[0, 0].real == pytest.approx(-2.0 * hpz_table.Gamma[i], rel=1e-12)
-    assert k.a[1, 1] == 0.0
-    assert k.a[0, 1] == pytest.approx(
+    a = _unit_mass_generator(hpz_table).a[i]
+    assert a[0, 0].real == pytest.approx(-2.0 * hpz_table.Gamma[i], rel=1e-12)
+    assert a[1, 1] == 0.0
+    assert a[0, 1] == pytest.approx(
         -hpz_table.Theta[i] + 1j * hpz_table.Upsilon[i], rel=1e-12)
-    assert k.det() == pytest.approx(
+    report = audit_cp(hpz_table, t_grid=hpz_table.grid[i:i + 1])
+    assert report.det[0] == pytest.approx(
         -(hpz_table.Theta[i] ** 2 + hpz_table.Upsilon[i] ** 2), rel=1e-10)
 
 
-def test_assemble_hpz_matrix_requires_grid_node(hpz_table):
-    with pytest.raises(ValueError, match="node"):
-        assemble_hpz_matrix(hpz_table, 0.01234567)
+def test_audit_requires_grid_nodes(hpz_table):
+    with pytest.raises(ValueError, match="not a node"):
+        audit_cp(hpz_table, t_grid=[0.01234567])
+
+
+@pytest.mark.parametrize("source", ["constant", "table"])
+def test_audit_rejects_an_empty_t_grid(source, hpz_table):
+    # an empty scan has no eigenvalue to fail: it must not pass as CP
+    gen = _generator("cl", m=1.0, gamma=0.1, T=1.0) \
+        if source == "constant" else hpz_table
+    with pytest.raises(ValueError, match="t_grid"):
+        audit_cp(gen, t_grid=[])
 
 
 def test_audit_flags_exact_generator_as_not_cp(hpz_table):
@@ -137,17 +162,16 @@ def test_audit_flags_exact_generator_as_not_cp(hpz_table):
 
 def test_audit_scale_invariance(hpz_table):
     t_grid = hpz_table.grid[hpz_table.grid >= 0.05]
-    k = assemble_hpz_matrix(hpz_table, float(t_grid[7]))
-    big = KossakowskiMatrix(a=k.a * 1e9)
-    small = KossakowskiMatrix(a=k.a * 1e-9)
-    assert audit_cp(k).verdict == audit_cp(big).verdict \
-        == audit_cp(small).verdict == "NotCP"
+    gen = _unit_mass_generator(hpz_table)
+    reports = [audit_cp(replace(gen, a=gen.a * s), t_grid=t_grid)
+               for s in (1.0, 1e9, 1e-9)]
+    assert {r.verdict for r in reports} == {"NotCP"}
+    assert {r.first_violation_time for r in reports} == {t_grid[0]}
 
 
 def test_audit_constant_matrices():
-    cl = assemble_constant_matrix("cl", m=1.0, gamma=0.1, T=1.0)
-    ccl = assemble_constant_matrix("ccl", m=1.0, gamma=0.1, T=1.0)
-    jz = assemble_constant_matrix("jz", m=1.0, gamma=0.1, T=1.0)
+    cl, ccl, jz = (_generator(v, m=1.0, gamma=0.1, T=1.0)
+                   for v in ("cl", "ccl", "jz"))
     assert audit_cp(cl).verdict == "NotCP"
     rep_ccl = audit_cp(ccl)
     assert rep_ccl.verdict == "CP-semigroup-form"
@@ -166,7 +190,7 @@ def test_delta_limit_table_audits_as_cp():
 
 def test_kossakowski_validation():
     with pytest.raises(ValueError, match="2x2"):
-        KossakowskiMatrix(a=np.eye(3))
+        QuadraticGenerator(np.zeros((2, 2)), np.eye(3), 1.0)
 
 
 @pytest.mark.parametrize("variant,kw", [
@@ -191,7 +215,7 @@ def test_audited_matrix_gives_the_moment_diffusion(variant, kw):
         a = spec.generator.a[4]  # what the CLI audits
     else:
         spec = MasterEquationSpec(variant, system, constants=c, **kw)
-        a = assemble_constant_matrix(variant, m=m, constants=c, **kw).a
+        a = spec.generator.a
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     b = c.hbar ** 2 * (j @ a.real @ j.T)
     zero = GaussianMomentState(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -212,16 +236,16 @@ def test_audit_of_a_generator_uses_its_mass(hpz_table):
     a = spec.generator.a[40]
     assert a[0, 1] == pytest.approx(
         (-hpz_table.Theta[40] + 1j * hpz_table.Upsilon[40]) / 1.7, rel=1e-12)
-    assert np.array_equal(
-        a[0, 0], assemble_hpz_matrix(hpz_table, hpz_table.grid[40]).a[0, 0])
+    assert np.array_equal(a[0, 0],
+                          _unit_mass_generator(hpz_table).a[40, 0, 0])
 
 
 def test_qp_matrix_is_rank_one():
-    k = assemble_constant_matrix("qp", m=1.3, gamma=0.21, T=7.0, mu=0.4)
+    gen = _generator("qp", mu=0.4)
     d = 4.0 * 1.3 * 0.21 * 7.0
-    assert np.allclose(k.a, d * np.array([[1.0, -0.4], [-0.4, 0.16]]),
+    assert np.allclose(gen.a, d * np.array([[1.0, -0.4], [-0.4, 0.16]]),
                        rtol=1e-12, atol=0.0)
-    report = audit_cp(k)
+    report = audit_cp(gen)
     assert report.verdict == "CP-semigroup-form"
     assert "rank-1" in report.flags
 
@@ -229,24 +253,25 @@ def test_qp_matrix_is_rank_one():
 @pytest.mark.parametrize("variant, mu", [("jz", None), ("ccl", None),
                                          ("qp", 0.4), ("qp", 2.0)])
 def test_rank_one_factor_reproduces_the_matrix(variant, mu):
-    a = assemble_constant_matrix(variant, m=1.3, gamma=0.21, T=7.0, mu=mu).a
+    gen = _generator(variant, mu=mu)
+    a = gen.a
     d, v = rank_one_factor(a)
     assert np.allclose(d * np.outer(v, v.conj()), a, rtol=0.0,
                        atol=1e-12 * d)
     # normalized on the larger diagonal entry, whose component is 1
     k = int(a[1, 1].real > a[0, 0].real)
     assert v[k] == 1.0 and d == a[k, k].real
-    assert "rank-1" in audit_cp(KossakowskiMatrix(a)).flags
+    assert "rank-1" in audit_cp(gen).flags
 
 
 def test_rank_one_factor_rejects_what_the_audit_does_not_flag():
-    cl = assemble_constant_matrix("cl", m=1.3, gamma=0.21, T=7.0)
+    cl = _generator("cl")
     with pytest.raises(ValueError, match="lambda_min = -"):
         rank_one_factor(cl.a)
     with pytest.raises(ValueError, match="rank <= 1"):
         rank_one_factor(np.eye(2))  # positive definite, rank 2
     for a in (cl.a, np.eye(2)):
-        assert "rank-1" not in audit_cp(KossakowskiMatrix(a)).flags
+        assert "rank-1" not in _audit_matrix(a).flags
     # gamma = 0 gives a = 0: rank 0, no noise
     d, v = rank_one_factor(np.zeros((2, 2)))
     assert d == 0.0 and np.array_equal(v, [1.0, 0.0])

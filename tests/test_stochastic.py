@@ -35,7 +35,6 @@ from qbmlab.stochastic import (
     _noise_blocks,
     _packet_sde,
     _width_path,
-    ccl_sse_config,
     empirical_noise_moments,
     ensemble_run,
     sample_colored_noise,
@@ -129,21 +128,18 @@ def test_config_validation():
 
 
 def test_ccl_config_prefactors():
-    cfg = ccl_sse_config(SYS, gamma=0.05, T=2.0, dt=1e-2,
-                         n_traj=100, seed=5)
+    cfg = SSEConfig(_spec("ccl", 0.05, 2.0), dt=1e-2, n_traj=100, seed=5)
     assert cfg.D_scalar == pytest.approx(0.4, rel=1e-12)
     assert cfg.v[0] == 1.0
     assert cfg.v[1] == pytest.approx(1j / 8.0, rel=1e-12)
     assert cfg.spec.generator.G[0, 1] == pytest.approx(0.05, rel=1e-12)
     with pytest.raises(ValueError, match="gamma"):
-        ccl_sse_config(SYS, gamma=-0.1, T=2.0, dt=1e-2,
-                       n_traj=100, seed=5)
+        SSEConfig(_spec("ccl", -0.1, 2.0), dt=1e-2, n_traj=100, seed=5)
 
 
 def test_configs_compare_by_their_settable_fields():
     # D_scalar and v derive from spec, so == must not compare the array v
-    cfg = ccl_sse_config(SYS, gamma=0.05, T=2.0, dt=1e-2,
-                         n_traj=100, seed=5)
+    cfg = SSEConfig(_spec("ccl", 0.05, 2.0), dt=1e-2, n_traj=100, seed=5)
     assert cfg == replace(cfg)
     assert cfg != replace(cfg, seed=6)
 
@@ -299,8 +295,8 @@ def test_a_run_is_set_up_once(monkeypatch):
 def test_steps_and_times_use_the_adjusted_step():
     # dt = 0.03 and dt = 1/33 both take 33 steps of h = 1/33 over (0, 1)
     state0 = ground_state_moments(SYS, mean_q=0.3 * np.sqrt(2.0))
-    runs = [ensemble_run(ccl_sse_config(
-        SYS, 0.05, 2.0, dt=dt, t_span=(0.0, 1.0), store_every=11,
+    runs = [ensemble_run(SSEConfig(
+        _spec("ccl", 0.05, 2.0), dt=dt, t_span=(0.0, 1.0), store_every=11,
         n_traj=200, seed=4), state0) for dt in (0.03, 1 / 33)]
     assert np.array_equal(runs[0].times, runs[1].times)
     for name in runs[0].means:
@@ -358,10 +354,10 @@ def test_means_do_not_depend_on_relation_scalar():
     common = dict(dt=5e-3, t_span=(0.0, 0.5), store_every=20, n_traj=2000,
                   seed=13)
     state0 = ground_state_moments(SYS, mean_q=0.3 * np.sqrt(2.0))
-    res0 = ensemble_run(ccl_sse_config(SYS, 0.05, 2.0, S_scalar=0.0,
-                                       **common), state0)
-    res1 = ensemble_run(ccl_sse_config(SYS, 0.05, 2.0, S_scalar=0.4,
-                                       **common), state0)
+    res0 = ensemble_run(SSEConfig(_spec("ccl", 0.05, 2.0), S_scalar=0.0,
+                                  **common), state0)
+    res1 = ensemble_run(SSEConfig(_spec("ccl", 0.05, 2.0), S_scalar=0.4,
+                                  **common), state0)
     for name in ("q", "p", "qq", "pp", "qp", "norm2"):
         gap = np.abs(res0.means[name] - res1.means[name])
         band = 5.0 * (res0.stderr[name] + res1.stderr[name]) + 1e-12
