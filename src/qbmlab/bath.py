@@ -58,7 +58,12 @@ class QuadratureWarning(UserWarning):
     """Adaptive quadrature finished but missed its accuracy target."""
 
 
-class QuadratureError(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """A table, a quadrature or a propagation came out non-finite or
+    unrealizable; the base of every numerical error in qbmlab."""
+
+
+class QuadratureError(NumericalFailure):
     """Adaptive quadrature failed outright (non-finite result)."""
 
 
@@ -172,22 +177,39 @@ def _quad_checked(func, a, b, *, what, epsabs, epsrel, scale, **kwargs):
     return result
 
 
-def _correlation_re(bath, tau, quad_tol):
-    """Even part of the correlation function at tau >= 0."""
+def _correlation_quad(bath, tau, quad_tol, part):
+    """Even (part "re") or odd (part "im") part of the correlation
+    function at tau >= 0 by adaptive quadrature, weighted by cos or sin
+    (QUADPACK).
+    """
     sd = bath.spectral
-    c = bath.constants
-    a = bath.thermal_time
-    pref = 2.0 * sd.m * sd.gamma * c.hbar / np.pi
+    pref = 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi
     kind = sd.cutoff_kind
+    if part == "re":
+        a = bath.thermal_time
 
-    def integrand(w):
-        return pref * _cutoff_factor(kind, w / sd.Omega) * _omega_coth(w, a)
+        def integrand(w):
+            return pref * _cutoff_factor(kind, w / sd.Omega) \
+                * _omega_coth(w, a)
 
-    # Magnitude scale of the integral, used for absolute tolerances where
-    # quadpack cannot work in relative terms (semi-infinite weighted rules).
-    scale = pref * sd.Omega * _omega_coth(sd.Omega, a)
+        scale = pref * sd.Omega * _omega_coth(sd.Omega, a)
+        sign, weight = 1.0, "cos"
+    else:
+        if tau == 0.0:
+            return 0.0
 
-    if tau == 0.0:
+        def integrand(w):
+            return pref * w * _cutoff_factor(kind, w / sd.Omega)
+
+        scale = pref * sd.Omega ** 2
+        sign, weight = -1.0, "sin"
+
+    # scale: the magnitude of the integral, used for absolute tolerances
+    # where quadpack cannot work in relative terms (semi-infinite
+    # weighted rules)
+    args = {"what": f"D_{part}({tau:g})", "epsabs": quad_tol * scale,
+            "epsrel": quad_tol, "scale": scale}
+    if tau == 0.0:  # the even part only; no oscillatory weight
         if kind is CutoffKind.SHARP:
             upper = sd.Omega
         elif kind is CutoffKind.EXPONENTIAL:
@@ -198,41 +220,12 @@ def _correlation_re(bath, tau, quad_tol):
                 "D_re(0) diverges logarithmically for the drude cutoff; "
                 f"integral truncated at {_DRUDE_TRUNCATION:g} * Omega",
                 ValidityWarning, stacklevel=3)
-        return _quad_checked(integrand, 0.0, upper, what="D_re(0)",
-                             epsabs=quad_tol * scale, epsrel=quad_tol,
-                             scale=scale, limit=500)
-
+        return _quad_checked(integrand, 0.0, upper, limit=500, **args)
     if kind is CutoffKind.SHARP:
-        return _quad_checked(integrand, 0.0, sd.Omega, what=f"D_re({tau:g})",
-                             epsabs=quad_tol * scale, epsrel=quad_tol,
-                             scale=scale, weight="cos", wvar=tau, limit=500)
-    return _quad_checked(integrand, 0.0, np.inf, what=f"D_re({tau:g})",
-                         epsabs=quad_tol * scale, epsrel=quad_tol,
-                         scale=scale, weight="cos", wvar=tau, limlst=200)
-
-
-def _correlation_im(bath, tau, quad_tol):
-    """Odd part of the correlation function at tau >= 0."""
-    if tau == 0.0:
-        return 0.0
-    sd = bath.spectral
-    c = bath.constants
-    pref = 2.0 * sd.m * sd.gamma * c.hbar / np.pi
-    kind = sd.cutoff_kind
-    scale = pref * sd.Omega ** 2
-
-    def integrand(w):
-        return pref * w * _cutoff_factor(kind, w / sd.Omega)
-
-    if kind is CutoffKind.SHARP:
-        val = _quad_checked(integrand, 0.0, sd.Omega, what=f"D_im({tau:g})",
-                            epsabs=quad_tol * scale, epsrel=quad_tol,
-                            scale=scale, weight="sin", wvar=tau, limit=500)
-    else:
-        val = _quad_checked(integrand, 0.0, np.inf, what=f"D_im({tau:g})",
-                            epsabs=quad_tol * scale, epsrel=quad_tol,
-                            scale=scale, weight="sin", wvar=tau, limlst=200)
-    return -val
+        return sign * _quad_checked(integrand, 0.0, sd.Omega, weight=weight,
+                                    wvar=tau, limit=500, **args)
+    return sign * _quad_checked(integrand, 0.0, np.inf, weight=weight,
+                                wvar=tau, limlst=200, **args)
 
 
 def eval_correlation(bath, tau, quad_tol=1e-8):
@@ -254,8 +247,8 @@ def eval_correlation(bath, tau, quad_tol=1e-8):
     complex
     """
     tau = float(tau)
-    re = _correlation_re(bath, abs(tau), quad_tol)
-    im = _correlation_im(bath, abs(tau), quad_tol)
+    re = _correlation_quad(bath, abs(tau), quad_tol, "re")
+    im = _correlation_quad(bath, abs(tau), quad_tol, "im")
     if tau < 0.0:
         im = -im
     return complex(re, im)
@@ -484,7 +477,7 @@ class CorrelationKernel:
         re, err, target = _re_table(bath, grid, quad_tol)
         fallback = ~(err <= target) | ~np.isfinite(re)
         for i in np.flatnonzero(fallback):
-            re[i] = _correlation_re(bath, float(grid[i]), quad_tol)
+            re[i] = _correlation_quad(bath, float(grid[i]), quad_tol, "re")
         im = im_closed_form(bath, grid)
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
             raise QuadratureError("kernel table has non-finite values")
@@ -513,19 +506,13 @@ class CorrelationKernel:
         """Complex samples on the stored grid."""
         return self.re_values + 1j * self.im_values
 
-    def re_at(self, tau):
-        (out,) = interp_table(self.grid, np.abs(tau), [self.re_values])
-        return float(out) if out.ndim == 0 else out
-
-    def im_at(self, tau):
-        (out,) = interp_table(self.grid, np.abs(tau), [self.im_values])
-        out = np.sign(tau) * out
-        return float(out) if out.ndim == 0 else out
-
     def at(self, tau):
+        """D(tau) = D_re(|tau|) + i sign(tau) D_im(|tau|), interpolated."""
         tau = np.asarray(tau, dtype=float)
-        out = self.re_at(tau) + 1j * self.im_at(tau)
-        return complex(out) if np.ndim(out) == 0 else out
+        re, im = interp_table(self.grid, np.abs(tau),
+                              [self.re_values, self.im_values])
+        out = re + 1j * (np.sign(tau) * im)
+        return complex(out) if out.ndim == 0 else out
 
     def scaled(self, factor):
         """Kernel with all values multiplied by `factor`.

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, io
 from .bath import (
     CorrelationKernel,
-    QuadratureError,
+    NumericalFailure,
     SpectralDensity,
     ThermalBathSpec,
 )
@@ -34,7 +34,6 @@ from .coefficients import (
 from .dynamics import (
     GaussianMomentState,
     MasterEquationSpec,
-    NumericalFailure,
     ground_state_moments,
     integrate_moments,
     squeezed_state_moments,
@@ -47,7 +46,7 @@ from .scenario import (
     parse_scenario,
     scenario_hash,
 )
-from .stochastic import NoiseFactorizationError, SSEConfig, ensemble_run
+from .stochastic import SSEConfig, ensemble_run
 
 
 @dataclass
@@ -295,8 +294,7 @@ def main(argv=None):
         for message in exc.messages:
             print(f"  - {message}", file=sys.stderr)
         return 2
-    except (NumericalFailure, QuadratureError, NoiseFactorizationError,
-            OverflowError) as exc:
+    except (NumericalFailure, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

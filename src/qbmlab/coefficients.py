@@ -15,9 +15,10 @@ Volterra-type recursion
                   [ Dbar(t', s) D^(n-1)(t, s') + D(t', s) conj(D^(n-1)(t, s')) ]
 
 with c(t, s) = (i hbar / m) C~(s - t) for t > s (zero otherwise) and
-Dbar(t, s) = D(|t - s|).  On a uniform grid each integral over
-[0, t_i] is row i of one trapezoid-weight matrix W, so with X = W o
-D^(n-1) (o: entrywise) an order is four matrix products,
+Dbar(t, s) = D(|t - s|), which parity (D_re even, D_im odd) gives as
+D(t - s) for t >= s and its conjugate otherwise.  On a uniform grid each
+integral over [0, t_i] is row i of one trapezoid-weight matrix W, so
+with X = W o D^(n-1) (o: entrywise) an order is four matrix products,
 
     D^(n) = (W o (X c^T)) Dbar + (W o (conj(X) c^T)) D,
 
@@ -40,14 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .bath import CorrelationKernel, _checked_grid, interp_table
+from .bath import CorrelationKernel, NumericalFailure, _checked_grid
 
 MAX_CHEAP_ORDER = 3  # each extra order costs another O(N^3) sweep
 _ROW_BLOCK = 128  # table rows per block of weighted products
-
-
-class NumericalFailure(RuntimeError):
-    """A table or a propagation came out non-finite."""
 
 
 @dataclass(frozen=True)
@@ -138,8 +135,8 @@ def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
         return DressedKernel(base=base, order=1, grid=grid, table=None)
 
     diff = grid[:, None] - grid[None, :]
-    d = base.at(diff)                    # D(t - s)
-    d_bar = base.at(np.abs(diff))        # D(|t - s|)
+    d = base.at(diff)                             # D(t - s)
+    d_bar = np.where(diff >= 0.0, d, d.conj())    # D(|t - s|) by parity
     c_t = commutator_contraction(kernels, m, grid[:, None], grid[None, :],
                                  hbar).T
     h = base.spacing
@@ -180,14 +177,6 @@ class HPZCoefficients:
                 raise ValueError(f"{name} must be finite")
             setattr(self, name, arr)
 
-    def at(self, t):
-        """(Gamma, Theta, Xi, Upsilon) at time t by linear interpolation."""
-        out = interp_table(self.grid, t, (self.Gamma, self.Theta, self.Xi,
-                                          self.Upsilon))
-        if np.ndim(t) == 0:
-            return tuple(float(v) for v in out)
-        return tuple(out)
-
 
 def compute_coefficients(dressed, kernels):
     """Window the (dressed) kernel into the four generator coefficients.
@@ -197,9 +186,8 @@ def compute_coefficients(dressed, kernels):
     """
     grid = dressed.grid
     if dressed.stationary:
-        tau = grid
-        re = dressed.base.re_at(tau)
-        im = dressed.base.im_at(tau)
+        tau = grid  # the base kernel's own nodes
+        re, im = dressed.base.re_values, dressed.base.im_values
         cos_w = kernels.c(tau)
         sin_w = kernels.c_tilde(tau)
         gamma_t = -cumulative_trapezoid(re * cos_w, tau, initial=0.0)

@@ -29,8 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bath import PhysicalConstants, interp_table
-from .coefficients import HPZCoefficients, NumericalFailure
+from .bath import NumericalFailure, PhysicalConstants, interp_table
+from .coefficients import HPZCoefficients
 
 
 @dataclass(frozen=True)
@@ -271,11 +271,12 @@ class UnstableGeneratorWarning(UserWarning):
 
 def _warn_if_unstable(gen, t0, t1):
     """Warn if A = J (G - hbar Im a) has an eigenvalue with real part
-    above 1e-12 max|A|: at the table nodes in [t0, t1], or once for a
-    constant generator.  The means then grow as exp(rate t).
+    above 1e-12 max|A|: at t0, the table nodes strictly inside (t0, t1)
+    and t1, or once for a constant generator.  The means then grow as
+    exp(rate t).
     """
-    times = np.array([t0]) if gen.grid is None \
-        else gen.grid[(gen.grid >= t0) & (gen.grid <= t1)]
+    times = np.array([t0]) if gen.grid is None else np.concatenate(
+        [[t0], gen.grid[(gen.grid > t0) & (gen.grid < t1)], [t1]])
     A = gen.moment_matrix(times)[:, :2, :2]
     # the larger real part of the eigenvalues tr/2 +- sqrt(tr^2/4 - det)
     half_tr = 0.5 * (A[:, 0, 0] + A[:, 1, 1])

@@ -222,8 +222,10 @@ def compare_runs(path_a, path_b, columns=None, atol=0.0, rtol=0.0):
     if ga.size != gb.size:
         raise ValueError(
             f"time grids differ in length: {ga.size} vs {gb.size}")
+    if not ga.size:
+        raise ValueError("no rows to compare: both files have a header only")
     scale = max(float(np.max(np.abs(ga))), 1.0)
-    if ga.size and float(np.max(np.abs(ga - gb))) > 1e-12 * scale:
+    if float(np.max(np.abs(ga - gb))) > 1e-12 * scale:
         raise ValueError("time grids differ beyond 1e-12")
 
     if columns is None:
@@ -242,10 +244,10 @@ def compare_runs(path_a, path_b, columns=None, atol=0.0, rtol=0.0):
         a, b = table_a[name], table_b[name]
         dev = np.abs(a - b)
         mag = np.maximum(np.abs(a), np.abs(b))
-        max_abs = float(np.max(dev)) if dev.size else 0.0
+        max_abs = float(np.max(dev))
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(mag > 0.0, dev / mag, 0.0)
-        max_rel = float(np.max(rel)) if rel.size else 0.0
+        max_rel = float(np.max(rel))
         ok = bool(np.all(dev <= atol + rtol * mag))
         results.append(ColumnDeviation(column=name, max_abs=max_abs,
                                        max_rel=max_rel, passed=ok))

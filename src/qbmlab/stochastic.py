@@ -54,7 +54,7 @@ _PURE_TOL = 1e-10  # |rs_uncertainty| of a pure state, relative to s_qq s_pp
 _RIDGE = 1e-12  # negative covariance eigenvalues tolerated, relative
 
 
-class NoiseFactorizationError(RuntimeError):
+class NoiseFactorizationError(NumericalFailure):
     """Requested noise covariance is not positive semidefinite."""
 
 

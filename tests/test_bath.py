@@ -27,8 +27,7 @@ from qbmlab.bath import (
     high_temperature_closed_form,
     im_closed_form,
     _DRUDE_SERIES_FROM,
-    _correlation_im,
-    _correlation_re,
+    _correlation_quad,
     _omega_coth,
     _re_zero_temperature,
 )
@@ -88,7 +87,7 @@ def test_parameter_validation():
 
 # ------------------------------------------------------- odd part D_im(tau)
 
-def test_sharp_im_at_unit_time():
+def test_sharp_odd_part_at_unit_time():
     # -(2/pi) * (sin 5 - 5 cos 5) with m = gamma = hbar = 1, Omega = 5
     bath = make_bath(Omega=5.0)
     expected = -(2.0 / np.pi) * (np.sin(5.0) - 5.0 * np.cos(5.0))
@@ -102,7 +101,7 @@ def test_sharp_im_at_unit_time():
 @pytest.mark.parametrize("tau", [0.02, 0.3, 1.0, 4.0])
 def test_im_quadrature_matches_closed_form(kind, tau):
     bath = make_bath(m=1.3, gamma=0.7, Omega=3.0, T=2.0, kind=kind)
-    q = _correlation_im(bath, tau, 1e-10)
+    q = _correlation_quad(bath, tau, 1e-10, "im")
     cf = im_closed_form(bath, tau)
     assert q == pytest.approx(cf, rel=1e-7, abs=1e-12)
 
@@ -125,7 +124,7 @@ def test_sharp_im_small_tau_series_branch():
     assert ratio == pytest.approx(ratio2, rel=1e-6)
     # and both agree with quadrature
     assert im_closed_form(bath, t_series) == pytest.approx(
-        _correlation_im(bath, t_series, 1e-12), rel=1e-6)
+        _correlation_quad(bath, t_series, 1e-12, "im"), rel=1e-6)
 
 
 def test_im_independent_of_temperature():
@@ -148,7 +147,7 @@ def test_re_high_temperature_value_at_zero():
 @pytest.mark.parametrize("tau", [0.1, 0.3, 1.0])
 def test_re_quadrature_vs_high_temperature_form(tau):
     bath = make_bath(m=1.0, gamma=0.3, Omega=10.0, T=200.0)
-    q = _correlation_re(bath, tau, 1e-10)
+    q = _correlation_quad(bath, tau, 1e-10, "re")
     assert q == pytest.approx(high_temperature_closed_form(bath, tau), rel=5e-3)
 
 
@@ -164,7 +163,7 @@ def test_high_temperature_form_requires_sharp_cutoff():
         high_temperature_closed_form(bath, 0.1)
 
 
-def test_drude_re_at_zero_warns_about_divergence():
+def test_drude_even_part_at_zero_warns_about_divergence():
     bath = make_bath(Omega=4.0, kind=CutoffKind.DRUDE)
     with pytest.warns(ValidityWarning, match="diverges"):
         v = eval_correlation(bath, 0.0)
@@ -300,7 +299,7 @@ def _quadpack_re(bath, grid, quad_tol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuadratureWarning)
         warnings.simplefilter("ignore", ValidityWarning)
-        return np.array([_correlation_re(bath, float(t), quad_tol)
+        return np.array([_correlation_quad(bath, float(t), quad_tol, "re")
                          for t in grid])
 
 
@@ -406,3 +405,12 @@ def test_overflowing_cutoff_is_a_quadrature_error():
     assert not np.all(np.isfinite(im_closed_form(bath, [0.0, 0.5])))
     with pytest.raises(QuadratureError, match="non-finite"):
         CorrelationKernel.from_bath(bath, np.linspace(0.0, 1.0, 11))
+
+
+def test_numerical_errors_share_one_base():
+    from qbmlab import bath, coefficients, dynamics, stochastic
+    assert coefficients.NumericalFailure is bath.NumericalFailure
+    assert dynamics.NumericalFailure is bath.NumericalFailure
+    assert issubclass(QuadratureError, bath.NumericalFailure)
+    assert issubclass(stochastic.NoiseFactorizationError,
+                      bath.NumericalFailure)

@@ -233,6 +233,15 @@ def test_cli_jz_and_compare_paths(tmp_path):
                  "--columns", "mean_q,mean_p", "--atol", "1e-12"]) == 0
 
 
+def test_cli_compare_header_only_files_exits_2(tmp_path, capsys):
+    empty = np.zeros(0)
+    path = tmp_path / "empty.csv"
+    io.write_csv(path, io.CsvTable(columns=("t", "x"),
+                                   data={"t": empty, "x": empty}))
+    assert main(["--compare", str(path), str(path)]) == 2
+    assert "no rows to compare" in capsys.readouterr().err
+
+
 def test_cli_validation_failures(tmp_path):
     bad = json.loads(json.dumps(MINIMAL_JZ))
     bad["bath"]["T"] = -1.0

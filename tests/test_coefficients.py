@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbmlab import coefficients
-from qbmlab.bath import CorrelationKernel, SpectralDensity, ThermalBathSpec
+from qbmlab.bath import (
+    CorrelationKernel,
+    SpectralDensity,
+    ThermalBathSpec,
+    interp_table,
+)
 from qbmlab.coefficients import (
     DressedKernel,
     HPZCoefficients,
@@ -70,8 +75,10 @@ def test_order_one_is_the_bare_kernel():
     base = synthetic_kernel(grid)
     d = dressed_kernel(base, OscillatorKernels(1.0), 1)
     assert d.stationary
-    assert np.allclose(d.values, base.re_at(grid[:, None] - grid[None, :])
-                       + 1j * base.im_at(grid[:, None] - grid[None, :]))
+    lag = grid[:, None] - grid[None, :]
+    expected = np.interp(np.abs(lag), grid, base.re_values) \
+        + 1j * np.sign(lag) * np.interp(np.abs(lag), grid, base.im_values)
+    assert np.allclose(d.values, expected)
 
 
 def test_zero_kernel_stays_zero_at_any_order():
@@ -138,8 +145,8 @@ def reference_dressing(base, omega_S, order, m):
     """
     grid = base.grid
     lag = grid[:, None] - grid[None, :]
-    d = base.re_at(lag) + 1j * base.im_at(lag)             # D(t' - s)
-    d_bar = base.re_at(lag) + 1j * base.im_at(np.abs(lag))  # D(|t' - s|)
+    d = base.at(lag)                # D(t' - s)
+    d_bar = base.at(np.abs(lag))    # D(|t' - s|)
     # c(t', s') = (i / m) sin(omega_S (s' - t')) / omega_S for t' > s'
     c = np.where(lag > 0.0, 1j / m * np.sin(-omega_S * lag) / omega_S, 0.0)
     total, prev = d.copy(), d
@@ -278,7 +285,8 @@ def test_narrow_gaussian_kernel_approaches_delta_coefficients():
     kernel = CorrelationKernel.from_samples(grid, re, np.zeros_like(grid))
     k = OscillatorKernels(1.0)
     co = compute_coefficients(dressed_kernel(kernel, k, 1), k)
-    gamma_end, theta_end, xi_end, upsilon_end = co.at(0.1)
+    gamma_end, theta_end, xi_end, upsilon_end = interp_table(
+        co.grid, 0.1, (co.Gamma, co.Theta, co.Xi, co.Upsilon))
     assert gamma_end == pytest.approx(-strength / 2.0, rel=1e-3)
     assert abs(theta_end) < 0.02 * abs(gamma_end)
     assert xi_end == 0.0 and upsilon_end == 0.0
@@ -299,10 +307,10 @@ def test_coefficient_table_validation_and_interp():
     t = np.linspace(0.0, 1.0, 11)
     co = HPZCoefficients(grid=t, Gamma=t ** 2, Theta=0 * t, Xi=0 * t,
                          Upsilon=0 * t)
-    g, _, _, _ = co.at(0.55)
+    (g,) = interp_table(co.grid, 0.55, [co.Gamma])
     assert g == pytest.approx(0.5 * (0.25 + 0.36), rel=1e-12)
     with pytest.raises(ValueError, match="outside tabulated"):
-        co.at(1.5)
+        interp_table(co.grid, 1.5, [co.Gamma])
     with pytest.raises(ValueError, match="finite"):
         HPZCoefficients(grid=t, Gamma=t * np.nan, Theta=0 * t, Xi=0 * t,
                         Upsilon=0 * t)

@@ -307,6 +307,12 @@ def test_stability_is_checked_at_the_nodes_inside_t_span(hpz_audit_spec):
         integrate_moments(hpz_audit_spec, STATE, (0.0, 0.02), 1e-3)
 
 
+def test_stability_is_checked_on_a_span_between_two_nodes(hpz_audit_spec):
+    # (5.001, 5.009) holds no table node; its ends are checked
+    with pytest.warns(UnstableGeneratorWarning, match=r"from t = 5\.001 "):
+        integrate_moments(hpz_audit_spec, STATE, (5.001, 5.009), 1e-3)
+
+
 # ---------------------------------------------------------- integrator api
 
 def test_integrate_validations():

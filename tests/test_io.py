@@ -131,3 +131,14 @@ def test_compare_grid_mismatch(tmp_path):
         io.compare_runs(a, c)
     with pytest.raises(ValueError, match="not present"):
         io.compare_runs(a, a, columns=["y"])
+
+
+def test_compare_header_only_files_is_a_value_error(tmp_path):
+    empty = np.zeros(0)
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    for path in (a, b):
+        io.write_csv(path, io.CsvTable(columns=("t", "x"),
+                                       data={"t": empty, "x": empty}))
+    with pytest.raises(ValueError, match="no rows to compare"):
+        io.compare_runs(a, b)
