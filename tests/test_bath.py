@@ -6,6 +6,7 @@ quadrature with oscillatory weights.  Agreement between routes is the
 point of several tests.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,8 +28,11 @@ from qbmlab.bath import (
     high_temperature_closed_form,
     im_closed_form,
     _DRUDE_SERIES_FROM,
+    _OMEGA_CHUNK,
     _correlation_quad,
+    _cosine_sums,
     _omega_coth,
+    _re_table,
     _re_zero_temperature,
 )
 
@@ -349,6 +353,55 @@ def test_table_over_node_budget_is_todays_quadrature():
     assert k.health["worst_err_over_target"] is None
 
 
+def test_hot_bath_table_stays_on_the_rule():
+    # Drude at T = 100 on the hpz_audit grid: 128k rule nodes, far
+    # cheaper than 1,001 QUADPACK calls
+    bath = make_bath(m=1.0, gamma=0.1, Omega=50.0, T=100.0,
+                     kind=CutoffKind.DRUDE)
+    grid = np.linspace(0.0, 10.0, 1001)
+    k = _tabulate(bath, grid)
+    assert k.health["quad_fallbacks"] == 1  # the divergent D_re(0)
+    assert k.health["worst_err_over_target"] <= 1.0
+    sample = np.arange(1, grid.size, 125)
+    ref = _quadpack_re(bath, grid[sample], 1e-8)
+    scale = (0.2 / np.pi) * 50.0 * _omega_coth(50.0, bath.thermal_time)
+    assert np.max(np.abs(k.re_values[sample] - ref)) <= 1e-8 * scale
+
+
+# Omega reaches 50 and 800 are those of the sharp and exponential rules
+# on the hpz_audit grid (phases up to 500 and 8,000 rad).  At 8,000 rad
+# float64 rounds the phase itself by ~1e-12, in the direct sum as well;
+# only a sum over many nodes averages that below 1e-13.
+@pytest.mark.parametrize("n", [2, 33, 1001])
+@pytest.mark.parametrize("m,reach", [(5, 50.0), (_OMEGA_CHUNK, 50.0),
+                                     (2 * _OMEGA_CHUNK + 77, 50.0),
+                                     (2 * _OMEGA_CHUNK + 77, 800.0)])
+def test_cosine_sums_match_the_direct_sum(n, m, reach):
+    rng = np.random.default_rng(n * m)
+    tau = np.linspace(0.0, 10.0, n)
+    omega = np.sort(rng.uniform(0.0, reach, m))
+    w = rng.uniform(-1.0, 1.0, m)
+    direct = np.cos(np.outer(tau, omega)) @ w
+    got = _cosine_sums(tau, omega, w)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(w))
+    assert got.tobytes() == _cosine_sums(tau, omega, w).tobytes()
+
+
+def test_table_temporaries_stay_small():
+    # the hpz_audit exponential grid: 12,864 rule nodes, 1,001 tau nodes
+    bath = make_bath(m=1.0, gamma=0.1, Omega=50.0, T=10.0,
+                     kind=CutoffKind.EXPONENTIAL)
+    grid = np.linspace(0.0, 10.0, 1001)
+    tracemalloc.start()
+    try:
+        _re_table(bath, grid, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_drude_table_finite_beyond_exp_overflow():
     bath = make_bath(Omega=10.0, T=0.5, kind=CutoffKind.DRUDE)
     grid = np.linspace(0.0, 100.0, 201)  # Omega tau up to 1000
@@ -376,9 +429,11 @@ def test_table_keeps_drude_divergence_warning():
 
 
 @pytest.mark.parametrize("kind", list(CutoffKind))
-@pytest.mark.parametrize("T", [0.01, 10.0, 1e4])
-def test_table_leaks_no_runtime_warning(kind, T):
-    bath = make_bath(Omega=10.0, T=T, kind=kind)
+@pytest.mark.parametrize("T,gamma", [(0.01, 1.0), (10.0, 1.0), (1e4, 1.0),
+                                     (10.0, 0.0)],
+                         ids=["0.01", "10.0", "10000.0", "10.0-uncoupled"])
+def test_table_leaks_no_runtime_warning(kind, T, gamma):
+    bath = make_bath(gamma=gamma, Omega=10.0, T=T, kind=kind)
     grid = np.linspace(0.0, 100.0, 11)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -386,6 +441,8 @@ def test_table_leaks_no_runtime_warning(kind, T):
         warnings.simplefilter("ignore", QuadratureWarning)
         k = CorrelationKernel.from_bath(bath, grid)
     assert np.all(np.isfinite(k.re_values))
+    worst = k.health["worst_err_over_target"]
+    assert worst is None or np.isfinite(worst)
 
 
 def test_non_finite_table_is_a_quadrature_error(monkeypatch):

@@ -311,6 +311,28 @@ def test_cli_hpz_pipeline_and_audit(tmp_path):
     assert np.allclose(csv_audit["lambda_min"], audit["lambda_min"])
 
 
+def _reject_constant(name):
+    raise ValueError(f"manifest holds {name}, which is not JSON")
+
+
+def test_cli_hpz_zero_coupling_manifest_is_strict_json(tmp_path):
+    payload = {
+        "name": "uncoupled",
+        "system": {"m": 1.0, "omega_S": 1.0},
+        "bath": {"gamma": 0.0, "T": 10.0, "Omega": 20.0},
+        "equation": {"variant": "hpz",
+                     "coefficient_grid": {"t_max": 1.0, "n": 21}},
+        "run": {"t_span": [0.0, 1.0], "dt": 0.01},
+    }
+    path = _write(tmp_path, payload, "uncoupled.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "uncoupled_manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=_reject_constant)
+    assert manifest["kernel_health"]["worst_err_over_target"] == 0.0
+    assert manifest["kernel_health"]["quad_fallbacks"] == 0
+    assert not any("invalid value" in w for w in manifest["warnings"])
+
+
 def test_dressing_order_above_three_rejected_up_front(tmp_path):
     payload = {
         "system": {"m": 1.0, "omega_S": 1.0},
