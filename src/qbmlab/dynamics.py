@@ -22,7 +22,9 @@ d<x>/dt = A <x> and d sigma/dt = A sigma + sigma A^T + B, with friction
 A = J (G - hbar Im a) and diffusion B = hbar^2 J Re(a) J^T.
 """
 
+import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -124,7 +126,7 @@ def squeezed_state_moments(system, r, constants=PhysicalConstants(),
 
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_MAP_BLOCK = 512  # RK4 maps built at once; bounds the memory of long runs
+_MAP_BLOCK = 512  # RK4 maps built and composed at once; bounds the memory
 
 
 @dataclass(frozen=True)
@@ -254,10 +256,14 @@ def step_plan(t_span, dt, store_every):
     `store_every`-th plus the last, at times t0 + h * stored.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t_span must be finite")
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    if not isinstance(store_every, numbers.Integral):
+        raise ValueError("store_every must be an integer")
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
     n_steps = max(1, int(round((t1 - t0) / dt)))
@@ -346,14 +352,90 @@ class MomentTrajectory:
         return self.times.size
 
 
+def _step_maps(gen, t0, h):
+    """maps(lo, hi): the RK4 maps of steps lo..hi-1, shape (hi - lo, 6, 6)."""
+    def maps(lo, hi):
+        w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi))
+        return rk4_step(lambda s, y: w[:, s] @ y, np.eye(6), h)
+    if gen.grid is not None:
+        return maps
+    step = maps(0, 1)[0]  # a constant generator has one map
+    return lambda lo, hi: np.broadcast_to(step, (hi - lo, 6, 6))
+
+
+def _compose(maps):
+    """Product of maps (..., n, 6, 6) along axis -3, later maps on the
+    left, by one fixed pairwise tree: log2(n) batched matmuls.
+    """
+    while maps.shape[-3] > 1:
+        pairs = maps[..., 1::2, :, :] @ maps[..., :-1:2, :, :]
+        if maps.shape[-3] % 2:
+            pairs = np.concatenate([pairs, maps[..., -1:, :, :]], axis=-3)
+        maps = pairs
+    return maps[..., 0, :, :]
+
+
+def _composite(maps, lo, hi):
+    """The map of steps lo..hi-1, composed _MAP_BLOCK steps at a time."""
+    return _compose(np.stack([_compose(maps(a, min(hi, a + _MAP_BLOCK)))
+                              for a in range(lo, hi, _MAP_BLOCK)]))
+
+
+def _interval_maps(maps, n_steps, every, constant):
+    """The composite map of each interval between two stored steps of
+    `step_plan`, in order: `every` steps each, the last possibly fewer.
+    A constant generator's full intervals share one composite; tabulated
+    ones are composed _MAP_BLOCK // every intervals at a time.
+    """
+    n_full, rest = divmod(n_steps, every)
+    per_block = _MAP_BLOCK // every
+    if constant:
+        if n_full:
+            yield from itertools.repeat(_composite(maps, 0, every), n_full)
+    elif per_block == 0:
+        for lo in range(0, n_full * every, every):
+            yield _composite(maps, lo, lo + every)
+    else:
+        for j in range(0, n_full, per_block):
+            k = min(per_block, n_full - j)
+            yield from _compose(maps(j * every, (j + k) * every)
+                                .reshape(k, every, 6, 6))
+    if rest:
+        yield _composite(maps, n_full * every, n_steps)
+
+
+def _replay(maps, z, lo, hi, n_steps, t0, h):
+    """Step z from step lo one RK4 map at a time, as a step-by-step run
+    does: return the state at step hi if it is finite, else step on to
+    the next check (every 64th step and the last) and raise
+    NumericalFailure there, since a non-finite state stays non-finite.
+    """
+    i = lo
+    while True:
+        for step in maps(i, min(i + _MAP_BLOCK, n_steps)):
+            z = step @ z
+            i += 1
+            finite = np.isfinite(z).all()
+            if finite and i >= hi:
+                return z
+            if not finite and (i % 64 == 0 or i == n_steps):
+                raise NumericalFailure(
+                    f"non-finite moments at t = {t0 + i * h:.6g}")
+
+
 def integrate_moments(spec, state0, t_span, dt, store_every=1):
-    """Propagate moments with fixed-step RK4, one affine map per step.
+    """Propagate moments with fixed-step RK4, one affine map per stored row.
 
     The steps and the stored states follow `step_plan`: dt is adjusted
     (at most fractionally) so an integer number of steps lands exactly
     on t_span[1], and outputs are every `store_every` steps plus the
-    final point.  Non-finite values abort with NumericalFailure; a
-    friction matrix with a growing mode warns (UnstableGeneratorWarning).
+    final point.  The RK4 maps of the steps between two stored states
+    are multiplied into one composite (`_interval_maps`), so the state
+    takes one matrix-vector product per stored row.  Non-finite values
+    abort with NumericalFailure: an interval whose end is not finite is
+    replayed step by step, which reports the time of the first of every
+    64 steps found non-finite.  A friction matrix with a growing mode
+    warns (UnstableGeneratorWarning).
     """
     t0, h, n_steps, stored = step_plan(t_span, dt, store_every)
     if state0.sigma_qq <= 0.0 or state0.sigma_pp <= 0.0:
@@ -364,23 +446,22 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
 
     gen = spec.generator
     _warn_if_unstable(gen, t0, float(t_span[1]))
+    maps = _step_maps(gen, t0, h)
     z = np.append(state0.as_array(), 1.0)
-    keep = set(stored.tolist())
     rows = [z[:5]]
-    i = 0
-    for lo in range(0, n_steps, _MAP_BLOCK):
-        hi = min(lo + _MAP_BLOCK, n_steps)
-        if lo == 0 or gen.grid is not None:  # constant maps are all alike
-            w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi))
-            maps = rk4_step(lambda s, y: w[:, s] @ y, np.eye(6), h)
-        for step in maps[:hi - lo]:
-            z = step @ z
-            i += 1
-            if (i % 64 == 0 or i == n_steps) and not np.all(np.isfinite(z)):
-                raise NumericalFailure(
-                    f"non-finite moments at t = {t0 + i * h:.6g}")
-            if i in keep:
-                rows.append(z[:5])
+    outer = np.geterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        composites = _interval_maps(maps, n_steps, store_every,
+                                    gen.grid is None)
+        for (lo, hi), c in zip(itertools.pairwise(stored.tolist()),
+                               composites):
+            nxt = c @ z
+            # a sum of finite entries that overflows only costs a replay
+            if not math.isfinite(sum(nxt.tolist())):
+                with np.errstate(**outer):
+                    nxt = _replay(maps, z, lo, hi, n_steps, t0, h)
+            z = nxt
+            rows.append(z[:5])
 
     return MomentTrajectory(times=t0 + h * stored, data=np.array(rows),
                             system=spec.system, constants=spec.constants)

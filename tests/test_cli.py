@@ -186,6 +186,15 @@ def test_shipped_scenarios_parse_and_round_trip():
         assert scenario_hash(again) == scenario_hash(scenario)
 
 
+@pytest.mark.parametrize("path", sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "scenarios")
+    .glob("*.json")), ids=lambda path: path.stem)
+def test_shipped_scenarios_record_no_runtime_warnings(tmp_path, path):
+    manifest = run_scenario(parse_scenario(path), out_dir=str(tmp_path))
+    # numpy's floating-point RuntimeWarnings read "... encountered in ..."
+    assert not any("encountered in" in w for w in manifest.warnings)
+
+
 def test_scenario_hash_tracks_content():
     a = scenario_from_dict(MINIMAL_JZ)
     changed = json.loads(json.dumps(MINIMAL_JZ))

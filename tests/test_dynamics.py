@@ -25,6 +25,7 @@ from qbmlab.bath import (
     SpectralDensity,
     ThermalBathSpec,
 )
+from qbmlab import dynamics
 from qbmlab.dynamics import (
     GaussianMomentState,
     MasterEquationSpec,
@@ -35,9 +36,11 @@ from qbmlab.dynamics import (
     ground_state_moments,
     integrate_moments,
     moment_rhs,
+    rk4_stage_times,
     rk4_step,
     rs_uncertainty,
     squeezed_state_moments,
+    step_plan,
     thermal_state_moments,
 )
 
@@ -251,15 +254,32 @@ def test_hpz_requires_table_covering_the_span():
         integrate_moments(spec, STATE, (0.0, 2.0), 1e-2)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_runaway_coefficients_raise_numerical_failure():
+def _runaway_spec():
     grid = np.linspace(0.0, 5.0, 6)
     table = HPZCoefficients(grid=grid, Gamma=np.zeros(6), Theta=np.zeros(6),
                             Xi=np.zeros(6), Upsilon=np.full(6, 1e3))
-    spec = spec_for("hpz", coefficients=table)
+    return spec_for("hpz", coefficients=table)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_runaway_coefficients_raise_numerical_failure():
     with pytest.warns(UnstableGeneratorWarning, match="from t = 0 "), \
             pytest.raises(NumericalFailure, match="non-finite"):
-        integrate_moments(spec, STATE, (0.0, 5.0), 1e-3)
+        integrate_moments(_runaway_spec(), STATE, (0.0, 5.0), 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("store_every", [7, 64, 100, 1000])
+def test_failure_time_does_not_depend_on_store_every(store_every):
+    def failure(every):
+        with pytest.warns(UnstableGeneratorWarning), \
+                pytest.raises(NumericalFailure) as exc:
+            integrate_moments(_runaway_spec(), STATE, (0.0, 5.0), 1e-3,
+                              store_every=every)
+        return str(exc.value)
+
+    assert failure(store_every) == failure(1) \
+        == "non-finite moments at t = 0.256"
 
 
 # ------------------------------------------------------------- stability
@@ -350,6 +370,58 @@ def test_rs_witness_tracks_purity_loss():
     w = tr.rs_witness()
     assert abs(w[0]) < 1e-12
     assert np.all(np.diff(w) > -1e-12)  # decoherence only adds noise
+
+
+# ------------------------------------------------ composed interval maps
+
+def _step_by_step(spec, state0, t_span, dt, store_every):
+    """The stored rows of RK4 applied to the state one step at a time."""
+    t0, h, n_steps, stored = step_plan(t_span, dt, store_every)
+    w = spec.generator.moment_matrix(rk4_stage_times(t0, h, 0, n_steps))
+    z = np.append(state0.as_array(), 1.0)
+    rows = [z[:5]]
+    for i in range(n_steps):
+        z = rk4_step(lambda s, y: w[i, s] @ y, z, h)
+        rows.append(z[:5])
+    return np.array(rows)[stored]
+
+
+def _assert_close_per_column(data, ref):
+    assert data.shape == ref.shape
+    assert np.all(np.abs(data - ref) <= 1e-12 * np.abs(ref).max(axis=0))
+
+
+@pytest.mark.parametrize("t_span, store_every", [
+    ((0.0, 2.5), 1),
+    ((0.0, 2.5), 7),  # 357 intervals of 7 steps and one of 1
+    ((0.0, 2.5), 100),
+    ((0.0, 2.5), 1000),  # above _MAP_BLOCK: composed chunk by chunk
+    ((0.0, 0.9), 400),  # 400, 400 and a ragged 100
+])
+@pytest.mark.parametrize("generator", ["ccl", "hpz_audit"])
+def test_composed_maps_match_step_by_step(generator, t_span, store_every,
+                                          hpz_audit_spec):
+    assert 1000 > dynamics._MAP_BLOCK
+    spec = hpz_audit_spec if generator == "hpz_audit" \
+        else spec_for("ccl", gamma=0.1, T=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnstableGeneratorWarning)
+        tr = integrate_moments(spec, STATE, t_span, 1e-3, store_every)
+    _assert_close_per_column(
+        tr.data, _step_by_step(spec, STATE, t_span, 1e-3, store_every))
+
+
+def test_non_finite_composites_fall_back_to_the_steps(monkeypatch):
+    # composites that overflow while the steps stay finite are replayed
+    compose = dynamics._compose
+    monkeypatch.setattr(dynamics, "_compose",
+                        lambda maps: compose(maps) * np.inf)
+    spec = spec_for("ccl", gamma=0.1, T=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and warn nothing on the way
+        tr = integrate_moments(spec, STATE, (0.0, 0.9), 1e-3, 400)
+    _assert_close_per_column(
+        tr.data, _step_by_step(spec, STATE, (0.0, 0.9), 1e-3, 400))
 
 
 @pytest.mark.parametrize("lam", [-1.3, 0.7 + 2.1j])

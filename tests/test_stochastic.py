@@ -329,6 +329,11 @@ def _step_plan_runs():
     ((0.0, 1.0), -0.1, 1, "dt must be positive"),
     ((0.0, 1.0), float("nan"), 1, "dt must be positive"),
     ((0.0, 1.0), 1e-3, 0, "store_every must be >= 1"),
+    ((0.0, 1.0), 1e-3, 2.5, "store_every must be an integer"),
+    ((0.0, 1.0), 1e-3, 2.0, "store_every must be an integer"),
+    ((0.0, float("inf")), 1e-3, 1, "t_span must be finite"),
+    ((float("-inf"), 1.0), 1e-3, 1, "t_span must be finite"),
+    ((0.0, float("nan")), 1e-3, 1, "t_span must be finite"),
 ])
 def test_propagators_reject_the_same_step_plans(t_span, dt, store_every,
                                                 message):
