@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from qbmlab.dynamics import (
+    MOMENTS,
     MasterEquationSpec,
     SystemSpec,
     ground_state_moments,
@@ -40,9 +41,6 @@ def main():
     spec = MasterEquationSpec("ccl", system, gamma=GAMMA, T=T_BATH)
     ode = integrate_moments(spec, state0, (0.0, args.t_max), args.dt,
                             store_every=args.store_every)
-    refs = (("mean_q", ode.mean_q), ("mean_p", ode.mean_p),
-            ("s_qq", ode.sigma_qq), ("s_pp", ode.sigma_pp),
-            ("s_qp", ode.sigma_qp))
 
     base = SSEConfig(spec, dt=args.dt, n_traj=args.n_traj, seed=args.seed,
                      t_span=(0.0, args.t_max), store_every=args.store_every)
@@ -55,7 +53,7 @@ def main():
         table = result.moment_table()
         print(f"--- {label}: {args.n_traj} trajectories in {walltime:.1f} s,"
               f" {len(result.failed_trajectories)} failed")
-        for name, ref in refs:
+        for name, ref in zip(MOMENTS, ode.data.T):
             z = np.abs(table[name][1:] - ref[1:]) \
                 / np.maximum(table["se_" + name][1:], 1e-12)
             worst = float(np.max(z))

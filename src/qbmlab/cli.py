@@ -32,6 +32,7 @@ from .coefficients import (
     dressed_kernel,
 )
 from .dynamics import (
+    MOMENTS,
     GaussianMomentState,
     MasterEquationSpec,
     ground_state_moments,
@@ -216,19 +217,13 @@ def run_scenario(scenario, out_dir=".", seed_override=None):
 def _comparison_table(result, ode, meta):
     """Side-by-side table of ensemble and ODE moments with error scales."""
     table = result.moment_table()
-    pairs = (("mean_q", ode.mean_q), ("mean_p", ode.mean_p),
-             ("s_qq", ode.sigma_qq), ("s_pp", ode.sigma_pp),
-             ("s_qp", ode.sigma_qp))
-    columns = ["t"]
     data = {"t": table["t"]}
-    for name, ode_values in pairs:
+    for name, ode_values in zip(MOMENTS, ode.data.T):
         data[f"{name}_mc"] = table[name]
         data[f"{name}_ode"] = ode_values
         data[f"{name}_abs_dev"] = np.abs(table[name] - ode_values)
         data[f"{name}_se"] = table["se_" + name]
-        columns += [f"{name}_mc", f"{name}_ode", f"{name}_abs_dev",
-                    f"{name}_se"]
-    return io.CsvTable(columns=tuple(columns), data=data, meta=dict(meta))
+    return io.CsvTable(columns=tuple(data), data=data, meta=dict(meta))
 
 
 def _build_parser():

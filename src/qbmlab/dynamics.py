@@ -125,6 +125,7 @@ def squeezed_state_moments(system, r, constants=PhysicalConstants(),
                                sigma_qp=0.0)
 
 
+MOMENTS = ("mean_q", "mean_p", "s_qq", "s_pp", "s_qp")  # (n, 5) columns
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _MAP_BLOCK = 512  # RK4 maps built and composed at once; bounds the memory
 
@@ -155,7 +156,7 @@ class QuadraticGenerator:
 
     def moment_matrix(self, t):
         """[[M, c], [0, 0]] at times t: (y, 1) -> (M y + c, 0) on the
-        moments y = (<q>, <p>, s_qq, s_pp, s_qp).
+        moments y, ordered as `MOMENTS`.
         """
         G, a = self.at(t)
         A = _J @ (G - self.hbar * a.imag)
@@ -266,7 +267,10 @@ def step_plan(t_span, dt, store_every):
         raise ValueError("store_every must be an integer")
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
-    n_steps = max(1, int(round((t1 - t0) / dt)))
+    ratio = (t1 - t0) / dt
+    if not math.isfinite(ratio):
+        raise ValueError("span / dt must be finite")
+    n_steps = max(1, int(round(ratio)))
     stored = np.append(np.arange(0, n_steps, store_every), n_steps)
     return t0, (t1 - t0) / n_steps, n_steps, stored
 
@@ -318,8 +322,7 @@ class MomentTrajectory:
     """Moment history on a uniform output grid."""
 
     times: np.ndarray
-    data: np.ndarray  # (n, 5): mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp
-    system: SystemSpec
+    data: np.ndarray  # (n, 5), columns in the order of MOMENTS
     constants: PhysicalConstants
 
     @property
@@ -464,4 +467,4 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
             rows.append(z[:5])
 
     return MomentTrajectory(times=t0 + h * stored, data=np.array(rows),
-                            system=spec.system, constants=spec.constants)
+                            constants=spec.constants)

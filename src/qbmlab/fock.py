@@ -154,7 +154,7 @@ def _lindblad_rhs(rho, ops):
 @dataclass
 class FockTrajectory:
     times: np.ndarray
-    data: np.ndarray  # (n, 5) moment history, same layout as MomentTrajectory
+    data: np.ndarray  # (n, 5), columns in the order of dynamics.MOMENTS
     trace: np.ndarray
     top_population: np.ndarray
     rho_final: np.ndarray

@@ -16,16 +16,15 @@ import numpy as np
 from . import __version__
 from .bath import CorrelationKernel
 from .coefficients import HPZCoefficients
+from .dynamics import MOMENTS
 
 _TOOL = "qbmlab"
 
 KERNEL_COLUMNS = ("tau", "D_re", "D_im")
-MOMENT_COLUMNS = ("t", "mean_q", "mean_p", "s_qq", "s_pp", "s_qp",
-                  "rs_witness")
+MOMENT_COLUMNS = ("t", *MOMENTS, "rs_witness")
 COEFFICIENT_COLUMNS = ("t", "Gamma", "Theta", "Xi", "Upsilon")
 AUDIT_COLUMNS = ("t", "lambda_min", "det")
-ENSEMBLE_COLUMNS = ("t", "mean_q", "se_mean_q", "mean_p", "se_mean_p",
-                    "s_qq", "se_s_qq", "s_pp", "se_s_pp", "s_qp", "se_s_qp",
+ENSEMBLE_COLUMNS = ("t", *(c for m in MOMENTS for c in (m, "se_" + m)),
                     "norm2", "se_norm2", "alive")
 
 
@@ -112,11 +111,7 @@ def kernel_from_table(table):
 def moment_table(trajectory, meta=None):
     return CsvTable(columns=MOMENT_COLUMNS,
                     data={"t": trajectory.times,
-                          "mean_q": trajectory.mean_q,
-                          "mean_p": trajectory.mean_p,
-                          "s_qq": trajectory.sigma_qq,
-                          "s_pp": trajectory.sigma_pp,
-                          "s_qp": trajectory.sigma_qp,
+                          **dict(zip(MOMENTS, trajectory.data.T)),
                           "rs_witness": trajectory.rs_witness()},
                     meta=dict(meta or {}))
 
@@ -146,9 +141,7 @@ def audit_table(report, meta=None):
 
 
 def ensemble_table(result, meta=None):
-    moments = result.moment_table()
-    return CsvTable(columns=ENSEMBLE_COLUMNS,
-                    data={c: moments[c] for c in ENSEMBLE_COLUMNS},
+    return CsvTable(columns=ENSEMBLE_COLUMNS, data=result.moment_table(),
                     meta=dict(meta or {}))
 
 

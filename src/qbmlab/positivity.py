@@ -14,9 +14,12 @@ generator has a_pp = 0, so det a = -|a_qp|^2 and it is never of
 CP-semigroup form unless Theta and Upsilon both vanish; CL has
 det a = -gamma^2 / hbar^2 < 0; JZ, CCL and QP have rank-1 matrices (CP).
 
-`audit_cp` reads a `QuadraticGenerator`.  A bare coefficient table
-carries no mass, so it is audited as the generator of m = 1; audit
-`MasterEquationSpec(...).generator` for any other mass, as the CLI does.
+`audit_cp` reads a `QuadraticGenerator` through `QuadraticGenerator.at`,
+the lookup the moment ODE and the Fock oracle step: a tabulated generator
+is audited at its grid nodes, or interpolated at any time inside its
+table.  A bare coefficient table carries no mass, so it is audited as the
+generator of m = 1; audit `MasterEquationSpec(...).generator` for any
+other mass, as the CLI does.
 """
 
 from dataclasses import dataclass, field
@@ -86,18 +89,6 @@ def _table_generator(coefficients, constants):
                               coefficients=coefficients).generator
 
 
-def _node_indices(grid, times):
-    """Indices of `times` in a uniform grid; every time must be a node."""
-    h = grid[1] - grid[0]
-    idx = np.clip(np.rint((times - grid[0]) / h).astype(int), 0,
-                  grid.size - 1)
-    bad = np.abs(grid[idx] - times) > 1e-9 * max(h, 1.0)
-    if np.any(bad):
-        t = float(times[np.argmax(bad)])
-        raise ValueError(f"t = {t:g} is not a node of the coefficient grid")
-    return idx
-
-
 def assemble_constant_matrix(variant, *, m, gamma, T, mu=None,
                              constants=PhysicalConstants()):
     """Generator of a constant-coefficient variant at omega_S = 0.
@@ -143,26 +134,23 @@ def audit_cp(source, t_grid=None, constants=PhysicalConstants()):
     """Scan min eigenvalues and classify the generator.
 
     `source` is a `QuadraticGenerator`, or an HPZCoefficients table,
-    audited as the generator of a unit mass.  A constant generator is
-    audited at t_grid (default [0.0]), which only labels the report;
-    for a tabulated one t_grid defaults to its grid and must be a
-    subset of grid nodes.  An empty t_grid is rejected.  The verdict is "NotCP" as soon as one
+    audited as the generator of a unit mass.  The Kossakowski matrix is
+    read through `QuadraticGenerator.at` at the times t_grid (a scalar or
+    a non-empty sequence): a tabulated generator defaults to its grid
+    nodes, is interpolated between them as the propagators step it, and
+    rejects a time outside its table; a constant one defaults to [0.0],
+    which only labels the report.  The verdict is "NotCP" as soon as one
     sampled eigenvalue dips below -1e-12 * spectral norm at that time.
     """
     if isinstance(source, HPZCoefficients):
         source = _table_generator(source, constants)
-    if t_grid is not None and np.size(t_grid) == 0:
+    if t_grid is None:
+        t_grid = [0.0] if source.grid is None else source.grid
+    times = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if times.size == 0:
         raise ValueError("t_grid must hold at least one time")
-    if source.grid is None:
-        times = np.atleast_1d(np.asarray(
-            t_grid if t_grid is not None else [0.0], dtype=float))
-        a = np.broadcast_to(source.a, times.shape + (2, 2))
-    else:
-        times = np.asarray(t_grid if t_grid is not None else source.grid,
-                           dtype=float)
-        a = source.a[_node_indices(source.grid, times)]
 
-    lam, det, norm = _closed_form(a)
+    lam, det, norm = _closed_form(source.at(times)[1])
     floor = -_CP_TOL * np.maximum(norm, 1e-300)
     bad = lam < floor
     first = float(times[np.argmax(bad)]) if np.any(bad) else None

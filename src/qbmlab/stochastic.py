@@ -39,6 +39,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .dynamics import (
+    MOMENTS,
     MasterEquationSpec,
     NumericalFailure,
     rs_uncertainty,
@@ -378,23 +379,20 @@ class EnsembleResult:
     failed_trajectories: list
 
     def moment_table(self):
+        """Columns keyed and ordered as `io.ENSEMBLE_COLUMNS`."""
         m, se = self.means, self.stderr
-        _, _, sigma_qq, sigma_pp, sigma_qp = central_moments(
-            [m[name] for name in OBSERVABLES])
-        return {
-            "t": self.times,
-            "mean_q": m["q"], "se_mean_q": se["q"],
-            "mean_p": m["p"], "se_mean_p": se["p"],
-            "s_qq": sigma_qq,
-            "se_s_qq": se["qq"] + 2.0 * np.abs(m["q"]) * se["q"],
-            "s_pp": sigma_pp,
-            "se_s_pp": se["pp"] + 2.0 * np.abs(m["p"]) * se["p"],
-            "s_qp": sigma_qp,
-            "se_s_qp": se["qp"] + np.abs(m["q"]) * se["p"]
-                       + np.abs(m["p"]) * se["q"],
-            "norm2": m["norm2"], "se_norm2": se["norm2"],
-            "alive": self.alive.astype(float),
-        }
+        values = central_moments([m[name] for name in OBSERVABLES])
+        errors = (se["q"], se["p"],
+                  se["qq"] + 2.0 * np.abs(m["q"]) * se["q"],
+                  se["pp"] + 2.0 * np.abs(m["p"]) * se["p"],
+                  se["qp"] + np.abs(m["q"]) * se["p"]
+                  + np.abs(m["p"]) * se["q"])
+        table = {"t": self.times}
+        for name, value, error in zip(MOMENTS, values, errors):
+            table[name], table["se_" + name] = value, error
+        table.update(norm2=m["norm2"], se_norm2=se["norm2"],
+                     alive=self.alive.astype(float))
+        return table
 
 
 def ensemble_run(config, state0):

@@ -211,7 +211,8 @@ def test_run_scenario_writes_listed_outputs(tmp_path):
     assert manifest.scenario_name == "demo"
     assert len(manifest.outputs) == 1
     moments = io.read_csv(manifest.outputs[0])
-    assert moments.columns == io.MOMENT_COLUMNS
+    assert moments.columns == ("t", "mean_q", "mean_p", "s_qq", "s_pp",
+                               "s_qp", "rs_witness")
     assert moments.meta["scenario_sha256"] == manifest.scenario_sha256
     # pure diffusion at m = omega_S = 1: d(s_qq + s_pp)/dt = 4 gamma kB T
     t = moments["t"]
@@ -410,6 +411,14 @@ def test_non_finite_numbers_fail_validation(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_step_count_beyond_a_float_exits_2(tmp_path, capsys):
+    payload = {**MINIMAL_JZ, "run": {"t_span": [0.0, 1e300], "dt": 1e-10}}
+    path = _write(tmp_path, payload, "endless.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "span / dt must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_hpz_run_starting_before_zero_fails_validation(tmp_path):
     payload = {
         "system": {"m": 1.0, "omega_S": 1.0},
@@ -475,10 +484,18 @@ def test_cli_ensemble_pipeline(tmp_path):
     assert (tmp_path / "mini_sse_ensemble.csv").read_bytes() \
         == (tmp_path / "o1" / "mini_sse_ensemble.csv").read_bytes()
     ens = io.read_csv(tmp_path / "mini_sse_ensemble.csv")
-    assert ens.columns == io.ENSEMBLE_COLUMNS
+    assert ens.columns == (
+        "t", "mean_q", "se_mean_q", "mean_p", "se_mean_p", "s_qq", "se_s_qq",
+        "s_pp", "se_s_pp", "s_qp", "se_s_qp", "norm2", "se_norm2", "alive")
     assert np.all(ens["alive"] == 50)
     vs = io.read_csv(tmp_path / "mini_sse_ensemble_vs_ode.csv")
-    assert "s_pp_abs_dev" in vs.columns
+    assert vs.columns == (
+        "t",
+        "mean_q_mc", "mean_q_ode", "mean_q_abs_dev", "mean_q_se",
+        "mean_p_mc", "mean_p_ode", "mean_p_abs_dev", "mean_p_se",
+        "s_qq_mc", "s_qq_ode", "s_qq_abs_dev", "s_qq_se",
+        "s_pp_mc", "s_pp_ode", "s_pp_abs_dev", "s_pp_se",
+        "s_qp_mc", "s_qp_ode", "s_qp_abs_dev", "s_qp_se")
     manifest = json.loads((tmp_path / "mini_sse_manifest.json").read_text())
     assert manifest["ensemble_seed"] == 7
     assert any("error bars" in w for w in manifest["warnings"])

@@ -80,10 +80,12 @@ def test_moment_table_columns(tmp_path):
                                                        0.0),
                              (0.0, 1.0), 1e-2, store_every=20)
     table = io.moment_table(traj, meta={"scenario_sha256": "00"})
-    assert table.columns == io.MOMENT_COLUMNS
     path = tmp_path / "moments.csv"
     io.write_csv(path, table)
     back = io.read_csv(path)
+    assert back.columns == ("t", "mean_q", "mean_p", "s_qq", "s_pp", "s_qp",
+                            "rs_witness")
+    assert np.array_equal(back["s_qp"], traj.sigma_qp)
     assert np.array_equal(back["rs_witness"], traj.rs_witness())
 
 

@@ -26,7 +26,7 @@ from qbmlab.dynamics import (
     SystemSpec,
     moment_rhs,
 )
-from qbmlab.positivity import audit_cp, rank_one_factor
+from qbmlab.positivity import _closed_form, audit_cp, rank_one_factor
 
 
 def _generator(variant, m=1.3, gamma=0.21, T=7.0, mu=None,
@@ -136,9 +136,31 @@ def test_hpz_generator_matrix_structure(hpz_table):
         -(hpz_table.Theta[i] ** 2 + hpz_table.Upsilon[i] ** 2), rel=1e-10)
 
 
-def test_audit_requires_grid_nodes(hpz_table):
-    with pytest.raises(ValueError, match="not a node"):
-        audit_cp(hpz_table, t_grid=[0.01234567])
+def test_audit_reads_the_generator_the_propagators_step(hpz_table):
+    gen = _unit_mass_generator(hpz_table)
+    # at the nodes, the interpolated table is the table itself
+    at_nodes = audit_cp(hpz_table)
+    lam, det, _ = _closed_form(gen.a)
+    assert np.array_equal(at_nodes.lambda_min, lam)
+    assert np.array_equal(at_nodes.det, det)
+    # between nodes, the audit reads what gen.at interpolates
+    t = np.array([0.01234567, 3.0001])
+    report = audit_cp(hpz_table, t_grid=t)
+    lam, det, _ = _closed_form(gen.at(t)[1])
+    assert np.array_equal(report.lambda_min, lam)
+    assert np.array_equal(report.det, det)
+    with pytest.raises(ValueError, match="outside tabulated range"):
+        audit_cp(hpz_table, t_grid=[hpz_table.grid[-1] + 0.1])
+
+
+@pytest.mark.parametrize("source", ["constant", "table"])
+def test_audit_accepts_a_scalar_time(source, hpz_table):
+    gen = _generator("cl", m=1.0, gamma=0.1, T=1.0) \
+        if source == "constant" else hpz_table
+    report = audit_cp(gen, t_grid=0.5)
+    assert report.lambda_min.shape == report.det.shape == (1,)
+    d = report.to_json_dict()
+    assert d["times"] == [0.5] and d["n_times"] == 1
 
 
 @pytest.mark.parametrize("source", ["constant", "table"])

@@ -334,6 +334,7 @@ def _step_plan_runs():
     ((0.0, float("inf")), 1e-3, 1, "t_span must be finite"),
     ((float("-inf"), 1.0), 1e-3, 1, "t_span must be finite"),
     ((0.0, float("nan")), 1e-3, 1, "t_span must be finite"),
+    ((0.0, 1e300), 1e-10, 1, "span / dt must be finite"),
 ])
 def test_propagators_reject_the_same_step_plans(t_span, dt, store_every,
                                                 message):
