@@ -14,11 +14,11 @@ function splits into even and odd parts,
 
 `eval_correlation` evaluates both at one tau by adaptive quadrature with
 oscillatory weight functions (QUADPACK).  Tabulated kernels take every
-tau at once instead: D_im from its closed form, and D_re from a
-composite Gauss-Legendre rule checked against the same rule with twice
-the panels.  For the exponential and Drude cutoffs the rule covers only
-the thermal part, J(w) 2w / (e^{2aw} - 1) with a = hbar / 2 kB T, since
-the zero-temperature part has a closed form.  Each rule's sums
+tau at once: the zero-temperature kernel hbar int J(w) e^{-i w tau} dw
+in closed form (`_zero_temperature`), which is all of D_im, plus the
+thermal part of D_re, the cosine transform of 2 hbar J(w) / (e^{2aw} - 1)
+with a = hbar / 2 kB T, by a composite Gauss-Legendre rule checked
+against the same rule with twice the panels.  Its sums
 sum_k c_k cos(w_k tau_j) over the uniform grid are factored: writing
 tau_j = tau_j0 + b h, with j0 the start of a block of B ~ sqrt(n) nodes,
 they are the real parts of one complex matrix product
@@ -62,6 +62,8 @@ _NODE_BUDGET_PER_TAU = 10_000
 _NODE_BUDGET = 1_000_000
 _OMEGA_CHUNK = 1024  # omega nodes per product; keeps temporaries near 1 MB
 _DRUDE_SERIES_FROM = 100.0  # Omega tau beyond which an asymptotic series is used
+_DRUDE_DIVERGENCE = ("D_re(0) diverges logarithmically for the drude cutoff; "
+                     f"integral truncated at {_DRUDE_TRUNCATION:g} * Omega")
 
 
 class ValidityWarning(UserWarning):
@@ -95,6 +97,11 @@ class CutoffKind(str, Enum):
     SHARP = "sharp"
     EXPONENTIAL = "exponential"
     DRUDE = "drude"
+
+
+# upper limit of the frequency integrals, in units of Omega
+_REACH = {CutoffKind.SHARP: 1.0, CutoffKind.EXPONENTIAL: _EXP_TAIL,
+          CutoffKind.DRUDE: _DRUDE_TRUNCATION}
 
 
 @dataclass(frozen=True)
@@ -224,17 +231,11 @@ def _correlation_quad(bath, tau, quad_tol, part):
     args = {"what": f"D_{part}({tau:g})", "epsabs": quad_tol * scale,
             "epsrel": quad_tol, "scale": scale}
     if tau == 0.0:  # the even part only; no oscillatory weight
-        if kind is CutoffKind.SHARP:
-            upper = sd.Omega
-        elif kind is CutoffKind.EXPONENTIAL:
-            upper = _EXP_TAIL * sd.Omega
-        else:
-            upper = _DRUDE_TRUNCATION * sd.Omega
-            warnings.warn(
-                "D_re(0) diverges logarithmically for the drude cutoff; "
-                f"integral truncated at {_DRUDE_TRUNCATION:g} * Omega",
-                ValidityWarning, stacklevel=3)
-        return _quad_checked(integrand, 0.0, upper, limit=500, **args)
+        upper = _REACH[kind] * sd.Omega
+        # the bends of w coth(aw) near 1/a and of the profile near Omega
+        bends = sorted({p for p in (1.0 / a, 10.0 / a, sd.Omega) if p < upper})
+        return _quad_checked(integrand, 0.0, upper, limit=500,
+                             points=bends or None, **args)
     if pref == 0.0:  # zero coupling; the semi-infinite rules need epsabs > 0
         return 0.0
     if kind is CutoffKind.SHARP:
@@ -263,6 +264,8 @@ def eval_correlation(bath, tau, quad_tol=1e-8):
     complex
     """
     tau = float(tau)
+    if tau == 0.0 and bath.spectral.cutoff_kind is CutoffKind.DRUDE:
+        warnings.warn(_DRUDE_DIVERGENCE, ValidityWarning, stacklevel=2)
     re = _correlation_quad(bath, abs(tau), quad_tol, "re")
     im = _correlation_quad(bath, abs(tau), quad_tol, "im")
     if tau < 0.0:
@@ -273,33 +276,60 @@ def eval_correlation(bath, tau, quad_tol=1e-8):
 def im_closed_form(bath, tau):
     """Exact odd part D_im(tau) for each cutoff profile (vectorized).
 
-    Temperature never enters the odd part.  These expressions come from
-    elementary antiderivatives and serve as an independent check on the
-    oscillatory quadrature.
+    Temperature never enters the odd part, so it is that of
+    `_zero_temperature`, an independent check on the quadrature.
+    """
+    tau = np.asarray(tau, dtype=float)
+    out = _zero_temperature(bath, np.atleast_1d(tau))[1]
+    return float(out[0]) if tau.ndim == 0 else out
+
+
+def _zero_temperature(bath, tau):
+    """(D_re, D_im) at T = 0, hbar int_0^inf J(w) e^{-i w tau} dw, on an
+    array of tau in closed form.  With pref = 2 m gamma hbar / pi and
+    x = Omega tau, D_re is pref Omega^2 (x sin x - 2 sin^2(x/2)) / x^2
+    (sharp, a series near x = 0), pref Omega^2 (1 - x^2) / (1 + x^2)^2
+    (exponential) and -pref Omega^2 [e^-x Ei(x) - e^x E1(x)] / 2 at
+    x = |Omega tau| (Drude, G&R 3.723.5; past _DRUDE_SERIES_FROM its
+    asymptotic series -sum_{k odd} k! / x^(k+1), exact to rounding,
+    keeps e^x finite).  The divergent Drude D_re(0) is the integral
+    truncated at _DRUDE_TRUNCATION * Omega.
     """
     sd = bath.spectral
     hbar = bath.constants.hbar
-    tau = np.asarray(tau, dtype=float)
-    scalar = tau.ndim == 0
-    tau = np.atleast_1d(tau)
     pref = 2.0 * sd.m * sd.gamma * hbar / np.pi
     W = np.float64(sd.Omega)  # overflows to inf, not OverflowError
     x = W * tau
 
     if sd.cutoff_kind is CutoffKind.SHARP:
-        out = np.empty_like(tau)
+        re, im = np.empty_like(tau), np.empty_like(tau)
         small = np.abs(x) < 1e-3
         xs = x[small]
-        # (sin x - x cos x) / tau^2 = W^2 * (x/3 - x^3/30 + ...) / x ... expanded in x
-        out[small] = -pref * W ** 2 * (xs / 3.0) * (1.0 - xs * xs / 10.0)
+        re[small] = pref * W ** 2 * (0.5 - xs * xs / 8.0 + xs ** 4 / 144.0)
+        im[small] = -pref * W ** 2 * (xs / 3.0) * (1.0 - xs * xs / 10.0)
         tl = tau[~small]
         xl = x[~small]
-        out[~small] = -pref * (np.sin(xl) - xl * np.cos(xl)) / (tl * tl)
+        re[~small] = pref * (xl * np.sin(xl) - 2.0 * np.sin(0.5 * xl) ** 2) \
+            / (tl * tl)
+        im[~small] = -pref * (np.sin(xl) - xl * np.cos(xl)) / (tl * tl)
     elif sd.cutoff_kind is CutoffKind.EXPONENTIAL:
-        out = -pref * 2.0 * tau * W ** 3 / (1.0 + x * x) ** 2
+        r = 1.0 / (1.0 + x * x)
+        re = pref * W * W * (r * (2.0 * r - 1.0))
+        im = -pref * 2.0 * tau * W ** 3 / (1.0 + x * x) ** 2
     else:  # drude
-        out = -sd.m * sd.gamma * hbar * W ** 2 * np.exp(-np.abs(x)) * np.sign(tau)
-    return float(out[0]) if scalar else out
+        ax = np.abs(x)
+        g = np.full(tau.shape, 0.5 * math.log1p(_DRUDE_TRUNCATION ** 2))
+        near = (ax > 0.0) & (ax <= _DRUDE_SERIES_FROM)
+        far = ax > _DRUDE_SERIES_FROM
+        xn = ax[near]
+        g[near] = -0.5 * (np.exp(-xn) * special.expi(xn)
+                          - np.exp(xn) * special.exp1(xn))
+        y = 1.0 / ax[far] ** 2
+        odd_factorials = [math.factorial(2 * j + 1) for j in range(10)]
+        g[far] = -y * np.polynomial.polynomial.polyval(y, odd_factorials)
+        re = pref * W * W * g
+        im = -sd.m * sd.gamma * hbar * W ** 2 * np.exp(-ax) * np.sign(tau)
+    return re, im
 
 
 def high_temperature_closed_form(bath, tau):
@@ -322,28 +352,6 @@ def high_temperature_closed_form(bath, tau):
     pref = 4.0 * sd.m * sd.gamma * c.k_B * bath.T / np.pi
     out = pref * sd.Omega * np.sinc(sd.Omega * tau / np.pi)
     return float(out) if out.ndim == 0 else out
-
-
-def _re_zero_temperature(kind, x):
-    """T = 0 even part over pref * Omega^2 at x = Omega * tau.
-
-    Exponential: (1 - x^2) / (1 + x^2)^2.  Drude (G&R 3.723.5, x > 0):
-    -[e^-x Ei(x) - e^x E1(x)] / 2; beyond _DRUDE_SERIES_FROM its
-    asymptotic series -sum_{k odd} k! / x^(k+1) is exact to rounding
-    and keeps e^x from overflowing (past x ~ 709).
-    """
-    if kind is CutoffKind.EXPONENTIAL:
-        r = 1.0 / (1.0 + x * x)
-        return r * (2.0 * r - 1.0)
-    out = np.empty_like(x)
-    near = x <= _DRUDE_SERIES_FROM
-    xn = x[near]
-    out[near] = -0.5 * (np.exp(-xn) * special.expi(xn)
-                        - np.exp(xn) * special.exp1(xn))
-    y = 1.0 / x[~near] ** 2
-    odd_factorials = [math.factorial(2 * j + 1) for j in range(10)]
-    out[~near] = -y * np.polynomial.polynomial.polyval(y, odd_factorials)
-    return out
 
 
 def _panel_rule(upper, panels):
@@ -376,13 +384,13 @@ def _cosine_sums(tau, omega, weights):
 
 
 def _re_table(bath, tau, quad_tol):
-    """Even part on tau >= 0 from closed forms plus a panel rule.
+    """Even part on tau >= 0: the T = 0 closed form plus a panel rule on
+    the thermal part up to min(_THERMAL_REACH / a, the cutoff's reach).
 
     Returns (value, error estimate, target) per node.  The estimate is
     the change from the rule with half the panels; the target is
-    QUADPACK's, max(quad_tol * scale, quad_tol * |value|).  Nodes the
-    rule does not cover (Drude tau = 0, or every node when the rule
-    would exceed its node budget) carry NaN.
+    QUADPACK's, max(quad_tol * scale, quad_tol * |value|).  Every node
+    carries NaN when the rule would exceed its node budget.
     """
     sd = bath.spectral
     a = bath.thermal_time
@@ -391,29 +399,8 @@ def _re_table(bath, tau, quad_tol):
     W = sd.Omega
     scale = pref * W * _omega_coth(W, a)
 
-    width = np.pi / a
-    if kind is CutoffKind.SHARP:
-        upper = W
-        zero_temp = 0.0
-
-        def integrand(w):
-            return pref * _omega_coth(w, a)
-    else:
-        upper = _THERMAL_REACH / a
-        if kind is CutoffKind.EXPONENTIAL:
-            upper = min(upper, _EXP_TAIL * W)
-        else:
-            width = min(width, W)
-        # the Drude D_re(0) diverges; its NaN sends it to the fallback
-        covered = (tau > 0.0) | (kind is CutoffKind.EXPONENTIAL)
-        zero_temp = np.full(tau.shape, np.nan)
-        zero_temp[covered] = pref * W * W \
-            * _re_zero_temperature(kind, W * tau[covered])
-
-        def integrand(w):
-            return pref * _cutoff_factor(kind, w / W) * 2.0 * w \
-                / np.expm1(2.0 * a * w)
-
+    upper = min(_THERMAL_REACH / a, _REACH[kind] * W)
+    width = min(np.pi / a, W) if kind is CutoffKind.DRUDE else np.pi / a
     tau_max = float(np.max(tau))
     if tau_max > 0.0:
         width = min(width, _PANEL_PHASE / tau_max)
@@ -423,11 +410,15 @@ def _re_table(bath, tau, quad_tol):
         uncovered = np.full(tau.shape, np.nan)
         return uncovered, uncovered, uncovered
 
+    def integrand(w):
+        return pref * _cutoff_factor(kind, w / W) * 2.0 * w \
+            / np.expm1(2.0 * a * w)
+
     coarse, w_coarse = _panel_rule(upper, panels)
     fine, w_fine = _panel_rule(upper, 2 * panels)
     coarse_sum = _cosine_sums(tau, coarse, w_coarse * integrand(coarse))
     fine_sum = _cosine_sums(tau, fine, w_fine * integrand(fine))
-    value = zero_temp + fine_sum
+    value = _zero_temperature(bath, tau)[0] + fine_sum
     err = np.abs(fine_sum - coarse_sum)
     return value, err, quad_tol * np.maximum(scale, np.abs(value))
 
@@ -505,6 +496,8 @@ class CorrelationKernel:
         """
         grid = _checked_grid(grid)
         re, err, target = _re_table(bath, grid, quad_tol)
+        if bath.spectral.cutoff_kind is CutoffKind.DRUDE:
+            warnings.warn(_DRUDE_DIVERGENCE, ValidityWarning, stacklevel=2)
         fallback = ~(err <= target) | ~np.isfinite(re)
         for i in np.flatnonzero(fallback):
             re[i] = _correlation_quad(bath, float(grid[i]), quad_tol, "re")
@@ -533,11 +526,6 @@ class CorrelationKernel:
     @property
     def spacing(self):
         return float(self.grid[1] - self.grid[0])
-
-    @property
-    def values(self):
-        """Complex samples on the stored grid."""
-        return self.re_values + 1j * self.im_values
 
     def at(self, tau):
         """D(tau) = D_re(|tau|) + i sign(tau) D_im(|tau|), interpolated."""

@@ -271,7 +271,14 @@ def step_plan(t_span, dt, store_every):
     if not math.isfinite(ratio):
         raise ValueError("span / dt must be finite")
     n_steps = max(1, int(round(ratio)))
-    stored = np.append(np.arange(0, n_steps, store_every), n_steps)
+    too_many = ValueError(f"span / dt gives {n_steps:.3g} steps, more than "
+                          "a step plan can index")
+    if n_steps >= 2 ** 62:  # where np.arange fails or miscounts (near 2^63)
+        raise too_many
+    try:
+        stored = np.append(np.arange(0, n_steps, store_every), n_steps)
+    except (MemoryError, ValueError) as exc:  # an index array too large
+        raise too_many from exc
     return t0, (t1 - t0) / n_steps, n_steps, stored
 
 

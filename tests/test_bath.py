@@ -33,7 +33,7 @@ from qbmlab.bath import (
     _cosine_sums,
     _omega_coth,
     _re_table,
-    _re_zero_temperature,
+    _zero_temperature,
 )
 
 
@@ -315,7 +315,8 @@ def _tabulate(bath, grid, quad_tol=1e-8):
 
 
 _TABLE_CASES = [(kind, T, Omega) for kind in CutoffKind
-                for T, Omega in ((0.5, 10.0), (10.0, 50.0))] \
+                for T, Omega in ((0.5, 10.0), (10.0, 50.0), (0.01, 10.0),
+                                 (0.001, 10.0))] \
     + [(CutoffKind.SHARP, 250.0, 50.0)]
 
 
@@ -330,8 +331,7 @@ def test_table_matches_quadpack_per_node(kind, T, Omega):
     dev = np.max(np.abs(k.re_values - _quadpack_re(bath, grid, quad_tol)))
     assert dev <= quad_tol * scale
     assert k.health["nodes"] == grid.size
-    # only the divergent Drude D_re(0) leaves the rule
-    assert k.health["quad_fallbacks"] == (kind is CutoffKind.DRUDE)
+    assert k.health["quad_fallbacks"] == 0
     assert k.health["worst_err_over_target"] <= 1.0
 
 
@@ -360,7 +360,7 @@ def test_hot_bath_table_stays_on_the_rule():
                      kind=CutoffKind.DRUDE)
     grid = np.linspace(0.0, 10.0, 1001)
     k = _tabulate(bath, grid)
-    assert k.health["quad_fallbacks"] == 1  # the divergent D_re(0)
+    assert k.health["quad_fallbacks"] == 0
     assert k.health["worst_err_over_target"] <= 1.0
     sample = np.arange(1, grid.size, 125)
     ref = _quadpack_re(bath, grid[sample], 1e-8)
@@ -418,7 +418,8 @@ def test_drude_table_finite_beyond_exp_overflow():
 def test_drude_zero_temperature_series_joins_direct_form():
     x = np.array([_DRUDE_SERIES_FROM * (1.0 - 1e-12),
                   _DRUDE_SERIES_FROM * (1.0 + 1e-12)])
-    direct, series = _re_zero_temperature(CutoffKind.DRUDE, x)
+    bath = make_bath(Omega=1.0, kind=CutoffKind.DRUDE)
+    direct, series = _zero_temperature(bath, x)[0]
     assert series == pytest.approx(direct, rel=1e-12)
 
 
@@ -426,6 +427,38 @@ def test_table_keeps_drude_divergence_warning():
     bath = make_bath(Omega=4.0, kind=CutoffKind.DRUDE)
     with pytest.warns(ValidityWarning, match="diverges"):
         CorrelationKernel.from_bath(bath, np.linspace(0.0, 2.0, 11))
+
+
+@pytest.mark.parametrize("T", [1.0, 1e4], ids=["rule", "over-budget"])
+def test_drude_table_warns_once(T):
+    bath = make_bath(Omega=10.0, T=T, kind=CutoffKind.DRUDE)
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        CorrelationKernel.from_bath(bath, np.linspace(0.0, 1.0, 6))
+    validity = [str(r.message) for r in records
+                if issubclass(r.category, ValidityWarning)]
+    assert validity == ["D_re(0) diverges logarithmically for the drude "
+                        "cutoff; integral truncated at 1e+06 * Omega"]
+
+
+def test_drude_im_closed_form_at_zero_is_silent():
+    bath = make_bath(Omega=10.0, kind=CutoffKind.DRUDE)
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        assert im_closed_form(bath, 0.0) == 0.0
+        im_closed_form(bath, np.array([0.0, -0.5, 0.5]))
+    assert records == []
+
+
+def test_cold_sharp_table_stays_on_the_rule():
+    # panels of pi / a = 2 pi T shrink with T; the thermal part reaches
+    # only 40 / a, so the rule stays small however cold the bath
+    bath = make_bath(m=1.0, gamma=0.1, Omega=50.0, T=0.001)
+    grid = np.linspace(0.0, 10.0, 41)
+    k = CorrelationKernel.from_bath(bath, grid)
+    assert k.health["quad_fallbacks"] == 0
+    # an mpmath evaluation to 18 digits
+    assert k.re_values[1] == pytest.approx(-0.846679068867703526, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(CutoffKind))

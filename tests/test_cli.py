@@ -419,6 +419,15 @@ def test_step_count_beyond_a_float_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_step_count_beyond_an_index_exits_2(tmp_path, capsys):
+    payload = {**MINIMAL_JZ, "run": {"t_span": [0.0, 1.0], "dt": 1e-15}}
+    path = _write(tmp_path, payload, "endless.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "1e+15 steps, more than a step plan can index" \
+        in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_hpz_run_starting_before_zero_fails_validation(tmp_path):
     payload = {
         "system": {"m": 1.0, "omega_S": 1.0},

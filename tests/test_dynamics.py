@@ -437,3 +437,9 @@ def test_rk4_step_is_the_degree_four_taylor_polynomial(lam):
     expected = y0 * (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)
     assert np.allclose(rk4_step(f, y0, h), expected, rtol=1e-15, atol=0.0)
     assert stages == [0, 1, 1, 2]
+
+
+def test_step_plan_refuses_a_count_arange_miscounts():
+    # np.arange(0, 2**63) returns an empty array instead of failing
+    with pytest.raises(ValueError, match=r"9\.22e\+18 steps, more than"):
+        step_plan((0.0, 1.0), 2.0 ** -63, 1)

@@ -335,6 +335,11 @@ def _step_plan_runs():
     ((float("-inf"), 1.0), 1e-3, 1, "t_span must be finite"),
     ((0.0, float("nan")), 1e-3, 1, "t_span must be finite"),
     ((0.0, 1e300), 1e-10, 1, "span / dt must be finite"),
+    # more steps than NumPy allocates an index array for, or can index
+    ((0.0, 1.0), 1e-15, 1,
+     "span / dt gives 1e+15 steps, more than a step plan can index"),
+    ((0.0, 1.0), 1e-300, 1,
+     "span / dt gives 1e+300 steps, more than a step plan can index"),
 ])
 def test_propagators_reject_the_same_step_plans(t_span, dt, store_every,
                                                 message):
