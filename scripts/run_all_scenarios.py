@@ -1,6 +1,11 @@
 """Run every shipped scenario and summarize the manifests.
 
-Usage: python3 scripts/run_all_scenarios.py [--out DIR]
+Usage: python3 scripts/run_all_scenarios.py [--out DIR] [--against DIR]
+
+With --against, each CSV written is compared with the file of the same
+name in that directory (say, the artifacts of another commit): the
+script prints "identical" when the bytes agree, else the max |new - old|
+of each changed column over that column's max |old|.
 """
 
 import argparse
@@ -8,15 +13,40 @@ import json
 import pathlib
 import sys
 
+import numpy as np
+
+from qbmlab import io
 from qbmlab.cli import main as qbmlab_main
 
 SCENARIOS = ("jz_decoherence", "cl_regime", "cl_vs_ccl", "ccl_unraveling",
              "hpz_audit", "qp_coupling")
 
 
+def describe_change(new, old):
+    """'identical', or 'changed:' and each differing column's max
+    |new - old| over its max |old| (absolute where that max is 0).
+    """
+    if new.read_bytes() == old.read_bytes():
+        return "identical"
+    try:
+        report = io.compare_runs(old, new)
+    except ValueError as exc:  # grids or row counts differ
+        return f"not comparable: {exc}"
+    table = io.read_csv(old)
+    changed = []
+    for c in report.columns:
+        if not c.max_abs == 0.0:  # NaN counts as changed
+            scale = float(np.max(np.abs(table[c.column]))) or 1.0
+            changed.append(f"{c.column} {c.max_abs / scale:.2e}")
+    return "changed: " + ", ".join(changed) if changed \
+        else "same values, different header"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="artifacts")
+    parser.add_argument("--against", metavar="DIR",
+                        help="compare each CSV with the one in DIR")
     args = parser.parse_args()
 
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -34,6 +64,12 @@ def main():
         print(f"    {len(manifest['outputs'])} artifacts, "
               f"{manifest['wall_clock_seconds']:.1f} s, "
               f"{len(manifest['warnings'])} warning(s)")
+        for new in map(pathlib.Path, manifest["outputs"]):
+            if args.against and new.suffix == ".csv":
+                old = pathlib.Path(args.against) / new.name
+                print(f"    {new.name}: " + (describe_change(new, old)
+                                               if old.exists()
+                                               else f"no {old}"))
 
     # the shipped CL and CCL twins must agree on the mean trajectories
     code = qbmlab_main(["--compare",

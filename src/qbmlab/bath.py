@@ -34,6 +34,7 @@ Conventions: tau may be any real number; D_re is even and D_im is odd in
 tau, and tabulated kernels store tau >= 0 only.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -178,17 +179,24 @@ def _omega_coth(omega, a):
     return out if out.shape != (1,) else float(out[0])
 
 
-def _quad_checked(func, a, b, *, what, epsabs, epsrel, scale, **kwargs):
-    """scipy.integrate.quad with non-convergence turned into warnings."""
-    out = integrate.quad(func, a, b, epsabs=epsabs, epsrel=epsrel,
-                         full_output=1, **kwargs)
-    result, abserr = out[0], out[1]
+def _quad_checked(func, cuts, *, what, epsabs, epsrel, scale, **kwargs):
+    """scipy.integrate.quad summed over the pieces between consecutive
+    `cuts`, with non-convergence (of the summed error estimate) turned
+    into warnings.
+    """
+    result = abserr = 0.0
+    notes = []
+    for lo, hi in itertools.pairwise(cuts):
+        out = integrate.quad(func, lo, hi, epsabs=epsabs, epsrel=epsrel,
+                             full_output=1, **kwargs)
+        result, abserr = result + out[0], abserr + out[1]
+        notes += out[3:4]  # quadpack appended an explanation message
     if not np.isfinite(result):
         raise QuadratureError(f"{what}: quadrature returned {result}")
-    if len(out) > 3:  # quadpack appended an explanation message
+    if notes:
         warnings.warn(
             f"{what}: quadrature did not converge to target "
-            f"(achieved abs error {abserr:.3e}); {out[3]}",
+            f"(achieved abs error {abserr:.3e}); {'; '.join(notes)}",
             QuadratureWarning, stacklevel=3)
     elif abserr > 10.0 * max(epsabs, epsrel * abs(result), epsrel * scale):
         warnings.warn(
@@ -201,7 +209,8 @@ def _quad_checked(func, a, b, *, what, epsabs, epsrel, scale, **kwargs):
 def _correlation_quad(bath, tau, quad_tol, part):
     """Even (part "re") or odd (part "im") part of the correlation
     function at tau >= 0 by adaptive quadrature, weighted by cos or sin
-    (QUADPACK).
+    (QUADPACK).  The even part is split at the bends of w coth(aw) near
+    1/a and 10/a: QAWO on each finite piece, QAWF beyond the last.
     """
     sd = bath.spectral
     pref = 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi
@@ -214,7 +223,7 @@ def _correlation_quad(bath, tau, quad_tol, part):
                 * _omega_coth(w, a)
 
         scale = pref * sd.Omega * _omega_coth(sd.Omega, a)
-        sign, weight = 1.0, "cos"
+        sign, weight, bends = 1.0, "cos", (1.0 / a, 10.0 / a)
     else:
         if tau == 0.0:
             return 0.0
@@ -223,7 +232,7 @@ def _correlation_quad(bath, tau, quad_tol, part):
             return pref * w * _cutoff_factor(kind, w / sd.Omega)
 
         scale = pref * sd.Omega ** 2
-        sign, weight = -1.0, "sin"
+        sign, weight, bends = -1.0, "sin", ()
 
     # scale: the magnitude of the integral, used for absolute tolerances
     # where quadpack cannot work in relative terms (semi-infinite
@@ -233,16 +242,15 @@ def _correlation_quad(bath, tau, quad_tol, part):
     if tau == 0.0:  # the even part only; no oscillatory weight
         upper = _REACH[kind] * sd.Omega
         # the bends of w coth(aw) near 1/a and of the profile near Omega
-        bends = sorted({p for p in (1.0 / a, 10.0 / a, sd.Omega) if p < upper})
-        return _quad_checked(integrand, 0.0, upper, limit=500,
-                             points=bends or None, **args)
+        points = sorted({p for p in (*bends, sd.Omega) if p < upper})
+        return _quad_checked(integrand, (0.0, upper), limit=500,
+                             points=points or None, **args)
     if pref == 0.0:  # zero coupling; the semi-infinite rules need epsabs > 0
         return 0.0
-    if kind is CutoffKind.SHARP:
-        return sign * _quad_checked(integrand, 0.0, sd.Omega, weight=weight,
-                                    wvar=tau, limit=500, **args)
-    return sign * _quad_checked(integrand, 0.0, np.inf, weight=weight,
-                                wvar=tau, limlst=200, **args)
+    upper = sd.Omega if kind is CutoffKind.SHARP else np.inf
+    cuts = (0.0, *(p for p in bends if p < upper), upper)
+    return sign * _quad_checked(integrand, cuts, weight=weight, wvar=tau,
+                                limit=500, limlst=200, **args)
 
 
 def eval_correlation(bath, tau, quad_tol=1e-8):

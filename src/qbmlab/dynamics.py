@@ -28,6 +28,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -154,13 +155,13 @@ class QuadraticGenerator:
         return (np.stack(cols[:4], axis=-1).reshape(shape),
                 np.stack(cols[4:], axis=-1).reshape(shape))
 
-    def moment_matrix(self, t):
-        """[[M, c], [0, 0]] at times t: (y, 1) -> (M y + c, 0) on the
-        moments y, ordered as `MOMENTS`.
+    @cached_property
+    def _table(self):
+        """(entries, values): the entries of the flattened moment matrix
+        that are nonzero at some node, and their values, (entries, nodes).
         """
-        G, a = self.at(t)
-        A = _J @ (G - self.hbar * a.imag)
-        B = self.hbar ** 2 * (_J @ a.real @ _J.T)
+        A = _J @ (self.G - self.hbar * self.a.imag)
+        B = self.hbar ** 2 * (_J @ self.a.real @ _J.T)
         a00, a01, a10, a11 = (A[..., i, j] for i in (0, 1) for j in (0, 1))
         out = np.zeros(A.shape[:-2] + (6, 6))
         out[..., :2, :2] = A
@@ -168,7 +169,22 @@ class QuadraticGenerator:
         out[..., 3, 3], out[..., 3, 4] = 2.0 * a11, 2.0 * a10
         out[..., 4, 2], out[..., 4, 3], out[..., 4, 4] = a10, a01, a00 + a11
         out[..., 2:5, 5] = B[..., (0, 1, 0), (0, 1, 1)]  # qq, pp, qp
-        return out
+        w = out.reshape(-1, 36)
+        entries = np.flatnonzero(np.any(w != 0.0, axis=0))
+        return entries, w[:, entries].T.copy()
+
+    def moment_matrix(self, t):
+        """[[M, c], [0, 0]] at times t: (y, 1) -> (M y + c, 0) on the
+        moments y, ordered as `MOMENTS`.  It is linear in (G, a), so a
+        table's is interpolated between its values at the nodes.
+        """
+        entries, values = self._table
+        cols = values[:, 0] if self.grid is None \
+            else interp_table(self.grid, t, values)
+        out = np.zeros(np.shape(t) + (36,))
+        for k, col in zip(entries, cols):
+            out[..., k] = col
+        return out.reshape(np.shape(t) + (6, 6))
 
 
 def _hermitian(xx, xy, yy):
@@ -365,8 +381,10 @@ class MomentTrajectory:
 def _step_maps(gen, t0, h):
     """maps(lo, hi): the RK4 maps of steps lo..hi-1, shape (hi - lo, 6, 6)."""
     def maps(lo, hi):
-        w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi))
-        return rk4_step(lambda s, y: w[:, s] @ y, np.eye(6), h)
+        # step i's stages are the times t0 + (h/2) k, k = 2i, 2i + 1, 2i + 2
+        w = gen.moment_matrix(t0 + 0.5 * h * np.arange(2 * lo, 2 * hi + 1))
+        return rk4_step(lambda s, y: w[s:s + 2 * (hi - lo):2] @ y,
+                        np.eye(6), h)
     if gen.grid is not None:
         return maps
     step = maps(0, 1)[0]  # a constant generator has one map

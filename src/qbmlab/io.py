@@ -60,12 +60,12 @@ def write_csv(path, table):
         if any(ch.isspace() for ch in token):
             raise ValueError(f"metadata entry {token!r} contains whitespace")
     meta = "".join(f" {k}={v}" for k, v in sorted(table.meta.items()))
-    cols = [table.data[c] for c in table.columns]
+    row = ",".join(["%.17g"] * len(table.columns)) + "\n"
+    rows = zip(*(table.data[c].tolist() for c in table.columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {_TOOL} {__version__}{meta}\n")
-        fh.write(",".join(table.columns) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(f"# {_TOOL} {__version__}{meta}\n"
+                 + ",".join(table.columns) + "\n"
+                 + "".join(row % values for values in rows))
 
 
 def read_csv(path):

@@ -461,6 +461,17 @@ def test_cold_sharp_table_stays_on_the_rule():
     assert k.re_values[1] == pytest.approx(-0.846679068867703526, rel=1e-12)
 
 
+@pytest.mark.parametrize("quad_tol", [1e-8, 1e-12])
+def test_cold_sharp_quadpack_oracle_resolves_the_thermal_bend(quad_tol):
+    # the bend of w coth(aw) near 1/a = 0.002; one QAWO call over
+    # [0, Omega] missed it by 2.5e-7, without a warning
+    bath = make_bath(m=1.0, gamma=0.1, Omega=50.0, T=0.001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = eval_correlation(bath, 0.25, quad_tol=quad_tol)
+    assert d.real == pytest.approx(-0.846679068867703526, rel=1e-12)
+
+
 @pytest.mark.parametrize("kind", list(CutoffKind))
 @pytest.mark.parametrize("T,gamma", [(0.01, 1.0), (10.0, 1.0), (1e4, 1.0),
                                      (10.0, 0.0)],

@@ -30,6 +30,7 @@ from qbmlab.dynamics import (
     GaussianMomentState,
     MasterEquationSpec,
     NumericalFailure,
+    QuadraticGenerator,
     SystemSpec,
     UnstableGeneratorWarning,
     Variant,
@@ -331,6 +332,54 @@ def test_stability_is_checked_on_a_span_between_two_nodes(hpz_audit_spec):
     # (5.001, 5.009) holds no table node; its ends are checked
     with pytest.warns(UnstableGeneratorWarning, match=r"from t = 5\.001 "):
         integrate_moments(hpz_audit_spec, STATE, (5.001, 5.009), 1e-3)
+
+
+@pytest.mark.parametrize("t_span, start, rate", [
+    ((0.0, 10.0), "0.03", "2.42"),
+    ((5.001, 5.009), "5.001", "2.22"),
+])
+def test_unstable_warning_text_is_kept(hpz_audit_spec, t_span, start, rate):
+    with pytest.warns(UnstableGeneratorWarning) as records:
+        integrate_moments(hpz_audit_spec, STATE, t_span, 1e-3, 100)
+    assert [str(r.message) for r in records] == [
+        f"unstable generator: from t = {start} the friction matrix has an "
+        f"eigenvalue with real part up to {rate}, so the moments grow "
+        "exponentially"]
+
+
+# ------------------------------------------- node-tabulated moment matrix
+
+def _direct_moment_matrix(gen, t):
+    """The moment matrix built from (G, a) at time t itself."""
+    return QuadraticGenerator(*gen.at(t), gen.hbar).moment_matrix(0.0)
+
+
+def test_table_moment_matrix_is_exact_at_the_nodes(hpz_audit_spec):
+    gen = hpz_audit_spec.generator
+    direct = np.stack([_direct_moment_matrix(gen, t) for t in gen.grid])
+    assert np.array_equal(gen.moment_matrix(gen.grid), direct)
+
+
+def test_table_moment_matrix_interpolates_between_nodes(hpz_audit_spec):
+    gen = hpz_audit_spec.generator
+    times = np.random.default_rng(3).uniform(0.0, 10.0, 200)
+    got = gen.moment_matrix(times)
+    for t, w in zip(times, got):
+        ref = _direct_moment_matrix(gen, t)
+        assert np.max(np.abs(w - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 1.01), (0.999, 1.5)])
+def test_runs_past_the_table_end_are_refused(t_span):
+    table = delta_limit_coefficients(1.0, np.linspace(0.0, 1.0, 11))
+    spec = spec_for("hpz", coefficients=table)
+    with pytest.raises(ValueError, match="outside tabulated range"):
+        integrate_moments(spec, STATE, t_span, 1e-3)
+    t0, h, n_steps, _ = step_plan(t_span, 1e-3, 1)
+    with pytest.raises(ValueError, match="outside tabulated range"):
+        dynamics._step_maps(spec.generator, t0, h)(0, n_steps)
+    # a run that ends on the last node, whatever its step, is not
+    integrate_moments(spec, STATE, (0.1, 1.0), 9e-4)
 
 
 # ---------------------------------------------------------- integrator api

@@ -34,6 +34,27 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert back.meta["tool_version"]
 
 
+def test_csv_bytes_are_pinned(tmp_path):
+    # %.17g, with nan, the infinities, -0 and the extremes of float64
+    table = io.CsvTable(
+        columns=("x", "y"),
+        data={"x": [0.1, np.nan, np.inf, -np.inf],
+              "y": [-0.0, 5e-324, 1e300, 1.0 / 3.0]},
+        meta={"k": "v"})
+    path = tmp_path / "pinned.csv"
+    io.write_csv(path, table)
+    assert path.read_bytes() == (
+        f"# qbmlab {io.__version__} k=v\n"
+        "x,y\n"
+        "0.10000000000000001,-0\n"
+        "nan,4.9406564584124654e-324\n"
+        "inf,1.0000000000000001e+300\n"
+        "-inf,0.33333333333333331\n").encode()
+    back = io.read_csv(path)
+    assert np.array_equal(back["x"], table["x"], equal_nan=True)
+    assert back["y"].tobytes() == table["y"].tobytes()
+
+
 def test_csv_table_validation():
     with pytest.raises(ValueError, match="disagree"):
         io.CsvTable(columns=("t",), data={"x": np.zeros(3)})

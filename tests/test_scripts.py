@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from qbmlab import io
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -17,6 +19,7 @@ def _run(script, args):
                            *args], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout
 
 
 @pytest.mark.parametrize("script, args", [
@@ -31,3 +34,21 @@ def test_script_exits_cleanly(script, args):
 def test_every_shipped_scenario_runs(tmp_path):
     # includes the script's own CL/CCL mean comparison
     _run("run_all_scenarios.py", ["--out", str(tmp_path)])
+
+
+def test_against_reports_each_csv_change(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    _run("run_all_scenarios.py", ["--out", str(old)])
+    moments = old / "qp_coupling_moments.csv"
+    table = io.read_csv(moments)
+    table.data["mean_q"] = table["mean_q"] * (1.0 + 1e-9)
+    del table.meta["tool_version"]
+    io.write_csv(moments, table)
+    (old / "hpz_audit_kernel.csv").unlink()
+    lines = _run("run_all_scenarios.py", ["--out", str(new), "--against",
+                                          str(old)]).splitlines()
+    assert "    jz_decoherence_moments.csv: identical" in lines
+    assert "    hpz_audit_coefficients.csv: identical" in lines
+    assert "    qp_coupling_moments.csv: changed: mean_q 1.00e-09" in lines
+    assert f"    hpz_audit_kernel.csv: no {old / 'hpz_audit_kernel.csv'}" \
+        in lines
