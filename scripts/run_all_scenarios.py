@@ -5,7 +5,9 @@ Usage: python3 scripts/run_all_scenarios.py [--out DIR] [--against DIR]
 With --against, each CSV written is compared with the file of the same
 name in that directory (say, the artifacts of another commit): the
 script prints "identical" when the bytes agree, else the max |new - old|
-of each changed column over that column's max |old|.
+of each changed column over that column's max |old|, and the columns
+that only one of the two files has.  The script exits 1 if a scenario
+fails or a pair of twins (CL and CCL, JZ and QP) disagree on the means.
 """
 
 import argparse
@@ -24,7 +26,8 @@ SCENARIOS = ("jz_decoherence", "cl_regime", "cl_vs_ccl", "ccl_unraveling",
 
 def describe_change(new, old):
     """'identical', or 'changed:' and each differing column's max
-    |new - old| over its max |old| (absolute where that max is 0).
+    |new - old| over its max |old| (absolute where that max is 0), then
+    each column gained or lost.
     """
     if new.read_bytes() == old.read_bytes():
         return "identical"
@@ -38,6 +41,11 @@ def describe_change(new, old):
         if not c.max_abs == 0.0:  # NaN counts as changed
             scale = float(np.max(np.abs(table[c.column]))) or 1.0
             changed.append(f"{c.column} {c.max_abs / scale:.2e}")
+    new_columns = io.read_csv(new).columns
+    changed += [f"new column {c}" for c in new_columns
+                if c not in table.columns]
+    changed += [f"no column {c}" for c in table.columns
+                if c not in new_columns]
     return "changed: " + ", ".join(changed) if changed \
         else "same values, different header"
 
@@ -71,15 +79,16 @@ def main():
                                                if old.exists()
                                                else f"no {old}"))
 
-    # the shipped CL and CCL twins must agree on the mean trajectories
-    code = qbmlab_main(["--compare",
-                        f"{args.out}/cl_regime_moments.csv",
-                        f"{args.out}/cl_vs_ccl_moments.csv",
-                        "--columns", "mean_q,mean_p", "--atol", "1e-6"])
-    if code != 0:
-        print("cl_regime vs cl_vs_ccl mean comparison failed",
-              file=sys.stderr)
-        failures += 1
+    # the shipped twins must agree on the mean trajectories: CL and CCL
+    # to 1e-6, and QP, whose rotation leaves the means alone, with JZ
+    for a, b, atol in (("cl_regime", "cl_vs_ccl", "1e-6"),
+                       ("jz_decoherence", "qp_coupling", "1e-10")):
+        code = qbmlab_main(["--compare", f"{args.out}/{a}_moments.csv",
+                            f"{args.out}/{b}_moments.csv",
+                            "--columns", "mean_q,mean_p", "--atol", atol])
+        if code != 0:
+            print(f"{a} vs {b} mean comparison failed", file=sys.stderr)
+            failures += 1
     return 1 if failures else 0
 
 

@@ -39,7 +39,6 @@ The sign of Upsilon is the one convention in the literature that varies.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .bath import CorrelationKernel, NumericalFailure, _checked_grid
 
@@ -182,18 +181,18 @@ def compute_coefficients(dressed, kernels):
     """Window the (dressed) kernel into the four generator coefficients.
 
     The stationary order-1 case reduces to cumulative trapezoid sums over
-    tau = t - s; the general case sums each table row against W.
+    tau = t - s, in scipy's `cumulative_trapezoid` order of operations;
+    the general case sums each table row against W.
     """
     grid = dressed.grid
     if dressed.stationary:
         tau = grid  # the base kernel's own nodes
         re, im = dressed.base.re_values, dressed.base.im_values
-        cos_w = kernels.c(tau)
-        sin_w = kernels.c_tilde(tau)
-        gamma_t = -cumulative_trapezoid(re * cos_w, tau, initial=0.0)
-        theta_t = cumulative_trapezoid(re * sin_w, tau, initial=0.0)
-        xi_t = -cumulative_trapezoid(im * cos_w, tau, initial=0.0)
-        upsilon_t = cumulative_trapezoid(im * sin_w, tau, initial=0.0)
+        cos_w, sin_w = kernels.c(tau), kernels.c_tilde(tau)
+        y = np.stack([d * w for d in (re, im) for w in (cos_w, sin_w)])
+        cols = np.zeros(y.shape)
+        cols[:, 1:] = np.cumsum(np.diff(tau) * (y[:, 1:] + y[:, :-1]) / 2.0,
+                                axis=1)
     else:
         h = float(grid[1] - grid[0])
         cols = np.empty((4, grid.size))
@@ -203,11 +202,9 @@ def compute_coefficients(dressed, kernels):
             tau = grid[start:stop, None] - grid[None, :stop]
             w_cos, w_sin = w * kernels.c(tau), w * kernels.c_tilde(tau)
             dd = dressed.table[start:stop, :stop]
-            cols[:, start:stop] = [-(w_cos * dd.real).sum(1),
-                                   (w_sin * dd.real).sum(1),
-                                   -(w_cos * dd.imag).sum(1),
-                                   (w_sin * dd.imag).sum(1)]
-        gamma_t, theta_t, xi_t, upsilon_t = cols
+            cols[:, start:stop] = [(w * d).sum(1) for d in (dd.real, dd.imag)
+                                   for w in (w_cos, w_sin)]
+    gamma_t, theta_t, xi_t, upsilon_t = -cols[0], cols[1], -cols[2], cols[3]
     for name, col in zip(("Gamma", "Theta", "Xi", "Upsilon"),
                          (gamma_t, theta_t, xi_t, upsilon_t)):
         if not np.all(np.isfinite(col)):

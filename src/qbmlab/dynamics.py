@@ -44,10 +44,10 @@ class SystemSpec:
     omega_S: float
 
     def __post_init__(self):
-        if self.m <= 0.0:
-            raise ValueError("mass m must be strictly positive")
-        if self.omega_S < 0.0:
-            raise ValueError("omega_S must be non-negative")
+        if not 0.0 < self.m < math.inf:
+            raise ValueError("mass m must be finite and strictly positive")
+        if not 0.0 <= self.omega_S < math.inf:
+            raise ValueError("omega_S must be finite and non-negative")
 
 
 class Variant(str, Enum):
@@ -243,12 +243,13 @@ class MasterEquationSpec:
         elif self.gamma is None or self.T is None:
             raise ValueError(
                 f"variant {self.variant.value} requires gamma and T")
-        elif self.gamma < 0.0:
-            raise ValueError("gamma must be non-negative")
-        elif self.T <= 0.0:
-            raise ValueError("temperature T must be strictly positive")
-        elif self.variant is Variant.QP_COUPLED and self.mu is None:
-            raise ValueError("QP-coupled variant requires mu")
+        elif not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and non-negative")
+        elif not 0.0 < self.T < math.inf:
+            raise ValueError("temperature T must be finite and > 0")
+        elif self.variant is Variant.QP_COUPLED and not (
+                self.mu is not None and math.isfinite(self.mu)):
+            raise ValueError("QP-coupled variant requires a finite mu")
         self.generator = _generator(self)
 
     @property
@@ -324,14 +325,15 @@ def _warn_if_unstable(gen, t0, t1):
 
 
 def rk4_stage_times(t0, h, lo, hi):
-    """Stage times (t, t + h/2, t + h) of RK4 steps lo..hi-1, t = t0 + i h."""
-    t = t0 + np.arange(lo, hi) * h
-    return np.stack([t, t + 0.5 * h, t + h], axis=1)
+    """Stage times t0 + (h/2) k, k = 2 lo..2 hi, of RK4 steps lo..hi-1:
+    stage s = 0, 1, 2 of step i is entry 2 (i - lo) + s.
+    """
+    return t0 + 0.5 * h * np.arange(2 * lo, 2 * hi + 1)
 
 
 def rk4_step(f, y, h):
     """One classical RK4 step of y' = f(s, y), where f evaluates the
-    derivative at stage s = 0, 1, 2 of `rk4_stage_times`.
+    derivative at stage s = 0, 1, 2: `rk4_stage_times` entry 2 (i - lo) + s.
     """
     k1 = f(0, y)
     k2 = f(1, y + 0.5 * h * k1)
@@ -381,8 +383,7 @@ class MomentTrajectory:
 def _step_maps(gen, t0, h):
     """maps(lo, hi): the RK4 maps of steps lo..hi-1, shape (hi - lo, 6, 6)."""
     def maps(lo, hi):
-        # step i's stages are the times t0 + (h/2) k, k = 2i, 2i + 1, 2i + 2
-        w = gen.moment_matrix(t0 + 0.5 * h * np.arange(2 * lo, 2 * hi + 1))
+        w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi))
         return rk4_step(lambda s, y: w[s:s + 2 * (hi - lo):2] @ y,
                         np.eye(6), h)
     if gen.grid is not None:

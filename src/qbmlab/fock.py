@@ -164,8 +164,9 @@ class FockTrajectory:
 def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     """RK4 integration of the density matrix; monitors trace and leakage.
 
-    The steps and the stored states follow `dynamics.step_plan`, as for
-    the moment ODE, so both histories share their time nodes.
+    The steps and the stored states follow `dynamics.step_plan`, and the
+    stages `dynamics.rk4_stage_times`, as for the moment ODE.  Operators
+    are built once per stage time, or once for a constant generator.
     """
     rho = np.array(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -178,6 +179,7 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     obs = observables(q, p)
     # the table is looked up at every stage time in one pass
     G, a = spec.generator.at(rk4_stage_times(t0, h, 0, n_steps))
+    ops = [operators(G[s], a[s]) for s in range(3)]
     tabulated = spec.generator.grid is not None
 
     rows, traces, tops = [], [], []
@@ -198,8 +200,9 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     observe(rho)
     keep = set(stored.tolist())
     for i in range(n_steps):
-        if i == 0 or tabulated:  # constant operators are built once
-            ops = [operators(G[i, s], a[i, s]) for s in range(3)]
+        if i and tabulated:  # step i's first stage is step i - 1's last
+            ops = [ops[2], operators(G[2 * i + 1], a[2 * i + 1]),
+                   operators(G[2 * i + 2], a[2 * i + 2])]
         rho = rk4_step(lambda s, r: _lindblad_rhs(r, ops[s]), rho, h)
         if i + 1 in keep:
             observe(rho)

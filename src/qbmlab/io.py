@@ -23,7 +23,7 @@ _TOOL = "qbmlab"
 KERNEL_COLUMNS = ("tau", "D_re", "D_im")
 MOMENT_COLUMNS = ("t", *MOMENTS, "rs_witness")
 COEFFICIENT_COLUMNS = ("t", "Gamma", "Theta", "Xi", "Upsilon")
-AUDIT_COLUMNS = ("t", "lambda_min", "det")
+AUDIT_COLUMNS = ("t", "lambda_min", "det", "norm")
 ENSEMBLE_COLUMNS = ("t", *(c for m in MOMENTS for c in (m, "se_" + m)),
                     "norm2", "se_norm2", "alive")
 
@@ -136,7 +136,7 @@ def coefficients_from_table(table):
 def audit_table(report, meta=None):
     return CsvTable(columns=AUDIT_COLUMNS,
                     data={"t": report.times, "lambda_min": report.lambda_min,
-                          "det": report.det},
+                          "det": report.det, "norm": report.norm},
                     meta=dict(meta or {}))
 
 

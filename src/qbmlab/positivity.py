@@ -36,6 +36,8 @@ _CP_TOL = 1e-12  # relative to the spectral norm
 
 def _closed_form(a):
     """lambda_min, det and spectral norm of Hermitian (..., 2, 2) matrices."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix is not finite")
     scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
     skew = np.max(np.abs(a - np.swapaxes(a, -2, -1).conj()), axis=(-2, -1))
     if np.any(skew > _HERMITICITY_TOL * scale):
@@ -115,6 +117,7 @@ class CPAuditReport:
     flags: list[str] = field(default_factory=list)
 
     def to_json_dict(self):
+        """The verdict and its summary; `io.audit_table` holds the scan."""
         return {
             "verdict": self.verdict,
             "tol": self.tol,
@@ -123,10 +126,6 @@ class CPAuditReport:
             "n_times": int(self.times.size),
             "min_lambda_min": float(np.min(self.lambda_min)),
             "max_norm": float(np.max(self.norm)),
-            "times": [float(t) for t in self.times],
-            "lambda_min": [float(v) for v in self.lambda_min],
-            "det": [float(v) for v in self.det],
-            "norm": [float(v) for v in self.norm],
         }
 
 

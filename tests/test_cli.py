@@ -302,7 +302,9 @@ def test_cli_hpz_pipeline_and_audit(tmp_path):
     audit = json.loads((tmp_path / "mini_hpz_audit.json").read_text())
     assert audit["verdict"] == "NotCP"
     assert audit["first_violation_time"] > 0.0
-    assert len(audit["lambda_min"]) == 81
+    assert set(audit) == {"verdict", "tol", "first_violation_time", "flags",
+                          "n_times", "min_lambda_min", "max_norm"}
+    assert audit["n_times"] == 81
     manifest = json.loads((tmp_path / "mini_hpz_manifest.json").read_text())
     assert any("NotCP" in w for w in manifest["warnings"])
     assert len(manifest["outputs"]) == 5
@@ -316,9 +318,16 @@ def test_cli_hpz_pipeline_and_audit(tmp_path):
     report = audit_cp(io.coefficients_from_table(table))
     assert report.verdict == "NotCP"
 
+    # the CSV holds every per-time number of the scan, bit for bit
     csv_audit = io.read_csv(tmp_path / "mini_hpz_audit.csv")
-    assert csv_audit.columns == io.AUDIT_COLUMNS
-    assert np.allclose(csv_audit["lambda_min"], audit["lambda_min"])
+    assert csv_audit.columns == io.AUDIT_COLUMNS \
+        == ("t", "lambda_min", "det", "norm")
+    assert len(csv_audit) == 81
+    assert np.array_equal(csv_audit["t"], table["t"])
+    for column in ("lambda_min", "det", "norm"):
+        assert np.array_equal(csv_audit[column], getattr(report, column))
+    assert np.min(csv_audit["lambda_min"]) == audit["min_lambda_min"]
+    assert np.max(csv_audit["norm"]) == audit["max_norm"]
 
 
 def _reject_constant(name):

@@ -6,6 +6,7 @@ position decoherence, and steady states obtained by zeroing the linear
 right-hand side.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -91,6 +92,22 @@ def test_spec_validation():
         MasterEquationSpec(variant="cl", system=SYS, gamma=0.1, T=0.0)
     # string variants are accepted and normalized
     assert spec_for("ccl", gamma=0.1, T=1.0).variant is Variant.CCL
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_specs_reject_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="mass m"):
+        SystemSpec(m=bad, omega_S=1.0)
+    with pytest.raises(ValueError, match="omega_S"):
+        SystemSpec(m=1.0, omega_S=bad)
+    for variant in ("jz", "cl", "ccl"):
+        with pytest.raises(ValueError, match="gamma"):
+            MasterEquationSpec(variant=variant, system=SYS, gamma=bad, T=1.0)
+        with pytest.raises(ValueError, match="temperature T"):
+            MasterEquationSpec(variant=variant, system=SYS, gamma=0.1, T=bad)
+    with pytest.raises(ValueError, match="finite mu"):
+        MasterEquationSpec(variant="qp", system=SYS, gamma=0.1, T=1.0,
+                           mu=bad)
 
 
 # --------------------------------------------------------------- unitary
@@ -430,7 +447,7 @@ def _step_by_step(spec, state0, t_span, dt, store_every):
     z = np.append(state0.as_array(), 1.0)
     rows = [z[:5]]
     for i in range(n_steps):
-        z = rk4_step(lambda s, y: w[i, s] @ y, z, h)
+        z = rk4_step(lambda s, y: w[2 * i + s] @ y, z, h)
         rows.append(z[:5])
     return np.array(rows)[stored]
 

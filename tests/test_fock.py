@@ -6,13 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from qbmlab import fock
+from qbmlab import dynamics, fock
 from qbmlab.coefficients import HPZCoefficients
 from qbmlab.dynamics import (
     GaussianMomentState,
     MasterEquationSpec,
+    QuadraticGenerator,
     SystemSpec,
     integrate_moments,
+    rk4_stage_times,
+    step_plan,
 )
 
 SYS = SystemSpec(m=1.0, omega_S=1.0)
@@ -129,6 +132,40 @@ def test_hpz_moment_map_matches_density_matrix():
     mtr = integrate_moments(spec, fock.moments_from_density(rho0, q, p),
                             (0.0, 1.5), 5e-4, store_every=300)
     assert np.max(np.abs(ftr.data - mtr.data)) < 5e-4
+
+
+def test_fock_and_moments_step_a_table_at_the_same_stage_times(monkeypatch):
+    # both read the generator at rk4_stage_times, 2 n + 1 distinct times
+    seen = {"at": [], "moment_matrix": []}
+    for name in seen:
+        def record(self, t, name=name, method=getattr(QuadraticGenerator,
+                                                       name)):
+            seen[name].append(np.ravel(t))
+            return method(self, t)
+        monkeypatch.setattr(QuadraticGenerator, name, record)
+    # the stability check reads the table at its nodes as well
+    monkeypatch.setattr(dynamics, "_warn_if_unstable", lambda *args: None)
+    grid = np.linspace(0.0, 1.5, 16)
+    table = HPZCoefficients(grid=grid, Gamma=-0.2 - 0.3 * np.sin(2 * grid),
+                            Theta=0.1 * grid, Xi=0.2 * np.cos(grid),
+                            Upsilon=-0.05 * grid ** 2)
+    spec = MasterEquationSpec(variant="hpz", system=SYS, coefficients=table)
+    dim, t_span, dt = 30, (0.1, 1.4), 0.0137
+    psi = fock.coherent_state(dim, 0.3)
+    rho0 = np.outer(psi, psi.conj())
+    q, p = fock.position_momentum(dim, SYS)
+    ftr = fock.fock_propagate(spec, rho0, t_span, dt, store_every=7)
+    mtr = integrate_moments(spec, fock.moments_from_density(rho0, q, p),
+                            t_span, dt, store_every=7)
+
+    t0, h, n_steps, _ = step_plan(t_span, dt, 7)
+    stages = rk4_stage_times(t0, h, 0, n_steps)
+    assert stages.shape == (2 * n_steps + 1,)
+    assert np.array_equal(np.concatenate(seen["at"]), stages)
+    assert np.array_equal(np.unique(np.concatenate(seen["moment_matrix"])),
+                          stages)
+    # a step that reused the wrong stage's operators would be off by 3e-3
+    assert np.max(np.abs(ftr.data - mtr.data)) < 1e-6
 
 
 def test_truncation_leak_warns_at_small_dim():

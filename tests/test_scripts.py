@@ -32,7 +32,7 @@ def test_script_exits_cleanly(script, args):
 
 
 def test_every_shipped_scenario_runs(tmp_path):
-    # includes the script's own CL/CCL mean comparison
+    # includes the script's own twin comparisons, CL/CCL and JZ/QP
     _run("run_all_scenarios.py", ["--out", str(tmp_path)])
 
 
@@ -45,10 +45,16 @@ def test_against_reports_each_csv_change(tmp_path):
     del table.meta["tool_version"]
     io.write_csv(moments, table)
     (old / "hpz_audit_kernel.csv").unlink()
+    audit = old / "hpz_audit_audit.csv"
+    table = io.read_csv(audit)
+    del table.data["norm"], table.meta["tool_version"]
+    io.write_csv(audit, io.CsvTable(io.AUDIT_COLUMNS[:3], table.data,
+                                    table.meta))
     lines = _run("run_all_scenarios.py", ["--out", str(new), "--against",
                                           str(old)]).splitlines()
     assert "    jz_decoherence_moments.csv: identical" in lines
     assert "    hpz_audit_coefficients.csv: identical" in lines
     assert "    qp_coupling_moments.csv: changed: mean_q 1.00e-09" in lines
+    assert "    hpz_audit_audit.csv: changed: new column norm" in lines
     assert f"    hpz_audit_kernel.csv: no {old / 'hpz_audit_kernel.csv'}" \
         in lines
