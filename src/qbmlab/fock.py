@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bath import PhysicalConstants
 from .dynamics import (GaussianMomentState, rk4_stage_times, rk4_step,
@@ -62,6 +61,8 @@ def vacuum_state(dim):
 
 def coherent_state(dim, alpha):
     """|alpha> via the displacement operator (exact within truncation)."""
+    from scipy.linalg import expm
+
     a = ladder(dim)
     d_op = expm(alpha * a.conj().T - np.conj(alpha) * a)
     return d_op @ vacuum_state(dim)
@@ -69,6 +70,8 @@ def coherent_state(dim, alpha):
 
 def squeezed_state(dim, r, alpha=0.0):
     """Displaced position-squeezed vacuum, D(alpha) S(r) |0>."""
+    from scipy.linalg import expm
+
     a = ladder(dim)
     s_op = expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
     psi = s_op @ vacuum_state(dim)

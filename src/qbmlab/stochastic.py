@@ -36,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .dynamics import (
     MOMENTS,
@@ -245,6 +244,8 @@ def _width_path(r, s0, h, n_steps):
     """s at every step of h, exactly: s = y / x with (x, y)' =
     [[0, -r2], [r0, r1]] (x, y), so each step is one Moebius map.
     """
+    from scipy.linalg import expm
+
     e00, e01, e10, e11 = (complex(x) for x in expm(
         h * np.array([[0.0, -r[2]], [r[0], r[1]]])).ravel())
     path = [complex(s0)]

@@ -1,4 +1,7 @@
 import os
+import pathlib
+import subprocess
+import sys
 
 import hypothesis
 import pytest
@@ -12,6 +15,24 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))
 
 _ACCEPTANCE_LINES = []
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a new interpreter, which imports qbmlab from src/, on the
+    given arguments; assert it exits 0 and return its standard output.
+    A script runs as users run it, and a fresh interpreter shows which
+    modules a path imports, where this one has loaded them all.
+    """
+    def run(*args):
+        path = [str(_SRC), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run([sys.executable, *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        return done.stdout
+    return run
 
 
 @pytest.fixture(scope="session")

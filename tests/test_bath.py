@@ -6,6 +6,8 @@ quadrature with oscillatory weights.  Agreement between routes is the
 point of several tests.
 """
 
+import json
+import math
 import tracemalloc
 import warnings
 
@@ -89,6 +91,22 @@ def test_parameter_validation():
         PhysicalConstants(hbar=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bath_specs_reject_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="mass m must be finite"):
+        SpectralDensity(bad, 1.0, 1.0)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        SpectralDensity(1.0, bad, 1.0)
+    with pytest.raises(ValueError, match="Omega must be finite"):
+        SpectralDensity(1.0, 1.0, bad)
+    with pytest.raises(ValueError, match="temperature T must be finite"):
+        ThermalBathSpec(SpectralDensity(1.0, 1.0, 1.0), T=bad)
+    with pytest.raises(ValueError, match="hbar and k_B must be finite"):
+        PhysicalConstants(hbar=bad)
+    with pytest.raises(ValueError, match="hbar and k_B must be finite"):
+        PhysicalConstants(k_B=bad)
+
+
 # ------------------------------------------------------- odd part D_im(tau)
 
 def test_sharp_odd_part_at_unit_time():
@@ -108,6 +126,46 @@ def test_im_quadrature_matches_closed_form(kind, tau):
     q = _correlation_quad(bath, tau, 1e-10, "im")
     cf = im_closed_form(bath, tau)
     assert q == pytest.approx(cf, rel=1e-7, abs=1e-12)
+
+
+def test_quadpack_is_looked_up_on_its_module_at_call_time(monkeypatch):
+    # a tracer counts QUADPACK calls by replacing scipy.integrate.quad;
+    # a reference bound at import time would bypass the replacement
+    import scipy.integrate
+
+    quad, calls = scipy.integrate.quad, []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    bath = make_bath(m=1.3, gamma=0.7, Omega=3.0, T=2.0)
+    q = _correlation_quad(bath, 0.3, 1e-10, "im")
+    assert calls
+    assert q == pytest.approx(im_closed_form(bath, 0.3), rel=1e-7)
+
+
+def test_drude_table_imports_scipy_special_when_it_needs_it(fresh_python):
+    # only the Drude zero-temperature form calls scipy.special (Ei, E1)
+    source = (
+        "import json, sys, warnings\n"
+        "import numpy as np\n"
+        "from qbmlab.bath import (CorrelationKernel, CutoffKind,\n"
+        "                         SpectralDensity, ThermalBathSpec)\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "bath = ThermalBathSpec(\n"
+        "    SpectralDensity(1.0, 1.0, 5.0, CutoffKind.DRUDE), T=1.0)\n"
+        "with warnings.catch_warnings():\n"
+        "    warnings.simplefilter('ignore')\n"
+        "    k = CorrelationKernel.from_bath(bath, np.linspace(0, 2, 21))\n"
+        "print(json.dumps([before, 'scipy.special' in sys.modules,\n"
+        "                  k.re_values.tolist(), k.im_values.tolist()]))\n")
+    before, after, re, im = json.loads(fresh_python("-c", source))
+    assert (before, after) == (False, True)
+    here = _tabulate(make_bath(kind=CutoffKind.DRUDE), np.linspace(0, 2, 21))
+    assert re == here.re_values.tolist()  # same bits
+    assert im == here.im_values.tolist()
 
 
 def test_im_vanishes_at_zero_and_is_odd():

@@ -16,6 +16,8 @@ from qbmlab.scenario import (
     scenario_to_json,
 )
 
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
 MINIMAL_JZ = {
     "system": {"m": 1.0, "omega_S": 1.0},
     "bath": {"gamma": 0.1, "T": 2.0},
@@ -552,3 +554,22 @@ def test_cli_runs_are_byte_deterministic(tmp_path):
     a = (tmp_path / "r1" / "det_moments.csv").read_bytes()
     b = (tmp_path / "r2" / "det_moments.csv").read_bytes()
     assert a == b
+
+
+def test_sharp_and_constant_runs_load_no_scipy(tmp_path, fresh_python):
+    # a sharp-cutoff HPZ run and a constant-coefficient run call no scipy
+    # routine, so they must not pay for importing it
+    paths = [str(SCENARIOS / f"{name}.json")
+             for name in ("cl_vs_ccl", "hpz_audit")]
+    source = (
+        "import json, sys\n"
+        "from qbmlab import cli\n"
+        f"for path in {paths!r}:\n"
+        f"    assert cli.main(['--scenario', path, '--out', {str(tmp_path)!r}])"
+        " == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy')))\n")
+    out = fresh_python("-c", source)
+    assert json.loads(out.splitlines()[-1]) == []
+    assert (tmp_path / "hpz_audit_kernel.csv").is_file()
+    assert (tmp_path / "cl_vs_ccl_moments.csv").is_file()
