@@ -10,6 +10,7 @@ numerical failure (including a failed comparison).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -226,7 +227,10 @@ def _comparison_table(result, ode, meta):
     return io.CsvTable(columns=tuple(data), data=data, meta=dict(meta))
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built once per process; each `parse_args`
+    fills a new namespace, so calls share no parsed state."""
     parser = argparse.ArgumentParser(
         prog="qbmlab",
         description="Quantum Brownian motion laboratory: scenario runner "
@@ -257,7 +261,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if bool(args.scenario) == bool(args.compare):
         print("error: exactly one of --scenario or --compare is required",
               file=sys.stderr)

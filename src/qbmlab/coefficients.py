@@ -18,12 +18,17 @@ with c(t, s) = (i hbar / m) C~(s - t) for t > s (zero otherwise) and
 Dbar(t, s) = D(|t - s|), which parity (D_re even, D_im odd) gives as
 D(t - s) for t >= s and its conjugate otherwise.  On a uniform grid each
 integral over [0, t_i] is row i of one trapezoid-weight matrix W, so
-with X = W o D^(n-1) (o: entrywise) an order is four matrix products,
+with X = W o D^(n-1) (o: entrywise) an order is
 
-    D^(n) = (W o (X c^T)) Dbar + (W o (conj(X) c^T)) D,
+    D^(n) = (W o (X c^T)) Dbar + (W o (conj(X) c^T)) D.
 
-at O(N^3) per order, and the windowing below is a row sum against W.
-Both run over blocks of table rows.
+The response kernel separates by the sine addition formula,
+c(t_j, t_k) = (i hbar / m) [C~(t_k) C(t_j) - C(t_k) C~(t_j)] for k < j,
+so X c^T = (i hbar / m) U, each row of U two exclusive cumulative sums
+along that row of X weighted by the real C and C~, and conj(X) c^T =
+(i hbar / m) conj(U).  An order costs two O(N^3) matrix products, and
+the windowing below is a row sum against W.  Both run over blocks of
+table rows.
 
 Coefficient sign conventions (fixed here once and used consistently by
 the dynamics and positivity modules):
@@ -116,6 +121,13 @@ def _trapezoid_weights(start, stop, h):
     return h * ((nodes <= i) - 0.5 * (nodes == 0) - 0.5 * (nodes == i))
 
 
+def _exclusive_cumsum(y):
+    """Sum along each row of y over the columns before each column."""
+    out = np.zeros_like(y)
+    np.cumsum(y[:, :-1], axis=1, out=out[:, 1:])
+    return out
+
+
 def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
     """Resum the kernel to the given order on the base kernel's grid.
 
@@ -136,8 +148,8 @@ def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
     diff = grid[:, None] - grid[None, :]
     d = base.at(diff)                             # D(t - s)
     d_bar = np.where(diff >= 0.0, d, d.conj())    # D(|t - s|) by parity
-    c_t = commutator_contraction(kernels, m, grid[:, None], grid[None, :],
-                                 hbar).T
+    cos_t, sin_t = kernels.c(grid), kernels.c_tilde(grid)
+    scale = 1j * hbar / m
     h = base.spacing
     total, prev = d.copy(), d
     for n in range(2, order + 1):
@@ -146,9 +158,12 @@ def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
             stop = min(start + _ROW_BLOCK, grid.size)
             w = _trapezoid_weights(start, stop, h)
             x = w * prev[start:stop, :stop]
-            c_blk = c_t[:stop, :stop]
-            cur[start:stop] = (w * (x @ c_blk)) @ d_bar[:stop] \
-                + (w * (np.conj(x) @ c_blk)) @ d[:stop]
+            # X c^T = scale * u: u[:, b] sums x[:, a] [C~(t_a) C(t_b)
+            # - C(t_a) C~(t_b)] over the nodes a < b
+            u = cos_t[:stop] * _exclusive_cumsum(x * sin_t[:stop]) \
+                - sin_t[:stop] * _exclusive_cumsum(x * cos_t[:stop])
+            cur[start:stop] = scale * ((w * u) @ d_bar[:stop]
+                                       + (w * np.conj(u)) @ d[:stop])
         total += (-1) ** (n - 1) * cur
         prev = cur
     if not np.all(np.isfinite(total)):

@@ -4,11 +4,14 @@ This module exists to cross-check the Gaussian moment maps in
 :mod:`qbmlab.dynamics` against direct density-matrix integration in a
 truncated number basis.  Both derive from the spec's generator (G, a),
 here in the Lindblad form K rho + rho K^dag + sum_jk a_jk F_j rho F_k.
-It is deliberately simple: dense matrices, the RK4 step of the moment
-ODE, explicit monitors for trace drift and truncation leakage.  Matrix
-elements use the oscillator length of the system frequency as the basis
-scale.  `central_moments` and the order of `OBSERVABLES` are the read-out
-that the unraveling shares.
+It is deliberately simple: dense operators built from q and p, the RK4
+step of the moment ODE, explicit monitors for trace drift and truncation
+leakage.  Since q and p are tridiagonal in the number basis, the
+right-hand side couples rho[m, n] only to rho[m + dl, n + dr] at nine
+offsets, and it is applied as that stencil, read off the bands of the
+dense operators.  Matrix elements use the oscillator length of the
+system frequency as the basis scale.  `central_moments` and the order of
+`OBSERVABLES` are the read-out that the unraveling shares.
 """
 
 import warnings
@@ -145,13 +148,94 @@ def lindblad_operators(spec, dim):
     return F, operators
 
 
-def _lindblad_rhs(rho, ops):
-    """K rho + rho K^dag + sum_jk a_jk F_j rho F_k."""
-    K, K_dag, jumps = ops
-    out = K @ rho + rho @ K_dag
-    for f, L in jumps:
-        out += (f @ rho) @ L
+# (dl, dr) of each rho[m + dl, n + dr] that the right-hand side couples
+# to rho[m, n]: K rho reaches rows m + dl, rho K^dag columns n + dr, and
+# each F_j rho L_j both, one step each
+_OFFSETS = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2),
+            (-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def _band(A, d):
+    """A[m, m + d] for m = 0 .. dim - 1, zero where m + d is off the matrix."""
+    out = np.zeros(A.shape[0], dtype=complex)
+    diag = np.diagonal(A, d)
+    out[max(0, -d):max(0, -d) + diag.size] = diag
     return out
+
+
+def _stencil(ops):
+    """Coefficients C_o of K rho + rho K^dag + sum_j F_j rho L_j as
+    sum_o C_o[m, n] rho[m + dl_o, n + dr_o], in `_OFFSETS` order, each laid
+    out (dim, dim + 2) as the rows of `_padded` hold rho, and flattened.
+    """
+    K, K_dag, jumps = ops
+    dim = K.shape[0]
+    C = np.zeros((len(_OFFSETS), dim, dim + 2), dtype=complex)
+    for c, (dl, dr) in zip(C[:, :, :dim], _OFFSETS):
+        if dr == 0:
+            c += _band(K, dl)[:, None]
+        if dl == 0:
+            c += _band(K_dag.T, dr)
+        if dl and dr:
+            for f, L in jumps:
+                c += np.outer(_band(f, dl), _band(L.T, dr))
+    return C.ravel()
+
+
+def _stencil_basis(operators, G, a):
+    """(theta, basis): the real parameters G, Re a, Im a of (G, a) at each
+    stage time, (stages, P), and the `_stencil` of each, (P, 9 dim (dim + 2)),
+    so that theta[k] @ basis is the stencil at stage k.  K^dag conjugates a,
+    so its real and imaginary parts are separate parameters; those zero at
+    every stage time are dropped.
+    """
+    theta = np.concatenate([G.reshape(-1, 4), a.real.reshape(-1, 4),
+                            a.imag.reshape(-1, 4)], axis=1)
+    live = np.flatnonzero(np.any(theta != 0.0, axis=0))
+    units = np.eye(12)[live]
+    basis = np.stack([
+        _stencil(operators(u[:4].reshape(2, 2),
+                           (u[4:8] + 1j * u[8:]).reshape(2, 2)))
+        for u in units])
+    return theta[:, live], basis
+
+
+def _padded(rho):
+    """rho with two zero rows above and below and two zero columns on the
+    right, flattened: the layout in which `_stencil_rhs` shifts by a
+    constant offset, since a column off either edge lands in a zero column.
+    """
+    dim = rho.shape[0]
+    y = np.zeros((dim + 4, dim + 2), dtype=complex)
+    y[2:dim + 2, :dim] = rho
+    return y.ravel()
+
+
+def _interior(y, dim):
+    """The dim x dim matrix held in the `_padded` layout y (a view)."""
+    return y.reshape(dim + 4, dim + 2)[2:dim + 2, :dim]
+
+
+def _stencil_rhs(dim):
+    """rhs(y, C) = sum_o C_o o shift_o(rho) for rho held `_padded` in y and
+    a `_stencil` C, returned in the layout of y: nine multiply-adds over
+    contiguous slices.  The zero columns of C keep the result's padding zero.
+    """
+    width = dim + 2
+    size = dim * width
+    starts = [(2 + dl) * width + dr for dl, dr in _OFFSETS]
+    tmp = np.empty(size, dtype=complex)
+
+    def rhs(y, C):
+        C = C.reshape(len(_OFFSETS), size)
+        out = np.zeros(y.size, dtype=complex)
+        acc = out[starts[0]:starts[0] + size]
+        np.multiply(C[0], y[starts[0]:starts[0] + size], out=acc)
+        for c, start in zip(C[1:], starts[1:]):
+            acc += np.multiply(c, y[start:start + size], out=tmp)
+        return out
+
+    return rhs
 
 
 @dataclass
@@ -168,22 +252,31 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     """RK4 integration of the density matrix; monitors trace and leakage.
 
     The steps and the stored states follow `dynamics.step_plan`, and the
-    stages `dynamics.rk4_stage_times`, as for the moment ODE.  Operators
-    are built once per stage time, or once for a constant generator.
+    stages `dynamics.rk4_stage_times`, as for the moment ODE.  The
+    right-hand side is applied as the nine-offset stencil of
+    `_stencil_rhs`.  Its coefficients are linear in the real parameters
+    of (G, a): one stencil per parameter is read off the dense operators
+    once, and they are combined once per stage time, or once for a
+    constant generator.  rho0 must be finite, of dimension 2 or more.
     """
     rho = np.array(rho0, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("rho0 must be a square matrix")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
+        raise ValueError("rho0 must be a square matrix of dimension >= 2")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("rho0 must be finite")
     dim = rho.shape[0]
+    y = _padded(rho)
     t0, h, n_steps, stored = step_plan(t_span, dt, store_every)
     times = t0 + h * stored
 
     (q, p), operators = lindblad_operators(spec, dim)
     obs = observables(q, p)
     # the table is looked up at every stage time in one pass
-    G, a = spec.generator.at(rk4_stage_times(t0, h, 0, n_steps))
-    ops = [operators(G[s], a[s]) for s in range(3)]
+    theta, basis = _stencil_basis(
+        operators, *spec.generator.at(rk4_stage_times(t0, h, 0, n_steps)))
+    stencils = [theta[k] @ basis for k in range(3)]
     tabulated = spec.generator.grid is not None
+    rhs = _stencil_rhs(dim)
 
     rows, traces, tops = [], [], []
     first_leak = None
@@ -204,11 +297,11 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     keep = set(stored.tolist())
     for i in range(n_steps):
         if i and tabulated:  # step i's first stage is step i - 1's last
-            ops = [ops[2], operators(G[2 * i + 1], a[2 * i + 1]),
-                   operators(G[2 * i + 2], a[2 * i + 2])]
-        rho = rk4_step(lambda s, r: _lindblad_rhs(r, ops[s]), rho, h)
+            stencils = [stencils[2], theta[2 * i + 1] @ basis,
+                        theta[2 * i + 2] @ basis]
+        y = rk4_step(lambda s, r: rhs(r, stencils[s]), y, h)
         if i + 1 in keep:
-            observe(rho)
+            observe(_interior(y, dim))
 
     traces = np.array(traces)
     drift = np.max(np.abs(traces - traces[0]))
@@ -220,4 +313,5 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
 
     return FockTrajectory(times=times, data=np.array(rows),
                           trace=traces, top_population=np.array(tops),
-                          rho_final=rho, first_leak_time=first_leak)
+                          rho_final=_interior(y, dim).copy(),
+                          first_leak_time=first_leak)

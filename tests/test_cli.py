@@ -573,3 +573,25 @@ def test_sharp_and_constant_runs_load_no_scipy(tmp_path, fresh_python):
     assert json.loads(out.splitlines()[-1]) == []
     assert (tmp_path / "hpz_audit_kernel.csv").is_file()
     assert (tmp_path / "cl_vs_ccl_moments.csv").is_file()
+
+
+def test_parser_is_built_once_and_calls_share_no_parsed_state(monkeypatch):
+    from qbmlab import cli
+    from qbmlab.scenario import ScenarioError
+
+    seen = []
+
+    def record(path, strict):
+        seen.append((path, strict))
+        raise ScenarioError(["stop after parsing"])
+
+    monkeypatch.setattr(cli, "parse_scenario", record)
+    assert cli._parser() is cli._parser()
+    assert main(["--scenario", "a.json", "--no-strict", "--threads", "2"]) == 2
+    assert main(["--scenario", "b.json"]) == 2
+    assert seen == [("a.json", False), ("b.json", True)]
+    first = cli._parser().parse_args(["--compare", "x", "y", "--atol", "1"])
+    second = cli._parser().parse_args(["--scenario", "s.json"])
+    assert first.compare == ["x", "y"] and first.atol == 1.0
+    assert second.compare is None and second.atol == 0.0
+    assert second.threads is None

@@ -147,8 +147,10 @@ def reference_dressing(base, omega_S, order, m):
     lag = grid[:, None] - grid[None, :]
     d = base.at(lag)                # D(t' - s)
     d_bar = base.at(np.abs(lag))    # D(|t' - s|)
-    # c(t', s') = (i / m) sin(omega_S (s' - t')) / omega_S for t' > s'
-    c = np.where(lag > 0.0, 1j / m * np.sin(-omega_S * lag) / omega_S, 0.0)
+    # c(t', s') = (i / m) sin(omega_S (s' - t')) / omega_S for t' > s',
+    # (i / m) (s' - t') at omega_S = 0
+    c = np.where(lag > 0.0, 1j / m * (np.sin(-omega_S * lag) / omega_S
+                                      if omega_S else -lag), 0.0)
     total, prev = d.copy(), d
     for n in range(2, order + 1):
         cur = np.zeros_like(d)
@@ -174,6 +176,24 @@ def test_dressing_matches_row_by_row_reference(n, order):
     ref = reference_dressing(base, 1.3, order, 0.9)
     bare = base.at(grid[:, None] - grid[None, :])
     # the correction alone, so the bare kernel cannot hide an error
+    assert np.max(np.abs(table - ref)) \
+        <= 1e-13 * np.max(np.abs(ref - bare))
+
+
+@pytest.mark.parametrize("omega_S,t_max", [(0.0, 3.0), (0.0, 10.0),
+                                           (1.3, 10.0)])
+@pytest.mark.parametrize("order", [2, 3])
+def test_dressing_matches_reference_at_zero_frequency_and_long_times(
+        omega_S, t_max, order):
+    # the response kernel is split as C~(t_k) C(t_j) - C(t_k) C~(t_j); at
+    # omega_S = 0 that is t_k - t_j, and at t_max = 10 its two terms are
+    # large against their difference near the diagonal
+    grid = np.linspace(0.0, t_max, 61)
+    base = synthetic_kernel(grid)
+    table = dressed_kernel(base, OscillatorKernels(omega_S), order,
+                           m=0.9).table
+    ref = reference_dressing(base, omega_S, order, 0.9)
+    bare = base.at(grid[:, None] - grid[None, :])
     assert np.max(np.abs(table - ref)) \
         <= 1e-13 * np.max(np.abs(ref - bare))
 

@@ -88,6 +88,76 @@ def test_generator_is_trace_free(variant, kw):
     assert abs(np.trace(rhs)) < 1e-13
 
 
+# ------------------------------------------------- stencil right-hand side
+
+def _hpz_spec():
+    grid = np.linspace(0.0, 1.5, 16)
+    table = HPZCoefficients(grid=grid, Gamma=-0.2 - 0.3 * np.sin(2 * grid),
+                            Theta=0.1 * grid, Xi=0.2 * np.cos(grid),
+                            Upsilon=-0.05 * grid ** 2 - 0.1)
+    return MasterEquationSpec(variant="hpz",
+                              system=SystemSpec(m=1.7, omega_S=0.9),
+                              coefficients=table)
+
+
+STENCIL_SPECS = {
+    "jz": lambda: MasterEquationSpec("jz", SYS, gamma=0.1, T=2.0),
+    "cl": lambda: MasterEquationSpec("cl", SYS, gamma=0.15, T=2.0),
+    "ccl": lambda: MasterEquationSpec("ccl", SYS, gamma=0.15, T=2.0),
+    "qp": lambda: MasterEquationSpec("qp", SYS, gamma=0.1, T=2.0, mu=0.3),
+    "hpz": _hpz_spec,
+}
+
+
+def stencil_against_dense(spec, dim, times, seed=5):
+    """(stencil, dense) right-hand sides on a random non-Hermitian rho at
+    each time, the stencil combined from the per-parameter basis as
+    `fock_propagate` combines it, the dense one as K rho + rho K^dag +
+    sum_j F_j rho L_j from `lindblad_operators`.
+    """
+    rng = np.random.default_rng(seed)
+    rho = rng.standard_normal((dim, dim)) \
+        + 1j * rng.standard_normal((dim, dim))
+    _, operators = fock.lindblad_operators(spec, dim)
+    G, a = spec.generator.at(np.asarray(times))
+    theta, basis = fock._stencil_basis(operators, G, a)
+    rhs = fock._stencil_rhs(dim)
+    for k in range(len(times)):
+        out = rhs(fock._padded(rho), theta[k] @ basis)
+        # the padding stays zero, so RK4 combinations of it do as well
+        pad = out.reshape(dim + 4, dim + 2).copy()
+        pad[2:dim + 2, :dim] = 0.0
+        assert not np.any(pad)
+        K, K_dag, jumps = operators(G[k], a[k])
+        dense = K @ rho + rho @ K_dag + sum(f @ rho @ L for f, L in jumps)
+        yield fock._interior(out, dim), dense
+
+
+@pytest.mark.parametrize("variant", sorted(STENCIL_SPECS))
+@pytest.mark.parametrize("dim", [2, 3, 12, 40])
+def test_stencil_rhs_matches_dense_products(variant, dim):
+    # hpz reads its table between nodes; its a_qp, and cl's and ccl's, are
+    # imaginary in part, which K^dag conjugates
+    spec = STENCIL_SPECS[variant]()
+    times = [0.0, 0.37, 0.8125, 1.5] if variant == "hpz" else [0.0]
+    for got, dense in stencil_against_dense(spec, dim, times):
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_fock_propagate_rejects_bad_rho0():
+    spec = MasterEquationSpec(variant="cl", system=SYS, gamma=0.1, T=1.0)
+    # the leakage monitor reads the top two levels
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        fock.fock_propagate(spec, np.ones((1, 1)), (0.0, 0.1), 1e-2)
+    rho0 = coherent_density(6, 0.3)
+    rho0[2, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fock.fock_propagate(spec, rho0, (0.0, 0.1), 1e-2)
+    rho0[2, 3] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fock.fock_propagate(spec, rho0, (0.0, 0.1), 1e-2)
+
+
 # ----------------------------------------------- moment locks per variant
 
 @pytest.mark.parametrize("variant,kw,tol", [
