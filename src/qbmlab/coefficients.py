@@ -26,9 +26,12 @@ The response kernel separates by the sine addition formula,
 c(t_j, t_k) = (i hbar / m) [C~(t_k) C(t_j) - C(t_k) C~(t_j)] for k < j,
 so X c^T = (i hbar / m) U, each row of U two exclusive cumulative sums
 along that row of X weighted by the real C and C~, and conj(X) c^T =
-(i hbar / m) conj(U).  An order costs two O(N^3) matrix products, and
-the windowing below is a row sum against W.  Both run over blocks of
-table rows.
+(i hbar / m) conj(U).  With W o U = P + iQ (so W o conj(U) = P - iQ, W
+being real), D = R + i(L + V) and Dbar = R + i(L - V) (R even, L and V
+the odd part below and above the diagonal), an order is 2 (i hbar / m)
+[(P R + Q V) + i P L], three real O(N^3) products.  The windowing splits
+C(t - s) and C~(t - s) by the addition formulas.  Both run over blocks
+of table rows.
 
 Coefficient sign conventions (fixed here once and used consistently by
 the dynamics and positivity modules):
@@ -145,26 +148,30 @@ def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
     if order == 1:
         return DressedKernel(base=base, order=1, grid=grid, table=None)
 
-    diff = grid[:, None] - grid[None, :]
-    d = base.at(diff)                             # D(t - s)
-    d_bar = np.where(diff >= 0.0, d, d.conj())    # D(|t - s|) by parity
+    prev = base.at(grid[:, None] - grid[None, :])    # D(t - s)
+    re_d, lo = np.ascontiguousarray(prev.real), np.tril(prev.imag, -1)
+    up = np.triu(prev.imag, 1)
     cos_t, sin_t = kernels.c(grid), kernels.c_tilde(grid)
-    scale = 1j * hbar / m
     h = base.spacing
-    total, prev = d.copy(), d
+    # an order is linear in the one before, so with -i hbar / m in place
+    # of i hbar / m each cur is the signed term (-1)^(n-1) D^(n)
+    k = 2.0 * hbar / m
+    total = prev.copy()
     for n in range(2, order + 1):
-        cur = np.empty_like(d)
+        cur = np.zeros_like(total)
         for start in range(0, grid.size, _ROW_BLOCK):
             stop = min(start + _ROW_BLOCK, grid.size)
             w = _trapezoid_weights(start, stop, h)
             x = w * prev[start:stop, :stop]
-            # X c^T = scale * u: u[:, b] sums x[:, a] [C~(t_a) C(t_b)
+            # X c^T = (i hbar / m) u: u[:, b] sums x[:, a] [C~(t_a) C(t_b)
             # - C(t_a) C~(t_b)] over the nodes a < b
             u = cos_t[:stop] * _exclusive_cumsum(x * sin_t[:stop]) \
                 - sin_t[:stop] * _exclusive_cumsum(x * cos_t[:stop])
-            cur[start:stop] = scale * ((w * u) @ d_bar[:stop]
-                                       + (w * np.conj(u)) @ d[:stop])
-        total += (-1) ** (n - 1) * cur
+            # p + iq = W o u; p L vanishes past column i of row i
+            p, q = w * u.real, w * u.imag
+            cur.real[start:stop, :stop] = k * (p @ lo[:stop, :stop])
+            cur.imag[start:stop] = -k * (p @ re_d[:stop] + q @ up[:stop])
+        total += cur
         prev = cur
     if not np.all(np.isfinite(total)):
         raise NumericalFailure(f"order-{order} dressed kernel is not finite")
@@ -210,15 +217,18 @@ def compute_coefficients(dressed, kernels):
                                 axis=1)
     else:
         h = float(grid[1] - grid[0])
-        cols = np.empty((4, grid.size))
+        cos_t, sin_t = kernels.c(grid), kernels.c_tilde(grid)
+        a, b = np.empty((2, grid.size), dtype=complex)
         for start in range(0, grid.size, _ROW_BLOCK):
             stop = min(start + _ROW_BLOCK, grid.size)
-            w = _trapezoid_weights(start, stop, h)
-            tau = grid[start:stop, None] - grid[None, :stop]
-            w_cos, w_sin = w * kernels.c(tau), w * kernels.c_tilde(tau)
-            dd = dressed.table[start:stop, :stop]
-            cols[:, start:stop] = [(w * d).sum(1) for d in (dd.real, dd.imag)
-                                   for w in (w_cos, w_sin)]
+            y = _trapezoid_weights(start, stop, h) \
+                * dressed.table[start:stop, :stop]
+            a[start:stop], b[start:stop] = y @ cos_t[:stop], y @ sin_t[:stop]
+        # C(t - s) = C(t) C(s) + omega_S^2 C~(t) C~(s) and
+        # C~(t - s) = C~(t) C(s) - C(t) C~(s)
+        on_c = cos_t * a + kernels.omega_S ** 2 * sin_t * b
+        on_s = sin_t * a - cos_t * b
+        cols = np.stack([on_c.real, on_s.real, on_c.imag, on_s.imag])
     gamma_t, theta_t, xi_t, upsilon_t = -cols[0], cols[1], -cols[2], cols[3]
     for name, col in zip(("Gamma", "Theta", "Xi", "Upsilon"),
                          (gamma_t, theta_t, xi_t, upsilon_t)):

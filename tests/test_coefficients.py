@@ -12,6 +12,8 @@ Tails oscillate at the cutoff frequency, so comparisons average over the
 last fifth of the window.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,24 @@ def test_first_row_of_higher_order_table_vanishes():
     assert np.allclose(d.table[0], base_row)
 
 
+def test_order_three_dressing_holds_few_tables():
+    # live at once: the table, the last order, the order being built and
+    # the real factors R, L, V (half a complex table each), plus one row
+    # block's temporaries; a kept lag matrix or bare kernel, or a stacked
+    # right factor, lifts the peak above 7 tables
+    n = 301
+    base = synthetic_kernel(np.linspace(0.0, 3.0, n))
+    k = OscillatorKernels(1.3)
+    dressed_kernel(base, k, 3)
+    tracemalloc.start()
+    try:
+        dressed_kernel(base, k, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * n * n * 16
+
+
 # ------------------------------------------------------- coefficient sums
 
 @pytest.fixture(scope="module")
@@ -279,6 +299,27 @@ def test_stationary_and_general_paths_agree():
     for name in ("Gamma", "Theta", "Xi", "Upsilon"):
         assert np.allclose(getattr(fast, name), getattr(slow, name),
                            rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("omega_S", [0.0, 1.3, 5.0])
+def test_table_windowing_matches_trapezoid_reference(omega_S):
+    # the general branch splits C(t - s) and C~(t - s) by the addition
+    # formulas, whose terms are large against their sum at omega_S t = 50
+    grid = np.linspace(0.0, 10.0, 201)
+    k = OscillatorKernels(omega_S)
+    dressed = dressed_kernel(synthetic_kernel(grid), k, 2, m=0.9)
+    co = compute_coefficients(dressed, k)
+    ref = np.zeros((4, grid.size))
+    for i in range(1, grid.size):
+        dd, lag = dressed.table[i, :i + 1], grid[i] - grid[:i + 1]
+        ref[:, i] = [np.trapezoid(sign * part * w(lag), grid[:i + 1])
+                     for sign, part, w in ((-1, dd.real, k.c),
+                                           (1, dd.real, k.c_tilde),
+                                           (-1, dd.imag, k.c),
+                                           (1, dd.imag, k.c_tilde))]
+    for name, col in zip(("Gamma", "Theta", "Xi", "Upsilon"), ref):
+        assert np.max(np.abs(getattr(co, name) - col)) \
+            <= 1e-13 * np.max(np.abs(col))
 
 
 @given(lam=st.floats(0.1, 3.0))
