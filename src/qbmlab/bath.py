@@ -466,6 +466,12 @@ def interp_table(grid, t, columns):
     return [np.interp(t, grid, col) for col in columns]
 
 
+def _lag_matrix(by_lag):
+    """T[i, j] = by_lag[N - 1 + i - j]: N x N from lags -(N - 1)..N - 1."""
+    n = (by_lag.size + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(by_lag, n)[:, ::-1].copy()
+
+
 @dataclass
 class CorrelationKernel:
     """Correlation function tabulated on a uniform grid of tau >= 0.
@@ -549,6 +555,11 @@ class CorrelationKernel:
                               [self.re_values, self.im_values])
         out = re + 1j * (np.sign(tau) * im)
         return complex(out) if out.ndim == 0 else out
+
+    def lag_table(self):
+        """`at` at t_i - t_j on this grid, read exactly from node |i - j|."""
+        d = self.re_values + 1j * self.im_values
+        return _lag_matrix(np.r_[np.conj(d[:0:-1]), d])
 
     def scaled(self, factor):
         """Kernel with all values multiplied by `factor`.

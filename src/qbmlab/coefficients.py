@@ -29,9 +29,10 @@ along that row of X weighted by the real C and C~, and conj(X) c^T =
 (i hbar / m) conj(U).  With W o U = P + iQ (so W o conj(U) = P - iQ, W
 being real), D = R + i(L + V) and Dbar = R + i(L - V) (R even, L and V
 the odd part below and above the diagonal), an order is 2 (i hbar / m)
-[(P R + Q V) + i P L], three real O(N^3) products.  The windowing splits
-C(t - s) and C~(t - s) by the addition formulas.  Both run over blocks
-of table rows.
+[(P R + Q V) + i P L], three real O(N^3) products.  D, R, L and V are
+read from the kernel's samples at node lags i - j, not interpolated.
+The windowing splits C(t - s) and C~(t - s) by the addition formulas.
+Both run over blocks of table rows.
 
 Coefficient sign conventions (fixed here once and used consistently by
 the dynamics and positivity modules):
@@ -48,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import CorrelationKernel, NumericalFailure, _checked_grid
+from .bath import (CorrelationKernel, NumericalFailure, _checked_grid,
+                   _lag_matrix)
 
 MAX_CHEAP_ORDER = 3  # each extra order costs another O(N^3) sweep
 _ROW_BLOCK = 128  # table rows per block of weighted products
@@ -92,8 +94,8 @@ class DressedKernel:
     """Back-action-corrected kernel DD(t, s) on a uniform grid.
 
     At order 1 the kernel is stationary (a function of t - s only) and no
-    two-time table is stored; `values` synthesizes it from the base
-    kernel on demand.
+    two-time table is stored; `values` reads it from the base kernel's
+    node samples on demand.
     """
 
     base: CorrelationKernel
@@ -107,10 +109,10 @@ class DressedKernel:
 
     @property
     def values(self):
-        """Full (N, N) table, synthesized for the stationary case."""
+        """Full (N, N) table; at order 1 the bare one from the node samples."""
         if self.table is not None:
             return self.table
-        return self.base.at(self.grid[:, None] - self.grid[None, :])
+        return self.base.lag_table()
 
 
 def _trapezoid_weights(start, stop, h):
@@ -148,9 +150,10 @@ def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
     if order == 1:
         return DressedKernel(base=base, order=1, grid=grid, table=None)
 
-    prev = base.at(grid[:, None] - grid[None, :])    # D(t - s)
-    re_d, lo = np.ascontiguousarray(prev.real), np.tril(prev.imag, -1)
-    up = np.triu(prev.imag, 1)
+    prev = base.lag_table()    # D(t - s)
+    re, im, zero = base.re_values, base.im_values, np.zeros(grid.size - 1)
+    re_d, lo = _lag_matrix(np.r_[re[:0:-1], re]), _lag_matrix(np.r_[zero, im])
+    up = _lag_matrix(np.r_[-im[:0:-1], 0.0, zero])
     cos_t, sin_t = kernels.c(grid), kernels.c_tilde(grid)
     h = base.spacing
     # an order is linear in the one before, so with -i hbar / m in place

@@ -23,6 +23,8 @@ from qbmlab.bath import (
     CorrelationKernel,
     SpectralDensity,
     ThermalBathSpec,
+    high_temperature_closed_form,
+    im_closed_form,
     interp_table,
 )
 from qbmlab.coefficients import (
@@ -41,6 +43,15 @@ def synthetic_kernel(grid, scale=1.0):
     re = scale * np.exp(-grid) * np.cos(2.0 * grid)
     im = -0.5 * scale * np.sin(1.5 * grid)
     return CorrelationKernel.from_samples(grid, re, im)
+
+
+def steep_kernel(n):
+    """The benchmark's dressing kernel: sharp cutoff, high temperature."""
+    bath = ThermalBathSpec(SpectralDensity(1.0, 0.01, 20.0), T=230.0)
+    grid = np.linspace(0.0, 10.0, n)
+    return CorrelationKernel.from_samples(
+        grid, high_temperature_closed_form(bath, grid),
+        im_closed_form(bath, grid))
 
 
 # --------------------------------------------------------- free kernels
@@ -122,6 +133,37 @@ def test_third_order_correction_scales_cubically():
     c3_half = dressed_kernel(half, k, 3).values \
         - dressed_kernel(half, k, 2).values
     assert np.max(np.abs(c3_half - 0.125 * c3)) <= 1e-12 * np.max(np.abs(c3))
+
+
+def test_second_order_correction_quadratic_on_steep_kernel():
+    # as the benchmark checks it: the order-1 table is subtracted through
+    # `values`, which must share the dressing's bare table bit for bit
+    # for the bare parts to cancel exactly
+    base = steep_kernel(201)
+    quarter = base.scaled(0.25)
+    k = OscillatorKernels(1.0)
+    corr = dressed_kernel(base, k, 2).table - dressed_kernel(base, k, 1).values
+    corr_q = dressed_kernel(quarter, k, 2).table \
+        - dressed_kernel(quarter, k, 1).values
+    assert np.max(np.abs(corr_q - 0.0625 * corr)) \
+        <= 1e-14 * np.max(np.abs(corr))
+
+
+def test_lag_table_reads_the_node_samples():
+    base = steep_kernel(1001)
+    table = base.lag_table()
+    i, j = np.indices(table.shape)
+    lag = np.abs(i - j)
+    assert np.array_equal(table.real, base.re_values[lag])
+    assert np.array_equal(table.imag, np.sign(i - j) * base.im_values[lag])
+    assert np.array_equal(table, table.conj().T)
+    assert np.array_equal(dressed_kernel(base, OscillatorKernels(1.0),
+                                         1).values, table)
+    # t_i - t_j rounds off node i - j, so interpolation moves by the slope
+    grid = base.grid
+    interpolated = base.at(grid[:, None] - grid[None, :])
+    assert np.max(np.abs(table - interpolated)) \
+        <= 1e-13 * np.max(np.abs(table))
 
 
 def test_second_order_grid_refinement_is_second_order():
