@@ -34,7 +34,6 @@ from .coefficients import (
     dressed_kernel,
 )
 from .dynamics import (
-    GaussianMomentState,
     MasterEquationSpec,
     MomentTrajectory,
     QuadraticGenerator,
@@ -73,7 +72,6 @@ __all__ = [
     "compute_coefficients",
     "delta_limit_coefficients",
     "dressed_kernel",
-    "GaussianMomentState",
     "MasterEquationSpec",
     "MomentTrajectory",
     "QuadraticGenerator",

@@ -487,10 +487,10 @@ class CorrelationKernel:
     bath: ThermalBathSpec | None = None
     health: dict | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        self.grid = _checked_grid(self.grid)
-        self.re_values = np.asarray(self.re_values, dtype=float)
-        self.im_values = np.asarray(self.im_values, dtype=float)
+    def __post_init__(self):  # copies: the kernel owns its tables
+        self.grid = _checked_grid(np.array(self.grid, dtype=float))
+        self.re_values = np.array(self.re_values, dtype=float)
+        self.im_values = np.array(self.im_values, dtype=float)
         if self.re_values.shape != self.grid.shape \
                 or self.im_values.shape != self.grid.shape:
             raise ValueError("kernel value arrays must match the grid shape")
@@ -540,9 +540,7 @@ class CorrelationKernel:
     @classmethod
     def from_samples(cls, grid, re_values, im_values, bath=None):
         """Wrap externally computed samples (synthetic kernels, tests)."""
-        return cls(grid=np.asarray(grid, dtype=float),
-                   re_values=np.array(re_values, dtype=float),
-                   im_values=np.array(im_values, dtype=float), bath=bath)
+        return cls(grid, re_values, im_values, bath=bath)
 
     @property
     def spacing(self):
@@ -568,7 +566,7 @@ class CorrelationKernel:
         strength; the originating bath spec no longer matches, so it is
         dropped from the result.
         """
-        return CorrelationKernel(grid=self.grid.copy(),
+        return CorrelationKernel(grid=self.grid,
                                  re_values=factor * self.re_values,
                                  im_values=factor * self.im_values,
                                  bath=None)

@@ -34,7 +34,6 @@ from .coefficients import (
 )
 from .dynamics import (
     MOMENTS,
-    GaussianMomentState,
     MasterEquationSpec,
     ground_state_moments,
     integrate_moments,
@@ -91,13 +90,11 @@ def _initial_moments(scenario):
         return squeezed_state_moments(system, state.r, c, state.mean_q,
                                       state.mean_p)
     if state.kind == "thermal":
-        width = 2.0 * state.nbar + 1.0
-        s_qq = width * c.hbar / (2.0 * system.m * system.omega_S)
-        s_pp = width * c.hbar * system.m * system.omega_S / 2.0
-        return GaussianMomentState(state.mean_q, state.mean_p, s_qq, s_pp,
-                                   0.0)
-    return GaussianMomentState(state.mean_q, state.mean_p, state.sigma_qq,
-                               state.sigma_pp, state.sigma_qp)
+        row = ground_state_moments(system, c, state.mean_q, state.mean_p)
+        row[2:4] *= 2.0 * state.nbar + 1.0
+        return row
+    return np.array([state.mean_q, state.mean_p, state.sigma_qq,
+                     state.sigma_pp, state.sigma_qp])
 
 
 def _equation_spec(scenario, coefficients):

@@ -58,75 +58,67 @@ class Variant(str, Enum):
     QP_COUPLED = "qp"
 
 
-@dataclass
-class GaussianMomentState:
-    """Means and symmetrized second central moments of a Gaussian state."""
-
-    mean_q: float
-    mean_p: float
-    sigma_qq: float
-    sigma_pp: float
-    sigma_qp: float
-
-    def as_array(self):
-        return np.array([self.mean_q, self.mean_p, self.sigma_qq,
-                         self.sigma_pp, self.sigma_qp], dtype=float)
-
-    @classmethod
-    def from_array(cls, y):
-        return cls(*(float(v) for v in y))
+MOMENTS = ("mean_q", "mean_p", "s_qq", "s_pp", "s_qp")  # (..., 5) columns
+OBSERVABLES = ("norm2", "q", "p", "qq", "pp", "qp")  # raw moments
 
 
-def rs_uncertainty(state, constants=PhysicalConstants()):
-    """Robertson-Schroedinger witness det(sigma) - hbar^2/4.
+def central_moments(raw):
+    """Moments in `MOMENTS` order from raw moments ordered as `OBSERVABLES`."""
+    _, q, p, qq, pp, qp = raw
+    return np.array([q, p, qq - q * q, pp - p * p, qp - q * p])
+
+
+def moment_row(state):
+    """A state's five moments as a (5,) float array in `MOMENTS` order."""
+    row = np.array(state, dtype=float)
+    if row.shape != (len(MOMENTS),):
+        raise ValueError(f"a state is five moments, got shape {row.shape}")
+    return row
+
+
+def rs_uncertainty(moments, constants=PhysicalConstants()):
+    """Robertson-Schroedinger witness det(sigma) - hbar^2/4 of `MOMENTS` rows.
 
     Negative values flag a state outside the quantum state space; that
     can legitimately happen under non-CP evolutions and is reported by
     callers rather than raised.
     """
-    return (state.sigma_qq * state.sigma_pp - state.sigma_qp ** 2
-            - 0.25 * constants.hbar ** 2)
+    y = np.asarray(moments, dtype=float)
+    return y[..., 2] * y[..., 3] - y[..., 4] ** 2 - 0.25 * constants.hbar ** 2
 
 
 def ground_state_moments(system, constants=PhysicalConstants(),
                          mean_q=0.0, mean_p=0.0):
-    """Oscillator ground state (requires omega_S > 0)."""
+    """Oscillator ground state as a `MOMENTS` row (needs omega_S > 0)."""
     if system.omega_S <= 0.0:
         raise ValueError("ground state needs omega_S > 0")
-    hbar = constants.hbar
-    return GaussianMomentState(
-        mean_q=mean_q, mean_p=mean_p,
-        sigma_qq=hbar / (2.0 * system.m * system.omega_S),
-        sigma_pp=hbar * system.m * system.omega_S / 2.0,
-        sigma_qp=0.0)
+    hbar, m, w = constants.hbar, system.m, system.omega_S
+    return np.array([mean_q, mean_p, hbar / (2.0 * m * w), hbar * m * w / 2.0,
+                     0.0])
 
 
 def thermal_state_moments(system, T, constants=PhysicalConstants(),
                           mean_q=0.0, mean_p=0.0):
-    """Thermal oscillator state at temperature T."""
+    """Thermal state at temperature T: the ground row with its variances
+    times coth(hbar omega_S / 2 kB T)."""
     if system.omega_S <= 0.0:
         raise ValueError("thermal state needs omega_S > 0")
     if T <= 0.0:
         raise ValueError("temperature T must be strictly positive")
     hbar, kb = constants.hbar, constants.k_B
-    c = 1.0 / math.tanh(hbar * system.omega_S / (2.0 * kb * T))
-    g = ground_state_moments(system, constants)
-    return GaussianMomentState(mean_q=mean_q, mean_p=mean_p,
-                               sigma_qq=c * g.sigma_qq,
-                               sigma_pp=c * g.sigma_pp, sigma_qp=0.0)
+    row = ground_state_moments(system, constants, mean_q, mean_p)
+    row[2:4] *= 1.0 / math.tanh(hbar * system.omega_S / (2.0 * kb * T))
+    return row
 
 
 def squeezed_state_moments(system, r, constants=PhysicalConstants(),
                            mean_q=0.0, mean_p=0.0):
-    """Position-squeezed (r > 0) minimum-uncertainty state."""
-    g = ground_state_moments(system, constants)
-    return GaussianMomentState(mean_q=mean_q, mean_p=mean_p,
-                               sigma_qq=math.exp(-2.0 * r) * g.sigma_qq,
-                               sigma_pp=math.exp(2.0 * r) * g.sigma_pp,
-                               sigma_qp=0.0)
+    """Position-squeezed (r > 0) ground row: s_qq e^{-2r}, s_pp e^{2r}."""
+    row = ground_state_moments(system, constants, mean_q, mean_p)
+    row[2:4] *= (math.exp(-2.0 * r), math.exp(2.0 * r))
+    return row
 
 
-MOMENTS = ("mean_q", "mean_p", "s_qq", "s_pp", "s_qp")  # (n, 5) columns
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _MAP_BLOCK = 512  # RK4 maps built and composed at once; bounds the memory
 
@@ -259,10 +251,9 @@ class MasterEquationSpec:
 
 
 def moment_rhs(spec, state, t=0.0):
-    """Time derivative M y + c of the five moments, as a GaussianMomentState."""
+    """Time derivative M y + c of the five moments y, as a (5,) row."""
     w = spec.generator.moment_matrix(float(t))
-    return GaussianMomentState.from_array(
-        w[:5] @ np.append(state.as_array(), 1.0))
+    return w[:5] @ np.append(state, 1.0)
 
 
 def step_plan(t_span, dt, store_every):
@@ -350,31 +341,8 @@ class MomentTrajectory:
     data: np.ndarray  # (n, 5), columns in the order of MOMENTS
     constants: PhysicalConstants
 
-    @property
-    def mean_q(self):
-        return self.data[:, 0]
-
-    @property
-    def mean_p(self):
-        return self.data[:, 1]
-
-    @property
-    def sigma_qq(self):
-        return self.data[:, 2]
-
-    @property
-    def sigma_pp(self):
-        return self.data[:, 3]
-
-    @property
-    def sigma_qp(self):
-        return self.data[:, 4]
-
     def rs_witness(self):
-        return rs_uncertainty(self, self.constants)
-
-    def state_at(self, i):
-        return GaussianMomentState.from_array(self.data[i])
+        return rs_uncertainty(self.data, self.constants)
 
     def __len__(self):
         return self.times.size
@@ -453,7 +421,8 @@ def _replay(maps, z, lo, hi, n_steps, t0, h):
 
 
 def integrate_moments(spec, state0, t_span, dt, store_every=1):
-    """Propagate moments with fixed-step RK4, one affine map per stored row.
+    """Propagate the moments state0 (five numbers in `MOMENTS` order)
+    with fixed-step RK4, one affine map per stored row.
 
     The steps and the stored states follow `step_plan`: dt is adjusted
     (at most fractionally) so an integer number of steps lands exactly
@@ -467,7 +436,8 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
     warns (UnstableGeneratorWarning).
     """
     t0, h, n_steps, stored = step_plan(t_span, dt, store_every)
-    if state0.sigma_qq <= 0.0 or state0.sigma_pp <= 0.0:
+    state0 = moment_row(state0)
+    if state0[2] <= 0.0 or state0[3] <= 0.0:
         raise ValueError("initial variances must be positive")
     if rs_uncertainty(state0, spec.constants) < -1e-12 * spec.constants.hbar ** 2:
         warnings.warn("initial state violates the uncertainty relation",
@@ -476,7 +446,7 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
     gen = spec.generator
     _warn_if_unstable(gen, t0, float(t_span[1]))
     maps = _step_maps(gen, t0, h)
-    z = np.append(state0.as_array(), 1.0)
+    z = np.append(state0, 1.0)
     rows = [z[:5]]
     outer = np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -10,8 +10,9 @@ leakage.  Since q and p are tridiagonal in the number basis, the
 right-hand side couples rho[m, n] only to rho[m + dl, n + dr] at nine
 offsets, and it is applied as that stencil, read off the bands of the
 dense operators.  Matrix elements use the oscillator length of the
-system frequency as the basis scale.  `central_moments` and the order of
-`OBSERVABLES` are the read-out that the unraveling shares.
+system frequency as the basis scale.  States are read out through
+`dynamics.OBSERVABLES` and `dynamics.central_moments`, as the unraveling
+reads its packets.
 """
 
 import warnings
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import PhysicalConstants
-from .dynamics import (GaussianMomentState, rk4_stage_times, rk4_step,
-                       step_plan)
+from .dynamics import central_moments, rk4_stage_times, rk4_step, step_plan
 
 _LEAK_THRESHOLD = 1e-6  # combined population of the top two levels
 _TRACE_RATE = 1e-8  # allowed trace drift per unit time
@@ -103,21 +103,12 @@ def alpha_from_moments(system, mean_q, mean_p, constants=PhysicalConstants()):
     return (mean_q / ell + 1j * mean_p * ell / constants.hbar) / np.sqrt(2.0)
 
 
-OBSERVABLES = ("norm2", "q", "p", "qq", "pp", "qp")
-
-
 def observables(q, p):
     """Operators 1, q, p, q^2, p^2, {q, p}/2 of the raw moments, stacked
-    in the order of `OBSERVABLES`.
+    in the order of `dynamics.OBSERVABLES`.
     """
     return np.stack([np.eye(q.shape[0]), q, p, q @ q, p @ p,
                      0.5 * (q @ p + p @ q)])
-
-
-def central_moments(raw):
-    """(<q>, <p>, s_qq, s_pp, s_qp) from raw moments ordered as `OBSERVABLES`."""
-    _, q, p, qq, pp, qp = raw
-    return np.array([q, p, qq - q * q, pp - p * p, qp - q * p])
 
 
 def _read(rho, obs):
@@ -126,8 +117,8 @@ def _read(rho, obs):
 
 
 def moments_from_density(rho, q, p):
-    """First and symmetrized second central moments of rho."""
-    return GaussianMomentState.from_array(_read(rho, observables(q, p)))
+    """First and symmetrized second central moments of rho, a `MOMENTS` row."""
+    return _read(rho, observables(q, p))
 
 
 def lindblad_operators(spec, dim):

@@ -54,12 +54,14 @@ class CsvTable:
 
 
 def write_csv(path, table):
-    """Write a CsvTable; the first line is '# qbmlab <version> k=v ...'."""
-    for key, value in table.meta.items():
+    """Write a CsvTable; the first line is '# qbmlab <version> k=v ...'
+    with this writer's version, so a `tool_version` key is not written."""
+    entries = {k: v for k, v in table.meta.items() if k != "tool_version"}
+    for key, value in entries.items():
         token = f"{key}={value}"
         if any(ch.isspace() for ch in token):
             raise ValueError(f"metadata entry {token!r} contains whitespace")
-    meta = "".join(f" {k}={v}" for k, v in sorted(table.meta.items()))
+    meta = "".join(f" {k}={v}" for k, v in sorted(entries.items()))
     row = ",".join(["%.17g"] * len(table.columns)) + "\n"
     rows = zip(*(table.data[c].tolist() for c in table.columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -85,6 +87,9 @@ def read_csv(path):
         rows = [line.split(",") for line in fh if line.strip()]
     if not columns or columns == ("",):
         raise ValueError(f"{path}: missing column-name line")
+    repeated = sorted({c for c in columns if columns.count(c) > 1})
+    if repeated:
+        raise ValueError(f"{path}: repeated column name(s) {repeated}")
     values = np.array([[float(v) for v in row] for row in rows], dtype=float)
     if values.size == 0:
         values = values.reshape(0, len(columns))

@@ -23,7 +23,7 @@ deterministic and shared by all trajectories and (b, c) per trajectory
 Individual trajectories do not preserve norm, only the ensemble mean
 does, so all estimators below are plain averages of unnormalized
 quadratic forms: the six raw moments in the order of
-`fock.OBSERVABLES`, converted by `fock.central_moments`.
+`dynamics.OBSERVABLES`, converted by `dynamics.central_moments`.
 
 Colored noise: `sample_colored_noise` draws stationary complex Gaussian
 paths with prescribed correlation E[z_i conj(z_j)] = D_ij and pseudo
@@ -39,12 +39,14 @@ import numpy as np
 
 from .dynamics import (
     MOMENTS,
+    OBSERVABLES,
     MasterEquationSpec,
     NumericalFailure,
+    central_moments,
+    moment_row,
     rs_uncertainty,
     step_plan,
 )
-from .fock import OBSERVABLES, central_moments
 from .positivity import check_noise_realizable, rank_one_factor
 
 _CHUNK = 512  # trajectories per batch; fixed: it sets the summation order
@@ -255,15 +257,15 @@ def _width_path(r, s0, h, n_steps):
 
 
 def _initial_packet(state, constants):
-    """(s, b, c) of the pure Gaussian `state`, normalized."""
-    if not (state.sigma_qq > 0.0 and abs(rs_uncertainty(state, constants))
-            <= _PURE_TOL * state.sigma_qq * state.sigma_pp):
+    """(s, b, c) of the pure Gaussian `state`, a `MOMENTS` row, normalized."""
+    mean_q, mean_p, s_qq, s_pp, s_qp = moment_row(state).tolist()
+    if not (s_qq > 0.0 and abs(rs_uncertainty(state, constants))
+            <= _PURE_TOL * s_qq * s_pp):
         raise ValueError("state0 must be a pure Gaussian state "
-                         "(sigma_qq sigma_pp - sigma_qp^2 = hbar^2 / 4)")
-    hbar, mean_q = constants.hbar, state.mean_q
-    s = (1.0 - 2j * state.sigma_qp / hbar) / (4.0 * state.sigma_qq)
-    b = 2.0 * s.real * mean_q + 1j * (state.mean_p / hbar
-                                      + 2.0 * s.imag * mean_q)
+                         "(s_qq s_pp - s_qp^2 = hbar^2 / 4)")
+    hbar = constants.hbar
+    s = (1.0 - 2j * s_qp / hbar) / (4.0 * s_qq)
+    b = 2.0 * s.real * mean_q + 1j * (mean_p / hbar + 2.0 * s.imag * mean_q)
     return s, b, -0.5 * (b.real * mean_q
                          + 0.5 * math.log(math.pi / (2.0 * s.real)))
 
@@ -398,7 +400,7 @@ class EnsembleResult:
 
 def ensemble_run(config, state0):
     """Monte-Carlo average of the linear unraveling from the pure
-    Gaussian state `state0` (a `GaussianMomentState`).
+    Gaussian state `state0`, five moments in `MOMENTS` order.
 
     Deterministic for a fixed config: trajectories own counter-based
     generator streams seeded by (seed, index), the chunk size is a

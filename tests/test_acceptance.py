@@ -25,6 +25,7 @@ from qbmlab.coefficients import (
     dressed_kernel,
 )
 from qbmlab.dynamics import (
+    MOMENTS,
     MasterEquationSpec,
     SystemSpec,
     ground_state_moments,
@@ -131,21 +132,23 @@ def test_acceptance_04_damping_dichotomy(acceptance_report):
                                                T=2.0),
                             state0, span, 1e-3, store_every=100)
     omega_t = np.sqrt(1.0 - gamma ** 2)
+    mean_q, mean_p, _, _, _ = ccl.data.T
     amp2 = np.exp(2.0 * gamma * ccl.times) * (
-        ccl.mean_q ** 2
-        + ((ccl.mean_p + gamma * ccl.mean_q) / omega_t) ** 2)
+        mean_q ** 2 + ((mean_p + gamma * mean_q) / omega_t) ** 2)
     envelope_dev = float(np.max(np.abs(amp2 / amp2[0] - 1.0)))
 
     jz = integrate_moments(MasterEquationSpec("jz", SYS, gamma=gamma, T=2.0),
                            state0, span, 1e-3, store_every=100)
-    amp_jz = jz.mean_q ** 2 + jz.mean_p ** 2
+    jz_q, jz_p, _, _, _ = jz.data.T
+    amp_jz = jz_q ** 2 + jz_p ** 2
     jz_dev = float(np.max(np.abs(amp_jz - amp_jz[0])))
 
     qp = integrate_moments(MasterEquationSpec("qp", SYS, gamma=gamma, T=2.0,
                                               mu=0.3),
                            state0, span, 1e-3, store_every=100)
-    qp_dev = max(float(np.max(np.abs(qp.mean_q - jz.mean_q))),
-                 float(np.max(np.abs(qp.mean_p - jz.mean_p))))
+    qp_q, qp_p, _, _, _ = qp.data.T
+    qp_dev = max(float(np.max(np.abs(qp_q - jz_q))),
+                 float(np.max(np.abs(qp_p - jz_p))))
 
     ok = envelope_dev < 0.01 and jz_dev < 1e-8 and qp_dev < 1e-10
     assert acceptance_report(
@@ -161,7 +164,8 @@ def test_acceptance_05_momentum_diffusion_rate(acceptance_report):
     state0 = ground_state_moments(SYS)
 
     short = integrate_moments(spec, state0, (0.0, 0.05), 1e-4)
-    slope = (short.sigma_pp[-1] - short.sigma_pp[0]) / 0.05
+    _, _, _, s_pp, _ = short.data.T
+    slope = (s_pp[-1] - s_pp[0]) / 0.05
     slope_dev = abs(slope / rate - 1.0)
 
     ode = integrate_moments(spec, state0, (0.0, 2.0), 1e-3, store_every=200)
@@ -169,8 +173,10 @@ def test_acceptance_05_momentum_diffusion_rate(acceptance_report):
     rho0[0, 0] = 1.0
     fock = fock_propagate(spec, rho0, (0.0, 2.0), 1e-3, store_every=200)
     leak_free = fock.top_population < 1e-6
+    _, _, _, fock_s_pp, _ = fock.data.T
+    _, _, _, ode_s_pp, _ = ode.data.T
     fock_dev = float(np.max(np.abs(
-        fock.data[leak_free, 3] / ode.sigma_pp[leak_free] - 1.0)))
+        fock_s_pp[leak_free] / ode_s_pp[leak_free] - 1.0)))
 
     ok = slope_dev < 0.005 and fock_dev < 0.005 and bool(np.all(leak_free))
     assert acceptance_report(
@@ -225,9 +231,7 @@ def test_acceptance_07_sse_unraveling(acceptance_report):
         clean = clean and not result.failed_trajectories
         table = result.moment_table()
         z_max = 0.0
-        for name, ref in (("mean_q", ode.mean_q), ("mean_p", ode.mean_p),
-                          ("s_qq", ode.sigma_qq), ("s_pp", ode.sigma_pp),
-                          ("s_qp", ode.sigma_qp)):
+        for name, ref in zip(MOMENTS, ode.data.T):
             z = np.abs(table[name][1:] - ref[1:]) \
                 / np.maximum(table["se_" + name][1:], 1e-12)
             z_max = max(z_max, float(np.max(z)))

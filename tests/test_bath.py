@@ -340,6 +340,23 @@ def test_kernel_grid_validation():
         k.at(1.5)
 
 
+def test_kernel_owns_copies_of_its_samples():
+    # the constructor zeroes D_im(0); it must not write into the caller's
+    # arrays, nor see later writes to them
+    grid = np.linspace(0.0, 1.0, 11)
+    re, im = np.cos(grid), np.sin(grid)
+    im[0] = 1e-14
+    for make in (CorrelationKernel, CorrelationKernel.from_samples):
+        g, r, i = grid.copy(), re.copy(), im.copy()
+        k = make(g, r, i)
+        assert i[0] == 1e-14 and k.im_values[0] == 0.0
+        g *= 2.0
+        r[:] = i[:] = 7.0
+        assert np.array_equal(k.grid, grid)
+        assert np.array_equal(k.re_values, re)
+        assert np.array_equal(k.im_values, np.append(0.0, im[1:]))
+
+
 def test_kernel_scaled_by_coupling_factor():
     grid = np.linspace(0.0, 1.0, 11)
     k = CorrelationKernel.from_samples(grid, np.cos(grid), np.sin(grid) * 0.1)

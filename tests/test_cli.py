@@ -575,6 +575,23 @@ def test_sharp_and_constant_runs_load_no_scipy(tmp_path, fresh_python):
     assert (tmp_path / "cl_vs_ccl_moments.csv").is_file()
 
 
+def test_cli_runs_load_no_fock_oracle(tmp_path, fresh_python):
+    # the unraveling reads its packets through dynamics; the Fock oracle
+    # is a cross-check, and no CLI run loads it
+    paths = [str(SCENARIOS / f"{name}.json")
+             for name in ("ccl_unraveling", "cl_vs_ccl")]
+    source = (
+        "import sys\n"
+        "from qbmlab import cli\n"
+        f"for path in {paths!r}:\n"
+        f"    assert cli.main(['--scenario', path, '--out', {str(tmp_path)!r}])"
+        " == 0\n"
+        "print('qbmlab.fock' in sys.modules)\n")
+    assert fresh_python("-c", source).splitlines()[-1] == "False"
+    assert (tmp_path / "ccl_unraveling_ensemble.csv").is_file()
+    assert (tmp_path / "cl_vs_ccl_moments.csv").is_file()
+
+
 def test_parser_is_built_once_and_calls_share_no_parsed_state(monkeypatch):
     from qbmlab import cli
     from qbmlab.scenario import ScenarioError

@@ -28,7 +28,6 @@ from qbmlab.bath import (
 )
 from qbmlab import dynamics
 from qbmlab.dynamics import (
-    GaussianMomentState,
     MasterEquationSpec,
     NumericalFailure,
     QuadraticGenerator,
@@ -47,7 +46,8 @@ from qbmlab.dynamics import (
 )
 
 SYS = SystemSpec(m=1.0, omega_S=1.0)
-STATE = GaussianMomentState(1.0, 0.3, 0.5, 0.5, 0.0)
+STATE = (1.0, 0.3, 0.5, 0.5, 0.0)  # mean_q, mean_p, s_qq, s_pp, s_qp
+OFF_DIAGONAL = (0.3, -0.2, 0.6, 0.7, 0.1)
 
 
 def spec_for(variant, **kw):
@@ -58,25 +58,23 @@ def spec_for(variant, **kw):
 
 def test_state_builders():
     g = ground_state_moments(SYS)
-    assert g.sigma_qq == 0.5 and g.sigma_pp == 0.5 and g.sigma_qp == 0.0
-    th = thermal_state_moments(SYS, T=2.0)
+    assert g.shape == (5,)
+    mean_q, mean_p, s_qq, s_pp, s_qp = g
+    assert s_qq == 0.5 and s_pp == 0.5 and s_qp == 0.0
+    _, _, s_qq, _, _ = thermal_state_moments(SYS, T=2.0)
     c = 1.0 / np.tanh(1.0 / 4.0)
-    assert th.sigma_qq == pytest.approx(0.5 * c, rel=1e-12)
-    sq = squeezed_state_moments(SYS, r=1.0, mean_q=0.3)
-    assert sq.sigma_qq == pytest.approx(0.5 * np.exp(-2.0), rel=1e-12)
-    assert sq.sigma_pp == pytest.approx(0.5 * np.exp(2.0), rel=1e-12)
-    assert sq.mean_q == 0.3
+    assert s_qq == pytest.approx(0.5 * c, rel=1e-12)
+    mean_q, mean_p, s_qq, s_pp, s_qp = squeezed_state_moments(SYS, r=1.0,
+                                                              mean_q=0.3)
+    assert s_qq == pytest.approx(0.5 * np.exp(-2.0), rel=1e-12)
+    assert s_pp == pytest.approx(0.5 * np.exp(2.0), rel=1e-12)
+    assert mean_q == 0.3
 
 
 def test_rs_uncertainty_values():
     assert rs_uncertainty(ground_state_moments(SYS)) == pytest.approx(0.0, abs=1e-15)
     assert rs_uncertainty(squeezed_state_moments(SYS, 0.7)) == pytest.approx(0.0, abs=1e-15)
     assert rs_uncertainty(thermal_state_moments(SYS, 3.0)) > 0.0
-
-
-def test_state_array_roundtrip():
-    st_ = GaussianMomentState(0.1, -0.2, 0.3, 0.4, 0.05)
-    assert GaussianMomentState.from_array(st_.as_array()) == st_
 
 
 def test_spec_validation():
@@ -116,17 +114,19 @@ def test_unitary_rotation_of_means():
     spec = spec_for("jz", gamma=0.0, T=1.0)
     tr = integrate_moments(spec, STATE, (0.0, 1.7), 1e-3)
     t = tr.times
-    q_ref = STATE.mean_q * np.cos(t) + STATE.mean_p * np.sin(t)
-    p_ref = -STATE.mean_q * np.sin(t) + STATE.mean_p * np.cos(t)
-    assert np.max(np.abs(tr.mean_q - q_ref)) < 1e-10
-    assert np.max(np.abs(tr.mean_p - p_ref)) < 1e-10
+    q0, p0, _, _, _ = STATE
+    mean_q, mean_p, _, _, _ = tr.data.T
+    q_ref = q0 * np.cos(t) + p0 * np.sin(t)
+    p_ref = -q0 * np.sin(t) + p0 * np.cos(t)
+    assert np.max(np.abs(mean_q - q_ref)) < 1e-10
+    assert np.max(np.abs(mean_p - p_ref)) < 1e-10
 
 
 def test_unitary_energy_conservation():
     spec = spec_for("jz", gamma=0.0, T=1.0)
     tr = integrate_moments(spec, STATE, (0.0, 5.0), 1e-3)
-    energy = 0.5 * (tr.sigma_pp + tr.mean_p ** 2) \
-        + 0.5 * (tr.sigma_qq + tr.mean_q ** 2)
+    mean_q, mean_p, s_qq, s_pp, _ = tr.data.T
+    energy = 0.5 * (s_pp + mean_p ** 2) + 0.5 * (s_qq + mean_q ** 2)
     assert np.max(np.abs(energy - energy[0])) < 1e-10
 
 
@@ -135,7 +135,8 @@ def test_unitary_energy_conservation():
 def test_jz_heating_invariant_is_exactly_linear():
     spec = spec_for("jz", gamma=0.1, T=10.0)
     tr = integrate_moments(spec, STATE, (0.0, 3.0), 1e-3)
-    comb = tr.sigma_pp + tr.sigma_qq  # m^2 omega^2 = 1
+    _, _, s_qq, s_pp, _ = tr.data.T
+    comb = s_pp + s_qq  # m^2 omega^2 = 1
     ref = comb[0] + spec.diffusion_strength * tr.times
     assert np.max(np.abs(comb - ref)) < 1e-10
 
@@ -154,9 +155,10 @@ def test_jz_means_identical_to_unitary():
 def test_jz_invariant_property(m, omega, gamma, T):
     system = SystemSpec(m=m, omega_S=omega)
     spec = MasterEquationSpec(variant="jz", system=system, gamma=gamma, T=T)
-    state = GaussianMomentState(0.5, -0.1, 0.4, 0.7, 0.1)
+    state = (0.5, -0.1, 0.4, 0.7, 0.1)
     tr = integrate_moments(spec, state, (0.0, 1.0), 1e-2)
-    comb = tr.sigma_pp + (m * omega) ** 2 * tr.sigma_qq
+    _, _, s_qq, s_pp, _ = tr.data.T
+    comb = s_pp + (m * omega) ** 2 * s_qq
     expected = comb[0] + 4.0 * m * gamma * T * tr.times
     assert np.allclose(comb, expected, rtol=1e-9, atol=1e-9)
 
@@ -169,10 +171,11 @@ def test_cl_means_follow_damped_oscillator():
     tr = integrate_moments(spec, STATE, (0.0, 8.0), 1e-3)
     t = tr.times
     w_t = np.sqrt(1.0 - gamma ** 2)
+    q0, p0, _, _, _ = STATE
     q_ref = np.exp(-gamma * t) * (
-        STATE.mean_q * np.cos(w_t * t)
-        + (STATE.mean_p + gamma * STATE.mean_q) / w_t * np.sin(w_t * t))
-    assert np.max(np.abs(tr.mean_q - q_ref)) < 1e-8
+        q0 * np.cos(w_t * t) + (p0 + gamma * q0) / w_t * np.sin(w_t * t))
+    mean_q, _, _, _, _ = tr.data.T
+    assert np.max(np.abs(mean_q - q_ref)) < 1e-8
 
 
 def test_cl_mean_envelope_is_exactly_exponential():
@@ -181,9 +184,10 @@ def test_cl_mean_envelope_is_exactly_exponential():
     spec = spec_for("cl", gamma=gamma, T=2.0)
     tr = integrate_moments(spec, STATE, (0.0, 20.0), 1e-3)
     w_t = np.sqrt(1.0 - gamma ** 2)
-    qdot = tr.mean_p  # m = 1
+    mean_q, mean_p, _, _, _ = tr.data.T
+    qdot = mean_p  # m = 1
     amp2 = np.exp(2.0 * gamma * tr.times) * (
-        tr.mean_q ** 2 + ((qdot + gamma * tr.mean_q) / w_t) ** 2)
+        mean_q ** 2 + ((qdot + gamma * mean_q) / w_t) ** 2)
     assert np.max(np.abs(amp2 - amp2[0])) < 1e-6 * amp2[0]
 
 
@@ -191,18 +195,18 @@ def test_cl_relaxes_to_classical_equipartition():
     gamma, T = 0.25, 5.0
     spec = spec_for("cl", gamma=gamma, T=T)
     tr = integrate_moments(spec, STATE, (0.0, 60.0), 1e-3, store_every=100)
-    assert tr.sigma_pp[-1] == pytest.approx(T, rel=1e-6)  # m kB T
-    assert tr.sigma_qq[-1] == pytest.approx(T, rel=1e-6)  # kB T / m omega^2
-    assert tr.sigma_qp[-1] == pytest.approx(0.0, abs=1e-6)
+    _, _, s_qq, s_pp, s_qp = tr.data[-1]
+    assert s_pp == pytest.approx(T, rel=1e-6)  # m kB T
+    assert s_qq == pytest.approx(T, rel=1e-6)  # kB T / m omega^2
+    assert s_qp == pytest.approx(0.0, abs=1e-6)
 
 
 # ----------------------------------------------------------- CCL variant
 
 def test_ccl_differs_from_cl_only_in_position_diffusion():
     kw = dict(gamma=0.15, T=2.0)
-    st_ = GaussianMomentState(0.3, -0.2, 0.6, 0.7, 0.1)
-    d_cl = moment_rhs(spec_for("cl", **kw), st_).as_array()
-    d_ccl = moment_rhs(spec_for("ccl", **kw), st_).as_array()
+    d_cl = moment_rhs(spec_for("cl", **kw), OFF_DIAGONAL)
+    d_ccl = moment_rhs(spec_for("ccl", **kw), OFF_DIAGONAL)
     diff = d_ccl - d_cl
     expected_qq = 0.15 / (4.0 * 2.0)  # gamma hbar^2 / (4 m kB T)
     assert diff[2] == pytest.approx(expected_qq, rel=1e-12)
@@ -212,8 +216,8 @@ def test_ccl_differs_from_cl_only_in_position_diffusion():
 def test_ccl_steady_state_zeroes_the_flow():
     spec = spec_for("ccl", gamma=0.3, T=4.0)
     tr = integrate_moments(spec, STATE, (0.0, 80.0), 1e-3, store_every=1000)
-    final = tr.state_at(len(tr) - 1)
-    residual = moment_rhs(spec, final, tr.times[-1]).as_array()
+    final = tr.data[-1]
+    residual = moment_rhs(spec, final, tr.times[-1])
     assert np.max(np.abs(residual)) < 1e-8
     assert rs_uncertainty(final) > 0.0
 
@@ -222,9 +226,8 @@ def test_ccl_steady_state_zeroes_the_flow():
 
 def test_qp_rhs_offsets_against_jz():
     kw = dict(gamma=0.1, T=2.0)
-    st_ = GaussianMomentState(0.3, -0.2, 0.6, 0.7, 0.1)
-    d_jz = moment_rhs(spec_for("jz", **kw), st_).as_array()
-    d_qp = moment_rhs(spec_for("qp", mu=0.3, **kw), st_).as_array()
+    d_jz = moment_rhs(spec_for("jz", **kw), OFF_DIAGONAL)
+    d_qp = moment_rhs(spec_for("qp", mu=0.3, **kw), OFF_DIAGONAL)
     s = 4.0 * 0.1 * 2.0
     assert d_qp[2] - d_jz[2] == pytest.approx(0.3 ** 2 * s, rel=1e-12)
     assert d_qp[4] - d_jz[4] == pytest.approx(0.3 * s, rel=1e-12)
@@ -259,10 +262,10 @@ def test_hpz_with_cl_limit_constants_matches_cl_rhs():
     table = HPZCoefficients(
         grid=grid, Gamma=np.full(n, -2.0 * gamma * T),  # -s/2, s = 4 m g kT
         Theta=np.zeros(n), Xi=np.zeros(n), Upsilon=np.full(n, -gamma))
-    st_ = GaussianMomentState(0.3, -0.2, 0.6, 0.7, 0.1)
-    d_hpz = moment_rhs(spec_for("hpz", coefficients=table), st_, 0.5)
-    d_cl = moment_rhs(spec_for("cl", gamma=gamma, T=T), st_, 0.5)
-    assert np.array_equal(d_hpz.as_array(), d_cl.as_array())
+    d_hpz = moment_rhs(spec_for("hpz", coefficients=table), OFF_DIAGONAL,
+                       0.5)
+    d_cl = moment_rhs(spec_for("cl", gamma=gamma, T=T), OFF_DIAGONAL, 0.5)
+    assert np.array_equal(d_hpz, d_cl)
 
 
 def test_hpz_requires_table_covering_the_span():
@@ -318,7 +321,8 @@ def test_growing_generator_warns_with_time_and_rate(hpz_audit_spec):
                       match=r"from t = 0\.03 .* up to 2\.42"):
         tr = integrate_moments(hpz_audit_spec, state0, (0.0, 10.0), 1e-3,
                                store_every=100)
-    assert tr.sigma_qq[-1] > 1e18  # what the warning is about
+    _, _, s_qq, _, _ = tr.data[-1]
+    assert s_qq > 1e18  # what the warning is about
 
 
 @pytest.mark.parametrize("variant, kw", [
@@ -409,14 +413,27 @@ def test_integrate_validations():
         integrate_moments(spec, STATE, (0.0, 1.0), 0.0)
     with pytest.raises(ValueError, match="store_every"):
         integrate_moments(spec, STATE, (0.0, 1.0), 1e-3, store_every=0)
-    bad = GaussianMomentState(0.0, 0.0, -0.5, 0.5, 0.0)
+    bad = (0.0, 0.0, -0.5, 0.5, 0.0)
     with pytest.raises(ValueError, match="variances"):
         integrate_moments(spec, bad, (0.0, 1.0), 1e-3)
 
 
+def test_a_state_is_five_moments():
+    spec = spec_for("cl", gamma=0.1, T=1.0)
+    for bad in (STATE[:4], (*STATE, 0.0), [STATE]):
+        with pytest.raises(ValueError, match="five moments"):
+            integrate_moments(spec, bad, (0.0, 1.0), 1e-3)
+    # the witness reads the last axis of any stack of MOMENTS rows
+    rows = np.array([[STATE, OFF_DIAGONAL]] * 3)
+    w = rs_uncertainty(rows)
+    assert w.shape == (3, 2)
+    assert np.array_equal(w, np.broadcast_to(
+        [rs_uncertainty(STATE), rs_uncertainty(OFF_DIAGONAL)], (3, 2)))
+
+
 def test_initial_uncertainty_violation_warns():
     spec = spec_for("cl", gamma=0.1, T=1.0)
-    squeezed_too_far = GaussianMomentState(0.0, 0.0, 0.1, 0.1, 0.0)
+    squeezed_too_far = (0.0, 0.0, 0.1, 0.1, 0.0)
     with pytest.warns(UserWarning, match="uncertainty"):
         integrate_moments(spec, squeezed_too_far, (0.0, 0.1), 1e-3)
 
@@ -444,7 +461,7 @@ def _step_by_step(spec, state0, t_span, dt, store_every):
     """The stored rows of RK4 applied to the state one step at a time."""
     t0, h, n_steps, stored = step_plan(t_span, dt, store_every)
     w = spec.generator.moment_matrix(rk4_stage_times(t0, h, 0, n_steps))
-    z = np.append(state0.as_array(), 1.0)
+    z = np.append(state0, 1.0)
     rows = [z[:5]]
     for i in range(n_steps):
         z = rk4_step(lambda s, y: w[2 * i + s] @ y, z, h)

@@ -9,7 +9,6 @@ import pytest
 from qbmlab import dynamics, fock
 from qbmlab.coefficients import HPZCoefficients
 from qbmlab.dynamics import (
-    GaussianMomentState,
     MasterEquationSpec,
     QuadraticGenerator,
     SystemSpec,
@@ -44,30 +43,34 @@ def test_canonical_commutator_on_interior_block():
 
 def test_coherent_state_moments_roundtrip():
     alpha = fock.alpha_from_moments(SYS, 0.6, -0.4)
-    st = fock.moments_from_density(coherent_density(30, alpha),
-                                   *fock.position_momentum(30, SYS))
-    assert st.mean_q == pytest.approx(0.6, rel=1e-10)
-    assert st.mean_p == pytest.approx(-0.4, rel=1e-10)
-    assert st.sigma_qq == pytest.approx(0.5, rel=1e-10)
-    assert st.sigma_pp == pytest.approx(0.5, rel=1e-10)
-    assert st.sigma_qp == pytest.approx(0.0, abs=1e-12)
+    row = fock.moments_from_density(coherent_density(30, alpha),
+                                    *fock.position_momentum(30, SYS))
+    assert row.shape == (5,)
+    mean_q, mean_p, s_qq, s_pp, s_qp = row
+    assert mean_q == pytest.approx(0.6, rel=1e-10)
+    assert mean_p == pytest.approx(-0.4, rel=1e-10)
+    assert s_qq == pytest.approx(0.5, rel=1e-10)
+    assert s_pp == pytest.approx(0.5, rel=1e-10)
+    assert s_qp == pytest.approx(0.0, abs=1e-12)
 
 
 def test_squeezed_state_variances():
     psi = fock.squeezed_state(40, 0.4)
     rho = np.outer(psi, psi.conj())
-    st = fock.moments_from_density(rho, *fock.position_momentum(40, SYS))
-    assert st.sigma_qq == pytest.approx(0.5 * np.exp(-0.8), rel=1e-8)
-    assert st.sigma_pp == pytest.approx(0.5 * np.exp(0.8), rel=1e-8)
+    _, _, s_qq, s_pp, _ = fock.moments_from_density(
+        rho, *fock.position_momentum(40, SYS))
+    assert s_qq == pytest.approx(0.5 * np.exp(-0.8), rel=1e-8)
+    assert s_pp == pytest.approx(0.5 * np.exp(0.8), rel=1e-8)
 
 
 def test_thermal_density_moments():
     nbar = 1.7
     rho = fock.thermal_density(60, nbar)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
-    st = fock.moments_from_density(rho, *fock.position_momentum(60, SYS))
-    assert st.sigma_qq == pytest.approx(0.5 * (2 * nbar + 1), rel=1e-8)
-    assert st.sigma_pp == pytest.approx(0.5 * (2 * nbar + 1), rel=1e-8)
+    _, _, s_qq, s_pp, _ = fock.moments_from_density(
+        rho, *fock.position_momentum(60, SYS))
+    assert s_qq == pytest.approx(0.5 * (2 * nbar + 1), rel=1e-8)
+    assert s_pp == pytest.approx(0.5 * (2 * nbar + 1), rel=1e-8)
 
 
 @pytest.mark.parametrize("variant,kw", [

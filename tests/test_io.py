@@ -1,17 +1,15 @@
 """CSV artifacts: round trips, provenance headers, and run comparison."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from qbmlab import io
 from qbmlab.bath import CorrelationKernel, SpectralDensity, ThermalBathSpec
+from qbmlab.cli import main
 from qbmlab.coefficients import delta_limit_coefficients
-from qbmlab.dynamics import (
-    GaussianMomentState,
-    MasterEquationSpec,
-    SystemSpec,
-    integrate_moments,
-)
+from qbmlab.dynamics import MasterEquationSpec, SystemSpec, integrate_moments
 from qbmlab.positivity import audit_cp
 
 
@@ -73,6 +71,30 @@ def test_read_rejects_foreign_files(tmp_path):
         io.read_csv(path)
 
 
+def test_read_rejects_repeated_column_names(tmp_path):
+    # a dict keyed by name would give both "a" the last column's values
+    path = tmp_path / "twice.csv"
+    path.write_text(f"# qbmlab {io.__version__}\nt,a,a\n0,1,2\n")
+    with pytest.raises(ValueError, match=r"repeated column name.*'a'"):
+        io.read_csv(path)
+    assert main(["--compare", str(path), str(path)]) == 2
+
+
+def test_rewriting_a_cli_artifact_keeps_its_bytes(tmp_path):
+    # the header's version token is the writer's; the tool_version entry
+    # that read_csv puts in meta is not written back as a key
+    scenario = pathlib.Path(__file__).resolve().parent.parent \
+        / "scenarios" / "hpz_audit.json"
+    assert main(["--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert len(paths) == 4  # kernel, coefficients, moments, audit
+    for path in paths:
+        back = io.read_csv(path)
+        assert back.meta["tool_version"] == io.__version__
+        io.write_csv(tmp_path / "again.csv", back)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
 def test_kernel_table_round_trip(tmp_path):
     bath = ThermalBathSpec(SpectralDensity(1.0, 0.1, 5.0), T=2.0)
     grid = np.linspace(0.0, 2.0, 21)
@@ -97,16 +119,16 @@ def test_coefficient_table_feeds_the_auditor(tmp_path):
 
 def test_moment_table_columns(tmp_path):
     spec = MasterEquationSpec("jz", SystemSpec(1.0, 1.0), gamma=0.1, T=2.0)
-    traj = integrate_moments(spec, GaussianMomentState(1.0, 0.0, 0.5, 0.5,
-                                                       0.0),
-                             (0.0, 1.0), 1e-2, store_every=20)
+    traj = integrate_moments(spec, (1.0, 0.0, 0.5, 0.5, 0.0), (0.0, 1.0),
+                             1e-2, store_every=20)
     table = io.moment_table(traj, meta={"scenario_sha256": "00"})
     path = tmp_path / "moments.csv"
     io.write_csv(path, table)
     back = io.read_csv(path)
     assert back.columns == ("t", "mean_q", "mean_p", "s_qq", "s_pp", "s_qp",
                             "rs_witness")
-    assert np.array_equal(back["s_qp"], traj.sigma_qp)
+    _, _, _, _, s_qp = traj.data.T
+    assert np.array_equal(back["s_qp"], s_qp)
     assert np.array_equal(back["rs_witness"], traj.rs_witness())
 
 

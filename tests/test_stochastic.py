@@ -9,7 +9,8 @@ from qbmlab import stochastic
 from qbmlab.bath import CorrelationKernel, SpectralDensity, ThermalBathSpec
 from qbmlab.coefficients import delta_limit_coefficients
 from qbmlab.dynamics import (
-    GaussianMomentState,
+    MOMENTS,
+    OBSERVABLES,
     MasterEquationSpec,
     NumericalFailure,
     SystemSpec,
@@ -19,7 +20,6 @@ from qbmlab.dynamics import (
     step_plan,
 )
 from qbmlab.fock import (
-    OBSERVABLES,
     alpha_from_moments,
     coherent_state,
     fock_propagate,
@@ -308,7 +308,7 @@ def _step_plan_runs():
     of one CCL generator, as functions of (t_span, dt, store_every)."""
     spec = _spec("ccl", 0.05, 2.0)
     psi0 = coherent_state(12, 0.3)
-    state0 = GaussianMomentState(0.0, 0.0, 0.5, 0.5, 0.0)  # ground state
+    state0 = (0.0, 0.0, 0.5, 0.5, 0.0)  # ground state
 
     def sse(t_span, dt, store_every):
         config = SSEConfig(spec, dt=dt, n_traj=1, seed=1, t_span=t_span,
@@ -378,7 +378,7 @@ def test_means_do_not_depend_on_relation_scalar():
 def _check_tracks_moment_equations(spec):
     config = SSEConfig(spec, dt=2e-3, n_traj=2000, seed=99,
                        t_span=(0.0, 2.0), store_every=250)
-    state0 = GaussianMomentState(0.4, 0.0, 0.5, 0.5, 0.0)
+    state0 = (0.4, 0.0, 0.5, 0.5, 0.0)
     result = ensemble_run(config, state0)
     assert not result.failed_trajectories
 
@@ -386,9 +386,7 @@ def _check_tracks_moment_equations(spec):
                             store_every=5000)
     table = result.moment_table()
     assert np.allclose(table["t"], ode.times)
-    for key, ref in (("mean_q", ode.mean_q), ("mean_p", ode.mean_p),
-                     ("s_qq", ode.sigma_qq), ("s_pp", ode.sigma_pp),
-                     ("s_qp", ode.sigma_qp)):
+    for key, ref in zip(MOMENTS, ode.data.T):
         z = np.abs(table[key][1:] - ref[1:]) \
             / np.maximum(table["se_" + key][1:], 1e-12)
         assert np.max(z) < 6.0, f"{key}: max z = {np.max(z):.2f}"
@@ -446,19 +444,21 @@ def test_psi0_validation():
     # psi0 is given by its moments; only a pure Gaussian state has a packet
     config = SSEConfig(_spec("ccl", 0.0125, 2.0), dt=1e-2,
                        t_span=(0.0, 0.1), n_traj=200, seed=3)
-    for impure in (GaussianMomentState(0.0, 0.0, 1.0, 1.0, 0.0),
-                   GaussianMomentState(0.0, 0.0, 0.5, 0.5, 1e-4),
-                   GaussianMomentState(0.0, 0.0, -0.5, -0.5, 0.0)):
+    for impure in ((0.0, 0.0, 1.0, 1.0, 0.0), (0.0, 0.0, 0.5, 0.5, 1e-4),
+                   (0.0, 0.0, -0.5, -0.5, 0.0)):
         for run in (ensemble_run, sse_trajectory):
             with pytest.raises(ValueError, match="pure Gaussian state"):
                 run(config, impure)
     # a correlated pure state reads back exactly at t = 0
-    state0 = GaussianMomentState(0.3, -0.2, 0.5, 1.0, 0.5)
+    state0 = (0.3, -0.2, 0.5, 1.0, 0.5)
     table = ensemble_run(config, state0).moment_table()
-    read = [table[name][0] for name in ("mean_q", "mean_p", "s_qq", "s_pp",
-                                        "s_qp", "norm2")]
-    assert np.allclose(read, [*state0.as_array(), 1.0], rtol=0.0,
-                       atol=1e-14)
+    read = [table[name][0] for name in (*MOMENTS, "norm2")]
+    assert np.allclose(read, [*state0, 1.0], rtol=0.0, atol=1e-14)
+    # a state is five moments, in any sequence, and nothing else
+    for run in (ensemble_run, sse_trajectory):
+        for bad in (state0[:4], (*state0, 1.0), [state0]):
+            with pytest.raises(ValueError, match="five moments"):
+                run(config, bad)
 
 
 def test_moment_table_layout_and_trajectory_dump():
