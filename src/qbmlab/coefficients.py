@@ -191,10 +191,11 @@ class HPZCoefficients:
     Xi: np.ndarray
     Upsilon: np.ndarray
 
-    def __post_init__(self):
-        self.grid = _checked_grid(self.grid, "coefficient grid", "t")
+    def __post_init__(self):  # copies: the table owns its columns
+        self.grid = _checked_grid(np.array(self.grid, dtype=float),
+                                  "coefficient grid", "t")
         for name in ("Gamma", "Theta", "Xi", "Upsilon"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != self.grid.shape:
                 raise ValueError(f"{name} must match the grid shape")
             if not np.all(np.isfinite(arr)):
@@ -237,7 +238,7 @@ def compute_coefficients(dressed, kernels):
                          (gamma_t, theta_t, xi_t, upsilon_t)):
         if not np.all(np.isfinite(col)):
             raise NumericalFailure(f"windowed {name} is not finite")
-    return HPZCoefficients(grid=grid.copy(), Gamma=gamma_t, Theta=theta_t,
+    return HPZCoefficients(grid=grid, Gamma=gamma_t, Theta=theta_t,
                            Xi=xi_t, Upsilon=upsilon_t)
 
 
@@ -252,5 +253,5 @@ def delta_limit_coefficients(strength, t_grid):
         raise ValueError("delta strength must be non-negative")
     const = np.full(np.shape(t_grid), -0.5 * strength)
     zero = np.zeros_like(const)
-    return HPZCoefficients(grid=t_grid, Gamma=const, Theta=zero.copy(),
-                           Xi=zero.copy(), Upsilon=zero.copy())
+    return HPZCoefficients(grid=t_grid, Gamma=const, Theta=zero, Xi=zero,
+                           Upsilon=zero)

@@ -73,6 +73,8 @@ def moment_row(state):
     row = np.array(state, dtype=float)
     if row.shape != (len(MOMENTS),):
         raise ValueError(f"a state is five moments, got shape {row.shape}")
+    if not np.all(np.isfinite(row)):
+        raise ValueError("a state's five moments must be finite")
     return row
 
 
@@ -125,7 +127,14 @@ _MAP_BLOCK = 512  # RK4 maps built and composed at once; bounds the memory
 
 @dataclass(frozen=True)
 class QuadraticGenerator:
-    """G and a of a generator: (2, 2), or (n, 2, 2) on an n-node `grid`."""
+    """G and a of a generator: (2, 2), or (n, 2, 2) on an n-node `grid`.
+
+    It is read one way: as `params(t)`, the real parameters G, Re a and
+    Im a (flattened, those nonzero at some node) at times t, weighting
+    `units`, the (G, a) of each parameter set to 1.  `at`, the moment
+    matrix and the Fock oracle's stencils are all linear in (G, a), so
+    each is `params(t)` times the same quantity of each unit.
+    """
 
     G: np.ndarray
     a: np.ndarray
@@ -135,48 +144,60 @@ class QuadraticGenerator:
     def __post_init__(self):
         if np.shape(self.G)[-2:] != (2, 2) or np.shape(self.a)[-2:] != (2, 2):
             raise ValueError("G and a must be 2x2 matrices")
-
-    def at(self, t):
-        """(G, a) at times t by linear interpolation, shape t.shape + (2, 2)."""
-        shape = np.shape(t) + (2, 2)
-        if self.grid is None:
-            return (np.broadcast_to(self.G, shape),
-                    np.broadcast_to(self.a, shape))
-        cols = interp_table(self.grid, t, [*self.G.reshape(-1, 4).T,
-                                           *self.a.reshape(-1, 4).T])
-        return (np.stack(cols[:4], axis=-1).reshape(shape),
-                np.stack(cols[4:], axis=-1).reshape(shape))
+        if not (np.all(np.isfinite(self.G)) and np.all(np.isfinite(self.a))):
+            raise ValueError("G or a is not finite")
 
     @cached_property
-    def _table(self):
-        """(entries, values): the entries of the flattened moment matrix
-        that are nonzero at some node, and their values, (entries, nodes).
-        """
-        A = _J @ (self.G - self.hbar * self.a.imag)
-        B = self.hbar ** 2 * (_J @ self.a.real @ _J.T)
-        a00, a01, a10, a11 = (A[..., i, j] for i in (0, 1) for j in (0, 1))
-        out = np.zeros(A.shape[:-2] + (6, 6))
-        out[..., :2, :2] = A
-        out[..., 2, 2], out[..., 2, 4] = 2.0 * a00, 2.0 * a01
-        out[..., 3, 3], out[..., 3, 4] = 2.0 * a11, 2.0 * a10
-        out[..., 4, 2], out[..., 4, 3], out[..., 4, 4] = a10, a01, a00 + a11
-        out[..., 2:5, 5] = B[..., (0, 1, 0), (0, 1, 1)]  # qq, pp, qp
-        w = out.reshape(-1, 36)
-        entries = np.flatnonzero(np.any(w != 0.0, axis=0))
-        return entries, w[:, entries].T.copy()
+    def _live(self):
+        """Indices among the 12 real parameters of those nonzero at some
+        node, and their values at the nodes, (P, nodes)."""
+        G, a = self.G.reshape(-1, 4), self.a.reshape(-1, 4)
+        theta = np.concatenate([G, a.real, a.imag], axis=1).T
+        live = np.flatnonzero(np.any(theta != 0.0, axis=1))
+        return live, theta[live]
+
+    @cached_property
+    def units(self):
+        """(G, a) of each live real parameter set to 1, each (P, 2, 2)."""
+        u = np.eye(12)[self._live[0]].reshape(-1, 3, 2, 2)
+        return u[:, 0], u[:, 1] + 1j * u[:, 2]
+
+    def params(self, t):
+        """Weights of `units` at times t by linear interpolation, shape
+        t.shape + (P,); a constant generator broadcasts its one row."""
+        values = self._live[1]
+        shape = np.shape(t) + values.shape[:1]
+        if self.grid is None:
+            return np.broadcast_to(values[:, 0], shape)
+        cols = interp_table(self.grid, t, values)
+        return np.moveaxis(np.reshape(cols, shape[-1:] + shape[:-1]), 0, -1)
+
+    def at(self, t):
+        """(G, a) at times t, shape t.shape + (2, 2)."""
+        w = self.params(t)
+        return tuple(np.tensordot(w, u, 1) for u in self.units)
+
+    @cached_property
+    def _unit_matrices(self):
+        """The moment matrix of each unit, flattened: (P, 36)."""
+        G, a = self.units
+        A = _J @ (G - self.hbar * a.imag)
+        B = self.hbar ** 2 * (_J @ a.real @ _J.T)
+        a00, a01, a10, a11 = (A[:, i, j] for i in (0, 1) for j in (0, 1))
+        out = np.zeros((len(A), 6, 6))
+        out[:, :2, :2] = A
+        out[:, 2, 2], out[:, 2, 4] = 2.0 * a00, 2.0 * a01
+        out[:, 3, 3], out[:, 3, 4] = 2.0 * a11, 2.0 * a10
+        out[:, 4, 2], out[:, 4, 3], out[:, 4, 4] = a10, a01, a00 + a11
+        out[:, 2:5, 5] = B[:, (0, 1, 0), (0, 1, 1)]  # qq, pp, qp
+        return out.reshape(-1, 36)
 
     def moment_matrix(self, t):
         """[[M, c], [0, 0]] at times t: (y, 1) -> (M y + c, 0) on the
-        moments y, ordered as `MOMENTS`.  It is linear in (G, a), so a
-        table's is interpolated between its values at the nodes.
+        moments y, ordered as `MOMENTS`.
         """
-        entries, values = self._table
-        cols = values[:, 0] if self.grid is None \
-            else interp_table(self.grid, t, values)
-        out = np.zeros(np.shape(t) + (36,))
-        for k, col in zip(entries, cols):
-            out[..., k] = col
-        return out.reshape(np.shape(t) + (6, 6))
+        return (self.params(t) @ self._unit_matrices).reshape(
+            np.shape(t) + (6, 6))
 
 
 def _hermitian(xx, xy, yy):
@@ -343,9 +364,6 @@ class MomentTrajectory:
 
     def rs_witness(self):
         return rs_uncertainty(self.data, self.constants)
-
-    def __len__(self):
-        return self.times.size
 
 
 def _step_maps(gen, t0, h):

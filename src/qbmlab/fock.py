@@ -8,11 +8,12 @@ It is deliberately simple: dense operators built from q and p, the RK4
 step of the moment ODE, explicit monitors for trace drift and truncation
 leakage.  Since q and p are tridiagonal in the number basis, the
 right-hand side couples rho[m, n] only to rho[m + dl, n + dr] at nine
-offsets, and it is applied as that stencil, read off the bands of the
-dense operators.  Matrix elements use the oscillator length of the
-system frequency as the basis scale.  States are read out through
-`dynamics.OBSERVABLES` and `dynamics.central_moments`, as the unraveling
-reads its packets.
+offsets.  It is applied as that stencil, read off the bands of the dense
+operators of each of the generator's `units` and weighted by its
+`params`, as the moment ODE and the CP audit read it.  Matrix elements
+use the oscillator length of the system frequency as the basis scale.
+States are read out through `dynamics.OBSERVABLES` and
+`dynamics.central_moments`, as the unraveling reads its packets.
 """
 
 import warnings
@@ -173,24 +174,6 @@ def _stencil(ops):
     return C.ravel()
 
 
-def _stencil_basis(operators, G, a):
-    """(theta, basis): the real parameters G, Re a, Im a of (G, a) at each
-    stage time, (stages, P), and the `_stencil` of each, (P, 9 dim (dim + 2)),
-    so that theta[k] @ basis is the stencil at stage k.  K^dag conjugates a,
-    so its real and imaginary parts are separate parameters; those zero at
-    every stage time are dropped.
-    """
-    theta = np.concatenate([G.reshape(-1, 4), a.real.reshape(-1, 4),
-                            a.imag.reshape(-1, 4)], axis=1)
-    live = np.flatnonzero(np.any(theta != 0.0, axis=0))
-    units = np.eye(12)[live]
-    basis = np.stack([
-        _stencil(operators(u[:4].reshape(2, 2),
-                           (u[4:8] + 1j * u[8:]).reshape(2, 2)))
-        for u in units])
-    return theta[:, live], basis
-
-
 def _padded(rho):
     """rho with two zero rows above and below and two zero columns on the
     right, flattened: the layout in which `_stencil_rhs` shifts by a
@@ -245,10 +228,9 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     The steps and the stored states follow `dynamics.step_plan`, and the
     stages `dynamics.rk4_stage_times`, as for the moment ODE.  The
     right-hand side is applied as the nine-offset stencil of
-    `_stencil_rhs`.  Its coefficients are linear in the real parameters
-    of (G, a): one stencil per parameter is read off the dense operators
-    once, and they are combined once per stage time, or once for a
-    constant generator.  rho0 must be finite, of dimension 2 or more.
+    `_stencil_rhs`, linear in (G, a): one stencil per unit of the
+    generator, weighted by `params` at every stage time (once for a
+    constant generator).  rho0 must be finite, of dimension 2 or more.
     """
     rho = np.array(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
@@ -261,12 +243,13 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     times = t0 + h * stored
 
     (q, p), operators = lindblad_operators(spec, dim)
+    gen = spec.generator
     obs = observables(q, p)
-    # the table is looked up at every stage time in one pass
-    theta, basis = _stencil_basis(
-        operators, *spec.generator.at(rk4_stage_times(t0, h, 0, n_steps)))
+    # one stencil per unit of (G, a), weighted at every stage time
+    basis = np.stack([_stencil(operators(*u)) for u in zip(*gen.units)])
+    theta = gen.params(rk4_stage_times(t0, h, 0, n_steps))
     stencils = [theta[k] @ basis for k in range(3)]
-    tabulated = spec.generator.grid is not None
+    tabulated = gen.grid is not None
     rhs = _stencil_rhs(dim)
 
     rows, traces, tops = [], [], []

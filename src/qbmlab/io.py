@@ -170,8 +170,6 @@ class ColumnDeviation:
 class CompareReport:
     """Per-column deviations of two runs on a shared time grid."""
 
-    grid_column: str
-    n_rows: int
     columns: list
     atol: float
     rtol: float
@@ -179,18 +177,6 @@ class CompareReport:
     @property
     def passed(self):
         return all(c.passed for c in self.columns)
-
-    def to_json_dict(self):
-        return {
-            "passed": self.passed,
-            "grid_column": self.grid_column,
-            "n_rows": self.n_rows,
-            "atol": self.atol,
-            "rtol": self.rtol,
-            "columns": [{"column": c.column, "max_abs": c.max_abs,
-                         "max_rel": c.max_rel, "passed": c.passed}
-                        for c in self.columns],
-        }
 
     def summary_lines(self):
         lines = []
@@ -249,6 +235,4 @@ def compare_runs(path_a, path_b, columns=None, atol=0.0, rtol=0.0):
         ok = bool(np.all(dev <= atol + rtol * mag))
         results.append(ColumnDeviation(column=name, max_abs=max_abs,
                                        max_rel=max_rel, passed=ok))
-    return CompareReport(grid_column=grid_name, n_rows=int(ga.size),
-                         columns=results, atol=float(atol),
-                         rtol=float(rtol))
+    return CompareReport(columns=results, atol=float(atol), rtol=float(rtol))

@@ -15,11 +15,11 @@ CP-semigroup form unless Theta and Upsilon both vanish; CL has
 det a = -gamma^2 / hbar^2 < 0; JZ, CCL and QP have rank-1 matrices (CP).
 
 `audit_cp` reads a `QuadraticGenerator` through `QuadraticGenerator.at`,
-the lookup the moment ODE and the Fock oracle step: a tabulated generator
-is audited at its grid nodes, or interpolated at any time inside its
-table.  A bare coefficient table carries no mass, so it is audited as the
-generator of m = 1; audit `MasterEquationSpec(...).generator` for any
-other mass, as the CLI does.
+its `params` times its `units`, which the moment ODE and the Fock oracle
+step too: a tabulated generator is audited at its grid nodes, or
+interpolated at any time inside its table.  A bare coefficient table
+carries no mass, so it is audited as the generator of m = 1; audit
+`MasterEquationSpec(...).generator` for any other mass, as the CLI does.
 """
 
 from dataclasses import dataclass, field

@@ -36,6 +36,7 @@ from qbmlab.coefficients import (
     delta_limit_coefficients,
     dressed_kernel,
 )
+from qbmlab.dynamics import MasterEquationSpec, SystemSpec
 
 
 def synthetic_kernel(grid, scale=1.0):
@@ -417,6 +418,26 @@ def test_coefficient_table_validation_and_interp():
     with pytest.raises(ValueError, match="finite"):
         HPZCoefficients(grid=t, Gamma=t * np.nan, Theta=0 * t, Xi=0 * t,
                         Upsilon=0 * t)
+
+
+def test_table_owns_copies_of_its_columns():
+    # later writes to the caller's arrays must not reach the table, nor a
+    # generator built from it
+    grid = np.linspace(0.0, 1.0, 11)
+    cols = [-0.1 - grid, 0.2 * grid, np.cos(grid), grid ** 2]
+    g, *c = grid.copy(), *(col.copy() for col in cols)
+    co = HPZCoefficients(g, *c)
+    g *= 2.0
+    for arr in c:
+        arr[:] = 7.0
+    assert np.array_equal(co.grid, grid)
+    assert all(np.array_equal(getattr(co, name), col) for name, col in zip(
+        ("Gamma", "Theta", "Xi", "Upsilon"), cols))
+    g = grid.copy()
+    spec = MasterEquationSpec("hpz", SystemSpec(m=1.0, omega_S=1.0),
+                              coefficients=delta_limit_coefficients(1.0, g))
+    g *= 2.0
+    assert spec.generator.grid[-1] == 1.0
 
 
 def test_windowing_overflow_is_a_numerical_failure():

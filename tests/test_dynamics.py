@@ -423,6 +423,10 @@ def test_a_state_is_five_moments():
     for bad in (STATE[:4], (*STATE, 0.0), [STATE]):
         with pytest.raises(ValueError, match="five moments"):
             integrate_moments(spec, bad, (0.0, 1.0), 1e-3)
+    # a non-finite state is bad input, not a numerical failure
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate_moments(spec, (bad, *STATE[1:]), (0.0, 1.0), 1e-3)
     # the witness reads the last axis of any stack of MOMENTS rows
     rows = np.array([[STATE, OFF_DIAGONAL]] * 3)
     w = rs_uncertainty(rows)

@@ -16,6 +16,7 @@ from qbmlab.dynamics import (
     rk4_stage_times,
     step_plan,
 )
+from qbmlab.positivity import audit_cp
 
 SYS = SystemSpec(m=1.0, omega_S=1.0)
 
@@ -114,16 +115,19 @@ STENCIL_SPECS = {
 
 def stencil_against_dense(spec, dim, times, seed=5):
     """(stencil, dense) right-hand sides on a random non-Hermitian rho at
-    each time, the stencil combined from the per-parameter basis as
-    `fock_propagate` combines it, the dense one as K rho + rho K^dag +
-    sum_j F_j rho L_j from `lindblad_operators`.
+    each time, the stencil of each of the generator's `units` weighted by
+    its `params`, as `fock_propagate` combines them, the dense one as
+    K rho + rho K^dag + sum_j F_j rho L_j from `lindblad_operators` at
+    (G, a) read through `at`.
     """
     rng = np.random.default_rng(seed)
     rho = rng.standard_normal((dim, dim)) \
         + 1j * rng.standard_normal((dim, dim))
     _, operators = fock.lindblad_operators(spec, dim)
-    G, a = spec.generator.at(np.asarray(times))
-    theta, basis = fock._stencil_basis(operators, G, a)
+    gen = spec.generator
+    basis = np.array([fock._stencil(operators(*u)) for u in zip(*gen.units)])
+    theta = gen.params(np.asarray(times))
+    G, a = gen.at(np.asarray(times))
     rhs = fock._stencil_rhs(dim)
     for k in range(len(times)):
         out = rhs(fock._padded(rho), theta[k] @ basis)
@@ -208,14 +212,15 @@ def test_hpz_moment_map_matches_density_matrix():
 
 
 def test_fock_and_moments_step_a_table_at_the_same_stage_times(monkeypatch):
-    # both read the generator at rk4_stage_times, 2 n + 1 distinct times
-    seen = {"at": [], "moment_matrix": []}
-    for name in seen:
-        def record(self, t, name=name, method=getattr(QuadraticGenerator,
-                                                       name)):
-            seen[name].append(np.ravel(t))
-            return method(self, t)
-        monkeypatch.setattr(QuadraticGenerator, name, record)
+    # both read the generator through `params` at rk4_stage_times, 2 n + 1
+    # distinct times, and so does the audit at the times it is given
+    calls = []
+
+    def record(self, t, params=QuadraticGenerator.params):
+        calls.append(np.ravel(t))
+        return params(self, t)
+
+    monkeypatch.setattr(QuadraticGenerator, "params", record)
     # the stability check reads the table at its nodes as well
     monkeypatch.setattr(dynamics, "_warn_if_unstable", lambda *args: None)
     grid = np.linspace(0.0, 1.5, 16)
@@ -228,15 +233,20 @@ def test_fock_and_moments_step_a_table_at_the_same_stage_times(monkeypatch):
     rho0 = np.outer(psi, psi.conj())
     q, p = fock.position_momentum(dim, SYS)
     ftr = fock.fock_propagate(spec, rho0, t_span, dt, store_every=7)
+    fock_calls = calls[:]
+    calls.clear()
     mtr = integrate_moments(spec, fock.moments_from_density(rho0, q, p),
                             t_span, dt, store_every=7)
+    moment_calls = calls[:]
+    calls.clear()
 
     t0, h, n_steps, _ = step_plan(t_span, dt, 7)
     stages = rk4_stage_times(t0, h, 0, n_steps)
     assert stages.shape == (2 * n_steps + 1,)
-    assert np.array_equal(np.concatenate(seen["at"]), stages)
-    assert np.array_equal(np.unique(np.concatenate(seen["moment_matrix"])),
-                          stages)
+    assert len(fock_calls) == 1 and np.array_equal(fock_calls[0], stages)
+    assert np.array_equal(np.unique(np.concatenate(moment_calls)), stages)
+    audit_cp(spec.generator, stages)
+    assert len(calls) == 1 and np.array_equal(calls[0], stages)
     # a step that reused the wrong stage's operators would be off by 3e-3
     assert np.max(np.abs(ftr.data - mtr.data)) < 1e-6
 

@@ -459,6 +459,9 @@ def test_psi0_validation():
         for bad in (state0[:4], (*state0, 1.0), [state0]):
             with pytest.raises(ValueError, match="five moments"):
                 run(config, bad)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                run(config, (bad, *state0[1:]))
 
 
 def test_moment_table_layout_and_trajectory_dump():
