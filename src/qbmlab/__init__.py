@@ -28,7 +28,6 @@ from .bath import (
 from .coefficients import (
     HPZCoefficients,
     OscillatorKernels,
-    commutator_contraction,
     compute_coefficients,
     delta_limit_coefficients,
     dressed_kernel,
@@ -68,7 +67,6 @@ __all__ = [
     "high_temperature_closed_form",
     "HPZCoefficients",
     "OscillatorKernels",
-    "commutator_contraction",
     "compute_coefficients",
     "delta_limit_coefficients",
     "dressed_kernel",

@@ -466,12 +466,6 @@ def interp_table(grid, t, columns):
     return [np.interp(t, grid, col) for col in columns]
 
 
-def _lag_matrix(by_lag):
-    """T[i, j] = by_lag[N - 1 + i - j]: N x N from lags -(N - 1)..N - 1."""
-    n = (by_lag.size + 1) // 2
-    return np.lib.stride_tricks.sliding_window_view(by_lag, n)[:, ::-1].copy()
-
-
 @dataclass
 class CorrelationKernel:
     """Correlation function tabulated on a uniform grid of tau >= 0.
@@ -555,9 +549,12 @@ class CorrelationKernel:
         return complex(out) if out.ndim == 0 else out
 
     def lag_table(self):
-        """`at` at t_i - t_j on this grid, read exactly from node |i - j|."""
+        """`at` at t_i - t_j on this grid, read exactly from node |i - j|
+        (conjugated above the diagonal): the one two-time layout of D."""
         d = self.re_values + 1j * self.im_values
-        return _lag_matrix(np.r_[np.conj(d[:0:-1]), d])
+        by_lag = np.r_[np.conj(d[:0:-1]), d]  # lags -(N - 1)..N - 1
+        return np.lib.stride_tricks.sliding_window_view(
+            by_lag, d.size)[:, ::-1].copy()
 
     def scaled(self, factor):
         """Kernel with all values multiplied by `factor`.

@@ -29,8 +29,9 @@ along that row of X weighted by the real C and C~, and conj(X) c^T =
 (i hbar / m) conj(U).  With W o U = P + iQ (so W o conj(U) = P - iQ, W
 being real), D = R + i(L + V) and Dbar = R + i(L - V) (R even, L and V
 the odd part below and above the diagonal), an order is 2 (i hbar / m)
-[(P R + Q V) + i P L], three real O(N^3) products.  D, R, L and V are
-read from the kernel's samples at node lags i - j, not interpolated.
+[(P R + Q V) + i P L], three real O(N^3) products.  D is the kernel's
+`lag_table` (node lags i - j, not interpolated); R is its real part, L
+and V its imaginary part below and above the diagonal.
 The windowing splits C(t - s) and C~(t - s) by the addition formulas.
 Both run over blocks of table rows.
 
@@ -49,8 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import (CorrelationKernel, NumericalFailure, _checked_grid,
-                   _lag_matrix)
+from .bath import CorrelationKernel, NumericalFailure, _checked_grid
 
 MAX_CHEAP_ORDER = 3  # each extra order costs another O(N^3) sweep
 _ROW_BLOCK = 128  # table rows per block of weighted products
@@ -76,26 +76,12 @@ class OscillatorKernels:
         return tau * np.sinc(self.omega_S * tau / np.pi)
 
 
-def commutator_contraction(kernels, m, t, s, hbar=1.0):
-    """Response kernel c(t, s) = (i hbar / m) C~(s - t) theta(t - s).
-
-    Vanishes for t <= s (causality of the system response, including at
-    equal times).  Vectorizes over t and s together.
-    """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    val = (1j * hbar / m) * kernels.c_tilde(s - t)
-    out = np.where(t > s, val, 0.0 + 0.0j)
-    return complex(out) if out.ndim == 0 else out
-
-
 @dataclass
 class DressedKernel:
     """Back-action-corrected kernel DD(t, s) on a uniform grid.
 
-    At order 1 the kernel is stationary (a function of t - s only) and no
-    two-time table is stored; `values` reads it from the base kernel's
-    node samples on demand.
+    At order 1 the kernel is stationary (a function of t - s only), so
+    `table` is None and `values` is the base kernel's `lag_table`.
     """
 
     base: CorrelationKernel
@@ -104,12 +90,8 @@ class DressedKernel:
     table: np.ndarray | None = None
 
     @property
-    def stationary(self):
-        return self.table is None
-
-    @property
     def values(self):
-        """Full (N, N) table; at order 1 the bare one from the node samples."""
+        """Full (N, N) table; at order 1 the bare `lag_table`."""
         if self.table is not None:
             return self.table
         return self.base.lag_table()
@@ -150,10 +132,8 @@ def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
     if order == 1:
         return DressedKernel(base=base, order=1, grid=grid, table=None)
 
-    prev = base.lag_table()    # D(t - s)
-    re, im, zero = base.re_values, base.im_values, np.zeros(grid.size - 1)
-    re_d, lo = _lag_matrix(np.r_[re[:0:-1], re]), _lag_matrix(np.r_[zero, im])
-    up = _lag_matrix(np.r_[-im[:0:-1], 0.0, zero])
+    prev = base.lag_table()    # D(t - s) = R + i(L + V)
+    re_d, lo, up = prev.real.copy(), np.tril(prev.imag), np.triu(prev.imag, 1)
     cos_t, sin_t = kernels.c(grid), kernels.c_tilde(grid)
     h = base.spacing
     # an order is linear in the one before, so with -i hbar / m in place
@@ -211,7 +191,7 @@ def compute_coefficients(dressed, kernels):
     the general case sums each table row against W.
     """
     grid = dressed.grid
-    if dressed.stationary:
+    if dressed.table is None:
         tau = grid  # the base kernel's own nodes
         re, im = dressed.base.re_values, dressed.base.im_values
         cos_w, sin_w = kernels.c(tau), kernels.c_tilde(tau)

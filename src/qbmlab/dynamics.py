@@ -369,9 +369,10 @@ class MomentTrajectory:
 def _step_maps(gen, t0, h):
     """maps(lo, hi): the RK4 maps of steps lo..hi-1, shape (hi - lo, 6, 6)."""
     def maps(lo, hi):
-        w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi))
-        return rk4_step(lambda s, y: w[s:s + 2 * (hi - lo):2] @ y,
-                        np.eye(6), h)
+        w, n = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi)), hi - lo
+        # rk4_step evaluates stage 0 only at y = I: that stage is W0 itself
+        return rk4_step(lambda s, y: w[s:s + 2 * n:2] @ y if s
+                        else w[:2 * n:2], np.eye(6), h)
     if gen.grid is not None:
         return maps
     step = maps(0, 1)[0]  # a constant generator has one map

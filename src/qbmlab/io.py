@@ -46,9 +46,6 @@ class CsvTable:
         self.data = {c: np.asarray(self.data[c], dtype=float)
                      for c in self.columns}
 
-    def __len__(self):
-        return int(self.data[self.columns[0]].size)
-
     def __getitem__(self, column):
         return self.data[column]
 
@@ -84,17 +81,19 @@ def read_csv(path):
             key, _, value = token.partition("=")
             meta[key] = value
         columns = tuple(name.strip() for name in fh.readline().split(","))
-        rows = [line.split(",") for line in fh if line.strip()]
+        rows = [(n, line.split(",")) for n, line in enumerate(fh, 3)
+                if line.strip()]
     if not columns or columns == ("",):
         raise ValueError(f"{path}: missing column-name line")
     repeated = sorted({c for c in columns if columns.count(c) > 1})
     if repeated:
         raise ValueError(f"{path}: repeated column name(s) {repeated}")
-    values = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    if values.size == 0:
-        values = values.reshape(0, len(columns))
-    if values.shape[1] != len(columns):
-        raise ValueError(f"{path}: row width does not match column count")
+    for n, row in rows:
+        if len(row) != len(columns):
+            raise ValueError(f"{path}: line {n} has {len(row)} fields for "
+                             f"{len(columns)} columns")
+    values = np.array([[float(v) for v in row] for _, row in rows],
+                      dtype=float).reshape(-1, len(columns))
     data = {c: values[:, j].copy() for j, c in enumerate(columns)}
     return CsvTable(columns=columns, data=data, meta=meta)
 
@@ -196,6 +195,8 @@ def compare_runs(path_a, path_b, columns=None, atol=0.0, rtol=0.0):
     to 1e-12 (absolute, relative to the grid scale).  A column passes
     when every |a - b| <= atol + rtol * max(|a|, |b|).
     """
+    if not (0.0 <= atol < np.inf and 0.0 <= rtol < np.inf):
+        raise ValueError("atol and rtol must be finite and non-negative")
     table_a = read_csv(path_a)
     table_b = read_csv(path_b)
     grid_name = table_a.columns[0]

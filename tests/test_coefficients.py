@@ -31,7 +31,6 @@ from qbmlab.coefficients import (
     DressedKernel,
     HPZCoefficients,
     OscillatorKernels,
-    commutator_contraction,
     compute_coefficients,
     delta_limit_coefficients,
     dressed_kernel,
@@ -72,23 +71,13 @@ def test_oscillator_kernels_free_particle_limit():
         OscillatorKernels(-1.0)
 
 
-def test_commutator_contraction_causality_and_value():
-    k = OscillatorKernels(1.3)
-    assert commutator_contraction(k, 0.9, 0.5, 0.5) == 0.0  # equal times
-    assert commutator_contraction(k, 0.9, 0.2, 0.5) == 0.0  # t < s
-    val = commutator_contraction(k, 0.9, 1.0, 0.4, hbar=2.0)
-    expected = 2j / 0.9 * np.sin(1.3 * (0.4 - 1.0)) / 1.3
-    assert val == pytest.approx(expected, rel=1e-12)
-    assert val.real == 0.0
-
-
 # --------------------------------------------------- dressed kernel basics
 
 def test_order_one_is_the_bare_kernel():
     grid = np.linspace(0.0, 3.0, 31)
     base = synthetic_kernel(grid)
     d = dressed_kernel(base, OscillatorKernels(1.0), 1)
-    assert d.stationary
+    assert d.table is None
     lag = grid[:, None] - grid[None, :]
     expected = np.interp(np.abs(lag), grid, base.re_values) \
         + 1j * np.sign(lag) * np.interp(np.abs(lag), grid, base.im_values)

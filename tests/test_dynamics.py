@@ -498,6 +498,16 @@ def test_composed_maps_match_step_by_step(generator, t_span, store_every,
         tr.data, _step_by_step(spec, STATE, t_span, 1e-3, store_every))
 
 
+@pytest.mark.parametrize("generator", ["ccl", "hpz_audit"])
+def test_step_maps_are_rk4_on_the_identity(generator, hpz_audit_spec):
+    gen = hpz_audit_spec.generator if generator == "hpz_audit" \
+        else spec_for("ccl", gamma=0.1, T=2.0).generator
+    t0, h, lo, hi = 0.0, 1e-3, 3, 40
+    w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi))
+    ref = rk4_step(lambda s, y: w[s:s + 2 * (hi - lo):2] @ y, np.eye(6), h)
+    assert np.array_equal(dynamics._step_maps(gen, t0, h)(lo, hi), ref)
+
+
 def test_non_finite_composites_fall_back_to_the_steps(monkeypatch):
     # composites that overflow while the steps stay finite are replayed
     compose = dynamics._compose

@@ -78,6 +78,11 @@ def test_read_rejects_repeated_column_names(tmp_path):
     with pytest.raises(ValueError, match=r"repeated column name.*'a'"):
         io.read_csv(path)
     assert main(["--compare", str(path), str(path)]) == 2
+    # one short row among full ones is named by its file line
+    path.write_text(f"# qbmlab {io.__version__}\nt,a\n0,1\n\n1\n2,3\n")
+    with pytest.raises(ValueError, match=r"twice\.csv: line 5 has 1 fields"):
+        io.read_csv(path)
+    assert main(["--compare", str(path), str(path)]) == 2
 
 
 def test_rewriting_a_cli_artifact_keeps_its_bytes(tmp_path):
@@ -156,6 +161,11 @@ def test_compare_tolerance_gates(tmp_path):
     assert io.compare_runs(a, b, rtol=1e-5).passed
     report = io.compare_runs(a, b)
     assert report.columns[0].max_abs == pytest.approx(1e-7, rel=1e-3)
+    for bad in ({"atol": -1.0}, {"atol": np.nan}, {"rtol": -0.5},
+                {"rtol": np.inf}):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            io.compare_runs(a, a, **bad)
+    assert main(["--compare", str(a), str(a), "--atol", "-1"]) == 2
 
 
 def test_compare_grid_mismatch(tmp_path):
