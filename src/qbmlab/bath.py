@@ -22,11 +22,12 @@ against the same rule with twice the panels.  Its sums
 sum_k c_k cos(w_k tau_j) over the uniform grid are factored: writing
 tau_j = tau_j0 + b h, with j0 the start of a block of B ~ sqrt(n) nodes,
 they are the real parts of one complex matrix product
-(c_k e^{i w_k tau_j0}) (e^{i w_k b h})^T, which costs (n / B + B)
-complex exponentials per frequency node instead of n cosines.  Nodes
-the rule cannot certify to `quad_tol` go through the adaptive
-quadrature, which stays the oracle, and so does every node when the
-rule would need so many frequency nodes that it costs more than that.
+(c_k e^{i w_k tau_j0}) (e^{i w_k b h})^T.  A node is a panel midpoint
+plus a Gauss offset shared by every panel, so the product costs
+(n / B + B) complex exponentials per panel instead of n cosines per
+node.  Nodes the rule cannot certify to `quad_tol` go through the
+adaptive quadrature, which stays the oracle, and so does every node when
+the rule would need so many frequency nodes that it costs more than that.
 The high-temperature closed form of the sharp even part is provided for
 cross-checks.
 
@@ -52,12 +53,12 @@ _EXP_TAIL = 60.0  # e^-60 ~ 1e-26, negligible relative to any epsabs we use
 _GL_POINTS = 32
 _PANEL_PHASE = 60.0
 _THERMAL_REACH = 40.0  # 2w / (e^{2aw} - 1) < 80 e^-80 / a beyond w = 40 / a
-# Coarse plus fine nodes the rule may use: per tau node, and in all.  The
-# rule costs about 0.2 us per omega node at n = 11 tau nodes and 1.8 us
-# at n = 1,001 (1.8 ns per (tau, omega) pair on top of 0.2 us); per-node
-# QUADPACK costs about 2 ms per tau node.  They break even near 1e4 n
-# omega nodes for small n and near 1e6 at n = 1,001, so the rule runs up
-# to min(_NODE_BUDGET_PER_TAU * n, _NODE_BUDGET) nodes.
+# Coarse plus fine nodes the rule may use, min(_NODE_BUDGET_PER_TAU * n,
+# _NODE_BUDGET).  The rule costs about 0.05 us per omega node at n = 11
+# tau nodes and 0.5 us at n = 1,001 (2-vCPU machine), per-node QUADPACK
+# about 2 ms per tau node: they break even near 4e4 n omega nodes for
+# small n and 4e6 at n = 1,001.  The budgets date from 0.2 and 1.8 us per
+# node and are kept on purpose, so every table falls back where it did.
 _NODE_BUDGET_PER_TAU = 10_000
 _NODE_BUDGET = 1_000_000
 _OMEGA_CHUNK = 1024  # omega nodes per product; keeps temporaries near 1 MB
@@ -370,31 +371,40 @@ def high_temperature_closed_form(bath, tau):
 
 
 def _panel_rule(upper, panels):
-    """Nodes and weights of the composite Gauss-Legendre rule on [0, upper]."""
+    """Composite Gauss-Legendre rule on [0, upper]: panel midpoints, Gauss
+    offsets (nodes mid[:, None] + offsets) and weights[panel, offset]."""
     x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
     half = 0.5 * upper / panels
     mid = half * (2.0 * np.arange(panels) + 1.0)
-    return (mid[:, None] + half * x).ravel(), np.tile(half * w, panels)
+    return mid, half * x, np.tile(half * w, (panels, 1))
 
 
-def _cosine_sums(tau, omega, weights):
-    """sum_k weights[k] cos(omega[k] tau[j]) for each node of a uniform grid.
+def _cosine_sums(tau, mid, offsets, weights):
+    """sum_{p,g} weights[p, g] cos((mid[p] + offsets[g]) tau[j]) for each
+    node of a uniform grid.
 
     With blocks of B ~ sqrt(n) nodes, tau[j] = tau[j0] + b h for a block
     start j0 = 0, B, 2B, ... and 0 <= b < B, so every sum is the real part
-    of one entry of (e^{i omega tau[j0]} weights) (e^{i omega b h})^T: a
-    complex matrix product costing (n / B + B) exponentials per omega node
-    in place of n cosines.  The omega axis is taken in chunks of
-    _OMEGA_CHUNK nodes whose products are accumulated.
+    of one entry of (e^{i omega tau[j0]} weights) (e^{i omega b h})^T.
+    With e^{i omega t} = e^{i mid t} e^{i offset t}, the offset factors are
+    taken once and the panel factors per chunk of about _OMEGA_CHUNK nodes,
+    whose products are accumulated: (n / B + B) exponentials per panel in
+    place of n cosines per node.
     """
     block = math.ceil(math.sqrt(tau.size))
     starts = tau[::block]
-    offsets = (tau[1] - tau[0]) * np.arange(block)
+    shifts = (tau[1] - tau[0]) * np.arange(block)
+    start_offset = np.exp(1j * np.outer(starts, offsets))[:, None, :]
+    offset_shift = np.exp(1j * np.outer(offsets, shifts))
+    per_chunk = _OMEGA_CHUNK // offsets.size
     acc = np.zeros((starts.size, block), dtype=complex)
-    for lo in range(0, omega.size, _OMEGA_CHUNK):
-        chunk = slice(lo, lo + _OMEGA_CHUNK)
-        acc += (np.exp(1j * np.outer(starts, omega[chunk])) * weights[chunk]) \
-            @ np.exp(1j * np.outer(omega[chunk], offsets))
+    for lo in range(0, mid.size, per_chunk):
+        chunk = slice(lo, lo + per_chunk)
+        left = np.exp(1j * np.outer(starts, mid[chunk]))[:, :, None] \
+            * start_offset * weights[chunk]
+        right = np.exp(1j * np.outer(mid[chunk], shifts))[:, None, :] \
+            * offset_shift
+        acc += left.reshape(starts.size, -1) @ right.reshape(-1, block)
     return acc.real.ravel()[:tau.size]
 
 
@@ -429,10 +439,12 @@ def _re_table(bath, tau, quad_tol):
         return pref * _cutoff_factor(kind, w / W) * 2.0 * w \
             / np.expm1(2.0 * a * w)
 
-    coarse, w_coarse = _panel_rule(upper, panels)
-    fine, w_fine = _panel_rule(upper, 2 * panels)
-    coarse_sum = _cosine_sums(tau, coarse, w_coarse * integrand(coarse))
-    fine_sum = _cosine_sums(tau, fine, w_fine * integrand(fine))
+    def rule_sum(panels):
+        mid, offsets, weights = _panel_rule(upper, panels)
+        return _cosine_sums(tau, mid, offsets,
+                            weights * integrand(mid[:, None] + offsets))
+
+    coarse_sum, fine_sum = rule_sum(panels), rule_sum(2 * panels)
     value = _zero_temperature(bath, tau)[0] + fine_sum
     err = np.abs(fine_sum - coarse_sum)
     return value, err, quad_tol * np.maximum(scale, np.abs(value))

@@ -81,19 +81,22 @@ def read_csv(path):
             key, _, value = token.partition("=")
             meta[key] = value
         columns = tuple(name.strip() for name in fh.readline().split(","))
-        rows = [(n, line.split(",")) for n, line in enumerate(fh, 3)
+        rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, 3)
                 if line.strip()]
     if not columns or columns == ("",):
         raise ValueError(f"{path}: missing column-name line")
     repeated = sorted({c for c in columns if columns.count(c) > 1})
     if repeated:
         raise ValueError(f"{path}: repeated column name(s) {repeated}")
-    for n, row in rows:
+    values = np.empty((len(rows), len(columns)))
+    for i, (n, row) in enumerate(rows):
         if len(row) != len(columns):
             raise ValueError(f"{path}: line {n} has {len(row)} fields for "
                              f"{len(columns)} columns")
-    values = np.array([[float(v) for v in row] for _, row in rows],
-                      dtype=float).reshape(-1, len(columns))
+        try:
+            values[i] = [float(v) for v in row]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
     data = {c: values[:, j].copy() for j, c in enumerate(columns)}
     return CsvTable(columns=columns, data=data, meta=meta)
 

@@ -30,10 +30,12 @@ from qbmlab.bath import (
     high_temperature_closed_form,
     im_closed_form,
     _DRUDE_SERIES_FROM,
+    _GL_POINTS,
     _OMEGA_CHUNK,
     _correlation_quad,
     _cosine_sums,
     _omega_coth,
+    _panel_rule,
     _re_table,
     _zero_temperature,
 )
@@ -446,7 +448,9 @@ def test_hot_bath_table_stays_on_the_rule():
 # Omega reaches 50 and 800 are those of the sharp and exponential rules
 # on the hpz_audit grid (phases up to 500 and 8,000 rad).  At 8,000 rad
 # float64 rounds the phase itself by ~1e-12, in the direct sum as well;
-# only a sum over many nodes averages that below 1e-13.
+# only a sum over many nodes averages that below 1e-13.  The rule takes
+# whole panels of _GL_POINTS nodes, at least m nodes: one panel, one full
+# chunk of _OMEGA_CHUNK nodes and a ragged last chunk.
 @pytest.mark.parametrize("n", [2, 33, 1001])
 @pytest.mark.parametrize("m,reach", [(5, 50.0), (_OMEGA_CHUNK, 50.0),
                                      (2 * _OMEGA_CHUNK + 77, 50.0),
@@ -454,13 +458,36 @@ def test_hot_bath_table_stays_on_the_rule():
 def test_cosine_sums_match_the_direct_sum(n, m, reach):
     rng = np.random.default_rng(n * m)
     tau = np.linspace(0.0, 10.0, n)
-    omega = np.sort(rng.uniform(0.0, reach, m))
-    w = rng.uniform(-1.0, 1.0, m)
-    direct = np.cos(np.outer(tau, omega)) @ w
-    got = _cosine_sums(tau, omega, w)
+    mid, offsets, _ = _panel_rule(reach, -(-m // _GL_POINTS))
+    w = rng.uniform(-1.0, 1.0, (mid.size, _GL_POINTS))
+    direct = np.cos(np.outer(tau, mid[:, None] + offsets)) @ w.ravel()
+    got = _cosine_sums(tau, mid, offsets, w)
     assert got.shape == (n,)
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(w))
-    assert got.tobytes() == _cosine_sums(tau, omega, w).tobytes()
+    assert got.tobytes() == _cosine_sums(tau, mid, offsets, w).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(CutoffKind))
+def test_table_sums_match_the_direct_sum(kind, monkeypatch):
+    # every sum the hpz_audit table takes, coarse and fine, against the
+    # cosines of its nodes at every 50th tau node
+    import qbmlab.bath as bath_module
+    bath = make_bath(m=1.0, gamma=0.1, Omega=50.0, T=10.0, kind=kind)
+    grid = np.linspace(0.0, 10.0, 1001)
+    calls = []
+
+    def recorded(tau, mid, offsets, weights):
+        got = _cosine_sums(tau, mid, offsets, weights)
+        calls.append((mid[:, None] + offsets, weights, got))
+        return got
+
+    monkeypatch.setattr(bath_module, "_cosine_sums", recorded)
+    _re_table(bath, grid, 1e-8)
+    assert len(calls) == 2
+    for nodes, weights, got in calls:
+        direct = np.cos(np.outer(grid[::50], nodes)) @ weights.ravel()
+        assert np.max(np.abs(got[::50] - direct)) \
+            <= 1e-13 * np.sum(np.abs(weights))
 
 
 def test_table_temporaries_stay_small():

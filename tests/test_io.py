@@ -85,6 +85,17 @@ def test_read_rejects_repeated_column_names(tmp_path):
     assert main(["--compare", str(path), str(path)]) == 2
 
 
+def test_read_names_the_line_of_a_non_numeric_field(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# qbmlab {io.__version__}\nt,a\n0,1\n1,abc\n2,3\n")
+    message = r"bad\.csv: line 4: could not convert string to float: 'abc'$"
+    with pytest.raises(ValueError, match=message):
+        io.read_csv(path)
+    assert main(["--compare", str(path), str(path)]) == 2
+    assert capsys.readouterr().err.endswith("bad.csv: line 4: could not "
+                                            "convert string to float: 'abc'\n")
+
+
 def test_rewriting_a_cli_artifact_keeps_its_bytes(tmp_path):
     # the header's version token is the writer's; the tool_version entry
     # that read_csv puts in meta is not written back as a key
