@@ -14,11 +14,11 @@ function splits into even and odd parts,
 
 `eval_correlation` evaluates both at one tau by adaptive quadrature with
 oscillatory weight functions (QUADPACK).  Tabulated kernels take every
-tau at once: the zero-temperature kernel hbar int J(w) e^{-i w tau} dw
-in closed form (`_zero_temperature`), which is all of D_im, plus the
-thermal part of D_re, the cosine transform of 2 hbar J(w) / (e^{2aw} - 1)
-with a = hbar / 2 kB T, by a composite Gauss-Legendre rule checked
-against the same rule with twice the panels.  Its sums
+tau at once: one closed-form zero-temperature kernel
+hbar int J(w) e^{-i w tau} dw (`_zero_temperature`) gives D_im and D_re
+at T = 0, and `_re_table` the thermal part of D_re, the cosine transform
+of 2 hbar J(w) / (e^{2aw} - 1) with a = hbar / 2 kB T, by a composite
+Gauss-Legendre rule checked against twice the panels.  Its sums
 sum_k c_k cos(w_k tau_j) over the uniform grid are factored: writing
 tau_j = tau_j0 + b h, with j0 the start of a block of B ~ sqrt(n) nodes,
 they are the real parts of one complex matrix product
@@ -35,6 +35,7 @@ Conventions: tau may be any real number; D_re is even and D_im is odd in
 tau, and tabulated kernels store tau >= 0 only.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -51,6 +52,8 @@ _EXP_TAIL = 60.0  # e^-60 ~ 1e-26, negligible relative to any epsabs we use
 # no wider than pi/a stay a factor 2 from the poles of w coth(aw) at
 # i pi k / a (and of the Drude profile at i Omega).
 _GL_POINTS = 32
+_gauss_legendre = functools.cache(  # x, w on [-1, 1], at first use
+    lambda: np.polynomial.legendre.leggauss(_GL_POINTS))
 _PANEL_PHASE = 60.0
 _THERMAL_REACH = 40.0  # 2w / (e^{2aw} - 1) < 80 e^-80 / a beyond w = 40 / a
 # Coarse plus fine nodes the rule may use, min(_NODE_BUDGET_PER_TAU * n,
@@ -167,20 +170,12 @@ def eval_spectral_density(spectral, omega):
 
 
 def _omega_coth(omega, a):
-    """omega * coth(a * omega), analytic through omega = 0.
-
-    Uses the Laurent series x coth x = 1 + x^2/3 - x^4/45 + ... for
-    |a*omega| < 1e-4, which keeps the quantum/classical crossover smooth
-    and avoids the 0/0 at the origin.
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    x = a * omega
-    out = np.empty_like(omega)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = (1.0 + xs * xs / 3.0 - xs ** 4 / 45.0) / a
-    out[~small] = omega[~small] / np.tanh(x[~small])
-    return out if out.shape != (1,) else float(out[0])
+    """omega * coth(a * omega) as omega / tanh(a * omega), exact to rounding
+    wherever a * omega is nonzero, and its limit 1 / a where it is 0."""
+    x = a * np.asarray(omega, dtype=float)
+    out = np.divide(omega, np.tanh(x), out=np.full(x.shape, 1.0 / a),
+                    where=x != 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _quad_checked(func, cuts, *, what, epsabs, epsrel, scale, **kwargs):
@@ -277,6 +272,8 @@ def eval_correlation(bath, tau, quad_tol=1e-8):
     -------
     complex
     """
+    if not 0.0 < quad_tol < math.inf:
+        raise ValueError("quad_tol must be finite and strictly positive")
     tau = float(tau)
     if tau == 0.0 and bath.spectral.cutoff_kind is CutoffKind.DRUDE:
         warnings.warn(_DRUDE_DIVERGENCE, ValidityWarning, stacklevel=2)
@@ -373,7 +370,7 @@ def high_temperature_closed_form(bath, tau):
 def _panel_rule(upper, panels):
     """Composite Gauss-Legendre rule on [0, upper]: panel midpoints, Gauss
     offsets (nodes mid[:, None] + offsets) and weights[panel, offset]."""
-    x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
+    x, w = _gauss_legendre()
     half = 0.5 * upper / panels
     mid = half * (2.0 * np.arange(panels) + 1.0)
     return mid, half * x, np.tile(half * w, (panels, 1))
@@ -408,21 +405,19 @@ def _cosine_sums(tau, mid, offsets, weights):
     return acc.real.ravel()[:tau.size]
 
 
-def _re_table(bath, tau, quad_tol):
-    """Even part on tau >= 0: the T = 0 closed form plus a panel rule on
-    the thermal part up to min(_THERMAL_REACH / a, the cutoff's reach).
+def _re_table(bath, tau):
+    """Thermal part of D_re on tau >= 0: a panel rule on 2 hbar J(w) /
+    (e^{2aw} - 1) up to min(_THERMAL_REACH / a, the cutoff's reach).
 
-    Returns (value, error estimate, target) per node.  The estimate is
-    the change from the rule with half the panels; the target is
-    QUADPACK's, max(quad_tol * scale, quad_tol * |value|).  Every node
-    carries NaN when the rule would exceed its node budget.
+    Returns (value, error estimate) per node, the estimate being the
+    change from the rule with half the panels.  Every node carries NaN
+    when the rule would exceed its node budget.
     """
     sd = bath.spectral
     a = bath.thermal_time
     pref = 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi
     kind = sd.cutoff_kind
     W = sd.Omega
-    scale = pref * W * _omega_coth(W, a)
 
     upper = min(_THERMAL_REACH / a, _REACH[kind] * W)
     width = min(np.pi / a, W) if kind is CutoffKind.DRUDE else np.pi / a
@@ -432,8 +427,7 @@ def _re_table(bath, tau, quad_tol):
     panels = math.ceil(upper / width)
     if 3 * _GL_POINTS * panels > min(_NODE_BUDGET_PER_TAU * tau.size,
                                      _NODE_BUDGET):
-        uncovered = np.full(tau.shape, np.nan)
-        return uncovered, uncovered, uncovered
+        return np.full((2, tau.size), np.nan)  # (value, estimate) rows
 
     def integrand(w):
         return pref * _cutoff_factor(kind, w / W) * 2.0 * w \
@@ -445,9 +439,7 @@ def _re_table(bath, tau, quad_tol):
                             weights * integrand(mid[:, None] + offsets))
 
     coarse_sum, fine_sum = rule_sum(panels), rule_sum(2 * panels)
-    value = _zero_temperature(bath, tau)[0] + fine_sum
-    err = np.abs(fine_sum - coarse_sum)
-    return value, err, quad_tol * np.maximum(scale, np.abs(value))
+    return fine_sum, np.abs(fine_sum - coarse_sum)
 
 
 def delta_limit_strength(bath):
@@ -473,7 +465,7 @@ def interp_table(grid, t, columns):
     """Columns sampled on `grid`, linearly interpolated at times t."""
     t = np.asarray(t, dtype=float)
     span = float(grid[-1])
-    if np.any(t < -1e-15) or np.any(t > span * (1.0 + 1e-12) + 1e-15):
+    if not (np.all(t >= -1e-15) and np.all(t <= span * (1.0 + 1e-12) + 1e-15)):
         raise ValueError(f"t outside tabulated range [0, {span:g}]")
     return [np.interp(t, grid, col) for col in columns]
 
@@ -515,20 +507,28 @@ class CorrelationKernel:
     def from_bath(cls, bath, grid, quad_tol=1e-8):
         """Tabulate D on `grid` (uniform, starting at 0).
 
-        D_im is `im_closed_form`; D_re comes from `_re_table`, and every
-        node the rule leaves uncertified goes through the adaptive
-        quadrature of `eval_correlation`.  `health` records the node
-        count, the number of such fallbacks and the worst error
+        One `_zero_temperature` call gives D_im and D_re at T = 0, and
+        D_re adds `_re_table`.  A node whose rule error exceeds QUADPACK's
+        target max(quad_tol * scale, quad_tol * |D_re|) goes through the
+        adaptive quadrature of `eval_correlation`.  `health` records the
+        node count, the number of such fallbacks and the worst error
         estimate over its target among the nodes the rule kept.
         """
+        if not 0.0 < quad_tol < math.inf:
+            raise ValueError("quad_tol must be finite and strictly positive")
         grid = _checked_grid(grid)
-        re, err, target = _re_table(bath, grid, quad_tol)
-        if bath.spectral.cutoff_kind is CutoffKind.DRUDE:
+        zero_re, im = _zero_temperature(bath, grid)
+        thermal, err = _re_table(bath, grid)
+        re = zero_re + thermal
+        sd = bath.spectral  # QUADPACK's scale, as in _correlation_quad
+        scale = 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi \
+            * sd.Omega * _omega_coth(sd.Omega, bath.thermal_time)
+        target = quad_tol * np.maximum(scale, np.abs(re))
+        if sd.cutoff_kind is CutoffKind.DRUDE:
             warnings.warn(_DRUDE_DIVERGENCE, ValidityWarning, stacklevel=2)
         fallback = ~(err <= target) | ~np.isfinite(re)
         for i in np.flatnonzero(fallback):
             re[i] = _correlation_quad(bath, float(grid[i]), quad_tol, "re")
-        im = im_closed_form(bath, grid)
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
             raise QuadratureError("kernel table has non-finite values")
         kept = ~fallback

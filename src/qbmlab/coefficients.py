@@ -63,8 +63,8 @@ class OscillatorKernels:
     omega_S: float
 
     def __post_init__(self):
-        if self.omega_S < 0.0:
-            raise ValueError("omega_S must be non-negative")
+        if not 0.0 <= self.omega_S < np.inf:
+            raise ValueError("omega_S must be finite and non-negative")
 
     def c(self, tau):
         """cos(omega_S tau)."""

@@ -292,6 +292,8 @@ def step_plan(t_span, dt, store_every):
         raise ValueError("t_span must satisfy t1 > t0")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    if not dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     if not isinstance(store_every, numbers.Integral):
         raise ValueError("store_every must be an integer")
     if store_every < 1:

@@ -4,13 +4,13 @@ This module exists to cross-check the Gaussian moment maps in
 :mod:`qbmlab.dynamics` against direct density-matrix integration in a
 truncated number basis.  Both derive from the spec's generator (G, a),
 here in the Lindblad form K rho + rho K^dag + sum_jk a_jk F_j rho F_k.
-It is deliberately simple: dense operators built from q and p, the RK4
-step of the moment ODE, explicit monitors for trace drift and truncation
-leakage.  Since q and p are tridiagonal in the number basis, the
-right-hand side couples rho[m, n] only to rho[m + dl, n + dr] at nine
-offsets.  It is applied as that stencil, read off the bands of the dense
-operators of each of the generator's `units` and weighted by its
-`params`, as the moment ODE and the CP audit read it.  Matrix elements
+Since q and p are tridiagonal in the number basis, that right-hand side
+couples rho[m, n] only to rho[m + dl, n + dr] at nine offsets, and it is
+applied as that stencil: its coefficients are read off the bands of the
+dense operators of each of the generator's `units` and weighted by its
+`params`, as the moment ODE and the CP audit read it.  States step with
+the RK4 step of the moment ODE, under monitors for trace drift and
+truncation leakage.  Matrix elements
 use the oscillator length of the system frequency as the basis scale.
 States are read out through `dynamics.OBSERVABLES` and
 `dynamics.central_moments`, as the unraveling reads its packets.

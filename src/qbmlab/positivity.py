@@ -79,7 +79,7 @@ def rank_one_factor(a):
 
 def check_noise_realizable(d, s):
     """Raise ValueError unless E[dW conj(dW)] = d dt, E[dW dW] = s dt exist."""
-    if abs(s) > d * (1.0 + _CP_TOL):
+    if not abs(s) <= d * (1.0 + _CP_TOL):  # NaN fails too
         raise ValueError(f"|S_scalar| = {abs(s):g} must be <= the noise "
                          f"rate D = {d:g}")
 

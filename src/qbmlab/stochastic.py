@@ -91,6 +91,8 @@ class NoiseSpec:
                 raise ValueError("S must be (n, n)")
             if np.max(np.abs(self.S - self.S.T)) > 1e-10 * scale:
                 raise ValueError("S must be symmetric")
+        if not (np.all(np.isfinite(self.D)) and np.all(np.isfinite(self.S))):
+            raise ValueError("D and S must be finite")
 
     @classmethod
     def from_kernel(cls, kernel, grid, S=None):

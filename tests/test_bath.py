@@ -91,6 +91,13 @@ def test_parameter_validation():
         ThermalBathSpec(SpectralDensity(1.0, 1.0, 1.0), T=-2.0)
     with pytest.raises(ValueError):
         PhysicalConstants(hbar=0.0)
+    bath = make_bath()
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="quad_tol must be finite"):
+            CorrelationKernel.from_bath(bath, np.linspace(0.0, 1.0, 5),
+                                        quad_tol=bad)
+        with pytest.raises(ValueError, match="quad_tol must be finite"):
+            eval_correlation(bath, 0.5, quad_tol=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -264,17 +271,21 @@ def test_quad_tol_tightening_is_consistent():
 # -------------------------------------------------------- coth evaluation
 
 def test_omega_coth_series_joins_generic_branch():
+    # omega / tanh(a omega) against x coth x = 1 + x^2/3 - x^4/45 + ...,
+    # whose next term is below rounding for x < 1e-3
     a = 0.5
-    for x in (0.9e-4, 1.1e-4):
-        w = x / a
-        exact = w / np.tanh(x)
-        assert _omega_coth(w, a) == pytest.approx(exact, rel=1e-12)
+    for x in (1e-200, 1e-8, 0.9e-4, 1.1e-4, 1e-3):
+        series = (1.0 + x * x / 3.0 - x ** 4 / 45.0) / a
+        assert _omega_coth(x / a, a) == pytest.approx(series, rel=1e-15)
 
 
 def test_omega_coth_limits():
     # w -> 0 gives 2 kB T / hbar = 1/a; large w gives w itself
     assert _omega_coth(0.0, 0.25) == pytest.approx(4.0, rel=1e-12)
     assert _omega_coth(100.0, 1.0) == pytest.approx(100.0, rel=1e-12)
+    # a * omega = 0 takes the limit; the smallest nonzero is still exact
+    tiny = _omega_coth(np.array([0.0, 1e-300, 5e-324]), 0.25)
+    assert np.array_equal(tiny, [4.0, 4.0, 4.0])
 
 
 @given(T=st.floats(0.5, 50.0), omega=st.floats(1e-6, 30.0))
@@ -340,6 +351,8 @@ def test_kernel_grid_validation():
     k = CorrelationKernel.from_samples(good, vals, np.zeros(11))
     with pytest.raises(ValueError, match="outside tabulated range"):
         k.at(1.5)
+    with pytest.raises(ValueError, match="outside tabulated range"):
+        k.at(np.array([0.5, np.nan]))
 
 
 def test_kernel_owns_copies_of_its_samples():
@@ -482,12 +495,39 @@ def test_table_sums_match_the_direct_sum(kind, monkeypatch):
         return got
 
     monkeypatch.setattr(bath_module, "_cosine_sums", recorded)
-    _re_table(bath, grid, 1e-8)
+    _re_table(bath, grid)
     assert len(calls) == 2
     for nodes, weights, got in calls:
         direct = np.cos(np.outer(grid[::50], nodes)) @ weights.ravel()
         assert np.max(np.abs(got[::50] - direct)) \
             <= 1e-13 * np.sum(np.abs(weights))
+
+
+def test_table_takes_each_piece_of_work_once(monkeypatch):
+    # one closed-form T = 0 pass gives D_im and D_re(T = 0), and the
+    # Gauss-Legendre nodes are computed once per process
+    import qbmlab.bath as bath_module
+    calls = {"zero": 0, "leggauss": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(bath_module, "_zero_temperature",
+                        counted("zero", _zero_temperature))
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        counted("leggauss", np.polynomial.legendre.leggauss))
+    bath = make_bath(Omega=10.0, T=1.0, kind=CutoffKind.DRUDE)
+    grid = np.linspace(0.0, 2.0, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        k = CorrelationKernel.from_bath(bath, grid)
+        assert calls["zero"] == 1
+        CorrelationKernel.from_bath(bath, grid)
+    assert k.health["quad_fallbacks"] == 0
+    assert calls["leggauss"] <= 1
 
 
 def test_table_temporaries_stay_small():
@@ -497,7 +537,7 @@ def test_table_temporaries_stay_small():
     grid = np.linspace(0.0, 10.0, 1001)
     tracemalloc.start()
     try:
-        _re_table(bath, grid, 1e-8)
+        _re_table(bath, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -593,8 +633,9 @@ def test_table_leaks_no_runtime_warning(kind, T, gamma):
 
 def test_non_finite_table_is_a_quadrature_error(monkeypatch):
     import qbmlab.bath as bath_module
-    monkeypatch.setattr(bath_module, "im_closed_form",
-                        lambda bath, tau: np.full(np.shape(tau), np.nan))
+    monkeypatch.setattr(bath_module, "_zero_temperature",
+                        lambda bath, tau: (_zero_temperature(bath, tau)[0],
+                                           np.full(np.shape(tau), np.nan)))
     with pytest.raises(QuadratureError, match="non-finite"):
         CorrelationKernel.from_bath(make_bath(), np.linspace(0.0, 1.0, 5))
 

@@ -385,8 +385,10 @@ def test_non_finite_kernel_exits_as_numerical_failure(tmp_path,
     path = _write(tmp_path, payload, "overflow.json")
     assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 3
 
-    monkeypatch.setattr(bath, "im_closed_form",
-                        lambda spec, tau: np.full(np.shape(tau), np.inf))
+    zero_temperature = bath._zero_temperature
+    monkeypatch.setattr(bath, "_zero_temperature",
+                        lambda spec, tau: (zero_temperature(spec, tau)[0],
+                                           np.full(np.shape(tau), np.inf)))
     payload["bath"]["Omega"] = 20.0
     path = _write(tmp_path, payload, "inf.json")
     assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 3

@@ -67,8 +67,9 @@ def test_oscillator_kernels_free_particle_limit():
     k = OscillatorKernels(0.0)
     assert k.c(5.0) == 1.0
     assert k.c_tilde(5.0) == 5.0
-    with pytest.raises(ValueError):
-        OscillatorKernels(-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="omega_S must be finite"):
+            OscillatorKernels(bad)
 
 
 # --------------------------------------------------- dressed kernel basics

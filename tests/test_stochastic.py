@@ -98,6 +98,11 @@ def test_noise_spec_validation():
                   S=np.array([[0.0, 0.3], [-0.3, 0.0]]))
     with pytest.raises(ValueError, match=r"\(n, n\)"):
         NoiseSpec(grid=grid, D=np.eye(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="D and S must be finite"):
+            NoiseSpec(grid=grid, D=np.array([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(ValueError, match="D and S must be finite"):
+            NoiseSpec(grid=grid, D=np.eye(2), S=np.diag([bad, 0.0]))
 
 
 def test_empirical_moments_need_two_samples():
@@ -114,8 +119,9 @@ def _spec(variant, gamma, T, mu=None):
 def test_config_validation():
     # D = 4 m gamma kB T / hbar^2 = 1
     kw = dict(spec=_spec("ccl", 0.25, 1.0), dt=1e-2, n_traj=10, seed=1)
-    with pytest.raises(ValueError, match="S_scalar"):
-        SSEConfig(S_scalar=1.5, **kw)
+    for bad in (1.5, float("nan")):
+        with pytest.raises(ValueError, match="S_scalar"):
+            SSEConfig(S_scalar=bad, **kw)
     # CL has no Lindblad form, HPZ no constant generator
     with pytest.raises(ValueError, match="positive semidefinite"):
         SSEConfig(**{**kw, "spec": _spec("cl", 0.25, 1.0)})
@@ -340,6 +346,8 @@ def _step_plan_runs():
      "span / dt gives 1e+15 steps, more than a step plan can index"),
     ((0.0, 1.0), 1e-300, 1,
      "span / dt gives 1e+300 steps, more than a step plan can index"),
+    # a step no span can hold
+    ((0.0, 1.0), float("inf"), 1, "dt must be positive and finite"),
 ])
 def test_propagators_reject_the_same_step_plans(t_span, dt, store_every,
                                                 message):
