@@ -105,8 +105,8 @@ def thermal_state_moments(system, T, constants=PhysicalConstants(),
     times coth(hbar omega_S / 2 kB T)."""
     if system.omega_S <= 0.0:
         raise ValueError("thermal state needs omega_S > 0")
-    if T <= 0.0:
-        raise ValueError("temperature T must be strictly positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError("temperature T must be finite and > 0")
     hbar, kb = constants.hbar, constants.k_B
     row = ground_state_moments(system, constants, mean_q, mean_p)
     row[2:4] *= 1.0 / math.tanh(hbar * system.omega_S / (2.0 * kb * T))
@@ -116,13 +116,17 @@ def thermal_state_moments(system, T, constants=PhysicalConstants(),
 def squeezed_state_moments(system, r, constants=PhysicalConstants(),
                            mean_q=0.0, mean_p=0.0):
     """Position-squeezed (r > 0) ground row: s_qq e^{-2r}, s_pp e^{2r}."""
+    if not abs(r) <= 354.0:  # where e^{2|r|} is still a finite float
+        raise ValueError("squeeze parameter r must be finite with |r| <= 354")
     row = ground_state_moments(system, constants, mean_q, mean_p)
     row[2:4] *= (math.exp(-2.0 * r), math.exp(2.0 * r))
     return row
 
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_MAP_BLOCK = 512  # RK4 maps built and composed at once; bounds the memory
+# RK4 maps built and composed at once: bounds the memory, and sizes the
+# workspace that `_step_maps` reuses for every block of a run
+_MAP_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -192,12 +196,13 @@ class QuadraticGenerator:
         out[:, 2:5, 5] = B[:, (0, 1, 0), (0, 1, 1)]  # qq, pp, qp
         return out.reshape(-1, 36)
 
-    def moment_matrix(self, t):
+    def moment_matrix(self, t, out=None):
         """[[M, c], [0, 0]] at times t: (y, 1) -> (M y + c, 0) on the
-        moments y, ordered as `MOMENTS`.
+        moments y, ordered as `MOMENTS`.  With `out`, a float array of
+        shape t.shape + (36,), the flattened matrices are written into it.
         """
-        return (self.params(t) @ self._unit_matrices).reshape(
-            np.shape(t) + (6, 6))
+        return np.matmul(self.params(t), self._unit_matrices,
+                         out=out).reshape(np.shape(t) + (6, 6))
 
 
 def _hermitian(xx, xy, yy):
@@ -369,28 +374,55 @@ class MomentTrajectory:
 
 
 def _step_maps(gen, t0, h):
-    """maps(lo, hi): the RK4 maps of steps lo..hi-1, shape (hi - lo, 6, 6)."""
+    """maps(lo, hi): the RK4 maps of steps lo..hi-1, shape (hi - lo, 6, 6).
+
+    Each call does what `rk4_step` does from y = I, operation for
+    operation, in one workspace that is allocated for the longest span
+    asked for and reused, so the array returned is overwritten by the
+    next call: a caller keeps nothing of it across calls.  A constant
+    generator's one map is copied out of the workspace.
+    """
+    eye = np.eye(6)
+    work = []  # the stage matrices, then y, acc and k, (n, 6, 6) each
+
     def maps(lo, hi):
-        w, n = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi)), hi - lo
-        # rk4_step evaluates stage 0 only at y = I: that stage is W0 itself
-        return rk4_step(lambda s, y: w[s:s + 2 * n:2] @ y if s
-                        else w[:2 * n:2], np.eye(6), h)
+        n = hi - lo
+        if not work or len(work[1]) < n:
+            work[:] = [np.empty((2 * n + 1, 36)),
+                       *(np.empty((n, 6, 6)) for _ in range(3))]
+        w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi),
+                              out=work[0][:2 * n + 1])
+        # rk4_step's operations in its order; stage 0 is evaluated only at
+        # y = I, so k1 is W0 itself, and acc holds k2, then the sum of the k
+        k1, w1, w2 = w[:2 * n:2], w[1:2 * n:2], w[2::2]
+        y, acc, k = (b[:n] for b in work[1:])
+        np.add(eye, np.multiply(k1, 0.5 * h, out=y), out=y)   # I + (h/2) k1
+        np.matmul(w1, y, out=acc)                             # k2
+        np.add(eye, np.multiply(acc, 0.5 * h, out=y), out=y)  # I + (h/2) k2
+        np.matmul(w1, y, out=k)                               # k3
+        np.add(k1, np.multiply(acc, 2.0, out=acc), out=acc)   # k1 + 2 k2
+        np.add(eye, np.multiply(k, h, out=y), out=y)          # I + h k3
+        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)      # + 2 k3
+        np.add(acc, np.matmul(w2, y, out=k), out=acc)         # + k4
+        return np.add(eye, np.multiply(acc, h / 6.0, out=acc), out=acc)
     if gen.grid is not None:
         return maps
-    step = maps(0, 1)[0]  # a constant generator has one map
+    step = maps(0, 1)[0].copy()  # a constant generator has one map
     return lambda lo, hi: np.broadcast_to(step, (hi - lo, 6, 6))
 
 
 def _compose(maps):
     """Product of maps (..., n, 6, 6) along axis -3, later maps on the
-    left, by one fixed pairwise tree: log2(n) batched matmuls.
+    left, by one fixed pairwise tree: log2(n) batched matmuls.  The
+    result is an array of its own, never a view of `maps`, which may be
+    the reused workspace of `_step_maps`.
     """
     while maps.shape[-3] > 1:
         pairs = maps[..., 1::2, :, :] @ maps[..., :-1:2, :, :]
         if maps.shape[-3] % 2:
             pairs = np.concatenate([pairs, maps[..., -1:, :, :]], axis=-3)
         maps = pairs
-    return maps[..., 0, :, :]
+    return maps[..., 0, :, :].copy()
 
 
 def _composite(maps, lo, hi):

@@ -16,6 +16,7 @@ States are read out through `dynamics.OBSERVABLES` and
 `dynamics.central_moments`, as the unraveling reads its packets.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -86,8 +87,8 @@ def squeezed_state(dim, r, alpha=0.0):
 
 def thermal_density(dim, nbar):
     """Thermal density matrix with mean occupation nbar."""
-    if nbar < 0.0:
-        raise ValueError("nbar must be non-negative")
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError("nbar must be finite and non-negative")
     if nbar == 0.0:
         w = np.zeros(dim)
         w[0] = 1.0

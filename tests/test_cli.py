@@ -429,6 +429,12 @@ def test_step_count_beyond_a_float_exits_2(tmp_path, capsys):
     path = _write(tmp_path, payload, "endless.json")
     assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     assert "span / dt must be finite" in capsys.readouterr().err
+    # e^{2 r} of a squeezed state beyond a float is bad input too
+    payload = json.loads((SCENARIOS / "cl_regime.json").read_text())
+    payload["state"] = {"kind": "squeezed", "r": 400}
+    path = _write(tmp_path, payload, "oversqueezed.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "squeeze parameter r" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

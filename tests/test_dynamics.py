@@ -7,6 +7,7 @@ right-hand side.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -106,6 +107,12 @@ def test_specs_reject_non_finite_parameters(bad):
     with pytest.raises(ValueError, match="finite mu"):
         MasterEquationSpec(variant="qp", system=SYS, gamma=0.1, T=1.0,
                            mu=bad)
+    with pytest.raises(ValueError, match="temperature T"):
+        thermal_state_moments(SYS, bad)
+    # e^{2|r|} overflows a float beyond |r| = 354
+    for r in (bad, 400.0, -400.0):
+        with pytest.raises(ValueError, match="squeeze parameter r"):
+            squeezed_state_moments(SYS, r)
 
 
 # --------------------------------------------------------------- unitary
@@ -506,6 +513,42 @@ def test_step_maps_are_rk4_on_the_identity(generator, hpz_audit_spec):
     w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi))
     ref = rk4_step(lambda s, y: w[s:s + 2 * (hi - lo):2] @ y, np.eye(6), h)
     assert np.array_equal(dynamics._step_maps(gen, t0, h)(lo, hi), ref)
+
+
+def test_step_map_blocks_reuse_one_workspace(hpz_audit_spec):
+    # after the first block, a block allocates its stage times and
+    # weights, not its (_MAP_BLOCK, 6, 6) RK4 temporaries
+    n = dynamics._MAP_BLOCK
+    maps = dynamics._step_maps(hpz_audit_spec.generator, 0.0, 1e-3)
+    maps(0, n)
+    tracemalloc.start()
+    try:
+        maps(n, 2 * n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 6 * 6 * 8
+
+
+def test_replays_leave_the_rest_of_a_block_alone(monkeypatch,
+                                                 hpz_audit_spec):
+    # a replay builds step maps again; the composites of its block not
+    # yet used (one map each at store_every 1) must not change with them
+    compose, spoiled = dynamics._compose, []
+
+    def spoil_one(maps):
+        out = compose(maps)
+        if out.ndim == 3 and not spoiled:  # the first block's composites
+            out[5] = np.nan
+            spoiled.append(5)
+        return out
+    monkeypatch.setattr(dynamics, "_compose", spoil_one)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnstableGeneratorWarning)
+        tr = integrate_moments(hpz_audit_spec, STATE, (0.0, 2.5), 1e-3, 1)
+    assert spoiled
+    _assert_close_per_column(
+        tr.data, _step_by_step(hpz_audit_spec, STATE, (0.0, 2.5), 1e-3, 1))
 
 
 def test_non_finite_composites_fall_back_to_the_steps(monkeypatch):

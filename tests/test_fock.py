@@ -269,5 +269,6 @@ def test_fock_propagate_api():
     assert np.trace(ftr.rho_final).real == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         fock.fock_propagate(spec, np.zeros((3, 4)), (0.0, 1.0), 1e-3)
-    with pytest.raises(ValueError):
-        fock.thermal_density(10, -0.5)
+    for nbar in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nbar"):
+            fock.thermal_density(10, nbar)
