@@ -470,6 +470,14 @@ def interp_table(grid, t, columns):
     return [np.interp(t, grid, col) for col in columns]
 
 
+def _lag_table(re_d, lo):
+    """R + i(L - L^T): the complex table of `CorrelationKernel.lag_factors`."""
+    table = np.empty(re_d.shape, dtype=complex)
+    table.real = re_d
+    np.subtract(lo, lo.T, out=table.imag)
+    return table
+
+
 @dataclass
 class CorrelationKernel:
     """Correlation function tabulated on a uniform grid of tau >= 0.
@@ -560,13 +568,23 @@ class CorrelationKernel:
         out = re + 1j * (np.sign(tau) * im)
         return complex(out) if out.ndim == 0 else out
 
+    def lag_factors(self):
+        """The two real Toeplitz factors of D(t_i - t_j) on this grid,
+        read exactly from node |i - j|: R[i, j] = D_re(|t_i - t_j|), and
+        L[i, j] = D_im(t_i - t_j) for i >= j, zero above the diagonal.
+        The one two-time layout of D; `lag_table` is R + i(L - L^T)."""
+        n = self.grid.size
+
+        def toeplitz(by_lag):  # entries at lags -(n - 1)..n - 1
+            return np.lib.stride_tricks.sliding_window_view(
+                by_lag, n)[:, ::-1].copy()
+        return (toeplitz(np.r_[self.re_values[:0:-1], self.re_values]),
+                toeplitz(np.r_[np.zeros(n - 1), self.im_values]))
+
     def lag_table(self):
         """`at` at t_i - t_j on this grid, read exactly from node |i - j|
-        (conjugated above the diagonal): the one two-time layout of D."""
-        d = self.re_values + 1j * self.im_values
-        by_lag = np.r_[np.conj(d[:0:-1]), d]  # lags -(N - 1)..N - 1
-        return np.lib.stride_tricks.sliding_window_view(
-            by_lag, d.size)[:, ::-1].copy()
+        (conjugated above the diagonal), assembled from `lag_factors`."""
+        return _lag_table(*self.lag_factors())
 
     def scaled(self, factor):
         """Kernel with all values multiplied by `factor`.

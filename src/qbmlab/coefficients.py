@@ -29,11 +29,16 @@ along that row of X weighted by the real C and C~, and conj(X) c^T =
 (i hbar / m) conj(U).  With W o U = P + iQ (so W o conj(U) = P - iQ, W
 being real), D = R + i(L + V) and Dbar = R + i(L - V) (R even, L and V
 the odd part below and above the diagonal), an order is 2 (i hbar / m)
-[(P R + Q V) + i P L], three real O(N^3) products.  D is the kernel's
-`lag_table` (node lags i - j, not interpolated); R is its real part, L
-and V its imaginary part below and above the diagonal.
-The windowing splits C(t - s) and C~(t - s) by the addition formulas.
-Both run over blocks of table rows.
+[(P R + Q V) + i P L], three real O(N^3) products.  R and L are the
+kernel's `lag_factors`, the two real Toeplitz factors of D at the node
+lags i - j (not interpolated), and V = -L^T is read as a transposed view
+of L.  Row i of an order reads only row i of the order before, so one
+block of table rows goes through every order before the next block
+starts, each order added straight into the one N x N table: besides that
+table only R and L (one complex table's worth) and one block's reused
+workspace are held, about 2.7 tables at N = 1001 and order 3.
+The windowing splits C(t - s) and C~(t - s) by the addition formulas,
+also over blocks of table rows.
 
 Coefficient sign conventions (fixed here once and used consistently by
 the dynamics and positivity modules):
@@ -46,11 +51,13 @@ the dynamics and positivity modules):
 The sign of Upsilon is the one convention in the literature that varies.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import CorrelationKernel, NumericalFailure, _checked_grid
+from .bath import (CorrelationKernel, NumericalFailure, _checked_grid,
+                   _lag_table)
 
 MAX_CHEAP_ORDER = 3  # each extra order costs another O(N^3) sweep
 _ROW_BLOCK = 128  # table rows per block of weighted products
@@ -81,7 +88,10 @@ class DressedKernel:
     """Back-action-corrected kernel DD(t, s) on a uniform grid.
 
     At order 1 the kernel is stationary (a function of t - s only), so
-    `table` is None and `values` is the base kernel's `lag_table`.
+    `table` is None and `values` is the base kernel's `lag_table`.  At
+    orders 2 and 3 `table` is the one (N, N) complex table the dressing
+    holds: it starts as the bare kernel's rows and each block of rows
+    gathers every order's term before the next block is dressed.
     """
 
     base: CorrelationKernel
@@ -108,11 +118,16 @@ def _trapezoid_weights(start, stop, h):
     return h * ((nodes <= i) - 0.5 * (nodes == 0) - 0.5 * (nodes == i))
 
 
-def _exclusive_cumsum(y):
+def _exclusive_cumsum(y, out):
     """Sum along each row of y over the columns before each column."""
-    out = np.zeros_like(y)
+    out[:, 0] = 0.0
     np.cumsum(y[:, :-1], axis=1, out=out[:, 1:])
     return out
+
+
+def _shaped(buf, *shape):
+    """The first entries of a flat buffer as a C-contiguous array."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
@@ -132,30 +147,49 @@ def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
     if order == 1:
         return DressedKernel(base=base, order=1, grid=grid, table=None)
 
-    prev = base.lag_table()    # D(t - s) = R + i(L + V)
-    re_d, lo, up = prev.real.copy(), np.tril(prev.imag), np.triu(prev.imag, 1)
+    re_d, lo = base.lag_factors()  # D = R + i(L + V) with V = -L^T
+    total = _lag_table(re_d, lo)
     cos_t, sin_t = kernels.c(grid), kernels.c_tilde(grid)
-    h = base.spacing
+    h, size = base.spacing, grid.size
     # an order is linear in the one before, so with -i hbar / m in place
     # of i hbar / m each cur is the signed term (-1)^(n-1) D^(n)
     k = 2.0 * hbar / m
-    total = prev.copy()
-    for n in range(2, order + 1):
-        cur = np.zeros_like(total)
-        for start in range(0, grid.size, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, grid.size)
-            w = _trapezoid_weights(start, stop, h)
-            x = w * prev[start:stop, :stop]
+    # row i of an order reads only row i of the order before, so a block
+    # of rows runs through every order before the next block starts,
+    # adding each cur to its rows of total; the block's temporaries live
+    # in four flat buffers that every block and order reuse
+    work = [np.empty(_ROW_BLOCK * size, dtype=complex) for _ in range(4)]
+    for start in range(0, size, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, size)
+        w = _trapezoid_weights(start, stop, h)
+        nb = stop - start
+        rows, cur = total[start:stop], _shaped(work[0], nb, size)
+        x, y, u = (_shaped(buf, nb, stop) for buf in work[1:])
+        # read as reals once spent: x holds p and q, y P R and Q L^T, u P L
+        p, q = _shaped(work[1].view(float), 2, nb, stop)
+        pr, ql = _shaped(work[2].view(float), 2, nb, size)
+        pl = _shaped(work[3].view(float), nb, stop)
+        cur.real[:, stop:] = 0.0  # p L vanishes past column i of row i
+        prev = rows[:, :stop]
+        for _ in range(2, order + 1):
+            np.multiply(w, prev, out=x)
             # X c^T = (i hbar / m) u: u[:, b] sums x[:, a] [C~(t_a) C(t_b)
             # - C(t_a) C~(t_b)] over the nodes a < b
-            u = cos_t[:stop] * _exclusive_cumsum(x * sin_t[:stop]) \
-                - sin_t[:stop] * _exclusive_cumsum(x * cos_t[:stop])
-            # p + iq = W o u; p L vanishes past column i of row i
-            p, q = w * u.real, w * u.imag
-            cur.real[start:stop, :stop] = k * (p @ lo[:stop, :stop])
-            cur.imag[start:stop] = -k * (p @ re_d[:stop] + q @ up[:stop])
-        total += cur
-        prev = cur
+            _exclusive_cumsum(np.multiply(x, sin_t[:stop], out=y), u)
+            _exclusive_cumsum(np.multiply(x, cos_t[:stop], out=x), y)
+            np.subtract(np.multiply(cos_t[:stop], u, out=u),
+                        np.multiply(sin_t[:stop], y, out=y), out=u)
+            # p + iq = W o u
+            np.multiply(w, u.real, out=p)
+            np.multiply(w, u.imag, out=q)
+            np.multiply(k, np.matmul(p, lo[:stop, :stop], out=pl),
+                        out=cur.real[:, :stop])
+            # P R + Q V = P R - Q L^T, V read as a view of L
+            np.matmul(p, re_d[:stop], out=pr)
+            np.matmul(q, lo[:, :stop].T, out=ql)
+            np.multiply(-k, np.subtract(pr, ql, out=pr), out=cur.imag)
+            rows += cur
+            prev = cur[:, :stop]
     if not np.all(np.isfinite(total)):
         raise NumericalFailure(f"order-{order} dressed kernel is not finite")
     return DressedKernel(base=base, order=int(order), grid=grid, table=total)

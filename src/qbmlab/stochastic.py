@@ -80,19 +80,20 @@ class NoiseSpec:
         n = self.grid.size
         if self.D.shape != (n, n):
             raise ValueError("D must be (n, n) for an n-node grid")
-        scale = max(float(np.max(np.abs(self.D))), 1e-300)
-        if np.max(np.abs(self.D - self.D.conj().T)) > 1e-10 * scale:
-            raise ValueError("D must be Hermitian")
         if self.S is None:
             self.S = np.zeros((n, n), dtype=complex)
         else:
             self.S = np.asarray(self.S, dtype=complex)
             if self.S.shape != (n, n):
                 raise ValueError("S must be (n, n)")
-            if np.max(np.abs(self.S - self.S.T)) > 1e-10 * scale:
-                raise ValueError("S must be symmetric")
+        # before the differences below, where an infinite entry is inf - inf
         if not (np.all(np.isfinite(self.D)) and np.all(np.isfinite(self.S))):
             raise ValueError("D and S must be finite")
+        scale = max(float(np.max(np.abs(self.D))), 1e-300)
+        if np.max(np.abs(self.D - self.D.conj().T)) > 1e-10 * scale:
+            raise ValueError("D must be Hermitian")
+        if np.max(np.abs(self.S - self.S.T)) > 1e-10 * scale:
+            raise ValueError("S must be symmetric")
 
     @classmethod
     def from_kernel(cls, kernel, grid, S=None):

@@ -148,6 +148,13 @@ def test_lag_table_reads_the_node_samples():
     assert np.array_equal(table.real, base.re_values[lag])
     assert np.array_equal(table.imag, np.sign(i - j) * base.im_values[lag])
     assert np.array_equal(table, table.conj().T)
+    # R + i(L - L^T) from the two real factors, L zero above the diagonal
+    re_d, lo = base.lag_factors()
+    assert np.array_equal(re_d, base.re_values[lag])
+    assert np.array_equal(lo, (i >= j) * base.im_values[lag])
+    assert np.all(np.triu(lo, 1) == 0.0)
+    assert table.real.tobytes() == re_d.tobytes()
+    assert table.imag.tobytes() == (lo - lo.T).tobytes()
     assert np.array_equal(dressed_kernel(base, OscillatorKernels(1.0),
                                          1).values, table)
     # t_i - t_j rounds off node i - j, so interpolation moves by the slope
@@ -251,6 +258,46 @@ def test_row_blocks_join_seamlessly(monkeypatch):
             <= 1e-14 * np.max(np.abs(col))
 
 
+def whole_table_dressing(base, kernels, order, m=1.0, hbar=1.0):
+    """The dressing order by order over whole tables: every order a full
+    (N, N) table, built from copies R, L and V of the real part and the
+    imaginary part below and above the diagonal of the complex
+    `lag_table`, then added to the total."""
+    prev = base.lag_table()
+    re_d, lo, up = prev.real.copy(), np.tril(prev.imag), np.triu(prev.imag, 1)
+    grid, h = base.grid, base.spacing
+    cos_t, sin_t = kernels.c(grid), kernels.c_tilde(grid)
+    k = 2.0 * hbar / m
+    total = prev.copy()
+    for _ in range(2, order + 1):
+        cur = np.zeros_like(total)
+        for start in range(0, grid.size, coefficients._ROW_BLOCK):
+            stop = min(start + coefficients._ROW_BLOCK, grid.size)
+            w = coefficients._trapezoid_weights(start, stop, h)
+            x = w * prev[start:stop, :stop]
+            cs, cc = (coefficients._exclusive_cumsum(x * f[:stop],
+                                                     np.empty_like(x))
+                      for f in (sin_t, cos_t))
+            u = cos_t[:stop] * cs - sin_t[:stop] * cc
+            p, q = w * u.real, w * u.imag
+            cur.real[start:stop, :stop] = k * (p @ lo[:stop, :stop])
+            cur.imag[start:stop] = -k * (p @ re_d[:stop] + q @ up[:stop])
+        total += cur
+        prev = cur
+    return total
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("omega_S", [0.0, 1.0])
+def test_row_blocks_through_every_order_match_whole_tables(order, omega_S):
+    # 201 rows leave a ragged last block of 73
+    base = steep_kernel(201)
+    k = OscillatorKernels(omega_S)
+    table = dressed_kernel(base, k, order, m=0.9).table
+    assert table.tobytes() == whole_table_dressing(base, k, order,
+                                                   m=0.9).tobytes()
+
+
 def test_first_row_of_higher_order_table_vanishes():
     # at t = 0 all memory integrals are empty
     grid = np.linspace(0.0, 2.0, 21)
@@ -260,21 +307,22 @@ def test_first_row_of_higher_order_table_vanishes():
 
 
 def test_order_three_dressing_holds_few_tables():
-    # live at once: the table, the last order, the order being built and
-    # the real factors R, L, V (half a complex table each), plus one row
-    # block's temporaries; a kept lag matrix or bare kernel, or a stacked
-    # right factor, lifts the peak above 7 tables
-    n = 301
-    base = synthetic_kernel(np.linspace(0.0, 3.0, n))
+    # live at once: the table and the real factors R and L (half a
+    # complex table each), plus one row block's workspace, which is small
+    # next to a table at n = 1001; a whole-table order (the last one or
+    # the one being built), a V copy of L^T, or a kept lag matrix lifts
+    # the n = 1001 peak above its bound
     k = OscillatorKernels(1.3)
-    dressed_kernel(base, k, 3)
-    tracemalloc.start()
-    try:
+    for n, tables in ((301, 5), (1001, 3)):
+        base = synthetic_kernel(np.linspace(0.0, 3.0, n))
         dressed_kernel(base, k, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7 * n * n * 16
+        tracemalloc.start()
+        try:
+            dressed_kernel(base, k, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables * n * n * 16, n
 
 
 # ------------------------------------------------------- coefficient sums

@@ -89,7 +89,10 @@ def test_unrealizable_relation_matrix_raises():
         sample_colored_noise(spec, 10, np.random.default_rng(0))
 
 
+@pytest.mark.filterwarnings("error")
 def test_noise_spec_validation():
+    # warnings as errors: an infinite entry is rejected before the
+    # Hermitian and symmetry checks form inf - inf
     grid = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="Hermitian"):
         NoiseSpec(grid=grid, D=np.array([[1.0, 1.0], [0.0, 1.0]]))
