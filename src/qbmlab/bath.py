@@ -65,7 +65,19 @@ _THERMAL_REACH = 40.0  # 2w / (e^{2aw} - 1) < 80 e^-80 / a beyond w = 40 / a
 _NODE_BUDGET_PER_TAU = 10_000
 _NODE_BUDGET = 1_000_000
 _OMEGA_CHUNK = 1024  # omega nodes per product; keeps temporaries near 1 MB
-_DRUDE_SERIES_FROM = 100.0  # Omega tau beyond which an asymptotic series is used
+# The Drude D_re(T = 0) (`_drude_g`): past _DRUDE_SERIES_FROM = Omega tau
+# the asymptotic series of _ODD_TERMS terms (optimal there), in blocks of
+# _ODD_BLOCK.  Below, Ei's power series of _EI_TERMS terms (the last below
+# rounding at x = 40) and E1's series up to _E1_SERIES_TO, then its
+# continued fraction.  Each panel (upper x, m) takes the powers x^1..x^m,
+# and its continued fraction m levels: 110 reach rounding at x = 1, 35 at
+# x = 4 and beyond.
+_DRUDE_SERIES_FROM = 40.0
+_ODD_TERMS, _ODD_BLOCK = 20, 5
+_EI_TERMS = 105
+_E1_SERIES_TO = 1.0
+_DRUDE_PANELS = ((4.0, 110), (_DRUDE_SERIES_FROM, 35))
+_EULER_GAMMA = 0.5772156649015329
 _DRUDE_DIVERGENCE = ("D_re(0) diverges logarithmically for the drude cutoff; "
                      f"integral truncated at {_DRUDE_TRUNCATION:g} * Omega")
 
@@ -300,11 +312,13 @@ def _zero_temperature(bath, tau):
     array of tau in closed form.  With pref = 2 m gamma hbar / pi and
     x = Omega tau, D_re is pref Omega^2 (x sin x - 2 sin^2(x/2)) / x^2
     (sharp, a series near x = 0), pref Omega^2 (1 - x^2) / (1 + x^2)^2
-    (exponential) and -pref Omega^2 [e^-x Ei(x) - e^x E1(x)] / 2 at
-    x = |Omega tau| (Drude, G&R 3.723.5; past _DRUDE_SERIES_FROM its
-    asymptotic series -sum_{k odd} k! / x^(k+1), exact to rounding,
-    keeps e^x finite).  The divergent Drude D_re(0) is the integral
-    truncated at _DRUDE_TRUNCATION * Omega.
+    (exponential) and pref Omega^2 g(x), g(x) = -[e^-x Ei(x) - e^x
+    E1(x)] / 2 at x = |Omega tau| (Drude, G&R 3.723.5), which
+    `_drude_g` takes from the series and the continued fraction of Ei
+    and E1 in numpy, and past _DRUDE_SERIES_FROM from the asymptotic
+    series -sum_{k odd} k! / x^(k+1), which keeps e^x finite.  The
+    divergent Drude D_re(0) is the integral truncated at
+    _DRUDE_TRUNCATION * Omega.
     """
     sd = bath.spectral
     hbar = bath.constants.hbar
@@ -328,21 +342,84 @@ def _zero_temperature(bath, tau):
         re = pref * W * W * (r * (2.0 * r - 1.0))
         im = -pref * 2.0 * tau * W ** 3 / (1.0 + x * x) ** 2
     else:  # drude
-        from scipy import special
-
         ax = np.abs(x)
         g = np.full(tau.shape, 0.5 * math.log1p(_DRUDE_TRUNCATION ** 2))
-        near = (ax > 0.0) & (ax <= _DRUDE_SERIES_FROM)
-        far = ax > _DRUDE_SERIES_FROM
-        xn = ax[near]
-        g[near] = -0.5 * (np.exp(-xn) * special.expi(xn)
-                          - np.exp(xn) * special.exp1(xn))
-        y = 1.0 / ax[far] ** 2
-        odd_factorials = [math.factorial(2 * j + 1) for j in range(10)]
-        g[far] = -y * np.polynomial.polynomial.polyval(y, odd_factorials)
+        live = ax > 0.0
+        g[live] = _drude_g(ax[live])
         re = pref * W * W * g
         im = -sd.m * sd.gamma * hbar * W ** 2 * np.exp(-ax) * np.sign(tau)
     return re, im
+
+
+@functools.cache
+def _drude_series():
+    """Coefficients of `_drude_g`'s series, at first use.
+
+    Returns 1 / (k k!) for k = 1, 2, ... (Ei's series, zero past
+    _EI_TERMS), the same with alternating signs (E1's), the Laguerre
+    table lag[n, j - 1] = C(n, j) / j!, so that L_n(-x) = 1 + sum_j
+    lag[n, j - 1] x^j, the weights 1 / n of the convergents, and the
+    odd factorials (2i + 1)! of the asymptotic series.
+    """
+    m = max(powers for _, powers in _DRUDE_PANELS)
+    k = np.arange(1, m + 1)
+    ei = np.zeros(m)
+    ei[:_EI_TERMS] = [1.0 / (i * math.factorial(i))
+                      for i in range(1, _EI_TERMS + 1)]
+    lag = np.zeros((m + 1, m))
+    # C(n, j) / j! = prod_{i <= j} (n + 1 - i) / i^2, zero once i > n
+    lag[1:] = np.cumprod(np.maximum(k[:, None] + 1 - k, 0) / k ** 2, axis=1)
+    odd = [float(math.factorial(2 * i + 1)) for i in range(_ODD_TERMS)]
+    return ei, (-1.0) ** (k + 1) * ei, lag, 1.0 / k, np.array(odd)
+
+
+def _series(coef, p):
+    """sum_k coef[k - 1] x^k from the powers p = (x^1, ..., x^m) in rows:
+    one product with p per block of m coefficients, and the blocks
+    summed in Horner form in x^m (Paterson & Stockmeyer)."""
+    blocks = np.reshape(coef, (-1, len(p))) @ p
+    s = blocks[-1]
+    for b in blocks[-2::-1]:
+        s = s * p[-1] + b
+    return s
+
+
+def _drude_g(x):
+    """g(x) = -[e^-x Ei(x) - e^x E1(x)] / 2 for x > 0, in numpy alone.
+
+    Past _DRUDE_SERIES_FROM, g is its asymptotic series -sum_{k odd}
+    k! / x^(k+1) (both asymptotic series, subtracted term by term), to
+    3e-15 at x = 40 and closer beyond.  Below, e^-x Ei(x) is e^-x (gamma
+    + ln x + sum_k x^k / (k k!)) (A&S 5.1.10), all terms positive, and
+    e^x E1(x) is e^x (-gamma - ln x - sum_k (-x)^k / (k k!)) up to x = 1
+    (A&S 5.1.11) and above it the continued fraction of A&S 5.1.22 in
+    its even form 1 / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - ...))).  Its
+    n-th convergent is sum_{k <= n} 1 / (k L_(k-1)(-x) L_k(-x)), and
+    every denominator is one product of the Laguerre table with the
+    powers of x, so no level waits on the one below it.
+    """
+    ei, e1, lag, weights, odd = _drude_series()
+    g = np.empty_like(x)
+    far = x > _DRUDE_SERIES_FROM
+    y = 1.0 / x[far] ** 2
+    g[far] = -_series(odd, y ** np.arange(1.0, _ODD_BLOCK + 1)[:, None])
+    lo = 0.0
+    for hi, m in _DRUDE_PANELS:
+        panel = (x > lo) & (x <= hi)
+        lo = hi
+        xs = x[panel]
+        p = xs ** np.arange(1.0, m + 1)[:, None]
+        log_x = _EULER_GAMMA + np.log(xs)
+        ei_x = np.exp(-xs) * (log_x + _series(
+            ei[:m * math.ceil(_EI_TERMS / m)], p))  # whole blocks of m
+        den = 1.0 + lag[:m + 1, :m] @ p  # L_n(-x), n = 0 .. m
+        e1_x = weights[:m] @ (1.0 / (den[:-1] * den[1:]))
+        small = xs <= _E1_SERIES_TO
+        if small.any():
+            e1_x[small] = np.exp(xs[small]) * (e1[:m] @ p[:, small]
+                                               - log_x[small])
+        g[panel] = -0.5 * (ei_x - e1_x)
+    return g
 
 
 def high_temperature_closed_form(bath, tau):

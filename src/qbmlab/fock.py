@@ -65,12 +65,15 @@ def vacuum_state(dim):
 
 
 def coherent_state(dim, alpha):
-    """|alpha> via the displacement operator (exact within truncation)."""
-    from scipy.linalg import expm
-
-    a = ladder(dim)
-    d_op = expm(alpha * a.conj().T - np.conj(alpha) * a)
-    return d_op @ vacuum_state(dim)
+    """|alpha> truncated to `dim` levels: the amplitudes e^{-|alpha|^2 / 2}
+    alpha^n / sqrt(n!), n < dim, scaled to unit norm as the unitary
+    truncated displacement is (the scaling absorbs e^{-|alpha|^2 / 2});
+    alpha = 0 gives the vacuum."""
+    ratios = np.full(dim, complex(alpha))
+    ratios[0] = 1.0
+    ratios[1:] /= np.sqrt(np.arange(1.0, dim))
+    psi = np.cumprod(ratios)
+    return psi / np.linalg.norm(psi)
 
 
 def squeezed_state(dim, r, alpha=0.0):

@@ -31,6 +31,7 @@ correlation E[z_i z_j] = S_ij by factoring the equivalent real 2N x 2N
 covariance with a symmetric eigenvalue decomposition.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -245,13 +246,27 @@ def _packet_sde(config):
         -hbar ** 2 * w[1, 1] + 0.5 * S * k ** 2
 
 
+def _expm_2x2(m):
+    """e^m of a complex 2 x 2 matrix in closed form.  With mu = tr m / 2
+    and d^2 = -det(m - mu), Cayley-Hamilton gives e^m = e^mu (cosh d +
+    (sinh d / d) (m - mu)), even in d, so either root serves; sinh d / d
+    is 1 at d = 0.
+    """
+    (a, b), (c, e) = ((complex(v) for v in row) for row in m)
+    mu = 0.5 * (a + e)
+    d = cmath.sqrt((0.5 * (a - e)) ** 2 + b * c)
+    scale = cmath.exp(mu)
+    ch = scale * cmath.cosh(d)
+    sh = scale * (cmath.sinh(d) / d if d else 1.0)
+    return np.array([[ch + sh * (a - mu), sh * b],
+                     [sh * c, ch + sh * (e - mu)]])
+
+
 def _width_path(r, s0, h, n_steps):
     """s at every step of h, exactly: s = y / x with (x, y)' =
     [[0, -r2], [r0, r1]] (x, y), so each step is one Moebius map.
     """
-    from scipy.linalg import expm
-
-    e00, e01, e10, e11 = (complex(x) for x in expm(
+    e00, e01, e10, e11 = (complex(x) for x in _expm_2x2(
         h * np.array([[0.0, -r[2]], [r[0], r[1]]])).ravel())
     path = [complex(s0)]
     for _ in range(n_steps):

@@ -34,6 +34,7 @@ from qbmlab.bath import (
     _OMEGA_CHUNK,
     _correlation_quad,
     _cosine_sums,
+    _drude_g,
     _omega_coth,
     _panel_rule,
     _re_table,
@@ -155,26 +156,46 @@ def test_quadpack_is_looked_up_on_its_module_at_call_time(monkeypatch):
     assert q == pytest.approx(im_closed_form(bath, 0.3), rel=1e-7)
 
 
-def test_drude_table_imports_scipy_special_when_it_needs_it(fresh_python):
-    # only the Drude zero-temperature form calls scipy.special (Ei, E1)
+def test_drude_table_loads_no_scipy_and_matches_scipy_special(fresh_python):
+    # the Drude zero-temperature form takes Ei and E1 from their series
+    # and continued fraction in numpy; scipy.special is the oracle here
     source = (
         "import json, sys, warnings\n"
         "import numpy as np\n"
         "from qbmlab.bath import (CorrelationKernel, CutoffKind,\n"
         "                         SpectralDensity, ThermalBathSpec)\n"
-        "before = 'scipy.special' in sys.modules\n"
         "bath = ThermalBathSpec(\n"
         "    SpectralDensity(1.0, 1.0, 5.0, CutoffKind.DRUDE), T=1.0)\n"
         "with warnings.catch_warnings():\n"
         "    warnings.simplefilter('ignore')\n"
         "    k = CorrelationKernel.from_bath(bath, np.linspace(0, 2, 21))\n"
-        "print(json.dumps([before, 'scipy.special' in sys.modules,\n"
+        "print(json.dumps([sorted(m for m in sys.modules\n"
+        "                         if m.split('.')[0] == 'scipy'),\n"
         "                  k.re_values.tolist(), k.im_values.tolist()]))\n")
-    before, after, re, im = json.loads(fresh_python("-c", source))
-    assert (before, after) == (False, True)
+    loaded, re, im = json.loads(fresh_python("-c", source))
+    assert loaded == []
     here = _tabulate(make_bath(kind=CutoffKind.DRUDE), np.linspace(0, 2, 21))
     assert re == here.re_values.tolist()  # same bits
     assert im == here.im_values.tolist()
+
+    from scipy import special
+
+    # every switch of _drude_g (E1's series to its continued fraction at
+    # 1, the two panels at 4, the asymptotic series at _DRUDE_SERIES_FROM)
+    # with its float neighbours, in a geometric sweep of (0, 100]
+    edges = np.array([1.0, 4.0, _DRUDE_SERIES_FROM])
+    x = np.sort(np.concatenate([np.geomspace(1e-300, 100.0, 4001), edges,
+                                np.nextafter(edges, 0.0),
+                                np.nextafter(edges, np.inf)]))
+    g = _drude_g(x)
+    oracle = -0.5 * (np.exp(-x) * special.expi(x)
+                     - np.exp(x) * special.exp1(x))
+    # scipy's own sum cancels about x-fold: 5.7e-13 just past x = 40
+    assert np.max(np.abs(g - oracle) / np.abs(oracle)) <= 1e-12
+    below, at, above = (_drude_g(e) for e in (np.nextafter(edges, 0.0),
+                                               edges,
+                                               np.nextafter(edges, np.inf)))
+    assert np.all(np.abs(above - below) <= 1e-13 * np.abs(at))
 
 
 def test_im_vanishes_at_zero_and_is_odd():

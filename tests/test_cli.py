@@ -564,23 +564,34 @@ def test_cli_runs_are_byte_deterministic(tmp_path):
     assert a == b
 
 
-def test_sharp_and_constant_runs_load_no_scipy(tmp_path, fresh_python):
-    # a sharp-cutoff HPZ run and a constant-coefficient run call no scipy
-    # routine, so they must not pay for importing it
-    paths = [str(SCENARIOS / f"{name}.json")
-             for name in ("cl_vs_ccl", "hpz_audit")]
+def test_shipped_runs_every_cutoff_and_coherent_state_load_no_scipy(
+        tmp_path, fresh_python):
+    # every shipped scenario, the unraveling included, hpz_audit with each
+    # cutoff and the Fock oracle's coherent state use numpy alone, so none
+    # of them may pay for importing scipy
+    paths = sorted(str(p) for p in SCENARIOS.glob("*.json"))
+    assert len(paths) == 6
+    audit = json.loads((SCENARIOS / "hpz_audit.json").read_text())
+    for cutoff in ("exponential", "drude"):
+        audit["name"] = f"hpz_audit_{cutoff}"
+        audit["bath"]["cutoff"] = cutoff
+        paths.append(_write(tmp_path, audit, f"hpz_audit_{cutoff}.json"))
+    out = tmp_path / "out"
     source = (
         "import json, sys\n"
-        "from qbmlab import cli\n"
-        f"for path in {paths!r}:\n"
-        f"    assert cli.main(['--scenario', path, '--out', {str(tmp_path)!r}])"
+        "from qbmlab import cli, fock\n"
+        f"for path in {[str(p) for p in paths]!r}:\n"
+        f"    assert cli.main(['--scenario', path, '--out', {str(out)!r}])"
         " == 0\n"
+        "psi = fock.coherent_state(40, 0.5 - 0.2j)\n"
+        "assert abs(psi @ psi.conj() - 1.0) < 1e-15\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] == 'scipy')))\n")
-    out = fresh_python("-c", source)
-    assert json.loads(out.splitlines()[-1]) == []
-    assert (tmp_path / "hpz_audit_kernel.csv").is_file()
-    assert (tmp_path / "cl_vs_ccl_moments.csv").is_file()
+    assert json.loads(fresh_python("-c", source).splitlines()[-1]) == []
+    for stem in ("hpz_audit", "hpz_audit_exponential", "hpz_audit_drude"):
+        assert (out / f"{stem}_kernel.csv").is_file()
+    assert (out / "ccl_unraveling_ensemble.csv").is_file()
+    assert (out / "cl_vs_ccl_moments.csv").is_file()
 
 
 def test_cli_runs_load_no_fock_oracle(tmp_path, fresh_python):

@@ -1,6 +1,7 @@
 """Fock-space oracle: operator algebra, state builders, and the moment
 locks that pin every term of the Gaussian right-hand sides."""
 
+import math
 import warnings
 
 import numpy as np
@@ -53,6 +54,30 @@ def test_coherent_state_moments_roundtrip():
     assert s_qq == pytest.approx(0.5, rel=1e-10)
     assert s_pp == pytest.approx(0.5, rel=1e-10)
     assert s_qp == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [12, 30, 40])
+def test_coherent_state_matches_truncated_displacement(dim):
+    # the normalized series against expm of the truncated displacement
+    # generator on the vacuum, at the amplitudes of the tests and of the
+    # bench's unraveling states (mean_q 0.4 to 0.6): both are unit
+    # vectors, and they differ by about the amplitude the truncation drops
+    from scipy.linalg import expm
+
+    a = fock.ladder(dim)
+    alphas = [0.0, 0.3, 0.5 - 0.2j, 0.6 + 0.2j,
+              *(fock.alpha_from_moments(SYS, q, p) for q, p in (
+                  (0.4, 0.1), (0.6, -0.4), (0.6, 0.4), (0.4, 0.0),
+                  (0.5, 0.0), (0.6, 0.0)))]
+    for alpha in alphas:
+        psi = fock.coherent_state(dim, alpha)
+        want = expm(alpha * a.conj().T - np.conj(alpha) * a)[:, 0]
+        r2 = abs(alpha) ** 2
+        dropped = sum(math.exp(-r2) * r2 ** n / math.factorial(n)
+                      for n in range(dim, dim + 100))
+        assert np.linalg.norm(psi - want) <= math.sqrt(dropped) + 1e-15
+    assert np.array_equal(fock.coherent_state(dim, 0.0),
+                          fock.vacuum_state(dim))
 
 
 def test_squeezed_state_variances():

@@ -32,6 +32,7 @@ from qbmlab.stochastic import (
     NoiseFactorizationError,
     NoiseSpec,
     SSEConfig,
+    _expm_2x2,
     _noise_blocks,
     _packet_sde,
     _width_path,
@@ -260,14 +261,21 @@ def test_wavepackets_match_the_fock_reference_on_the_same_noise(
         assert np.max(z) < 0.5, f"{name}: max z = {np.max(z):.3f}"
 
 
-@pytest.mark.parametrize("variant, mu, s_frac", [
-    ("ccl", None, 0.0), ("ccl", None, 0.3 + 0.4j), ("qp", 2.0, -0.5)])
-def test_width_step_is_exact(variant, mu, s_frac):
-    # the Moebius steps of the width against RK4 at a 20x finer step
+WIDTH_CASES = [("ccl", None, 0.0), ("ccl", None, 0.3 + 0.4j),
+               ("qp", 2.0, -0.5)]
+
+
+def _width_coefficients(variant, mu, s_frac):
     config = SSEConfig(_spec(variant, 0.24, 5.0 / 6.0, mu=mu), dt=0.05,
                        n_traj=1, seed=1)
     config = replace(config, S_scalar=s_frac * config.D_scalar)
-    r = _packet_sde(config)[0]
+    return _packet_sde(config)[0]
+
+
+@pytest.mark.parametrize("variant, mu, s_frac", WIDTH_CASES)
+def test_width_step_is_exact(variant, mu, s_frac):
+    # the Moebius steps of the width against RK4 at a 20x finer step
+    r = _width_coefficients(variant, mu, s_frac)
     s0 = 0.3 - 0.2j
     exact = _width_path(r, s0, 0.05, 40)
     s = s0
@@ -275,6 +283,38 @@ def test_width_step_is_exact(variant, mu, s_frac):
         s = rk4_step(lambda _, y: r[0] + r[1] * y + r[2] * y * y, s, 0.0025)
     assert abs(exact[-1] - s) <= 1e-10 * abs(s)
     assert np.all(exact.real > 0.0)
+
+
+def test_width_exponential_matches_scipy_expm():
+    # the closed-form 2 x 2 exponential against scipy's Pade expm: the
+    # width steps of WIDTH_CASES, random complex matrices, and d^2 =
+    # -det(m - tr m / 2) at 1e-20 and 0, where sinh d / d is near or at 1
+    from scipy.linalg import expm
+
+    def moebius_path(r, s0, h, n_steps):
+        e = expm(h * np.array([[0.0, -r[2]], [r[0], r[1]]]))
+        path = [s0]
+        for _ in range(n_steps):
+            path.append((e[1, 0] + e[1, 1] * path[-1])
+                        / (e[0, 0] + e[0, 1] * path[-1]))
+        return np.array(path)
+
+    rng = np.random.default_rng(11)
+    lam = 0.3 + 0.1j
+    matrices = list(rng.standard_normal((200, 2, 2))
+                    + 1j * rng.standard_normal((200, 2, 2)))
+    matrices += [np.array([[lam, 1.0], [1e-20, lam]]),
+                 np.array([[lam, 1.0], [0.0, lam]])]
+    for case in WIDTH_CASES:
+        r = _width_coefficients(*case)
+        matrices.append(0.05 * np.array([[0.0, -r[2]], [r[0], r[1]]]))
+        want = moebius_path(r, 0.3 - 0.2j, 0.05, 40)
+        got = _width_path(r, 0.3 - 0.2j, 0.05, 40)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    for m in matrices:
+        want = expm(m)
+        assert np.max(np.abs(_expm_2x2(m) - want)) \
+            <= 1e-14 * np.max(np.abs(want))
 
 
 def test_ensemble_is_bit_deterministic():
