@@ -25,6 +25,12 @@ does, so all estimators below are plain averages of unnormalized
 quadratic forms: the six raw moments in the order of
 `dynamics.OBSERVABLES`, converted by `dynamics.central_moments`.
 
+Trajectory k draws its noise from the stream default_rng([seed, k]).
+The trajectories are stepped in chunks of _CHUNK, and a chunk's dW
+arrives step-major, in blocks of _STEP_BLOCK steps (`_noise_blocks`):
+step n's dW is one contiguous row.  The blocks live in buffers that are
+allocated once per chunk, so each block is overwritten by the next.
+
 Colored noise: `sample_colored_noise` draws stationary complex Gaussian
 paths with prescribed correlation E[z_i conj(z_j)] = D_ij and pseudo
 correlation E[z_i z_j] = S_ij by factoring the equivalent real 2N x 2N
@@ -33,6 +39,7 @@ covariance with a symmetric eigenvalue decomposition.
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -51,7 +58,7 @@ from .dynamics import (
 from .positivity import check_noise_realizable, rank_one_factor
 
 _CHUNK = 512  # trajectories per batch; fixed: it sets the summation order
-_STEP_BLOCK = 512  # time steps per noise-draw block
+_STEP_BLOCK = 128  # time steps per noise-draw block
 _LOG_NORM_LIMIT = math.log(1e12)  # squared-norm runaway limit per trajectory
 _PURE_TOL = 1e-10  # |rs_uncertainty| of a pure state, relative to s_qq s_pp
 _RIDGE = 1e-12  # negative covariance eigenvalues tolerated, relative
@@ -208,10 +215,18 @@ class SSEConfig:
         self.D_scalar, self.v = rank_one_factor(self.spec.generator.a)
         check_noise_realizable(self.D_scalar, self.S_scalar)
         step_plan(self.t_span, self.dt, self.store_every)
+        for name in ("n_traj", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         if self.n_traj < 1:
             raise ValueError("n_traj must be at least 1")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+
+def _is_integer(value):
+    """An int or numpy integer, not a bool: 1.5 and True are not seeds."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _packet_sde(config):
@@ -307,12 +322,16 @@ def _read_packets(s, b, c, hbar):
 
 
 def _noise_blocks(config, indices, h, n_steps):
-    """dW of the trajectories `indices`, in (steps, trajectories) blocks
-    of at most _STEP_BLOCK steps.
+    """dW of the trajectories `indices`, step-major: (steps, trajectories)
+    blocks of at most _STEP_BLOCK steps, so step n's dW is one contiguous
+    row.
 
     Trajectory i draws unit normal pairs n from the stream seeded
     (seed, i); dW = (1, i) . root n has E[dW conj(dW)] = D h and
-    E[dW dW] = S h.
+    E[dW dW] = S h.  The draws, their transform and the step-major dW
+    live in three buffers allocated once per call and reused, so a block
+    yielded is overwritten by the next: a caller keeps nothing of it
+    across blocks.
     """
     d, s = config.D_scalar, complex(config.S_scalar)
     evals, evecs = np.linalg.eigh(0.5 * h * np.array(
@@ -320,13 +339,20 @@ def _noise_blocks(config, indices, h, n_steps):
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
     gens = [np.random.default_rng([int(config.seed), int(i)])
             for i in indices]
-    buf = np.empty((len(gens), _STEP_BLOCK, 2))
-    for lo in range(0, n_steps, _STEP_BLOCK):
-        rows = buf[:, :min(_STEP_BLOCK, n_steps - lo)]
+    width = min(_STEP_BLOCK, n_steps)
+    draws = np.empty((len(gens), width, 2))
+    pairs = np.empty_like(draws)
+    dw = np.empty((width, len(gens)), dtype=complex)
+    for lo in range(0, n_steps, width):
+        m = min(width, n_steps - lo)
+        rows, out = draws[:, :m], pairs[:, :m]
         for g, row in zip(gens, rows):
             g.standard_normal(out=row)
-        # (Re dW, Im dW) = root n, adjacent in memory: a complex view
-        yield (rows @ root.T).view(complex)[..., 0].T
+        # (Re dW, Im dW) = root n, adjacent in memory: a complex view,
+        # copied into the step-major block
+        np.matmul(rows, root.T, out=out)
+        dw[:m] = out.view(complex)[..., 0].T
+        yield dw[:m]
 
 
 def _propagate(config, packet0, indices):
@@ -460,6 +486,9 @@ class TrajectoryPath:
 
 def sse_trajectory(config, state0, traj_index=0):
     """Observable history of a single trajectory (by its ensemble index)."""
+    if not (_is_integer(traj_index) and 0 <= traj_index < config.n_traj):
+        raise ValueError(f"traj_index must be an integer in "
+                         f"[0, {config.n_traj}), got {traj_index!r}")
     times, obs, _, alive_counts, failed = _propagate(
         config, _initial_packet(state0, config.spec.constants),
         np.array([traj_index]))

@@ -1,5 +1,6 @@
 """Colored-noise sampling and the linear stochastic unraveling engine."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -135,6 +136,18 @@ def test_config_validation():
         SSEConfig(**{**kw, "spec": hpz})
     with pytest.raises(ValueError, match="seed"):
         SSEConfig(**{**kw, "seed": 2 ** 64})
+    # as the scenario reader: a float or a bool is not an integer, even
+    # where it would round to one
+    for name in ("seed", "n_traj"):
+        for bad in (4.5, 4.0, True, np.float64(4.0)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SSEConfig(**{**kw, name: bad})
+    SSEConfig(**{**kw, "seed": np.uint64(2 ** 64 - 1),
+                 "n_traj": np.int64(10)})
+    config, state0 = SSEConfig(**kw), ground_state_moments(SYS)
+    for bad in (1.5, True, -1, 10):
+        with pytest.raises(ValueError, match="traj_index"):
+            sse_trajectory(config, state0, traj_index=bad)
 
 
 def test_ccl_config_prefactors():
@@ -315,6 +328,77 @@ def test_width_exponential_matches_scipy_expm():
         want = expm(m)
         assert np.max(np.abs(_expm_2x2(m) - want)) \
             <= 1e-14 * np.max(np.abs(want))
+
+
+def reference_noise(config, indices, h, n_steps):
+    """dW as first laid out: blocks of 512 steps, each the transpose of a
+    fresh trajectory-major product, (steps, trajectories) with a stride of
+    one trajectory's draws between the entries of a step.
+    """
+    d, s = config.D_scalar, complex(config.S_scalar)
+    evals, evecs = np.linalg.eigh(0.5 * h * np.array(
+        [[d + s.real, s.imag], [s.imag, d - s.real]]))
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    gens = [np.random.default_rng([int(config.seed), int(i)])
+            for i in indices]
+    buf = np.empty((len(gens), 512, 2))
+    for lo in range(0, n_steps, 512):
+        rows = buf[:, :min(512, n_steps - lo)]
+        for g, row in zip(gens, rows):
+            g.standard_normal(out=row)
+        yield (rows @ root.T).view(complex)[..., 0].T
+
+
+@pytest.mark.parametrize("s_frac", [0.0, 0.3 + 0.4j])
+def test_noise_layout_keeps_the_seeded_ensemble_bit_for_bit(
+        monkeypatch, s_frac):
+    # 701 steps end in a ragged block of either layout; 600 trajectories
+    # are a full chunk and a partial one
+    config = SSEConfig(_spec("ccl", 0.0625, 2.0), dt=1e-2,
+                       t_span=(0.0, 7.01), store_every=50, n_traj=600,
+                       seed=42)
+    config = replace(config, S_scalar=s_frac * config.D_scalar)
+    _, h, n_steps, _ = step_plan(config.t_span, config.dt,
+                                 config.store_every)
+    assert n_steps == 701 and n_steps % stochastic._STEP_BLOCK
+    for chunk in (np.arange(512), np.arange(512, 600)):
+        # a block is overwritten by the next: copy each as it comes
+        got = np.concatenate([dw.copy() for dw in _noise_blocks(
+            config, chunk, h, n_steps)])
+        want = np.concatenate(list(reference_noise(config, chunk, h,
+                                                   n_steps)))
+        assert got.shape == (n_steps, chunk.size)
+        assert got.tobytes() == want.tobytes()
+    state0 = ground_state_moments(SYS, mean_q=0.4 * np.sqrt(2.0))
+    result = ensemble_run(config, state0)
+    monkeypatch.setattr(stochastic, "_noise_blocks", reference_noise)
+    reference = ensemble_run(config, state0)
+    for name in OBSERVABLES:
+        assert result.means[name].tobytes() \
+            == reference.means[name].tobytes()
+        assert result.stderr[name].tobytes() \
+            == reference.stderr[name].tobytes()
+
+
+def test_a_chunk_holds_about_one_noise_block():
+    # 512 trajectories over 1,000 steps: one chunk.  Its draws, their
+    # transform and the step-major dW are blocks of _STEP_BLOCK steps
+    # reused throughout; a complex 512 x 512 block is 4 MiB
+    config = SSEConfig(_spec("ccl", 0.02, 2.0), dt=1e-3, t_span=(0.0, 1.0),
+                       store_every=500, n_traj=512, seed=1)
+    state0 = ground_state_moments(SYS, mean_q=0.5)
+    ensemble_run(config, state0)  # first-call allocations are not counted
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ensemble_run(config, state0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 1.5 * 512 * 512 * 16, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_ensemble_is_bit_deterministic():
