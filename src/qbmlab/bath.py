@@ -538,6 +538,14 @@ def _checked_grid(grid, noun="kernel grid", var="tau"):
     return grid
 
 
+def _is_int(value):  # an int or numpy integer, never a bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_seed(value):  # an integer that fits a seed word, 0 <= value < 2^64
+    return _is_int(value) and 0 <= int(value) < 2 ** 64
+
+
 def interp_table(grid, t, columns):
     """Columns sampled on `grid`, linearly interpolated at times t."""
     t = np.asarray(t, dtype=float)

@@ -26,6 +26,7 @@ from .bath import (
     NumericalFailure,
     SpectralDensity,
     ThermalBathSpec,
+    _is_seed,
 )
 from .coefficients import (
     OscillatorKernels,
@@ -133,7 +134,7 @@ def _coefficient_pipeline(scenario):
 
 def run_scenario(scenario, out_dir=".", seed_override=None):
     """Execute every requested pipeline; return the manifest."""
-    if seed_override is not None and not 0 <= seed_override < 2 ** 64:
+    if seed_override is not None and not _is_seed(seed_override):
         raise ValueError("--seed: must fit in an unsigned 64-bit integer")
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
@@ -141,7 +142,7 @@ def run_scenario(scenario, out_dir=".", seed_override=None):
     outputs = scenario.run.outputs
     meta = {"scenario_sha256": scenario_hash(scenario)}
     written = []
-    ensemble_seed = None
+    seed = None  # of the ensemble, if it runs
 
     def emit_csv(suffix, table):
         path = os.path.join(out_dir, f"{stem}_{suffix}.csv")
@@ -180,11 +181,10 @@ def run_scenario(scenario, out_dir=".", seed_override=None):
 
         if "ensemble" in outputs:
             sto = scenario.stochastic
-            ensemble_seed = int(seed_override) if seed_override is not None \
-                else sto.seed
+            seed = sto.seed if seed_override is None else int(seed_override)
             config = SSEConfig(
                 spec, dt=scenario.run.dt, n_traj=sto.n_traj,
-                seed=ensemble_seed, t_span=scenario.run.t_span,
+                seed=seed, t_span=scenario.run.t_span,
                 S_scalar=sto.S_scalar, store_every=scenario.run.store_every)
             result = ensemble_run(config, _initial_moments(scenario))
             emit_csv("ensemble", io.ensemble_table(result, meta))
@@ -203,7 +203,7 @@ def run_scenario(scenario, out_dir=".", seed_override=None):
         wall_clock_seconds=time.perf_counter() - t_start,
         outputs=list(written),
         warnings=[str(w.message) for w in records],
-        ensemble_seed=ensemble_seed)
+        ensemble_seed=seed)
     if kernel is not None:
         manifest.extra["kernel_health"] = kernel.health
     manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")

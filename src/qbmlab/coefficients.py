@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import (CorrelationKernel, NumericalFailure, _checked_grid,
-                   _lag_table)
+                   _is_int, _lag_table)
 
 MAX_CHEAP_ORDER = 3  # each extra order costs another O(N^3) sweep
 _ROW_BLOCK = 128  # table rows per block of weighted products
@@ -133,13 +133,14 @@ def _shaped(buf, *shape):
 def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
     """Resum the kernel to the given order on the base kernel's grid.
 
-    `order` is the number of terms kept in the alternating series.
+    `order` is the number of terms kept in the alternating series, a
+    count (`bath._is_int`: an int or numpy integer, never a bool).
     Orders above MAX_CHEAP_ORDER are rejected, since each one costs a
     full O(N^3) sweep and the series is asymptotic.  m and hbar enter
     through the response kernel.  Raises NumericalFailure if the table
     is not finite.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
+    if not _is_int(order) or order < 1:
         raise ValueError("order must be a positive integer")
     if order > MAX_CHEAP_ORDER:
         raise ValueError(f"order {order} exceeds {MAX_CHEAP_ORDER}")

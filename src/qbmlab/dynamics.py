@@ -24,7 +24,6 @@ A = J (G - hbar Im a) and diffusion B = hbar^2 J Re(a) J^T.
 
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import NumericalFailure, PhysicalConstants, interp_table
+from .bath import NumericalFailure, PhysicalConstants, _is_int, interp_table
 from .coefficients import HPZCoefficients
 
 
@@ -289,6 +288,8 @@ def step_plan(t_span, dt, store_every):
     span / dt but at least 1, steps of h = span / n_steps, which land
     exactly on t1, and the indices i of the states kept, every
     `store_every`-th plus the last, at times t0 + h * stored.
+    `store_every` is a count >= 1 (`bath._is_int`: an int or numpy
+    integer, never a bool).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -299,7 +300,7 @@ def step_plan(t_span, dt, store_every):
         raise ValueError("dt must be positive")
     if not dt < math.inf:
         raise ValueError("dt must be positive and finite")
-    if not isinstance(store_every, numbers.Integral):
+    if not _is_int(store_every):
         raise ValueError("store_every must be an integer")
     if store_every < 1:
         raise ValueError("store_every must be >= 1")

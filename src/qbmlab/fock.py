@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import PhysicalConstants
+from .bath import PhysicalConstants, _is_int
 from .dynamics import central_moments, rk4_stage_times, rk4_step, step_plan
 
 _LEAK_THRESHOLD = 1e-6  # combined population of the top two levels
@@ -37,8 +37,17 @@ class TraceDriftWarning(UserWarning):
     """Propagation lost more trace than the per-unit-time budget."""
 
 
+def _checked_dim(dim):
+    """A basis size as an int: an integer >= 2, as `bath._is_int` reads
+    one (the dimension `fock_propagate` asks of rho0)."""
+    if not (_is_int(dim) and dim >= 2):
+        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+    return int(dim)
+
+
 def ladder(dim):
-    """Lowering operator a."""
+    """Lowering operator a on `dim` levels, an integer >= 2."""
+    dim = _checked_dim(dim)
     a = np.zeros((dim, dim), dtype=complex)
     n = np.arange(1, dim)
     a[n - 1, n] = np.sqrt(n)
@@ -46,7 +55,7 @@ def ladder(dim):
 
 
 def position_momentum(dim, system, constants=PhysicalConstants()):
-    """q and p matrices in the number basis of omega_S."""
+    """q and p matrices on `dim` levels of the number basis of omega_S."""
     if system.omega_S <= 0.0:
         raise ValueError("number basis needs omega_S > 0")
     a = ladder(dim)
@@ -59,16 +68,18 @@ def position_momentum(dim, system, constants=PhysicalConstants()):
 
 
 def vacuum_state(dim):
-    psi = np.zeros(dim, dtype=complex)
+    """|0> on `dim` levels, an integer >= 2."""
+    psi = np.zeros(_checked_dim(dim), dtype=complex)
     psi[0] = 1.0
     return psi
 
 
 def coherent_state(dim, alpha):
-    """|alpha> truncated to `dim` levels: the amplitudes e^{-|alpha|^2 / 2}
-    alpha^n / sqrt(n!), n < dim, scaled to unit norm as the unitary
-    truncated displacement is (the scaling absorbs e^{-|alpha|^2 / 2});
-    alpha = 0 gives the vacuum."""
+    """|alpha> truncated to `dim` levels (an integer >= 2): the amplitudes
+    e^{-|alpha|^2 / 2} alpha^n / sqrt(n!), n < dim, scaled to unit norm as
+    the unitary truncated displacement is (the scaling absorbs
+    e^{-|alpha|^2 / 2}); alpha = 0 gives the vacuum."""
+    dim = _checked_dim(dim)
     ratios = np.full(dim, complex(alpha))
     ratios[0] = 1.0
     ratios[1:] /= np.sqrt(np.arange(1.0, dim))
@@ -77,7 +88,8 @@ def coherent_state(dim, alpha):
 
 
 def squeezed_state(dim, r, alpha=0.0):
-    """Displaced position-squeezed vacuum, D(alpha) S(r) |0>."""
+    """Displaced position-squeezed vacuum, D(alpha) S(r) |0>, on `dim`
+    levels."""
     from scipy.linalg import expm
 
     a = ladder(dim)
@@ -89,7 +101,9 @@ def squeezed_state(dim, r, alpha=0.0):
 
 
 def thermal_density(dim, nbar):
-    """Thermal density matrix with mean occupation nbar."""
+    """Thermal density matrix with mean occupation nbar on `dim` levels,
+    an integer >= 2."""
+    dim = _checked_dim(dim)
     if not 0.0 <= nbar < math.inf:
         raise ValueError("nbar must be finite and non-negative")
     if nbar == 0.0:

@@ -23,7 +23,7 @@ import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 
-from .bath import CutoffKind, PhysicalConstants
+from .bath import CutoffKind, PhysicalConstants, _is_int, _is_seed
 from .coefficients import MAX_CHEAP_ORDER
 from .dynamics import MasterEquationSpec, SystemSpec, Variant
 from .positivity import check_noise_realizable, rank_one_factor
@@ -142,7 +142,7 @@ def needs_kernel(variant, outputs):
 
 def _number(value):
     """`value` as a finite float, or None if it is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not (_is_int(value) or isinstance(value, float)):
         return None
     try:
         value = float(value)
@@ -167,8 +167,7 @@ def _complex(value):
 # kind -> (converter returning None on failure, what was expected)
 _KINDS = {
     "number": (_number, "a number"),
-    "int": (lambda v: v if isinstance(v, int) and not isinstance(v, bool)
-            else None, "an integer"),
+    "int": (lambda v: v if _is_int(v) else None, "an integer"),
     "string": (lambda v: v if isinstance(v, str) else None, "a string"),
     "pair": (_pair, "[number, number]"),
     "string-list": (lambda v: tuple(v) if isinstance(v, list) and all(
@@ -289,7 +288,7 @@ def _cross_rules(sc, errors):
                       f"(valid: {', '.join(_VALID_OUTPUTS)})")
     if not outputs:
         errors.append("run.outputs: need at least one output")
-    if sto and sto["seed"] is not None and not 0 <= sto["seed"] < 2 ** 64:
+    if sto and sto["seed"] is not None and not _is_seed(sto["seed"]):
         errors.append("stochastic.seed: must fit in an unsigned 64-bit "
                       "integer")
 

@@ -39,17 +39,16 @@ covariance with a symmetric eigenvalue decomposition.
 
 import cmath
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bath import NumericalFailure, _is_int, _is_seed
 from .dynamics import (
     MOMENTS,
     OBSERVABLES,
     MasterEquationSpec,
-    NumericalFailure,
     central_moments,
     moment_row,
     rs_uncertainty,
@@ -196,7 +195,9 @@ class SSEConfig:
 
     D_scalar and v, the rank-1 factor a = D v v^dag of the Kossakowski
     matrix, are derived on construction; S_scalar is the white-noise
-    pseudo-correlation.
+    pseudo-correlation.  n_traj >= 1 and store_every (`step_plan`) are
+    counts (`bath._is_int`: ints or numpy integers, never bools), and
+    seed is a count in [0, 2^64) (`bath._is_seed`).
     """
 
     spec: MasterEquationSpec
@@ -216,17 +217,12 @@ class SSEConfig:
         check_noise_realizable(self.D_scalar, self.S_scalar)
         step_plan(self.t_span, self.dt, self.store_every)
         for name in ("n_traj", "seed"):
-            if not _is_integer(getattr(self, name)):
+            if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         if self.n_traj < 1:
             raise ValueError("n_traj must be at least 1")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not _is_seed(self.seed):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-def _is_integer(value):
-    """An int or numpy integer, not a bool: 1.5 and True are not seeds."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _packet_sde(config):
@@ -283,10 +279,11 @@ def _width_path(r, s0, h, n_steps):
     """
     e00, e01, e10, e11 = (complex(x) for x in _expm_2x2(
         h * np.array([[0.0, -r[2]], [r[0], r[1]]])).ravel())
-    path = [complex(s0)]
-    for _ in range(n_steps):
-        path.append((e10 + e11 * path[-1]) / (e00 + e01 * path[-1]))
-    return np.array(path)
+    path = np.empty(n_steps + 1, dtype=complex)
+    s = path[0] = complex(s0)
+    for n in range(1, n_steps + 1):
+        s = path[n] = (e10 + e11 * s) / (e00 + e01 * s)
+    return path
 
 
 def _initial_packet(state, constants):
@@ -365,11 +362,16 @@ def _propagate(config, packet0, indices):
     hbar = config.spec.constants.hbar
     r, (l0, l1), k, (nu0, nu1), rho = _packet_sde(config)
     s = _width_path(r, packet0[0], h, n_steps)
-    # Euler-Maruyama factors of step n, taken at the left-point s_n
-    growth = (1.0 + h * (0.5 * r[1] + r[2] * s)).tolist()
-    kick = (-1j * (l0 + l1 * s)).tolist()
-    drift = (h * (nu0 + nu1 * s)).tolist()
     h_rho, c_kick = h * rho, -1j * k
+
+    def factors(lo, m):
+        """Euler-Maruyama (growth, kick, drift) of the m steps from step
+        lo, taken at the left-point s_n: elementwise on that slice of s,
+        so only s grows with the run."""
+        s_n = s[lo:lo + m]
+        return zip((1.0 + h * (0.5 * r[1] + r[2] * s_n)).tolist(),
+                   (-1j * (l0 + l1 * s_n)).tolist(),
+                   (h * (nu0 + nu1 * s_n)).tolist())
 
     sums = np.zeros((stored.size, len(OBSERVABLES)))
     sumsqs = np.zeros_like(sums)
@@ -399,10 +401,10 @@ def _propagate(config, packet0, indices):
         node_pos = 1
         n = 0
         for dw in _noise_blocks(config, chunk, h, n_steps):
-            for dw_n in dw:
-                c += (h_rho * b + c_kick * dw_n) * b + drift[n]
-                b *= growth[n]
-                b += kick[n] * dw_n
+            for (growth, kick, drift), dw_n in zip(factors(n, len(dw)), dw):
+                c += (h_rho * b + c_kick * dw_n) * b + drift
+                b *= growth
+                b += kick * dw_n
                 n += 1
                 if n == keep[node_pos]:
                     record(node_pos)
@@ -485,8 +487,9 @@ class TrajectoryPath:
 
 
 def sse_trajectory(config, state0, traj_index=0):
-    """Observable history of a single trajectory (by its ensemble index)."""
-    if not (_is_integer(traj_index) and 0 <= traj_index < config.n_traj):
+    """Observable history of a single trajectory, by its ensemble index
+    traj_index: an int or numpy integer in [0, n_traj), never a bool."""
+    if not (_is_int(traj_index) and 0 <= traj_index < config.n_traj):
         raise ValueError(f"traj_index must be an integer in "
                          f"[0, {config.n_traj}), got {traj_index!r}")
     times, obs, _, alive_counts, failed = _propagate(

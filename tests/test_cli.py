@@ -552,6 +552,17 @@ def test_out_of_range_seed_fails_before_any_work(tmp_path, capsys, seed):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(3.0)])
+def test_library_seed_override_reads_the_seed_rule(tmp_path, seed):
+    # a float or a bool is no seed: it used to run as int(seed)
+    scenario = scenario_from_dict(
+        {**ENSEMBLE, "equation": {"variant": "ccl"}})
+    with pytest.raises(ValueError, match="^--seed: must fit in an "
+                       "unsigned 64-bit integer$"):
+        run_scenario(scenario, out_dir=tmp_path / "out", seed_override=seed)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_runs_are_byte_deterministic(tmp_path):
     payload = {**MINIMAL_JZ, "name": "det",
                "run": {"t_span": [0.0, 0.5], "dt": 0.01, "store_every": 5,

@@ -100,6 +100,13 @@ def test_order_validation():
         dressed_kernel(base, k, 0)
     with pytest.raises(ValueError, match="exceeds 3"):
         dressed_kernel(base, k, 4)
+    # a count is an int or numpy integer, never a bool or a float
+    for bad in (True, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError,
+                           match="^order must be a positive integer$"):
+            dressed_kernel(base, k, bad)
+    assert np.array_equal(dressed_kernel(base, k, np.int64(2)).values,
+                          dressed_kernel(base, k, 2).values)
 
 
 def test_second_order_correction_scales_quadratically():

@@ -579,6 +579,16 @@ def test_rk4_step_is_the_degree_four_taylor_polynomial(lam):
     assert stages == [0, 1, 1, 2]
 
 
+def test_step_plan_reads_store_every_by_the_integer_rule():
+    # an int or numpy integer, never a bool: True is not a count of 1
+    for bad in (True, False, 1.0):
+        with pytest.raises(ValueError, match="^store_every must be an "
+                           "integer$"):
+            step_plan((0.0, 1.0), 0.25, bad)
+    for count in (2, np.int64(2), np.uint8(2)):
+        assert step_plan((0.0, 1.0), 0.25, count)[3].tolist() == [0, 2, 4]
+
+
 def test_step_plan_refuses_a_count_arange_miscounts():
     # np.arange(0, 2**63) returns an empty array instead of failing
     with pytest.raises(ValueError, match=r"9\.22e\+18 steps, more than"):

@@ -80,6 +80,26 @@ def test_coherent_state_matches_truncated_displacement(dim):
                           fock.vacuum_state(dim))
 
 
+@pytest.mark.parametrize("build", [
+    fock.ladder, fock.vacuum_state,
+    lambda dim: fock.coherent_state(dim, 0.3),
+    lambda dim: fock.thermal_density(dim, 0.3),
+    lambda dim: fock.position_momentum(dim, SYS),
+    lambda dim: fock.squeezed_state(dim, 0.2),
+], ids=["ladder", "vacuum", "coherent", "thermal", "position_momentum",
+        "squeezed"])
+def test_fock_builders_take_an_integer_dimension_of_two_or_more(build):
+    # as fock_propagate asks of rho0: no empty, one-level or float basis
+    for bad in (-3, 0, 1, 2.0, 4.0, True, np.float64(4.0), "4"):
+        with pytest.raises(ValueError, match="dim must be an integer >= 2"):
+            build(bad)
+    for dim in (2, np.int64(5)):
+        out = build(dim)
+        shapes = [x.shape for x in out] if isinstance(out, tuple) \
+            else [out.shape]
+        assert all(s[0] == int(dim) for s in shapes)
+
+
 def test_squeezed_state_variances():
     psi = fock.squeezed_state(40, 0.4)
     rho = np.outer(psi, psi.conj())

@@ -401,6 +401,34 @@ def test_a_chunk_holds_about_one_noise_block():
     assert peak < 1.5 * 512 * 512 * 16, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
+def test_unraveling_tables_do_not_grow_with_the_run():
+    # one chunk of 512 trajectories over t = 1 in 1,000 and in 20,000
+    # steps: of the per-step tables only the width path s, 16 B a step,
+    # may grow with the run (19,000 more steps are 0.3 MB of it)
+    state0 = ground_state_moments(SYS, mean_q=0.5)
+
+    def traced_peak(dt):
+        config = SSEConfig(_spec("ccl", 0.02, 2.0), dt=dt,
+                           t_span=(0.0, 1.0), store_every=500, n_traj=512,
+                           seed=1)
+        ensemble_run(config, state0)  # first-call allocations not counted
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ensemble_run(config, state0)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+
+    short, long = traced_peak(1e-3), traced_peak(5e-5)
+    assert long - short < 0.5e6, \
+        f"traced peak {short / 1e6:.2f} MB at 1,000 steps, " \
+        f"{long / 1e6:.2f} MB at 20,000"
+
+
 def test_ensemble_is_bit_deterministic():
     config = SSEConfig(_spec("ccl", 0.0625, 2.0), dt=1e-2,
                        t_span=(0.0, 0.5), store_every=10, n_traj=600, seed=42)
@@ -475,6 +503,9 @@ def _step_plan_runs():
      "span / dt gives 1e+300 steps, more than a step plan can index"),
     # a step no span can hold
     ((0.0, 1.0), float("inf"), 1, "dt must be positive and finite"),
+    # a count is an int or numpy integer, never a bool or a float
+    ((0.0, 1.0), 1e-3, True, "store_every must be an integer"),
+    ((0.0, 1.0), 1e-3, np.float64(2.0), "store_every must be an integer"),
 ])
 def test_propagators_reject_the_same_step_plans(t_span, dt, store_every,
                                                 message):
