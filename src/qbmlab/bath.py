@@ -65,18 +65,16 @@ _THERMAL_REACH = 40.0  # 2w / (e^{2aw} - 1) < 80 e^-80 / a beyond w = 40 / a
 _NODE_BUDGET_PER_TAU = 10_000
 _NODE_BUDGET = 1_000_000
 _OMEGA_CHUNK = 1024  # omega nodes per product; keeps temporaries near 1 MB
-# The Drude D_re(T = 0) (`_drude_g`): past _DRUDE_SERIES_FROM = Omega tau
-# the asymptotic series of _ODD_TERMS terms (optimal there), in blocks of
-# _ODD_BLOCK.  Below, Ei's power series of _EI_TERMS terms (the last below
-# rounding at x = 40) and E1's series up to _E1_SERIES_TO, then its
-# continued fraction.  Each panel (upper x, m) takes the powers x^1..x^m,
-# and its continued fraction m levels: 110 reach rounding at x = 1, 35 at
-# x = 4 and beyond.
+# The Drude D_re(T = 0) (`_drude_g`): Ei's series of _EI_TERMS terms (the
+# last below rounding at x = 40), E1's up to _E1_SERIES_TO and its continued
+# fraction of _E1_LEVELS levels above, and past _DRUDE_SERIES_FROM the
+# asymptotic series of _ODD_TERMS terms (optimal there).  The coefficients
+# are exact integers rounded once: a float product of k! drifts by 1e-14.
 _DRUDE_SERIES_FROM = 40.0
-_ODD_TERMS, _ODD_BLOCK = 20, 5
-_EI_TERMS = 105
-_E1_SERIES_TO = 1.0
-_DRUDE_PANELS = ((4.0, 110), (_DRUDE_SERIES_FROM, 35))
+_EI_TERMS, _ODD_TERMS = 105, 20
+_E1_SERIES_TO, _E1_LEVELS = 2.0, 50
+_EI_COEF = [1.0 / (k * math.factorial(k)) for k in range(1, _EI_TERMS + 1)]
+_ODD_FACTORIALS = [float(math.factorial(2 * i + 1)) for i in range(_ODD_TERMS)]
 _EULER_GAMMA = 0.5772156649015329
 _DRUDE_DIVERGENCE = ("D_re(0) diverges logarithmically for the drude cutoff; "
                      f"integral truncated at {_DRUDE_TRUNCATION:g} * Omega")
@@ -244,7 +242,7 @@ def _correlation_quad(bath, tau, quad_tol, part):
         def integrand(w):
             return pref * w * _cutoff_factor(kind, w / sd.Omega)
 
-        scale = pref * sd.Omega ** 2
+        scale = pref * sd.Omega * sd.Omega
         sign, weight, bends = -1.0, "sin", ()
 
     # scale: the magnitude of the integral, used for absolute tolerances
@@ -313,16 +311,15 @@ def _zero_temperature(bath, tau):
     x = Omega tau, D_re is pref Omega^2 (x sin x - 2 sin^2(x/2)) / x^2
     (sharp, a series near x = 0), pref Omega^2 (1 - x^2) / (1 + x^2)^2
     (exponential) and pref Omega^2 g(x), g(x) = -[e^-x Ei(x) - e^x
-    E1(x)] / 2 at x = |Omega tau| (Drude, G&R 3.723.5), which
-    `_drude_g` takes from the series and the continued fraction of Ei
-    and E1 in numpy, and past _DRUDE_SERIES_FROM from the asymptotic
-    series -sum_{k odd} k! / x^(k+1), which keeps e^x finite.  The
+    E1(x)] / 2 at x = |Omega tau| (Drude, G&R 3.723.5; `_drude_g`).  The
     divergent Drude D_re(0) is the integral truncated at
     _DRUDE_TRUNCATION * Omega.
     """
     sd = bath.spectral
     hbar = bath.constants.hbar
     pref = 2.0 * sd.m * sd.gamma * hbar / np.pi
+    # W * W, not W ** 2: libm's pow can misround by an ulp, and not alike
+    # at W and 2 W, which would break unit covariance
     W = np.float64(sd.Omega)  # overflows to inf, not OverflowError
     x = W * tau
 
@@ -330,8 +327,8 @@ def _zero_temperature(bath, tau):
         re, im = np.empty_like(tau), np.empty_like(tau)
         small = np.abs(x) < 1e-3
         xs = x[small]
-        re[small] = pref * W ** 2 * (0.5 - xs * xs / 8.0 + xs ** 4 / 144.0)
-        im[small] = -pref * W ** 2 * (xs / 3.0) * (1.0 - xs * xs / 10.0)
+        re[small] = pref * W * W * (0.5 - xs * xs / 8.0 + xs ** 4 / 144.0)
+        im[small] = -pref * W * W * (xs / 3.0) * (1.0 - xs * xs / 10.0)
         tl = tau[~small]
         xl = x[~small]
         re[~small] = pref * (xl * np.sin(xl) - 2.0 * np.sin(0.5 * xl) ** 2) \
@@ -340,85 +337,53 @@ def _zero_temperature(bath, tau):
     elif sd.cutoff_kind is CutoffKind.EXPONENTIAL:
         r = 1.0 / (1.0 + x * x)
         re = pref * W * W * (r * (2.0 * r - 1.0))
-        im = -pref * 2.0 * tau * W ** 3 / (1.0 + x * x) ** 2
+        im = -pref * 2.0 * tau * (W * W * W) / (1.0 + x * x) ** 2
     else:  # drude
         ax = np.abs(x)
         g = np.full(tau.shape, 0.5 * math.log1p(_DRUDE_TRUNCATION ** 2))
         live = ax > 0.0
         g[live] = _drude_g(ax[live])
         re = pref * W * W * g
-        im = -sd.m * sd.gamma * hbar * W ** 2 * np.exp(-ax) * np.sign(tau)
+        im = -sd.m * sd.gamma * hbar * W * W * np.exp(-ax) * np.sign(tau)
     return re, im
 
 
-@functools.cache
-def _drude_series():
-    """Coefficients of `_drude_g`'s series, at first use.
-
-    Returns 1 / (k k!) for k = 1, 2, ... (Ei's series, zero past
-    _EI_TERMS), the same with alternating signs (E1's), the Laguerre
-    table lag[n, j - 1] = C(n, j) / j!, so that L_n(-x) = 1 + sum_j
-    lag[n, j - 1] x^j, the weights 1 / n of the convergents, and the
-    odd factorials (2i + 1)! of the asymptotic series.
-    """
-    m = max(powers for _, powers in _DRUDE_PANELS)
-    k = np.arange(1, m + 1)
-    ei = np.zeros(m)
-    ei[:_EI_TERMS] = [1.0 / (i * math.factorial(i))
-                      for i in range(1, _EI_TERMS + 1)]
-    lag = np.zeros((m + 1, m))
-    # C(n, j) / j! = prod_{i <= j} (n + 1 - i) / i^2, zero once i > n
-    lag[1:] = np.cumprod(np.maximum(k[:, None] + 1 - k, 0) / k ** 2, axis=1)
-    odd = [float(math.factorial(2 * i + 1)) for i in range(_ODD_TERMS)]
-    return ei, (-1.0) ** (k + 1) * ei, lag, 1.0 / k, np.array(odd)
-
-
-def _series(coef, p):
-    """sum_k coef[k - 1] x^k from the powers p = (x^1, ..., x^m) in rows:
-    one product with p per block of m coefficients, and the blocks
-    summed in Horner form in x^m (Paterson & Stockmeyer)."""
-    blocks = np.reshape(coef, (-1, len(p))) @ p
-    s = blocks[-1]
-    for b in blocks[-2::-1]:
-        s = s * p[-1] + b
+def _power_series(coef, u):
+    """sum_k coef[k - 1] u^k, in Horner form."""
+    s = np.zeros_like(u)
+    for c in reversed(coef):
+        s += c
+        s *= u
     return s
 
 
 def _drude_g(x):
-    """g(x) = -[e^-x Ei(x) - e^x E1(x)] / 2 for x > 0, in numpy alone.
-
-    Past _DRUDE_SERIES_FROM, g is its asymptotic series -sum_{k odd}
-    k! / x^(k+1) (both asymptotic series, subtracted term by term), to
-    3e-15 at x = 40 and closer beyond.  Below, e^-x Ei(x) is e^-x (gamma
-    + ln x + sum_k x^k / (k k!)) (A&S 5.1.10), all terms positive, and
-    e^x E1(x) is e^x (-gamma - ln x - sum_k (-x)^k / (k k!)) up to x = 1
-    (A&S 5.1.11) and above it the continued fraction of A&S 5.1.22 in
-    its even form 1 / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - ...))).  Its
-    n-th convergent is sum_{k <= n} 1 / (k L_(k-1)(-x) L_k(-x)), and
-    every denominator is one product of the Laguerre table with the
-    powers of x, so no level waits on the one below it.
+    """g(x) = -[e^-x Ei(x) - e^x E1(x)] / 2 for x > 0, in numpy alone, from
+    four pieces of A&S 5.1, with S(u) = sum_k u^k / (k k!):
+    - e^-x Ei(x) = e^-x (gamma + ln x + S(x)) (5.1.10), all terms positive;
+    - e^x E1(x) = e^x (-gamma - ln x - S(-x)) (5.1.11) up to _E1_SERIES_TO,
+      from the same Horner pass as S(x);
+    - above it, e^x E1(x) = 1 / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - ...))),
+      the even form of the continued fraction 5.1.22, from its last level up;
+    - past _DRUDE_SERIES_FROM, g = -sum_{k odd} k! / x^(k+1), the two
+      asymptotic series (5.1.51) subtracted term by term: 3e-15 at x = 40.
     """
-    ei, e1, lag, weights, odd = _drude_series()
     g = np.empty_like(x)
     far = x > _DRUDE_SERIES_FROM
-    y = 1.0 / x[far] ** 2
-    g[far] = -_series(odd, y ** np.arange(1.0, _ODD_BLOCK + 1)[:, None])
-    lo = 0.0
-    for hi, m in _DRUDE_PANELS:
-        panel = (x > lo) & (x <= hi)
-        lo = hi
-        xs = x[panel]
-        p = xs ** np.arange(1.0, m + 1)[:, None]
-        log_x = _EULER_GAMMA + np.log(xs)
-        ei_x = np.exp(-xs) * (log_x + _series(
-            ei[:m * math.ceil(_EI_TERMS / m)], p))  # whole blocks of m
-        den = 1.0 + lag[:m + 1, :m] @ p  # L_n(-x), n = 0 .. m
-        e1_x = weights[:m] @ (1.0 / (den[:-1] * den[1:]))
-        small = xs <= _E1_SERIES_TO
-        if small.any():
-            e1_x[small] = np.exp(xs[small]) * (e1[:m] @ p[:, small]
-                                               - log_x[small])
-        g[panel] = -0.5 * (ei_x - e1_x)
+    g[far] = -_power_series(_ODD_FACTORIALS, 1.0 / x[far] ** 2)
+    xs = x[~far]
+    log_x = _EULER_GAMMA + np.log(xs)
+    small = xs <= _E1_SERIES_TO
+    s = _power_series(_EI_COEF, np.concatenate((xs, -xs[small])))
+    ei_x = np.exp(-xs) * (log_x + s[:xs.size])
+    e1_x = np.empty_like(xs)
+    e1_x[small] = np.exp(xs[small]) * (-log_x[small] - s[xs.size:])
+    u = xs[~small]
+    f = u + (2 * _E1_LEVELS + 1)
+    for j in range(_E1_LEVELS, 0, -1):
+        f = u + (2 * j - 1) - j * j / f
+    e1_x[~small] = 1.0 / f
+    g[~far] = -0.5 * (ei_x - e1_x)
     return g
 
 

@@ -245,7 +245,8 @@ def compute_coefficients(dressed, kernels):
             a[start:stop], b[start:stop] = y @ cos_t[:stop], y @ sin_t[:stop]
         # C(t - s) = C(t) C(s) + omega_S^2 C~(t) C~(s) and
         # C~(t - s) = C~(t) C(s) - C(t) C~(s)
-        on_c = cos_t * a + kernels.omega_S ** 2 * sin_t * b
+        w2 = kernels.omega_S * kernels.omega_S  # libm's pow can misround
+        on_c = cos_t * a + w2 * sin_t * b
         on_s = sin_t * a - cos_t * b
         cols = np.stack([on_c.real, on_s.real, on_c.imag, on_s.imag])
     gamma_t, theta_t, xi_t, upsilon_t = -cols[0], cols[1], -cols[2], cols[3]

@@ -14,6 +14,14 @@ generator has a_pp = 0, so det a = -|a_qp|^2 and it is never of
 CP-semigroup form unless Theta and Upsilon both vanish; CL has
 det a = -gamma^2 / hbar^2 < 0; JZ, CCL and QP have rank-1 matrices (CP).
 
+The entries of a carry different mass dimensions, so the decision reads
+no eigenvalue: a is positive semidefinite when a_qq >= 0, a_pp >= 0 and
+det a >= -tol (|a_qq a_pp| + |a_qp|^2), and of rank <= 1 when also
+|det a| <= tol (|a_qq a_pp| + |a_qp|^2).  A change of units is a
+congruence diag(s_q, s_p), which keeps the signs of the diagonal and
+scales det a and its bound alike.  lambda_min and the spectral norm are
+reported, not decided on.
+
 `audit_cp` reads a `QuadraticGenerator` through `QuadraticGenerator.at`,
 its `params` times its `units`, which the moment ODE and the Fock oracle
 step too: a tabulated generator is audited at its grid nodes, or
@@ -31,7 +39,7 @@ from .coefficients import HPZCoefficients
 from .dynamics import MasterEquationSpec, SystemSpec
 
 _HERMITICITY_TOL = 1e-12
-_CP_TOL = 1e-12  # relative to the spectral norm
+_CP_TOL = 1e-12  # det a relative to |a_qq a_pp| + |a_qp|^2
 
 
 def _closed_form(a):
@@ -50,10 +58,13 @@ def _closed_form(a):
     return 0.5 * (tr - root), det, 0.5 * (np.abs(tr) + root)
 
 
-def _rank_at_most_one(lam, det, norm, tol):
-    """PSD with det = 0 (to tol): one Lindblad operator is the dissipator."""
-    scale = np.maximum(norm, 1e-300)
-    return (lam >= -tol * scale) & (np.abs(det) <= tol * scale ** 2)
+def _cp_rule(a, det, tol):
+    """(PSD, PSD of rank <= 1) to tol by the unit-free rule of the module
+    docstring; rank <= 1 means one Lindblad operator is the dissipator."""
+    a00, a11 = a[..., 0, 0].real, a[..., 1, 1].real
+    bound = tol * (np.abs(a00 * a11) + np.abs(a[..., 0, 1]) ** 2)
+    psd = (a00 >= 0.0) & (a11 >= 0.0) & (det >= -bound)
+    return psd, psd & (np.abs(det) <= bound)
 
 
 def rank_one_factor(a):
@@ -64,8 +75,8 @@ def rank_one_factor(a):
     has rank 0 and gives D = 0.
     """
     a = np.asarray(a, dtype=complex)
-    lam, det, norm = _closed_form(a)
-    if not _rank_at_most_one(lam, det, norm, _CP_TOL):
+    lam, det, _ = _closed_form(a)
+    if not _cp_rule(a, det, _CP_TOL)[1]:
         raise ValueError("Kossakowski matrix is not positive semidefinite "
                          f"of rank <= 1 (lambda_min = {lam:.6e}, "
                          f"det = {det:.6e})")
@@ -139,7 +150,7 @@ def audit_cp(source, t_grid=None, constants=PhysicalConstants()):
     nodes, is interpolated between them as the propagators step it, and
     rejects a time outside its table; a constant one defaults to [0.0],
     which only labels the report.  The verdict is "NotCP" as soon as one
-    sampled eigenvalue dips below -1e-12 * spectral norm at that time.
+    sampled matrix fails the module docstring's PSD rule at tol = 1e-12.
     """
     if isinstance(source, HPZCoefficients):
         source = _table_generator(source, constants)
@@ -149,14 +160,15 @@ def audit_cp(source, t_grid=None, constants=PhysicalConstants()):
     if times.size == 0:
         raise ValueError("t_grid must hold at least one time")
 
-    lam, det, norm = _closed_form(source.at(times)[1])
-    floor = -_CP_TOL * np.maximum(norm, 1e-300)
-    bad = lam < floor
+    a = source.at(times)[1]
+    lam, det, norm = _closed_form(a)
+    psd, rank_one = _cp_rule(a, det, _CP_TOL)
+    bad = ~psd
     first = float(times[np.argmax(bad)]) if np.any(bad) else None
     verdict = "NotCP" if np.any(bad) else "CP-semigroup-form"
 
     flags = []
-    if np.all(_rank_at_most_one(lam, det, norm, _CP_TOL) & (norm > 0.0)):
+    if np.all(rank_one & (norm > 0.0)):
         flags.append("rank-1")
 
     return CPAuditReport(times=times, lambda_min=lam, det=det, norm=norm,

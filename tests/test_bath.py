@@ -30,6 +30,7 @@ from qbmlab.bath import (
     high_temperature_closed_form,
     im_closed_form,
     _DRUDE_SERIES_FROM,
+    _E1_SERIES_TO,
     _GL_POINTS,
     _OMEGA_CHUNK,
     _correlation_quad,
@@ -181,9 +182,9 @@ def test_drude_table_loads_no_scipy_and_matches_scipy_special(fresh_python):
     from scipy import special
 
     # every switch of _drude_g (E1's series to its continued fraction at
-    # 1, the two panels at 4, the asymptotic series at _DRUDE_SERIES_FROM)
-    # with its float neighbours, in a geometric sweep of (0, 100]
-    edges = np.array([1.0, 4.0, _DRUDE_SERIES_FROM])
+    # _E1_SERIES_TO, the asymptotic series at _DRUDE_SERIES_FROM) with its
+    # float neighbours, in a geometric sweep of (0, 100]
+    edges = np.array([_E1_SERIES_TO, _DRUDE_SERIES_FROM])
     x = np.sort(np.concatenate([np.geomspace(1e-300, 100.0, 4001), edges,
                                 np.nextafter(edges, 0.0),
                                 np.nextafter(edges, np.inf)]))

@@ -201,10 +201,27 @@ def test_audit_flags_exact_generator_as_not_cp(hpz_table):
 def test_audit_scale_invariance(hpz_table):
     t_grid = hpz_table.grid[hpz_table.grid >= 0.05]
     gen = _unit_mass_generator(hpz_table)
-    reports = [audit_cp(replace(gen, a=gen.a * s), t_grid=t_grid)
-               for s in (1.0, 1e9, 1e-9)]
+    # a change of units is a congruence s a s, s = diag(s_q, s_p)
+    s = np.diag([1.0, 1e3])
+    reports = [audit_cp(replace(gen, a=a), t_grid=t_grid)
+               for a in (gen.a, gen.a * 1e9, gen.a * 1e-9, s @ gen.a @ s)]
     assert {r.verdict for r in reports} == {"NotCP"}
     assert {r.first_violation_time for r in reports} == {t_grid[0]}
+    # det = -2.5e-13 < 0, so a is not PSD in any unit; its lambda_min is
+    # small against the spectral norm in one unit and not in the other
+    a = np.array([[1.0, 5e-7], [5e-7, 0.0]])
+    assert {_audit_matrix(b).verdict for b in (a, s @ a @ s)} == {"NotCP"}
+    # positive definite, with |det| small against the norm^2 in one unit
+    a = np.diag([1.0, 1e-13])
+    for b in (a, s @ a @ s):
+        assert _audit_matrix(b).flags == []
+        with pytest.raises(ValueError, match="rank <= 1"):
+            rank_one_factor(b)
+    # rank 1 in every unit
+    ccl = _generator("ccl").a
+    for b in (ccl, s @ ccl @ s):
+        assert _audit_matrix(b).flags == ["rank-1"]
+        rank_one_factor(b)
 
 
 def test_audit_constant_matrices():

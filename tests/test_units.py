@@ -12,19 +12,31 @@ two images of it.
 Every CSV column of the image must equal the shipped run's column times
 its factor in `FACTORS` to the bit.  The factors are powers of two, so
 the products are exact, and any rounding the numerics add, a hidden
-absolute constant or a misplaced hbar or m breaks equality.
+absolute constant or a misplaced hbar or m breaks equality.  The kernel
+and coefficient layers are held to the same rule under hypothesis, over
+cutoff, Omega, T, grid, omega_S and order.
+
+At time x3 the scaling rounds, so the image of hpz_audit's kernel,
+coefficient and audit tables (on all three cutoffs) and of the constant
+scenarios' moments agrees with the shipped run to a tolerance only.
 """
 
 import copy
 import glob
 import json
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qbmlab import cli, io
+from qbmlab.bath import (CorrelationKernel, CutoffKind, PhysicalConstants,
+                         SpectralDensity, ThermalBathSpec)
+from qbmlab.coefficients import (OscillatorKernels, compute_coefficients,
+                                 dressed_kernel)
 from qbmlab.scenario import scenario_from_dict
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -72,20 +84,25 @@ def energy_x2(sc):
     return sc
 
 
-def time_x2(sc):
+def time_scaled(sc, s):
+    """The time unit divided by s: rates times s, masses and times over s."""
     sc = copy.deepcopy(sc)
-    sc["system"]["omega_S"] *= 2.0
-    sc["system"]["m"] *= 0.5
+    sc["system"]["omega_S"] *= s
+    sc["system"]["m"] /= s
     for name in ("gamma", "T", "Omega"):
         if name in sc["bath"]:
-            sc["bath"][name] *= 2.0
+            sc["bath"][name] *= s
     grid = sc["equation"].get("coefficient_grid")
     if grid:
-        grid["t_max"] *= 0.5
+        grid["t_max"] /= s
     run = sc["run"]
-    run["t_span"] = [0.5 * t for t in run["t_span"]]
-    run["dt"] *= 0.5
+    run["t_span"] = [t / s for t in run["t_span"]]
+    run["dt"] /= s
     return sc
+
+
+def time_x2(sc):
+    return time_scaled(sc, 2.0)
 
 
 # image -> (scenario map, index into FACTORS, scale of times)
@@ -176,3 +193,119 @@ def test_columns_are_unit_covariant_to_the_bit(shipped_runs, tmp_path, name,
         first = audit["first_violation_time"]
         assert image_audit["first_violation_time"] \
             == (None if first is None else s_t * first)
+
+
+# Time x3, relative to each column's max |.|, a few times the worst case
+# measured (Drude lambda_min 4.1e-12, a difference of near-equal terms;
+# Drude Theta 5.0e-14; hpz_audit D_im 6.2e-16; cl_vs_ccl s_qp 4.0e-15).
+# hpz_audit's moments diverge, and rs_witness cancels there.
+X3_TOLERANCE = {"kernel": 2e-15, "coefficients": 2e-13, "audit": 2e-11,
+                "moments": 2e-14}
+X3_TABLES = {
+    **{f"hpz_audit{c}": ("kernel", "coefficients", "audit")
+       for c in ("", "_exponential", "_drude")},
+    **{name: ("moments",) for name in ("jz_decoherence", "cl_regime",
+                                       "cl_vs_ccl", "qp_coupling")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(X3_TABLES))
+def test_columns_are_unit_covariant_at_time_x3(shipped_runs, tmp_path, name):
+    tables, audit = shipped_runs[name]
+    image_tables, image_audit = _run(time_scaled(CASES[name], 3.0), tmp_path)
+    for artifact in X3_TABLES[name]:
+        table, other = tables[artifact], image_tables[artifact]
+        for column in table.columns:
+            # the factor at x2 is 2^k, so the one at x3 is 3^k
+            k = round(math.log2(factors(column)[1]))
+            expected = 3.0 ** k * table.data[column]
+            err = np.max(np.abs(other.data[column] - expected))
+            assert err <= X3_TOLERANCE[artifact] \
+                * np.max(np.abs(expected)), f"{artifact}.{column}"
+    if audit is not None:
+        assert (image_audit["verdict"], image_audit["flags"]) \
+            == (audit["verdict"], audit["flags"])
+        first = audit["first_violation_time"]
+        assert image_audit["first_violation_time"] \
+            == (None if first is None else pytest.approx(first / 3.0,
+                                                         rel=1e-15))
+
+
+def _layers(cutoff, Omega, T, grid, omega_S, order, m=1.0, hbar=1.0,
+            gamma=0.1):
+    """Kernel and coefficient columns of one bath, as the CLI builds them,
+    and the number of kernel nodes that went through QUADPACK."""
+    bath = ThermalBathSpec(SpectralDensity(m, gamma, Omega, cutoff), T=T,
+                           constants=PhysicalConstants(hbar=hbar))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the Drude D_re(0) notice
+        kernel = CorrelationKernel.from_bath(bath, grid)
+    kernels = OscillatorKernels(omega_S)
+    table = compute_coefficients(
+        dressed_kernel(kernel, kernels, order, m=m, hbar=hbar), kernels)
+    columns = {"tau": grid, "D_re": kernel.re_values,
+               "D_im": kernel.im_values, "Gamma": table.Gamma,
+               "Theta": table.Theta, "Xi": table.Xi, "Upsilon": table.Upsilon}
+    return columns, kernel.health["quad_fallbacks"]
+
+
+def _time_x2_layers(cutoff, Omega, T, grid, omega_S, order):
+    return _layers(cutoff, 2.0 * Omega, 2.0 * T, 0.5 * grid, 2.0 * omega_S,
+                   order, m=0.5, gamma=0.2)[0]
+
+
+def _energy_x2_layers(cutoff, Omega, T, grid, omega_S, order):
+    return _layers(cutoff, Omega, 2.0 * T, grid, omega_S, order, m=2.0,
+                   hbar=2.0)[0]
+
+
+def _assert_scaled(image, base, which):
+    for column, values in base.items():
+        assert np.array_equal(image[column],
+                              factors(column)[which] * values), column
+
+
+# Omega t_max <= 500 keeps D_im ~ e^{-Omega tau} a normal float, where a
+# product by a power of two is exact
+@given(cutoff=st.sampled_from(list(CutoffKind)),
+       Omega=st.floats(0.5, 100.0), T=st.floats(0.01, 100.0),
+       t_max=st.floats(0.1, 5.0), n=st.integers(2, 101),
+       omega_S=st.floats(0.0, 3.0), order=st.integers(1, 3))
+# libm's pow rounds Omega^2 (kernel) and omega_S^2 (windowing) off by an ulp
+# here, and not at twice the value
+@example(cutoff=CutoffKind.SHARP, Omega=35.03251304357756, T=1.0,
+         t_max=1.0, n=2, omega_S=0.0, order=1)
+@example(cutoff=CutoffKind.SHARP, Omega=1.0, T=1.0, t_max=1.0, n=11,
+         omega_S=0.5973065134161506, order=2)
+def test_kernel_and_coefficients_are_unit_covariant_to_the_bit(
+        cutoff, Omega, T, t_max, n, omega_S, order):
+    case = (cutoff, Omega, T, np.linspace(0.0, t_max, n), omega_S, order)
+    base, fallbacks = _layers(*case)
+    # the two exceptions are pinned by the strict xfails below
+    if not fallbacks:
+        _assert_scaled(_time_x2_layers(*case), base, 1)
+    if order == 1:
+        _assert_scaled(_energy_x2_layers(*case), base, 0)
+
+
+@pytest.mark.xfail(strict=True, reason="QUADPACK's QAWF takes its cycle "
+                   "(2 floor(|tau|) + 1) pi / |tau| from tau in absolute "
+                   "units")
+def test_quadpack_fallback_is_unit_covariant_at_time_x2():
+    # at T = 3 the thermal rule would need more than its node budget for
+    # two nodes, so both go through QUADPACK; tau = 1 halves to 0.5
+    case = (CutoffKind.DRUDE, 1.0, 3.0, np.linspace(0.0, 1.0, 2), 0.0, 1)
+    base, fallbacks = _layers(*case)
+    assert fallbacks == 2
+    _assert_scaled(_time_x2_layers(*case), base, 1)
+
+
+@pytest.mark.xfail(strict=True, reason="the dressing's response kernel "
+                   "carries i hbar / m where D's units need i / (hbar m)")
+def test_dressing_is_unit_covariant_at_energy_x2():
+    # D^(n) / D^(n-1) ~ (hbar / m) D t^3 scales by 4 at energy x2, not by
+    # 1, so the order-2 term grows 16-fold against D's 4; hbar = 1 hides it
+    case = (CutoffKind.SHARP, 1.0, 1.0, np.linspace(0.0, 1.0, 11), 0.0, 2)
+    base, fallbacks = _layers(*case)
+    assert fallbacks == 0
+    _assert_scaled(_energy_x2_layers(*case), base, 0)
