@@ -220,48 +220,56 @@ def _quad_checked(func, cuts, *, what, epsabs, epsrel, scale, **kwargs):
 def _correlation_quad(bath, tau, quad_tol, part):
     """Even (part "re") or odd (part "im") part of the correlation
     function at tau >= 0 by adaptive quadrature, weighted by cos or sin
-    (QUADPACK).  The even part is split at the bends of w coth(aw) near
-    1/a and 10/a: QAWO on each finite piece, QAWF beyond the last.
+    (QUADPACK), in the pure numbers u = w / Omega and x = Omega tau:
+
+        D_re(tau) =  P int_0^inf f(u) u coth(a Omega u) cos(u x) du
+        D_im(tau) = -P int_0^inf f(u) u sin(u x) du
+
+    with P = 2 m gamma hbar Omega^2 / pi, so a change of units changes
+    only P.  The even part is split at the bends of u coth(a Omega u)
+    near 1 / (a Omega) and 10 / (a Omega): QAWO on each finite piece,
+    QAWF beyond the last.
     """
     sd = bath.spectral
-    pref = 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi
     kind = sd.cutoff_kind
+    W = sd.Omega
     if part == "re":
-        a = bath.thermal_time
+        a_omega = bath.thermal_time * W
 
-        def integrand(w):
-            return pref * _cutoff_factor(kind, w / sd.Omega) \
-                * _omega_coth(w, a)
+        def integrand(u):
+            return _cutoff_factor(kind, u) * _omega_coth(u, a_omega)
 
-        scale = pref * sd.Omega * _omega_coth(sd.Omega, a)
-        sign, weight, bends = 1.0, "cos", (1.0 / a, 10.0 / a)
+        scale = _omega_coth(1.0, a_omega)
+        sign, weight, bends = 1.0, "cos", (1.0 / a_omega, 10.0 / a_omega)
     else:
         if tau == 0.0:
             return 0.0
 
-        def integrand(w):
-            return pref * w * _cutoff_factor(kind, w / sd.Omega)
+        def integrand(u):
+            return u * _cutoff_factor(kind, u)
 
-        scale = pref * sd.Omega * sd.Omega
+        scale = 1.0
         sign, weight, bends = -1.0, "sin", ()
 
     # scale: the magnitude of the integral, used for absolute tolerances
     # where quadpack cannot work in relative terms (semi-infinite
     # weighted rules)
-    args = {"what": f"D_{part}({tau:g})", "epsabs": quad_tol * scale,
-            "epsrel": quad_tol, "scale": scale}
+    args = {"what": f"D_{part}({tau:g}) / (2 m gamma hbar Omega^2 / pi)",
+            "epsabs": quad_tol * scale, "epsrel": quad_tol, "scale": scale}
     if tau == 0.0:  # the even part only; no oscillatory weight
-        upper = _REACH[kind] * sd.Omega
-        # the bends of w coth(aw) near 1/a and of the profile near Omega
-        points = sorted({p for p in (*bends, sd.Omega) if p < upper})
-        return _quad_checked(integrand, (0.0, upper), limit=500,
-                             points=points or None, **args)
-    if pref == 0.0:  # zero coupling; the semi-infinite rules need epsabs > 0
-        return 0.0
-    upper = sd.Omega if kind is CutoffKind.SHARP else np.inf
-    cuts = (0.0, *(p for p in bends if p < upper), upper)
-    return sign * _quad_checked(integrand, cuts, weight=weight, wvar=tau,
-                                limit=500, limlst=200, **args)
+        upper = _REACH[kind]
+        # the bends of u coth(a Omega u) and of the profile near u = 1
+        points = sorted({p for p in (*bends, 1.0) if p < upper})
+        value = _quad_checked(integrand, (0.0, upper), limit=500,
+                              points=points or None, **args)
+    else:
+        upper = 1.0 if kind is CutoffKind.SHARP else np.inf
+        cuts = (0.0, *(p for p in bends if p < upper), upper)
+        value = sign * _quad_checked(integrand, cuts, weight=weight,
+                                     wvar=W * tau, limit=500, limlst=200,
+                                     **args)
+    return 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi * W * W \
+        * value
 
 
 def eval_correlation(bath, tau, quad_tol=1e-8):
@@ -511,11 +519,18 @@ def _is_seed(value):  # an integer that fits a seed word, 0 <= value < 2^64
     return _is_int(value) and 0 <= int(value) < 2 ** 64
 
 
+# how far past [0, span] a table lookup may reach, relative to the span: the
+# rounding of the times that step to the table's end
+_SPAN_RTOL = 1e-12
+
+
 def interp_table(grid, t, columns):
-    """Columns sampled on `grid`, linearly interpolated at times t."""
+    """Columns sampled on `grid`, linearly interpolated at times t, which
+    may stray past [0, span] by _SPAN_RTOL of the span (rounding)."""
     t = np.asarray(t, dtype=float)
     span = float(grid[-1])
-    if not (np.all(t >= -1e-15) and np.all(t <= span * (1.0 + 1e-12) + 1e-15)):
+    if not (np.all(t >= -_SPAN_RTOL * span)
+            and np.all(t <= span * (1.0 + _SPAN_RTOL))):
         raise ValueError(f"t outside tabulated range [0, {span:g}]")
     return [np.interp(t, grid, col) for col in columns]
 
@@ -578,7 +593,7 @@ class CorrelationKernel:
         zero_re, im = _zero_temperature(bath, grid)
         thermal, err = _re_table(bath, grid)
         re = zero_re + thermal
-        sd = bath.spectral  # QUADPACK's scale, as in _correlation_quad
+        sd = bath.spectral  # QUADPACK's scale times P (_correlation_quad)
         scale = 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi \
             * sd.Omega * _omega_coth(sd.Omega, bath.thermal_time)
         target = quad_tol * np.maximum(scale, np.abs(re))

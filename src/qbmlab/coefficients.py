@@ -14,21 +14,23 @@ Volterra-type recursion
     D^(n)(t, s) = int_0^t dt' int_0^t ds' c(t', s')
                   [ Dbar(t', s) D^(n-1)(t, s') + D(t', s) conj(D^(n-1)(t, s')) ]
 
-with c(t, s) = (i hbar / m) C~(s - t) for t > s (zero otherwise) and
+with c(t, s) = (i / (hbar m)) C~(s - t) for t > s (zero otherwise) and
 Dbar(t, s) = D(|t - s|), which parity (D_re even, D_im odd) gives as
-D(t - s) for t >= s and its conjugate otherwise.  On a uniform grid each
-integral over [0, t_i] is row i of one trapezoid-weight matrix W, so
-with X = W o D^(n-1) (o: entrywise) an order is
+D(t - s) for t >= s and its conjugate otherwise.  D is a force
+correlation, so an order keeps D's units only if c carries
+1 / (force x time)^2: that fixes the power of hbar in c.  On a uniform
+grid each integral over [0, t_i] is row i of one trapezoid-weight
+matrix W, so with X = W o D^(n-1) (o: entrywise) an order is
 
     D^(n) = (W o (X c^T)) Dbar + (W o (conj(X) c^T)) D.
 
 The response kernel separates by the sine addition formula,
-c(t_j, t_k) = (i hbar / m) [C~(t_k) C(t_j) - C(t_k) C~(t_j)] for k < j,
-so X c^T = (i hbar / m) U, each row of U two exclusive cumulative sums
+c(t_j, t_k) = (i / (hbar m)) [C~(t_k) C(t_j) - C(t_k) C~(t_j)] for k < j,
+so X c^T = (i / (hbar m)) U, each row of U two exclusive cumulative sums
 along that row of X weighted by the real C and C~, and conj(X) c^T =
-(i hbar / m) conj(U).  With W o U = P + iQ (so W o conj(U) = P - iQ, W
+(i / (hbar m)) conj(U).  With W o U = P + iQ (so W o conj(U) = P - iQ, W
 being real), D = R + i(L + V) and Dbar = R + i(L - V) (R even, L and V
-the odd part below and above the diagonal), an order is 2 (i hbar / m)
+the odd part below and above the diagonal), an order is 2 (i / (hbar m))
 [(P R + Q V) + i P L], three real O(N^3) products.  R and L are the
 kernel's `lag_factors`, the two real Toeplitz factors of D at the node
 lags i - j (not interpolated), and V = -L^T is read as a transposed view
@@ -152,9 +154,9 @@ def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
     total = _lag_table(re_d, lo)
     cos_t, sin_t = kernels.c(grid), kernels.c_tilde(grid)
     h, size = base.spacing, grid.size
-    # an order is linear in the one before, so with -i hbar / m in place
-    # of i hbar / m each cur is the signed term (-1)^(n-1) D^(n)
-    k = 2.0 * hbar / m
+    # an order is linear in the one before, so with -i / (hbar m) in
+    # place of i / (hbar m) each cur is the signed term (-1)^(n-1) D^(n)
+    k = 2.0 / (hbar * m)
     # row i of an order reads only row i of the order before, so a block
     # of rows runs through every order before the next block starts,
     # adding each cur to its rows of total; the block's temporaries live
@@ -174,7 +176,7 @@ def dressed_kernel(base, kernels, order, *, m=1.0, hbar=1.0):
         prev = rows[:, :stop]
         for _ in range(2, order + 1):
             np.multiply(w, prev, out=x)
-            # X c^T = (i hbar / m) u: u[:, b] sums x[:, a] [C~(t_a) C(t_b)
+            # X c^T = (i / (hbar m)) u: u[:, b] sums x[:, a] [C~(t_a) C(t_b)
             # - C(t_a) C~(t_b)] over the nodes a < b
             _exclusive_cumsum(np.multiply(x, sin_t[:stop], out=y), u)
             _exclusive_cumsum(np.multiply(x, cos_t[:stop], out=x), y)

@@ -195,7 +195,7 @@ def compare_runs(path_a, path_b, columns=None, atol=0.0, rtol=0.0):
     """Compare two CSV artifacts column by column on a shared grid.
 
     The first column of each file is treated as the grid and must match
-    to 1e-12 (absolute, relative to the grid scale).  A column passes
+    to 1e-12 of its largest |t|.  A column passes
     when every |a - b| <= atol + rtol * max(|a|, |b|).
     """
     if not (0.0 <= atol < np.inf and 0.0 <= rtol < np.inf):
@@ -212,7 +212,7 @@ def compare_runs(path_a, path_b, columns=None, atol=0.0, rtol=0.0):
             f"time grids differ in length: {ga.size} vs {gb.size}")
     if not ga.size:
         raise ValueError("no rows to compare: both files have a header only")
-    scale = max(float(np.max(np.abs(ga))), 1.0)
+    scale = float(max(np.max(np.abs(ga)), np.max(np.abs(gb))))
     if float(np.max(np.abs(ga - gb))) > 1e-12 * scale:
         raise ValueError("time grids differ beyond 1e-12")
 

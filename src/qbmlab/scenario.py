@@ -23,7 +23,8 @@ import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 
-from .bath import CutoffKind, PhysicalConstants, _is_int, _is_seed
+from .bath import (_SPAN_RTOL, CutoffKind, PhysicalConstants, _is_int,
+                   _is_seed)
 from .coefficients import MAX_CHEAP_ORDER
 from .dynamics import MasterEquationSpec, SystemSpec, Variant
 from .positivity import check_noise_realizable, rank_one_factor
@@ -301,7 +302,7 @@ def _cross_rules(sc, errors):
             errors.append(f"equation.coefficient_grid: {needed}")
     t_max = grid.get("t_max") if grid else None
     if variant == "hpz" and t_max is not None and t_span is not None \
-            and t_max < t_span[1] - 1e-12:
+            and t_span[1] > t_max * (1.0 + _SPAN_RTOL):
         errors.append("equation.coefficient_grid.t_max: must cover "
                       f"run.t_span (need >= {t_span[1]:g}, got {t_max:g})")
     if variant == "hpz" and t_span is not None and t_span[0] < 0.0:

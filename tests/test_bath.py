@@ -29,6 +29,7 @@ from qbmlab.bath import (
     eval_spectral_density,
     high_temperature_closed_form,
     im_closed_form,
+    interp_table,
     _DRUDE_SERIES_FROM,
     _E1_SERIES_TO,
     _GL_POINTS,
@@ -375,6 +376,13 @@ def test_kernel_grid_validation():
         k.at(1.5)
     with pytest.raises(ValueError, match="outside tabulated range"):
         k.at(np.array([0.5, np.nan]))
+    # the range is checked relative to the span: 5e-16 before a span of
+    # 1e-12 is 0.05% of it, and 2e-15 before a span of 1000 is rounding
+    tiny = np.linspace(0.0, 1e-12, 11)
+    with pytest.raises(ValueError, match="outside tabulated range"):
+        interp_table(tiny, -5e-16, [tiny])
+    wide = np.linspace(0.0, 1000.0, 11)
+    assert interp_table(wide, -2e-15, [wide]) == [0.0]
 
 
 def test_kernel_owns_copies_of_its_samples():

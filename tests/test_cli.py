@@ -96,7 +96,7 @@ def test_type_errors_are_collected():
     assert "run.dt: expected a number" in text
 
 
-def test_variant_specific_requirements():
+def test_variant_specific_requirements(tmp_path, capsys):
     qp = json.loads(json.dumps(MINIMAL_JZ))
     qp["equation"]["variant"] = "qp"
     with pytest.raises(ScenarioError, match="requires 'mu'"):
@@ -115,6 +115,14 @@ def test_variant_specific_requirements():
     short["bath"]["Omega"] = 10.0
     with pytest.raises(ScenarioError, match="must cover"):
         scenario_from_dict(short)
+    # t_max covers t1 exactly when the table lookup at t1 does: on a
+    # picosecond grid an absolute 1e-12 of slack would pass t1 = 2e-12
+    short["equation"]["coefficient_grid"]["t_max"] = 1.5e-12
+    short["run"] = {"t_span": [0.0, 2e-12], "dt": 1e-14}
+    path = _write(tmp_path, short)
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "must cover" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_ensemble_requirements():

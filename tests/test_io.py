@@ -192,6 +192,13 @@ def test_compare_grid_mismatch(tmp_path):
                                 data={"t": t[:-1], "x": np.sin(t[:-1])}))
     with pytest.raises(ValueError, match="grids differ"):
         io.compare_runs(a, b)
+    # the grids are matched relative to their own scale, however small
+    for path, t in ((a, [0.0, 1e-15, 2e-15]), (b, [0.0, 5e-16, 1e-15])):
+        io.write_csv(path, io.CsvTable(columns=("t", "x"),
+                                       data={"t": np.array(t),
+                                             "x": np.zeros(3)}))
+    with pytest.raises(ValueError, match="grids differ"):
+        io.compare_runs(a, b)
     with pytest.raises(ValueError, match="length"):
         io.compare_runs(a, c)
     with pytest.raises(ValueError, match="not present"):

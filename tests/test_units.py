@@ -280,31 +280,25 @@ def _assert_scaled(image, base, which):
 def test_kernel_and_coefficients_are_unit_covariant_to_the_bit(
         cutoff, Omega, T, t_max, n, omega_S, order):
     case = (cutoff, Omega, T, np.linspace(0.0, t_max, n), omega_S, order)
-    base, fallbacks = _layers(*case)
-    # the two exceptions are pinned by the strict xfails below
-    if not fallbacks:
-        _assert_scaled(_time_x2_layers(*case), base, 1)
-    if order == 1:
-        _assert_scaled(_energy_x2_layers(*case), base, 0)
+    base, _ = _layers(*case)
+    _assert_scaled(_time_x2_layers(*case), base, 1)
+    _assert_scaled(_energy_x2_layers(*case), base, 0)
 
 
-@pytest.mark.xfail(strict=True, reason="QUADPACK's QAWF takes its cycle "
-                   "(2 floor(|tau|) + 1) pi / |tau| from tau in absolute "
-                   "units")
 def test_quadpack_fallback_is_unit_covariant_at_time_x2():
     # at T = 3 the thermal rule would need more than its node budget for
-    # two nodes, so both go through QUADPACK; tau = 1 halves to 0.5
+    # two nodes, so both go through QUADPACK; tau = 1 halves to 0.5, and
+    # QAWF's cycle (2 floor(x) + 1) pi / x is read at x = Omega tau
     case = (CutoffKind.DRUDE, 1.0, 3.0, np.linspace(0.0, 1.0, 2), 0.0, 1)
     base, fallbacks = _layers(*case)
     assert fallbacks == 2
     _assert_scaled(_time_x2_layers(*case), base, 1)
 
 
-@pytest.mark.xfail(strict=True, reason="the dressing's response kernel "
-                   "carries i hbar / m where D's units need i / (hbar m)")
 def test_dressing_is_unit_covariant_at_energy_x2():
-    # D^(n) / D^(n-1) ~ (hbar / m) D t^3 scales by 4 at energy x2, not by
-    # 1, so the order-2 term grows 16-fold against D's 4; hbar = 1 hides it
+    # D^(n) / D^(n-1) ~ D t^3 / (hbar m) keeps its value at energy x2, so
+    # every order scales as D; at hbar = 1 no run can tell i / (hbar m)
+    # from i hbar / m in the response kernel
     case = (CutoffKind.SHARP, 1.0, 1.0, np.linspace(0.0, 1.0, 11), 0.0, 2)
     base, fallbacks = _layers(*case)
     assert fallbacks == 0
