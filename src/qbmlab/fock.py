@@ -26,7 +26,7 @@ from .bath import PhysicalConstants, _is_int
 from .dynamics import central_moments, rk4_stage_times, rk4_step, step_plan
 
 _LEAK_THRESHOLD = 1e-6  # combined population of the top two levels
-_TRACE_RATE = 1e-8  # allowed trace drift per unit time
+_TRACE_RATE = 1e-8  # allowed trace drift per unit of omega_S t
 
 
 class TruncationWarning(UserWarning):
@@ -34,7 +34,7 @@ class TruncationWarning(UserWarning):
 
 
 class TraceDriftWarning(UserWarning):
-    """Propagation lost more trace than the per-unit-time budget."""
+    """Propagation lost more trace than its budget per unit of omega_S t."""
 
 
 def _checked_dim(dim):
@@ -298,7 +298,7 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     traces = np.array(traces)
     drift = np.max(np.abs(traces - traces[0]))
     span = n_steps * h
-    if drift > _TRACE_RATE * max(1.0, span):
+    if drift > _TRACE_RATE * max(1.0, spec.system.omega_S * span):
         warnings.warn(
             f"trace drifted by {drift:.3e} over span {span:g}",
             TraceDriftWarning, stacklevel=2)

@@ -305,6 +305,32 @@ def test_truncation_leak_warns_at_small_dim():
     assert ftr.first_leak_time is not None
 
 
+def test_trace_drift_budget_counts_the_span_in_units_of_omega_S(monkeypatch):
+    # a CCL run over omega_S t = 2 and its image at time x2 (omega_S, gamma
+    # and T doubled, m and the times halved) drift by the same rounding, so
+    # both are within the budget of omega_S t = 2 or both exceed it
+    def traces(s):
+        system = SystemSpec(m=1.0 / s, omega_S=s)
+        spec = MasterEquationSpec("ccl", system, gamma=0.1 * s, T=0.5 * s)
+        rho0 = coherent_density(12, fock.alpha_from_moments(system, 1.0, 0.0))
+        return fock.fock_propagate(spec, rho0, (0.0, 2.0 / s), 1e-2 / s,
+                                   store_every=100).trace
+
+    trace = traces(1.0)
+    assert np.array_equal(traces(2.0), trace)
+    drift = np.max(np.abs(trace - trace[0]))
+    assert drift > 0.0
+    monkeypatch.setattr(fock, "_TRACE_RATE", 0.6 * drift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", fock.TraceDriftWarning)
+        for s in (1.0, 2.0):
+            traces(s)
+    monkeypatch.setattr(fock, "_TRACE_RATE", 0.4 * drift)
+    for s in (1.0, 2.0):
+        with pytest.warns(fock.TraceDriftWarning, match="trace drifted by"):
+            traces(s)
+
+
 def test_fock_propagate_api():
     spec = MasterEquationSpec(variant="cl", system=SYS, gamma=0.1, T=1.0)
     rho0 = coherent_density(15, 0.3)

@@ -14,7 +14,8 @@ its factor in `FACTORS` to the bit.  The factors are powers of two, so
 the products are exact, and any rounding the numerics add, a hidden
 absolute constant or a misplaced hbar or m breaks equality.  The kernel
 and coefficient layers are held to the same rule under hypothesis, over
-cutoff, Omega, T, grid, omega_S and order.
+cutoff, Omega, T, grid, omega_S and order, and so are the Fock oracle's
+moments and trace on the four constant scenarios.
 
 At time x3 the scaling rounds, so the image of hpz_audit's kernel,
 coefficient and audit tables (on all three cutoffs) and of the constant
@@ -32,11 +33,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qbmlab import cli, io
+from qbmlab import cli, fock, io
 from qbmlab.bath import (CorrelationKernel, CutoffKind, PhysicalConstants,
                          SpectralDensity, ThermalBathSpec)
 from qbmlab.coefficients import (OscillatorKernels, compute_coefficients,
                                  dressed_kernel)
+from qbmlab.dynamics import MOMENTS
 from qbmlab.scenario import scenario_from_dict
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -229,6 +231,34 @@ def test_columns_are_unit_covariant_at_time_x3(shipped_runs, tmp_path, name):
         assert image_audit["first_violation_time"] \
             == (None if first is None else pytest.approx(first / 3.0,
                                                          rel=1e-15))
+
+
+def _fock_run(sc):
+    """The Fock oracle's run of a constant scenario, from a dim-30 coherent
+    state with the scenario's means."""
+    scenario = scenario_from_dict(sc)
+    state, run = scenario.state, scenario.run
+    psi = fock.coherent_state(30, fock.alpha_from_moments(
+        scenario.system, state.mean_q, state.mean_p, scenario.units))
+    return fock.fock_propagate(cli._equation_spec(scenario, None),
+                               np.outer(psi, psi.conj()), run.t_span, run.dt,
+                               run.store_every)
+
+
+@pytest.mark.parametrize("name", ["jz_decoherence", "cl_regime", "cl_vs_ccl",
+                                  "qp_coupling"])
+def test_fock_oracle_is_unit_covariant_to_the_bit(name):
+    sc = copy.deepcopy(CASES[name])
+    sc["run"]["t_span"] = [0.0, 0.5]
+    base = _fock_run(sc)
+    for transform, which, s_t in IMAGES.values():
+        image = _fock_run(transform(sc))
+        assert np.array_equal(image.times, s_t * base.times)
+        for column, values, other in zip(MOMENTS, base.data.T, image.data.T):
+            assert np.array_equal(other, factors(column)[which] * values), \
+                f"{column} x {factors(column)[which]:g}"
+        assert np.array_equal(image.trace, base.trace)
+        assert np.array_equal(image.top_population, base.top_population)
 
 
 def _layers(cutoff, Omega, T, grid, omega_S, order, m=1.0, hbar=1.0,
