@@ -59,6 +59,11 @@ class Variant(str, Enum):
 
 MOMENTS = ("mean_q", "mean_p", "s_qq", "s_pp", "s_qp")  # (..., 5) columns
 OBSERVABLES = ("norm2", "q", "p", "qq", "pp", "qp")  # raw moments
+# Dimensions as exponents of (length, time, energy), as the scenario keys
+# (`scenario.key`) and CSV columns (`io.COLUMN_DIMS`) declare them; k_B T
+# is an energy.  No run reads them: they define the change of units.
+NO_UNIT, LENGTH, TIME, ENERGY = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
+RATE, MASS, MOMENTUM, ACTION = (0, -1, 0), (-2, 2, 1), (-1, 1, 1), (0, 1, 1)
 
 
 def central_moments(raw):
@@ -325,9 +330,10 @@ class UnstableGeneratorWarning(UserWarning):
 
 def _warn_if_unstable(gen, t0, t1):
     """Warn if A = J (G - hbar Im a) has an eigenvalue with real part
-    above 1e-12 max|A|: at t0, the table nodes strictly inside (t0, t1)
-    and t1, or once for a constant generator.  The means then grow as
-    exp(rate t).
+    above 1e-12 (|tr A| / 2 + sqrt|det A|), a rate as unit-free as A's
+    eigenvalues (A's entries differ in units): at t0, the table nodes
+    strictly inside (t0, t1) and t1, or once for a constant generator.
+    The means then grow as exp(rate t).
     """
     times = np.array([t0]) if gen.grid is None else np.concatenate(
         [[t0], gen.grid[(gen.grid > t0) & (gen.grid < t1)], [t1]])
@@ -336,7 +342,7 @@ def _warn_if_unstable(gen, t0, t1):
     half_tr = 0.5 * (A[:, 0, 0] + A[:, 1, 1])
     det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
     rate = half_tr + np.sqrt(np.maximum(half_tr ** 2 - det, 0.0))
-    bad = rate > 1e-12 * np.abs(A).max(axis=(-2, -1))
+    bad = rate > 1e-12 * (np.abs(half_tr) + np.sqrt(np.abs(det)))
     if np.any(bad):
         warnings.warn(f"unstable generator: from t = {times[np.argmax(bad)]:g}"
                       " the friction matrix has an eigenvalue with real part"

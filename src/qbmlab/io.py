@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .bath import CorrelationKernel
 from .coefficients import HPZCoefficients
-from .dynamics import MOMENTS
+from .dynamics import ACTION, LENGTH, MOMENTS, MOMENTUM, NO_UNIT, TIME
 
 _TOOL = "qbmlab"
 
@@ -26,6 +26,22 @@ COEFFICIENT_COLUMNS = ("t", "Gamma", "Theta", "Xi", "Upsilon")
 AUDIT_COLUMNS = ("t", "lambda_min", "det", "norm")
 ENSEMBLE_COLUMNS = ("t", *(c for m in MOMENTS for c in (m, "se_" + m)),
                     "norm2", "se_norm2", "alive")
+
+# Dimensions as exponents of (length, time, energy), which no run reads:
+# those of the Kossakowski matrix a's entries a_qq, a_qp and a_pp, and of
+# each base column (a derived column, se_*, *_mc, *_ode, *_abs_dev or
+# *_se, takes its base's).  lambda_min and the norm of a mix its entries,
+# whose units differ, so they have none (None).
+KOSSAKOWSKI_DIMS = ((-2, -1, 0), (0, -2, -1), (2, -3, -2))
+COLUMN_DIMS = {
+    "t": TIME, "tau": TIME, "mean_q": LENGTH, "mean_p": MOMENTUM,
+    "s_qq": (2, 0, 0), "s_pp": (-2, 2, 2), "s_qp": ACTION,
+    "rs_witness": (0, 2, 2), "norm2": NO_UNIT, "alive": NO_UNIT,
+    "D_re": (-2, 0, 2), "D_im": (-2, 0, 2),  # force^2
+    "Gamma": (-2, 1, 2), "Xi": (-2, 1, 2),  # force^2 time
+    "Theta": (-2, 2, 2), "Upsilon": (-2, 2, 2),  # momentum^2
+    "det": (0, -4, -2), "lambda_min": None, "norm": None,
+}
 
 
 @dataclass

@@ -46,9 +46,12 @@ def _closed_form(a):
     """lambda_min, det and spectral norm of Hermitian (..., 2, 2) matrices."""
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix is not finite")
-    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
-    skew = np.max(np.abs(a - np.swapaxes(a, -2, -1).conj()), axis=(-2, -1))
-    if np.any(skew > _HERMITICITY_TOL * scale):
+    # each entry against its own size: a's entries differ in units
+    qp, pq = a[..., 0, 1], a[..., 1, 0]
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    if np.any(np.abs(qp - pq.conj()) > _HERMITICITY_TOL
+              * (np.abs(qp) + np.abs(pq))) \
+            or np.any(np.abs(diag.imag) > _HERMITICITY_TOL * np.abs(diag)):
         raise ValueError("matrix is not Hermitian to 1e-12")
     a00, a11 = a[..., 0, 0].real, a[..., 1, 1].real
     tr = a00 + a11
@@ -68,11 +71,13 @@ def _cp_rule(a, det, tol):
 
 
 def rank_one_factor(a):
-    """(D, v) with a = D v v^dag, v normalized on a's larger diagonal entry.
+    """(D, v) with a = D v v^dag, v normalized on q: v = (1, v_p) and
+    D = a_qq, unless a_qq <= 0 < a_pp, where v = (0, 1) and D = a_pp.
 
-    Raises ValueError unless the Hermitian 2x2 matrix a is positive
+    Comparing a_qq with a_pp would compare different units.  Raises
+    ValueError unless the Hermitian 2x2 matrix a is positive
     semidefinite with rank <= 1 (the audit's rank-1 criterion); a = 0
-    has rank 0 and gives D = 0.
+    has rank 0 and gives D = 0, v = (1, 0).
     """
     a = np.asarray(a, dtype=complex)
     lam, det, _ = _closed_form(a)
@@ -80,10 +85,10 @@ def rank_one_factor(a):
         raise ValueError("Kossakowski matrix is not positive semidefinite "
                          f"of rank <= 1 (lambda_min = {lam:.6e}, "
                          f"det = {det:.6e})")
-    k = int(a[1, 1].real > a[0, 0].real)
+    k = int(not a[0, 0].real > 0.0)
     d = max(float(a[k, k].real), 0.0)
     if d == 0.0:
-        return 0.0, np.eye(2, dtype=complex)[k]
+        return 0.0, np.array([1.0, 0.0], dtype=complex)
     # divide the parts apart: complex division can round v_k off 1
     return d, a[:, k].real / d + 1j * (a[:, k].imag / d)
 

@@ -4,7 +4,8 @@ A scenario is a JSON object: an optional `name` (default: the file
 stem) and the blocks units, system, bath, state, equation, run and
 stochastic.  Each key is declared once, as a field of the block
 dataclasses below.  `key` gives its JSON kind or nested block class,
-its lower bound (`gt`/`ge`) and its allowed values; the field default
+its lower bound (`gt`/`ge`), its allowed values and the dimension of a
+number as exponents of (length, time, energy); the field default
 is the key's default, and a field without one is a required key.  One
 reader (`_read`) and one writer (`scenario_to_dict`) walk those fields;
 `_cross_rules` holds the rules that involve more than one key or block.
@@ -26,7 +27,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from .bath import (_SPAN_RTOL, CutoffKind, PhysicalConstants, _is_int,
                    _is_seed)
 from .coefficients import MAX_CHEAP_ORDER
-from .dynamics import MasterEquationSpec, SystemSpec, Variant
+from .dynamics import (ACTION, ENERGY, LENGTH, MASS, MOMENTUM, NO_UNIT, RATE,
+                       TIME, MasterEquationSpec, SystemSpec, Variant)
 from .positivity import check_noise_realizable, rank_one_factor
 
 _VALID_OUTPUTS = ("kernel", "coefficients", "audit", "moments", "ensemble")
@@ -46,49 +48,53 @@ def key(kind, default=MISSING, **rules):
 
     `kind` is a `_KINDS` name or a block dataclass.  Rules: `gt`/`ge`
     (lower bound), `choices` (allowed strings; an unknown one is named
-    `noun`, default the key), and for blocks `make` (the class built
-    from the block's fields).
+    `noun`, default the key), for blocks `make` (the class built from
+    the block's fields), and for every number, pair and complex key
+    `dim`, its dimension (`dynamics.NO_UNIT` and the rest), which no
+    run reads.
     """
     return field(default=default, metadata={"kind": kind, **rules})
 
 
 @dataclass(frozen=True)
 class _Units:
-    hbar: float = key("number", 1.0, gt=0.0)
-    k_B: float = key("number", 1.0, gt=0.0)
+    hbar: float = key("number", 1.0, gt=0.0, dim=ACTION)
+    k_B: float = key("number", 1.0, gt=0.0, dim=NO_UNIT)
 
 
 @dataclass(frozen=True)
 class SystemBlock:
-    m: float = key("number", gt=0.0)
-    omega_S: float = key("number", ge=0.0)
+    m: float = key("number", gt=0.0, dim=MASS)
+    omega_S: float = key("number", ge=0.0, dim=RATE)
 
 
 @dataclass(frozen=True)
 class BathBlock:
-    gamma: float = key("number", ge=0.0)
-    T: float = key("number", gt=0.0)
+    gamma: float = key("number", ge=0.0, dim=RATE)
+    T: float = key("number", gt=0.0, dim=ENERGY)
     cutoff: str = key("string", "sharp",
                       choices=tuple(k.value for k in CutoffKind), noun="kind")
-    Omega: float | None = key("number", None, gt=0.0)
-    quad_tol: float = key("number", 1e-8, gt=0.0)
+    Omega: float | None = key("number", None, gt=0.0, dim=RATE)
+    quad_tol: float = key("number", 1e-8, gt=0.0, dim=NO_UNIT)
 
 
 @dataclass(frozen=True)
 class StateBlock:
     kind: str = key("string", "coherent", choices=_STATE_KINDS)
-    mean_q: float = key("number", 0.0)
-    mean_p: float = key("number", 0.0)
-    r: float | None = key("number", None)
-    nbar: float | None = key("number", None, ge=0.0)
-    sigma_qq: float | None = key("number", None, gt=0.0)
-    sigma_pp: float | None = key("number", None, gt=0.0)
-    sigma_qp: float | None = key("number", None)
+    mean_q: float = key("number", 0.0, dim=LENGTH)
+    mean_p: float = key("number", 0.0, dim=MOMENTUM)
+    r: float | None = key("number", None, dim=NO_UNIT)
+    nbar: float | None = key("number", None, ge=0.0, dim=NO_UNIT)
+    sigma_qq: float | None = key("number", None, gt=0.0,
+                                  dim=(2, 0, 0))  # length^2
+    sigma_pp: float | None = key("number", None, gt=0.0,
+                                  dim=(-2, 2, 2))  # momentum^2
+    sigma_qp: float | None = key("number", None, dim=ACTION)
 
 
 @dataclass(frozen=True)
 class GridBlock:
-    t_max: float = key("number", gt=0.0)
+    t_max: float = key("number", gt=0.0, dim=TIME)
     n: int = key("int")
 
 
@@ -96,7 +102,7 @@ class GridBlock:
 class EquationBlock:
     variant: str = key("string", choices=tuple(v.value for v in Variant))
     order: int = key("int", 1)
-    mu: float | None = key("number", None)
+    mu: float | None = key("number", None, dim=(2, -1, -1))  # time/mass
     coefficient_grid: GridBlock | None = key(GridBlock, None)
 
     @property
@@ -110,8 +116,8 @@ class EquationBlock:
 
 @dataclass(frozen=True)
 class RunBlock:
-    t_span: tuple = key("pair")
-    dt: float = key("number", gt=0.0)
+    t_span: tuple = key("pair", dim=TIME)
+    dt: float = key("number", gt=0.0, dim=TIME)
     store_every: int = key("int", 1, ge=1)
     outputs: tuple = key("string-list", ("moments",))
 
@@ -120,7 +126,7 @@ class RunBlock:
 class StochasticBlock:
     n_traj: int = key("int", ge=1)
     seed: int = key("int")
-    S_scalar: complex = key("complex", 0j)
+    S_scalar: complex = key("complex", 0j, dim=(-2, -1, 0))  # as a_qq
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -585,16 +586,16 @@ def test_cli_runs_are_byte_deterministic(tmp_path):
 
 def test_shipped_runs_every_cutoff_and_coherent_state_load_no_scipy(
         tmp_path, fresh_python):
-    # every shipped scenario, the unraveling included, hpz_audit with each
-    # cutoff and the Fock oracle's coherent state use numpy alone, so none
-    # of them may pay for importing scipy
+    # every shipped scenario, the unraveling included, every hpz_audit
+    # variant of run_all_scenarios.py (each cutoff, the order-3 dressing)
+    # and the Fock oracle's coherent state use numpy alone, so none of them
+    # may pay for importing scipy
     paths = sorted(str(p) for p in SCENARIOS.glob("*.json"))
     assert len(paths) == 6
-    audit = json.loads((SCENARIOS / "hpz_audit.json").read_text())
-    for cutoff in ("exponential", "drude"):
-        audit["name"] = f"hpz_audit_{cutoff}"
-        audit["bath"]["cutoff"] = cutoff
-        paths.append(_write(tmp_path, audit, f"hpz_audit_{cutoff}.json"))
+    runs = runpy.run_path(str(SCENARIOS.parent / "scripts"
+                              / "run_all_scenarios.py"))
+    paths += [runs["write_variant"](tmp_path, *item)
+              for item in runs["VARIANTS"].items()]
     out = tmp_path / "out"
     source = (
         "import json, sys\n"
@@ -607,7 +608,7 @@ def test_shipped_runs_every_cutoff_and_coherent_state_load_no_scipy(
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] == 'scipy')))\n")
     assert json.loads(fresh_python("-c", source).splitlines()[-1]) == []
-    for stem in ("hpz_audit", "hpz_audit_exponential", "hpz_audit_drude"):
+    for stem in ("hpz_audit", *runs["VARIANTS"]):
         assert (out / f"{stem}_kernel.csv").is_file()
     assert (out / "ccl_unraveling_ensemble.csv").is_file()
     assert (out / "cl_vs_ccl_moments.csv").is_file()

@@ -312,9 +312,9 @@ def test_rank_one_factor_reproduces_the_matrix(variant, mu):
     d, v = rank_one_factor(a)
     assert np.allclose(d * np.outer(v, v.conj()), a, rtol=0.0,
                        atol=1e-12 * d)
-    # normalized on the larger diagonal entry, whose component is 1
-    k = int(a[1, 1].real > a[0, 0].real)
-    assert v[k] == 1.0 and d == a[k, k].real
+    # normalized on q, whatever a_pp is: a_qq and a_pp differ in units
+    assert a[0, 0].real > 0.0
+    assert v[0] == 1.0 and d == a[0, 0].real
     assert "rank-1" in audit_cp(gen).flags
 
 
@@ -329,3 +329,6 @@ def test_rank_one_factor_rejects_what_the_audit_does_not_flag():
     # gamma = 0 gives a = 0: rank 0, no noise
     d, v = rank_one_factor(np.zeros((2, 2)))
     assert d == 0.0 and np.array_equal(v, [1.0, 0.0])
+    # on p only where a_qq vanishes
+    d, v = rank_one_factor(np.diag([0.0, 2.5]))
+    assert d == 2.5 and np.array_equal(v, [0.0, 1.0])

@@ -243,10 +243,11 @@ def test_one_step_mean_matches_exact_expectation():
 
 
 def test_qp_one_step_mean_matches_exact_expectation():
-    # a = D0 (1, -mu)(1, -mu)^T is larger on p: A = -q / mu + p, D = D0 mu^2
+    # a = D0 (1, -mu)(1, -mu)^T is larger on p, and still normalized on q:
+    # A = q - mu p, D = D0
     config = _check_one_step(_spec("qp", 0.1, 1.0, mu=2.0), -0.5)
-    assert np.array_equal(config.v, [-0.5, 1.0])
-    assert config.D_scalar == pytest.approx(1.6, rel=1e-12)
+    assert np.array_equal(config.v, [1.0, -2.0])
+    assert config.D_scalar == pytest.approx(0.4, rel=1e-12)
 
 
 # ------------------------------------------------------------- the engine

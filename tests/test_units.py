@@ -1,25 +1,29 @@
 """Unit covariance: a change of units maps every run onto another run.
 
-Each shipped scenario, and hpz_audit with the exponential and the Drude
-cutoff, runs through `cli.run_scenario` three times: as shipped and at
-two images of it.
+Each shipped scenario, every hpz_audit variant of
+scripts/run_all_scenarios.py and a QP unraveling with S_scalar != 0 run
+through `cli.run_scenario` three times: as shipped and at two images.
+An image scales lengths, times and energies by (s_L, s_T, s_E), and each
+quantity by s_L^l s_T^t s_E^e, where (l, t, e) is the dimension its
+scenario key (`scenario.key`'s `dim`) or CSV column (`io.COLUMN_DIMS`)
+declares:
 
-- Energy x2: hbar, m and T doubled, mean_p doubled and mu halved.  Times
-  and lengths keep their numbers.
-- Time x2: omega_S, gamma, Omega and T doubled, m halved, and t_max,
-  t_span and dt halved.  Lengths keep their numbers and energies double.
+- Energy x2, (1, 1, 2): hbar, m, T and mean_p double and mu halves.
+  Times and lengths keep their numbers.
+- Time x2, (1, 1/2, 2): rates and T double, m and times halve.  Lengths
+  and hbar keep their numbers.
 
 Every CSV column of the image must equal the shipped run's column times
-its factor in `FACTORS` to the bit.  The factors are powers of two, so
-the products are exact, and any rounding the numerics add, a hidden
-absolute constant or a misplaced hbar or m breaks equality.  The kernel
-and coefficient layers are held to the same rule under hypothesis, over
+its factor to the bit.  The factors are powers of two, so the products
+are exact, and any rounding the numerics add, a hidden absolute
+constant or a misplaced hbar or m breaks equality.  The kernel and
+coefficient layers are held to the same rule under hypothesis, over
 cutoff, Omega, T, grid, omega_S and order, and so are the Fock oracle's
 moments and trace on the four constant scenarios.
 
-At time x3 the scaling rounds, so the image of hpz_audit's kernel,
-coefficient and audit tables (on all three cutoffs) and of the constant
-scenarios' moments agrees with the shipped run to a tolerance only.
+At time x3 the scaling rounds, so the image of the hpz_audit variants'
+kernel, coefficient and audit tables and of the constant scenarios'
+moments agrees with the shipped run to a tolerance only.
 """
 
 import copy
@@ -27,108 +31,87 @@ import glob
 import json
 import math
 import os
+import re
+import runpy
+import tempfile
 import warnings
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from qbmlab import cli, fock, io
-from qbmlab.bath import (CorrelationKernel, CutoffKind, PhysicalConstants,
-                         SpectralDensity, ThermalBathSpec)
-from qbmlab.coefficients import (OscillatorKernels, compute_coefficients,
-                                 dressed_kernel)
-from qbmlab.dynamics import MOMENTS
-from qbmlab.scenario import scenario_from_dict
+from qbmlab.bath import CutoffKind, PhysicalConstants
+from qbmlab.dynamics import (MOMENTS, TIME, MasterEquationSpec,
+                             QuadraticGenerator, SystemSpec,
+                             UnstableGeneratorWarning, integrate_moments)
+from qbmlab.positivity import audit_cp
+from qbmlab.scenario import (Scenario, ScenarioError, scenario_from_dict,
+                             scenario_to_dict)
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+RUNS = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "scripts", "run_all_scenarios.py"))
 
-# The energy image doubles every mass and keeps lengths and times; the
-# time image halves every time and every mass, so energies double.
-# Column -> (factor at energy x2, factor at time x2).
-FACTORS = {
-    "t": (1, 0.5), "tau": (1, 0.5),
-    "mean_q": (1, 1), "mean_p": (2, 1),  # mass x length / time
-    "s_qq": (1, 1), "s_pp": (4, 1), "s_qp": (2, 1),
-    "rs_witness": (4, 1),  # s_qq s_pp - s_qp^2 - hbar^2 / 4
-    "norm2": (1, 1), "alive": (1, 1),
-    "D_re": (4, 4), "D_im": (4, 4),  # force x force
-    "Gamma": (4, 2), "Xi": (4, 2), "Theta": (4, 1), "Upsilon": (4, 1),
-    # the Kossakowski matrix a: a_qq is per time per length^2, a_qp per
-    # mass per length^2 and a_pp time per (mass length)^2, so its det
-    # scales by 1/4 at energy x2, while lambda_min and the spectral norm
-    # mix entries of different mass dimension and have no factor there
-    # (None); at time x2 every entry doubles
-    "det": (0.25, 4), "lambda_min": (None, 2), "norm": (None, 2),
-}
-# columns derived from a quantity scale with it
-_PREFIXES = ("se_",)
-_SUFFIXES = ("_mc", "_ode", "_abs_dev", "_se")
+UNIT, TIME_X3 = (1, 1, 1), (1, Fraction(1, 3), 3)  # (s_L, s_T, s_E)
+IMAGES = {"energy_x2": (1, 1, 2), "time_x2": (1, Fraction(1, 2), 2)}
 
 
-def factors(column):
-    for prefix in _PREFIXES:
-        column = column.removeprefix(prefix)
-    for suffix in _SUFFIXES:
-        column = column.removesuffix(suffix)
-    return FACTORS[column]
+def scaled(value, dim, scale):
+    """value times s_L^l s_T^t s_E^e: one product, or one quotient by n."""
+    k = math.prod(Fraction(s) ** d for s, d in zip(scale, dim))
+    return value * k.numerator / k.denominator
 
 
-def energy_x2(sc):
-    sc = copy.deepcopy(sc)
-    units = sc.setdefault("units", {})
-    units["hbar"] = 2.0 * units.get("hbar", 1.0)
-    sc["system"]["m"] *= 2.0
-    sc["bath"]["T"] *= 2.0
-    sc["state"]["mean_p"] *= 2.0
-    if "mu" in sc["equation"]:
-        sc["equation"]["mu"] *= 0.5
-    return sc
+def scaled_keys(values, scale, cls=Scenario):
+    """`values` with each number, pair and complex key scaled."""
+    out = dict(values)
+    for f in fields(cls):
+        kind, value = f.metadata["kind"], values.get(f.name)
+        if isinstance(kind, type) and value is not None:
+            out[f.name] = scaled_keys(value, scale, kind)
+        elif kind in ("number", "pair", "complex") and value is not None:
+            out[f.name] = scaled(np.array(value), f.metadata["dim"],
+                                 scale).tolist()
+    return out
 
 
-def time_scaled(sc, s):
-    """The time unit divided by s: rates times s, masses and times over s."""
-    sc = copy.deepcopy(sc)
-    sc["system"]["omega_S"] *= s
-    sc["system"]["m"] /= s
-    for name in ("gamma", "T", "Omega"):
-        if name in sc["bath"]:
-            sc["bath"][name] *= s
-    grid = sc["equation"].get("coefficient_grid")
-    if grid:
-        grid["t_max"] /= s
-    run = sc["run"]
-    run["t_span"] = [t / s for t in run["t_span"]]
-    run["dt"] /= s
-    return sc
+def image(sc, scale):
+    """The image of a scenario dict, every default materialized."""
+    return scaled_keys(scenario_to_dict(scenario_from_dict(sc)), scale)
 
 
-def time_x2(sc):
-    return time_scaled(sc, 2.0)
-
-
-# image -> (scenario map, index into FACTORS, scale of times)
-IMAGES = {"energy_x2": (energy_x2, 0, 1.0), "time_x2": (time_x2, 1, 0.5)}
-
-
-def _shipped(name):
-    with open(os.path.join(SCENARIOS, f"{name}.json")) as fh:
-        return json.load(fh)
+def column_dim(column, scale):
+    """A column's declared dimension, or its base column's; lambda_min and
+    norm take a's where its entries scale alike, and else have None."""
+    base = re.fullmatch(r"(?:se_)?(.+?)(?:_mc|_ode|_abs_dev|_se)?", column)
+    dims = [io.COLUMN_DIMS[base[1]]] if io.COLUMN_DIMS[base[1]] \
+        else io.KOSSAKOWSKI_DIMS
+    return dims[0] if len({scaled(1, d, scale) for d in dims}) == 1 else None
 
 
 def _cases():
-    cases = {}
-    for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.json"))):
-        name = os.path.splitext(os.path.basename(path))[0]
-        cases[name] = _shipped(name)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = sorted(glob.glob(os.path.join(SCENARIOS, "*.json"))) + [
+            RUNS["write_variant"](tmp, *item)
+            for item in RUNS["VARIANTS"].items()]
+        cases = {}
+        for path in paths:
+            with open(path) as fh:
+                cases[os.path.splitext(os.path.basename(path))[0]] = \
+                    json.load(fh)
     sto = cases["ccl_unraveling"]
     sto["stochastic"]["n_traj"] = 200
     sto["run"]["t_span"] = [0.0, 1.0]
-    for cutoff in ("exponential", "drude"):
-        sc = _shipped("hpz_audit")
-        sc["name"] = f"hpz_audit_{cutoff}"
-        sc["bath"]["cutoff"] = cutoff
-        cases[sc["name"]] = sc
+    # normalized on q although a_pp = 2.25 a_qq: D = a_qq = 0.8
+    qp = copy.deepcopy(cases["qp_coupling"])
+    qp["name"] = "qp_unraveling"
+    qp["equation"]["mu"] = 1.5
+    qp["run"].update(t_span=[0.0, 1.0], outputs=["moments", "ensemble"])
+    qp["stochastic"] = {"n_traj": 200, "seed": 7, "S_scalar": 0.5}
+    cases[qp["name"]] = qp
     return cases
 
 
@@ -159,33 +142,33 @@ def shipped_runs(tmp_path_factory):
 def test_every_case_writes_its_artifacts(shipped_runs):
     artifacts = {name: sorted(tables) for name, (tables, _)
                  in shipped_runs.items()}
-    assert artifacts["ccl_unraveling"] == ["ensemble", "ensemble_vs_ode",
-                                           "moments"]
-    for name in ("hpz_audit", "hpz_audit_exponential", "hpz_audit_drude"):
+    for name in ("ccl_unraveling", "qp_unraveling"):
+        assert artifacts[name] == ["ensemble", "ensemble_vs_ode", "moments"]
+    for name in ("hpz_audit", *RUNS["VARIANTS"]):
         assert artifacts[name] == ["audit", "coefficients", "kernel",
                                    "moments"]
     assert artifacts["qp_coupling"] == ["moments"]
 
 
-@pytest.mark.parametrize("image", sorted(IMAGES))
+@pytest.mark.parametrize("units", sorted(IMAGES))
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_columns_are_unit_covariant_to_the_bit(shipped_runs, tmp_path, name,
-                                               image):
-    transform, which, s_t = IMAGES[image]
+                                               units):
+    scale = IMAGES[units]
     tables, audit = shipped_runs[name]
-    image_tables, image_audit = _run(transform(CASES[name]), tmp_path)
+    image_tables, image_audit = _run(image(CASES[name], scale), tmp_path)
     assert sorted(image_tables) == sorted(tables)
     checked = 0
     for artifact, table in tables.items():
         other = image_tables[artifact]
         assert other.columns == table.columns
         for column in table.columns:
-            factor = factors(column)[which]
-            if factor is None:  # no unit factor: see FACTORS
+            dim = column_dim(column, scale)
+            if dim is None:  # no unit factor at this image
                 continue
             assert np.array_equal(other.data[column],
-                                  factor * table.data[column]), \
-                f"{artifact}.{column} x {factor:g}"
+                                  scaled(table.data[column], dim, scale)), \
+                f"{artifact}.{column} x {scaled(1, dim, scale):g}"
             checked += 1
     assert checked > 0
     if audit is not None:
@@ -194,43 +177,43 @@ def test_columns_are_unit_covariant_to_the_bit(shipped_runs, tmp_path, name,
             == (audit["verdict"], audit["flags"])
         first = audit["first_violation_time"]
         assert image_audit["first_violation_time"] \
-            == (None if first is None else s_t * first)
+            == (None if first is None else scaled(first, TIME, scale))
 
 
-# Time x3, relative to each column's max |.|, a few times the worst case
-# measured (Drude lambda_min 4.1e-12, a difference of near-equal terms;
-# Drude Theta 5.0e-14; hpz_audit D_im 6.2e-16; cl_vs_ccl s_qp 4.0e-15).
-# hpz_audit's moments diverge, and rs_witness cancels there.
-X3_TOLERANCE = {"kernel": 2e-15, "coefficients": 2e-13, "audit": 2e-11,
-                "moments": 2e-14}
+# Time x3: artifact -> tolerance relative to each column's max |.|, a few
+# times the worst case measured (Drude lambda_min 4.1e-12, a difference of
+# near-equal terms; Drude Theta 5.0e-14; hpz_audit D_im 6.2e-16; cl_vs_ccl
+# s_qp 4.0e-15; the order-3 dressing's Theta 2.5e-12, on threaded and
+# single-threaded OpenBLAS alike).  hpz_audit's moments diverge, and
+# rs_witness cancels there.
+_HPZ_X3 = {"kernel": 2e-15, "coefficients": 2e-13, "audit": 2e-11}
 X3_TABLES = {
-    **{f"hpz_audit{c}": ("kernel", "coefficients", "audit")
-       for c in ("", "_exponential", "_drude")},
-    **{name: ("moments",) for name in ("jz_decoherence", "cl_regime",
-                                       "cl_vs_ccl", "qp_coupling")},
+    **{f"hpz_audit{c}": _HPZ_X3 for c in ("", "_exponential", "_drude")},
+    "hpz_audit_order3": {**_HPZ_X3, "coefficients": 1e-11},
+    **{name: {"moments": 2e-14} for name in ("jz_decoherence", "cl_regime",
+                                             "cl_vs_ccl", "qp_coupling")},
 }
 
 
 @pytest.mark.parametrize("name", sorted(X3_TABLES))
 def test_columns_are_unit_covariant_at_time_x3(shipped_runs, tmp_path, name):
     tables, audit = shipped_runs[name]
-    image_tables, image_audit = _run(time_scaled(CASES[name], 3.0), tmp_path)
-    for artifact in X3_TABLES[name]:
+    image_tables, image_audit = _run(image(CASES[name], TIME_X3), tmp_path)
+    for artifact, tolerance in X3_TABLES[name].items():
         table, other = tables[artifact], image_tables[artifact]
         for column in table.columns:
-            # the factor at x2 is 2^k, so the one at x3 is 3^k
-            k = round(math.log2(factors(column)[1]))
-            expected = 3.0 ** k * table.data[column]
+            expected = scaled(table.data[column],
+                              column_dim(column, TIME_X3), TIME_X3)
             err = np.max(np.abs(other.data[column] - expected))
-            assert err <= X3_TOLERANCE[artifact] \
-                * np.max(np.abs(expected)), f"{artifact}.{column}"
+            assert err <= tolerance * np.max(np.abs(expected)), \
+                f"{artifact}.{column}"
     if audit is not None:
         assert (image_audit["verdict"], image_audit["flags"]) \
             == (audit["verdict"], audit["flags"])
         first = audit["first_violation_time"]
         assert image_audit["first_violation_time"] \
-            == (None if first is None else pytest.approx(first / 3.0,
-                                                         rel=1e-15))
+            == (None if first is None else pytest.approx(
+                scaled(first, TIME, TIME_X3), rel=1e-15))
 
 
 def _fock_run(sc):
@@ -251,48 +234,49 @@ def test_fock_oracle_is_unit_covariant_to_the_bit(name):
     sc = copy.deepcopy(CASES[name])
     sc["run"]["t_span"] = [0.0, 0.5]
     base = _fock_run(sc)
-    for transform, which, s_t in IMAGES.values():
-        image = _fock_run(transform(sc))
-        assert np.array_equal(image.times, s_t * base.times)
-        for column, values, other in zip(MOMENTS, base.data.T, image.data.T):
-            assert np.array_equal(other, factors(column)[which] * values), \
-                f"{column} x {factors(column)[which]:g}"
-        assert np.array_equal(image.trace, base.trace)
-        assert np.array_equal(image.top_population, base.top_population)
+    for scale in IMAGES.values():
+        image_run = _fock_run(image(sc, scale))
+        assert np.array_equal(image_run.times, scaled(base.times, TIME,
+                                                      scale))
+        for column, values, other in zip(MOMENTS, base.data.T,
+                                         image_run.data.T):
+            dim = column_dim(column, scale)
+            assert np.array_equal(other, scaled(values, dim, scale)), column
+        assert np.array_equal(image_run.trace, base.trace)
+        assert np.array_equal(image_run.top_population, base.top_population)
 
 
-def _layers(cutoff, Omega, T, grid, omega_S, order, m=1.0, hbar=1.0,
-            gamma=0.1):
-    """Kernel and coefficient columns of one bath, as the CLI builds them,
-    and the number of kernel nodes that went through QUADPACK."""
-    bath = ThermalBathSpec(SpectralDensity(m, gamma, Omega, cutoff), T=T,
-                           constants=PhysicalConstants(hbar=hbar))
+def _bath_case(cutoff, Omega, T, t_max, n, omega_S, order):
+    """An hpz scenario of one bath at m = hbar = 1 and gamma = 0.1."""
+    return {"system": {"m": 1.0, "omega_S": omega_S},
+            "bath": {"gamma": 0.1, "T": T, "cutoff": cutoff.value,
+                     "Omega": Omega},
+            "state": {"kind": "gaussian", "sigma_qq": 1.0, "sigma_pp": 1.0,
+                      "sigma_qp": 0.0},
+            "equation": {"variant": "hpz", "order": order,
+                         "coefficient_grid": {"t_max": t_max, "n": n}},
+            "run": {"t_span": [0.0, t_max], "dt": t_max,
+                    "outputs": ["kernel", "coefficients"]}}
+
+
+def _layers(sc):
+    """Kernel and coefficient columns of a scenario's bath, as the CLI
+    builds them, and the number of kernel nodes that went through
+    QUADPACK."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the Drude D_re(0) notice
-        kernel = CorrelationKernel.from_bath(bath, grid)
-    kernels = OscillatorKernels(omega_S)
-    table = compute_coefficients(
-        dressed_kernel(kernel, kernels, order, m=m, hbar=hbar), kernels)
-    columns = {"tau": grid, "D_re": kernel.re_values,
+        kernel, table = cli._coefficient_pipeline(scenario_from_dict(sc))
+    columns = {"tau": kernel.grid, "D_re": kernel.re_values,
                "D_im": kernel.im_values, "Gamma": table.Gamma,
                "Theta": table.Theta, "Xi": table.Xi, "Upsilon": table.Upsilon}
     return columns, kernel.health["quad_fallbacks"]
 
 
-def _time_x2_layers(cutoff, Omega, T, grid, omega_S, order):
-    return _layers(cutoff, 2.0 * Omega, 2.0 * T, 0.5 * grid, 2.0 * omega_S,
-                   order, m=0.5, gamma=0.2)[0]
-
-
-def _energy_x2_layers(cutoff, Omega, T, grid, omega_S, order):
-    return _layers(cutoff, Omega, 2.0 * T, grid, omega_S, order, m=2.0,
-                   hbar=2.0)[0]
-
-
-def _assert_scaled(image, base, which):
-    for column, values in base.items():
-        assert np.array_equal(image[column],
-                              factors(column)[which] * values), column
+def _assert_layers_scaled(sc, base, *scales):
+    for scale in scales:
+        for column, values in _layers(image(sc, scale))[0].items():
+            assert np.array_equal(values, scaled(base[column], column_dim(
+                column, scale), scale)), column
 
 
 # Omega t_max <= 500 keeps D_im ~ e^{-Omega tau} a normal float, where a
@@ -309,27 +293,84 @@ def _assert_scaled(image, base, which):
          omega_S=0.5973065134161506, order=2)
 def test_kernel_and_coefficients_are_unit_covariant_to_the_bit(
         cutoff, Omega, T, t_max, n, omega_S, order):
-    case = (cutoff, Omega, T, np.linspace(0.0, t_max, n), omega_S, order)
-    base, _ = _layers(*case)
-    _assert_scaled(_time_x2_layers(*case), base, 1)
-    _assert_scaled(_energy_x2_layers(*case), base, 0)
+    sc = _bath_case(cutoff, Omega, T, t_max, n, omega_S, order)
+    _assert_layers_scaled(sc, _layers(sc)[0], *IMAGES.values())
 
 
 def test_quadpack_fallback_is_unit_covariant_at_time_x2():
     # at T = 3 the thermal rule would need more than its node budget for
     # two nodes, so both go through QUADPACK; tau = 1 halves to 0.5, and
     # QAWF's cycle (2 floor(x) + 1) pi / x is read at x = Omega tau
-    case = (CutoffKind.DRUDE, 1.0, 3.0, np.linspace(0.0, 1.0, 2), 0.0, 1)
-    base, fallbacks = _layers(*case)
+    sc = _bath_case(CutoffKind.DRUDE, 1.0, 3.0, 1.0, 2, 0.0, 1)
+    base, fallbacks = _layers(sc)
     assert fallbacks == 2
-    _assert_scaled(_time_x2_layers(*case), base, 1)
+    _assert_layers_scaled(sc, base, IMAGES["time_x2"])
 
 
 def test_dressing_is_unit_covariant_at_energy_x2():
     # D^(n) / D^(n-1) ~ D t^3 / (hbar m) keeps its value at energy x2, so
     # every order scales as D; at hbar = 1 no run can tell i / (hbar m)
     # from i hbar / m in the response kernel
-    case = (CutoffKind.SHARP, 1.0, 1.0, np.linspace(0.0, 1.0, 11), 0.0, 2)
-    base, fallbacks = _layers(*case)
+    sc = _bath_case(CutoffKind.SHARP, 1.0, 1.0, 1.0, 11, 0.0, 2)
+    base, fallbacks = _layers(sc)
     assert fallbacks == 0
-    _assert_scaled(_energy_x2_layers(*case), base, 0)
+    _assert_layers_scaled(sc, base, IMAGES["energy_x2"])
+
+
+def test_every_number_key_declares_its_dimension():
+    def numbers(cls):
+        for f in fields(cls):
+            kind = f.metadata["kind"]
+            if isinstance(kind, type):
+                yield from numbers(kind)
+            elif kind in ("number", "pair", "complex"):
+                yield f
+    keys = list(numbers(Scenario))
+    assert len(keys) == 20
+    assert [f.name for f in keys if "dim" not in f.metadata] == []
+
+
+def test_unraveling_validation_is_unit_free():
+    # a = D0 (1, -mu)(1, -mu)^T with D0 = a_qq = 0.8 at mu = 1.5: |S_scalar|
+    # = 1.7 exceeds it at every image, while a_pp = 1.8 exceeds 1.7 at
+    # m = 1 and not at energy x2 (mu = 0.75), so a bound by the larger
+    # diagonal entry would move with the unit of mass
+    sc = scenario_to_dict(scenario_from_dict(CASES["qp_unraveling"]))
+    sc["stochastic"]["S_scalar"] = [1.7, 0.0]
+    for scale in (UNIT, *IMAGES.values()):
+        with pytest.raises(ScenarioError, match="stochastic.S_scalar"):
+            scenario_from_dict(scaled_keys(sc, scale))
+
+
+def test_stability_warning_is_unit_free():
+    # a free particle with G_qq = -2 Xi / hbar = -eps = -5e-25: its means
+    # grow at rate sqrt(eps / m) = 7.1e-13 at m = 1, which a threshold of
+    # 1e-12 max|A| = 1e-12 / m, mixing A's units, would pass here and
+    # not at energy x2
+    sc = {"units": {"hbar": 1.0}, "system": {"m": 1.0, "omega_S": 0.0}}
+    columns = {c: np.zeros(3) for c in io.COEFFICIENT_COLUMNS}
+    columns.update(t=np.linspace(0.0, 1.0, 3), Xi=np.full(3, 2.5e-25))
+    for scale in (UNIT, *IMAGES.values()):
+        units, system = (scaled_keys(sc, scale)[block] for block in sc)
+        table = io.coefficients_from_table(io.CsvTable(
+            io.COEFFICIENT_COLUMNS, {c: scaled(v, column_dim(c, scale), scale)
+                                     for c, v in columns.items()}))
+        spec = MasterEquationSpec("hpz", SystemSpec(**system),
+                                  constants=PhysicalConstants(**units),
+                                  coefficients=table)
+        with pytest.warns(UnstableGeneratorWarning):
+            integrate_moments(spec, [0.0, 0.0, 1.0, 1.0, 0.0],
+                              table.grid[[0, -1]], table.grid[1])
+
+
+def test_hermiticity_check_is_unit_free():
+    # the skew of a_qp is 1.5e-9 of a_qp at every image; against max|a| =
+    # a_qq it would read 1.5e-12 here and 7.5e-13 at energy x2, where a_qp
+    # halves and a_qq stays
+    a = np.array([[1.0, 1e-3 + 1.5e-12], [1e-3, 1e-6]])
+    qq, qp, pp = io.KOSSAKOWSKI_DIMS
+    for scale in (UNIT, *IMAGES.values()):
+        factors = [[scaled(1, d, scale) for d in row]
+                   for row in ((qq, qp), (qp, pp))]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            audit_cp(QuadraticGenerator(np.zeros((2, 2)), a * factors, 1.0))
