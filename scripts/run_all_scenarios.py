@@ -30,16 +30,20 @@ VARIANTS = {
 }
 
 
-def write_variant(directory, name, changes):
-    """Write hpz_audit.json, renamed and changed, to directory/name.json."""
-    scenario = json.loads((SCENARIOS / "hpz_audit.json").read_text())
-    scenario["name"] = name
-    for key, value in changes.items():
-        *blocks, last = key.split(".")
-        functools.reduce(dict.get, blocks, scenario)[last] = value
-    path = pathlib.Path(directory, f"{name}.json")
-    path.write_text(json.dumps(scenario))
-    return path
+def run_list(directory):
+    """The scenario files the script runs, in order: each scenarios/*.json,
+    then hpz_audit.json renamed and changed by each VARIANTS item, written
+    to directory/<name>.json."""
+    paths = sorted(SCENARIOS.glob("*.json"))
+    for name, changes in VARIANTS.items():
+        scenario = json.loads((SCENARIOS / "hpz_audit.json").read_text())
+        scenario["name"] = name
+        for key, value in changes.items():
+            *blocks, last = key.split(".")
+            functools.reduce(dict.get, blocks, scenario)[last] = value
+        paths.append(pathlib.Path(directory, f"{name}.json"))
+        paths[-1].write_text(json.dumps(scenario))
+    return paths
 
 
 def describe_change(new, old):
@@ -73,17 +77,16 @@ def describe_change(new, old):
         else "same values, different bytes"
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="artifacts")
     parser.add_argument("--against", metavar="DIR",
                         help="compare each CSV and audit JSON with DIR's")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out, failures, written = pathlib.Path(args.out), 0, set()
     with tempfile.TemporaryDirectory() as tmp:
-        runs = sorted(SCENARIOS.glob("*.json")) + [
-            write_variant(tmp, *item) for item in VARIANTS.items()]
+        runs = run_list(tmp)
         for name, scenario in ((path.stem, str(path)) for path in runs):
             print(f"=== {name}")
             code = qbmlab_main(["--scenario", scenario, "--out", args.out])

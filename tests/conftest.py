@@ -1,7 +1,9 @@
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import hypothesis
 import pytest
@@ -15,10 +17,12 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))
 
 _ACCEPTANCE_LINES = []
-_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_SRC = _ROOT / "src"
+_RUN_ALL = _ROOT / "scripts" / "run_all_scenarios.py"
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def fresh_python():
     """Run a new interpreter, which imports qbmlab from src/, on the
     given arguments; assert it exits 0 and return its standard output.
@@ -33,6 +37,30 @@ def fresh_python():
         assert done.returncode == 0, done.stdout + done.stderr
         return done.stdout
     return run
+
+
+@pytest.fixture(scope="session")
+def checked_runs(tmp_path_factory, fresh_python):
+    """One run of scripts/run_all_scenarios.py for the whole session, in a
+    fresh interpreter: every run the script lists and both twin checks
+    must pass (`main` returns 0), and the Fock oracle's coherent state
+    must be normalized.  Returns `out`, the directory the runs wrote,
+    `fock`, whether the runs loaded qbmlab.fock, and `scipy`, the scipy
+    modules the process loaded by its end.
+    """
+    out = tmp_path_factory.mktemp("runs")
+    source = (
+        "import json, runpy, sys\n"
+        f"script = runpy.run_path({str(_RUN_ALL)!r})\n"
+        f"assert script['main'](['--out', {str(out)!r}]) == 0\n"
+        "fock = 'qbmlab.fock' in sys.modules\n"
+        "from qbmlab.fock import coherent_state\n"
+        "psi = coherent_state(40, 0.5 - 0.2j)\n"
+        "assert abs(psi @ psi.conj() - 1.0) < 1e-15\n"
+        "print(json.dumps({'fock': fock, 'scipy': sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n")
+    report = json.loads(fresh_python("-c", source).splitlines()[-1])
+    return types.SimpleNamespace(out=out, **report)
 
 
 @pytest.fixture(scope="session")

@@ -681,6 +681,23 @@ def test_overflowing_cutoff_is_a_quadrature_error():
         CorrelationKernel.from_bath(bath, np.linspace(0.0, 1.0, 11))
 
 
+@pytest.mark.parametrize("out, match", [
+    # QUADPACK appends a message when it gives up
+    ((0.5, 1e-12, {}, "the maximum number of subdivisions (500) has been "
+      "achieved"), r"did not converge to target \(achieved abs error "
+     r"1\.000e-12\); the maximum number of subdivisions \(500\)"),
+    # an error estimate 10^5 times the 1e-8 target, without a message
+    ((0.5, 1e-3, {}), r"achieved abs error 1\.000e-03 exceeds target for "
+     r"result 5\.000000e-01"),
+], ids=["quadpack_message", "error_estimate"])
+def test_missed_quadrature_targets_warn(monkeypatch, out, match):
+    # the odd part of the sharp cutoff is one QAWO call on [0, 1]
+    monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kw: out)
+    with pytest.warns(QuadratureWarning, match=match) as record:
+        _correlation_quad(make_bath(), 0.5, 1e-8, "im")
+    assert len(record) == 1
+
+
 def test_numerical_errors_share_one_base():
     from qbmlab import bath, coefficients, dynamics, stochastic
     assert coefficients.NumericalFailure is bath.NumericalFailure

@@ -2,13 +2,14 @@
 
 import json
 import pathlib
-import runpy
 
 import numpy as np
 import pytest
 
 from qbmlab import io
+from qbmlab.bath import PhysicalConstants
 from qbmlab.cli import main, run_scenario
+from qbmlab.dynamics import MOMENTS, SystemSpec, thermal_state_moments
 from qbmlab.scenario import (
     ScenarioError,
     parse_scenario,
@@ -197,13 +198,13 @@ def test_shipped_scenarios_parse_and_round_trip():
         assert scenario_hash(again) == scenario_hash(scenario)
 
 
-@pytest.mark.parametrize("path", sorted(
-    (pathlib.Path(__file__).resolve().parent.parent / "scenarios")
-    .glob("*.json")), ids=lambda path: path.stem)
-def test_shipped_scenarios_record_no_runtime_warnings(tmp_path, path):
-    manifest = run_scenario(parse_scenario(path), out_dir=str(tmp_path))
-    # numpy's floating-point RuntimeWarnings read "... encountered in ..."
-    assert not any("encountered in" in w for w in manifest.warnings)
+def test_shipped_runs_record_no_runtime_warnings(checked_runs):
+    manifests = sorted(checked_runs.out.glob("*_manifest.json"))
+    assert len(manifests) == 9
+    for path in manifests:
+        # numpy's floating-point RuntimeWarnings read "... encountered in ..."
+        warned = json.loads(path.read_text())["warnings"]
+        assert not any("encountered in" in w for w in warned), path.name
 
 
 def test_scenario_hash_tracks_content():
@@ -232,6 +233,35 @@ def test_run_scenario_writes_listed_outputs(tmp_path):
     manifest_payload = json.loads(
         (tmp_path / "demo_manifest.json").read_text())
     assert manifest_payload["outputs"] == manifest.outputs
+
+
+def _first_row(tmp_path, state, system=MINIMAL_JZ["system"]):
+    payload = {**MINIMAL_JZ, "name": state["kind"], "system": system,
+               "state": state, "equation": {"variant": "ccl"}}
+    manifest = run_scenario(scenario_from_dict(payload),
+                            out_dir=str(tmp_path))
+    moments = io.read_csv(manifest.outputs[0])
+    return np.array([moments[name][0] for name in MOMENTS])
+
+
+def test_thermal_state_starts_at_its_temperature(tmp_path):
+    # variances (2 nbar + 1) times the ground state's, which is the thermal
+    # state at hbar omega_S / kB T = ln(1 + 1 / nbar)
+    nbar, system = 0.7, {"m": 2.0, "omega_S": 1.5}
+    row = _first_row(tmp_path, {"kind": "thermal", "nbar": nbar}, system)
+    assert row[2:4] == pytest.approx([0.4, 3.6], rel=1e-15)
+    T = system["omega_S"] / np.log(1.0 + 1.0 / nbar)
+    assert row == pytest.approx(thermal_state_moments(
+        SystemSpec(**system), T, PhysicalConstants()), rel=1e-14)
+
+
+def test_gaussian_state_starts_at_its_keys(tmp_path):
+    state = {"kind": "gaussian", "mean_q": 0.3, "mean_p": -0.2,
+             "sigma_qq": 0.7, "sigma_pp": 0.9, "sigma_qp": 0.1}
+    row = _first_row(tmp_path, state)
+    assert row.tolist() == [state[k] for k in ("mean_q", "mean_p",
+                                              "sigma_qq", "sigma_pp",
+                                              "sigma_qp")]
 
 
 def test_cli_jz_and_compare_paths(tmp_path):
@@ -572,6 +602,13 @@ def test_library_seed_override_reads_the_seed_rule(tmp_path, seed):
     assert not (tmp_path / "out").exists()
 
 
+def test_seed_without_an_ensemble_is_a_recorded_warning(tmp_path):
+    manifest = run_scenario(scenario_from_dict(MINIMAL_JZ),
+                            out_dir=str(tmp_path), seed_override=7)
+    assert manifest.warnings == [
+        "--seed given but the scenario runs no ensemble"]
+
+
 def test_cli_runs_are_byte_deterministic(tmp_path):
     payload = {**MINIMAL_JZ, "name": "det",
                "run": {"t_span": [0.0, 0.5], "dt": 0.01, "store_every": 5,
@@ -585,50 +622,18 @@ def test_cli_runs_are_byte_deterministic(tmp_path):
 
 
 def test_shipped_runs_every_cutoff_and_coherent_state_load_no_scipy(
-        tmp_path, fresh_python):
+        checked_runs):
     # every shipped scenario, the unraveling included, every hpz_audit
     # variant of run_all_scenarios.py (each cutoff, the order-3 dressing)
     # and the Fock oracle's coherent state use numpy alone, so none of them
     # may pay for importing scipy
-    paths = sorted(str(p) for p in SCENARIOS.glob("*.json"))
-    assert len(paths) == 6
-    runs = runpy.run_path(str(SCENARIOS.parent / "scripts"
-                              / "run_all_scenarios.py"))
-    paths += [runs["write_variant"](tmp_path, *item)
-              for item in runs["VARIANTS"].items()]
-    out = tmp_path / "out"
-    source = (
-        "import json, sys\n"
-        "from qbmlab import cli, fock\n"
-        f"for path in {[str(p) for p in paths]!r}:\n"
-        f"    assert cli.main(['--scenario', path, '--out', {str(out)!r}])"
-        " == 0\n"
-        "psi = fock.coherent_state(40, 0.5 - 0.2j)\n"
-        "assert abs(psi @ psi.conj() - 1.0) < 1e-15\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.split('.')[0] == 'scipy')))\n")
-    assert json.loads(fresh_python("-c", source).splitlines()[-1]) == []
-    for stem in ("hpz_audit", *runs["VARIANTS"]):
-        assert (out / f"{stem}_kernel.csv").is_file()
-    assert (out / "ccl_unraveling_ensemble.csv").is_file()
-    assert (out / "cl_vs_ccl_moments.csv").is_file()
+    assert checked_runs.scipy == []
 
 
-def test_cli_runs_load_no_fock_oracle(tmp_path, fresh_python):
+def test_cli_runs_load_no_fock_oracle(checked_runs):
     # the unraveling reads its packets through dynamics; the Fock oracle
-    # is a cross-check, and no CLI run loads it
-    paths = [str(SCENARIOS / f"{name}.json")
-             for name in ("ccl_unraveling", "cl_vs_ccl")]
-    source = (
-        "import sys\n"
-        "from qbmlab import cli\n"
-        f"for path in {paths!r}:\n"
-        f"    assert cli.main(['--scenario', path, '--out', {str(tmp_path)!r}])"
-        " == 0\n"
-        "print('qbmlab.fock' in sys.modules)\n")
-    assert fresh_python("-c", source).splitlines()[-1] == "False"
-    assert (tmp_path / "ccl_unraveling_ensemble.csv").is_file()
-    assert (tmp_path / "cl_vs_ccl_moments.csv").is_file()
+    # is a cross-check, and none of the script's runs loads it
+    assert checked_runs.fock is False
 
 
 def test_parser_is_built_once_and_calls_share_no_parsed_state(monkeypatch):

@@ -185,7 +185,7 @@ def test_second_order_grid_refinement_is_second_order():
     assert 3.5 < e_coarse / e_fine < 6.5
 
 
-def reference_dressing(base, omega_S, order, m):
+def reference_dressing(base, omega_S, order, m, hbar=1.0):
     """The recursion of the `coefficients` docstring, one row at a time.
 
     D^(n)(t, s) = int_0^t dt' int_0^t ds' c(t', s')
@@ -196,10 +196,11 @@ def reference_dressing(base, omega_S, order, m):
     lag = grid[:, None] - grid[None, :]
     d = base.at(lag)                # D(t' - s)
     d_bar = base.at(np.abs(lag))    # D(|t' - s|)
-    # c(t', s') = (i / m) sin(omega_S (s' - t')) / omega_S for t' > s',
-    # (i / m) (s' - t') at omega_S = 0
-    c = np.where(lag > 0.0, 1j / m * (np.sin(-omega_S * lag) / omega_S
-                                      if omega_S else -lag), 0.0)
+    # c(t', s') = (i / hbar m) sin(omega_S (s' - t')) / omega_S for t' > s',
+    # (i / hbar m) (s' - t') at omega_S = 0
+    k = 1j / (hbar * m)
+    c = np.where(lag > 0.0, k * (np.sin(-omega_S * lag) / omega_S
+                                 if omega_S else -lag), 0.0)
     total, prev = d.copy(), d
     for n in range(2, order + 1):
         cur = np.zeros_like(d)
@@ -216,13 +217,16 @@ def reference_dressing(base, omega_S, order, m):
     return total
 
 
-@pytest.mark.parametrize("n", [21, 41])
+@pytest.mark.parametrize("n, hbar", [pytest.param(21, 1.0, id="21"),
+                                     pytest.param(41, 1.0, id="41"),
+                                     pytest.param(21, 2.0, id="21-hbar2")])
 @pytest.mark.parametrize("order", [2, 3])
-def test_dressing_matches_row_by_row_reference(n, order):
+def test_dressing_matches_row_by_row_reference(n, hbar, order):
     grid = np.linspace(0.0, 3.0, n)
     base = synthetic_kernel(grid)
-    table = dressed_kernel(base, OscillatorKernels(1.3), order, m=0.9).table
-    ref = reference_dressing(base, 1.3, order, 0.9)
+    table = dressed_kernel(base, OscillatorKernels(1.3), order, m=0.9,
+                           hbar=hbar).table
+    ref = reference_dressing(base, 1.3, order, 0.9, hbar)
     bare = base.at(grid[:, None] - grid[None, :])
     # the correction alone, so the bare kernel cannot hide an error
     assert np.max(np.abs(table - ref)) \
@@ -274,7 +278,7 @@ def whole_table_dressing(base, kernels, order, m=1.0, hbar=1.0):
     re_d, lo, up = prev.real.copy(), np.tril(prev.imag), np.triu(prev.imag, 1)
     grid, h = base.grid, base.spacing
     cos_t, sin_t = kernels.c(grid), kernels.c_tilde(grid)
-    k = 2.0 * hbar / m
+    k = 2.0 / (hbar * m)
     total = prev.copy()
     for _ in range(2, order + 1):
         cur = np.zeros_like(total)
@@ -295,14 +299,17 @@ def whole_table_dressing(base, kernels, order, m=1.0, hbar=1.0):
 
 
 @pytest.mark.parametrize("order", [2, 3])
-@pytest.mark.parametrize("omega_S", [0.0, 1.0])
-def test_row_blocks_through_every_order_match_whole_tables(order, omega_S):
+@pytest.mark.parametrize("omega_S, hbar", [
+    pytest.param(0.0, 1.0, id="0.0"), pytest.param(1.0, 1.0, id="1.0"),
+    pytest.param(1.0, 2.0, id="1.0-hbar2")])
+def test_row_blocks_through_every_order_match_whole_tables(order, omega_S,
+                                                           hbar):
     # 201 rows leave a ragged last block of 73
     base = steep_kernel(201)
     k = OscillatorKernels(omega_S)
-    table = dressed_kernel(base, k, order, m=0.9).table
-    assert table.tobytes() == whole_table_dressing(base, k, order,
-                                                   m=0.9).tobytes()
+    table = dressed_kernel(base, k, order, m=0.9, hbar=hbar).table
+    assert table.tobytes() == whole_table_dressing(base, k, order, m=0.9,
+                                                   hbar=hbar).tobytes()
 
 
 def test_first_row_of_higher_order_table_vanishes():

@@ -119,6 +119,12 @@ def test_thermal_density_moments():
     assert s_pp == pytest.approx(0.5 * (2 * nbar + 1), rel=1e-8)
 
 
+def test_thermal_density_at_zero_occupation_is_the_vacuum():
+    vacuum = fock.vacuum_state(8)
+    assert np.array_equal(fock.thermal_density(8, 0),
+                          np.outer(vacuum, vacuum.conj()))
+
+
 @pytest.mark.parametrize("variant,kw", [
     ("jz", dict(gamma=0.1, T=2.0)),
     ("cl", dict(gamma=0.15, T=2.0)),

@@ -59,6 +59,7 @@ CASES = [
     ("bath.T", "hot", ["bath.T: expected a number"]),
     ("bath.T", float("nan"), ["bath.T: expected a number"]),
     ("bath.T", 0, ["bath.T: must be > 0, got 0"]),
+    ("bath.T", 10 ** 400, ["bath.T: expected a number"]),
     ("bath.cutoff", 3, ["bath.cutoff: expected a string"]),
     ("bath.cutoff", "lorentz", ["bath.cutoff: unknown kind 'lorentz' "
                                 "(valid: sharp, exponential, drude)"]),
@@ -81,6 +82,8 @@ CASES = [
      ["state.nbar: must be >= 0, got -1"]),
     ("state", {"kind": "thermal", "nbar": -0.5},
      ["state.nbar: must be >= 0, got -0.5"]),
+    ("state", {"kind": "squeezed"}, ["state: squeezed state requires 'r'"]),
+    ("state", {"kind": "thermal"}, ["state: thermal state requires 'nbar'"]),
     ("state.sigma_qq", -1, ["state.sigma_qq: must be > 0, got -1"]),
     ("state.sigma_pp", 0.0, ["state.sigma_pp: must be > 0, got 0"]),
     ("state", {"kind": "squeezed", "r": 0.2, "sigma_pp": -2.5},
@@ -114,6 +117,7 @@ CASES = [
     ("run.t_span", [0.0], ["run.t_span: expected [number, number]"]),
     ("run.t_span", [0.0, float("inf")],
      ["run.t_span: expected [number, number]"]),
+    ("run.t_span", [1.0, 1.0], ["run.t_span: need t1 > t0, got [1.0, 1.0]"]),
     ("run.dt", DELETE, ["run: missing required key 'dt'"]),
     ("run.dt", True, ["run.dt: expected a number"]),
     ("run.dt", float("inf"), ["run.dt: expected a number"]),
@@ -121,6 +125,12 @@ CASES = [
     ("run.store_every", 1.5, ["run.store_every: expected an integer"]),
     ("run.store_every", 0, ["run.store_every: must be >= 1, got 0"]),
     ("run.outputs", "moments", ["run.outputs: expected a list of strings"]),
+    ("run.outputs", [], ["run.outputs: need at least one output"]),
+    ("run.outputs", ["ensemble"],
+     ["run.outputs: the ensemble pipeline needs a constant generator; "
+      "'hpz' is tabulated",
+      "state.kind: ensemble runs need a pure coherent or squeezed initial "
+      "state"]),
     ("run.outputs", ["plots"], ["run.outputs: unknown outputs ['plots'] "
                                 "(valid: kernel, coefficients, audit, "
                                 "moments, ensemble)"]),
@@ -153,6 +163,11 @@ def _edit(path, value):
     return payload
 
 
+def _case_id(path, value):
+    shown = repr("missing" if value is DELETE else value)
+    return f"{path}={shown if len(shown) <= 60 else shown[:12] + '...'}"
+
+
 def test_base_is_valid_and_round_trips():
     scenario = scenario_from_dict(BASE)
     assert scenario_to_dict(scenario) == {
@@ -161,11 +176,30 @@ def test_base_is_valid_and_round_trips():
 
 @pytest.mark.parametrize(
     "path, value, messages", CASES,
-    ids=[f"{p}={'missing' if v is DELETE else v!r}" for p, v, _ in CASES])
+    ids=[_case_id(p, v) for p, v, _ in CASES])
 def test_each_key_reports_its_exact_message(path, value, messages):
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(_edit(path, value))
     assert sorted(exc.value.messages) == sorted(messages)
+
+
+@pytest.mark.parametrize("kind", ["coherent", "squeezed", "thermal"])
+def test_pure_and_thermal_states_need_a_confining_potential(kind):
+    payload = _edit("state", {"kind": kind, "r": 0.1, "nbar": 0.5})
+    payload["system"]["omega_S"] = 0.0
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(payload)
+    assert exc.value.messages == [
+        f"system.omega_S: state kind '{kind}' requires a confining "
+        "potential (omega_S > 0)"]
+
+
+def test_top_level_must_be_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(path)
+    assert exc.value.messages == [f"{path}: top level must be a JSON object"]
 
 
 @pytest.mark.parametrize("block", ["units", "system", "bath", "state",

@@ -1,7 +1,10 @@
-"""Smoke runs of the scripts under scripts/ at small sizes."""
+"""The scripts under scripts/: a smoke run of eigenvalue_sweep.py, and the
+session's one run of run_all_scenarios.py (the `checked_runs` fixture)
+with its artifacts and its --against report."""
 
 import json
 import pathlib
+import shutil
 
 import pytest
 
@@ -12,24 +15,33 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 @pytest.mark.parametrize("script, args", [
     ("eigenvalue_sweep.py", ["--nodes", "41", "--t-max", "2"]),
-    ("unraveling_check.py", ["--n-traj", "256", "--t-max", "1",
-                             "--store-every", "100"]),
 ])
 def test_script_exits_cleanly(script, args, fresh_python):
     fresh_python(SCRIPTS / script, *args)
 
 
-def test_every_shipped_scenario_runs(tmp_path, fresh_python):
-    # includes the script's own twin comparisons, CL/CCL and JZ/QP
-    fresh_python(SCRIPTS / "run_all_scenarios.py", "--out", tmp_path)
-
-
-def test_against_reports_each_csv_change(tmp_path, fresh_python):
-    old, new = tmp_path / "old", tmp_path / "new"
-    fresh_python(SCRIPTS / "run_all_scenarios.py", "--out", old)
-    for variant in ("exponential", "drude", "order3"):
+def test_every_shipped_scenario_runs(checked_runs):
+    # the fixture's run exits 0 only if every run and both twin
+    # comparisons, CL/CCL and JZ/QP, pass; each run wrote what it lists
+    out = checked_runs.out
+    manifests = sorted(out.glob("*_manifest.json"))
+    assert len(manifests) == 9
+    for manifest in manifests:
+        for output in json.loads(manifest.read_text())["outputs"]:
+            assert pathlib.Path(output).is_file()
+    for stem in ("hpz_audit", "hpz_audit_exponential", "hpz_audit_drude",
+                 "hpz_audit_order3"):
         for artifact in ("kernel", "coefficients", "audit", "moments"):
-            assert (old / f"hpz_audit_{variant}_{artifact}.csv").exists()
+            assert (out / f"{stem}_{artifact}.csv").is_file()
+        assert (out / f"{stem}_audit.json").is_file()
+    assert (out / "ccl_unraveling_ensemble.csv").is_file()
+    assert (out / "cl_vs_ccl_moments.csv").is_file()
+
+
+def test_against_reports_each_csv_change(checked_runs, tmp_path,
+                                         fresh_python):
+    old, new = tmp_path / "old", tmp_path / "new"
+    shutil.copytree(checked_runs.out, old)
     moments = old / "qp_coupling_moments.csv"
     table = io.read_csv(moments)
     table.data["mean_q"] = table["mean_q"] * (1.0 + 1e-9)
@@ -50,10 +62,6 @@ def test_against_reports_each_csv_change(tmp_path, fresh_python):
     (old / "notes.csv").write_bytes(moments.read_bytes())
     lines = fresh_python(SCRIPTS / "run_all_scenarios.py", "--out", new,
                          "--against", old).splitlines()
-    assert "    jz_decoherence_moments.csv: identical" in lines
-    assert "    hpz_audit_coefficients.csv: identical" in lines
-    assert "    hpz_audit_order3_coefficients.csv: identical" in lines
-    assert "    cl_regime_audit.json: identical" in lines
     assert "    qp_coupling_moments.csv: changed: mean_q 1.00e-09" in lines
     assert "    hpz_audit_audit.csv: changed: new column norm" in lines
     assert "    hpz_audit_drude_audit.json: changed: min_lambda_min, tol" \
@@ -62,3 +70,12 @@ def test_against_reports_each_csv_change(tmp_path, fresh_python):
         in lines
     assert f"only in {old}: cl_regime_ensemble.csv" in lines
     assert not any("notes.csv" in line for line in lines)
+    # a second process writes every artifact left unedited byte for byte
+    edited = {"qp_coupling_moments.csv", "hpz_audit_audit.csv",
+              "hpz_audit_drude_audit.json", "hpz_audit_kernel.csv"}
+    reports = dict(line.strip().split(": ", 1) for line in lines
+                   if line.startswith("    "))
+    assert sum(name.endswith(".csv") for name in reports) == 26
+    assert sum(name.endswith("_audit.json") for name in reports) == 7
+    assert {name for name, change in reports.items()
+            if change != "identical"} == edited

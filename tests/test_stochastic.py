@@ -599,6 +599,20 @@ def test_diverging_trajectories_raise_numerical_failure():
     assert np.all(np.isnan(path.observables[-1]))
 
 
+def test_few_diverging_trajectories_are_dropped_with_a_warning():
+    # JZ with D = 4 m gamma kB T = 32 at dt = 0.2: one of 200 trajectories
+    # runs away, within the 1% an ensemble may drop
+    config = SSEConfig(_spec("jz", 8.0, 1.0), dt=0.2, t_span=(0.0, 5.0),
+                       store_every=1, n_traj=200, seed=2)
+    state0 = ground_state_moments(SYS, mean_q=np.sqrt(2.0))
+    with pytest.warns(EnsembleHealthWarning,
+                      match="^1 trajectories diverged and were dropped"):
+        result = ensemble_run(config, state0)
+    assert len(result.failed_trajectories) == 1
+    assert result.alive[0] == 200 and result.alive[-1] == 199
+    assert all(np.isfinite(v).all() for v in result.means.values())
+
+
 def test_small_ensembles_warn():
     config = SSEConfig(_spec("ccl", 0.0125, 2.0), dt=1e-2,
                        t_span=(0.0, 0.1), store_every=10, n_traj=5, seed=3)

@@ -51,7 +51,6 @@ from qbmlab.positivity import audit_cp
 from qbmlab.scenario import (Scenario, ScenarioError, scenario_from_dict,
                              scenario_to_dict)
 
-SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 RUNS = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "scripts", "run_all_scenarios.py"))
 
@@ -94,14 +93,8 @@ def column_dim(column, scale):
 
 def _cases():
     with tempfile.TemporaryDirectory() as tmp:
-        paths = sorted(glob.glob(os.path.join(SCENARIOS, "*.json"))) + [
-            RUNS["write_variant"](tmp, *item)
-            for item in RUNS["VARIANTS"].items()]
-        cases = {}
-        for path in paths:
-            with open(path) as fh:
-                cases[os.path.splitext(os.path.basename(path))[0]] = \
-                    json.load(fh)
+        cases = {path.stem: json.loads(path.read_text())
+                 for path in RUNS["run_list"](tmp)}
     sto = cases["ccl_unraveling"]
     sto["stochastic"]["n_traj"] = 200
     sto["run"]["t_span"] = [0.0, 1.0]
