@@ -20,8 +20,9 @@ from qbmlab import io
 from qbmlab.cli import main as qbmlab_main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
-# the exponential and Drude kernels take the thermal rule, and order 3 runs
-# the order-2/3 dressing and its windowing: name -> {"block.key": value}
+# the exponential kernel takes its closed form and the Drude kernel the
+# thermal rule, and order 3 runs the order-2/3 dressing and its windowing:
+# name -> {"block.key": value}
 VARIANTS = {
     "hpz_audit_exponential": {"bath.cutoff": "exponential"},
     "hpz_audit_drude": {"bath.cutoff": "drude"},

@@ -21,7 +21,6 @@ from .bath import (
     SpectralDensity,
     ThermalBathSpec,
     delta_limit_strength,
-    eval_correlation,
     eval_spectral_density,
     high_temperature_closed_form,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "SpectralDensity",
     "ThermalBathSpec",
     "delta_limit_strength",
-    "eval_correlation",
     "eval_spectral_density",
     "high_temperature_closed_form",
     "HPZCoefficients",

@@ -12,23 +12,24 @@ function splits into even and odd parts,
     D_re(tau) =  hbar * int_0^inf J(w) coth(hbar w / 2 kB T) cos(w tau) dw
     D_im(tau) = -hbar * int_0^inf J(w) sin(w tau) dw
 
-`eval_correlation` evaluates both at one tau by adaptive quadrature with
-oscillatory weight functions (QUADPACK).  Tabulated kernels take every
-tau at once: one closed-form zero-temperature kernel
-hbar int J(w) e^{-i w tau} dw (`_zero_temperature`) gives D_im and D_re
-at T = 0, and `_re_table` the thermal part of D_re, the cosine transform
-of 2 hbar J(w) / (e^{2aw} - 1) with a = hbar / 2 kB T, by a composite
-Gauss-Legendre rule checked against twice the panels.  Its sums
-sum_k c_k cos(w_k tau_j) over the uniform grid are factored: writing
-tau_j = tau_j0 + b h, with j0 the start of a block of B ~ sqrt(n) nodes,
-they are the real parts of one complex matrix product
+Tabulated kernels take every tau at once, with no adaptive quadrature.
+D_im is a closed form (`_zero_temperature`).  The exponential D_re is its
+closed form in psi' at every T (`_exponential_re`).  The sharp and Drude
+D_re are their T = 0 closed forms plus the thermal part, the cosine
+transform of 2 hbar J(w) / (e^{2aw} - 1) with a = hbar / 2 kB T, by a
+composite Gauss-Legendre rule (`_re_table`) while it fits its node
+budget; over it a Drude table takes its Matsubara series
+(`_drude_series`) and a sharp table raises QuadratureError.
+
+The rule's sums sum_k c_k cos(w_k tau_j) over the uniform grid are
+factored: writing tau_j = tau_j0 + b h, with j0 the start of a block of
+B ~ sqrt(n) nodes, they are the real parts of one complex matrix product
 (c_k e^{i w_k tau_j0}) (e^{i w_k b h})^T.  A node is a panel midpoint
 plus a Gauss offset shared by every panel, so the product costs
 (n / B + B) complex exponentials per panel instead of n cosines per
-node.  Nodes the rule cannot certify to `quad_tol` go through the
-adaptive quadrature, which stays the oracle, and so does every node when
-the rule would need so many frequency nodes that it costs more than that.
-The high-temperature closed form of the sharp even part is provided for
+node.  The rule is checked against itself with half the panels, and a
+node whose error misses `quad_tol` raises a QuadratureWarning.  The
+high-temperature closed form of the sharp even part is provided for
 cross-checks.
 
 Conventions: tau may be any real number; D_re is even and D_im is odd in
@@ -36,7 +37,6 @@ tau, and tabulated kernels store tau >= 0 only.
 """
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -45,7 +45,8 @@ from enum import Enum
 import numpy as np
 
 _DRUDE_TRUNCATION = 1e6  # upper limit, in units of Omega, for the divergent case
-_EXP_TAIL = 60.0  # e^-60 ~ 1e-26, negligible relative to any epsabs we use
+_DRUDE_G0 = 0.5 * math.log1p(_DRUDE_TRUNCATION ** 2)  # the truncated g(0)
+_EXP_TAIL = 60.0  # the exponential profile's reach, in units of Omega: e^-60
 
 # Tabulation rule (CorrelationKernel.from_bath).  32-point Gauss-Legendre
 # integrates cos over a panel spanning 60 rad of phase to ~1e-14; panels
@@ -56,12 +57,11 @@ _gauss_legendre = functools.cache(  # x, w on [-1, 1], at first use
     lambda: np.polynomial.legendre.leggauss(_GL_POINTS))
 _PANEL_PHASE = 60.0
 _THERMAL_REACH = 40.0  # 2w / (e^{2aw} - 1) < 80 e^-80 / a beyond w = 40 / a
-# Coarse plus fine nodes the rule may use, min(_NODE_BUDGET_PER_TAU * n,
-# _NODE_BUDGET).  The rule costs about 0.05 us per omega node at n = 11
-# tau nodes and 0.5 us at n = 1,001 (2-vCPU machine), per-node QUADPACK
-# about 2 ms per tau node: they break even near 4e4 n omega nodes for
-# small n and 4e6 at n = 1,001.  The budgets date from 0.2 and 1.8 us per
-# node and are kept on purpose, so every table falls back where it did.
+# Coarse plus fine nodes the rule may use on n tau nodes,
+# min(_NODE_BUDGET_PER_TAU * n, _NODE_BUDGET); past it a Drude table takes
+# its Matsubara series and a sharp table is refused.  At 0.05 (n = 11) to
+# 0.5 us (n = 1,001) per omega node on a 2-vCPU machine, a table within it
+# takes at most about 0.5 s.  Every table on the rule keeps its bits.
 _NODE_BUDGET_PER_TAU = 10_000
 _NODE_BUDGET = 1_000_000
 _OMEGA_CHUNK = 1024  # omega nodes per product; keeps temporaries near 1 MB
@@ -76,6 +76,20 @@ _E1_SERIES_TO, _E1_LEVELS = 2.0, 50
 _EI_COEF = [1.0 / (k * math.factorial(k)) for k in range(1, _EI_TERMS + 1)]
 _ODD_FACTORIALS = [float(math.factorial(2 * i + 1)) for i in range(_ODD_TERMS)]
 _EULER_GAMMA = 0.5772156649015329
+# psi' (`_trigamma`) and Binet's ln x - 1/2x - psi(x) (`_binet`) recur up to
+# _ASYMPTOTIC_FROM, then take their asymptotic series in the Bernoulli
+# numbers B_2 ... B_16, whose last term is below 4e-17 of the sum there.
+_ASYMPTOTIC_FROM = 12.0
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510)
+# The Drude Matsubara series (`_drude_series`) keeps the terms e^{-nu_k tau}
+# >= e^-_SERIES_REACH (4e-18) at each node, and joins the cot term and the
+# term of a pole a Omega = pi k within _POLE_GAP of it, where cot e - 1/e
+# takes its series: 2^2n |B_2n| e^(2n-1) / (2n)!, the next one 2e-20 at 0.1.
+_SERIES_REACH = 40.0
+_POLE_GAP = 0.1
+_COT_SERIES = [4.0 ** n * abs(b) / math.factorial(2 * n)
+               for n, b in enumerate(_BERNOULLI[:6], 1)]
 _DRUDE_DIVERGENCE = ("D_re(0) diverges logarithmically for the drude cutoff; "
                      f"integral truncated at {_DRUDE_TRUNCATION:g} * Omega")
 
@@ -85,16 +99,17 @@ class ValidityWarning(UserWarning):
 
 
 class QuadratureWarning(UserWarning):
-    """Adaptive quadrature finished but missed its accuracy target."""
+    """The kernel rule missed its accuracy target at some node."""
 
 
 class NumericalFailure(RuntimeError):
-    """A table, a quadrature or a propagation came out non-finite or
-    unrealizable; the base of every numerical error in qbmlab."""
+    """A table or a propagation came out non-finite or unrealizable; the
+    base of every numerical error in qbmlab."""
 
 
 class QuadratureError(NumericalFailure):
-    """Adaptive quadrature failed outright (non-finite result)."""
+    """A kernel table came out non-finite, or its rule would exceed its
+    node budget."""
 
 
 @dataclass(frozen=True)
@@ -188,125 +203,11 @@ def _omega_coth(omega, a):
     return float(out) if out.ndim == 0 else out
 
 
-def _quad_checked(func, cuts, *, what, epsabs, epsrel, scale, **kwargs):
-    """scipy.integrate.quad summed over the pieces between consecutive
-    `cuts`, with non-convergence (of the summed error estimate) turned
-    into warnings.
-    """
-    from scipy import integrate  # read quad at call time: tracers patch it
-
-    result = abserr = 0.0
-    notes = []
-    for lo, hi in itertools.pairwise(cuts):
-        out = integrate.quad(func, lo, hi, epsabs=epsabs, epsrel=epsrel,
-                             full_output=1, **kwargs)
-        result, abserr = result + out[0], abserr + out[1]
-        notes += out[3:4]  # quadpack appended an explanation message
-    if not np.isfinite(result):
-        raise QuadratureError(f"{what}: quadrature returned {result}")
-    if notes:
-        warnings.warn(
-            f"{what}: quadrature did not converge to target "
-            f"(achieved abs error {abserr:.3e}); {'; '.join(notes)}",
-            QuadratureWarning, stacklevel=3)
-    elif abserr > 10.0 * max(epsabs, epsrel * abs(result), epsrel * scale):
-        warnings.warn(
-            f"{what}: achieved abs error {abserr:.3e} exceeds target "
-            f"for result {result:.6e}",
-            QuadratureWarning, stacklevel=3)
-    return result
-
-
-def _correlation_quad(bath, tau, quad_tol, part):
-    """Even (part "re") or odd (part "im") part of the correlation
-    function at tau >= 0 by adaptive quadrature, weighted by cos or sin
-    (QUADPACK), in the pure numbers u = w / Omega and x = Omega tau:
-
-        D_re(tau) =  P int_0^inf f(u) u coth(a Omega u) cos(u x) du
-        D_im(tau) = -P int_0^inf f(u) u sin(u x) du
-
-    with P = 2 m gamma hbar Omega^2 / pi, so a change of units changes
-    only P.  The even part is split at the bends of u coth(a Omega u)
-    near 1 / (a Omega) and 10 / (a Omega): QAWO on each finite piece,
-    QAWF beyond the last.
-    """
-    sd = bath.spectral
-    kind = sd.cutoff_kind
-    W = sd.Omega
-    if part == "re":
-        a_omega = bath.thermal_time * W
-
-        def integrand(u):
-            return _cutoff_factor(kind, u) * _omega_coth(u, a_omega)
-
-        scale = _omega_coth(1.0, a_omega)
-        sign, weight, bends = 1.0, "cos", (1.0 / a_omega, 10.0 / a_omega)
-    else:
-        if tau == 0.0:
-            return 0.0
-
-        def integrand(u):
-            return u * _cutoff_factor(kind, u)
-
-        scale = 1.0
-        sign, weight, bends = -1.0, "sin", ()
-
-    # scale: the magnitude of the integral, used for absolute tolerances
-    # where quadpack cannot work in relative terms (semi-infinite
-    # weighted rules)
-    args = {"what": f"D_{part}({tau:g}) / (2 m gamma hbar Omega^2 / pi)",
-            "epsabs": quad_tol * scale, "epsrel": quad_tol, "scale": scale}
-    if tau == 0.0:  # the even part only; no oscillatory weight
-        upper = _REACH[kind]
-        # the bends of u coth(a Omega u) and of the profile near u = 1
-        points = sorted({p for p in (*bends, 1.0) if p < upper})
-        value = _quad_checked(integrand, (0.0, upper), limit=500,
-                              points=points or None, **args)
-    else:
-        upper = 1.0 if kind is CutoffKind.SHARP else np.inf
-        cuts = (0.0, *(p for p in bends if p < upper), upper)
-        value = sign * _quad_checked(integrand, cuts, weight=weight,
-                                     wvar=W * tau, limit=500, limlst=200,
-                                     **args)
-    return 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi * W * W \
-        * value
-
-
-def eval_correlation(bath, tau, quad_tol=1e-8):
-    """Correlation function D(tau) = D_re(tau) + i D_im(tau) at one time.
-
-    Parameters
-    ----------
-    bath : ThermalBathSpec
-    tau : float
-        Any real time difference; parity is applied internally.
-    quad_tol : float
-        Relative quadrature target.  Semi-infinite oscillatory rules only
-        accept absolute tolerances, so the target is rescaled by the
-        natural magnitude of each integral; a QuadratureWarning reports
-        the achieved estimate whenever the target is missed.
-
-    Returns
-    -------
-    complex
-    """
-    if not 0.0 < quad_tol < math.inf:
-        raise ValueError("quad_tol must be finite and strictly positive")
-    tau = float(tau)
-    if tau == 0.0 and bath.spectral.cutoff_kind is CutoffKind.DRUDE:
-        warnings.warn(_DRUDE_DIVERGENCE, ValidityWarning, stacklevel=2)
-    re = _correlation_quad(bath, abs(tau), quad_tol, "re")
-    im = _correlation_quad(bath, abs(tau), quad_tol, "im")
-    if tau < 0.0:
-        im = -im
-    return complex(re, im)
-
-
 def im_closed_form(bath, tau):
     """Exact odd part D_im(tau) for each cutoff profile (vectorized).
 
     Temperature never enters the odd part, so it is that of
-    `_zero_temperature`, an independent check on the quadrature.
+    `_zero_temperature`.
     """
     tau = np.asarray(tau, dtype=float)
     out = _zero_temperature(bath, np.atleast_1d(tau))[1]
@@ -348,7 +249,7 @@ def _zero_temperature(bath, tau):
         im = -pref * 2.0 * tau * (W * W * W) / (1.0 + x * x) ** 2
     else:  # drude
         ax = np.abs(x)
-        g = np.full(tau.shape, 0.5 * math.log1p(_DRUDE_TRUNCATION ** 2))
+        g = np.full(tau.shape, _DRUDE_G0)
         live = ax > 0.0
         g[live] = _drude_g(ax[live])
         re = pref * W * W * g
@@ -393,6 +294,88 @@ def _drude_g(x):
     e1_x[~small] = 1.0 / f
     g[~far] = -0.5 * (ei_x - e1_x)
     return g
+
+
+def _trigamma(z):
+    """psi'(z) on an array of complex z with Re z > 0: the recurrence
+    psi'(z) = 1/z^2 + psi'(z + 1) up to Re z >= _ASYMPTOTIC_FROM, then
+    1/w + 1/2w^2 + sum_k B_2k / w^(2k+1) (A&S 6.4.6, 6.4.12)."""
+    shift = max(0, math.ceil(_ASYMPTOTIC_FROM - float(np.min(z.real))))
+    u = 1.0 / (z + shift)
+    v, s = u * u, np.zeros_like(z)
+    for b in reversed(_BERNOULLI):
+        s = (s + b) * v
+    out = u * (1.0 + 0.5 * u + s)
+    for j in reversed(range(shift)):  # the smallest terms first
+        out += 1.0 / ((z + j) * (z + j))
+    return out
+
+
+def _binet(x):
+    """ln x - 1/2x - psi(x) for a float x > 0: the recurrence
+    psi(x) = psi(x + 1) - 1/x up to w = x + shift >= _ASYMPTOTIC_FROM,
+    then sum_k B_2k / (2k w^2k) (A&S 6.3.18)."""
+    shift = max(0, math.ceil(_ASYMPTOTIC_FROM - x))
+    w = x + shift
+    s = 0.0
+    for k in range(len(_BERNOULLI), 0, -1):
+        s = (s + _BERNOULLI[k - 1] / (2 * k)) / (w * w)
+    head = sum(1.0 / (x + j) for j in reversed(range(shift)))
+    return s + head + math.log(x / w) - 0.5 / x + 0.5 / w
+
+
+def _exponential_re(bath, tau):
+    """D_re of the exponential cutoff on an array of tau >= 0 at any T,
+    (2 m gamma hbar / pi) Re[psi'(z) + psi'(z + 1)] / 4a^2 with the pure
+    number z = (1/Omega + i tau) / 2a, and psi'(z) = 1/z^2 + psi'(z + 1)."""
+    sd = bath.spectral
+    a = bath.thermal_time
+    pref = 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi
+    z = np.empty(tau.shape, dtype=complex)
+    z.real = 1.0 / (2.0 * a * sd.Omega)
+    z.imag = tau / (2.0 * a)
+    psi_sum = 1.0 / (z * z) + 2.0 * _trigamma(z + 1.0)
+    return pref / (4.0 * a * a) * psi_sum.real
+
+
+def _drude_series(bath, tau):
+    """D_re of the Drude cutoff on a grid of tau >= 0 starting at 0, by the
+    Matsubara series (Haake & Reibold, PRA 32, 2462 (1985)) in the pure
+    numbers y = a Omega, x = Omega tau and s = pi tau / a,
+    m gamma hbar Omega^2 [cot(y) e^{-x} + sum_k 2 pi k e^{-ks} / ((pi k)^2
+    - y^2)], with the terms ks <= _SERIES_REACH at each node.  Near a pole
+    y = pi k, with e = y - pi k, the cot term and term k are joined into
+    (cot e - 1/e) e^{-x} + e^{-ks} [(e^{-es/pi} - 1) / e + 1 / (y + pi k)].
+    D_re(0) is the truncated T = 0 value plus its thermal part (Binet),
+    (2 m gamma hbar / pi) Omega^2 (ln x - 1/2x - psi(x)) at x = y / pi.
+    """
+    sd = bath.spectral
+    a, W = bath.thermal_time, sd.Omega
+    y = a * W
+    x, s = W * tau[1:], np.pi * tau[1:] / a
+    pole = round(y / np.pi)
+    gap = y - np.pi * pole
+    if pole >= 1 and abs(gap) < _POLE_GAP:
+        cot_gap = 0.0  # (cot e - 1/e) / e, by its series
+        for c in reversed(_COT_SERIES):
+            cot_gap = cot_gap * gap * gap - c
+        slope = np.expm1(-gap * s / np.pi) / gap if gap else -s / np.pi
+        sums = cot_gap * gap * np.exp(-x) \
+            + np.exp(-pole * s) * (slope + 1.0 / (y + np.pi * pole))
+    else:
+        pole, sums = 0, np.exp(-x) / np.tan(y)
+    for k in range(1, int(_SERIES_REACH / s[0]) + 1):
+        if k != pole:
+            near = np.searchsorted(s, _SERIES_REACH / k, side="right")
+            nu = np.pi * k
+            sums[:near] += 2.0 * nu / (nu * nu - y * y) \
+                * np.exp(-k * s[:near])
+    hbar = bath.constants.hbar
+    out = np.empty_like(tau)
+    out[0] = 2.0 * sd.m * sd.gamma * hbar / np.pi * W * W \
+        * (_DRUDE_G0 + _binet(y / np.pi))
+    out[1:] = sd.m * sd.gamma * hbar * W * W * sums
+    return out
 
 
 def high_temperature_closed_form(bath, tau):
@@ -460,8 +443,8 @@ def _re_table(bath, tau):
     (e^{2aw} - 1) up to min(_THERMAL_REACH / a, the cutoff's reach).
 
     Returns (value, error estimate) per node, the estimate being the
-    change from the rule with half the panels.  Every node carries NaN
-    when the rule would exceed its node budget.
+    change from the rule with half the panels, or None when the rule
+    would exceed its node budget.
     """
     sd = bath.spectral
     a = bath.thermal_time
@@ -477,7 +460,7 @@ def _re_table(bath, tau):
     panels = math.ceil(upper / width)
     if 3 * _GL_POINTS * panels > min(_NODE_BUDGET_PER_TAU * tau.size,
                                      _NODE_BUDGET):
-        return np.full((2, tau.size), np.nan)  # (value, estimate) rows
+        return None
 
     def integrand(w):
         return pref * _cutoff_factor(kind, w / W) * 2.0 * w \
@@ -578,41 +561,51 @@ class CorrelationKernel:
 
     @classmethod
     def from_bath(cls, bath, grid, quad_tol=1e-8):
-        """Tabulate D on `grid` (uniform, starting at 0).
-
-        One `_zero_temperature` call gives D_im and D_re at T = 0, and
-        D_re adds `_re_table`.  A node whose rule error exceeds QUADPACK's
-        target max(quad_tol * scale, quad_tol * |D_re|) goes through the
-        adaptive quadrature of `eval_correlation`.  `health` records the
-        node count, the number of such fallbacks and the worst error
-        estimate over its target among the nodes the rule kept.
+        """Tabulate D on `grid` (uniform, starting at 0), D_re as the
+        module docstring says.  A rule node whose error estimate exceeds
+        its target max(quad_tol * scale, quad_tol * |D_re|) raises a
+        QuadratureWarning.  `health` records the node count, the `method`
+        ("rule", "series" or "closed_form") and, for the rule, the worst
+        error estimate over its target.
         """
         if not 0.0 < quad_tol < math.inf:
             raise ValueError("quad_tol must be finite and strictly positive")
         grid = _checked_grid(grid)
         zero_re, im = _zero_temperature(bath, grid)
-        thermal, err = _re_table(bath, grid)
-        re = zero_re + thermal
-        sd = bath.spectral  # QUADPACK's scale times P (_correlation_quad)
-        scale = 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi \
-            * sd.Omega * _omega_coth(sd.Omega, bath.thermal_time)
-        target = quad_tol * np.maximum(scale, np.abs(re))
+        sd = bath.spectral
         if sd.cutoff_kind is CutoffKind.DRUDE:
             warnings.warn(_DRUDE_DIVERGENCE, ValidityWarning, stacklevel=2)
-        fallback = ~(err <= target) | ~np.isfinite(re)
-        for i in np.flatnonzero(fallback):
-            re[i] = _correlation_quad(bath, float(grid[i]), quad_tol, "re")
+        worst = None
+        if sd.cutoff_kind is CutoffKind.EXPONENTIAL:
+            method, re = "closed_form", _exponential_re(bath, grid)
+        elif (rule := _re_table(bath, grid)) is not None:
+            method, (thermal, err) = "rule", rule
+            re = zero_re + thermal
+            scale = 2.0 * sd.m * sd.gamma * bath.constants.hbar / np.pi \
+                * sd.Omega * _omega_coth(sd.Omega, bath.thermal_time)
+            target = quad_tol * np.maximum(scale, np.abs(re))
+            # a zero target (zero coupling) comes with a zero err: its
+            # ratio is 0, not 0/0
+            ratio = np.divide(err, target, out=np.zeros_like(err),
+                              where=err > 0.0)
+            worst = float(np.max(ratio))
+            missed = np.count_nonzero(~(err <= target))
+            if missed:
+                warnings.warn(
+                    f"kernel rule: {missed} of {grid.size} nodes miss their "
+                    f"target quad_tol * max(scale, |D_re|), the worst by "
+                    f"{worst:.3g} times", QuadratureWarning, stacklevel=2)
+        elif sd.cutoff_kind is CutoffKind.DRUDE:
+            method, re = "series", _drude_series(bath, grid)
+        else:
+            raise QuadratureError(
+                "sharp-cutoff kernel: the thermal rule needs more than its "
+                f"budget of min({_NODE_BUDGET_PER_TAU} n, {_NODE_BUDGET}) "
+                f"frequency nodes on n = {grid.size} tau nodes")
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
             raise QuadratureError("kernel table has non-finite values")
-        kept = ~fallback
-        # err <= target on a kept node, so a zero target (zero coupling)
-        # has a zero err there: its ratio is 0, not 0/0
-        ratio = np.divide(err, target, out=np.zeros_like(err),
-                          where=err > 0.0)
-        health = {"nodes": int(grid.size),
-                  "quad_fallbacks": int(np.count_nonzero(fallback)),
-                  "worst_err_over_target": float(np.max(ratio[kept]))
-                  if kept.any() else None}
+        health = {"nodes": int(grid.size), "method": method,
+                  "worst_err_over_target": worst}
         return cls(grid=grid, re_values=re, im_values=im, bath=bath,
                    health=health)
 

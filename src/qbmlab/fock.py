@@ -87,16 +87,21 @@ def coherent_state(dim, alpha):
     return psi / np.linalg.norm(psi)
 
 
+def _exp_anti_hermitian(k, psi):
+    """e^K psi = V e^{-i lambda} V^dag psi for anti-Hermitian K, iK = V
+    lambda V^dag."""
+    lam, v = np.linalg.eigh(1j * k)
+    return v @ (np.exp(-1j * lam) * (v.conj().T @ psi))
+
+
 def squeezed_state(dim, r, alpha=0.0):
     """Displaced position-squeezed vacuum, D(alpha) S(r) |0>, on `dim`
-    levels."""
-    from scipy.linalg import expm
-
+    levels; S and D are e^K of the anti-Hermitian K of the truncated a."""
     a = ladder(dim)
-    s_op = expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
-    psi = s_op @ vacuum_state(dim)
+    ad = a.conj().T
+    psi = _exp_anti_hermitian(0.5 * r * (a @ a - ad @ ad), vacuum_state(dim))
     if alpha != 0.0:
-        psi = expm(alpha * a.conj().T - np.conj(alpha) * a) @ psi
+        psi = _exp_anti_hermitian(alpha * ad - np.conj(alpha) * a, psi)
     return psi
 
 

@@ -43,8 +43,8 @@ def fresh_python():
 def checked_runs(tmp_path_factory, fresh_python):
     """One run of scripts/run_all_scenarios.py for the whole session, in a
     fresh interpreter: every run the script lists and both twin checks
-    must pass (`main` returns 0), and the Fock oracle's coherent state
-    must be normalized.  Returns `out`, the directory the runs wrote,
+    must pass (`main` returns 0), and the Fock oracle's coherent and
+    squeezed states must be normalized.  Returns `out`, the directory the runs wrote,
     `fock`, whether the runs loaded qbmlab.fock, and `scipy`, the scipy
     modules the process loaded by its end.
     """
@@ -54,9 +54,11 @@ def checked_runs(tmp_path_factory, fresh_python):
         f"script = runpy.run_path({str(_RUN_ALL)!r})\n"
         f"assert script['main'](['--out', {str(out)!r}]) == 0\n"
         "fock = 'qbmlab.fock' in sys.modules\n"
-        "from qbmlab.fock import coherent_state\n"
+        "from qbmlab.fock import coherent_state, squeezed_state\n"
         "psi = coherent_state(40, 0.5 - 0.2j)\n"
         "assert abs(psi @ psi.conj() - 1.0) < 1e-15\n"
+        "psi = squeezed_state(40, 0.5, 0.3 + 0.2j)\n"
+        "assert abs(psi @ psi.conj() - 1.0) < 1e-14\n"
         "print(json.dumps({'fock': fock, 'scipy': sorted(\n"
         "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n")
     report = json.loads(fresh_python("-c", source).splitlines()[-1])

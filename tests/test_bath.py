@@ -1,9 +1,9 @@
 """Bath spectral densities and correlation kernels.
 
-Expected values here come from two independent routes: elementary
-antiderivatives evaluated by hand (frozen below as literals) and scipy
-quadrature with oscillatory weights.  Agreement between routes is the
-point of several tests.
+Expected values here come from independent routes: elementary
+antiderivatives evaluated by hand (frozen below as literals), direct
+sums, scipy.special, and QUADPACK's oscillatory rules (`quadpack_oracle`).
+Agreement between routes is the point of several tests.
 """
 
 import json
@@ -25,7 +25,6 @@ from qbmlab.bath import (
     ThermalBathSpec,
     ValidityWarning,
     delta_limit_strength,
-    eval_correlation,
     eval_spectral_density,
     high_temperature_closed_form,
     im_closed_form,
@@ -34,14 +33,17 @@ from qbmlab.bath import (
     _E1_SERIES_TO,
     _GL_POINTS,
     _OMEGA_CHUNK,
-    _correlation_quad,
+    _binet,
     _cosine_sums,
     _drude_g,
+    _drude_series,
     _omega_coth,
     _panel_rule,
     _re_table,
+    _trigamma,
     _zero_temperature,
 )
+from quadpack_oracle import correlation, correlation_part, re_table
 
 
 def make_bath(m=1.0, gamma=1.0, Omega=5.0, T=1.0, kind=CutoffKind.SHARP):
@@ -99,8 +101,6 @@ def test_parameter_validation():
         with pytest.raises(ValueError, match="quad_tol must be finite"):
             CorrelationKernel.from_bath(bath, np.linspace(0.0, 1.0, 5),
                                         quad_tol=bad)
-        with pytest.raises(ValueError, match="quad_tol must be finite"):
-            eval_correlation(bath, 0.5, quad_tol=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -126,7 +126,7 @@ def test_sharp_odd_part_at_unit_time():
     bath = make_bath(Omega=5.0)
     expected = -(2.0 / np.pi) * (np.sin(5.0) - 5.0 * np.cos(5.0))
     assert expected == pytest.approx(1.513394933148244, rel=1e-12)
-    d = eval_correlation(bath, 1.0)
+    d = correlation(bath, 1.0)
     assert d.imag == pytest.approx(expected, rel=1e-9)
     assert im_closed_form(bath, 1.0) == pytest.approx(expected, rel=1e-12)
 
@@ -135,52 +135,65 @@ def test_sharp_odd_part_at_unit_time():
 @pytest.mark.parametrize("tau", [0.02, 0.3, 1.0, 4.0])
 def test_im_quadrature_matches_closed_form(kind, tau):
     bath = make_bath(m=1.3, gamma=0.7, Omega=3.0, T=2.0, kind=kind)
-    q = _correlation_quad(bath, tau, 1e-10, "im")
+    q = correlation_part(bath, tau, 1e-10, "im")
     cf = im_closed_form(bath, tau)
     assert q == pytest.approx(cf, rel=1e-7, abs=1e-12)
 
 
-def test_quadpack_is_looked_up_on_its_module_at_call_time(monkeypatch):
-    # a tracer counts QUADPACK calls by replacing scipy.integrate.quad;
-    # a reference bound at import time would bypass the replacement
-    import scipy.integrate
-
-    quad, calls = scipy.integrate.quad, []
-
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
-    bath = make_bath(m=1.3, gamma=0.7, Omega=3.0, T=2.0)
-    q = _correlation_quad(bath, 0.3, 1e-10, "im")
-    assert calls
-    assert q == pytest.approx(im_closed_form(bath, 0.3), rel=1e-7)
+# a Drude table on the rule, a hot Drude table on its Matsubara series and a
+# hot exponential table on its closed form: (cutoff, Omega, T, t_max, n)
+_NUMPY_ONLY_TABLES = [("drude", 5.0, 1.0, 2.0, 21),
+                      ("drude", 1.0, 300.0, 10.0, 1001),
+                      ("exponential", 200.0, 300.0, 100.0, 1001)]
 
 
 def test_drude_table_loads_no_scipy_and_matches_scipy_special(fresh_python):
     # the Drude zero-temperature form takes Ei and E1 from their series
-    # and continued fraction in numpy; scipy.special is the oracle here
+    # and continued fraction, its Matsubara series psi from Binet's
+    # series, and the exponential closed form psi' from its own, all in
+    # numpy; scipy.special is the oracle here
     source = (
         "import json, sys, warnings\n"
         "import numpy as np\n"
-        "from qbmlab.bath import (CorrelationKernel, CutoffKind,\n"
-        "                         SpectralDensity, ThermalBathSpec)\n"
-        "bath = ThermalBathSpec(\n"
-        "    SpectralDensity(1.0, 1.0, 5.0, CutoffKind.DRUDE), T=1.0)\n"
-        "with warnings.catch_warnings():\n"
-        "    warnings.simplefilter('ignore')\n"
-        "    k = CorrelationKernel.from_bath(bath, np.linspace(0, 2, 21))\n"
+        "from qbmlab.bath import (CorrelationKernel, SpectralDensity,\n"
+        "                         ThermalBathSpec)\n"
+        "tables = []\n"
+        f"for kind, W, T, t_max, n in {_NUMPY_ONLY_TABLES!r}:\n"
+        "    bath = ThermalBathSpec(SpectralDensity(1.0, 1.0, W, kind), T=T)\n"
+        "    with warnings.catch_warnings():\n"
+        "        warnings.simplefilter('ignore')\n"
+        "        k = CorrelationKernel.from_bath(\n"
+        "            bath, np.linspace(0, t_max, n))\n"
+        "    tables.append([k.health['method'], k.re_values.tolist(),\n"
+        "                   k.im_values.tolist()])\n"
         "print(json.dumps([sorted(m for m in sys.modules\n"
-        "                         if m.split('.')[0] == 'scipy'),\n"
-        "                  k.re_values.tolist(), k.im_values.tolist()]))\n")
-    loaded, re, im = json.loads(fresh_python("-c", source))
+        "                         if m.split('.')[0] == 'scipy'), tables]))\n")
+    loaded, tables = json.loads(fresh_python("-c", source))
     assert loaded == []
-    here = _tabulate(make_bath(kind=CutoffKind.DRUDE), np.linspace(0, 2, 21))
-    assert re == here.re_values.tolist()  # same bits
-    assert im == here.im_values.tolist()
+    assert [t[0] for t in tables] == ["rule", "series", "closed_form"]
+    for (kind, W, T, t_max, n), (_, re, im) in zip(_NUMPY_ONLY_TABLES,
+                                                   tables):
+        here = _tabulate(make_bath(Omega=W, T=T, kind=kind),
+                         np.linspace(0, t_max, n))
+        assert re == here.re_values.tolist()  # same bits
+        assert im == here.im_values.tolist()
 
     from scipy import special
+
+    # psi' on the real axis and Binet's ln x - 1/2x - psi(x) across the
+    # recurrences' reach, 12, with its float neighbours
+    x = np.concatenate([np.geomspace(1e-6, 1e3, 400),
+                        [np.nextafter(12.0, 0.0), 12.0,
+                         np.nextafter(12.0, np.inf)]])
+    trigamma = _trigamma(x.astype(complex))
+    assert np.max(np.abs(trigamma.imag)) == 0.0
+    assert np.max(np.abs(trigamma.real / special.polygamma(1, x) - 1.0)) \
+        <= 1e-14
+    binet = np.array([_binet(v) for v in x])
+    oracle = np.log(x) - 0.5 / x - special.digamma(x)
+    # scipy's difference cancels: against 1/12x^2, its leading term, at
+    # large x; the thermal D_re(0) adds it to ln 10^6 or more
+    assert np.max(np.abs(binet - oracle) / (np.abs(oracle) + 1.0)) <= 1e-14
 
     # every switch of _drude_g (E1's series to its continued fraction at
     # _E1_SERIES_TO, the asymptotic series at _DRUDE_SERIES_FROM) with its
@@ -202,11 +215,12 @@ def test_drude_table_loads_no_scipy_and_matches_scipy_special(fresh_python):
 
 def test_im_vanishes_at_zero_and_is_odd():
     bath = make_bath(kind=CutoffKind.EXPONENTIAL)
-    assert eval_correlation(bath, 0.0).imag == 0.0
-    d_plus = eval_correlation(bath, 0.8)
-    d_minus = eval_correlation(bath, -0.8)
+    k = CorrelationKernel.from_bath(bath, np.linspace(0.0, 1.0, 11))
+    assert k.at(0.0).imag == 0.0
+    d_plus, d_minus = k.at(0.8), k.at(-0.8)
     assert d_minus.imag == pytest.approx(-d_plus.imag, rel=1e-12)
     assert d_minus.real == pytest.approx(d_plus.real, rel=1e-12)
+    assert d_plus == pytest.approx(correlation(bath, 0.8), rel=1e-10)
 
 
 def test_sharp_im_small_tau_series_branch():
@@ -218,14 +232,19 @@ def test_sharp_im_small_tau_series_branch():
     assert ratio == pytest.approx(ratio2, rel=1e-6)
     # and both agree with quadrature
     assert im_closed_form(bath, t_series) == pytest.approx(
-        _correlation_quad(bath, t_series, 1e-12, "im"), rel=1e-6)
+        correlation_part(bath, t_series, 1e-12, "im"), rel=1e-6)
 
 
 def test_im_independent_of_temperature():
-    hot = make_bath(T=100.0, kind=CutoffKind.DRUDE)
-    cold = make_bath(T=0.01, kind=CutoffKind.DRUDE)
-    assert eval_correlation(hot, 0.7).imag == pytest.approx(
-        eval_correlation(cold, 0.7).imag, rel=1e-10)
+    # the cold table takes the rule and the hot one the Matsubara series
+    grid = np.linspace(0.0, 0.7, 8)
+    hot = _tabulate(make_bath(T=1e4, kind=CutoffKind.DRUDE), grid)
+    cold = _tabulate(make_bath(T=0.01, kind=CutoffKind.DRUDE), grid)
+    assert (hot.health["method"], cold.health["method"]) == ("series", "rule")
+    assert np.array_equal(hot.im_values, cold.im_values)
+    assert hot.im_values[-1] == pytest.approx(
+        correlation(make_bath(T=1e4, kind=CutoffKind.DRUDE), 0.7,
+                    1e-12).imag, rel=1e-10)
 
 
 # ------------------------------------------------------ even part D_re(tau)
@@ -233,7 +252,7 @@ def test_im_independent_of_temperature():
 def test_re_high_temperature_value_at_zero():
     # T = 100, Omega = 10: quantum corrections are ~1e-4 relative
     bath = make_bath(Omega=10.0, T=100.0)
-    d0 = eval_correlation(bath, 0.0).real
+    d0 = CorrelationKernel.from_bath(bath, [0.0, 0.1]).re_values[0]
     assert d0 == pytest.approx(4000.0 / np.pi, rel=1e-2)
     assert d0 == pytest.approx(high_temperature_closed_form(bath, 0.0), rel=1e-3)
 
@@ -241,7 +260,7 @@ def test_re_high_temperature_value_at_zero():
 @pytest.mark.parametrize("tau", [0.1, 0.3, 1.0])
 def test_re_quadrature_vs_high_temperature_form(tau):
     bath = make_bath(m=1.0, gamma=0.3, Omega=10.0, T=200.0)
-    q = _correlation_quad(bath, tau, 1e-10, "re")
+    q = correlation_part(bath, tau, 1e-10, "re")
     assert q == pytest.approx(high_temperature_closed_form(bath, tau), rel=5e-3)
 
 
@@ -258,10 +277,15 @@ def test_high_temperature_form_requires_sharp_cutoff():
 
 
 def test_drude_even_part_at_zero_warns_about_divergence():
-    bath = make_bath(Omega=4.0, kind=CutoffKind.DRUDE)
-    with pytest.warns(ValidityWarning, match="diverges"):
-        v = eval_correlation(bath, 0.0)
-    assert np.isfinite(v.real) and v.real > 0.0
+    # D_re(0) is the integral truncated at 1e6 Omega, QUADPACK's too, on
+    # the rule (T = 1) and on the Matsubara series (T = 1e4)
+    for T in (1.0, 1e4):
+        bath = make_bath(Omega=4.0, T=T, kind=CutoffKind.DRUDE)
+        with pytest.warns(ValidityWarning, match="diverges"):
+            v = CorrelationKernel.from_bath(bath, [0.0, 0.5]).re_values[0]
+        assert np.isfinite(v) and v > 0.0
+        assert v == pytest.approx(correlation(bath, 0.0, 1e-12).real,
+                                  rel=1e-12)
 
 
 def test_re_positive_at_zero_for_all_cutoffs():
@@ -269,7 +293,8 @@ def test_re_positive_at_zero_for_all_cutoffs():
         bath = make_bath(T=3.0, kind=kind)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            assert eval_correlation(bath, 0.0).real > 0.0
+            k = CorrelationKernel.from_bath(bath, [0.0, 0.5])
+            assert k.re_values[0] > 0.0
 
 
 def test_delta_limit_strength_matches_kernel_area():
@@ -284,11 +309,16 @@ def test_delta_limit_strength_matches_kernel_area():
 
 
 def test_quad_tol_tightening_is_consistent():
-    bath = make_bath(m=0.8, gamma=1.1, Omega=6.0, T=4.0,
-                     kind=CutoffKind.EXPONENTIAL)
-    loose = eval_correlation(bath, 0.9, quad_tol=1e-6)
-    tight = eval_correlation(bath, 0.9, quad_tol=1e-12)
-    assert abs(loose - tight) <= 1e-5 * abs(tight)
+    # quad_tol sets the rule's certificate, not its nodes: a tighter
+    # target gives the same table, and both agree with QUADPACK
+    grid = np.linspace(0.0, 0.9, 10)
+    for kind in CutoffKind:
+        bath = make_bath(m=0.8, gamma=1.1, Omega=6.0, T=4.0, kind=kind)
+        loose = _tabulate(bath, grid, quad_tol=1e-6)
+        tight = _tabulate(bath, grid, quad_tol=1e-12)
+        assert np.array_equal(loose.re_values, tight.re_values)
+        assert abs(tight.at(0.9) - correlation(bath, 0.9, quad_tol=1e-12)) \
+            <= 1e-10 * abs(tight.at(0.9))
 
 
 # -------------------------------------------------------- coth evaluation
@@ -326,11 +356,10 @@ def test_omega_coth_exceeds_classical_value(T, omega):
        kind=st.sampled_from(list(CutoffKind)))
 def test_correlation_is_hermitian_in_tau(m, gamma, Omega, T, tau, kind):
     bath = ThermalBathSpec(SpectralDensity(m, gamma, Omega, kind), T=T)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuadratureWarning)
-        d = eval_correlation(bath, tau, quad_tol=1e-8)
-        dm = eval_correlation(bath, -tau, quad_tol=1e-8)
-    assert dm == pytest.approx(np.conj(d), rel=1e-9, abs=1e-12)
+    k = _tabulate(bath, np.linspace(0.0, tau, 5))
+    assert np.all(np.isfinite(k.re_values))
+    assert k.at(-tau) == np.conj(k.at(tau))
+    assert k.at(-0.5 * tau) == np.conj(k.at(0.5 * tau))
 
 
 def test_high_temperature_convergence_of_re():
@@ -338,7 +367,7 @@ def test_high_temperature_convergence_of_re():
     ratios = []
     for T in (10.0, 100.0, 1e4):
         bath = make_bath(Omega=5.0, T=T)
-        d0 = eval_correlation(bath, 0.0).real
+        d0 = CorrelationKernel.from_bath(bath, [0.0, 0.1]).re_values[0]
         ratios.append(d0 / (4.0 * T * 5.0 / np.pi))
     assert abs(ratios[-1] - 1.0) < 1e-4
     assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
@@ -350,12 +379,12 @@ def test_kernel_from_bath_matches_pointwise_eval():
     bath = make_bath(Omega=10.0, T=100.0)
     grid = np.linspace(0.0, 2.0, 41)
     k = CorrelationKernel.from_bath(bath, grid)
-    direct = eval_correlation(bath, grid[17])
+    direct = correlation(bath, grid[17])
     assert k.at(grid[17]) == pytest.approx(direct, rel=1e-10)
     assert k.at(-grid[17]) == pytest.approx(np.conj(direct), rel=1e-10)
     # interpolation error at a midpoint is second order in the spacing
     mid = 0.5 * (grid[3] + grid[4])
-    assert k.at(mid) == pytest.approx(eval_correlation(bath, mid),
+    assert k.at(mid) == pytest.approx(correlation(bath, mid),
                                       rel=5e-3, abs=1e-9)
 
 
@@ -418,15 +447,6 @@ def test_zero_coupling_kernel_is_allowed():
 
 # ------------------------------------------ vectorized kernel tabulation
 
-def _quadpack_re(bath, grid, quad_tol):
-    """Today's per-node adaptive quadrature, the oracle of the table."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuadratureWarning)
-        warnings.simplefilter("ignore", ValidityWarning)
-        return np.array([_correlation_quad(bath, float(t), quad_tol, "re")
-                         for t in grid])
-
-
 def _tabulate(bath, grid, quad_tol=1e-8):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuadratureWarning)
@@ -448,11 +468,15 @@ def test_table_matches_quadpack_per_node(kind, T, Omega):
     k = _tabulate(bath, grid, quad_tol)
     pref = 2.0 * 0.1 / np.pi
     scale = pref * Omega * _omega_coth(Omega, bath.thermal_time)
-    dev = np.max(np.abs(k.re_values - _quadpack_re(bath, grid, quad_tol)))
+    dev = np.max(np.abs(k.re_values - re_table(bath, grid, quad_tol)))
     assert dev <= quad_tol * scale
     assert k.health["nodes"] == grid.size
-    assert k.health["quad_fallbacks"] == 0
-    assert k.health["worst_err_over_target"] <= 1.0
+    if kind is CutoffKind.EXPONENTIAL:
+        assert k.health["method"] == "closed_form"
+        assert k.health["worst_err_over_target"] is None
+    else:
+        assert k.health["method"] == "rule"
+        assert k.health["worst_err_over_target"] <= 1.0
 
 
 @pytest.mark.parametrize("kind", list(CutoffKind))
@@ -463,14 +487,96 @@ def test_table_im_is_the_closed_form(kind):
     assert np.array_equal(k.im_values, im_closed_form(bath, grid))
 
 
-def test_table_over_node_budget_is_todays_quadrature():
-    # at T = 1e4 the thermal part reaches w = 8e5: per-node QUADPACK
+def test_drude_table_over_node_budget_takes_the_series():
+    # at T = 1e4 the thermal rule would reach w = 8e5 in panels of Omega:
+    # 7.7e6 nodes against a budget of 6e4
     bath = make_bath(Omega=10.0, T=1e4, kind=CutoffKind.DRUDE)
     grid = np.linspace(0.0, 1.0, 6)
     k = _tabulate(bath, grid)
-    assert np.array_equal(k.re_values, _quadpack_re(bath, grid, 1e-8))
-    assert k.health["quad_fallbacks"] == grid.size
-    assert k.health["worst_err_over_target"] is None
+    assert _re_table(bath, grid) is None
+    assert k.health == {"nodes": 6, "method": "series",
+                        "worst_err_over_target": None}
+    ref = re_table(bath, grid, 1e-12)
+    assert np.max(np.abs(k.re_values - ref)) <= 1e-12 * ref[0]
+    assert k.re_values[0] == pytest.approx(ref[0], rel=1e-12)
+
+
+# hot tables over the rule's node budget: (Omega, T, t_max, n), each at
+# m = 1, gamma = 0.1
+_HOT_DRUDE_TABLES = [(1.0, 300.0, 10.0, 1001), (50.0, 300.0, 50.0, 2001),
+                     (200.0, 300.0, 50.0, 2001), (50.0, 1e4, 10.0, 1001)]
+
+
+@pytest.mark.parametrize("Omega,T,t_max,n", _HOT_DRUDE_TABLES)
+def test_drude_series_matches_quadpack(Omega, T, t_max, n):
+    bath = make_bath(m=1.0, gamma=0.1, Omega=Omega, T=T,
+                     kind=CutoffKind.DRUDE)
+    grid = np.linspace(0.0, t_max, n)
+    k = _tabulate(bath, grid)
+    assert k.health["method"] == "series"
+    sample = np.arange(0, n, n // 25)
+    ref = re_table(bath, grid[sample], 1e-11)
+    # QUADPACK's own target is 1e-8 of the scale; the series reads 1e-14
+    assert np.max(np.abs(k.re_values[sample] - ref)) \
+        <= 1e-10 * np.max(np.abs(ref))
+    assert k.re_values[0] == pytest.approx(ref[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("Omega,T,t_max", [
+    (50.0, 0.001, 10.0), (1.0, 0.01, 10.0), (10.0, 0.3, 10.0),
+    (50.0, 10.0, 10.0), (200.0, 300.0, 100.0), (50.0, 3000.0, 10.0)])
+def test_exponential_closed_form_matches_quadpack(Omega, T, t_max):
+    # every T, from a cold bath to hot ones that no rule within its node
+    # budget could take (Omega = 200, T = 300, t_max = 100)
+    bath = make_bath(m=1.0, gamma=0.1, Omega=Omega, T=T,
+                     kind=CutoffKind.EXPONENTIAL)
+    grid = np.linspace(0.0, t_max, 1001)
+    k = _tabulate(bath, grid)
+    assert k.health["method"] == "closed_form"
+    sample = np.arange(0, grid.size, 40)
+    ref = re_table(bath, grid[sample], 1e-11)
+    assert np.max(np.abs(k.re_values[sample] - ref)) \
+        <= 1e-10 * np.max(np.abs(ref))
+    assert k.re_values[0] == pytest.approx(ref[0], rel=1e-12)
+
+
+def test_drude_series_is_smooth_through_its_pole():
+    # a Omega = pi is a pole of cot(a Omega) and of the series' first term;
+    # their sum is finite, and the same at pi's float neighbours
+    grid = np.linspace(0.0, 10.0, 101)
+
+    def series(Omega):  # a = hbar / (2 kB T) = 1
+        return _drude_series(make_bath(Omega=Omega, T=0.5,
+                                       kind=CutoffKind.DRUDE), grid)
+
+    at_pole = series(np.pi)
+    scale = np.max(np.abs(at_pole))
+    for Omega in (np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0)):
+        assert np.max(np.abs(series(Omega) - at_pole)) <= 1e-12 * scale
+    ref = re_table(make_bath(Omega=np.pi, T=0.5, kind=CutoffKind.DRUDE),
+                   grid[::10], 1e-12)
+    assert np.max(np.abs(at_pole[::10] - ref)) <= 1e-12 * scale
+    # either side of the gap where the pole's terms are joined
+    for Omega in np.pi + np.array([-0.1001, -0.0999, 0.0999, 0.1001]):
+        bath = make_bath(Omega=Omega, T=0.5, kind=CutoffKind.DRUDE)
+        assert np.max(np.abs(_drude_series(bath, grid)[::10]
+                             - re_table(bath, grid[::10], 1e-12))) \
+            <= 1e-12 * scale
+
+
+def test_trigamma_matches_its_direct_sum_off_the_real_axis():
+    # psi'(z) = sum_{k < N} 1/(z + k)^2 + psi'(z + N), the tail from its
+    # first three asymptotic terms, 1e-31 off at N = 10^6; each sum exact
+    # to rounding (fsum)
+    n = 10 ** 6
+    for z in (1e-4 + 0.3j, 0.7 + 5.0j, 11.5 + 1e-3j, 12.0 + 40.0j,
+              3.0 + 1e4j, 250.0 + 2.0j):
+        terms = 1.0 / (z + np.arange(n)) ** 2
+        w = z + n
+        tail = 1.0 / w + 0.5 / w ** 2 + 1.0 / (6.0 * w ** 3)
+        ref = complex(math.fsum(terms.real) + tail.real,
+                      math.fsum(terms.imag) + tail.imag)
+        assert abs(_trigamma(np.array([z]))[0] - ref) <= 1e-14 * abs(ref)
 
 
 def test_hot_bath_table_stays_on_the_rule():
@@ -480,10 +586,10 @@ def test_hot_bath_table_stays_on_the_rule():
                      kind=CutoffKind.DRUDE)
     grid = np.linspace(0.0, 10.0, 1001)
     k = _tabulate(bath, grid)
-    assert k.health["quad_fallbacks"] == 0
+    assert k.health["method"] == "rule"
     assert k.health["worst_err_over_target"] <= 1.0
     sample = np.arange(1, grid.size, 125)
-    ref = _quadpack_re(bath, grid[sample], 1e-8)
+    ref = re_table(bath, grid[sample], 1e-8)
     scale = (0.2 / np.pi) * 50.0 * _omega_coth(50.0, bath.thermal_time)
     assert np.max(np.abs(k.re_values[sample] - ref)) <= 1e-8 * scale
 
@@ -556,14 +662,14 @@ def test_table_takes_each_piece_of_work_once(monkeypatch):
         k = CorrelationKernel.from_bath(bath, grid)
         assert calls["zero"] == 1
         CorrelationKernel.from_bath(bath, grid)
-    assert k.health["quad_fallbacks"] == 0
+    assert k.health["method"] == "rule"
     assert calls["leggauss"] <= 1
 
 
 def test_table_temporaries_stay_small():
-    # the hpz_audit exponential grid: 12,864 rule nodes, 1,001 tau nodes
+    # the hpz_audit Drude grid: 12,864 rule nodes, 1,001 tau nodes
     bath = make_bath(m=1.0, gamma=0.1, Omega=50.0, T=10.0,
-                     kind=CutoffKind.EXPONENTIAL)
+                     kind=CutoffKind.DRUDE)
     grid = np.linspace(0.0, 10.0, 1001)
     tracemalloc.start()
     try:
@@ -583,7 +689,7 @@ def test_drude_table_finite_beyond_exp_overflow():
     # with QUADPACK within QUADPACK's own absolute target
     scale = (2.0 / np.pi) * 10.0 * _omega_coth(10.0, bath.thermal_time)
     far = grid[-3:]
-    assert np.max(np.abs(k.re_values[-3:] - _quadpack_re(bath, far, 1e-8))) \
+    assert np.max(np.abs(k.re_values[-3:] - re_table(bath, far, 1e-8))) \
         <= 1e-8 * scale
 
 
@@ -628,7 +734,7 @@ def test_cold_sharp_table_stays_on_the_rule():
     bath = make_bath(m=1.0, gamma=0.1, Omega=50.0, T=0.001)
     grid = np.linspace(0.0, 10.0, 41)
     k = CorrelationKernel.from_bath(bath, grid)
-    assert k.health["quad_fallbacks"] == 0
+    assert k.health["method"] == "rule"
     # an mpmath evaluation to 18 digits
     assert k.re_values[1] == pytest.approx(-0.846679068867703526, rel=1e-12)
 
@@ -640,7 +746,7 @@ def test_cold_sharp_quadpack_oracle_resolves_the_thermal_bend(quad_tol):
     bath = make_bath(m=1.0, gamma=0.1, Omega=50.0, T=0.001)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        d = eval_correlation(bath, 0.25, quad_tol=quad_tol)
+        d = correlation(bath, 0.25, quad_tol=quad_tol)
     assert d.real == pytest.approx(-0.846679068867703526, rel=1e-12)
 
 
@@ -681,21 +787,31 @@ def test_overflowing_cutoff_is_a_quadrature_error():
         CorrelationKernel.from_bath(bath, np.linspace(0.0, 1.0, 11))
 
 
-@pytest.mark.parametrize("out, match", [
-    # QUADPACK appends a message when it gives up
-    ((0.5, 1e-12, {}, "the maximum number of subdivisions (500) has been "
-      "achieved"), r"did not converge to target \(achieved abs error "
-     r"1\.000e-12\); the maximum number of subdivisions \(500\)"),
-    # an error estimate 10^5 times the 1e-8 target, without a message
-    ((0.5, 1e-3, {}), r"achieved abs error 1\.000e-03 exceeds target for "
-     r"result 5\.000000e-01"),
-], ids=["quadpack_message", "error_estimate"])
-def test_missed_quadrature_targets_warn(monkeypatch, out, match):
-    # the odd part of the sharp cutoff is one QAWO call on [0, 1]
-    monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kw: out)
-    with pytest.warns(QuadratureWarning, match=match) as record:
-        _correlation_quad(make_bath(), 0.5, 1e-8, "im")
+@pytest.mark.parametrize("node", [3], ids=["error_estimate"])
+def test_missed_quadrature_targets_warn(monkeypatch, node):
+    # the coarse rule moved by 1e-3 at one node, whose error estimate then
+    # exceeds its target, 1e-8 of the scale 16.1, by 6.2e3 times; the
+    # table keeps the fine rule
+    import qbmlab.bath as bath_module
+    bath, grid = make_bath(), np.linspace(0.0, 1.0, 11)
+    clean = CorrelationKernel.from_bath(bath, grid)
+    calls = []
+
+    def coarse_off_at_node(*args):
+        out = _cosine_sums(*args)
+        if not calls:  # the coarse sum comes first
+            out[node] += 1e-3
+        calls.append(args)
+        return out
+
+    monkeypatch.setattr(bath_module, "_cosine_sums", coarse_off_at_node)
+    with pytest.warns(QuadratureWarning, match=r"kernel rule: 1 of 11 nodes "
+                      r"miss their target quad_tol \* max\(scale, \|D_re\|\)"
+                      r", the worst by 6\.2\d*e\+03 times") as record:
+        k = CorrelationKernel.from_bath(bath, grid)
     assert len(record) == 1
+    assert np.array_equal(k.re_values, clean.re_values)
+    assert k.health["worst_err_over_target"] > 1.0
 
 
 def test_numerical_errors_share_one_base():

@@ -350,7 +350,7 @@ def test_cli_hpz_pipeline_and_audit(tmp_path):
     assert any("NotCP" in w for w in manifest["warnings"])
     assert len(manifest["outputs"]) == 5
     health = manifest["kernel_health"]
-    assert health["nodes"] == 81 and health["quad_fallbacks"] == 0
+    assert health["nodes"] == 81 and health["method"] == "rule"
     assert 0.0 <= health["worst_err_over_target"] <= 1.0
 
     # the exported coefficient table feeds the auditor again
@@ -389,7 +389,7 @@ def test_cli_hpz_zero_coupling_manifest_is_strict_json(tmp_path):
     text = (tmp_path / "uncoupled_manifest.json").read_text()
     manifest = json.loads(text, parse_constant=_reject_constant)
     assert manifest["kernel_health"]["worst_err_over_target"] == 0.0
-    assert manifest["kernel_health"]["quad_fallbacks"] == 0
+    assert manifest["kernel_health"]["method"] == "rule"
     assert not any("invalid value" in w for w in manifest["warnings"])
 
 
@@ -448,6 +448,26 @@ def test_overflowing_dressing_exits_as_numerical_failure(tmp_path, capsys):
     assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 3
     assert "order-3" in capsys.readouterr().err
     assert not (tmp_path / "huge_coupling_coefficients.csv").exists()
+
+
+def test_sharp_table_over_node_budget_exits_3(tmp_path, capsys):
+    payload = {
+        "name": "wide_sharp",
+        "system": {"m": 1.0, "omega_S": 1.0},
+        "bath": {"gamma": 0.1, "T": 10.0, "Omega": 1e4},
+        "equation": {"variant": "hpz",
+                     "coefficient_grid": {"t_max": 100.0, "n": 11}},
+        "run": {"t_span": [0.0, 100.0], "dt": 1.0,
+                "outputs": ["kernel", "moments"]},
+    }
+    # the thermal part reaches w = 800 in panels of 60 / t_max: 1,334
+    # panels, 128,064 coarse and fine nodes, and no series to fall back on
+    path = _write(tmp_path, payload, "wide.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 3
+    assert "numerical failure: sharp-cutoff kernel: the thermal rule needs " \
+        "more than its budget of min(10000 n, 1000000) frequency nodes on " \
+        "n = 11 tau nodes" in capsys.readouterr().err
+    assert not (tmp_path / "wide_sharp_kernel.csv").exists()
 
 
 def test_non_finite_numbers_fail_validation(tmp_path, capsys):
@@ -625,8 +645,8 @@ def test_shipped_runs_every_cutoff_and_coherent_state_load_no_scipy(
         checked_runs):
     # every shipped scenario, the unraveling included, every hpz_audit
     # variant of run_all_scenarios.py (each cutoff, the order-3 dressing)
-    # and the Fock oracle's coherent state use numpy alone, so none of them
-    # may pay for importing scipy
+    # and the Fock oracle's coherent and squeezed states use numpy alone,
+    # so none of them may pay for importing scipy
     assert checked_runs.scipy == []
 
 

@@ -109,6 +109,23 @@ def test_squeezed_state_variances():
     assert s_pp == pytest.approx(0.5 * np.exp(0.8), rel=1e-8)
 
 
+@pytest.mark.parametrize("dim", [30, 45, 60])
+@pytest.mark.parametrize("r,alpha", [(0.0, 1.6), (0.3, 0.5 + 0.2j),
+                                     (1.0, 0.0), (-0.7, -1.1 + 1.1j)])
+def test_squeezed_state_matches_scipy_expm(dim, r, alpha):
+    # S(r) and D(alpha) are e^K of an anti-Hermitian K, taken through the
+    # eigenvectors of iK; scipy's Pade expm of the same truncated K is
+    # the oracle
+    from scipy.linalg import expm
+    a = fock.ladder(dim)
+    ad = a.conj().T
+    ref = expm(0.5 * r * (a @ a - ad @ ad)) @ fock.vacuum_state(dim)
+    ref = expm(alpha * ad - np.conj(alpha) * a) @ ref
+    psi = fock.squeezed_state(dim, r, alpha)
+    assert np.max(np.abs(psi - ref)) <= 1e-13
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
+
+
 def test_thermal_density_moments():
     nbar = 1.7
     rho = fock.thermal_density(60, nbar)

@@ -254,15 +254,14 @@ def _bath_case(cutoff, Omega, T, t_max, n, omega_S, order):
 
 def _layers(sc):
     """Kernel and coefficient columns of a scenario's bath, as the CLI
-    builds them, and the number of kernel nodes that went through
-    QUADPACK."""
+    builds them, and how the kernel's D_re was taken (`health["method"]`)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the Drude D_re(0) notice
         kernel, table = cli._coefficient_pipeline(scenario_from_dict(sc))
     columns = {"tau": kernel.grid, "D_re": kernel.re_values,
                "D_im": kernel.im_values, "Gamma": table.Gamma,
                "Theta": table.Theta, "Xi": table.Xi, "Upsilon": table.Upsilon}
-    return columns, kernel.health["quad_fallbacks"]
+    return columns, kernel.health["method"]
 
 
 def _assert_layers_scaled(sc, base, *scales):
@@ -290,13 +289,13 @@ def test_kernel_and_coefficients_are_unit_covariant_to_the_bit(
     _assert_layers_scaled(sc, _layers(sc)[0], *IMAGES.values())
 
 
-def test_quadpack_fallback_is_unit_covariant_at_time_x2():
+def test_drude_series_is_unit_covariant_at_time_x2():
     # at T = 3 the thermal rule would need more than its node budget for
-    # two nodes, so both go through QUADPACK; tau = 1 halves to 0.5, and
-    # QAWF's cycle (2 floor(x) + 1) pi / x is read at x = Omega tau
+    # two nodes, so D_re is the Matsubara series; tau = 1 halves to 0.5,
+    # and the series reads only a Omega, Omega tau and pi tau / a
     sc = _bath_case(CutoffKind.DRUDE, 1.0, 3.0, 1.0, 2, 0.0, 1)
-    base, fallbacks = _layers(sc)
-    assert fallbacks == 2
+    base, method = _layers(sc)
+    assert method == "series"
     _assert_layers_scaled(sc, base, IMAGES["time_x2"])
 
 
@@ -305,8 +304,8 @@ def test_dressing_is_unit_covariant_at_energy_x2():
     # every order scales as D; at hbar = 1 no run can tell i / (hbar m)
     # from i hbar / m in the response kernel
     sc = _bath_case(CutoffKind.SHARP, 1.0, 1.0, 1.0, 11, 0.0, 2)
-    base, fallbacks = _layers(sc)
-    assert fallbacks == 0
+    base, method = _layers(sc)
+    assert method == "rule"
     _assert_layers_scaled(sc, base, IMAGES["energy_x2"])
 
 
