@@ -21,13 +21,16 @@ from qbmlab.cli import main as qbmlab_main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 # the exponential kernel takes its closed form and the Drude kernel the
-# thermal rule, and order 3 runs the order-2/3 dressing and its windowing:
-# name -> {"block.key": value}
+# thermal rule, order 3 runs the order-2/3 dressing and its windowing, and
+# the free particle (omega_S = 0, which no moment run takes) the windowing
+# at C = 1, C~ = tau: name -> {"block.key": value}
 VARIANTS = {
     "hpz_audit_exponential": {"bath.cutoff": "exponential"},
     "hpz_audit_drude": {"bath.cutoff": "drude"},
     "hpz_audit_order3": {"equation.order": 3,
                          "equation.coefficient_grid.n": 201},
+    "hpz_audit_free": {"system.omega_S": 0.0,
+                       "run.outputs": ["kernel", "coefficients", "audit"]},
 }
 
 

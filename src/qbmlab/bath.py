@@ -83,10 +83,13 @@ _ASYMPTOTIC_FROM = 12.0
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510)
 # The Drude Matsubara series (`_drude_series`) keeps the terms e^{-nu_k tau}
-# >= e^-_SERIES_REACH (4e-18) at each node, and joins the cot term and the
-# term of a pole a Omega = pi k within _POLE_GAP of it, where cot e - 1/e
-# takes its series: 2^2n |B_2n| e^(2n-1) / (2n)!, the next one 2e-20 at 0.1.
+# >= e^-_SERIES_REACH (4e-18) at each node, _SERIES_BLOCK terms per product
+# (added one at a time, 2e5 terms lose 3e-13 to rounding), and joins the cot
+# term and the term of a pole a Omega = pi k within _POLE_GAP of it, where
+# cot e - 1/e takes its series: 2^2n |B_2n| e^(2n-1) / (2n)!, the next one
+# 2e-20 at 0.1.
 _SERIES_REACH = 40.0
+_SERIES_BLOCK = 64
 _POLE_GAP = 0.1
 _COT_SERIES = [4.0 ** n * abs(b) / math.factorial(2 * n)
                for n, b in enumerate(_BERNOULLI[:6], 1)]
@@ -343,8 +346,9 @@ def _drude_series(bath, tau):
     Matsubara series (Haake & Reibold, PRA 32, 2462 (1985)) in the pure
     numbers y = a Omega, x = Omega tau and s = pi tau / a,
     m gamma hbar Omega^2 [cot(y) e^{-x} + sum_k 2 pi k e^{-ks} / ((pi k)^2
-    - y^2)], with the terms ks <= _SERIES_REACH at each node.  Near a pole
-    y = pi k, with e = y - pi k, the cot term and term k are joined into
+    - y^2)], with the terms ks <= _SERIES_REACH at each node, a block of
+    terms per product up to its first term's reach.  Near a pole y = pi k,
+    with e = y - pi k, the cot term and term k are joined into
     (cot e - 1/e) e^{-x} + e^{-ks} [(e^{-es/pi} - 1) / e + 1 / (y + pi k)].
     D_re(0) is the truncated T = 0 value plus its thermal part (Binet),
     (2 m gamma hbar / pi) Omega^2 (ln x - 1/2x - psi(x)) at x = y / pi.
@@ -364,12 +368,14 @@ def _drude_series(bath, tau):
             + np.exp(-pole * s) * (slope + 1.0 / (y + np.pi * pole))
     else:
         pole, sums = 0, np.exp(-x) / np.tan(y)
-    for k in range(1, int(_SERIES_REACH / s[0]) + 1):
-        if k != pole:
-            near = np.searchsorted(s, _SERIES_REACH / k, side="right")
-            nu = np.pi * k
-            sums[:near] += 2.0 * nu / (nu * nu - y * y) \
-                * np.exp(-k * s[:near])
+    k = np.arange(1, int(_SERIES_REACH / s[0]) + 1)
+    k = k[k != pole]
+    nu = np.pi * k
+    coef = 2.0 * nu / (nu * nu - y * y)
+    for lo in range(0, k.size, _SERIES_BLOCK):
+        block = slice(lo, lo + _SERIES_BLOCK)
+        near = np.searchsorted(s, _SERIES_REACH / k[lo], side="right")
+        sums[:near] += coef[block] @ np.exp(-np.outer(k[block], s[:near]))
     hbar = bath.constants.hbar
     out = np.empty_like(tau)
     out[0] = 2.0 * sd.m * sd.gamma * hbar / np.pi * W * W \

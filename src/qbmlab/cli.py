@@ -33,22 +33,19 @@ from .coefficients import (
     compute_coefficients,
     dressed_kernel,
 )
-from .dynamics import (
-    MOMENTS,
-    MasterEquationSpec,
-    ground_state_moments,
-    integrate_moments,
-    squeezed_state_moments,
-)
+from .dynamics import MOMENTS, integrate_moments
 # unused here: bench/spans.py wraps cli.assemble_constant_matrix by name
 from .positivity import assemble_constant_matrix, audit_cp  # noqa: F401
 from .scenario import (
     ScenarioError,
+    ensemble_config,
+    equation_spec,
+    initial_moments,
     needs_kernel,
     parse_scenario,
     scenario_hash,
 )
-from .stochastic import SSEConfig, ensemble_run
+from .stochastic import ensemble_run
 
 
 @dataclass
@@ -83,31 +80,8 @@ def _safe_stem(name):
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name) or "scenario"
 
 
-def _initial_moments(scenario):
-    state, system, c = scenario.state, scenario.system, scenario.units
-    if state.kind == "coherent":
-        return ground_state_moments(system, c, state.mean_q, state.mean_p)
-    if state.kind == "squeezed":
-        return squeezed_state_moments(system, state.r, c, state.mean_q,
-                                      state.mean_p)
-    if state.kind == "thermal":
-        row = ground_state_moments(system, c, state.mean_q, state.mean_p)
-        row[2:4] *= 2.0 * state.nbar + 1.0
-        return row
-    return np.array([state.mean_q, state.mean_p, state.sigma_qq,
-                     state.sigma_pp, state.sigma_qp])
-
-
-def _equation_spec(scenario, coefficients):
-    return MasterEquationSpec(scenario.equation.variant, scenario.system,
-                              constants=scenario.units,
-                              gamma=scenario.bath.gamma, T=scenario.bath.T,
-                              mu=scenario.equation.mu,
-                              coefficients=coefficients)
-
-
 def _moment_trajectory(scenario, spec):
-    return integrate_moments(spec, _initial_moments(scenario),
+    return integrate_moments(spec, initial_moments(scenario),
                              scenario.run.t_span, scenario.run.dt,
                              scenario.run.store_every)
 
@@ -162,7 +136,7 @@ def run_scenario(scenario, out_dir=".", seed_override=None):
         if "coefficients" in outputs:
             emit_csv("coefficients", io.coefficient_table(coefficients, meta))
 
-        spec = _equation_spec(scenario, coefficients)
+        spec = equation_spec(scenario, coefficients)
         trajectory = None  # integrated once, for moments and the ensemble
         if "moments" in outputs:
             trajectory = _moment_trajectory(scenario, spec)
@@ -180,13 +154,9 @@ def run_scenario(scenario, out_dir=".", seed_override=None):
             emit_csv("audit", io.audit_table(report, meta))
 
         if "ensemble" in outputs:
-            sto = scenario.stochastic
-            seed = sto.seed if seed_override is None else int(seed_override)
-            config = SSEConfig(
-                spec, dt=scenario.run.dt, n_traj=sto.n_traj,
-                seed=seed, t_span=scenario.run.t_span,
-                S_scalar=sto.S_scalar, store_every=scenario.run.store_every)
-            result = ensemble_run(config, _initial_moments(scenario))
+            config = ensemble_config(scenario, spec, seed_override)
+            seed = config.seed
+            result = ensemble_run(config, initial_moments(scenario))
             emit_csv("ensemble", io.ensemble_table(result, meta))
             if trajectory is None:
                 trajectory = _moment_trajectory(scenario, spec)

@@ -8,12 +8,14 @@ its lower bound (`gt`/`ge`), its allowed values and the dimension of a
 number as exponents of (length, time, energy); the field default
 is the key's default, and a field without one is a required key.  One
 reader (`_read`) and one writer (`scenario_to_dict`) walk those fields;
-`_cross_rules` holds the rules that involve more than one key or block.
+`_cross_rules` holds the rules between keys that no constructor checks.
 
 Parsing is strict by default: unknown keys anywhere are rejected, and
 every missing, ill-typed or non-finite entry is reported in a single
-ScenarioError.  Physics parameters (m, omega_S, gamma, T) are never
-defaulted.
+ScenarioError.  If there is none, the run's state, generator and
+unraveling are built by the run's own `initial_moments`, `equation_spec`
+and `ensemble_config`, and each ValueError is reported under its block.
+Physics parameters (m, omega_S, gamma, T) are never defaulted.
 """
 
 from __future__ import annotations
@@ -28,11 +30,15 @@ from .bath import (_SPAN_RTOL, CutoffKind, PhysicalConstants, _is_int,
                    _is_seed)
 from .coefficients import MAX_CHEAP_ORDER
 from .dynamics import (ACTION, ENERGY, LENGTH, MASS, MOMENTUM, NO_UNIT, RATE,
-                       TIME, MasterEquationSpec, SystemSpec, Variant)
-from .positivity import check_noise_realizable, rank_one_factor
+                       TIME, MasterEquationSpec, SystemSpec, Variant,
+                       ground_state_moments, moment_row,
+                       squeezed_state_moments, step_plan)
+from .stochastic import SSEConfig
 
 _VALID_OUTPUTS = ("kernel", "coefficients", "audit", "moments", "ensemble")
-_STATE_KINDS = ("coherent", "squeezed", "thermal", "gaussian")
+# each state kind and the keys its moments are built from
+_STATE_KEYS = {"coherent": (), "squeezed": ("r",), "thermal": ("nbar",),
+               "gaussian": ("sigma_qq", "sigma_pp", "sigma_qp")}
 
 
 class ScenarioError(ValueError):
@@ -80,7 +86,7 @@ class BathBlock:
 
 @dataclass(frozen=True)
 class StateBlock:
-    kind: str = key("string", "coherent", choices=_STATE_KINDS)
+    kind: str = key("string", "coherent", choices=tuple(_STATE_KEYS))
     mean_q: float = key("number", 0.0, dim=LENGTH)
     mean_p: float = key("number", 0.0, dim=MOMENTUM)
     r: float | None = key("number", None, dim=NO_UNIT)
@@ -125,7 +131,7 @@ class RunBlock:
 @dataclass(frozen=True)
 class StochasticBlock:
     n_traj: int = key("int", ge=1)
-    seed: int = key("int")
+    seed: int = key("seed")
     S_scalar: complex = key("complex", 0j, dim=(-2, -1, 0))  # as a_qq
 
 
@@ -175,6 +181,8 @@ def _complex(value):
 _KINDS = {
     "number": (_number, "a number"),
     "int": (lambda v: v if _is_int(v) else None, "an integer"),
+    "seed": (lambda v: v if _is_seed(v) else None,
+             "an unsigned 64-bit integer"),
     "string": (lambda v: v if isinstance(v, str) else None, "a string"),
     "pair": (_pair, "[number, number]"),
     "string-list": (lambda v: tuple(v) if isinstance(v, list) and all(
@@ -259,45 +267,23 @@ def _build(cls, values, make=None):
 
 
 def _cross_rules(sc, errors):
-    """The rules that involve more than one key or block."""
-    state, eq, run = sc["state"], sc["equation"], sc["run"]
-    kind, variant, outputs = state["kind"], eq["variant"], run["outputs"]
-    grid, t_span, sto = eq["coefficient_grid"], run["t_span"], sc["stochastic"]
-
-    for needs, name in (("squeezed", "r"), ("thermal", "nbar")):
-        if kind == needs and state[name] is None:
-            errors.append(f"state: {needs} state requires '{name}'")
-    if kind == "gaussian":
-        missing = [k for k in ("sigma_qq", "sigma_pp", "sigma_qp")
-                   if state[k] is None]
-        if missing:
-            errors.append("state: gaussian state requires "
-                          + ", ".join(missing))
-    omega_S = sc["system"]["omega_S"]
-    if kind in ("coherent", "squeezed", "thermal") and omega_S is not None \
-            and omega_S <= 0.0:
-        errors.append(f"system.omega_S: state kind '{kind}' requires a "
-                      "confining potential (omega_S > 0)")
+    """The rules between keys that no constructor of the run checks."""
+    eq, run, sto = sc["equation"], sc["run"], sc["stochastic"]
+    variant, outputs, grid, t_span = (eq["variant"], run["outputs"],
+                                      eq["coefficient_grid"], run["t_span"])
 
     if not 1 <= eq["order"] <= MAX_CHEAP_ORDER:
         errors.append(f"equation.order: must be between 1 and "
                       f"{MAX_CHEAP_ORDER}, got {eq['order']}")
-    if variant == "qp" and eq["mu"] is None:
-        errors.append("equation: variant 'qp' requires 'mu'")
     if grid and grid["n"] is not None and grid["n"] < 2:
         errors.append("equation.coefficient_grid.n: need at least 2 nodes")
 
-    if t_span is not None and not t_span[1] > t_span[0]:
-        errors.append(f"run.t_span: need t1 > t0, got {list(t_span)}")
     unknown = [o for o in outputs if o not in _VALID_OUTPUTS]
     if unknown:
         errors.append(f"run.outputs: unknown outputs {unknown} "
                       f"(valid: {', '.join(_VALID_OUTPUTS)})")
     if not outputs:
         errors.append("run.outputs: need at least one output")
-    if sto and sto["seed"] is not None and not _is_seed(sto["seed"]):
-        errors.append("stochastic.seed: must fit in an unsigned 64-bit "
-                      "integer")
 
     if needs_kernel(variant, outputs):
         needed = ("required when a tabulated kernel is needed (hpz variant "
@@ -318,38 +304,68 @@ def _cross_rules(sc, errors):
         if variant == "hpz":
             errors.append("run.outputs: the ensemble pipeline needs a "
                           "constant generator; 'hpz' is tabulated")
-        else:
-            _unraveling_rules(sc, errors)
         if not sto:
             errors.append("scenario: ensemble output requires a "
                           "'stochastic' block")
-        if kind not in ("coherent", "squeezed"):
+        if sc["state"]["kind"] not in ("coherent", "squeezed"):
             errors.append("state.kind: ensemble runs need a pure coherent "
                           "or squeezed initial state")
 
 
-def _unraveling_rules(sc, errors):
-    """An ensemble needs a = D v v^dag (rank <= 1) and |S_scalar| <= D."""
-    eq, bath, sto = sc["equation"], sc["bath"], sc["stochastic"]
-    try:
-        a = MasterEquationSpec(
-            eq["variant"], SystemSpec(**sc["system"]),
-            constants=PhysicalConstants(**sc["units"]), gamma=bath["gamma"],
-            T=bath["T"], mu=eq["mu"]).generator.a
-    except (TypeError, ValueError):
-        return  # a key the generator needs is reported already
-    try:
-        d, _ = rank_one_factor(a)
-    except ValueError as exc:
-        errors.append(f"run.outputs: the '{eq['variant']}' generator has no "
-                      f"linear unraveling: {exc}")
-        return
-    s = (sto or {}).get("S_scalar")
-    if s is not None:
+def initial_moments(scenario):
+    """The run's initial state as five moments in `dynamics.MOMENTS` order."""
+    state, system, c = scenario.state, scenario.system, scenario.units
+    missing = [k for k in _STATE_KEYS[state.kind] if getattr(state, k) is None]
+    if missing:
+        raise ValueError(f"{state.kind} state requires {', '.join(missing)}")
+    if state.kind == "coherent":
+        return ground_state_moments(system, c, state.mean_q, state.mean_p)
+    if state.kind == "squeezed":
+        return squeezed_state_moments(system, state.r, c, state.mean_q,
+                                      state.mean_p)
+    if state.kind == "thermal":
+        row = ground_state_moments(system, c, state.mean_q, state.mean_p)
+        row[2:4] *= 2.0 * state.nbar + 1.0
+        return row
+    return moment_row([state.mean_q, state.mean_p, state.sigma_qq,
+                       state.sigma_pp, state.sigma_qp])
+
+
+def equation_spec(scenario, coefficients=None):
+    """The run's master equation; an hpz one needs its coefficient table."""
+    return MasterEquationSpec(scenario.equation.variant, scenario.system,
+                              constants=scenario.units,
+                              gamma=scenario.bath.gamma, T=scenario.bath.T,
+                              mu=scenario.equation.mu,
+                              coefficients=coefficients)
+
+
+def ensemble_config(scenario, spec, seed=None):
+    """The ensemble's unraveling of `spec`; `seed` overrides the file's."""
+    sto, run = scenario.stochastic, scenario.run
+    return SSEConfig(spec, dt=run.dt, n_traj=sto.n_traj,
+                     seed=sto.seed if seed is None else int(seed),
+                     t_span=run.t_span, S_scalar=sto.S_scalar,
+                     store_every=run.store_every)
+
+
+def _constructor_rules(scenario, errors):
+    """Build what the run builds before its numerics, with the run's own
+    functions, and report each one's ValueError under its block."""
+    def build(block, make, *args):
         try:
-            check_noise_realizable(d, s)
+            return make(*args)
         except ValueError as exc:
-            errors.append(f"stochastic.S_scalar: {exc}")
+            errors.append(f"{block}: {exc}")
+
+    run, spec = scenario.run, None
+    if scenario.equation.variant != "hpz":  # its generator needs the table
+        spec = build("equation", equation_spec, scenario)
+    if "moments" in run.outputs or "ensemble" in run.outputs:
+        plan = build("run", step_plan, run.t_span, run.dt, run.store_every)
+        build("state", lambda: moment_row(initial_moments(scenario)))
+        if spec and plan and "ensemble" in run.outputs:
+            build("stochastic", ensemble_config, scenario, spec)
 
 
 def parse_scenario(path, strict=True):
@@ -374,9 +390,12 @@ def scenario_from_dict(raw, strict=True, default_name="scenario"):
     if values["name"] is None:
         values["name"] = default_name
     _cross_rules(values, errors)
+    if not errors:  # the constructors read only keys that passed
+        scenario = _build(Scenario, values)
+        _constructor_rules(scenario, errors)
     if errors:
         raise ScenarioError(errors)
-    return _build(Scenario, values)
+    return scenario
 
 
 def scenario_to_dict(scenario, cls=Scenario):

@@ -213,7 +213,11 @@ class SSEConfig:
     def __post_init__(self):
         if self.spec.generator.grid is not None:
             raise ValueError("cannot unravel a tabulated generator")
-        self.D_scalar, self.v = rank_one_factor(self.spec.generator.a)
+        try:
+            self.D_scalar, self.v = rank_one_factor(self.spec.generator.a)
+        except ValueError as exc:
+            raise ValueError(f"the '{self.spec.variant.value}' generator has "
+                             f"no linear unraveling: {exc}") from None
         check_noise_realizable(self.D_scalar, self.S_scalar)
         step_plan(self.t_span, self.dt, self.store_every)
         for name in ("n_traj", "seed"):

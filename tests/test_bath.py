@@ -522,6 +522,21 @@ def test_drude_series_matches_quadpack(Omega, T, t_max, n):
     assert k.re_values[0] == pytest.approx(ref[0], rel=1e-12)
 
 
+def test_drude_series_keeps_its_digits_on_a_short_grid():
+    # a = 1/600 on a grid of step 1e-7: about 212,000 Matsubara terms reach
+    # the first node.  Added one term at a time they lost 3.2e-13 of
+    # max|D_re| there to rounding; summed by blocks they keep 4.9e-15
+    bath = make_bath(m=1.0, gamma=0.1, Omega=1.0, T=300.0,
+                     kind=CutoffKind.DRUDE)
+    grid = np.linspace(0.0, 1e-4, 1001)
+    k = _tabulate(bath, grid)
+    assert k.health["method"] == "series"
+    sample = np.r_[1:9, 40:1001:80]
+    ref = re_table(bath, grid[sample], 1e-12)
+    assert np.max(np.abs(k.re_values[sample] - ref)) \
+        <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("Omega,T,t_max", [
     (50.0, 0.001, 10.0), (1.0, 0.01, 10.0), (10.0, 0.3, 10.0),
     (50.0, 10.0, 10.0), (200.0, 300.0, 100.0), (50.0, 3000.0, 10.0)])

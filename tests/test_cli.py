@@ -101,7 +101,8 @@ def test_type_errors_are_collected():
 def test_variant_specific_requirements(tmp_path, capsys):
     qp = json.loads(json.dumps(MINIMAL_JZ))
     qp["equation"]["variant"] = "qp"
-    with pytest.raises(ScenarioError, match="requires 'mu'"):
+    with pytest.raises(ScenarioError, match="^equation: QP-coupled variant "
+                       "requires a finite mu$"):
         scenario_from_dict(qp)
 
     hpz = json.loads(json.dumps(MINIMAL_JZ))
@@ -136,10 +137,12 @@ def test_ensemble_requirements():
         "scenario: ensemble output requires a 'stochastic' block"]
 
     # CL has no Lindblad form: its Kossakowski matrix is not PSD
+    bad["stochastic"] = {"n_traj": 10, "seed": 1}
     bad["equation"]["variant"] = "cl"
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(bad)
-    assert "'cl' generator has no linear unraveling" in str(exc.value)
+    assert exc.value.messages[0].startswith(
+        "stochastic: the 'cl' generator has no linear unraveling: ")
     assert "lambda_min = -" in str(exc.value)
 
     bad["equation"] = {"variant": "hpz",
@@ -179,7 +182,7 @@ def test_unrealizable_noise_fails_validation(tmp_path):
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(payload)
     assert exc.value.messages == [
-        "stochastic.S_scalar: |S_scalar| = 0.5 must be <= the noise rate "
+        "stochastic: |S_scalar| = 0.5 must be <= the noise rate "
         "D = 0.4"]
     path = _write(tmp_path, payload, "noisy.json")
     assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
@@ -200,7 +203,7 @@ def test_shipped_scenarios_parse_and_round_trip():
 
 def test_shipped_runs_record_no_runtime_warnings(checked_runs):
     manifests = sorted(checked_runs.out.glob("*_manifest.json"))
-    assert len(manifests) == 9
+    assert len(manifests) == 10
     for path in manifests:
         # numpy's floating-point RuntimeWarnings read "... encountered in ..."
         warned = json.loads(path.read_text())["warnings"]
@@ -483,29 +486,6 @@ def test_non_finite_numbers_fail_validation(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_step_count_beyond_a_float_exits_2(tmp_path, capsys):
-    payload = {**MINIMAL_JZ, "run": {"t_span": [0.0, 1e300], "dt": 1e-10}}
-    path = _write(tmp_path, payload, "endless.json")
-    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
-    assert "span / dt must be finite" in capsys.readouterr().err
-    # e^{2 r} of a squeezed state beyond a float is bad input too
-    payload = json.loads((SCENARIOS / "cl_regime.json").read_text())
-    payload["state"] = {"kind": "squeezed", "r": 400}
-    path = _write(tmp_path, payload, "oversqueezed.json")
-    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
-    assert "squeeze parameter r" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
-
-
-def test_step_count_beyond_an_index_exits_2(tmp_path, capsys):
-    payload = {**MINIMAL_JZ, "run": {"t_span": [0.0, 1.0], "dt": 1e-15}}
-    path = _write(tmp_path, payload, "endless.json")
-    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
-    assert "1e+15 steps, more than a step plan can index" \
-        in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
-
-
 def test_hpz_run_starting_before_zero_fails_validation(tmp_path):
     payload = {
         "system": {"m": 1.0, "omega_S": 1.0},
@@ -520,6 +500,90 @@ def test_hpz_run_starting_before_zero_fails_validation(tmp_path):
     path = _write(tmp_path, payload, "early.json")
     assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("*.csv"))
+
+
+# inputs the run's own constructors reject (e^{2r}, 2 nbar + 1, the step
+# count, D = 4 m gamma k_B T or span / dt beyond a float, a step count
+# beyond an index): each is reported at validation, before any file is
+# written, where an hpz run used to write its kernel and coefficient CSVs
+_HPZ_AUDIT = json.loads((SCENARIOS / "hpz_audit.json").read_text())
+_JZ = json.loads((SCENARIOS / "jz_decoherence.json").read_text())
+CONSTRUCTOR_CASES = {
+    "oversqueezed": (_HPZ_AUDIT, "state", {"kind": "squeezed", "r": 400},
+                     "state: squeeze parameter r must be finite with "
+                     "|r| <= 354"),
+    "overheated": (_HPZ_AUDIT, "state", {"kind": "thermal", "nbar": 1e308},
+                   "state: a state's five moments must be finite"),
+    "fine_steps": (_HPZ_AUDIT, "run", {**_HPZ_AUDIT["run"], "dt": 1e-15},
+                   "run: span / dt gives 1e+16 steps, more than a step plan "
+                   "can index"),
+    "hot_bath": (_JZ, "bath", {"gamma": 1e300, "T": 1e300},
+                 "equation: G or a is not finite"),
+    "long_span": (_JZ, "run", {**_JZ["run"], "t_span": [0.0, 1e300],
+                               "dt": 1e-300},
+                  "run: span / dt must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_CASES))
+def test_constructor_failures_exit_2_before_any_file(tmp_path, capsys, case):
+    base, block, value, message = CONSTRUCTOR_CASES[case]
+    path = _write(tmp_path, {**base, block: value}, f"{case}.json")
+    out = tmp_path / "out"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "scenario validation failed:", f"  - {message}"]
+    assert not out.exists()
+
+
+def test_free_particle_audit_validates_and_runs(tmp_path):
+    # omega_S = 0 has no ground state, and a run that propagates no state
+    # builds none: the default coherent state block is not read
+    payload = {**_HPZ_AUDIT, "name": "free",
+               "system": {"m": 1.0, "omega_S": 0.0},
+               "run": {**_HPZ_AUDIT["run"],
+                       "outputs": ["kernel", "coefficients", "audit"]}}
+    del payload["state"]
+    path = _write(tmp_path, payload, "free.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    for artifact in ("kernel.csv", "coefficients.csv", "audit.csv",
+                     "audit.json"):
+        assert (tmp_path / f"free_{artifact}").is_file()
+    assert not (tmp_path / "free_moments.csv").exists()
+
+
+def test_validation_and_run_build_with_the_same_functions(tmp_path,
+                                                          monkeypatch):
+    from qbmlab import cli, scenario
+
+    calls = []
+
+    def counted(name):
+        original = getattr(scenario, name)
+
+        def count(*args, **kwargs):
+            calls.append((name, running))
+            return original(*args, **kwargs)
+        return count
+
+    for name in ("initial_moments", "equation_spec"):
+        assert getattr(cli, name) is getattr(scenario, name)
+        wrapper = counted(name)
+        monkeypatch.setattr(scenario, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    payload = {**ENSEMBLE, "name": "shared", "equation": {"variant": "ccl"},
+               "run": {**ENSEMBLE["run"], "outputs": ["moments", "ensemble"]}}
+    path = _write(tmp_path, payload, "shared.json")
+    running = False
+    parsed = scenario.parse_scenario(path)
+    running = True
+    cli.run_scenario(parsed, out_dir=str(tmp_path))
+    # validation builds the generator and the state once each; the run
+    # builds the generator once and the state for the ODE and the ensemble
+    assert sorted(calls) == [("equation_spec", False), ("equation_spec", True),
+                             ("initial_moments", False),
+                             ("initial_moments", True),
+                             ("initial_moments", True)]
 
 
 def test_moments_and_ensemble_integrate_the_ode_once(tmp_path, monkeypatch):

@@ -82,18 +82,18 @@ CASES = [
      ["state.nbar: must be >= 0, got -1"]),
     ("state", {"kind": "thermal", "nbar": -0.5},
      ["state.nbar: must be >= 0, got -0.5"]),
-    ("state", {"kind": "squeezed"}, ["state: squeezed state requires 'r'"]),
-    ("state", {"kind": "thermal"}, ["state: thermal state requires 'nbar'"]),
+    ("state", {"kind": "squeezed"}, ["state: squeezed state requires r"]),
+    ("state", {"kind": "thermal"}, ["state: thermal state requires nbar"]),
     ("state.sigma_qq", -1, ["state.sigma_qq: must be > 0, got -1"]),
     ("state.sigma_pp", 0.0, ["state.sigma_pp: must be > 0, got 0"]),
     ("state", {"kind": "squeezed", "r": 0.2, "sigma_pp": -2.5},
      ["state.sigma_pp: must be > 0, got -2.5"]),
-    ("state.sigma_qq", "x", ["state.sigma_qq: expected a number",
-                             "state: gaussian state requires sigma_qq"]),
-    ("state.sigma_pp", "x", ["state.sigma_pp: expected a number",
-                             "state: gaussian state requires sigma_pp"]),
-    ("state.sigma_qp", "x", ["state.sigma_qp: expected a number",
-                             "state: gaussian state requires sigma_qp"]),
+    ("state.sigma_qq", "x", ["state.sigma_qq: expected a number"]),
+    ("state.sigma_pp", "x", ["state.sigma_pp: expected a number"]),
+    ("state.sigma_qp", "x", ["state.sigma_qp: expected a number"]),
+    ("state.sigma_qq", DELETE, ["state: gaussian state requires sigma_qq"]),
+    ("state", {"kind": "gaussian", "sigma_pp": 0.5},
+     ["state: gaussian state requires sigma_qq, sigma_qp"]),
     ("equation.variant", DELETE, ["equation: missing required key "
                                   "'variant'"]),
     ("equation.variant", 2, ["equation.variant: expected a string"]),
@@ -117,7 +117,7 @@ CASES = [
     ("run.t_span", [0.0], ["run.t_span: expected [number, number]"]),
     ("run.t_span", [0.0, float("inf")],
      ["run.t_span: expected [number, number]"]),
-    ("run.t_span", [1.0, 1.0], ["run.t_span: need t1 > t0, got [1.0, 1.0]"]),
+    ("run.t_span", [1.0, 1.0], ["run: t_span must satisfy t1 > t0"]),
     ("run.dt", DELETE, ["run: missing required key 'dt'"]),
     ("run.dt", True, ["run.dt: expected a number"]),
     ("run.dt", float("inf"), ["run.dt: expected a number"]),
@@ -140,9 +140,12 @@ CASES = [
     ("stochastic.n_traj", 1e3, ["stochastic.n_traj: expected an integer"]),
     ("stochastic.n_traj", 0, ["stochastic.n_traj: must be >= 1, got 0"]),
     ("stochastic.seed", DELETE, ["stochastic: missing required key 'seed'"]),
-    ("stochastic.seed", "7", ["stochastic.seed: expected an integer"]),
-    ("stochastic.seed", -1, ["stochastic.seed: must fit in an unsigned "
-                             "64-bit integer"]),
+    ("stochastic.seed", "7", ["stochastic.seed: expected an unsigned 64-bit "
+                              "integer"]),
+    ("stochastic.seed", -1, ["stochastic.seed: expected an unsigned 64-bit "
+                             "integer"]),
+    ("stochastic.seed", 2 ** 64, ["stochastic.seed: expected an unsigned "
+                                  "64-bit integer"]),
     ("stochastic.S_scalar", "x", ["stochastic.S_scalar: expected a number "
                                   "or [re, im]"]),
     ("stochastic.S_scalar", [0.0, float("nan")],
@@ -189,9 +192,26 @@ def test_pure_and_thermal_states_need_a_confining_potential(kind):
     payload["system"]["omega_S"] = 0.0
     with pytest.raises(ScenarioError) as exc:
         scenario_from_dict(payload)
-    assert exc.value.messages == [
-        f"system.omega_S: state kind '{kind}' requires a confining "
-        "potential (omega_S > 0)"]
+    assert exc.value.messages == ["state: ground state needs omega_S > 0"]
+    # a run that propagates no state builds none
+    payload["run"]["outputs"] = ["kernel", "coefficients", "audit"]
+    assert scenario_from_dict(payload).system.omega_S == 0.0
+
+
+def test_keys_are_reported_before_the_constructors_run():
+    # the first round stops at a bad key; the second would report the
+    # missing r of the squeezed state and the empty span
+    payload = _edit("state", {"kind": "squeezed"})
+    payload["run"]["t_span"] = [1.0, 1.0]
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(payload)
+    assert sorted(exc.value.messages) == [
+        "run: t_span must satisfy t1 > t0",
+        "state: squeezed state requires r"]
+    payload["run"]["dt"] = "fast"
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(payload)
+    assert exc.value.messages == ["run.dt: expected a number"]
 
 
 def test_top_level_must_be_an_object(tmp_path):

@@ -25,15 +25,18 @@ def test_every_shipped_scenario_runs(checked_runs):
     # comparisons, CL/CCL and JZ/QP, pass; each run wrote what it lists
     out = checked_runs.out
     manifests = sorted(out.glob("*_manifest.json"))
-    assert len(manifests) == 9
+    assert len(manifests) == 10
     for manifest in manifests:
         for output in json.loads(manifest.read_text())["outputs"]:
             assert pathlib.Path(output).is_file()
     for stem in ("hpz_audit", "hpz_audit_exponential", "hpz_audit_drude",
-                 "hpz_audit_order3"):
-        for artifact in ("kernel", "coefficients", "audit", "moments"):
+                 "hpz_audit_order3", "hpz_audit_free"):
+        for artifact in ("kernel", "coefficients", "audit"):
             assert (out / f"{stem}_{artifact}.csv").is_file()
         assert (out / f"{stem}_audit.json").is_file()
+        # the free particle (omega_S = 0) has no ground state to propagate
+        assert (out / f"{stem}_moments.csv").is_file() \
+            == (stem != "hpz_audit_free")
     assert (out / "ccl_unraveling_ensemble.csv").is_file()
     assert (out / "cl_vs_ccl_moments.csv").is_file()
 
@@ -75,7 +78,7 @@ def test_against_reports_each_csv_change(checked_runs, tmp_path,
               "hpz_audit_drude_audit.json", "hpz_audit_kernel.csv"}
     reports = dict(line.strip().split(": ", 1) for line in lines
                    if line.startswith("    "))
-    assert sum(name.endswith(".csv") for name in reports) == 26
-    assert sum(name.endswith("_audit.json") for name in reports) == 7
+    assert sum(name.endswith(".csv") for name in reports) == 29
+    assert sum(name.endswith("_audit.json") for name in reports) == 8
     assert {name for name, change in reports.items()
             if change != "identical"} == edited
