@@ -26,10 +26,18 @@ quadratic forms: the six raw moments in the order of
 `dynamics.OBSERVABLES`, converted by `dynamics.central_moments`.
 
 Trajectory k draws its noise from the stream default_rng([seed, k]).
-The trajectories are stepped in chunks of _CHUNK, and a chunk's dW
-arrives step-major, in blocks of _STEP_BLOCK steps (`_noise_blocks`):
-step n's dW is one contiguous row.  The blocks live in buffers that are
-allocated once per chunk, so each block is overwritten by the next.
+The trajectories run in chunks of _CHUNK, whose streams live together,
+and a chunk runs in groups of _GROUP trajectories.  The steps run in
+blocks of at most _STEP_BLOCK that end at every stored step
+(`_propagate`).  Inside a block, b's recurrence is a cumulative sum
+scaled by cumulative products of the growth factors, which are shared by
+every trajectory and taken once per block (`_block_plan`), and c gains
+the block's sum of its increments.  A group's draws (`_noise_block`) and
+its block arithmetic are whole-array numpy calls that release the
+interpreter lock, so up to one thread per CPU steps the groups through a
+block (`_advance`), each in a workspace allocated once per run.  The
+stored nodes are read between blocks over the whole chunk, so the output
+bits do not depend on how many threads ran.
 
 Colored noise: `sample_colored_noise` draws stationary complex Gaussian
 paths with prescribed correlation E[z_i conj(z_j)] = D_ij and pseudo
@@ -38,7 +46,10 @@ covariance with a symmetric eigenvalue decomposition.
 """
 
 import cmath
+import functools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -56,8 +67,10 @@ from .dynamics import (
 )
 from .positivity import check_noise_realizable, rank_one_factor
 
-_CHUNK = 512  # trajectories per batch; fixed: it sets the summation order
-_STEP_BLOCK = 128  # time steps per noise-draw block
+_CHUNK = 512  # trajectories per chunk; fixed: it sets the summation order
+_GROUP = 32  # trajectories per group, stepped by one thread at a time
+_STEP_BLOCK = 512  # time steps per block of noise and of stepping, at most
+_LOG2_SPAN = 256  # |log2| bound of a segment's running growth product
 _LOG_NORM_LIMIT = math.log(1e12)  # squared-norm runaway limit per trajectory
 _PURE_TOL = 1e-10  # |rs_uncertainty| of a pure state, relative to s_qq s_pp
 _RIDGE = 1e-12  # negative covariance eigenvalues tolerated, relative
@@ -322,72 +335,195 @@ def _read_packets(s, b, c, hbar):
     return raw, log_norm2
 
 
-def _noise_blocks(config, indices, h, n_steps):
-    """dW of the trajectories `indices`, step-major: (steps, trajectories)
-    blocks of at most _STEP_BLOCK steps, so step n's dW is one contiguous
-    row.
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Trajectory i draws unit normal pairs n from the stream seeded
-    (seed, i); dW = (1, i) . root n has E[dW conj(dW)] = D h and
-    E[dW dW] = S h.  The draws, their transform and the step-major dW
-    live in three buffers allocated once per call and reused, so a block
-    yielded is overwritten by the next: a caller keeps nothing of it
-    across blocks.
+
+def _run_threads(tasks):
+    """Call each of `tasks`, the first in this thread and every other in a
+    thread of its own; re-raise here the first exception a thread raised.
     """
+    errors = []
+
+    def guarded(task):
+        try:
+            task()
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(task,))
+               for task in tasks[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        tasks[0]()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _noise_root(config, h):
+    """2 x 2 root of one step's noise: for a pair n of unit normals,
+    dW = (1, i) . root n has E[dW conj(dW)] = D h and E[dW dW] = S h."""
     d, s = config.D_scalar, complex(config.S_scalar)
     evals, evecs = np.linalg.eigh(0.5 * h * np.array(
         [[d + s.real, s.imag], [s.imag, d - s.real]]))
-    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    gens = [np.random.default_rng([int(config.seed), int(i)])
-            for i in indices]
-    width = min(_STEP_BLOCK, n_steps)
-    draws = np.empty((len(gens), width, 2))
-    pairs = np.empty_like(draws)
-    dw = np.empty((width, len(gens)), dtype=complex)
-    for lo in range(0, n_steps, width):
-        m = min(width, n_steps - lo)
-        rows, out = draws[:, :m], pairs[:, :m]
-        for g, row in zip(gens, rows):
-            g.standard_normal(out=row)
-        # (Re dW, Im dW) = root n, adjacent in memory: a complex view,
-        # copied into the step-major block
-        np.matmul(rows, root.T, out=out)
-        dw[:m] = out.view(complex)[..., 0].T
-        yield dw[:m]
+    return evecs * np.sqrt(np.clip(evals, 0.0, None))
+
+
+def _noise_block(streams, root, draws, pairs):
+    """dW of the next steps of each stream, (streams, steps) complex.
+
+    Stream i fills row i of `draws`, (streams, steps, 2), with its next
+    unit normal pairs n, and (Re dW, Im dW) = root n lands adjacent in
+    `pairs`, of the same shape, so dW is a complex view of it.  Both
+    buffers are the caller's: the next block overwrites them.
+    """
+    for stream, row in zip(streams, draws):
+        stream.standard_normal(out=row)
+    np.matmul(draws, root.T, out=pairs)
+    return pairs.view(complex)[..., 0]
+
+
+def _block_plan(g, kick, drift):
+    """Segments of one block of steps, and their factors shared by every
+    trajectory.
+
+    In a segment of steps [a, e), b's recurrence b <- g_n b + kick_n dW_n
+    is, for a < i <= e,
+
+        b_i = q_{i-1} (g_a b_a + sum_{a <= n < i} w_n dW_n),
+
+    with q_a = 1, q_n = g_{a+1} ... g_n and w = kick / q.  A segment ends
+    before a factor that would take |q| out of 2^(+-_LOG2_SPAN), so no
+    step divides by a product that under- or overflows: a zero, huge or
+    NaN g_n starts a segment of its own, where it only multiplies b_a,
+    as in the recurrence.  Indices are block-relative.  Returns the
+    segments (a, e, g_a, sum of drift over [a, e)) and q, w.
+    """
+    cuts, log_q = [], 0.0
+    for i, x in enumerate(np.abs(g[1:]).tolist(), 1):
+        step = math.log2(x) if x > 0.0 else math.inf  # NaN too
+        if abs(log_q + step) <= _LOG2_SPAN:
+            log_q += step
+        else:
+            cuts.append(i)
+            log_q = 0.0
+    starts, ends = [0, *cuts], [*cuts, g.size]
+    q = g.copy()
+    for a, e in zip(starts, ends):
+        q[a] = 1.0
+        np.cumprod(q[a:e], out=q[a:e])
+    segments = list(zip(starts, ends, g[starts].tolist(),
+                        np.add.reduceat(drift, starts).tolist()))
+    return segments, q, kick / q
+
+
+def _advance(streams, root, b, c, workspace, m, plan, h_rho, c_kick):
+    """Step the trajectories of `streams`, at b and c, through one block
+    of m steps, in `workspace`; `plan` is the block's (segments, q, w),
+    q and w tiled to one row per trajectory."""
+    segments, q, w = plan
+    n = len(streams)
+    draws, pairs, acc, tmp = workspace
+    draws, pairs = (x[:2 * n * m].reshape(n, m, 2) for x in (draws, pairs))
+    dw = _noise_block(streams, root, draws, pairs)
+    squares, crossed, tmp = acc[:n, 0, 0], acc[:n, 0, 1], tmp[:n]
+    for a, e, g_a, drift_sum in segments:
+        # b after the steps a, ..., e - 1, where the spent draws were
+        b_e = draws.reshape(-1).view(complex)[:n * (e - a)].reshape(n, -1)
+        np.multiply(dw[:, a:e], w[:n, a:e], out=b_e)
+        np.multiply(b, g_a, out=tmp)
+        b_e[:, 0] += tmp
+        np.cumsum(b_e, axis=1, out=b_e)
+        b_e *= q[:n, a:e]
+        # c gains the sum over the steps of (h rho b + c_kick dW) b + drift,
+        # b before step a from b and before the others from b_e
+        np.matmul(b_e[:, None, :-1], b_e[:, :-1, None], out=acc[:n, :, :1])
+        np.matmul(b_e[:, None, :-1], dw[:, a + 1:e, None],
+                  out=acc[:n, :, 1:])
+        np.multiply(b, b, out=tmp)
+        squares += tmp
+        np.multiply(b, dw[:, a], out=tmp)
+        crossed += tmp
+        squares *= h_rho
+        crossed *= c_kick
+        c += squares
+        c += crossed
+        c += drift_sum
+        b[:] = b_e[:, -1]
 
 
 def _propagate(config, packet0, indices):
-    """Step the trajectories `indices` from one setup, in chunks of
-    _CHUNK added into the sums in index order; return the stored times
-    and the accumulators.
+    """Step the trajectories `indices` from one setup; return the stored
+    times and the accumulators.
+
+    The trajectories run in chunks of _CHUNK, whose noise streams live
+    together, added into the sums in index order; a chunk runs in groups
+    of _GROUP.  The steps run in blocks of at most _STEP_BLOCK that end
+    at every stored step.  Each block's factors are taken once per chunk
+    (`_block_plan`); then at most `_cpu_count()` threads step the groups
+    through the block (`_advance`), each in one workspace of its own.
+    The stored nodes are read between blocks, over the whole chunk, so
+    the output bits do not depend on how many threads ran.
     """
     t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
                                        config.store_every)
     hbar = config.spec.constants.hbar
     r, (l0, l1), k, (nu0, nu1), rho = _packet_sde(config)
     s = _width_path(r, packet0[0], h, n_steps)
+    root = _noise_root(config, h)
     h_rho, c_kick = h * rho, -1j * k
+    keep = stored.tolist()
 
-    def factors(lo, m):
-        """Euler-Maruyama (growth, kick, drift) of the m steps from step
-        lo, taken at the left-point s_n: elementwise on that slice of s,
-        so only s grows with the run."""
-        s_n = s[lo:lo + m]
-        return zip((1.0 + h * (0.5 * r[1] + r[2] * s_n)).tolist(),
-                   (-1j * (l0 + l1 * s_n)).tolist(),
-                   (h * (nu0 + nu1 * s_n)).tolist())
+    size, width = min(_GROUP, indices.size), min(_STEP_BLOCK, n_steps)
+    n_workers = min(_cpu_count(),
+                    math.ceil(min(_CHUNK, indices.size) / _GROUP))
+    workspaces = [(np.empty(2 * size * width), np.empty(2 * size * width),
+                   np.empty((size, 1, 2), dtype=complex),
+                   np.empty(size, dtype=complex)) for _ in range(n_workers)]
+    # q and w of a block, one row per trajectory of a group, so that each
+    # product of `_advance` is between arrays of one shape and needs no
+    # scratch buffer
+    tiles = np.empty((2, size * width), dtype=complex)
+
+    def plans():
+        """Each block's step count, plan, and the index of the node
+        stored at its end, if one is."""
+        lo = 0
+        for node_idx, stop in enumerate(keep[1:], 1):
+            while lo < stop:
+                hi = min(lo + width, stop)
+                s_n = s[lo:hi]
+                segments, q, w = _block_plan(
+                    1.0 + h * (0.5 * r[1] + r[2] * s_n),
+                    -1j * (l0 + l1 * s_n), h * (nu0 + nu1 * s_n))
+                q_rows, w_rows = (t[:size * q.size].reshape(size, -1)
+                                  for t in tiles)
+                q_rows[...], w_rows[...] = q, w
+                yield hi - lo, (segments, q_rows, w_rows), \
+                    node_idx if hi == stop else None
+                lo = hi
 
     sums = np.zeros((stored.size, len(OBSERVABLES)))
     sumsqs = np.zeros_like(sums)
     alive_counts = np.zeros(stored.size, dtype=np.int64)
     failed = []
-    keep = stored.tolist()  # plain ints: cheap to compare every step
 
     for lo in range(0, indices.size, _CHUNK):
         chunk = indices[lo:lo + _CHUNK]
+        streams = [np.random.default_rng([int(config.seed), int(i)])
+                   for i in chunk]
         b = np.full(chunk.size, packet0[1])
         c = np.full(chunk.size, complex(packet0[2]))
         alive = np.ones(chunk.size, dtype=bool)
+        groups = [slice(j, j + _GROUP) for j in range(0, chunk.size, _GROUP)]
 
         def record(node_idx):  # of the current chunk
             vals, log_norm2 = _read_packets(s[keep[node_idx]], b, c, hbar)
@@ -401,18 +537,17 @@ def _propagate(config, packet0, indices):
             sumsqs[node_idx] += (vals[:, alive] ** 2).sum(axis=1)
             alive_counts[node_idx] += int(alive.sum())
 
+        def work(t, m, plan):
+            for sl in groups[t::n_workers]:
+                _advance(streams[sl], root, b[sl], c[sl], workspaces[t], m,
+                         plan, h_rho, c_kick)
+
         record(0)
-        node_pos = 1
-        n = 0
-        for dw in _noise_blocks(config, chunk, h, n_steps):
-            for (growth, kick, drift), dw_n in zip(factors(n, len(dw)), dw):
-                c += (h_rho * b + c_kick * dw_n) * b + drift
-                b *= growth
-                b += kick * dw_n
-                n += 1
-                if n == keep[node_pos]:
-                    record(node_pos)
-                    node_pos += 1
+        for m, plan, node_idx in plans():
+            _run_threads([functools.partial(work, t, m, plan)
+                          for t in range(min(n_workers, len(groups)))])
+            if node_idx is not None:
+                record(node_idx)
     return t0 + h * stored, sums, sumsqs, alive_counts, sorted(failed)
 
 

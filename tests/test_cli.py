@@ -2,11 +2,12 @@
 
 import json
 import pathlib
+import threading
 
 import numpy as np
 import pytest
 
-from qbmlab import io
+from qbmlab import io, stochastic
 from qbmlab.bath import PhysicalConstants
 from qbmlab.cli import main, run_scenario
 from qbmlab.dynamics import MOMENTS, SystemSpec, thermal_state_moments
@@ -614,6 +615,42 @@ def test_moments_and_ensemble_integrate_the_ode_once(tmp_path, monkeypatch):
     vs = io.read_csv(tmp_path / "once_ensemble_vs_ode.csv")
     for name in ("mean_q", "mean_p", "s_qq", "s_pp", "s_qp"):
         assert np.array_equal(vs[f"{name}_ode"], moments[name])
+
+
+def test_warnings_from_ensemble_threads_reach_the_manifest(tmp_path,
+                                                          monkeypatch):
+    # the JZ ensemble that drops one of its 200 trajectories, stepped by
+    # two threads, the second of which also trips a numpy overflow
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 2)
+    noise_block, overflowed = stochastic._noise_block, []
+
+    def overflowing(*args):
+        if not overflowed \
+                and threading.current_thread() is not threading.main_thread():
+            overflowed.append(np.float64(1e308) * 10.0)
+        return noise_block(*args)
+
+    monkeypatch.setattr(stochastic, "_noise_block", overflowing)
+    payload = {
+        "name": "runaway",
+        "system": {"m": 1.0, "omega_S": 1.0},
+        "bath": {"gamma": 8.0, "T": 1.0},
+        "state": {"kind": "coherent", "mean_q": 2.0 ** 0.5},
+        "equation": {"variant": "jz"},
+        "run": {"t_span": [0.0, 5.0], "dt": 0.2, "store_every": 1,
+                "outputs": ["ensemble"]},
+        "stochastic": {"n_traj": 200, "seed": 2},
+    }
+    path = _write(tmp_path, payload, "runaway.json")
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert overflowed == [np.inf]
+    warned = json.loads(
+        (tmp_path / "runaway_manifest.json").read_text())["warnings"]
+    assert "1 trajectories diverged and were dropped from the averages" \
+        in warned
+    assert "overflow encountered in scalar multiply" in warned
+    ens = io.read_csv(tmp_path / "runaway_ensemble.csv")
+    assert ens["alive"][0] == 200 and ens["alive"][-1] == 199
 
 
 def test_cli_ensemble_pipeline(tmp_path):

@@ -1,6 +1,8 @@
 """Colored-noise sampling and the linear stochastic unraveling engine."""
 
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +36,8 @@ from qbmlab.stochastic import (
     NoiseSpec,
     SSEConfig,
     _expm_2x2,
-    _noise_blocks,
+    _noise_block,
+    _noise_root,
     _packet_sde,
     _width_path,
     empirical_noise_moments,
@@ -169,6 +172,24 @@ def test_configs_compare_by_their_settable_fields():
 
 # ------------------------------------------------------- the Fock reference
 
+def engine_noise(config, indices, h, n_steps):
+    """dW of the trajectories `indices`, (trajectories, steps), drawn as
+    the engine draws it: `_noise_block` over blocks of _STEP_BLOCK steps,
+    in buffers reused from block to block."""
+    streams = [np.random.default_rng([int(config.seed), int(i)])
+               for i in indices]
+    root = _noise_root(config, h)
+    width = min(stochastic._STEP_BLOCK, n_steps)
+    draws = np.empty((len(streams), width, 2))
+    pairs = np.empty_like(draws)
+    dw = np.empty((len(streams), n_steps), dtype=complex)
+    for lo in range(0, n_steps, width):
+        m = min(width, n_steps - lo)
+        dw[:, lo:lo + m] = _noise_block(streams, root, draws[:, :m],
+                                        pairs[:, :m])
+    return dw
+
+
 def _fock_euler(config, psi0, n_traj):
     """Dense Fock-Euler reference of the unraveling: per step,
     psi <- (I + h K) psi - i dW A psi on the engine's own dW.
@@ -184,14 +205,12 @@ def _fock_euler(config, psi0, n_traj):
     obs = observables(q, p)
     psi = np.tile(psi0[:, None], (1, n_traj)).astype(complex)
     nodes = [np.einsum("oij,jk,ik->ok", obs, psi, psi.conj()).real]
-    n = 0
-    for dw in _noise_blocks(config, np.arange(n_traj), h, n_steps):
-        for dw_n in dw:
-            psi = step @ psi - 1j * (a_op @ psi) * dw_n
-            n += 1
-            if n in stored:
-                nodes.append(np.einsum("oij,jk,ik->ok", obs, psi,
-                                       psi.conj()).real)
+    dw = engine_noise(config, np.arange(n_traj), h, n_steps)
+    for n, dw_n in enumerate(dw.T, 1):
+        psi = step @ psi - 1j * (a_op @ psi) * dw_n
+        if n in stored:
+            nodes.append(np.einsum("oij,jk,ik->ok", obs, psi,
+                                   psi.conj()).real)
     return np.array(nodes)
 
 
@@ -331,48 +350,184 @@ def test_width_exponential_matches_scipy_expm():
             <= 1e-14 * np.max(np.abs(want))
 
 
-def reference_noise(config, indices, h, n_steps):
-    """dW as first laid out: blocks of 512 steps, each the transpose of a
-    fresh trajectory-major product, (steps, trajectories) with a stride of
-    one trajectory's draws between the entries of a step.
-    """
+def reference_noise(config, index, h, n_steps):
+    """dW of trajectory `index` over the whole run: its stream's rows of
+    unit normal pairs, drawn at once, times the root of the step
+    covariance, in a fresh array."""
     d, s = config.D_scalar, complex(config.S_scalar)
     evals, evecs = np.linalg.eigh(0.5 * h * np.array(
         [[d + s.real, s.imag], [s.imag, d - s.real]]))
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    gens = [np.random.default_rng([int(config.seed), int(i)])
-            for i in indices]
-    buf = np.empty((len(gens), 512, 2))
-    for lo in range(0, n_steps, 512):
-        rows = buf[:, :min(512, n_steps - lo)]
-        for g, row in zip(gens, rows):
-            g.standard_normal(out=row)
-        yield (rows @ root.T).view(complex)[..., 0].T
+    rows = np.random.default_rng([int(config.seed), int(index)]) \
+        .standard_normal((n_steps, 2))
+    return (rows @ root.T).view(complex)[:, 0]
+
+
+def fresh_noise(streams, root, draws, pairs):
+    """`_noise_block` with its product into a fresh array."""
+    for stream, row in zip(streams, draws):
+        stream.standard_normal(out=row)
+    return (draws @ root.T).view(complex)[..., 0]
+
+
+def per_step_propagate(config, packet0, indices):
+    """`stochastic._propagate` as it stepped before its blocks: the Euler-
+    Maruyama recurrence of (b, c) one step at a time, every trajectory at
+    once, on the engine's noise, with the nodes read and the diverged
+    trajectories dropped as the engine does."""
+    t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
+                                       config.store_every)
+    hbar = config.spec.constants.hbar
+    r, (l0, l1), k, (nu0, nu1), rho = stochastic._packet_sde(config)
+    s = stochastic._width_path(r, packet0[0], h, n_steps)
+    dw = engine_noise(config, indices, h, n_steps)
+    b = np.full(indices.size, packet0[1])
+    c = np.full(indices.size, complex(packet0[2]))
+    alive = np.ones(indices.size, dtype=bool)
+    sums = np.zeros((stored.size, len(OBSERVABLES)))
+    sumsqs = np.zeros_like(sums)
+    alive_counts = np.zeros(stored.size, dtype=np.int64)
+
+    def record(node, n):
+        vals, log_norm2 = stochastic._read_packets(s[n], b, c, hbar)
+        ok = (log_norm2 <= stochastic._LOG_NORM_LIMIT) \
+            & np.isfinite(vals).all(axis=0)
+        b[alive & ~ok] = c[alive & ~ok] = 0.0
+        alive[:] &= ok
+        sums[node] = vals[:, alive].sum(axis=1)
+        sumsqs[node] = (vals[:, alive] ** 2).sum(axis=1)
+        alive_counts[node] = alive.sum()
+
+    record(0, 0)
+    for n in range(n_steps):
+        c += (h * rho * b - 1j * k * dw[:, n]) * b \
+            + h * (nu0 + nu1 * s[n])
+        b *= 1.0 + h * (0.5 * r[1] + r[2] * s[n])
+        b += -1j * (l0 + l1 * s[n]) * dw[:, n]
+        if n + 1 in stored:
+            record(int(np.searchsorted(stored, n + 1)), n + 1)
+    return (t0 + h * stored, sums, sumsqs, alive_counts,
+            [int(i) for i in indices[~alive]])
+
+
+def assert_matches_per_step(monkeypatch, config, state0, rtol, axis=0):
+    """The ensemble against `per_step_propagate`: the means and standard
+    errors within rtol of the largest magnitude of their column (axis 0)
+    or stored node (axis 1), the same alive counts and failures."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EnsembleHealthWarning)
+        result = ensemble_run(config, state0)
+        with monkeypatch.context() as patch:
+            patch.setattr(stochastic, "_propagate", per_step_propagate)
+            reference = ensemble_run(config, state0)
+    for field in ("means", "stderr"):
+        got, want = (np.column_stack([getattr(run, field)[name]
+                                      for name in OBSERVABLES])
+                     for run in (result, reference))
+        assert np.all(np.isfinite(got))
+        scale = np.max(np.abs(want), axis=axis, keepdims=True)
+        assert np.all(np.abs(got - want) <= rtol * scale), field
+    assert np.array_equal(result.alive, reference.alive)
+    assert result.failed_trajectories == reference.failed_trajectories
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant, mu, s_frac", [
+    ("ccl", None, 0.0), ("ccl", None, 0.3 + 0.4j), ("jz", None, 0.0),
+    ("qp", 0.3, 0.0)], ids=["ccl", "ccl-complex-S", "jz", "qp"])
+def test_block_stepping_matches_the_per_step_recurrence(
+        monkeypatch, variant, mu, s_frac):
+    # 1,500 steps stored every 700: blocks of 512, 188, 512, 188 and 100
+    # steps; 600 trajectories: a chunk and a ragged one
+    config = SSEConfig(_spec(variant, 0.05, 2.0, mu=mu), dt=2e-3,
+                       t_span=(0.0, 3.0), store_every=700, n_traj=600,
+                       seed=5)
+    config = replace(config, S_scalar=s_frac * config.D_scalar)
+    assert_matches_per_step(monkeypatch, config,
+                            ground_state_moments(SYS, mean_q=0.4), 1e-13)
+
+
+def _doctored_widths(monkeypatch, steps, s_at):
+    """Make `_width_path` put s_at at the given steps, none of them stored:
+    there, only b's growth factor g = 1 + h (r1 / 2 + r2 s), its kick and
+    c's drift read it."""
+    width_path = stochastic._width_path
+
+    def doctored(*args):
+        path = width_path(*args)
+        path[steps] = s_at
+        return path
+
+    monkeypatch.setattr(stochastic, "_width_path", doctored)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_zero_growth_factor_restarts_b(monkeypatch):
+    # JZ at hbar = m = 1: r1 = 0 and r2 = -2i, so at h = 1/4 the width
+    # s = -2i makes g exactly 0, and b_{n+1} = kick_n dW_n
+    config = SSEConfig(_spec("jz", 0.05, 2.0), dt=0.25, t_span=(0.0, 50.0),
+                       store_every=100, n_traj=100, seed=3)
+    r = _packet_sde(config)[0]
+    assert 1.0 + 0.25 * (0.5 * r[1] + r[2] * -2j) == 0.0
+    _doctored_widths(monkeypatch, [37, 38, 150], -2j)
+    assert_matches_per_step(monkeypatch, config,
+                            ground_state_moments(SYS, mean_q=0.4), 1e-13,
+                            axis=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_growth_products_that_would_underflow_are_cut(monkeypatch):
+    # |g| = 1e-3 over steps 201-330 of the block [200, 400): its running
+    # product would reach 1e-387, below the smallest double, so the block
+    # is cut into segments whose products stay within 2^-256
+    config = SSEConfig(_spec("jz", 0.05, 2.0), dt=0.25, t_span=(0.0, 100.0),
+                       store_every=200, n_traj=100, seed=3)
+    s_at = 2e-3 - 2j  # g = 1 - 2i h s = -4e-3 i h
+    r = _packet_sde(config)[0]
+    assert abs(1.0 + 0.25 * (0.5 * r[1] + r[2] * s_at)) \
+        == pytest.approx(1e-3, rel=1e-12)
+    _doctored_widths(monkeypatch, np.arange(201, 331), s_at)
+    # the norm falls by e^-130 over those steps: compare node by node
+    assert_matches_per_step(monkeypatch, config,
+                            ground_state_moments(SYS, mean_q=0.4), 1e-13,
+                            axis=1)
 
 
 @pytest.mark.parametrize("s_frac", [0.0, 0.3 + 0.4j])
 def test_noise_layout_keeps_the_seeded_ensemble_bit_for_bit(
         monkeypatch, s_frac):
-    # 701 steps end in a ragged block of either layout; 600 trajectories
-    # are a full chunk and a partial one
+    # 701 steps stored every 600 are blocks of 512, 88 and 101 steps; 600
+    # trajectories are a full chunk and one of 88, whose last group holds
+    # 24; two threads step the groups
     config = SSEConfig(_spec("ccl", 0.0625, 2.0), dt=1e-2,
-                       t_span=(0.0, 7.01), store_every=50, n_traj=600,
+                       t_span=(0.0, 7.01), store_every=600, n_traj=600,
                        seed=42)
     config = replace(config, S_scalar=s_frac * config.D_scalar)
     _, h, n_steps, _ = step_plan(config.t_span, config.dt,
                                  config.store_every)
-    assert n_steps == 701 and n_steps % stochastic._STEP_BLOCK
-    for chunk in (np.arange(512), np.arange(512, 600)):
-        # a block is overwritten by the next: copy each as it comes
-        got = np.concatenate([dw.copy() for dw in _noise_blocks(
-            config, chunk, h, n_steps)])
-        want = np.concatenate(list(reference_noise(config, chunk, h,
-                                                   n_steps)))
-        assert got.shape == (n_steps, chunk.size)
-        assert got.tobytes() == want.tobytes()
+    assert n_steps == 701 and stochastic._STEP_BLOCK == 512
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 2)
     state0 = ground_state_moments(SYS, mean_q=0.4 * np.sqrt(2.0))
+    # every trajectory's dW, block by block, as the engine steps it
+    drawn = {i: [] for i in range(config.n_traj)}
+    in_main_thread = set()
+
+    def recorded(streams, root, draws, pairs):
+        dw = _noise_block(streams, root, draws, pairs)
+        in_main_thread.add(threading.current_thread()
+                           is threading.main_thread())
+        for stream, row in zip(streams, dw):
+            drawn[stream.bit_generator.seed_seq.entropy[1]].append(row.copy())
+        return dw
+
+    monkeypatch.setattr(stochastic, "_noise_block", recorded)
     result = ensemble_run(config, state0)
-    monkeypatch.setattr(stochastic, "_noise_blocks", reference_noise)
+    assert in_main_thread == {True, False}
+    for i, rows in drawn.items():
+        got = np.concatenate(rows)
+        assert got.tobytes() == reference_noise(config, i, h,
+                                                n_steps).tobytes()
+    monkeypatch.setattr(stochastic, "_noise_block", fresh_noise)
     reference = ensemble_run(config, state0)
     for name in OBSERVABLES:
         assert result.means[name].tobytes() \
@@ -381,25 +536,29 @@ def test_noise_layout_keeps_the_seeded_ensemble_bit_for_bit(
             == reference.stderr[name].tobytes()
 
 
-def test_a_chunk_holds_about_one_noise_block():
-    # 512 trajectories over 1,000 steps: one chunk.  Its draws, their
-    # transform and the step-major dW are blocks of _STEP_BLOCK steps
-    # reused throughout; a complex 512 x 512 block is 4 MiB
+def test_a_chunk_holds_about_one_noise_block(monkeypatch):
+    # 512 trajectories over 1,000 steps: one chunk of 16 groups, stepped
+    # by pools of 1 to 4 threads.  Each thread's workspace holds a group's
+    # draws and dW over one block, reused throughout, and the chunk's 512
+    # noise streams live together; a complex 512 x 512 block is 4 MiB
     config = SSEConfig(_spec("ccl", 0.02, 2.0), dt=1e-3, t_span=(0.0, 1.0),
                        store_every=500, n_traj=512, seed=1)
     state0 = ground_state_moments(SYS, mean_q=0.5)
-    ensemble_run(config, state0)  # first-call allocations are not counted
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        ensemble_run(config, state0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    assert peak < 1.5 * 512 * 512 * 16, f"traced peak {peak / 2 ** 20:.2f} MiB"
+    for pool in (1, 2, 3, 4):
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: pool)
+        ensemble_run(config, state0)  # first-call allocations not counted
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ensemble_run(config, state0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 1.5 * 512 * 512 * 16, \
+            f"{pool} threads: traced peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_unraveling_tables_do_not_grow_with_the_run():
@@ -430,16 +589,69 @@ def test_unraveling_tables_do_not_grow_with_the_run():
         f"{long / 1e6:.2f} MB at 20,000"
 
 
-def test_ensemble_is_bit_deterministic():
-    config = SSEConfig(_spec("ccl", 0.0625, 2.0), dt=1e-2,
-                       t_span=(0.0, 0.5), store_every=10, n_traj=600, seed=42)
+def test_ensemble_is_bit_deterministic(monkeypatch):
+    # the same bits again, and whatever the pool size: 600 trajectories are
+    # a chunk and 88 more, 1,100 two chunks and 76 more, each with a
+    # ragged last group; the JZ run drops one of its 200 trajectories
     state0 = ground_state_moments(SYS, mean_q=0.4 * np.sqrt(2.0))
-    # 600 trajectories: a full chunk of 512 and a partial one
-    first, again = (ensemble_run(config, state0) for _ in range(2))
-    for name in first.means:
-        assert np.array_equal(first.means[name], again.means[name])
-        assert np.array_equal(first.stderr[name], again.stderr[name])
-    assert np.array_equal(first.alive, again.alive)
+    configs = []
+    for n_traj in (600, 1100):
+        for s_frac in (0.0, 0.3 + 0.4j):
+            config = SSEConfig(_spec("ccl", 0.0625, 2.0), dt=1e-2,
+                               t_span=(0.0, 0.5), store_every=10,
+                               n_traj=n_traj, seed=42)
+            configs.append((replace(config,
+                                    S_scalar=s_frac * config.D_scalar),
+                            state0))
+    configs.append((SSEConfig(_spec("jz", 8.0, 1.0), dt=0.2,
+                              t_span=(0.0, 5.0), store_every=1, n_traj=200,
+                              seed=2),
+                    ground_state_moments(SYS, mean_q=np.sqrt(2.0))))
+
+    def run_bytes(config, state0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EnsembleHealthWarning)
+            result = ensemble_run(config, state0)
+        return [result.means[name].tobytes() for name in OBSERVABLES] \
+            + [result.stderr[name].tobytes() for name in OBSERVABLES] \
+            + [result.alive.tobytes(), result.failed_trajectories]
+
+    for config, state0 in configs:
+        first = run_bytes(config, state0)
+        assert run_bytes(config, state0) == first
+        for pool in (1, 2, 3, 4):
+            monkeypatch.setattr(stochastic, "_cpu_count", lambda: pool)
+            assert run_bytes(config, state0) == first, \
+                f"{config.n_traj} trajectories, {pool} threads"
+    assert first[-1] == [3]
+
+
+def test_an_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
+    # 200 trajectories are 7 groups, stepped by two threads
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 2)
+    config = SSEConfig(_spec("ccl", 0.05, 2.0), dt=1e-2, t_span=(0.0, 1.0),
+                       store_every=50, n_traj=200, seed=4)
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericalFailure("from a worker")
+        return _noise_block(*args)
+
+    monkeypatch.setattr(stochastic, "_noise_block", failing)
+    with pytest.raises(NumericalFailure, match="from a worker"):
+        ensemble_run(config, ground_state_moments(SYS))
+
+
+def test_one_group_starts_no_thread(monkeypatch):
+    # a trajectory of its own, and 32 trajectories: one group each
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(stochastic.threading, "Thread", None)
+    config = SSEConfig(_spec("ccl", 0.05, 2.0), dt=1e-2, t_span=(0.0, 1.0),
+                       store_every=50, n_traj=stochastic._GROUP, seed=4)
+    state0 = ground_state_moments(SYS)
+    sse_trajectory(config, state0, traj_index=5)
+    with pytest.warns(EnsembleHealthWarning, match="error bars"):
+        ensemble_run(config, state0)
 
 
 def test_a_run_is_set_up_once(monkeypatch):
@@ -586,6 +798,7 @@ def test_tiny_ensemble_matches_average_of_single_trajectories():
     assert np.array_equal(paths[0].times, result.times)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_trajectories_raise_numerical_failure():
     # JZ with D = 4 m gamma kB T = 50: A = q
     config = SSEConfig(_spec("jz", 12.5, 1.0), dt=0.5,
@@ -599,6 +812,7 @@ def test_diverging_trajectories_raise_numerical_failure():
     assert np.all(np.isnan(path.observables[-1]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_few_diverging_trajectories_are_dropped_with_a_warning():
     # JZ with D = 4 m gamma kB T = 32 at dt = 0.2: one of 200 trajectories
     # runs away, within the 1% an ensemble may drop
