@@ -28,16 +28,19 @@ quadratic forms: the six raw moments in the order of
 Trajectory k draws its noise from the stream default_rng([seed, k]).
 The trajectories run in chunks of _CHUNK, whose streams live together,
 and a chunk runs in groups of _GROUP trajectories.  The steps run in
-blocks of at most _STEP_BLOCK that end at every stored step
-(`_propagate`).  Inside a block, b's recurrence is a cumulative sum
-scaled by cumulative products of the growth factors, which are shared by
-every trajectory and taken once per block (`_block_plan`), and c gains
-the block's sum of its increments.  A group's draws (`_noise_block`) and
-its block arithmetic are whole-array numpy calls that release the
-interpreter lock, so up to one thread per CPU steps the groups through a
-block (`_advance`), each in a workspace allocated once per run.  The
-stored nodes are read between blocks over the whole chunk, so the output
-bits do not depend on how many threads ran.
+blocks of _STEP_BLOCK steps, shorter only where a block reaches its
+_NODE_BLOCK-th stored node or the end of the run, so a block is long
+however close the stored steps are (`_propagate`).  Inside a block, b's
+recurrence is a cumulative sum scaled by cumulative products of the
+growth factors, which are shared by every trajectory and taken once per
+block (`_block_plan`), and c's increments are added up by one cumulative
+sum.  A group's draws (`_noise_block`) and its block arithmetic are
+whole-array numpy calls that release the interpreter lock, so up to one
+thread per CPU steps the groups through a block (`_advance`), each in a
+workspace allocated once per run.  b and c at the block's stored nodes
+are read after it over the whole chunk, so the output bits do not depend
+on how many threads ran.  A trajectory dropped at a node keeps stepping
+to the end of its block, and restarts from b = c = 0 there.
 
 Colored noise: `sample_colored_noise` draws stationary complex Gaussian
 paths with prescribed correlation E[z_i conj(z_j)] = D_ij and pseudo
@@ -70,6 +73,8 @@ from .positivity import check_noise_realizable, rank_one_factor
 _CHUNK = 512  # trajectories per chunk; fixed: it sets the summation order
 _GROUP = 32  # trajectories per group, stepped by one thread at a time
 _STEP_BLOCK = 512  # time steps per block of noise and of stepping, at most
+_NODE_BLOCK = 128  # stored nodes per block, at most
+_READ_NODES = 16  # stored nodes read at once; keeps the read's arrays small
 _LOG2_SPAN = 256  # |log2| bound of a segment's running growth product
 _LOG_NORM_LIMIT = math.log(1e12)  # squared-norm runaway limit per trajectory
 _PURE_TOL = 1e-10  # |rs_uncertainty| of a pure state, relative to s_qq s_pp
@@ -336,7 +341,9 @@ def _read_packets(s, b, c, hbar):
 
 
 def _cpu_count():
-    """CPUs this process may run on."""
+    """CPUs this process may run on.  The affinity mask counts them, not
+    a cgroup CPU quota: a container that lists more CPUs than its quota
+    allows gets more threads than it can run at once."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -391,7 +398,7 @@ def _noise_block(streams, root, draws, pairs):
     return pairs.view(complex)[..., 0]
 
 
-def _block_plan(g, kick, drift):
+def _block_plan(g, kick):
     """Segments of one block of steps, and their factors shared by every
     trajectory.
 
@@ -405,7 +412,7 @@ def _block_plan(g, kick, drift):
     step divides by a product that under- or overflows: a zero, huge or
     NaN g_n starts a segment of its own, where it only multiplies b_a,
     as in the recurrence.  Indices are block-relative.  Returns the
-    segments (a, e, g_a, sum of drift over [a, e)) and q, w.
+    segments (a, e, g_a) and q, w.
     """
     cuts, log_q = [], 0.0
     for i, x in enumerate(np.abs(g[1:]).tolist(), 1):
@@ -420,44 +427,69 @@ def _block_plan(g, kick, drift):
     for a, e in zip(starts, ends):
         q[a] = 1.0
         np.cumprod(q[a:e], out=q[a:e])
-    segments = list(zip(starts, ends, g[starts].tolist(),
-                        np.add.reduceat(drift, starts).tolist()))
-    return segments, q, kick / q
+    return list(zip(starts, ends, g[starts].tolist())), q, kick / q
 
 
-def _advance(streams, root, b, c, workspace, m, plan, h_rho, c_kick):
-    """Step the trajectories of `streams`, at b and c, through one block
-    of m steps, in `workspace`; `plan` is the block's (segments, q, w),
-    q and w tiled to one row per trajectory."""
-    segments, q, w = plan
-    n = len(streams)
-    draws, pairs, acc, tmp = workspace
-    draws, pairs = (x[:2 * n * m].reshape(n, m, 2) for x in (draws, pairs))
-    dw = _noise_block(streams, root, draws, pairs)
-    squares, crossed, tmp = acc[:n, 0, 0], acc[:n, 0, 1], tmp[:n]
-    for a, e, g_a, drift_sum in segments:
-        # b after the steps a, ..., e - 1, where the spent draws were
-        b_e = draws.reshape(-1).view(complex)[:n * (e - a)].reshape(n, -1)
-        np.multiply(dw[:, a:e], w[:n, a:e], out=b_e)
-        np.multiply(b, g_a, out=tmp)
-        b_e[:, 0] += tmp
-        np.cumsum(b_e, axis=1, out=b_e)
-        b_e *= q[:n, a:e]
-        # c gains the sum over the steps of (h rho b + c_kick dW) b + drift,
-        # b before step a from b and before the others from b_e
-        np.matmul(b_e[:, None, :-1], b_e[:, :-1, None], out=acc[:n, :, :1])
-        np.matmul(b_e[:, None, :-1], dw[:, a + 1:e, None],
-                  out=acc[:n, :, 1:])
-        np.multiply(b, b, out=tmp)
-        squares += tmp
-        np.multiply(b, dw[:, a], out=tmp)
-        crossed += tmp
-        squares *= h_rho
-        crossed *= c_kick
-        c += squares
-        c += crossed
-        c += drift_sum
-        b[:] = b_e[:, -1]
+@dataclass
+class _Block:
+    """One block of m steps and what every trajectory shares in it: b's
+    segments and factors q and w (`_block_plan`), c's drift, each tiled
+    to one row per trajectory of a group, the block-relative steps `cols`
+    of its stored nodes and their indices `nodes` into the stored steps.
+    """
+
+    m: int
+    segments: list
+    q: np.ndarray
+    w: np.ndarray
+    drift: np.ndarray
+    cols: np.ndarray
+    nodes: np.ndarray
+
+
+def _advance(streams, root, b, c, workspace, block, h_rho, c_kick,
+             b_nodes, c_nodes):
+    """Step the trajectories of `streams`, at b and c, through `block` in
+    `workspace`, and put their b and c at its stored nodes in b_nodes and
+    c_nodes, (trajectories, nodes).
+
+    b after each step fills `after`, segment by segment.  c's increments
+    (h rho b + c_kick dW) b + drift, with b before each step, are added
+    to c by one cumulative sum, in the order of the per-step recurrence
+    c <- c + increment.  Every product is between contiguous arrays of
+    one shape, so none needs a scratch buffer.
+    """
+    n, m = len(streams), block.m
+    draws, pairs, after = (x[:2 * n * m] for x in workspace[:3])
+    tmp = workspace[3][:n]
+    dw = _noise_block(streams, root, draws.reshape(n, m, 2),
+                      pairs.reshape(n, m, 2))
+    after = after.view(complex).reshape(n, m)
+    q, w, drift = (x[:n] for x in (block.q, block.w, block.drift))
+    for a, e, g_a in block.segments:
+        seg = after[:, a:e]
+        np.multiply(dw[:, a:e], w[:, a:e], out=seg)
+        np.multiply(b if a == 0 else after[:, a - 1], g_a, out=tmp)
+        seg[:, 0] += tmp
+        np.cumsum(seg, axis=1, out=seg)
+        seg *= q[:, a:e]
+    before = draws.view(complex).reshape(n, m)  # the spent draws' place
+    before[:, 0] = b
+    before[:, 1:] = after[:, :-1]
+    if block.cols.size:
+        np.take(after, block.cols - 1, axis=1, out=b_nodes, mode="clip")
+    b[:] = after[:, -1]
+    inc = after
+    np.multiply(before, h_rho, out=inc)
+    dw *= c_kick
+    inc += dw
+    inc *= before
+    inc += drift
+    inc[:, 0] += c
+    np.cumsum(inc, axis=1, out=inc)  # c after 1, ..., m steps
+    if block.cols.size:
+        np.take(inc, block.cols - 1, axis=1, out=c_nodes, mode="clip")
+    c[:] = inc[:, -1]
 
 
 def _propagate(config, packet0, indices):
@@ -466,12 +498,15 @@ def _propagate(config, packet0, indices):
 
     The trajectories run in chunks of _CHUNK, whose noise streams live
     together, added into the sums in index order; a chunk runs in groups
-    of _GROUP.  The steps run in blocks of at most _STEP_BLOCK that end
-    at every stored step.  Each block's factors are taken once per chunk
-    (`_block_plan`); then at most `_cpu_count()` threads step the groups
-    through the block (`_advance`), each in one workspace of its own.
-    The stored nodes are read between blocks, over the whole chunk, so
-    the output bits do not depend on how many threads ran.
+    of _GROUP.  The steps run in blocks of _STEP_BLOCK steps, cut short
+    at a block's _NODE_BLOCK-th stored node and at the end of the run.
+    Each block's factors are taken once per chunk; then up to
+    `_cpu_count()` threads step the groups through it (`_advance`), each
+    in one workspace of its own, and write b and c at the block's nodes.
+    The nodes are read after the block, over the whole chunk and
+    _READ_NODES at a time, so the output bits do not depend on how many
+    threads ran.  A trajectory that fails at a node is dropped there and
+    restarts from b = c = 0 at the end of the block.
     """
     t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
                                        config.store_every)
@@ -480,36 +515,40 @@ def _propagate(config, packet0, indices):
     s = _width_path(r, packet0[0], h, n_steps)
     root = _noise_root(config, h)
     h_rho, c_kick = h * rho, -1j * k
-    keep = stored.tolist()
 
+    # each block's steps [lo, hi) and stored nodes [node, last)
     size, width = min(_GROUP, indices.size), min(_STEP_BLOCK, n_steps)
+    spans, lo, node = [], 0, 1
+    while lo < n_steps:
+        hi = min(lo + width, n_steps)
+        last = int(np.searchsorted(stored, hi, side="right"))
+        if last - node > _NODE_BLOCK:
+            last = node + _NODE_BLOCK
+            hi = int(stored[last - 1])
+        spans.append((lo, hi, node, last))
+        lo, node = hi, last
+
+    def blocks():
+        """The blocks of the run, in order."""
+        for lo, hi, node, last in spans:
+            s_n = s[lo:hi]
+            segments, q, w = _block_plan(
+                1.0 + h * (0.5 * r[1] + r[2] * s_n), -1j * (l0 + l1 * s_n))
+            rows = [t[:size * s_n.size].reshape(size, -1) for t in tiles]
+            for row, x in zip(rows, (q, w, h * (nu0 + nu1 * s_n))):
+                row[...] = x
+            yield _Block(hi - lo, segments, *rows, stored[node:last] - lo,
+                         np.arange(node, last))
+
     n_workers = min(_cpu_count(),
                     math.ceil(min(_CHUNK, indices.size) / _GROUP))
     workspaces = [(np.empty(2 * size * width), np.empty(2 * size * width),
-                   np.empty((size, 1, 2), dtype=complex),
-                   np.empty(size, dtype=complex)) for _ in range(n_workers)]
-    # q and w of a block, one row per trajectory of a group, so that each
-    # product of `_advance` is between arrays of one shape and needs no
-    # scratch buffer
-    tiles = np.empty((2, size * width), dtype=complex)
-
-    def plans():
-        """Each block's step count, plan, and the index of the node
-        stored at its end, if one is."""
-        lo = 0
-        for node_idx, stop in enumerate(keep[1:], 1):
-            while lo < stop:
-                hi = min(lo + width, stop)
-                s_n = s[lo:hi]
-                segments, q, w = _block_plan(
-                    1.0 + h * (0.5 * r[1] + r[2] * s_n),
-                    -1j * (l0 + l1 * s_n), h * (nu0 + nu1 * s_n))
-                q_rows, w_rows = (t[:size * q.size].reshape(size, -1)
-                                  for t in tiles)
-                q_rows[...], w_rows[...] = q, w
-                yield hi - lo, (segments, q_rows, w_rows), \
-                    node_idx if hi == stop else None
-                lo = hi
+                   np.empty(2 * size * width), np.empty(size, dtype=complex))
+                  for _ in range(n_workers)]
+    tiles = np.empty((3, size * width), dtype=complex)
+    max_nodes = max(last - node for _, _, node, last in spans)
+    node_buffers = [np.empty(min(_CHUNK, indices.size) * max_nodes,
+                             dtype=complex) for _ in range(2)]
 
     sums = np.zeros((stored.size, len(OBSERVABLES)))
     sumsqs = np.zeros_like(sums)
@@ -525,29 +564,45 @@ def _propagate(config, packet0, indices):
         alive = np.ones(chunk.size, dtype=bool)
         groups = [slice(j, j + _GROUP) for j in range(0, chunk.size, _GROUP)]
 
-        def record(node_idx):  # of the current chunk
-            vals, log_norm2 = _read_packets(s[keep[node_idx]], b, c, hbar)
+        def record(nodes, b_nodes, c_nodes):  # of the current chunk
+            """Add the packets at `nodes`, b and c (nodes, trajectories),
+            to the sums; a trajectory that fails at a node is dropped
+            there."""
+            vals, log_norm2 = _read_packets(s[stored[nodes], None], b_nodes,
+                                            c_nodes, hbar)
             ok = (log_norm2 <= _LOG_NORM_LIMIT) & np.isfinite(vals).all(axis=0)
-            newly_dead = alive & ~ok
+            live = np.logical_and.accumulate(ok, axis=0)
+            live &= alive
+            newly_dead = alive & ~live[-1]
             if np.any(newly_dead):
                 failed.extend(int(i) for i in chunk[newly_dead])
                 b[newly_dead] = c[newly_dead] = 0.0
                 alive[newly_dead] = False
-            sums[node_idx] += vals[:, alive].sum(axis=1)
-            sumsqs[node_idx] += (vals[:, alive] ** 2).sum(axis=1)
-            alive_counts[node_idx] += int(alive.sum())
+            # (trajectories, observables, nodes), so that the sums run
+            # over the trajectories one after another, as a node's did
+            vals = np.where(live, vals, 0.0).transpose(2, 0, 1).copy()
+            sums[nodes] += vals.sum(axis=0).T
+            sumsqs[nodes] += (vals ** 2).sum(axis=0).T
+            alive_counts[nodes] += live.sum(axis=1)
 
-        def work(t, m, plan):
-            for sl in groups[t::n_workers]:
-                _advance(streams[sl], root, b[sl], c[sl], workspaces[t], m,
-                         plan, h_rho, c_kick)
+        n_threads = min(n_workers, len(groups))
 
-        record(0)
-        for m, plan, node_idx in plans():
-            _run_threads([functools.partial(work, t, m, plan)
-                          for t in range(min(n_workers, len(groups)))])
-            if node_idx is not None:
-                record(node_idx)
+        def work(t, block, b_nodes, c_nodes):
+            for sl in groups[t::n_threads]:
+                _advance(streams[sl], root, b[sl], c[sl], workspaces[t],
+                         block, h_rho, c_kick, b_nodes[sl], c_nodes[sl])
+
+        record(np.zeros(1, dtype=int), b[None], c[None])
+        for block in blocks():
+            b_nodes, c_nodes = (x[:chunk.size * block.nodes.size].reshape(
+                chunk.size, -1) for x in node_buffers)
+            _run_threads([functools.partial(work, t, block, b_nodes, c_nodes)
+                          for t in range(n_threads)])
+            for j in range(0, block.nodes.size, _READ_NODES):
+                part = slice(j, j + _READ_NODES)
+                record(block.nodes[part],
+                       *(np.ascontiguousarray(x[:, part].T)
+                         for x in (b_nodes, c_nodes)))
     return t0 + h * stored, sums, sumsqs, alive_counts, sorted(failed)
 
 

@@ -437,14 +437,34 @@ def assert_matches_per_step(monkeypatch, config, state0, rtol, axis=0):
     ("qp", 0.3, 0.0)], ids=["ccl", "ccl-complex-S", "jz", "qp"])
 def test_block_stepping_matches_the_per_step_recurrence(
         monkeypatch, variant, mu, s_frac):
-    # 1,500 steps stored every 700: blocks of 512, 188, 512, 188 and 100
-    # steps; 600 trajectories: a chunk and a ragged one
+    # 1,500 steps stored every 700: blocks of 512, 512 and 476 steps, the
+    # first two nodes inside a block; 600 trajectories: a chunk and a
+    # ragged one
     config = SSEConfig(_spec(variant, 0.05, 2.0, mu=mu), dt=2e-3,
                        t_span=(0.0, 3.0), store_every=700, n_traj=600,
                        seed=5)
     config = replace(config, S_scalar=s_frac * config.D_scalar)
     assert_matches_per_step(monkeypatch, config,
                             ground_state_moments(SYS, mean_q=0.4), 1e-13)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma, T, dt, t1, store_every", [
+    (0.05, 2.0, 1e-2, 3.0, 1), (0.05, 2.0, 1e-2, 3.0, 7),
+    (8.0, 1.0, 0.2, 5.0, 1)], ids=["every-step", "every-7th", "dropped"])
+def test_stored_nodes_inside_blocks_match_the_per_step_recurrence(
+        monkeypatch, gamma, T, dt, t1, store_every):
+    # 300 steps stored at every step are blocks of 128, 128 and 44 steps,
+    # each ending at its _NODE_BLOCK-th node; stored every 7th, one block
+    # of 300 with 43 nodes inside.  The JZ run drops trajectory 3 at a
+    # node inside its one block of 25 steps: it is dropped from that node
+    # on, as in the recurrence, which restarts it from zero there
+    assert stochastic._NODE_BLOCK == 128
+    config = SSEConfig(_spec("jz", gamma, T), dt=dt, t_span=(0.0, t1),
+                       store_every=store_every, n_traj=200, seed=2)
+    assert_matches_per_step(monkeypatch, config,
+                            ground_state_moments(SYS, mean_q=np.sqrt(2.0)),
+                            1e-13)
 
 
 def _doctored_widths(monkeypatch, steps, s_at):
@@ -477,7 +497,7 @@ def test_a_zero_growth_factor_restarts_b(monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_growth_products_that_would_underflow_are_cut(monkeypatch):
-    # |g| = 1e-3 over steps 201-330 of the block [200, 400): its running
+    # |g| = 1e-3 over steps 201-330 of the block [0, 400): its running
     # product would reach 1e-387, below the smallest double, so the block
     # is cut into segments whose products stay within 2^-256
     config = SSEConfig(_spec("jz", 0.05, 2.0), dt=0.25, t_span=(0.0, 100.0),
@@ -496,7 +516,7 @@ def test_growth_products_that_would_underflow_are_cut(monkeypatch):
 @pytest.mark.parametrize("s_frac", [0.0, 0.3 + 0.4j])
 def test_noise_layout_keeps_the_seeded_ensemble_bit_for_bit(
         monkeypatch, s_frac):
-    # 701 steps stored every 600 are blocks of 512, 88 and 101 steps; 600
+    # 701 steps stored every 600 are blocks of 512 and 189 steps; 600
     # trajectories are a full chunk and one of 88, whose last group holds
     # 24; two threads step the groups
     config = SSEConfig(_spec("ccl", 0.0625, 2.0), dt=1e-2,
