@@ -8,9 +8,13 @@ Since q and p are tridiagonal in the number basis, that right-hand side
 couples rho[m, n] only to rho[m + dl, n + dr] at nine offsets, and it is
 applied as that stencil: its coefficients are read off the bands of the
 dense operators of each of the generator's `units` and weighted by its
-`params`, as the moment ODE and the CP audit read it.  States step with
-the RK4 step of the moment ODE, under monitors for trace drift and
-truncation leakage.  Matrix elements
+`params`, as the moment ODE and the CP audit read it.  The nine offsets
+form the grid (dl, dr) = (u + v, u - v), u, v = -1, 0, 1, so their reads
+of the padded state are one strided (3, 3, .) view, and a right-hand side
+is one product with the stencil and one sum over the offsets, in that
+grid's row order (`_stencil_rhs`).  States step with the RK4 step of the
+moment ODE, in place and bit for bit (`_rk4_stepper`), under monitors for
+trace drift and truncation leakage.  Matrix elements
 use the oscillator length of the system frequency as the basis scale.
 States are read out through `dynamics.OBSERVABLES` and
 `dynamics.central_moments`, as the unraveling reads its packets.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import PhysicalConstants, _is_int
-from .dynamics import central_moments, rk4_stage_times, rk4_step, step_plan
+from .dynamics import central_moments, rk4_stage_times, step_plan
 
 _LEAK_THRESHOLD = 1e-6  # combined population of the top two levels
 _TRACE_RATE = 1e-8  # allowed trace drift per unit of omega_S t
@@ -165,9 +169,10 @@ def lindblad_operators(spec, dim):
 
 # (dl, dr) of each rho[m + dl, n + dr] that the right-hand side couples
 # to rho[m, n]: K rho reaches rows m + dl, rho K^dag columns n + dr, and
-# each F_j rho L_j both, one step each
-_OFFSETS = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2),
-            (-1, -1), (-1, 1), (1, -1), (1, 1))
+# each F_j rho L_j both, one step each.  They are the 3 x 3 grid
+# (dl, dr) = (u + v, u - v), u, v = -1, 0, 1, row by row, so that their
+# reads of a `_padded` buffer are one strided view (`_shifts`)
+_OFFSETS = tuple((u + v, u - v) for u in (-1, 0, 1) for v in (-1, 0, 1))
 
 
 def _band(A, d):
@@ -199,8 +204,9 @@ def _stencil(ops):
 
 def _padded(rho):
     """rho with two zero rows above and below and two zero columns on the
-    right, flattened: the layout in which `_stencil_rhs` shifts by a
-    constant offset, since a column off either edge lands in a zero column.
+    right, flattened: the layout in which each offset of `_OFFSETS` is a
+    shift by a constant number of elements (`_shifts`), since a column off
+    either edge lands in a zero column.
     """
     dim = rho.shape[0]
     y = np.zeros((dim + 4, dim + 2), dtype=complex)
@@ -213,26 +219,72 @@ def _interior(y, dim):
     return y.reshape(dim + 4, dim + 2)[2:dim + 2, :dim]
 
 
+def _shifts(y, dim):
+    """The nine reads rho[m + dl, n + dr] of `_OFFSETS` off the `_padded`
+    buffer y as one read-only (3, 3, dim (dim + 2)) view: offset (u, v)
+    starts (2 + dl) (dim + 2) + dr = (1 + u) (dim + 3) + (1 + v) (dim + 1)
+    elements in, so the view spans y[0] to y[y.size - 1] and no further.
+    """
+    width = dim + 2
+    step = y.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        y, shape=(3, 3, dim * width),
+        strides=((width + 1) * step, (width - 1) * step, step),
+        writeable=False)
+
+
 def _stencil_rhs(dim):
-    """rhs(y, C) = sum_o C_o o shift_o(rho) for rho held `_padded` in y and
-    a `_stencil` C, returned in the layout of y: nine multiply-adds over
-    contiguous slices.  The zero columns of C keep the result's padding zero.
+    """rhs(shifts, C, out) = sum_o C_o o shift_o(rho) for rho held
+    `_padded` in a buffer whose `_shifts` view is `shifts` and a `_stencil`
+    C, written into `out`, of the layout of y, and returned: one product
+    into a reused (3, 3, size) buffer and one sum over the offsets, in
+    `_OFFSETS` order.  It writes the rows of rho only; the zero columns of
+    C keep their padding zero, and out's other rows are left as they are.
     """
     width = dim + 2
     size = dim * width
-    starts = [(2 + dl) * width + dr for dl, dr in _OFFSETS]
-    tmp = np.empty(size, dtype=complex)
+    prod = np.empty((3, 3, size), dtype=complex)
 
-    def rhs(y, C):
-        C = C.reshape(len(_OFFSETS), size)
-        out = np.zeros(y.size, dtype=complex)
-        acc = out[starts[0]:starts[0] + size]
-        np.multiply(C[0], y[starts[0]:starts[0] + size], out=acc)
-        for c, start in zip(C[1:], starts[1:]):
-            acc += np.multiply(c, y[start:start + size], out=tmp)
+    def rhs(shifts, C, out):
+        np.multiply(C.reshape(3, 3, size), shifts, out=prod)
+        np.add.reduce(prod.reshape(9, size), axis=0,
+                      out=out[2 * width:2 * width + size])
         return out
 
     return rhs
+
+
+def _rk4_stepper(y, dim):
+    """step(stencils, h): one `dynamics.rk4_step` of the `_stencil_rhs`
+    with stencils[s] at stage s, applied to the `_padded` buffer y in
+    place.  Its stages and final combination run operation for operation
+    as `rk4_step`'s (k1 + 2 k2 + 2 k3 + k4 summed in that order as the
+    stages come), so the result is the same bit for bit, in three buffers
+    and the two `_shifts` views of y and of the stage input, taken once.
+    """
+    rhs = _stencil_rhs(dim)
+    z, acc, k = (np.zeros_like(y) for _ in range(3))
+    y_shifts, z_shifts = _shifts(y, dim), _shifts(z, dim)
+
+    def stage(slope, factor):
+        """z = y + factor slope, the next stage's input."""
+        np.multiply(slope, factor, out=z)
+        np.add(z, y, out=z)
+
+    def step(stencils, h):
+        rhs(y_shifts, stencils[0], acc)  # k1
+        stage(acc, 0.5 * h)
+        for factor in (0.5 * h, h):  # k2, k3
+            rhs(z_shifts, stencils[1], k)
+            stage(k, factor)
+            np.multiply(k, 2.0, out=k)
+            np.add(acc, k, out=acc)
+        rhs(z_shifts, stencils[2], k)  # k4
+        np.add(acc, k, out=acc)
+        np.multiply(acc, h / 6.0, out=acc)
+        np.add(y, acc, out=y)
+
+    return step
 
 
 @dataclass
@@ -253,7 +305,9 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     right-hand side is applied as the nine-offset stencil of
     `_stencil_rhs`, linear in (G, a): one stencil per unit of the
     generator, weighted by `params` at every stage time (once for a
-    constant generator).  rho0 must be finite, of dimension 2 or more.
+    constant generator).  Each step is `_rk4_stepper`'s, in place in
+    buffers allocated once per call, bit for bit `dynamics.rk4_step`.
+    rho0 must be finite, of dimension 2 or more.
     """
     rho = np.array(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
@@ -273,7 +327,7 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     theta = gen.params(rk4_stage_times(t0, h, 0, n_steps))
     stencils = [theta[k] @ basis for k in range(3)]
     tabulated = gen.grid is not None
-    rhs = _stencil_rhs(dim)
+    step = _rk4_stepper(y, dim)
 
     rows, traces, tops = [], [], []
     first_leak = None
@@ -296,7 +350,7 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
         if i and tabulated:  # step i's first stage is step i - 1's last
             stencils = [stencils[2], theta[2 * i + 1] @ basis,
                         theta[2 * i + 2] @ basis]
-        y = rk4_step(lambda s, r: rhs(r, stencils[s]), y, h)
+        step(stencils, h)
         if i + 1 in keep:
             observe(_interior(y, dim))
 

@@ -9,6 +9,8 @@ a file written here reproduces the arrays bit-for-bit.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +68,22 @@ class CsvTable:
         return self.data[column]
 
 
+def _open_new(path):
+    """`path` opened for writing as a new file.  A regular file or a
+    symlink there is removed first, so a rewrite does not truncate the old
+    file, which on some filesystems (ext4) waits for the previous write's
+    data to reach the disk, and a symlink is replaced, not written
+    through; anything else there (a device, a pipe) is opened as it is.
+    """
+    try:
+        mode = os.lstat(path).st_mode
+        if stat.S_ISREG(mode) or stat.S_ISLNK(mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_csv(path, table):
     """Write a CsvTable; the first line is '# qbmlab <version> k=v ...'
     with this writer's version, so a `tool_version` key is not written."""
@@ -77,7 +95,7 @@ def write_csv(path, table):
     meta = "".join(f" {k}={v}" for k, v in sorted(entries.items()))
     row = ",".join(["%.17g"] * len(table.columns)) + "\n"
     rows = zip(*(table.data[c].tolist() for c in table.columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_new(path) as fh:
         fh.write(f"# {_TOOL} {__version__}{meta}\n"
                  + ",".join(table.columns) + "\n"
                  + "".join(row % values for values in rows))
@@ -169,7 +187,7 @@ def ensemble_table(result, meta=None):
 
 
 def write_json(path, payload):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_new(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -33,14 +33,18 @@ _NODE_BLOCK-th stored node or the end of the run, so a block is long
 however close the stored steps are (`_propagate`).  Inside a block, b's
 recurrence is a cumulative sum scaled by cumulative products of the
 growth factors, which are shared by every trajectory and taken once per
-block (`_block_plan`), and c's increments are added up by one cumulative
-sum.  A group's draws (`_noise_block`) and its block arithmetic are
-whole-array numpy calls that release the interpreter lock, so up to one
-thread per CPU steps the groups through a block (`_advance`), each in a
-workspace allocated once per run.  b and c at the block's stored nodes
-are read after it over the whole chunk, so the output bits do not depend
-on how many threads ran.  A trajectory dropped at a node keeps stepping
-to the end of its block, and restarts from b = c = 0 there.
+block (`_block_plan`).  c's increments are summed over each run of steps
+that ends at a stored node or at the block's end (`np.add.reduceat`; where
+every step is stored, each step is a run), and only those run sums are
+added up, by one cumulative sum: c is read nowhere else.  A group's draws
+(`_noise_block`) and its block arithmetic are whole-array numpy calls
+that release the interpreter lock, so up to one thread per CPU steps the
+groups through a block (`_advance`), each in a workspace allocated once
+per run.  b and c at the block's stored nodes are read after it over the
+whole chunk, so the output bits do not depend on how many threads ran.
+A trajectory dropped at a node keeps stepping to the end of its block,
+and restarts from b = c = 0 there with its noise zeroed: its b stays 0
+and its c gains only the drift that every trajectory shares.
 
 Colored noise: `sample_colored_noise` draws stationary complex Gaussian
 paths with prescribed correlation E[z_i conj(z_j)] = D_ij and pseudo
@@ -435,7 +439,9 @@ class _Block:
     """One block of m steps and what every trajectory shares in it: b's
     segments and factors q and w (`_block_plan`), c's drift, each tiled
     to one row per trajectory of a group, the block-relative steps `cols`
-    of its stored nodes and their indices `nodes` into the stored steps.
+    of its stored nodes, their indices `nodes` into the stored steps, and
+    the first steps `runs` of the runs of steps that end at a stored node
+    or at the block's end, or None where every step is stored.
     """
 
     m: int
@@ -445,25 +451,32 @@ class _Block:
     drift: np.ndarray
     cols: np.ndarray
     nodes: np.ndarray
+    runs: np.ndarray | None
 
 
-def _advance(streams, root, b, c, workspace, block, h_rho, c_kick,
+def _advance(streams, alive, root, b, c, workspace, block, h_rho, c_kick,
              b_nodes, c_nodes):
     """Step the trajectories of `streams`, at b and c, through `block` in
     `workspace`, and put their b and c at its stored nodes in b_nodes and
-    c_nodes, (trajectories, nodes).
+    c_nodes, (trajectories, nodes).  A trajectory not `alive` draws its
+    noise but steps with dW = 0.
 
     b after each step fills `after`, segment by segment.  c's increments
-    (h rho b + c_kick dW) b + drift, with b before each step, are added
-    to c by one cumulative sum, in the order of the per-step recurrence
-    c <- c + increment.  Every product is between contiguous arrays of
-    one shape, so none needs a scratch buffer.
+    (h rho b + c_kick dW) b + drift, with b before each step, are summed
+    over each of the block's `runs` of steps (`np.add.reduceat`), and
+    those sums added to c in order by one cumulative sum, which gives c at
+    the end of every run: at each stored node and at the block's end.
+    Where every step is stored, the increments are the runs.  Every
+    product is between contiguous arrays of one shape, so none needs a
+    scratch buffer.
     """
     n, m = len(streams), block.m
     draws, pairs, after = (x[:2 * n * m] for x in workspace[:3])
     tmp = workspace[3][:n]
     dw = _noise_block(streams, root, draws.reshape(n, m, 2),
                       pairs.reshape(n, m, 2))
+    if not alive.all():
+        dw[~alive] = 0.0
     after = after.view(complex).reshape(n, m)
     q, w, drift = (x[:n] for x in (block.q, block.w, block.drift))
     for a, e, g_a in block.segments:
@@ -485,11 +498,14 @@ def _advance(streams, root, b, c, workspace, block, h_rho, c_kick,
     inc += dw
     inc *= before
     inc += drift
-    inc[:, 0] += c
-    np.cumsum(inc, axis=1, out=inc)  # c after 1, ..., m steps
-    if block.cols.size:
-        np.take(inc, block.cols - 1, axis=1, out=c_nodes, mode="clip")
-    c[:] = inc[:, -1]
+    runs = inc
+    if block.runs is not None:  # in `before`'s place, which is spent
+        runs = draws.view(complex)[:n * block.runs.size].reshape(n, -1)
+        np.add.reduceat(inc, block.runs, axis=1, out=runs)
+    runs[:, 0] += c
+    np.cumsum(runs, axis=1, out=runs)  # c at the end of each run
+    c_nodes[...] = runs[:, :block.cols.size]
+    c[:] = runs[:, -1]
 
 
 def _propagate(config, packet0, indices):
@@ -506,7 +522,8 @@ def _propagate(config, packet0, indices):
     The nodes are read after the block, over the whole chunk and
     _READ_NODES at a time, so the output bits do not depend on how many
     threads ran.  A trajectory that fails at a node is dropped there and
-    restarts from b = c = 0 at the end of the block.
+    restarts from b = c = 0 at the end of the block, stepped from then on
+    with dW = 0.
     """
     t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
                                        config.store_every)
@@ -537,8 +554,11 @@ def _propagate(config, packet0, indices):
             rows = [t[:size * s_n.size].reshape(size, -1) for t in tiles]
             for row, x in zip(rows, (q, w, h * (nu0 + nu1 * s_n))):
                 row[...] = x
-            yield _Block(hi - lo, segments, *rows, stored[node:last] - lo,
-                         np.arange(node, last))
+            cols = stored[node:last] - lo
+            runs = None if cols.size == hi - lo \
+                else np.concatenate(([0], cols[cols < hi - lo]))
+            yield _Block(hi - lo, segments, *rows, cols,
+                         np.arange(node, last), runs)
 
     n_workers = min(_cpu_count(),
                     math.ceil(min(_CHUNK, indices.size) / _GROUP))
@@ -589,8 +609,9 @@ def _propagate(config, packet0, indices):
 
         def work(t, block, b_nodes, c_nodes):
             for sl in groups[t::n_threads]:
-                _advance(streams[sl], root, b[sl], c[sl], workspaces[t],
-                         block, h_rho, c_kick, b_nodes[sl], c_nodes[sl])
+                _advance(streams[sl], alive[sl], root, b[sl], c[sl],
+                         workspaces[t], block, h_rho, c_kick, b_nodes[sl],
+                         c_nodes[sl])
 
         record(np.zeros(1, dtype=int), b[None], c[None])
         for block in blocks():

@@ -197,8 +197,9 @@ def stencil_against_dense(spec, dim, times, seed=5):
     theta = gen.params(np.asarray(times))
     G, a = gen.at(np.asarray(times))
     rhs = fock._stencil_rhs(dim)
+    y = fock._padded(rho)
     for k in range(len(times)):
-        out = rhs(fock._padded(rho), theta[k] @ basis)
+        out = rhs(fock._shifts(y, dim), theta[k] @ basis, np.zeros_like(y))
         # the padding stays zero, so RK4 combinations of it do as well
         pad = out.reshape(dim + 4, dim + 2).copy()
         pad[2:dim + 2, :dim] = 0.0
@@ -217,6 +218,63 @@ def test_stencil_rhs_matches_dense_products(variant, dim):
     times = [0.0, 0.37, 0.8125, 1.5] if variant == "hpz" else [0.0]
     for got, dense in stencil_against_dense(spec, dim, times):
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 12, 40])
+def test_shifted_reads_are_one_strided_view(dim):
+    # every entry of the buffer, padding included, is distinct, so a view
+    # that read one element off would differ from the slices
+    assert sorted(fock._OFFSETS) == sorted(
+        [(0, 0), (-2, 0), (2, 0), (0, -2), (0, 2),
+         (-1, -1), (-1, 1), (1, -1), (1, 1)])
+    width, size = dim + 2, dim * (dim + 2)
+    rng = np.random.default_rng(dim)
+    y = rng.standard_normal((dim + 4) * width) \
+        + 1j * rng.standard_normal((dim + 4) * width)
+    view = fock._shifts(y, dim)
+    slices = np.stack([y[(2 + dl) * width + dr:(2 + dl) * width + dr + size]
+                       for dl, dr in fock._OFFSETS])
+    assert view.shape == (3, 3, size)
+    assert view.tobytes() == slices.tobytes()
+    # its first and last elements are y[0] and y[-1], in memory
+    first = view.__array_interface__["data"][0]
+    last = first + sum((n - 1) * st for n, st in zip(view.shape, view.strides))
+    assert first == y.__array_interface__["data"][0]
+    assert last == y[-1:].__array_interface__["data"][0]
+    assert not view.flags.writeable
+
+
+def _stage_stencils(spec, dim, t0, h, n_steps):
+    """The stencils of each step's three stages, as `fock_propagate`
+    weights them."""
+    _, operators = fock.lindblad_operators(spec, dim)
+    gen = spec.generator
+    basis = np.stack([fock._stencil(operators(*u)) for u in zip(*gen.units)])
+    theta = gen.params(rk4_stage_times(t0, h, 0, n_steps))
+    return [[theta[2 * i + s] @ basis for s in range(3)]
+            for i in range(n_steps)]
+
+
+@pytest.mark.parametrize("variant", sorted(STENCIL_SPECS))
+@pytest.mark.parametrize("dim", [2, 12, 40])
+def test_in_place_rk4_step_is_rk4_step(variant, dim):
+    # hpz's stencils differ at every stage time; three steps reuse the
+    # stepper's buffers and views
+    h = 0.05
+    spec = STENCIL_SPECS[variant]()
+    stencils = _stage_stencils(spec, dim, 0.3, h, 3)
+    rng = np.random.default_rng(dim)
+    y = fock._padded(rng.standard_normal((dim, dim))
+                     + 1j * rng.standard_normal((dim, dim)))
+    rhs = fock._stencil_rhs(dim)
+    want = y.copy()
+    step = fock._rk4_stepper(y, dim)
+    for per_stage in stencils:
+        want = dynamics.rk4_step(
+            lambda s, r: rhs(fock._shifts(r, dim), per_stage[s],
+                             np.zeros_like(r)), want, h)
+        step(per_stage, h)
+        assert y.tobytes() == want.tobytes()
 
 
 def test_fock_propagate_rejects_bad_rho0():

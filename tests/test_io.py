@@ -1,5 +1,6 @@
 """CSV artifacts: round trips, provenance headers, and run comparison."""
 
+import os
 import pathlib
 
 import numpy as np
@@ -51,6 +52,36 @@ def test_csv_bytes_are_pinned(tmp_path):
     back = io.read_csv(path)
     assert np.array_equal(back["x"], table["x"], equal_nan=True)
     assert back["y"].tobytes() == table["y"].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["csv", "json"])
+def test_a_rewrite_creates_a_new_file(tmp_path, kind):
+    # the old file is removed, not truncated: a reader still holding it
+    # reads the first content, and a symlink at the path is replaced
+    # with the target left as it was
+    path = tmp_path / f"artifact.{kind}"
+
+    def write(x):
+        if kind == "csv":
+            io.write_csv(path, io.CsvTable(columns=("t",), data={"t": [x]}))
+        else:
+            io.write_json(path, {"t": x})
+
+    write(1.0)
+    first = path.read_text()
+    with open(path, encoding="utf-8") as held:
+        write(2.0)
+        assert held.read() == first
+        assert os.fstat(held.fileno()).st_ino != path.stat().st_ino
+    second = path.read_text()
+    assert second != first and "2" in second
+    target = tmp_path / "target"
+    target.write_text("kept")
+    path.unlink()
+    path.symlink_to(target)
+    write(2.0)
+    assert not path.is_symlink() and path.read_text() == second
+    assert target.read_text() == "kept"
 
 
 def test_csv_table_validation():

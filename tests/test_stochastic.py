@@ -451,15 +451,24 @@ def test_block_stepping_matches_the_per_step_recurrence(
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("gamma, T, dt, t1, store_every", [
     (0.05, 2.0, 1e-2, 3.0, 1), (0.05, 2.0, 1e-2, 3.0, 7),
-    (8.0, 1.0, 0.2, 5.0, 1)], ids=["every-step", "every-7th", "dropped"])
+    (8.0, 1.0, 0.2, 5.0, 1), (0.05, 2.0, 1e-2, 11.0, 513),
+    (0.05, 2.0, 1e-2, 10.24, 256), (0.05, 2.0, 1e-2, 10.24, 512)],
+    ids=["every-step", "every-7th", "dropped", "first-step", "last-step",
+         "end-only"])
 def test_stored_nodes_inside_blocks_match_the_per_step_recurrence(
         monkeypatch, gamma, T, dt, t1, store_every):
     # 300 steps stored at every step are blocks of 128, 128 and 44 steps,
     # each ending at its _NODE_BLOCK-th node; stored every 7th, one block
     # of 300 with 43 nodes inside.  The JZ run drops trajectory 3 at a
     # node inside its one block of 25 steps: it is dropped from that node
-    # on, as in the recurrence, which restarts it from zero there
+    # on, as in the recurrence, which restarts it from zero there.  c's
+    # runs between nodes: 1,100 steps stored every 513th put a node on
+    # the first step of the block [512, 1024), whose second run ends at
+    # the block's end with no node; 1,024 steps stored every 256th end
+    # each block of 512 on a node after one inside it; stored every 512th,
+    # each block's one run ends at its one node, its end
     assert stochastic._NODE_BLOCK == 128
+    assert stochastic._STEP_BLOCK == 512
     config = SSEConfig(_spec("jz", gamma, T), dt=dt, t_span=(0.0, t1),
                        store_every=store_every, n_traj=200, seed=2)
     assert_matches_per_step(monkeypatch, config,
@@ -830,6 +839,20 @@ def test_diverging_trajectories_raise_numerical_failure():
     path = sse_trajectory(config, state0)
     assert path.aborted
     assert np.all(np.isnan(path.observables[-1]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_dropped_trajectory_steps_without_noise():
+    # the run above stored at every step over 250 time units: the
+    # trajectory is dropped at a node, and stepped on with its noise from
+    # b = c = 0 it would run away again and overflow inside a later block
+    config = SSEConfig(_spec("jz", 12.5, 1.0), dt=0.5,
+                       t_span=(0.0, 250.0), store_every=1, n_traj=1, seed=2)
+    state0 = ground_state_moments(SYS, mean_q=np.sqrt(2.0))
+    with pytest.warns(EnsembleHealthWarning):
+        with pytest.raises(NumericalFailure, match="diverged"):
+            ensemble_run(config, state0)
+    assert sse_trajectory(config, state0).aborted
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
