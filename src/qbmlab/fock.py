@@ -11,11 +11,11 @@ dense operators of each of the generator's `units` and weighted by its
 `params`, as the moment ODE and the CP audit read it.  The nine offsets
 form the grid (dl, dr) = (u + v, u - v), u, v = -1, 0, 1, so their reads
 of the padded state are one strided (3, 3, .) view, and a right-hand side
-is one product with the stencil and one sum over the offsets, in that
-grid's row order (`_stencil_rhs`).  States step with the RK4 step of the
-moment ODE, in place and bit for bit (`_rk4_stepper`), under monitors for
-trace drift and truncation leakage.  Matrix elements
-use the oscillator length of the system frequency as the basis scale.
+is one product with the stencil, summed over the offsets by one BLAS
+product (`_stencil_rhs`).  States step with the RK4 step of the moment
+ODE, in place on the rows of rho and bit for bit (`_rk4_stepper`), under
+monitors for trace drift, truncation leakage and non-finite states.
+Matrix elements use the oscillator length of omega_S as the basis scale.
 States are read out through `dynamics.OBSERVABLES` and
 `dynamics.central_moments`, as the unraveling reads its packets.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import PhysicalConstants, _is_int
+from .bath import NumericalFailure, PhysicalConstants, _is_int
 from .dynamics import central_moments, rk4_stage_times, step_plan
 
 _LEAK_THRESHOLD = 1e-6  # combined population of the top two levels
@@ -234,21 +234,23 @@ def _shifts(y, dim):
 
 
 def _stencil_rhs(dim):
-    """rhs(shifts, C, out) = sum_o C_o o shift_o(rho) for rho held
-    `_padded` in a buffer whose `_shifts` view is `shifts` and a `_stencil`
-    C, written into `out`, of the layout of y, and returned: one product
-    into a reused (3, 3, size) buffer and one sum over the offsets, in
-    `_OFFSETS` order.  It writes the rows of rho only; the zero columns of
-    C keep their padding zero, and out's other rows are left as they are.
-    """
+    """rhs(shifts, C, out, rows=None) = sum_o C_o o shift_o(rho) for rho
+    held `_padded` in a buffer whose `_shifts` view is `shifts` and a
+    `_stencil` C: one product into a reused (3, 3, size) buffer, summed
+    over the offsets by one BLAS product (ones(9) times its real view) into
+    `rows`, a float view of rows of rho, by default those of `out`, of y's
+    layout, and `out` is returned.  The zero columns of C keep the padding
+    columns zero; out's other rows are left as they are."""
     width = dim + 2
     size = dim * width
     prod = np.empty((3, 3, size), dtype=complex)
+    ones, terms = np.ones(9), prod.reshape(9, size).view(float)
 
-    def rhs(shifts, C, out):
+    def rhs(shifts, C, out, rows=None):
         np.multiply(C.reshape(3, 3, size), shifts, out=prod)
-        np.add.reduce(prod.reshape(9, size), axis=0,
-                      out=out[2 * width:2 * width + size])
+        if rows is None:
+            rows = out[2 * width:2 * width + size].view(float)
+        np.matmul(ones, terms, out=rows)
         return out
 
     return rhs
@@ -259,27 +261,26 @@ def _rk4_stepper(y, dim):
     with stencils[s] at stage s, applied to the `_padded` buffer y in
     place.  Its stages and final combination run operation for operation
     as `rk4_step`'s (k1 + 2 k2 + 2 k3 + k4 summed in that order as the
-    stages come), so the result is the same bit for bit, in three buffers
-    and the two `_shifts` views of y and of the stage input, taken once.
-    """
+    stages come) on the rows of rho only, so the result is the same bit
+    for bit; every buffer, row and `_shifts` view is taken once."""
     rhs = _stencil_rhs(dim)
-    z, acc, k = (np.zeros_like(y) for _ in range(3))
+    z = np.zeros_like(y)
     y_shifts, z_shifts = _shifts(y, dim), _shifts(z, dim)
-
-    def stage(slope, factor):
-        """z = y + factor slope, the next stage's input."""
-        np.multiply(slope, factor, out=z)
-        np.add(z, y, out=z)
+    y, z = (b[2 * (dim + 2):(dim + 2) ** 2] for b in (y, z))  # rho's rows
+    acc_f, k_f = np.empty((2, 2 * y.size))
+    acc, k = acc_f.view(complex), k_f.view(complex)
 
     def step(stencils, h):
-        rhs(y_shifts, stencils[0], acc)  # k1
-        stage(acc, 0.5 * h)
+        rhs(y_shifts, stencils[0], acc, acc_f)  # k1
+        np.multiply(acc, 0.5 * h, out=z)
+        np.add(z, y, out=z)
         for factor in (0.5 * h, h):  # k2, k3
-            rhs(z_shifts, stencils[1], k)
-            stage(k, factor)
+            rhs(z_shifts, stencils[1], k, k_f)
+            np.multiply(k, factor, out=z)
+            np.add(z, y, out=z)
             np.multiply(k, 2.0, out=k)
             np.add(acc, k, out=acc)
-        rhs(z_shifts, stencils[2], k)  # k4
+        rhs(z_shifts, stencils[2], k, k_f)  # k4
         np.add(acc, k, out=acc)
         np.multiply(acc, h / 6.0, out=acc)
         np.add(y, acc, out=y)
@@ -305,9 +306,10 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     right-hand side is applied as the nine-offset stencil of
     `_stencil_rhs`, linear in (G, a): one stencil per unit of the
     generator, weighted by `params` at every stage time (once for a
-    constant generator).  Each step is `_rk4_stepper`'s, in place in
-    buffers allocated once per call, bit for bit `dynamics.rk4_step`.
-    rho0 must be finite, of dimension 2 or more.
+    constant generator), and stepped by `_rk4_stepper`.  rho0 must be
+    finite, of dimension 2 or more.  A stored state whose moments are not
+    finite raises NumericalFailure with its time, the overflow and invalid
+    warnings up to it suppressed as `integrate_moments` suppresses them.
     """
     rho = np.array(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
@@ -336,6 +338,8 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
         nonlocal first_leak
         t_now = float(times[len(rows)])
         rows.append(_read(rho_now, obs))
+        if not np.isfinite(rows[-1]).all():  # and so is every later one
+            raise NumericalFailure(f"non-finite state at t = {t_now:.6g}")
         traces.append(float(np.trace(rho_now).real))
         top = float(rho_now[-1, -1].real + rho_now[-2, -2].real)
         tops.append(top)
@@ -344,15 +348,16 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
             warnings.warn(f"truncation leakage {top:.3e} at t = {t_now:.6g} "
                           f"(dim = {dim})", TruncationWarning, stacklevel=3)
 
-    observe(rho)
     keep = set(stored.tolist())
-    for i in range(n_steps):
-        if i and tabulated:  # step i's first stage is step i - 1's last
-            stencils = [stencils[2], theta[2 * i + 1] @ basis,
-                        theta[2 * i + 2] @ basis]
-        step(stencils, h)
-        if i + 1 in keep:
-            observe(_interior(y, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        observe(rho)
+        for i in range(n_steps):
+            if i and tabulated:  # step i's first stage is step i - 1's last
+                stencils = [stencils[2], theta[2 * i + 1] @ basis,
+                            theta[2 * i + 2] @ basis]
+            step(stencils, h)
+            if i + 1 in keep:
+                observe(_interior(y, dim))
 
     traces = np.array(traces)
     drift = np.max(np.abs(traces - traces[0]))

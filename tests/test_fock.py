@@ -291,6 +291,27 @@ def test_fock_propagate_rejects_bad_rho0():
         fock.fock_propagate(spec, rho0, (0.0, 0.1), 1e-2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("store_every", [1, 7])
+def test_a_diverging_run_raises_numerical_failure(store_every):
+    # dt = 0.2 is beyond RK4's stability bound for the top levels of a
+    # dim-40 CCL stencil: rho grows about 1e4.5-fold per step, its second
+    # moments overflow at t = 8.4 (7e300 at t = 8.2) and rho turns NaN
+    # later; the moment ODE of the same spec stays finite
+    spec = MasterEquationSpec("ccl", SYS, gamma=0.15, T=2.0)
+    rho0 = coherent_density(40, fock.alpha_from_moments(SYS, 0.6, 0.4))
+    with warnings.catch_warnings(), \
+            pytest.raises(fock.NumericalFailure,
+                          match=r"^non-finite state at t = 8\.4$"):
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        fock.fock_propagate(spec, rho0, (0.0, 20.0), 0.2,
+                            store_every=store_every)
+    q, p = fock.position_momentum(40, SYS)
+    mtr = integrate_moments(spec, fock.moments_from_density(rho0, q, p),
+                            (0.0, 20.0), 0.2)
+    assert np.all(np.isfinite(mtr.data))
+
+
 # ----------------------------------------------- moment locks per variant
 
 @pytest.mark.parametrize("variant,kw,tol", [
