@@ -357,15 +357,23 @@ def rk4_stage_times(t0, h, lo, hi):
     return t0 + 0.5 * h * np.arange(2 * lo, 2 * hi + 1)
 
 
-def rk4_step(f, y, h):
-    """One classical RK4 step of y' = f(s, y), where f evaluates the
-    derivative at stage s = 0, 1, 2: `rk4_stage_times` entry 2 (i - lo) + s.
+def rk4_step(f, y, h, z, acc, k):
+    """One classical RK4 step of y' = f(s, y), in place on y (returned).
+    f(s, x, out) writes the derivative at stage s = 0, 1, 2
+    (`rk4_stage_times` entry 2 (i - lo) + s) at x into out: stage 0 reads
+    y, stages 1 and 2 read z.  z, acc and k are the caller's buffers of
+    y's shape: z = y + (h/2) k1, y + (h/2) k2, y + h k3 in turn, acc sums
+    k1 + 2 k2 + 2 k3 + k4 in that order, and y += (h/6) acc.
     """
-    k1 = f(0, y)
-    k2 = f(1, y + 0.5 * h * k1)
-    k3 = f(1, y + 0.5 * h * k2)
-    k4 = f(2, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    f(0, y, acc)  # k1
+    np.add(y, np.multiply(acc, 0.5 * h, out=z), out=z)
+    for factor in (0.5 * h, h):  # k2, k3
+        f(1, z, k)
+        np.add(y, np.multiply(k, factor, out=z), out=z)
+        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+    f(2, z, k)  # k4
+    np.add(acc, k, out=acc)
+    return np.add(y, np.multiply(acc, h / 6.0, out=acc), out=y)
 
 
 @dataclass
@@ -383,35 +391,30 @@ class MomentTrajectory:
 def _step_maps(gen, t0, h):
     """maps(lo, hi): the RK4 maps of steps lo..hi-1, shape (hi - lo, 6, 6).
 
-    Each call does what `rk4_step` does from y = I, operation for
-    operation, in one workspace that is allocated for the longest span
+    Each call is one `rk4_step` from y = I (so k1 is a copy of W0, not a
+    product) in one workspace that is allocated for the longest span
     asked for and reused, so the array returned is overwritten by the
     next call: a caller keeps nothing of it across calls.  A constant
     generator's one map is copied out of the workspace.
     """
-    eye = np.eye(6)
-    work = []  # the stage matrices, then y, acc and k, (n, 6, 6) each
+    work = []  # the stage matrices, then y, z, acc and k, (n, 6, 6) each
 
     def maps(lo, hi):
         n = hi - lo
         if not work or len(work[1]) < n:
             work[:] = [np.empty((2 * n + 1, 36)),
-                       *(np.empty((n, 6, 6)) for _ in range(3))]
+                       *(np.empty((n, 6, 6)) for _ in range(4))]
         w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi),
                               out=work[0][:2 * n + 1])
-        # rk4_step's operations in its order; stage 0 is evaluated only at
-        # y = I, so k1 is W0 itself, and acc holds k2, then the sum of the k
-        k1, w1, w2 = w[:2 * n:2], w[1:2 * n:2], w[2::2]
-        y, acc, k = (b[:n] for b in work[1:])
-        np.add(eye, np.multiply(k1, 0.5 * h, out=y), out=y)   # I + (h/2) k1
-        np.matmul(w1, y, out=acc)                             # k2
-        np.add(eye, np.multiply(acc, 0.5 * h, out=y), out=y)  # I + (h/2) k2
-        np.matmul(w1, y, out=k)                               # k3
-        np.add(k1, np.multiply(acc, 2.0, out=acc), out=acc)   # k1 + 2 k2
-        np.add(eye, np.multiply(k, h, out=y), out=y)          # I + h k3
-        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)      # + 2 k3
-        np.add(acc, np.matmul(w2, y, out=k), out=acc)         # + k4
-        return np.add(eye, np.multiply(acc, h / 6.0, out=acc), out=acc)
+        stages = w[:2 * n:2], w[1:2 * n:2], w[2::2]
+        y, z, acc, k = (b[:n] for b in work[1:])
+        y[:] = np.eye(6)
+
+        def f(s, x, out):
+            if s:
+                return np.matmul(stages[s], x, out=out)
+            out[:] = stages[0]  # W0 I
+        return rk4_step(f, y, h, z, acc, k)
     if gen.grid is not None:
         return maps
     step = maps(0, 1)[0].copy()  # a constant generator has one map

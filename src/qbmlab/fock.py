@@ -12,9 +12,9 @@ dense operators of each of the generator's `units` and weighted by its
 form the grid (dl, dr) = (u + v, u - v), u, v = -1, 0, 1, so their reads
 of the padded state are one strided (3, 3, .) view, and a right-hand side
 is one product with the stencil, summed over the offsets by one BLAS
-product (`_stencil_rhs`).  States step with the RK4 step of the moment
-ODE, in place on the rows of rho and bit for bit (`_rk4_stepper`), under
-monitors for trace drift, truncation leakage and non-finite states.
+product (`_stencil_rhs`).  States step in place on the rows of rho by
+`dynamics.rk4_step`, the moment ODE's one RK4 step, under monitors for
+trace drift, truncation leakage and non-finite states.
 Matrix elements use the oscillator length of omega_S as the basis scale.
 States are read out through `dynamics.OBSERVABLES` and
 `dynamics.central_moments`, as the unraveling reads its packets.
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import NumericalFailure, PhysicalConstants, _is_int
-from .dynamics import central_moments, rk4_stage_times, step_plan
+from .dynamics import central_moments, rk4_stage_times, rk4_step, step_plan
 
-_LEAK_THRESHOLD = 1e-6  # combined population of the top two levels
+_LEAK_THRESHOLD = 1e-6  # |population| summed over the top two levels
 _TRACE_RATE = 1e-8  # allowed trace drift per unit of omega_S t
 
 
@@ -233,59 +233,24 @@ def _shifts(y, dim):
         writeable=False)
 
 
-def _stencil_rhs(dim):
-    """rhs(shifts, C, out, rows=None) = sum_o C_o o shift_o(rho) for rho
-    held `_padded` in a buffer whose `_shifts` view is `shifts` and a
-    `_stencil` C: one product into a reused (3, 3, size) buffer, summed
-    over the offsets by one BLAS product (ones(9) times its real view) into
-    `rows`, a float view of rows of rho, by default those of `out`, of y's
-    layout, and `out` is returned.  The zero columns of C keep the padding
-    columns zero; out's other rows are left as they are."""
-    width = dim + 2
-    size = dim * width
+def _stencil_rhs(dim, shifts, stencils):
+    """f(s, x, out), stage s of the right-hand side `dynamics.rk4_step`
+    calls: sum_o C_o o shift_o(rho), C = stencils[s] a `_stencil`, for the
+    rho in x, the rows of a `_padded` buffer whose `_shifts` view is
+    shifts[s]; that view is read, not x.  `rk4_step` reads stage 0 at y
+    and stages 1 and 2 at z, so shifts is y's, z's, z's.  One product into
+    a reused (3, 3, size) buffer, summed over the offsets by one BLAS
+    product (ones(9) times its real view) into out, rows of rho in y's
+    layout; the zero columns of C keep its padding columns zero."""
+    size = dim * (dim + 2)
     prod = np.empty((3, 3, size), dtype=complex)
     ones, terms = np.ones(9), prod.reshape(9, size).view(float)
 
-    def rhs(shifts, C, out, rows=None):
-        np.multiply(C.reshape(3, 3, size), shifts, out=prod)
-        if rows is None:
-            rows = out[2 * width:2 * width + size].view(float)
-        np.matmul(ones, terms, out=rows)
-        return out
+    def rhs(s, x, out):
+        np.multiply(stencils[s].reshape(3, 3, size), shifts[s], out=prod)
+        np.matmul(ones, terms, out=out.view(float))
 
     return rhs
-
-
-def _rk4_stepper(y, dim):
-    """step(stencils, h): one `dynamics.rk4_step` of the `_stencil_rhs`
-    with stencils[s] at stage s, applied to the `_padded` buffer y in
-    place.  Its stages and final combination run operation for operation
-    as `rk4_step`'s (k1 + 2 k2 + 2 k3 + k4 summed in that order as the
-    stages come) on the rows of rho only, so the result is the same bit
-    for bit; every buffer, row and `_shifts` view is taken once."""
-    rhs = _stencil_rhs(dim)
-    z = np.zeros_like(y)
-    y_shifts, z_shifts = _shifts(y, dim), _shifts(z, dim)
-    y, z = (b[2 * (dim + 2):(dim + 2) ** 2] for b in (y, z))  # rho's rows
-    acc_f, k_f = np.empty((2, 2 * y.size))
-    acc, k = acc_f.view(complex), k_f.view(complex)
-
-    def step(stencils, h):
-        rhs(y_shifts, stencils[0], acc, acc_f)  # k1
-        np.multiply(acc, 0.5 * h, out=z)
-        np.add(z, y, out=z)
-        for factor in (0.5 * h, h):  # k2, k3
-            rhs(z_shifts, stencils[1], k, k_f)
-            np.multiply(k, factor, out=z)
-            np.add(z, y, out=z)
-            np.multiply(k, 2.0, out=k)
-            np.add(acc, k, out=acc)
-        rhs(z_shifts, stencils[2], k, k_f)  # k4
-        np.add(acc, k, out=acc)
-        np.multiply(acc, h / 6.0, out=acc)
-        np.add(y, acc, out=y)
-
-    return step
 
 
 @dataclass
@@ -306,10 +271,13 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     right-hand side is applied as the nine-offset stencil of
     `_stencil_rhs`, linear in (G, a): one stencil per unit of the
     generator, weighted by `params` at every stage time (once for a
-    constant generator), and stepped by `_rk4_stepper`.  rho0 must be
-    finite, of dimension 2 or more.  A stored state whose moments are not
-    finite raises NumericalFailure with its time, the overflow and invalid
-    warnings up to it suppressed as `integrate_moments` suppresses them.
+    constant generator), each step `dynamics.rk4_step` in place on the
+    rows of rho.  rho0 must be finite, of dimension 2 or more.  Leakage,
+    the summed magnitudes of the top two populations (a runaway's go
+    negative), warns (TruncationWarning) once past 1e-6.  A stored state
+    whose moments are not finite raises NumericalFailure with its time,
+    the overflow and invalid warnings up to it suppressed as
+    `integrate_moments` suppresses them.
     """
     rho = np.array(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
@@ -329,7 +297,12 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
     theta = gen.params(rk4_stage_times(t0, h, 0, n_steps))
     stencils = [theta[k] @ basis for k in range(3)]
     tabulated = gen.grid is not None
-    step = _rk4_stepper(y, dim)
+    # RK4 runs on rho's rows of y and z; the padding of both stays zero
+    z = np.zeros_like(y)
+    z_shifts = _shifts(z, dim)
+    rhs = _stencil_rhs(dim, (_shifts(y, dim), z_shifts, z_shifts), stencils)
+    y_rows, z_rows = (b[2 * (dim + 2):(dim + 2) ** 2] for b in (y, z))
+    acc, k = np.empty((2, y_rows.size), dtype=complex)
 
     rows, traces, tops = [], [], []
     first_leak = None
@@ -341,7 +314,7 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
         if not np.isfinite(rows[-1]).all():  # and so is every later one
             raise NumericalFailure(f"non-finite state at t = {t_now:.6g}")
         traces.append(float(np.trace(rho_now).real))
-        top = float(rho_now[-1, -1].real + rho_now[-2, -2].real)
+        top = float(abs(rho_now[-1, -1].real) + abs(rho_now[-2, -2].real))
         tops.append(top)
         if first_leak is None and top > _LEAK_THRESHOLD:
             first_leak = t_now
@@ -353,9 +326,9 @@ def fock_propagate(spec, rho0, t_span, dt, store_every=1):
         observe(rho)
         for i in range(n_steps):
             if i and tabulated:  # step i's first stage is step i - 1's last
-                stencils = [stencils[2], theta[2 * i + 1] @ basis,
-                            theta[2 * i + 2] @ basis]
-            step(stencils, h)
+                stencils[:] = [stencils[2], theta[2 * i + 1] @ basis,
+                               theta[2 * i + 2] @ basis]
+            rk4_step(rhs, y_rows, h, z_rows, acc, k)
             if i + 1 in keep:
                 observe(_interior(y, dim))
 

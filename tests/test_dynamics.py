@@ -39,12 +39,12 @@ from qbmlab.dynamics import (
     integrate_moments,
     moment_rhs,
     rk4_stage_times,
-    rk4_step,
     rs_uncertainty,
     squeezed_state_moments,
     step_plan,
     thermal_state_moments,
 )
+from textbook_rk4 import rk4
 
 SYS = SystemSpec(m=1.0, omega_S=1.0)
 STATE = (1.0, 0.3, 0.5, 0.5, 0.0)  # mean_q, mean_p, s_qq, s_pp, s_qp
@@ -475,7 +475,7 @@ def _step_by_step(spec, state0, t_span, dt, store_every):
     z = np.append(state0, 1.0)
     rows = [z[:5]]
     for i in range(n_steps):
-        z = rk4_step(lambda s, y: w[2 * i + s] @ y, z, h)
+        z = rk4(lambda s, y: w[2 * i + s] @ y, z, h)
         rows.append(z[:5])
     return np.array(rows)[stored]
 
@@ -511,7 +511,7 @@ def test_step_maps_are_rk4_on_the_identity(generator, hpz_audit_spec):
         else spec_for("ccl", gamma=0.1, T=2.0).generator
     t0, h, lo, hi = 0.0, 1e-3, 3, 40
     w = gen.moment_matrix(rk4_stage_times(t0, h, lo, hi))
-    ref = rk4_step(lambda s, y: w[s:s + 2 * (hi - lo):2] @ y, np.eye(6), h)
+    ref = rk4(lambda s, y: w[s:s + 2 * (hi - lo):2] @ y, np.eye(6), h)
     assert np.array_equal(dynamics._step_maps(gen, t0, h)(lo, hi), ref)
 
 
@@ -566,6 +566,7 @@ def test_non_finite_composites_fall_back_to_the_steps(monkeypatch):
 
 @pytest.mark.parametrize("lam", [-1.3, 0.7 + 2.1j])
 def test_rk4_step_is_the_degree_four_taylor_polynomial(lam):
+    # of the tests' textbook RK4, to which `rk4_step` is held byte for byte
     h, y0 = 0.1, np.array([1.0, -0.4 + 0.2j])
     stages = []
 
@@ -575,7 +576,7 @@ def test_rk4_step_is_the_degree_four_taylor_polynomial(lam):
 
     z = lam * h
     expected = y0 * (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)
-    assert np.allclose(rk4_step(f, y0, h), expected, rtol=1e-15, atol=0.0)
+    assert np.allclose(rk4(f, y0, h), expected, rtol=1e-15, atol=0.0)
     assert stages == [0, 1, 1, 2]
 
 

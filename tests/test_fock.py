@@ -18,6 +18,7 @@ from qbmlab.dynamics import (
     step_plan,
 )
 from qbmlab.positivity import audit_cp
+from textbook_rk4 import rk4
 
 SYS = SystemSpec(m=1.0, omega_S=1.0)
 
@@ -181,6 +182,11 @@ STENCIL_SPECS = {
 }
 
 
+def _rows(y, dim):
+    """The rows of rho in a `_padded` buffer y (a view)."""
+    return y[2 * (dim + 2):(dim + 2) ** 2]
+
+
 def stencil_against_dense(spec, dim, times, seed=5):
     """(stencil, dense) right-hand sides on a random non-Hermitian rho at
     each time, the stencil of each of the generator's `units` weighted by
@@ -196,10 +202,13 @@ def stencil_against_dense(spec, dim, times, seed=5):
     basis = np.array([fock._stencil(operators(*u)) for u in zip(*gen.units)])
     theta = gen.params(np.asarray(times))
     G, a = gen.at(np.asarray(times))
-    rhs = fock._stencil_rhs(dim)
     y = fock._padded(rho)
+    stencils = [None]
+    rhs = fock._stencil_rhs(dim, [fock._shifts(y, dim)], stencils)
     for k in range(len(times)):
-        out = rhs(fock._shifts(y, dim), theta[k] @ basis, np.zeros_like(y))
+        stencils[0] = theta[k] @ basis
+        out = np.zeros_like(y)
+        rhs(0, _rows(y, dim), _rows(out, dim))
         # the padding stays zero, so RK4 combinations of it do as well
         pad = out.reshape(dim + 4, dim + 2).copy()
         pad[2:dim + 2, :dim] = 0.0
@@ -258,22 +267,41 @@ def _stage_stencils(spec, dim, t0, h, n_steps):
 @pytest.mark.parametrize("variant", sorted(STENCIL_SPECS))
 @pytest.mark.parametrize("dim", [2, 12, 40])
 def test_in_place_rk4_step_is_rk4_step(variant, dim):
-    # hpz's stencils differ at every stage time; three steps reuse the
-    # stepper's buffers and views
+    # `rk4_step`, in place in its caller's buffers, against the textbook
+    # RK4 byte for byte: on the 6 x 6 maps of eight steps from I, the
+    # stages the variant's moment matrices, and on three Fock steps of its
+    # stencils (hpz's differ at every stage time), called as
+    # `fock_propagate` calls it; the whole padded buffer is compared, so
+    # its padding stays zero
     h = 0.05
     spec = STENCIL_SPECS[variant]()
-    stencils = _stage_stencils(spec, dim, 0.3, h, 3)
+    w = spec.generator.moment_matrix(rk4_stage_times(0.3, h, 0, 8))
+    stages = w[:-1:2], w[1::2], w[2::2]
+    maps = np.tile(np.eye(6), (8, 1, 1))
+    want = rk4(lambda s, x: stages[s] @ x, maps, h)
+    dynamics.rk4_step(lambda s, x, out: np.matmul(stages[s], x, out=out),
+                      maps, h, *np.empty((3, 8, 6, 6)))
+    assert maps.tobytes() == want.tobytes()
+
     rng = np.random.default_rng(dim)
     y = fock._padded(rng.standard_normal((dim, dim))
                      + 1j * rng.standard_normal((dim, dim)))
-    rhs = fock._stencil_rhs(dim)
-    want = y.copy()
-    step = fock._rk4_stepper(y, dim)
-    for per_stage in stencils:
-        want = dynamics.rk4_step(
-            lambda s, r: rhs(fock._shifts(r, dim), per_stage[s],
-                             np.zeros_like(r)), want, h)
-        step(per_stage, h)
+    z, want, per_stage = np.zeros_like(y), y.copy(), [None] * 3
+    z_shifts = fock._shifts(z, dim)
+    rhs = fock._stencil_rhs(dim, (fock._shifts(y, dim), z_shifts, z_shifts),
+                            per_stage)
+    acc, k = np.empty((2, dim * (dim + 2)), dtype=complex)
+
+    def padded_rhs(s, x):
+        out = np.zeros_like(x)
+        fock._stencil_rhs(dim, 3 * [fock._shifts(x, dim)], per_stage)(
+            s, _rows(x, dim), _rows(out, dim))
+        return out
+
+    for stencils in _stage_stencils(spec, dim, 0.3, h, 3):
+        per_stage[:] = stencils
+        want = rk4(padded_rhs, want, h)
+        dynamics.rk4_step(rhs, _rows(y, dim), h, _rows(z, dim), acc, k)
         assert y.tobytes() == want.tobytes()
 
 
@@ -405,6 +433,20 @@ def test_truncation_leak_warns_at_small_dim():
         ftr = fock.fock_propagate(spec, rho0, (0.0, 1.0), 1e-3,
                                   store_every=100)
     assert ftr.first_leak_time is not None
+
+
+def test_truncation_leak_warns_on_negative_populations():
+    # the dt = 0.2 runaway of the diverging-run test: its top populations
+    # go negative (-1.1e28 at t = 2.8), and their magnitudes warn
+    spec = MasterEquationSpec("ccl", SYS, gamma=0.15, T=2.0)
+    rho0 = coherent_density(40, fock.alpha_from_moments(SYS, 0.6, 0.4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TraceDriftWarning)
+        with pytest.warns(fock.TruncationWarning):
+            ftr = fock.fock_propagate(spec, rho0, (0.0, 5.0), 0.2,
+                                      store_every=7)
+    assert ftr.first_leak_time == pytest.approx(2.8)
+    assert np.all(ftr.top_population >= 0.0)
 
 
 def test_trace_drift_budget_counts_the_span_in_units_of_omega_S(monkeypatch):

@@ -19,7 +19,6 @@ from qbmlab.dynamics import (
     SystemSpec,
     ground_state_moments,
     integrate_moments,
-    rk4_step,
     step_plan,
 )
 from qbmlab.fock import (
@@ -45,6 +44,7 @@ from qbmlab.stochastic import (
     sample_colored_noise,
     sse_trajectory,
 )
+from textbook_rk4 import rk4
 
 SYS = SystemSpec(m=1.0, omega_S=1.0)
 
@@ -313,7 +313,7 @@ def test_width_step_is_exact(variant, mu, s_frac):
     exact = _width_path(r, s0, 0.05, 40)
     s = s0
     for _ in range(800):
-        s = rk4_step(lambda _, y: r[0] + r[1] * y + r[2] * y * y, s, 0.0025)
+        s = rk4(lambda _, y: r[0] + r[1] * y + r[2] * y * y, s, 0.0025)
     assert abs(exact[-1] - s) <= 1e-10 * abs(s)
     assert np.all(exact.real > 0.0)
 
