@@ -33,15 +33,17 @@ _NODE_BLOCK-th stored node or the end of the run, so a block is long
 however close the stored steps are (`_propagate`).  Inside a block, b's
 recurrence is a cumulative sum scaled by cumulative products of the
 growth factors, which are shared by every trajectory and taken once per
-block (`_block_plan`).  c's increments are summed over each run of steps
-that ends at a stored node or at the block's end (`np.add.reduceat`; where
-every step is stored, each step is a run), and only those run sums are
-added up, by one cumulative sum: c is read nowhere else.  A group's draws
-(`_noise_block`) and its block arithmetic are whole-array numpy calls
-that release the interpreter lock, so up to one thread per CPU steps the
-groups through a block (`_advance`), each in a workspace allocated once
-per run.  b and c at the block's stored nodes are read after it over the
-whole chunk, so the output bits do not depend on how many threads ran.
+block (`_block_plan`) as per-step rows that broadcast over a group.
+c's increments are summed over each run of steps that ends at a stored
+node or at the block's end (`np.add.reduceat`, exact over a run of one
+step), and only those run sums are added up, by one cumulative sum: c is
+read nowhere else.  A group's draws (`_noise_block`) and its block
+arithmetic are whole-array numpy calls that release the interpreter
+lock, so a run opens one thread pool, and at each block the calling
+thread and up to one pool thread per further CPU step the groups through
+it (`_advance`), each in a workspace allocated once per run.  b and c at
+the block's stored nodes are read after it over the whole chunk, so the
+output bits do not depend on how many threads ran.
 A trajectory dropped at a node keeps stepping to the end of its block,
 and restarts from b = c = 0 there with its noise zeroed: its b stays 0
 and its c gains only the drift that every trajectory shares.
@@ -53,10 +55,8 @@ covariance with a symmetric eigenvalue decomposition.
 """
 
 import cmath
-import functools
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -354,31 +354,6 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _run_threads(tasks):
-    """Call each of `tasks`, the first in this thread and every other in a
-    thread of its own; re-raise here the first exception a thread raised.
-    """
-    errors = []
-
-    def guarded(task):
-        try:
-            task()
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(task,))
-               for task in tasks[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        tasks[0]()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _noise_root(config, h):
     """2 x 2 root of one step's noise: for a pair n of unit normals,
     dW = (1, i) . root n has E[dW conj(dW)] = D h and E[dW dW] = S h."""
@@ -437,11 +412,11 @@ def _block_plan(g, kick):
 @dataclass
 class _Block:
     """One block of m steps and what every trajectory shares in it: b's
-    segments and factors q and w (`_block_plan`), c's drift, each tiled
-    to one row per trajectory of a group, the block-relative steps `cols`
-    of its stored nodes, their indices `nodes` into the stored steps, and
-    the first steps `runs` of the runs of steps that end at a stored node
-    or at the block's end, or None where every step is stored.
+    segments and factors q and w (`_block_plan`) and c's drift, each one
+    row of m steps, the block-relative steps `cols` of its stored nodes,
+    their indices `nodes` into the stored steps, and the first steps
+    `runs` of the runs of steps that end at a stored node or at the
+    block's end.
     """
 
     m: int
@@ -451,7 +426,7 @@ class _Block:
     drift: np.ndarray
     cols: np.ndarray
     nodes: np.ndarray
-    runs: np.ndarray | None
+    runs: np.ndarray
 
 
 def _advance(streams, alive, root, b, c, workspace, block, h_rho, c_kick,
@@ -463,12 +438,12 @@ def _advance(streams, alive, root, b, c, workspace, block, h_rho, c_kick,
 
     b after each step fills `after`, segment by segment.  c's increments
     (h rho b + c_kick dW) b + drift, with b before each step, are summed
-    over each of the block's `runs` of steps (`np.add.reduceat`), and
-    those sums added to c in order by one cumulative sum, which gives c at
-    the end of every run: at each stored node and at the block's end.
-    Where every step is stored, the increments are the runs.  Every
-    product is between contiguous arrays of one shape, so none needs a
-    scratch buffer.
+    over each of the block's `runs` of steps (`np.add.reduceat`, which
+    copies a run of one step), and those sums added to c in order by one
+    cumulative sum, which gives c at the end of every run: at each stored
+    node and at the block's end.  The block's rows q, w and drift
+    broadcast over the group's rows, and every other product is between
+    contiguous arrays of one shape, so none needs a scratch buffer.
     """
     n, m = len(streams), block.m
     draws, pairs, after = (x[:2 * n * m] for x in workspace[:3])
@@ -478,14 +453,13 @@ def _advance(streams, alive, root, b, c, workspace, block, h_rho, c_kick,
     if not alive.all():
         dw[~alive] = 0.0
     after = after.view(complex).reshape(n, m)
-    q, w, drift = (x[:n] for x in (block.q, block.w, block.drift))
     for a, e, g_a in block.segments:
         seg = after[:, a:e]
-        np.multiply(dw[:, a:e], w[:, a:e], out=seg)
+        np.multiply(dw[:, a:e], block.w[a:e], out=seg)
         np.multiply(b if a == 0 else after[:, a - 1], g_a, out=tmp)
         seg[:, 0] += tmp
         np.cumsum(seg, axis=1, out=seg)
-        seg *= q[:, a:e]
+        seg *= block.q[a:e]
     before = draws.view(complex).reshape(n, m)  # the spent draws' place
     before[:, 0] = b
     before[:, 1:] = after[:, :-1]
@@ -497,11 +471,10 @@ def _advance(streams, alive, root, b, c, workspace, block, h_rho, c_kick,
     dw *= c_kick
     inc += dw
     inc *= before
-    inc += drift
-    runs = inc
-    if block.runs is not None:  # in `before`'s place, which is spent
-        runs = draws.view(complex)[:n * block.runs.size].reshape(n, -1)
-        np.add.reduceat(inc, block.runs, axis=1, out=runs)
+    inc += block.drift
+    # in `before`'s place, which is spent
+    runs = draws.view(complex)[:n * block.runs.size].reshape(n, -1)
+    np.add.reduceat(inc, block.runs, axis=1, out=runs)
     runs[:, 0] += c
     np.cumsum(runs, axis=1, out=runs)  # c at the end of each run
     c_nodes[...] = runs[:, :block.cols.size]
@@ -517,14 +490,18 @@ def _propagate(config, packet0, indices):
     of _GROUP.  The steps run in blocks of _STEP_BLOCK steps, cut short
     at a block's _NODE_BLOCK-th stored node and at the end of the run.
     Each block's factors are taken once per chunk; then up to
-    `_cpu_count()` threads step the groups through it (`_advance`), each
+    `_cpu_count()` workers step the groups through it (`_advance`), each
     in one workspace of its own, and write b and c at the block's nodes.
-    The nodes are read after the block, over the whole chunk and
-    _READ_NODES at a time, so the output bits do not depend on how many
-    threads ran.  A trajectory that fails at a node is dropped there and
-    restarts from b = c = 0 at the end of the block, stepped from then on
-    with dW = 0.
+    The first worker is the calling thread, the others the threads of one
+    pool opened per run, so a run of one group starts no thread.  The
+    nodes are read after the block, over the whole chunk and _READ_NODES
+    at a time, so the output bits do not depend on how many threads ran.
+    A trajectory that fails at a node is dropped there and restarts from
+    b = c = 0 at the end of the block, stepped from then on with dW = 0.
     """
+    # not at the top: concurrent.futures loads logging, 5 ms of any import
+    from concurrent.futures import ThreadPoolExecutor
+
     t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
                                        config.store_every)
     hbar = config.spec.constants.hbar
@@ -551,21 +528,16 @@ def _propagate(config, packet0, indices):
             s_n = s[lo:hi]
             segments, q, w = _block_plan(
                 1.0 + h * (0.5 * r[1] + r[2] * s_n), -1j * (l0 + l1 * s_n))
-            rows = [t[:size * s_n.size].reshape(size, -1) for t in tiles]
-            for row, x in zip(rows, (q, w, h * (nu0 + nu1 * s_n))):
-                row[...] = x
             cols = stored[node:last] - lo
-            runs = None if cols.size == hi - lo \
-                else np.concatenate(([0], cols[cols < hi - lo]))
-            yield _Block(hi - lo, segments, *rows, cols,
-                         np.arange(node, last), runs)
+            yield _Block(hi - lo, segments, q, w, h * (nu0 + nu1 * s_n),
+                         cols, np.arange(node, last),
+                         np.concatenate(([0], cols[cols < hi - lo])))
 
     n_workers = min(_cpu_count(),
                     math.ceil(min(_CHUNK, indices.size) / _GROUP))
     workspaces = [(np.empty(2 * size * width), np.empty(2 * size * width),
                    np.empty(2 * size * width), np.empty(size, dtype=complex))
                   for _ in range(n_workers)]
-    tiles = np.empty((3, size * width), dtype=complex)
     max_nodes = max(last - node for _, _, node, last in spans)
     node_buffers = [np.empty(min(_CHUNK, indices.size) * max_nodes,
                              dtype=complex) for _ in range(2)]
@@ -575,55 +547,63 @@ def _propagate(config, packet0, indices):
     alive_counts = np.zeros(stored.size, dtype=np.int64)
     failed = []
 
-    for lo in range(0, indices.size, _CHUNK):
-        chunk = indices[lo:lo + _CHUNK]
-        streams = [np.random.default_rng([int(config.seed), int(i)])
-                   for i in chunk]
-        b = np.full(chunk.size, packet0[1])
-        c = np.full(chunk.size, complex(packet0[2]))
-        alive = np.ones(chunk.size, dtype=bool)
-        groups = [slice(j, j + _GROUP) for j in range(0, chunk.size, _GROUP)]
+    # the calling thread is worker 0; a pool starts threads only at submits
+    with ThreadPoolExecutor(max(n_workers - 1, 1)) as pool:
+        for lo in range(0, indices.size, _CHUNK):
+            chunk = indices[lo:lo + _CHUNK]
+            streams = [np.random.default_rng([int(config.seed), int(i)])
+                       for i in chunk]
+            b = np.full(chunk.size, packet0[1])
+            c = np.full(chunk.size, complex(packet0[2]))
+            alive = np.ones(chunk.size, dtype=bool)
+            groups = [slice(j, j + _GROUP)
+                      for j in range(0, chunk.size, _GROUP)]
 
-        def record(nodes, b_nodes, c_nodes):  # of the current chunk
-            """Add the packets at `nodes`, b and c (nodes, trajectories),
-            to the sums; a trajectory that fails at a node is dropped
-            there."""
-            vals, log_norm2 = _read_packets(s[stored[nodes], None], b_nodes,
-                                            c_nodes, hbar)
-            ok = (log_norm2 <= _LOG_NORM_LIMIT) & np.isfinite(vals).all(axis=0)
-            live = np.logical_and.accumulate(ok, axis=0)
-            live &= alive
-            newly_dead = alive & ~live[-1]
-            if np.any(newly_dead):
-                failed.extend(int(i) for i in chunk[newly_dead])
-                b[newly_dead] = c[newly_dead] = 0.0
-                alive[newly_dead] = False
-            # (trajectories, observables, nodes), so that the sums run
-            # over the trajectories one after another, as a node's did
-            vals = np.where(live, vals, 0.0).transpose(2, 0, 1).copy()
-            sums[nodes] += vals.sum(axis=0).T
-            sumsqs[nodes] += (vals ** 2).sum(axis=0).T
-            alive_counts[nodes] += live.sum(axis=1)
+            def record(nodes, b_nodes, c_nodes):  # of the current chunk
+                """Add the packets at `nodes`, b and c (nodes,
+                trajectories), to the sums; a trajectory that fails at a
+                node is dropped there."""
+                vals, log_norm2 = _read_packets(s[stored[nodes], None],
+                                                b_nodes, c_nodes, hbar)
+                ok = (log_norm2 <= _LOG_NORM_LIMIT) \
+                    & np.isfinite(vals).all(axis=0)
+                live = np.logical_and.accumulate(ok, axis=0)
+                live &= alive
+                newly_dead = alive & ~live[-1]
+                if np.any(newly_dead):
+                    failed.extend(int(i) for i in chunk[newly_dead])
+                    b[newly_dead] = c[newly_dead] = 0.0
+                    alive[newly_dead] = False
+                # (trajectories, observables, nodes), so that the sums run
+                # over the trajectories one after another, as a node's did
+                vals = np.where(live, vals, 0.0).transpose(2, 0, 1).copy()
+                sums[nodes] += vals.sum(axis=0).T
+                sumsqs[nodes] += (vals ** 2).sum(axis=0).T
+                alive_counts[nodes] += live.sum(axis=1)
 
-        n_threads = min(n_workers, len(groups))
+            n_threads = min(n_workers, len(groups))
 
-        def work(t, block, b_nodes, c_nodes):
-            for sl in groups[t::n_threads]:
-                _advance(streams[sl], alive[sl], root, b[sl], c[sl],
-                         workspaces[t], block, h_rho, c_kick, b_nodes[sl],
-                         c_nodes[sl])
+            def work(t, block, b_nodes, c_nodes):
+                for sl in groups[t::n_threads]:
+                    _advance(streams[sl], alive[sl], root, b[sl], c[sl],
+                             workspaces[t], block, h_rho, c_kick,
+                             b_nodes[sl], c_nodes[sl])
 
-        record(np.zeros(1, dtype=int), b[None], c[None])
-        for block in blocks():
-            b_nodes, c_nodes = (x[:chunk.size * block.nodes.size].reshape(
-                chunk.size, -1) for x in node_buffers)
-            _run_threads([functools.partial(work, t, block, b_nodes, c_nodes)
-                          for t in range(n_threads)])
-            for j in range(0, block.nodes.size, _READ_NODES):
-                part = slice(j, j + _READ_NODES)
-                record(block.nodes[part],
-                       *(np.ascontiguousarray(x[:, part].T)
-                         for x in (b_nodes, c_nodes)))
+            record(np.zeros(1, dtype=int), b[None], c[None])
+            for block in blocks():
+                b_nodes, c_nodes = (
+                    x[:chunk.size * block.nodes.size].reshape(chunk.size, -1)
+                    for x in node_buffers)
+                shares = [pool.submit(work, t, block, b_nodes, c_nodes)
+                          for t in range(1, n_threads)]
+                work(0, block, b_nodes, c_nodes)
+                for share in shares:
+                    share.result()  # raises here what the share raised
+                for j in range(0, block.nodes.size, _READ_NODES):
+                    part = slice(j, j + _READ_NODES)
+                    record(block.nodes[part],
+                           *(np.ascontiguousarray(x[:, part].T)
+                             for x in (b_nodes, c_nodes)))
     return t0 + h * stored, sums, sumsqs, alive_counts, sorted(failed)
 
 

@@ -667,14 +667,41 @@ def test_an_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
         return _noise_block(*args)
 
     monkeypatch.setattr(stochastic, "_noise_block", failing)
+    threads_before = threading.active_count()
     with pytest.raises(NumericalFailure, match="from a worker"):
         ensemble_run(config, ground_state_moments(SYS))
+    # the run's pool is shut down on the error path too
+    assert threading.active_count() == threads_before
+
+
+def test_a_run_starts_its_pool_once(monkeypatch):
+    # 600 trajectories over 701 steps: two chunks of two blocks each.  The
+    # calling thread is one worker, so a run starts at most one thread
+    # fewer than its workers, however many chunks and blocks it has
+    config = SSEConfig(_spec("ccl", 0.0625, 2.0), dt=1e-2,
+                       t_span=(0.0, 7.01), store_every=600, n_traj=600,
+                       seed=42)
+    state0 = ground_state_moments(SYS, mean_q=0.4 * np.sqrt(2.0))
+    thread_start = threading.Thread.start
+    starts = []
+
+    def counted(thread):
+        starts.append(thread)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    for n_workers in (2, 4):
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: n_workers)
+        starts.clear()
+        ensemble_run(config, state0)
+        assert 1 <= len(starts) <= n_workers - 1, \
+            f"{len(starts)} threads started for {n_workers} workers"
 
 
 def test_one_group_starts_no_thread(monkeypatch):
     # a trajectory of its own, and 32 trajectories: one group each
     monkeypatch.setattr(stochastic, "_cpu_count", lambda: 4)
-    monkeypatch.setattr(stochastic.threading, "Thread", None)
+    monkeypatch.setattr(threading, "Thread", None)
     config = SSEConfig(_spec("ccl", 0.05, 2.0), dt=1e-2, t_span=(0.0, 1.0),
                        store_every=50, n_traj=stochastic._GROUP, seed=4)
     state0 = ground_state_moments(SYS)
