@@ -3,8 +3,10 @@ hpz_audit variants of VARIANTS and the twin checks.  Exits 1 if a run
 fails or a pair of twins (CL and CCL, JZ and QP) disagree on the means.
 
 --against DIR compares each CSV and audit JSON written with DIR's file
-of that name (say, another commit's artifacts), and names each CSV or
-audit JSON of these runs that only DIR holds ("only in DIR: <file>").
+of that name (say, another commit's artifacts), prints each warning that
+only one of a run's two manifests records ("warning lost: <text>" or
+"warning new: <text>"), and names each CSV or audit JSON of these runs
+that only DIR holds ("only in DIR: <file>").
 """
 
 import argparse
@@ -81,6 +83,18 @@ def describe_change(new, old):
         else "same values, different bytes"
 
 
+def warning_changes(warnings, old):
+    """Each warning that only one of `warnings` and the manifest `old`
+    records, as 'warning lost: <text>' or 'warning new: <text>'; none
+    where `old` does not exist."""
+    if not old.exists():
+        return []
+    before = json.loads(old.read_text())["warnings"]
+    return [f"warning lost: {text}" for text in before
+            if text not in warnings] \
+        + [f"warning new: {text}" for text in warnings if text not in before]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="artifacts")
@@ -104,6 +118,10 @@ def main(argv=None):
                 if args.against:
                     old = pathlib.Path(args.against, new.name)
                     print(f"    {new.name}: {describe_change(new, old)}")
+            if args.against:
+                old = pathlib.Path(args.against, f"{name}_manifest.json")
+                for line in warning_changes(manifest["warnings"], old):
+                    print(f"  {line}")
     if args.against:  # what one of these runs wrote there and no longer does
         stems = tuple(f"{path.stem}_" for path in runs)
         for old in sorted(pathlib.Path(args.against).glob("*")):

@@ -464,23 +464,18 @@ def _interval_maps(maps, n_steps, every, constant):
         yield _composite(maps, n_full * every, n_steps)
 
 
-def _replay(maps, z, lo, hi, n_steps, t0, h):
-    """Step z from step lo one RK4 map at a time, as a step-by-step run
-    does: return the state at step hi if it is finite, else step on to
-    the next check (every 64th step and the last) and raise
-    NumericalFailure there, since a non-finite state stays non-finite.
+def _replay(maps, z, lo, hi, t0, h):
+    """Step z from step lo to step hi one RK4 map at a time, as a
+    step-by-step run does: return the state at step hi, or raise
+    NumericalFailure at the first step whose state is not finite.
     """
-    i = lo
-    while True:
-        for step in maps(i, min(i + _MAP_BLOCK, n_steps)):
+    for a in range(lo, hi, _MAP_BLOCK):
+        for i, step in enumerate(maps(a, min(a + _MAP_BLOCK, hi)), a + 1):
             z = step @ z
-            i += 1
-            finite = np.isfinite(z).all()
-            if finite and i >= hi:
-                return z
-            if not finite and (i % 64 == 0 or i == n_steps):
+            if not np.isfinite(z).all():
                 raise NumericalFailure(
                     f"non-finite moments at t = {t0 + i * h:.6g}")
+    return z
 
 
 def integrate_moments(spec, state0, t_span, dt, store_every=1):
@@ -494,9 +489,9 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
     are multiplied into one composite (`_interval_maps`), so the state
     takes one matrix-vector product per stored row.  Non-finite values
     abort with NumericalFailure: an interval whose end is not finite is
-    replayed step by step, which reports the time of the first of every
-    64 steps found non-finite.  A friction matrix with a growing mode
-    warns (UnstableGeneratorWarning).
+    replayed step by step, which reports the time of the first step
+    found non-finite.  A friction matrix with a growing mode warns
+    (UnstableGeneratorWarning).
     """
     t0, h, n_steps, stored = step_plan(t_span, dt, store_every)
     state0 = moment_row(state0)
@@ -521,7 +516,7 @@ def integrate_moments(spec, state0, t_span, dt, store_every=1):
             # a sum of finite entries that overflows only costs a replay
             if not math.isfinite(sum(nxt.tolist())):
                 with np.errstate(**outer):
-                    nxt = _replay(maps, z, lo, hi, n_steps, t0, h)
+                    nxt = _replay(maps, z, lo, hi, t0, h)
             z = nxt
             rows.append(z[:5])
 

@@ -28,8 +28,7 @@ quadratic forms: the six raw moments in the order of
 Trajectory k draws its noise from the stream default_rng([seed, k]).
 The trajectories run in chunks of _CHUNK, whose streams live together,
 and a chunk runs in groups of _GROUP trajectories.  The steps run in
-blocks of _STEP_BLOCK steps, shorter only where a block reaches its
-_NODE_BLOCK-th stored node or the end of the run, so a block is long
+blocks of _STEP_BLOCK steps, only the last shorter, so a block is long
 however close the stored steps are (`_propagate`).  Inside a block, b's
 recurrence is a cumulative sum scaled by cumulative products of the
 growth factors, which are shared by every trajectory and taken once per
@@ -45,8 +44,9 @@ it (`_advance`), each in a workspace allocated once per run.  b and c at
 the block's stored nodes are read after it over the whole chunk, so the
 output bits do not depend on how many threads ran.
 A trajectory dropped at a node keeps stepping to the end of its block,
-and restarts from b = c = 0 there with its noise zeroed: its b stays 0
-and its c gains only the drift that every trajectory shares.
+where a runaway may overflow, unwarned (the read catches what is not
+finite), and restarts from b = c = 0 there with its noise zeroed: its
+b stays 0 and its c gains only the drift that every trajectory shares.
 
 Colored noise: `sample_colored_noise` draws stationary complex Gaussian
 paths with prescribed correlation E[z_i conj(z_j)] = D_ij and pseudo
@@ -77,7 +77,6 @@ from .positivity import check_noise_realizable, rank_one_factor
 _CHUNK = 512  # trajectories per chunk; fixed: it sets the summation order
 _GROUP = 32  # trajectories per group, stepped by one thread at a time
 _STEP_BLOCK = 512  # time steps per block of noise and of stepping, at most
-_NODE_BLOCK = 128  # stored nodes per block, at most
 _READ_NODES = 16  # stored nodes read at once; keeps the read's arrays small
 _LOG2_SPAN = 256  # |log2| bound of a segment's running growth product
 _LOG_NORM_LIMIT = math.log(1e12)  # squared-norm runaway limit per trajectory
@@ -215,9 +214,9 @@ def empirical_noise_moments(samples):
 class SSEConfig:
     """Parameters of a linear-unraveling run of the spec's generator.
 
-    D_scalar and v, the rank-1 factor a = D v v^dag of the Kossakowski
-    matrix, are derived on construction; S_scalar is the white-noise
-    pseudo-correlation.  n_traj >= 1 and store_every (`step_plan`) are
+    D_scalar and v (a = D v v^dag, the rank-1 Kossakowski matrix) and
+    plan (the run's `step_plan`) are derived on construction; S_scalar is
+    the white-noise pseudo-correlation.  n_traj >= 1 and store_every are
     counts (`bath._is_int`: ints or numpy integers, never bools), and
     seed is a count in [0, 2^64) (`bath._is_seed`).
     """
@@ -231,6 +230,7 @@ class SSEConfig:
     store_every: int = 100
     D_scalar: float = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.spec.generator.grid is not None:
@@ -241,7 +241,7 @@ class SSEConfig:
             raise ValueError(f"the '{self.spec.variant.value}' generator has "
                              f"no linear unraveling: {exc}") from None
         check_noise_realizable(self.D_scalar, self.S_scalar)
-        step_plan(self.t_span, self.dt, self.store_every)
+        self.plan = step_plan(self.t_span, self.dt, self.store_every)
         for name in ("n_traj", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
@@ -434,7 +434,8 @@ def _advance(streams, alive, root, b, c, workspace, block, h_rho, c_kick,
     """Step the trajectories of `streams`, at b and c, through `block` in
     `workspace`, and put their b and c at its stored nodes in b_nodes and
     c_nodes, (trajectories, nodes).  A trajectory not `alive` draws its
-    noise but steps with dW = 0.
+    noise but steps with dW = 0; one that runs away may overflow before
+    the block's end, unwarned, and the caller drops it at its first node.
 
     b after each step fills `after`, segment by segment.  c's increments
     (h rho b + c_kick dW) b + drift, with b before each step, are summed
@@ -452,33 +453,34 @@ def _advance(streams, alive, root, b, c, workspace, block, h_rho, c_kick,
                       pairs.reshape(n, m, 2))
     if not alive.all():
         dw[~alive] = 0.0
-    after = after.view(complex).reshape(n, m)
-    for a, e, g_a in block.segments:
-        seg = after[:, a:e]
-        np.multiply(dw[:, a:e], block.w[a:e], out=seg)
-        np.multiply(b if a == 0 else after[:, a - 1], g_a, out=tmp)
-        seg[:, 0] += tmp
-        np.cumsum(seg, axis=1, out=seg)
-        seg *= block.q[a:e]
-    before = draws.view(complex).reshape(n, m)  # the spent draws' place
-    before[:, 0] = b
-    before[:, 1:] = after[:, :-1]
-    if block.cols.size:
-        np.take(after, block.cols - 1, axis=1, out=b_nodes, mode="clip")
-    b[:] = after[:, -1]
-    inc = after
-    np.multiply(before, h_rho, out=inc)
-    dw *= c_kick
-    inc += dw
-    inc *= before
-    inc += block.drift
-    # in `before`'s place, which is spent
-    runs = draws.view(complex)[:n * block.runs.size].reshape(n, -1)
-    np.add.reduceat(inc, block.runs, axis=1, out=runs)
-    runs[:, 0] += c
-    np.cumsum(runs, axis=1, out=runs)  # c at the end of each run
-    c_nodes[...] = runs[:, :block.cols.size]
-    c[:] = runs[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        after = after.view(complex).reshape(n, m)
+        for a, e, g_a in block.segments:
+            seg = after[:, a:e]
+            np.multiply(dw[:, a:e], block.w[a:e], out=seg)
+            np.multiply(b if a == 0 else after[:, a - 1], g_a, out=tmp)
+            seg[:, 0] += tmp
+            np.cumsum(seg, axis=1, out=seg)
+            seg *= block.q[a:e]
+        before = draws.view(complex).reshape(n, m)  # the spent draws' place
+        before[:, 0] = b
+        before[:, 1:] = after[:, :-1]
+        if block.cols.size:
+            np.take(after, block.cols - 1, axis=1, out=b_nodes, mode="clip")
+        b[:] = after[:, -1]
+        inc = after
+        np.multiply(before, h_rho, out=inc)
+        dw *= c_kick
+        inc += dw
+        inc *= before
+        inc += block.drift
+        # in `before`'s place, which is spent
+        runs = draws.view(complex)[:n * block.runs.size].reshape(n, -1)
+        np.add.reduceat(inc, block.runs, axis=1, out=runs)
+        runs[:, 0] += c
+        np.cumsum(runs, axis=1, out=runs)  # c at the end of each run
+        c_nodes[...] = runs[:, :block.cols.size]
+        c[:] = runs[:, -1]
 
 
 def _propagate(config, packet0, indices):
@@ -487,11 +489,11 @@ def _propagate(config, packet0, indices):
 
     The trajectories run in chunks of _CHUNK, whose noise streams live
     together, added into the sums in index order; a chunk runs in groups
-    of _GROUP.  The steps run in blocks of _STEP_BLOCK steps, cut short
-    at a block's _NODE_BLOCK-th stored node and at the end of the run.
-    Each block's factors are taken once per chunk; then up to
-    `_cpu_count()` workers step the groups through it (`_advance`), each
-    in one workspace of its own, and write b and c at the block's nodes.
+    of _GROUP.  The steps run in blocks of _STEP_BLOCK steps, only the
+    last shorter, whatever the stored steps.  Each block's factors are
+    taken once per chunk; then up to `_cpu_count()` workers step the
+    groups through it (`_advance`), each in one workspace of its own, and
+    write b and c at the block's nodes, at most _STEP_BLOCK a trajectory.
     The first worker is the calling thread, the others the threads of one
     pool opened per run, so a run of one group starts no thread.  The
     nodes are read after the block, over the whole chunk and _READ_NODES
@@ -502,8 +504,7 @@ def _propagate(config, packet0, indices):
     # not at the top: concurrent.futures loads logging, 5 ms of any import
     from concurrent.futures import ThreadPoolExecutor
 
-    t0, h, n_steps, stored = step_plan(config.t_span, config.dt,
-                                       config.store_every)
+    t0, h, n_steps, stored = config.plan
     hbar = config.spec.constants.hbar
     r, (l0, l1), k, (nu0, nu1), rho = _packet_sde(config)
     s = _width_path(r, packet0[0], h, n_steps)
@@ -512,15 +513,9 @@ def _propagate(config, packet0, indices):
 
     # each block's steps [lo, hi) and stored nodes [node, last)
     size, width = min(_GROUP, indices.size), min(_STEP_BLOCK, n_steps)
-    spans, lo, node = [], 0, 1
-    while lo < n_steps:
-        hi = min(lo + width, n_steps)
-        last = int(np.searchsorted(stored, hi, side="right"))
-        if last - node > _NODE_BLOCK:
-            last = node + _NODE_BLOCK
-            hi = int(stored[last - 1])
-        spans.append((lo, hi, node, last))
-        lo, node = hi, last
+    edges = [*range(0, n_steps, _STEP_BLOCK), n_steps]
+    lasts = np.searchsorted(stored, edges, side="right").tolist()
+    spans = list(zip(edges, edges[1:], lasts, lasts[1:]))
 
     def blocks():
         """The blocks of the run, in order."""
@@ -563,8 +558,9 @@ def _propagate(config, packet0, indices):
                 """Add the packets at `nodes`, b and c (nodes,
                 trajectories), to the sums; a trajectory that fails at a
                 node is dropped there."""
-                vals, log_norm2 = _read_packets(s[stored[nodes], None],
-                                                b_nodes, c_nodes, hbar)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals, log_norm2 = _read_packets(s[stored[nodes], None],
+                                                    b_nodes, c_nodes, hbar)
                 ok = (log_norm2 <= _LOG_NORM_LIMIT) \
                     & np.isfinite(vals).all(axis=0)
                 live = np.logical_and.accumulate(ok, axis=0)

@@ -307,7 +307,7 @@ def test_failure_time_does_not_depend_on_store_every(store_every):
         return str(exc.value)
 
     assert failure(store_every) == failure(1) \
-        == "non-finite moments at t = 0.256"
+        == "non-finite moments at t = 0.201"
 
 
 # ------------------------------------------------------------- stability

@@ -1,6 +1,7 @@
 """The scripts under scripts/: a smoke run of eigenvalue_sweep.py, and the
 session's one run of run_all_scenarios.py (the `checked_runs` fixture)
-with its artifacts and its --against report."""
+with its artifacts and its --against report; and README's library quick
+start."""
 
 import json
 import pathlib
@@ -11,6 +12,7 @@ import pytest
 from qbmlab import io
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 @pytest.mark.parametrize("script, args", [
@@ -18,6 +20,14 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 ])
 def test_script_exits_cleanly(script, args, fresh_python):
     fresh_python(SCRIPTS / script, *args)
+
+
+def test_readme_library_quick_start_runs(fresh_python):
+    # the documented example, run as written in a fresh interpreter: its
+    # first line is the exact HPZ generator's audit verdict
+    source = README.read_text().split(
+        "## Quick start (library)\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert fresh_python("-c", source).splitlines()[0] == "NotCP"
 
 
 def test_every_shipped_scenario_runs(checked_runs):
@@ -60,6 +70,13 @@ def test_against_reports_each_csv_change(checked_runs, tmp_path,
     report["min_lambda_min"] *= 2.0
     del report["tol"]
     summary.write_text(json.dumps(report))
+    # a warning the run no longer records, and one it did not record
+    manifest = old / "hpz_audit_manifest.json"
+    report = json.loads(manifest.read_text())
+    unstable = report["warnings"].pop(0)
+    assert unstable.startswith("unstable generator: ")
+    report["warnings"].append("a warning no run records")
+    manifest.write_text(json.dumps(report))
     # a file a run no longer writes, and one no run of the script makes
     (old / "cl_regime_ensemble.csv").write_bytes(moments.read_bytes())
     (old / "notes.csv").write_bytes(moments.read_bytes())
@@ -73,6 +90,11 @@ def test_against_reports_each_csv_change(checked_runs, tmp_path,
         in lines
     assert f"only in {old}: cl_regime_ensemble.csv" in lines
     assert not any("notes.csv" in line for line in lines)
+    changes = [line for line in lines if line.startswith("  warning ")]
+    assert changes == ["  warning lost: a warning no run records",
+                       f"  warning new: {unstable}"]
+    assert lines.index("=== hpz_audit") < lines.index(changes[0]) \
+        < lines.index("=== jz_decoherence")
     # a second process writes every artifact left unedited byte for byte
     edited = {"qp_coupling_moments.csv", "hpz_audit_audit.csv",
               "hpz_audit_drude_audit.json", "hpz_audit_kernel.csv"}

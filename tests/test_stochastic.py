@@ -457,17 +457,16 @@ def test_block_stepping_matches_the_per_step_recurrence(
          "end-only"])
 def test_stored_nodes_inside_blocks_match_the_per_step_recurrence(
         monkeypatch, gamma, T, dt, t1, store_every):
-    # 300 steps stored at every step are blocks of 128, 128 and 44 steps,
-    # each ending at its _NODE_BLOCK-th node; stored every 7th, one block
-    # of 300 with 43 nodes inside.  The JZ run drops trajectory 3 at a
-    # node inside its one block of 25 steps: it is dropped from that node
-    # on, as in the recurrence, which restarts it from zero there.  c's
+    # 300 steps are one block, whose 300 nodes stored at every step are
+    # 299 inside it and one at its end; stored every 7th, it holds 42
+    # nodes inside.  The JZ run drops trajectory 3 at a node inside its
+    # one block of 25 steps: it is dropped from that node on, as in the
+    # recurrence, which restarts it from zero there.  c's
     # runs between nodes: 1,100 steps stored every 513th put a node on
     # the first step of the block [512, 1024), whose second run ends at
     # the block's end with no node; 1,024 steps stored every 256th end
     # each block of 512 on a node after one inside it; stored every 512th,
     # each block's one run ends at its one node, its end
-    assert stochastic._NODE_BLOCK == 128
     assert stochastic._STEP_BLOCK == 512
     config = SSEConfig(_spec("jz", gamma, T), dt=dt, t_span=(0.0, t1),
                        store_every=store_every, n_traj=200, seed=2)
@@ -565,6 +564,22 @@ def test_noise_layout_keeps_the_seeded_ensemble_bit_for_bit(
             == reference.stderr[name].tobytes()
 
 
+def _traced_peak(config, state0):
+    """`tracemalloc` peak of `ensemble_run(config, state0)` above its
+    start, run a second time so that first-call allocations do not count."""
+    ensemble_run(config, state0)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ensemble_run(config, state0)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def test_a_chunk_holds_about_one_noise_block(monkeypatch):
     # 512 trajectories over 1,000 steps: one chunk of 16 groups, stepped
     # by pools of 1 to 4 threads.  Each thread's workspace holds a group's
@@ -575,18 +590,42 @@ def test_a_chunk_holds_about_one_noise_block(monkeypatch):
     state0 = ground_state_moments(SYS, mean_q=0.5)
     for pool in (1, 2, 3, 4):
         monkeypatch.setattr(stochastic, "_cpu_count", lambda: pool)
-        ensemble_run(config, state0)  # first-call allocations not counted
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            ensemble_run(config, state0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        peak = _traced_peak(config, state0)
         assert peak < 1.5 * 512 * 512 * 16, \
+            f"{pool} threads: traced peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_dense_storage_keeps_blocks_of_512_steps(monkeypatch):
+    # 64 trajectories over 1,100 steps stored at every step: each of the
+    # two groups draws its noise in blocks of 512, 512 and 76 steps, however
+    # many stored nodes a block holds
+    config = SSEConfig(_spec("ccl", 0.02, 2.0), dt=1e-3, t_span=(0.0, 1.1),
+                       store_every=1, n_traj=64, seed=1)
+    blocks = {}
+
+    def counted(streams, root, draws, pairs):
+        group = streams[0].bit_generator.seed_seq.entropy[1]
+        blocks.setdefault(group, []).append(draws.shape[1])
+        return _noise_block(streams, root, draws, pairs)
+
+    monkeypatch.setattr(stochastic, "_noise_block", counted)
+    with pytest.warns(EnsembleHealthWarning, match="only 64 trajectories"):
+        ensemble_run(config, ground_state_moments(SYS, mean_q=0.5))
+    assert blocks == {0: [512, 512, 76], 32: [512, 512, 76]}
+
+
+def test_dense_storage_holds_one_block_of_nodes(monkeypatch):
+    # 512 trajectories over 1,100 steps stored at every step: b and c at
+    # a block's 512 nodes are two complex 512 x 512 buffers, 8 MiB, held
+    # besides about one 4 MiB noise block (as above), whatever the run's
+    # length or the pool's size
+    config = SSEConfig(_spec("ccl", 0.02, 2.0), dt=1e-3, t_span=(0.0, 1.1),
+                       store_every=1, n_traj=512, seed=1)
+    state0 = ground_state_moments(SYS, mean_q=0.5)
+    for pool in (1, 4):
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: pool)
+        peak = _traced_peak(config, state0)
+        assert peak < 1.5 * (4 + 8) * 2 ** 20, \
             f"{pool} threads: traced peak {peak / 2 ** 20:.2f} MiB"
 
 
@@ -595,24 +634,9 @@ def test_unraveling_tables_do_not_grow_with_the_run():
     # steps: of the per-step tables only the width path s, 16 B a step,
     # may grow with the run (19,000 more steps are 0.3 MB of it)
     state0 = ground_state_moments(SYS, mean_q=0.5)
-
-    def traced_peak(dt):
-        config = SSEConfig(_spec("ccl", 0.02, 2.0), dt=dt,
-                           t_span=(0.0, 1.0), store_every=500, n_traj=512,
-                           seed=1)
-        ensemble_run(config, state0)  # first-call allocations not counted
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            ensemble_run(config, state0)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-
-    short, long = traced_peak(1e-3), traced_peak(5e-5)
+    short, long = (_traced_peak(SSEConfig(
+        _spec("ccl", 0.02, 2.0), dt=dt, t_span=(0.0, 1.0), store_every=500,
+        n_traj=512, seed=1), state0) for dt in (1e-3, 5e-5))
     assert long - short < 0.5e6, \
         f"traced peak {short / 1e6:.2f} MB at 1,000 steps, " \
         f"{long / 1e6:.2f} MB at 20,000"
@@ -880,6 +904,24 @@ def test_a_dropped_trajectory_steps_without_noise():
         with pytest.raises(NumericalFailure, match="diverged"):
             ensemble_run(config, state0)
     assert sse_trajectory(config, state0).aborted
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("store_every", [5, 500])
+def test_a_runaway_inside_a_block_overflows_without_warning(store_every):
+    # the run above stored every 5th step or only at its end: the runaway
+    # overflows inside the one block of 500 steps, before the block's end,
+    # and is dropped at its first node whose packet is not finite
+    config = SSEConfig(_spec("jz", 12.5, 1.0), dt=0.5,
+                       t_span=(0.0, 250.0), store_every=store_every,
+                       n_traj=1, seed=2)
+    state0 = ground_state_moments(SYS, mean_q=np.sqrt(2.0))
+    with pytest.warns(EnsembleHealthWarning):
+        with pytest.raises(NumericalFailure, match="diverged"):
+            ensemble_run(config, state0)
+    path = sse_trajectory(config, state0)
+    assert path.aborted
+    assert np.all(np.isnan(path.observables[-1]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
